@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test campaign-smoke lossy-smoke service-smoke net-smoke perf-smoke mc-smoke faults-smoke zoo-smoke shard-smoke smoke docs-check benchmarks experiments
+.PHONY: test campaign-smoke lossy-smoke service-smoke net-smoke perf-smoke mc-smoke faults-smoke zoo-smoke shard-smoke smoke docs-check benchmarks bench-selftest bench-pairs experiments
 
 # -W error promotes every warning to a failure; the lone ignore shields
 # the suite from a deprecation raised inside third-party plugin hooks.
@@ -122,6 +122,20 @@ docs-check:
 
 benchmarks:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
+
+# The wall-clock benchmark's own self-test (bench/README.md; ~1 min,
+# not part of tier-1).
+bench-selftest:
+	$(PYTHON) -m pytest bench -q
+
+# Interleaved parent/change pairs of one bench/ workload, the evidence a
+# performance claim needs (benchmarks/pairs.py): PARENT is a git
+# revision (checked out into a temporary worktree) or a checkout
+# directory; each run lasts BENCHMARK.json's run_seconds. PAIRS and SEED
+# default to the script's own (10 pairs, seed 7).
+bench-pairs:
+	$(PYTHON) benchmarks/pairs.py --parent $(PARENT) --workload $(WORKLOAD) \
+		$(if $(PAIRS),--pairs $(PAIRS)) $(if $(SEED),--seed $(SEED))
 
 experiments:
 	$(PYTHON) -m repro experiments --list

@@ -1,0 +1,171 @@
+"""Interleaved parent/change pairs of one benchmark workload.
+
+    python3 benchmarks/pairs.py --parent <rev> --workload write_small
+    make bench-pairs PARENT=<rev> WORKLOAD=write_small [PAIRS=10] [SEED=7]
+
+The rule a performance claim has to meet on a small shared box
+(``bench/README.md``): run the parent commit and the working tree in
+pairs, alternating which side goes first so a slow phase of the machine
+lands on both; report each side's median and quartiles per metric; call
+it a gain only when the change wins at least nine tenths of the pairs
+(ties count for neither side) *and* the medians differ by more than the
+distance between the parent's own quartiles.
+
+``--parent`` names a git revision, checked out into a temporary
+``git worktree`` that is removed afterwards — or a directory that
+already holds a checkout, used as it is. Each run is
+``python3 bench/run.py --workload W --seed S --trace 0`` in a fresh
+interpreter of the side's own tree, so each side is measured by its own
+copy of ``bench/``; the metric names, directions and bounds come from
+this tree's ``BENCHMARK.json``. Pure standard library; nothing here is
+imported by the benchmark itself.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import Any, Iterator
+
+ROOT = Path(__file__).resolve().parent.parent
+#: Share of the pairs the change must win before a gain is called.
+WIN_SHARE = 0.9
+
+
+@contextlib.contextmanager
+def parent_tree(parent: str) -> Iterator[Path]:
+    """The parent's checkout: an existing directory, or a scratch worktree."""
+    if Path(parent).is_dir():
+        yield Path(parent).resolve()
+        return
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as scratch:
+        tree = Path(scratch) / "tree"
+        subprocess.run(
+            ["git", "-C", str(ROOT), "worktree", "add", "--detach", str(tree), parent],
+            check=True,
+            stdout=subprocess.DEVNULL,
+        )
+        try:
+            yield tree
+        finally:
+            subprocess.run(
+                ["git", "-C", str(ROOT), "worktree", "remove", "--force", str(tree)],
+                check=True,
+            )
+
+
+def run_once(tree: Path, workload: str, seed: int) -> dict[str, Any]:
+    """One untraced run of ``workload`` in ``tree``; its result object."""
+    done = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload,
+         "--seed", str(seed), "--trace", "0"],
+        cwd=tree,
+        capture_output=True,
+        text=True,
+    )
+    lines = done.stdout.strip().splitlines()
+    if not lines:
+        raise SystemExit(f"{tree}: no result (exit {done.returncode})\n{done.stderr}")
+    return json.loads(lines[-1])
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(lower quartile, median, upper quartile)."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def shown(value: float) -> str:
+    return f"{value:.0f}" if abs(value) >= 1000 else f"{value:.4g}"
+
+
+def summarise(
+    declared: dict[str, Any], parent: list[float], change: list[float]
+) -> dict[str, Any]:
+    """One metric's row: spreads, wins per side, and the verdict."""
+    lower_is_better = declared["better"] == "lower"
+    wins = sum((c < p) if lower_is_better else (c > p) for p, c in zip(parent, change))
+    losses = sum((c > p) if lower_is_better else (c < p) for p, c in zip(parent, change))
+    p_q1, p_med, p_q3 = quartiles(parent)
+    c_q1, c_med, c_q3 = quartiles(change)
+    better_by = (p_med - c_med) if lower_is_better else (c_med - p_med)
+    if wins >= WIN_SHARE * len(parent) and better_by > p_q3 - p_q1:
+        verdict = "gain"
+    elif "bound" in declared and -better_by > declared["bound"] * p_med:
+        verdict = "REGRESSED"
+    else:
+        verdict = "-"
+    return {
+        "metric": declared["name"],
+        "parent": (p_q1, p_med, p_q3),
+        "change": (c_q1, c_med, c_q3),
+        "delta": (c_med - p_med) / p_med if p_med else 0.0,
+        "wins": wins,
+        "losses": losses,
+        "verdict": verdict,
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="git revision, or a checkout directory")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--out", help="write every run's raw result to this JSON file")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+
+    runs: dict[str, list[dict[str, Any]]] = {"parent": [], "change": []}
+    with parent_tree(args.parent) as tree:
+        trees = {"parent": tree, "change": ROOT}
+        for pair in range(args.pairs):
+            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            for side in order:
+                result = run_once(trees[side], args.workload, args.seed)
+                runs[side].append(result)
+                values = "  ".join(
+                    f"{m['name']}={shown(result['metrics'][m['name']]['value'])}"
+                    for m in end_to_end
+                )
+                print(f"pair {pair + 1:>2} {side:<6} failed={result['failed']}  {values}", flush=True)
+
+    print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs (lower quartile / median / upper quartile)")
+    print(f"{'metric':<20}{'parent':>30}{'change':>30}{'delta':>9}{'wins':>9}  verdict")
+    for declared in end_to_end:
+        values = {
+            side: [run["metrics"][declared["name"]]["value"] for run in runs[side]]
+            for side in runs
+        }
+        row = summarise(declared, values["parent"], values["change"])
+        spreads = [" / ".join(map(shown, row[side])) for side in ("parent", "change")]
+        print(
+            f"{row['metric']:<20}{spreads[0]:>30}{spreads[1]:>30}{row['delta']:>+9.1%}"
+            f"{row['wins']:>5}:{row['losses']:<3}  {row['verdict']}"
+        )
+    failed = {side: sum(run["failed"] for run in runs[side]) for side in runs}
+    attempted = {side: sum(run["attempted"] for run in runs[side]) for side in runs}
+    print(
+        f"failed/attempted  parent {failed['parent']}/{attempted['parent']}  "
+        f"change {failed['change']}/{attempted['change']}"
+    )
+    if args.out:
+        Path(args.out).write_text(
+            json.dumps({"workload": args.workload, "seed": args.seed, **runs}, indent=1) + "\n",
+            encoding="utf-8",
+        )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

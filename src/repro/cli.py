@@ -1343,7 +1343,7 @@ def cmd_net(args: argparse.Namespace) -> int:
     from repro.net import (
         Genesis,
         NetClient,
-        free_port,
+        free_ports,
         run_cluster_smoke,
         serve_replica,
     )
@@ -1362,7 +1362,7 @@ def cmd_net(args: argparse.Namespace) -> int:
             )
         else:
             addresses = tuple(
-                (args.host, free_port()) for _ in range(args.replicas)
+                (args.host, port) for port in free_ports(args.replicas)
             )
         genesis = Genesis(
             name=args.name,
@@ -1449,7 +1449,7 @@ def cmd_shard(args: argparse.Namespace) -> int:
     import asyncio
     import json
 
-    from repro.net.cluster import free_port
+    from repro.net.cluster import free_ports
     from repro.net.loop import install_event_loop
     from repro.shard import (
         ShardGenesis,
@@ -1479,9 +1479,10 @@ def cmd_shard(args: argparse.Namespace) -> int:
                 for shard in range(args.shards)
             )
         else:
+            ports = iter(free_ports(args.shards * args.replicas_per_shard))
             addresses = tuple(
                 tuple(
-                    (args.host, free_port())
+                    (args.host, next(ports))
                     for _ in range(args.replicas_per_shard)
                 )
                 for _ in range(args.shards)

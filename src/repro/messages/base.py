@@ -12,10 +12,17 @@ Figure 1); see :mod:`repro.core.certificates`.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import ProtocolError
+
+
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    """Declared field names of one body class (fixed at class creation)."""
+    return tuple(field.name for field in dataclasses.fields(cls))
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,8 +47,7 @@ class Message:
     def canonical(self) -> Any:
         """Canonical structure: the ordered tuple of (field, value) pairs."""
         return tuple(
-            (field.name, getattr(self, field.name))
-            for field in dataclasses.fields(self)
+            (name, getattr(self, name)) for name in _field_names(type(self))
         )
 
     def replace(self, **changes: Any) -> "Message":

@@ -10,7 +10,7 @@ from repro.net.clock import ManualScheduler, WallScheduler
 from repro.net.cluster import (
     ClusterError,
     LocalCluster,
-    free_port,
+    free_ports,
     make_genesis,
     run_cluster_smoke,
     wait_cluster_ready,
@@ -34,6 +34,7 @@ from repro.net.transport import (
     TransportError,
 )
 from repro.net.wire import (
+    EnvelopeTable,
     FrameAssembler,
     WireError,
     decode_frame,
@@ -50,7 +51,7 @@ __all__ = [
     "WallScheduler",
     "ClusterError",
     "LocalCluster",
-    "free_port",
+    "free_ports",
     "make_genesis",
     "run_cluster_smoke",
     "wait_cluster_ready",
@@ -71,6 +72,7 @@ __all__ = [
     "LoopbackTransport",
     "PeerTransport",
     "TransportError",
+    "EnvelopeTable",
     "FrameAssembler",
     "WireError",
     "decode_frame",

@@ -24,6 +24,7 @@ orchestrator never talks to replicas except as an ordinary client.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import os
 import signal
@@ -45,11 +46,22 @@ class ClusterError(ReproError):
     """The cluster failed to start, converge, or pass its assertions."""
 
 
-def free_port() -> int:
-    """A port the OS just handed out (racy in principle, fine locally)."""
-    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as probe:
-        probe.bind(("127.0.0.1", 0))
-        return probe.getsockname()[1]
+def free_ports(count: int) -> list[int]:
+    """``count`` distinct loopback ports the OS just handed out.
+
+    Every probe stays bound until the last port is picked: binding and
+    releasing one probe at a time lets the OS hand the same port out
+    twice. (Racy against other processes in principle, fine locally.)
+    """
+    with contextlib.ExitStack() as probes:
+        ports = []
+        for _ in range(count):
+            probe = probes.enter_context(
+                socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            )
+            probe.bind(("127.0.0.1", 0))
+            ports.append(probe.getsockname()[1])
+        return ports
 
 
 def make_genesis(
@@ -60,7 +72,7 @@ def make_genesis(
     **overrides: Any,
 ) -> Genesis:
     """A loopback-interface genesis with freshly allocated ports."""
-    addresses = tuple(("127.0.0.1", free_port()) for _ in range(n_replicas))
+    addresses = tuple(("127.0.0.1", port) for port in free_ports(n_replicas))
     genesis = Genesis(
         name=name,
         seed=seed,

@@ -35,7 +35,13 @@ from typing import Any, Callable
 from repro.errors import ReproError
 from repro.net.genesis import Genesis
 from repro.net.messages import ROLE_REPLICA, Hello
-from repro.net.wire import FrameAssembler, WireError, decode_frame, encode_frame
+from repro.net.wire import (
+    EnvelopeTable,
+    FrameAssembler,
+    WireError,
+    decode_frame,
+    encode_frame,
+)
 from repro.observability.registry import NULL_METRICS
 
 MessageHandler = Callable[[int, Any], None]
@@ -185,6 +191,10 @@ class PeerTransport:
         self._server: asyncio.AbstractServer | None = None
         self._closing = False
         self.bound_port: int | None = None
+        # This replica's signed envelopes, shared by every connection:
+        # a repeat decodes to the object already held, a broadcast
+        # encodes once (repro.net.wire.EnvelopeTable).
+        self._envelopes = EnvelopeTable(metrics)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -219,7 +229,7 @@ class PeerTransport:
 
     def send(self, dst: int, payload: Any) -> None:
         try:
-            frame = encode_frame(payload)
+            frame = encode_frame(payload, table=self._envelopes)
         except WireError:
             self._metrics.inc("frames_unencodable")
             return
@@ -229,7 +239,7 @@ class PeerTransport:
             # Self-delivery still round-trips the codec (a node talks to
             # itself exactly like to a peer) but stays in-process.
             try:
-                message = decode_frame(frame)
+                message = decode_frame(frame, table=self._envelopes)
             except WireError:
                 self._metrics.inc("frames_rejected")
                 return
@@ -309,7 +319,7 @@ class PeerTransport:
     async def _accept(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        assembler = FrameAssembler()
+        assembler = FrameAssembler(table=self._envelopes)
         peer: int | None = None
         self._accepted.add(writer)
         try:

@@ -32,6 +32,11 @@ regardless of what it sends, so mixed-version clusters interoperate;
 :class:`FrameAssembler` counts decoded frames per version for the
 ``frames_v1``/``frames_v2`` transport metrics.
 
+An endpoint may hand the v2 codec its :class:`EnvelopeTable`: signed
+envelopes it has already decoded come back as the same object, and the
+envelope it encoded last is spliced rather than re-walked. The frames
+are byte-for-byte those of the table-less codec.
+
 Robustness contract: **every** malformed input — truncated, oversized,
 wrong magic, wrong version, tampered payload, unknown type, hostile
 nesting depth — raises :class:`WireError` (a :class:`~repro.errors.
@@ -43,11 +48,16 @@ nothing on the wire may crash or hang a node
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import struct
+import weakref
 from typing import Any, Callable
 
+from repro.core.certificates import Certificate, CertificateDigest, SignedMessage
+from repro.crypto.cache import caching_enabled
 from repro.crypto.encoding import canonical_bytes
 from repro.errors import ReproError
+from repro.observability.registry import NULL_METRICS
 
 
 class WireError(ReproError):
@@ -302,7 +312,9 @@ def _unzigzag(value: int) -> int:
     return value // 2 if value % 2 == 0 else -(value // 2) - 1
 
 
-def _encode_v2(out: bytearray, value: Any, depth: int) -> None:
+def _encode_v2(
+    out: bytearray, value: Any, depth: int, table: "EnvelopeTable | None" = None
+) -> None:
     if depth > MAX_DEPTH:
         raise WireError("payload nesting exceeds the depth ceiling")
     if value is None:
@@ -334,6 +346,9 @@ def _encode_v2(out: bytearray, value: Any, depth: int) -> None:
         return
     registered = _BY_TYPE.get(type(value))
     if registered is not None:
+        if table is not None and type(value) is SignedMessage:
+            table.encode_envelope(out, value, depth)
+            return
         wire_name, to_fields = registered
         name = wire_name.encode("utf-8")
         out.append(_T2_REG)
@@ -342,22 +357,22 @@ def _encode_v2(out: bytearray, value: Any, depth: int) -> None:
         fields = tuple(to_fields(value))
         _write_varint(out, len(fields))
         for field in fields:
-            _encode_v2(out, field, depth + 1)
+            _encode_v2(out, field, depth + 1, table)
         return
     if isinstance(value, (tuple, list)):
         out.append(_T2_TUPLE)
         _write_varint(out, len(value))
         for item in value:
-            _encode_v2(out, item, depth + 1)
+            _encode_v2(out, item, depth + 1, table)
         return
     if isinstance(value, dict):
         # Canonically sorted by encoded key, exactly like v1's D tag.
         items = []
         for key, val in value.items():
             key_out = bytearray()
-            _encode_v2(key_out, key, depth + 1)
+            _encode_v2(key_out, key, depth + 1, table)
             val_out = bytearray()
-            _encode_v2(val_out, val, depth + 1)
+            _encode_v2(val_out, val, depth + 1, table)
             items.append((bytes(key_out), bytes(val_out)))
         out.append(_T2_DICT)
         _write_varint(out, len(items))
@@ -369,7 +384,7 @@ def _encode_v2(out: bytearray, value: Any, depth: int) -> None:
         members = []
         for item in value:
             item_out = bytearray()
-            _encode_v2(item_out, item, depth + 1)
+            _encode_v2(item_out, item, depth + 1, table)
             members.append(bytes(item_out))
         out.append(_T2_SET)
         _write_varint(out, len(members))
@@ -389,7 +404,13 @@ def _read_count(buf: memoryview, pos: int, end: int) -> tuple[int, int]:
     return count, pos
 
 
-def _decode_v2(buf: memoryview, pos: int, end: int, depth: int) -> tuple[Any, int]:
+def _decode_v2(
+    buf: memoryview,
+    pos: int,
+    end: int,
+    depth: int,
+    table: "EnvelopeTable | None" = None,
+) -> tuple[Any, int]:
     if depth > MAX_DEPTH:
         raise WireError("payload nesting exceeds the depth ceiling")
     if pos >= end:
@@ -422,15 +443,15 @@ def _decode_v2(buf: memoryview, pos: int, end: int, depth: int) -> tuple[Any, in
         count, pos = _read_count(buf, pos, end)
         items = []
         for _ in range(count):
-            item, pos = _decode_v2(buf, pos, end, depth + 1)
+            item, pos = _decode_v2(buf, pos, end, depth + 1, table)
             items.append(item)
         return tuple(items), pos
     if tag == _T2_DICT:
         count, pos = _read_count(buf, pos, end)
         mapping: dict[Any, Any] = {}
         for _ in range(count):
-            key, pos = _decode_v2(buf, pos, end, depth + 1)
-            value, pos = _decode_v2(buf, pos, end, depth + 1)
+            key, pos = _decode_v2(buf, pos, end, depth + 1, table)
+            value, pos = _decode_v2(buf, pos, end, depth + 1, table)
             try:
                 mapping[key] = value
             except TypeError as exc:
@@ -440,13 +461,14 @@ def _decode_v2(buf: memoryview, pos: int, end: int, depth: int) -> tuple[Any, in
         count, pos = _read_count(buf, pos, end)
         members = []
         for _ in range(count):
-            member, pos = _decode_v2(buf, pos, end, depth + 1)
+            member, pos = _decode_v2(buf, pos, end, depth + 1, table)
             members.append(member)
         try:
             return frozenset(members), pos
         except TypeError as exc:
             raise WireError(f"unhashable set member: {exc}") from exc
     if tag == _T2_REG:
+        span_start = pos - 1
         length, pos = _read_count(buf, pos, end)
         try:
             wire_name = bytes(buf[pos : pos + length]).decode("utf-8")
@@ -459,9 +481,11 @@ def _decode_v2(buf: memoryview, pos: int, end: int, depth: int) -> tuple[Any, in
         count, pos = _read_count(buf, pos, end)
         fields = []
         for _ in range(count):
-            field, pos = _decode_v2(buf, pos, end, depth + 1)
+            field, pos = _decode_v2(buf, pos, end, depth + 1, table)
             fields.append(field)
-        _cls, _to_fields, from_fields = entry
+        cls, _to_fields, from_fields = entry
+        if table is not None and cls is SignedMessage:
+            return table.intern(buf[span_start:pos], fields), pos
         try:
             return from_fields(tuple(fields)), pos
         except WireError:
@@ -471,25 +495,112 @@ def _decode_v2(buf: memoryview, pos: int, end: int, depth: int) -> tuple[Any, in
     raise WireError(f"unknown v2 tag {tag:#04x}")
 
 
-def encode_payload(value: Any, version: int = VERSION) -> bytes:
-    """Encode one message to payload bytes (no frame header)."""
+class EnvelopeTable:
+    """One endpoint's memory of the signed envelopes crossing its wire.
+
+    Certificates make one :class:`~repro.core.certificates.SignedMessage`
+    arrive many times — alone, then inside every certificate that cites
+    it — and its encoding/digest memos live on the Python object, so a
+    decoder that builds a fresh twin per arrival throws them away
+    (docs/PERFORMANCE.md §2). The table closes that gap on both sides of
+    the v2 codec without changing a byte of any frame:
+
+    * **decoding** — a weak-valued map from the SHA-256 of an envelope's
+      exact wire span to the object those bytes decoded to. A repeat of
+      the span returns the object this endpoint already holds, memos
+      intact. Entries die with their last outside reference: the table
+      holds an envelope exactly as long as the protocol does, so there
+      is no size and nothing to evict.
+    * **encoding** — the last outermost envelope encoded, with its bytes
+      and the depth it was encoded at. A broadcast re-wraps one envelope
+      object per destination; every copy after the first is a splice.
+
+    One table per endpoint, never shared: a replica may skip only work
+    it did itself. Both halves are off under
+    :func:`~repro.crypto.cache.caching_disabled`.
+    """
+
+    __slots__ = ("_interned", "_encoded", "_metrics")
+
+    def __init__(self, metrics: Any = NULL_METRICS) -> None:
+        self._interned: weakref.WeakValueDictionary[bytes, SignedMessage] = (
+            weakref.WeakValueDictionary()
+        )
+        self._encoded: tuple[SignedMessage, bytearray, int] | None = None
+        self._metrics = metrics
+
+    def __len__(self) -> int:
+        """Envelopes currently interned (alive somewhere in the process)."""
+        return len(self._interned)
+
+    def intern(self, span: memoryview, fields: list) -> SignedMessage:
+        """The envelope for ``span``, whose decoded fields are ``fields``."""
+        key = hashlib.sha256(span).digest()
+        envelope = self._interned.get(key)
+        if envelope is not None:
+            self._metrics.inc("envelope_intern_hits")
+            return envelope
+        try:
+            envelope = SignedMessage(*fields)
+        except Exception as exc:
+            raise WireError(f"cannot rebuild SignedMessage: {exc}") from exc
+        self._interned[key] = envelope
+        self._metrics.inc("envelopes_interned")
+        return envelope
+
+    def encode_envelope(
+        self, out: bytearray, envelope: SignedMessage, depth: int
+    ) -> None:
+        """Append ``envelope``'s v2 encoding to ``out``, spliced if known."""
+        last = self._encoded
+        # A splice at the remembered depth or shallower cannot put a node
+        # past MAX_DEPTH that the remembered walk did not already pass;
+        # a deeper one re-encodes, so the ceiling check stays exact.
+        if last is not None and last[0] is envelope and depth <= last[2]:
+            out += last[1]
+            return
+        encoded = bytearray()
+        # Nested envelopes see no table: only the outermost is kept.
+        _encode_v2(encoded, envelope, depth)
+        self._encoded = (envelope, encoded, depth)
+        out += encoded
+
+
+def encode_payload(
+    value: Any, version: int = VERSION, table: EnvelopeTable | None = None
+) -> bytes:
+    """Encode one message to payload bytes (no frame header).
+
+    ``table`` (v2 only) splices the envelope this endpoint encoded last
+    instead of re-walking it; the bytes are the same either way.
+    """
     if version == VERSION:
         return _encode(value, 0)
     if version == VERSION_BINARY:
         out = bytearray()
-        _encode_v2(out, value, 0)
+        _encode_v2(out, value, 0, table if caching_enabled() else None)
         return bytes(out)
     raise WireError(f"unsupported wire version {version}")
 
 
-def decode_payload(data: bytes | memoryview, version: int = VERSION) -> Any:
-    """Decode one payload; any malformation raises :class:`WireError`."""
+def decode_payload(
+    data: bytes | memoryview,
+    version: int = VERSION,
+    table: EnvelopeTable | None = None,
+) -> Any:
+    """Decode one payload; any malformation raises :class:`WireError`.
+
+    ``table`` (v2 only) interns the signed envelopes of the payload: one
+    this endpoint already holds is returned as that very object.
+    """
     buf = data if isinstance(data, memoryview) else memoryview(data)
     try:
         if version == VERSION:
             value, pos = _decode(buf, 0, len(buf), 0)
         elif version == VERSION_BINARY:
-            value, pos = _decode_v2(buf, 0, len(buf), 0)
+            value, pos = _decode_v2(
+                buf, 0, len(buf), 0, table if caching_enabled() else None
+            )
         else:
             raise WireError(f"unsupported wire version {version}")
     except WireError:
@@ -501,13 +612,18 @@ def decode_payload(data: bytes | memoryview, version: int = VERSION) -> Any:
     return value
 
 
-def encode_frame(value: Any, version: int = DEFAULT_VERSION) -> bytes:
+def encode_frame(
+    value: Any,
+    version: int = DEFAULT_VERSION,
+    table: EnvelopeTable | None = None,
+) -> bytes:
     """Encode one message to a complete wire frame.
 
     ``version`` selects the payload encoding (default: the compact
-    binary v2); any supported receiver decodes either.
+    binary v2); any supported receiver decodes either. ``table`` is the
+    sending endpoint's :class:`EnvelopeTable`, if it keeps one.
     """
-    payload = encode_payload(value, version=version)
+    payload = encode_payload(value, version=version, table=table)
     if len(payload) > MAX_FRAME:
         raise WireError(
             f"frame payload of {len(payload)} bytes exceeds MAX_FRAME"
@@ -515,9 +631,9 @@ def encode_frame(value: Any, version: int = DEFAULT_VERSION) -> bytes:
     return HEADER.pack(MAGIC, version, len(payload)) + payload
 
 
-def decode_frame(data: bytes) -> Any:
+def decode_frame(data: bytes, table: EnvelopeTable | None = None) -> Any:
     """Decode exactly one complete frame (loopback / tests)."""
-    assembler = FrameAssembler()
+    assembler = FrameAssembler(table=table)
     messages = assembler.feed(data)
     if len(messages) != 1 or assembler.buffered:
         raise WireError(
@@ -538,11 +654,16 @@ class FrameAssembler:
     stream is not attempted).
     """
 
-    __slots__ = ("_buffer", "_max_frame", "decoded_by_version")
+    __slots__ = ("_buffer", "_max_frame", "_table", "decoded_by_version")
 
-    def __init__(self, max_frame: int = MAX_FRAME) -> None:
+    def __init__(
+        self, max_frame: int = MAX_FRAME, table: EnvelopeTable | None = None
+    ) -> None:
         self._buffer = bytearray()
         self._max_frame = max_frame
+        #: The receiving endpoint's envelope table (shared by all of its
+        #: connections), or None to build every envelope afresh.
+        self._table = table
         #: version -> frames successfully decoded (transport metrics).
         self.decoded_by_version: dict[int, int] = {}
 
@@ -571,7 +692,9 @@ class FrameAssembler:
             view = memoryview(self._buffer)
             try:
                 message = decode_payload(
-                    view[HEADER.size : frame_end], version=version
+                    view[HEADER.size : frame_end],
+                    version=version,
+                    table=self._table,
                 )
             finally:
                 view.release()
@@ -585,11 +708,6 @@ class FrameAssembler:
 
 def _register_stack_types() -> None:
     """Register every message type the deployed service puts on the wire."""
-    from repro.core.certificates import (
-        Certificate,
-        CertificateDigest,
-        SignedMessage,
-    )
     from repro.crypto.signatures import Signature
     from repro.messages.consensus import Init, VCurrent, VDecide, VNext
     from repro.net.messages import (

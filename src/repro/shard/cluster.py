@@ -31,7 +31,7 @@ from typing import Any
 
 from repro.errors import ConfigurationError, ReproError
 from repro.net.client import NetClient
-from repro.net.cluster import ClusterError, LocalCluster, free_port, wait_cluster_ready
+from repro.net.cluster import ClusterError, LocalCluster, free_ports, wait_cluster_ready
 from repro.shard.client import ShardedNetClient
 from repro.shard.genesis import ShardGenesis
 from repro.shard.keymap import key_for_shard
@@ -52,8 +52,9 @@ def make_shard_genesis(
     """A loopback-interface shard genesis with freshly allocated ports."""
     if n_shards < 1:
         raise ConfigurationError(f"n_shards must be >= 1, got {n_shards}")
+    ports = iter(free_ports(n_shards * replicas_per_shard))
     addresses = tuple(
-        tuple(("127.0.0.1", free_port()) for _ in range(replicas_per_shard))
+        tuple(("127.0.0.1", next(ports)) for _ in range(replicas_per_shard))
         for _ in range(n_shards)
     )
     genesis = ShardGenesis(

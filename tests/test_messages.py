@@ -2,8 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+import repro.broadcast.reliable  # noqa: F401  (body types register by import)
+import repro.consensus.chandra_toueg  # noqa: F401
+import repro.detectors.heartbeat  # noqa: F401
+import repro.messages.ct  # noqa: F401
+import repro.service.messages  # noqa: F401
+from repro.crypto.encoding import canonical_bytes
 from repro.errors import ProtocolError
 from repro.messages.base import Message
 from repro.messages.consensus import (
@@ -20,6 +28,13 @@ from repro.messages.consensus import (
 )
 
 
+def _stand_in(qualname, structure):
+    """An object of class ``qualname`` canonicalising to ``structure``."""
+    return type(
+        qualname, (), {"__qualname__": qualname, "canonical": lambda self: structure}
+    )()
+
+
 class TestMessageBase:
     def test_type_name(self):
         assert Current(sender=0, round=1, est="x").type_name == "CURRENT"
@@ -28,6 +43,29 @@ class TestMessageBase:
     def test_canonical_lists_fields_in_order(self):
         body = Current(sender=2, round=3, est="v")
         assert body.canonical() == (("sender", 2), ("round", 3), ("est", "v"))
+
+    def test_canonical_is_pinned_for_every_body_type(self):
+        # The field-name tuple is cached per class; the reference walks
+        # dataclasses.fields() on every call, as canonical() used to.
+        def body_types(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from body_types(sub)
+
+        types = set(body_types(Message))
+        assert {Init, VCurrent, VNext, VDecide, Current, Next, Decide} <= types
+        assert len(types) >= 20
+        for cls in sorted(types, key=lambda c: c.__qualname__):
+            if cls.canonical is not Message.canonical:
+                continue
+            names = [field.name for field in dataclasses.fields(cls)]
+            body = cls(**{name: index for index, name in enumerate(names)})
+            reference = tuple((name, getattr(body, name)) for name in names)
+            for _ in range(2):  # first call fills the cache, second reads it
+                assert body.canonical() == reference
+            assert canonical_bytes(body) == canonical_bytes(
+                _stand_in(cls.__qualname__, reference)
+            )
 
     def test_replace_produces_modified_copy(self):
         body = Next(sender=1, round=4)

@@ -19,6 +19,7 @@ import pytest
 from repro.net.cluster import (
     ClusterError,
     LocalCluster,
+    free_ports,
     make_genesis,
     run_cluster_smoke,
 )
@@ -30,6 +31,13 @@ class TestGenesisGeneration:
         ports = [port for _host, port in genesis.addresses]
         assert len(set(ports)) == 4
         genesis.validate()
+
+    def test_free_ports_never_hands_a_port_out_twice(self):
+        # One probe bound and released at a time could (and in PR 12's
+        # benchmark did) return the same port twice.
+        ports = free_ports(64)
+        assert len(ports) == len(set(ports)) == 64
+        assert all(0 < port < 65536 for port in ports)
 
     def test_overrides_flow_through(self):
         genesis = make_genesis(4, seed=31, window=3, name="custom")

@@ -33,6 +33,7 @@ from repro.net.wire import (
     SUPPORTED_VERSIONS,
     VERSION,
     VERSION_BINARY,
+    EnvelopeTable,
     FrameAssembler,
     WireError,
     decode_frame,
@@ -110,6 +111,12 @@ SAMPLES = [
 
 VERSIONS = pytest.mark.parametrize("version", SUPPORTED_VERSIONS)
 
+#: A table that has interned (and, through WARM, keeps alive) every
+#: envelope of SAMPLES: tampered frames whose nested spans survive
+#: intact hit it, the rest miss — both must stay contained.
+WARM_TABLE = EnvelopeTable()
+WARM = [decode_frame(encode_frame(value), table=WARM_TABLE) for value in SAMPLES]
+
 
 class TestRoundTrips:
     @VERSIONS
@@ -167,10 +174,21 @@ class TestHostileFrames:
     """Satellite: fuzzed malformed frames are rejections, never crashes."""
 
     def assert_rejected_or_decoded(self, data: bytes) -> None:
-        try:
-            decode_frame(data)
-        except WireError:
-            pass  # the only acceptable exception type
+        for table in (None, WARM_TABLE):
+            try:
+                decode_frame(data, table=table)
+            except WireError:
+                pass  # the only acceptable exception type
+
+    def test_warm_table_is_actually_consulted(self):
+        assert len(WARM_TABLE) > 0
+        assert decode_frame(encode_frame(SAMPLES[-1]), table=WARM_TABLE) == SAMPLES[-1]
+
+    def test_truncated_frames_with_a_table(self):
+        frame = encode_frame(SAMPLES[-1])
+        for cut in range(len(frame)):
+            with pytest.raises(WireError):
+                decode_frame(frame[:cut], table=WARM_TABLE)
 
     @VERSIONS
     def test_truncated_frames(self, version):
