@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test campaign-smoke lossy-smoke service-smoke net-smoke perf-smoke mc-smoke faults-smoke zoo-smoke shard-smoke smoke docs-check benchmarks bench-selftest bench-pairs experiments
+.PHONY: test campaign-smoke lossy-smoke service-smoke net-smoke perf-smoke mc-smoke faults-smoke zoo-smoke shard-smoke smoke artifact-digests docs-check benchmarks bench-selftest bench-pairs experiments
 
 # -W error promotes every warning to a failure; the lone ignore shields
 # the suite from a deprecation raised inside third-party plugin hooks.
@@ -114,6 +114,22 @@ shard-smoke:
 
 # Every smoke target in one call.
 smoke: campaign-smoke lossy-smoke service-smoke net-smoke perf-smoke mc-smoke faults-smoke zoo-smoke shard-smoke
+
+# Before-vs-after byte identity: the smoke targets compare two runs of
+# one commit; a refactor needs the same artifacts compared across two
+# commits. Runs every deterministic preset once into a temp dir and
+# prints `sha256  name` per artifact, sorted by name, nothing else on
+# stdout:  diff <(make -s -C ../parent artifact-digests) <(make -s artifact-digests)
+artifact-digests:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && { \
+	$(PYTHON) -m repro campaign run --preset smoke --master-seed 0 --out $$dir/campaign.jsonl && \
+	$(PYTHON) -m repro service campaign --preset smoke --out $$dir/service.json && \
+	$(PYTHON) -m repro perf smoke --out $$dir/perf.json && \
+	$(PYTHON) -m repro mc run --max-depth 3 --out $$dir/mc.jsonl && \
+	$(PYTHON) -m repro campaign faults --preset smoke --fidelity sim,loopback --out $$dir/faults.json && \
+	$(PYTHON) -m repro campaign zoo --preset smoke --fidelity sim,loopback --out $$dir/zoo.json && \
+	$(PYTHON) -m repro shard loopback --out $$dir/shard.json; } >&2 && \
+	cd $$dir && sha256sum *
 
 # Execute every ```python snippet in README.md and docs/*.md
 # (tests/test_docs_snippets.py); keeps the documented examples honest.

@@ -8,7 +8,9 @@ from repro.consensus.monitor import (
     FaultReport,
     MonitorBank,
     PeerMonitor,
+    PeerMonitorBase,
 )
+from repro.consensus.shell import TransformedShell
 from repro.consensus.transformed import TransformedConsensusProcess
 from repro.consensus.transformed_ct import TransformedCtProcess
 
@@ -20,7 +22,9 @@ __all__ = [
     "HurfinRaynalProcess",
     "MonitorBank",
     "PeerMonitor",
+    "PeerMonitorBase",
     "TransformedConsensusProcess",
     "TransformedCtProcess",
+    "TransformedShell",
     "coordinator_of",
 ]

@@ -31,16 +31,9 @@ from __future__ import annotations
 from typing import Any
 
 from repro.broadcast.reliable import ReliableBroadcast
-from repro.consensus.monitor import MonitorBank, Q0
+from repro.consensus.monitor import PeerMonitor
 from repro.consensus.transformed import TransformedConsensusProcess
-from repro.core.certificates import (
-    CertificationAuthority,
-    EMPTY_CERTIFICATE,
-    SignedMessage,
-)
-from repro.core.modules import ModuleConfig
-from repro.core.specs import SystemParameters
-from repro.detectors.base import FailureDetector
+from repro.core.certificates import EMPTY_CERTIFICATE, SignedMessage
 from repro.messages.consensus import Init
 from repro.sim.process import ProcessEnv
 
@@ -48,29 +41,15 @@ from repro.sim.process import ProcessEnv
 class EchoInitConsensusProcess(TransformedConsensusProcess):
     """Transformed consensus whose INIT phase runs over reliable broadcast."""
 
-    def __init__(
-        self,
-        proposal: Any,
-        params: SystemParameters,
-        authority: CertificationAuthority,
-        detector: FailureDetector,
-        suspicion_poll: float = 0.5,
-        config: ModuleConfig | None = None,
-    ) -> None:
-        super().__init__(
-            proposal, params, authority, detector, suspicion_poll, config
-        )
-        # Re-create the monitor bank with streams opening at q0: INITs no
-        # longer appear on the peers' direct channels.
-        self.monitor_bank = MonitorBank(
-            own_pid=authority.pid,
-            params=params,
-            verify=authority.signature_valid,
-            use_ledger=self.config.track_equivocation,
-            check_certificates=self.config.verify_certificates,
-            initial_state=Q0,
-        )
-        self.rb = ReliableBroadcast(f=params.f, deliver=self._on_rb_deliver)
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self.rb = ReliableBroadcast(f=self.params.f, deliver=self._on_rb_deliver)
+
+    def _make_monitor(self, peer: int) -> PeerMonitor:
+        # INITs no longer appear on the peers' direct channels.
+        monitor = super()._make_monitor(peer)
+        monitor.skip_init()
+        return monitor
 
     def bind(self, env: ProcessEnv) -> None:
         super().bind(env)
@@ -111,18 +90,8 @@ class EchoInitConsensusProcess(TransformedConsensusProcess):
         if not self.authority.signature_valid(payload):
             self._declare(origin, "echo-init: invalid INIT signature")
             return
-        if self.phase != "init" or self.decided:
-            return
-        self._vector_builder.add(payload)
-        self._maybe_finish_init()
-
-    def _maybe_finish_init(self) -> None:
-        if self.phase != "init" or not self._vector_builder.ready:
-            return
-        self.est_vect, self.est_cert = self._vector_builder.build()
-        self.record("vector-built", vector=self.est_vect)
-        self.phase = "rounds"
-        self._begin_round(1)
+        if not self.decided:
+            self._on_init(payload)
 
     def handle_valid(self, message: SignedMessage) -> None:
         if isinstance(message.body, Init):

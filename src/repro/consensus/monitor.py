@@ -24,14 +24,14 @@ round-rollover transitions out of ``q2``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import Callable, ClassVar
 
 from repro.consensus import certification as certs
 from repro.core.automaton import FAULTY, BehaviorViolation, StateMachine, Step
 from repro.core.certificates import SignedMessage
 from repro.core.specs import SystemParameters
 from repro.consensus.certification import PredicateCache, SignatureCheck
-from repro.consensus.hurfin_raynal import coordinator_of
+from repro.messages.base import Message
 from repro.messages.consensus import Init, VCurrent, VDecide, VNext
 from repro.observability.registry import (
     MODULE_CERTIFICATION,
@@ -56,25 +56,18 @@ class FaultReport:
     time: float
 
 
-class PeerMonitorLike(Protocol):
-    """What the monitor bank requires of a per-peer behaviour automaton."""
+class PeerMonitorBase:
+    """``SM_p(q)``: the behaviour automaton ``p`` runs for one peer ``q``.
 
-    faulty: bool
+    What every instantiation of the Section 3 construction shares: the
+    table-driven machine, the fault verdict, the metrics binding, the
+    identity check and the certificate verdict. A protocol supplies the
+    transition table :attr:`RULES` and the handlers it names.
+    """
 
-    def feed(self, message: SignedMessage) -> Step:  # pragma: no cover
-        ...
-
-    @property
-    def state(self) -> str:  # pragma: no cover
-        ...
-
-
-#: Builds the behaviour automaton for one peer.
-MonitorFactory = Callable[[int], "PeerMonitorLike"]
-
-
-class PeerMonitor:
-    """``SM_p(q)``: the behaviour automaton ``p`` runs for one peer ``q``."""
+    #: Figure 4 as data: ``(state, message kind, handler name)`` rows. A
+    #: ``(state, kind)`` pair without a row is an out-of-order receipt.
+    RULES: ClassVar[tuple[tuple[str, type[Message], str], ...]] = ()
 
     def __init__(
         self,
@@ -82,31 +75,25 @@ class PeerMonitor:
         params: SystemParameters,
         verify: SignatureCheck,
         check_certificates: bool = True,
-        initial_state: str = START,
-        pf_cache: PredicateCache | None = None,
     ) -> None:
         self.peer = peer
         self.params = params
         self.verify = verify
         self.check_certificates = check_certificates
-        # Clean-verdict memo, shared with the sibling monitors of one
-        # bank (same verify, same key domain — docs/PERFORMANCE.md).
-        self.pf_cache = pf_cache
-        # Streams normally open with the peer's INIT; variants that move
-        # the INIT phase off-channel (echo-INIT over reliable broadcast)
-        # start the stream directly in round 1 / q0.
-        self.round = 0 if initial_state == START else 1
+        self.round = 0
+        # Clean-verdict memo of the owning bank, shared with its sibling
+        # monitors (same verify, same key domain — docs/PERFORMANCE.md).
+        self.pf_cache: PredicateCache | None = None
         # Certification-module accounting; rebound by the owning bank
         # once the hosting process joins a world.
         self.cert_metrics = NULL_METRICS
-        self._machine = StateMachine(initial=initial_state)
-        self._wire_rules()
+        self._machine = StateMachine(initial=START)
+        for state, kind, handler in self.RULES:
+            self._machine.add_rule(state, kind, getattr(self, handler))
 
     def attach_metrics(self, cert_metrics) -> None:
         """Bind the certification-module metrics scope (host's pid)."""
         self.cert_metrics = cert_metrics
-
-    # -- public surface ---------------------------------------------------------
 
     @property
     def state(self) -> str:
@@ -124,25 +111,53 @@ class PeerMonitor:
         """Advance on a receipt from this peer (signature pre-checked)."""
         return self._machine.feed(message)
 
-    # -- rule wiring -------------------------------------------------------------
+    def _identity(self, message: SignedMessage, what: str = "message") -> None:
+        if message.body.sender != self.peer:
+            raise BehaviorViolation(
+                f"identity mismatch: {what} claims sender "
+                f"{message.body.sender} on the channel of peer {self.peer}"
+            )
 
-    def _wire_rules(self) -> None:
-        machine = self._machine
-        machine.add_rule(START, Init, self._on_init)
-        for state in (Q0, Q1, Q2):
-            machine.add_rule(state, VDecide, self._on_decide)
-        machine.add_rule(Q0, VCurrent, self._on_current_same_round)
-        machine.add_rule(Q0, VNext, self._on_next_same_round)
-        machine.add_rule(Q1, VNext, self._on_next_same_round)
-        machine.add_rule(Q2, VCurrent, self._on_current_new_round)
-        machine.add_rule(Q2, VNext, self._on_next_new_round)
+    def _clean(self, problems: list[str]) -> None:
+        if not self.check_certificates:
+            return
+        self.cert_metrics.inc("certificates_checked", round=self.round)
+        if problems:
+            self.cert_metrics.inc("certificates_rejected", round=self.round)
+            raise BehaviorViolation("; ".join(problems))
+
+
+class PeerMonitor(PeerMonitorBase):
+    """The Figure 4 automaton of the transformed Hurfin–Raynal protocol."""
+
+    RULES = (
+        (START, Init, "_on_init"),
+        (Q0, VDecide, "_on_decide"),
+        (Q1, VDecide, "_on_decide"),
+        (Q2, VDecide, "_on_decide"),
+        (Q0, VCurrent, "_on_current_same_round"),
+        (Q0, VNext, "_on_next_same_round"),
+        (Q1, VNext, "_on_next_same_round"),
+        (Q2, VCurrent, "_on_current_new_round"),
+        (Q2, VNext, "_on_next_new_round"),
         # q1 receiving a second CURRENT and final receiving anything have
-        # no rules on purpose: those receipts are out-of-order faults.
+        # no rows on purpose: those receipts are out-of-order faults.
+    )
+
+    def skip_init(self) -> None:
+        """Open the stream directly in round 1 / q0.
+
+        For variants that move the INIT phase off-channel (echo-INIT over
+        reliable broadcast): the peer's direct stream then never carries
+        its INIT.
+        """
+        self._machine.force_state(Q0)
+        self.round = 1
 
     # -- handlers -------------------------------------------------------------------
 
     def _on_init(self, message: SignedMessage) -> str:
-        self._require_clean(self._analyse(certs.init_message_problems, message))
+        self._clean(self._analyse(certs.init_message_problems, message))
         self.round = 1
         return Q0
 
@@ -165,9 +180,7 @@ class PeerMonitor:
         return Q2
 
     def _on_decide(self, message: SignedMessage) -> str:
-        self._require_clean(
-            self._analyse(certs.decide_message_problems, message)
-        )
+        self._clean(self._analyse(certs.decide_message_problems, message))
         return FINAL
 
     # -- shared checks ------------------------------------------------------------------
@@ -181,16 +194,8 @@ class PeerMonitor:
                 f"stream is at round {expected_round} "
                 "(skipped or repeated round)"
             )
-        coordinator = coordinator_of(body.round, self.params.n)
-        if self.peer != body.sender:
-            raise BehaviorViolation(
-                f"identity mismatch: CURRENT claims sender {body.sender} on "
-                f"the channel of peer {self.peer}"
-            )
-        del coordinator  # form dispatch happens inside the predicate
-        self._require_clean(
-            self._analyse(certs.current_message_problems, message)
-        )
+        self._identity(message, "CURRENT")
+        self._clean(self._analyse(certs.current_message_problems, message))
 
     def _check_next(self, message: SignedMessage, expected_round: int) -> None:
         body = message.body
@@ -200,25 +205,13 @@ class PeerMonitor:
                 f"out-of-order: NEXT for round {body.round} while the peer's "
                 f"stream is at round {expected_round}"
             )
-        if self.peer != body.sender:
-            raise BehaviorViolation(
-                f"identity mismatch: NEXT claims sender {body.sender} on the "
-                f"channel of peer {self.peer}"
-            )
-        self._require_clean(self._analyse(certs.next_message_problems, message))
+        self._identity(message, "NEXT")
+        self._clean(self._analyse(certs.next_message_problems, message))
 
     def _analyse(self, predicate, message: SignedMessage) -> list[str]:
         """Run one PF predicate under the certification span timer."""
         with self.cert_metrics.span("pf_predicate"):
             return predicate(message, self.params, self.verify, cache=self.pf_cache)
-
-    def _require_clean(self, problems: list[str]) -> None:
-        if not self.check_certificates:
-            return
-        self.cert_metrics.inc("certificates_checked", round=self.round)
-        if problems:
-            self.cert_metrics.inc("certificates_rejected", round=self.round)
-            raise BehaviorViolation("; ".join(problems))
 
 
 class EquivocationLedger:
@@ -310,10 +303,8 @@ class MonitorBank:
         own_pid: int,
         params: SystemParameters,
         verify: SignatureCheck,
+        make_monitor: Callable[[int], PeerMonitorBase],
         use_ledger: bool = True,
-        check_certificates: bool = True,
-        initial_state: str = START,
-        monitor_factory: "MonitorFactory | None" = None,
     ) -> None:
         self.own_pid = own_pid
         self.params = params
@@ -322,21 +313,11 @@ class MonitorBank:
         # on one channel needs no re-analysis when it reappears inside a
         # certificate on another.
         self.pf_cache = PredicateCache()
-        if monitor_factory is None:
-            def monitor_factory(peer: int):  # the Figure 4 default
-                return PeerMonitor(
-                    peer,
-                    params,
-                    verify,
-                    check_certificates=check_certificates,
-                    initial_state=initial_state,
-                    pf_cache=self.pf_cache,
-                )
-        self.monitors: dict[int, "PeerMonitorLike"] = {
-            peer: monitor_factory(peer)
-            for peer in range(params.n)
-            if peer != own_pid
-        }
+        self.monitors: dict[int, PeerMonitorBase] = {}
+        for peer in range(params.n):
+            if peer != own_pid:
+                monitor = self.monitors[peer] = make_monitor(peer)
+                monitor.pf_cache = self.pf_cache
         self.ledger = EquivocationLedger(verify) if use_ledger else None
         self._faulty: set[int] = set()
         self._reports: list[FaultReport] = []
@@ -356,9 +337,7 @@ class MonitorBank:
         self.cert_metrics = registry.scope(MODULE_CERTIFICATION, pid)
         self.pf_cache.attach_metrics(self.cert_metrics)
         for monitor in self.monitors.values():
-            attach = getattr(monitor, "attach_metrics", None)
-            if attach is not None:
-                attach(self.cert_metrics)
+            monitor.attach_metrics(self.cert_metrics)
 
     @property
     def faulty(self) -> frozenset[int]:

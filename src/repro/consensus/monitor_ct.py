@@ -15,76 +15,38 @@ own coordinator (a correct process never suspects itself).
 from __future__ import annotations
 
 from repro.consensus import certification_ct as certs
-from repro.consensus.hurfin_raynal import coordinator_of
-from repro.core.automaton import BehaviorViolation, StateMachine, Step
-from repro.core.certificates import SignedMessage
-from repro.core.specs import SystemParameters
-from repro.consensus.certification import SignatureCheck
 from repro.consensus.certification import init_message_problems
+from repro.consensus.hurfin_raynal import coordinator_of
+from repro.consensus.monitor import FINAL, START, PeerMonitorBase
+from repro.core.automaton import BehaviorViolation
+from repro.core.certificates import SignedMessage
 from repro.messages.consensus import Init
 from repro.messages.ct import CtAck, CtDecide, CtEstimate, CtNack, CtPropose
-from repro.observability.registry import NULL_METRICS
 
-START = "start"
 WAIT = "between-phases"
 EST = "estimated"
 PROPOSED = "proposed"
 REPLIED = "replied"
-FINAL = "final"
 
 
-class CtPeerMonitor:
+class CtPeerMonitor(PeerMonitorBase):
     """``SM_p(q)`` instantiated for the transformed CT protocol."""
 
-    def __init__(
-        self,
-        peer: int,
-        params: SystemParameters,
-        verify: SignatureCheck,
-        check_certificates: bool = True,
-    ) -> None:
-        self.peer = peer
-        self.params = params
-        self.verify = verify
-        self.check_certificates = check_certificates
-        self.round = 0
-        self._machine = StateMachine(initial=START)
-        self._wire_rules()
-        self.cert_metrics = NULL_METRICS
-
-    def attach_metrics(self, cert_metrics) -> None:
-        """Bind certificate-check counters (certification module scope)."""
-        self.cert_metrics = cert_metrics
-
-    @property
-    def state(self) -> str:
-        return self._machine.state
-
-    @property
-    def faulty(self) -> bool:
-        return self._machine.faulty
-
-    @property
-    def fault_reason(self) -> str | None:
-        return self._machine.fault_reason
-
-    def feed(self, message: SignedMessage) -> Step:
-        return self._machine.feed(message)
-
-    # -- rules ----------------------------------------------------------------
-
-    def _wire_rules(self) -> None:
-        machine = self._machine
-        machine.add_rule(START, Init, self._on_init)
-        machine.add_rule(WAIT, CtEstimate, self._on_estimate)
-        for state in (EST, PROPOSED, REPLIED):
-            machine.add_rule(state, CtDecide, self._on_decide)
-            machine.add_rule(state, CtEstimate, self._on_estimate)
-        machine.add_rule(EST, CtPropose, self._on_propose)
-        machine.add_rule(EST, CtAck, self._on_ack)
-        machine.add_rule(EST, CtNack, self._on_nack)
-        machine.add_rule(PROPOSED, CtAck, self._on_ack)
-        machine.add_rule(WAIT, CtDecide, self._on_decide)
+    RULES = (
+        (START, Init, "_on_init"),
+        (WAIT, CtEstimate, "_on_estimate"),
+        (WAIT, CtDecide, "_on_decide"),
+        (EST, CtDecide, "_on_decide"),
+        (EST, CtEstimate, "_on_estimate"),
+        (EST, CtPropose, "_on_propose"),
+        (EST, CtAck, "_on_ack"),
+        (EST, CtNack, "_on_nack"),
+        (PROPOSED, CtDecide, "_on_decide"),
+        (PROPOSED, CtEstimate, "_on_estimate"),
+        (PROPOSED, CtAck, "_on_ack"),
+        (REPLIED, CtDecide, "_on_decide"),
+        (REPLIED, CtEstimate, "_on_estimate"),
+    )
 
     # -- handlers ----------------------------------------------------------------
 
@@ -107,14 +69,7 @@ class CtPeerMonitor:
         return EST
 
     def _on_propose(self, message: SignedMessage) -> str:
-        body = message.body
-        assert isinstance(body, CtPropose)
-        self._identity(message)
-        if body.round != self.round:
-            raise BehaviorViolation(
-                f"out-of-order: PROPOSE for round {body.round} in the peer's "
-                f"round {self.round}"
-            )
+        self._in_round(message, "PROPOSE")
         if self.peer != coordinator_of(self.round, self.params.n):
             raise BehaviorViolation(
                 f"spurious: peer {self.peer} proposed in round {self.round} "
@@ -124,26 +79,12 @@ class CtPeerMonitor:
         return PROPOSED
 
     def _on_ack(self, message: SignedMessage) -> str:
-        body = message.body
-        assert isinstance(body, CtAck)
-        self._identity(message)
-        if body.round != self.round:
-            raise BehaviorViolation(
-                f"out-of-order: ACK for round {body.round} in the peer's "
-                f"round {self.round}"
-            )
+        self._in_round(message, "ACK")
         self._clean(certs.ack_problems(message, self.params, self.verify))
         return REPLIED
 
     def _on_nack(self, message: SignedMessage) -> str:
-        body = message.body
-        assert isinstance(body, CtNack)
-        self._identity(message)
-        if body.round != self.round:
-            raise BehaviorViolation(
-                f"out-of-order: NACK for round {body.round} in the peer's "
-                f"round {self.round}"
-            )
+        self._in_round(message, "NACK")
         if self.peer == coordinator_of(self.round, self.params.n):
             raise BehaviorViolation(
                 "misevaluation: a round's coordinator nacked itself"
@@ -154,19 +95,11 @@ class CtPeerMonitor:
         self._clean(certs.decide_problems(message, self.params, self.verify))
         return FINAL
 
-    # -- shared -----------------------------------------------------------------
-
-    def _identity(self, message: SignedMessage) -> None:
-        if message.body.sender != self.peer:
+    def _in_round(self, message: SignedMessage, what: str) -> None:
+        """A PROPOSE / ACK / NACK belongs to the round its ESTIMATE opened."""
+        self._identity(message)
+        if message.body.round != self.round:
             raise BehaviorViolation(
-                f"identity mismatch: message claims sender "
-                f"{message.body.sender} on the channel of peer {self.peer}"
+                f"out-of-order: {what} for round {message.body.round} in the "
+                f"peer's round {self.round}"
             )
-
-    def _clean(self, problems: list[str]) -> None:
-        if not self.check_certificates:
-            return
-        self.cert_metrics.inc("certificates_checked", round=self.round)
-        if problems:
-            self.cert_metrics.inc("certificates_rejected", round=self.round)
-            raise BehaviorViolation("; ".join(problems))

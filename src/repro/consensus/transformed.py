@@ -1,21 +1,13 @@
 """The transformed protocol: Byzantine-resilient Vector Consensus (Figure 3).
 
 This is the Hurfin–Raynal protocol after applying the paper's methodology.
-Each process is the composition of the five modules of Figure 1:
-
-* the **signature module** (`CertificationAuthority` + the ingress check
-  in :meth:`TransformedConsensusProcess.on_message`) signs egress and
-  authenticates ingress, discarding messages whose signature is
-  inconsistent with their identity field;
-* the **muteness failure detection module** (a ◇M detector) maintains
-  ``suspected_i``;
-* the **non-muteness failure detection module**
-  (:class:`~repro.consensus.monitor.MonitorBank`, the Figure 4 automata)
-  maintains ``faulty_i`` and drops wrong messages;
-* the **certification module** (the ``est_cert`` / ``next_cert`` /
-  ``current_cert`` variables and the cert constructions at each send)
-  appends and stores certificates;
-* the **round-based protocol module** is the transformed algorithm below.
+The five-module composition of Figure 1 — signed ingress and egress, the
+◇M detector, the Figure-4 monitor bank, certificate bookkeeping, the
+vector-certified INIT phase and the round gate — is the protocol-
+independent :class:`~repro.consensus.shell.TransformedShell`; this module
+holds what was designed for Hurfin–Raynal: the CURRENT / NEXT round
+logic with its ``est_cert`` / ``next_cert`` / ``current_cert`` variables
+and the certificate constructed at each send.
 
 Differences from the crash protocol (Figure 2), per Section 5:
 
@@ -41,245 +33,42 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.consensus.base import ConsensusProcess
-from repro.consensus.hurfin_raynal import coordinator_of
-from repro.consensus.monitor import MonitorBank
-from repro.core.certificates import (
-    Certificate,
-    CertificationAuthority,
-    EMPTY_CERTIFICATE,
-    SignedMessage,
+from repro.consensus.monitor import PeerMonitor
+from repro.consensus.shell import (  # noqa: F401  (phases re-exported)
+    PHASE_INIT,
+    PHASE_ROUNDS,
+    TransformedShell,
 )
-from repro.core.modules import ModuleConfig
-from repro.core.specs import SystemParameters
-from repro.core.vector_certification import CertifiedVectorBuilder
-from repro.detectors.base import FailureDetector
-from repro.messages.base import Message
-from repro.messages.consensus import Init, VCurrent, VDecide, VNext, Vector
-from repro.observability.registry import (
-    MODULE_CERTIFICATION,
-    MODULE_PROTOCOL,
-    MODULE_SIGNATURE,
-    NULL_METRICS,
-)
-from repro.sim.process import ProcessEnv
-
-#: Protocol phases.
-PHASE_INIT = "init"
-PHASE_ROUNDS = "rounds"
+from repro.core.certificates import Certificate, EMPTY_CERTIFICATE, SignedMessage
+from repro.messages.consensus import VCurrent, VDecide, VNext
 
 
-class TransformedConsensusProcess(ConsensusProcess):
+class TransformedConsensusProcess(TransformedShell):
     """One correct participant in the transformed (Figure 3) protocol."""
 
-    def __init__(
-        self,
-        proposal: Any,
-        params: SystemParameters,
-        authority: CertificationAuthority,
-        detector: FailureDetector,
-        suspicion_poll: float = 0.5,
-        config: ModuleConfig | None = None,
-    ) -> None:
-        super().__init__(proposal, detector, suspicion_poll)
-        self.params = params
-        self.authority = authority
-        self.config = config if config is not None else ModuleConfig.full()
-        self.monitor_bank = MonitorBank(
-            own_pid=authority.pid,
-            params=params,
-            verify=authority.signature_valid,
-            use_ledger=self.config.track_equivocation,
-            check_certificates=self.config.verify_certificates,
-        )
-        self.phase = PHASE_INIT
-        self.round = 0
-        self.est_vect: Vector | None = None
-        self.est_cert: Certificate = EMPTY_CERTIFICATE
+    DECIDE = VDecide
+    ROUND_KINDS = (VCurrent, VNext)
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
         self.next_cert: Certificate = EMPTY_CERTIFICATE
         self.current_cert: Certificate = EMPTY_CERTIFICATE
         self.sent_current = False
         self.sent_next = False
-        self._vector_builder = CertifiedVectorBuilder(params)
-        self._future: dict[int, list[SignedMessage]] = {}
-        #: The signed DECIDE this process broadcast when it decided. Its
-        #: certificate carries the (n - F) matching CURRENT quorum that
-        #: justified the decision, so the message doubles as transferable
-        #: per-slot evidence: the service state-transfer path re-verifies
-        #: it before replaying a decided vector it did not witness
-        #: (docs/SERVICE.md).
-        self.decision_justification: SignedMessage | None = None
-        # Per-module metric scopes; rebound in bind() once a world exists.
-        self._sig_metrics = NULL_METRICS
-        self._cert_metrics = NULL_METRICS
-        self._proto_metrics = NULL_METRICS
 
-    def bind(self, env: ProcessEnv) -> None:
-        super().bind(env)
-        self._sig_metrics = env.metrics.scope(MODULE_SIGNATURE, self.pid)
-        self._cert_metrics = env.metrics.scope(MODULE_CERTIFICATION, self.pid)
-        self._proto_metrics = env.metrics.scope(MODULE_PROTOCOL, self.pid)
-        self.monitor_bank.attach_metrics(env.metrics, self.pid)
-        # Export the signature-verdict cache's hit/miss counters. The
-        # scheme (and hence its cache) may be shared by several processes
-        # of one simulated world; attach is first-bind-wins, so the
-        # counters land on one scope instead of being split.
-        self.authority.scheme.cache.attach_metrics(self._sig_metrics)
-
-    # -- derived views -------------------------------------------------------
-
-    @property
-    def faulty(self) -> frozenset[int]:
-        """``faulty_i`` — maintained by the non-muteness module."""
-        return self.monitor_bank.faulty
-
-    @property
-    def coordinator(self) -> int:
-        return coordinator_of(self.round, self.n)
-
-    def _quorum(self) -> int:
-        return self.params.quorum
-
-    # -- the five-module ingress pipeline (Figure 1) ------------------------------
-
-    def on_message(self, src: int, payload: Any) -> None:
-        # The detection modules stay live even after the decision — they
-        # sit upstream of the protocol module in Figure 1, and late
-        # evidence of a fault still belongs in ``faulty_i``.
-        # 1. Signature module.
-        message = self._admit_signature(src, payload)
-        if message is None:
-            return
-        # 2. Muteness failure detection module.
-        if self.detector is not None:
-            self.detector.on_protocol_message(src)
-        # 3. Non-muteness failure detection module (Figure 4 automata).
-        if self.config.monitor_behavior and not self.monitor_bank.admit(
-            src, message, self.now
-        ):
-            self.evaluate_guards()  # the coordinator may just have turned faulty
-            return
-        # 4.+5. Certification module updates and protocol module, which are
-        # merged in Figure 3 exactly as here.
-        if not self.decided:
-            self.handle_valid(message)
-
-    def _admit_signature(self, src: int, payload: Any) -> SignedMessage | None:
-        """The signature module's ingress check.
-
-        A payload that is not a signed message, claims an identity other
-        than its channel of arrival, or fails verification is discarded
-        and its (channel-identified) sender is declared faulty.
-        """
-        if not isinstance(payload, SignedMessage):
-            self._sig_metrics.inc("messages_rejected")
-            self._declare(src, "signature module: unsigned payload")
-            return None
-        if not self.config.verify_signatures:
-            return payload  # ablated: admit without authentication (E8)
-        if payload.body.sender != src:
-            self._sig_metrics.inc("messages_rejected")
-            self._declare(
-                src,
-                f"signature module: identity field {payload.body.sender} "
-                f"inconsistent with the sending channel {src}",
-            )
-            return None
-        with self._sig_metrics.span("verify"):
-            valid = self.authority.signature_valid(payload)
-        if not valid:
-            self._sig_metrics.inc("messages_rejected")
-            self._declare(src, "signature module: invalid signature")
-            return None
-        self._sig_metrics.inc("messages_verified")
-        return payload
-
-    def _declare(self, culprit: int, reason: str) -> None:
-        if culprit == self.pid:
-            return
-        before = culprit in self.monitor_bank.faulty
-        self.monitor_bank.declare(culprit, reason, self.now)
-        if not before:
-            self.record("declare_faulty", target=culprit, reason=reason)
-        self.evaluate_guards()
-
-    # -- egress: sign, certify, broadcast ----------------------------------------
-
-    def _broadcast_signed(self, body: Message, cert: Certificate) -> SignedMessage:
-        with self._sig_metrics.span("sign"):
-            message = self.authority.make(body, cert)
-        self._sig_metrics.inc("messages_signed")
-        round_label = self.round if self.phase == PHASE_ROUNDS else None
-        self._cert_metrics.inc("certificates_attached", round=round_label)
-        self._cert_metrics.observe("certificate_entries", len(cert))
-        self.broadcast(message)
-        return message
-
-    # -- protocol module ------------------------------------------------------------
-
-    def start_protocol(self) -> None:
-        # Lines 4-5: empty vector; broadcast the signed INIT. The own INIT
-        # is also recorded directly: Proposition 1 requires
-        # ``est_vect_i[i] = v_i``, which must not depend on the loopback
-        # delivery winning the race into the first n - F arrivals.
-        own_init = self._broadcast_signed(
-            Init(sender=self.pid, value=self.proposal), EMPTY_CERTIFICATE
+    def _make_monitor(self, peer: int) -> PeerMonitor:
+        return PeerMonitor(
+            peer,
+            self.params,
+            self.authority.signature_valid,
+            check_certificates=self.config.verify_certificates,
         )
-        self._vector_builder.add(own_init)
-
-    def handle_valid(self, message: SignedMessage) -> None:
-        body = message.body
-        if isinstance(body, VDecide):
-            self._on_decide(message)
-            return
-        if isinstance(body, Init):
-            self._on_init(message)
-            return
-        if not isinstance(body, (VCurrent, VNext)):
-            return  # unknown type; monitors only admit protocol messages
-        if self.phase == PHASE_INIT:
-            # Votes can arrive while we are still collecting INITs (a fast
-            # peer finished its INIT phase first): buffer them.
-            self._proto_metrics.inc("messages_buffered")
-            self._future.setdefault(body.round, []).append(message)
-            return
-        if body.round < self.round:
-            self._proto_metrics.inc("messages_stale")
-            return  # stale vote (footnote 5)
-        if body.round > self.round:
-            self._proto_metrics.inc("messages_buffered")
-            self._future.setdefault(body.round, []).append(message)
-            return
-        if isinstance(body, VCurrent):
-            self._on_current(message)
-        else:
-            self._on_next(message)
-
-    # -- INIT phase (lines 4-9) --------------------------------------------------------
-
-    def _on_init(self, message: SignedMessage) -> None:
-        if self.phase != PHASE_INIT:
-            return  # straggler INIT after the vector was fixed: ignored
-        self._vector_builder.add(message)
-        if not self._vector_builder.ready:
-            return
-        # Lines 6-9 complete: build the certified vector.
-        self.est_vect, self.est_cert = self._vector_builder.build()
-        self.record("vector-built", vector=self.est_vect)
-        self.phase = PHASE_ROUNDS
-        self._begin_round(1)
 
     # -- round machinery (lines 10-31) ----------------------------------------------------
 
-    def _begin_round(self, round_number: int) -> None:
-        self.round = round_number
+    def _open_round(self) -> None:
         self.sent_current = False
         self.sent_next = False
-        self._proto_metrics.inc("rounds_started", round=round_number)
-        notify = getattr(self.detector, "notify_round", None)
-        if notify is not None:
-            notify(round_number)  # round-aware ◇M variants scale patience
-        self.record("round-start", round=round_number)
         # Line 12: the coordinator proposes, certified by est ∪ next.
         if self.pid == self.coordinator:
             self._broadcast_signed(
@@ -290,18 +79,12 @@ class TransformedConsensusProcess(ConsensusProcess):
         # Line 13: reset the round certificates.
         self.next_cert = EMPTY_CERTIFICATE
         self.current_cert = EMPTY_CERTIFICATE
-        self._replay_buffered()
-        if not self.decided:
-            self.evaluate_guards()
 
-    def _replay_buffered(self) -> None:
-        for message in self._future.pop(self.round, []):
-            if self.decided:
-                return
-            if isinstance(message.body, VCurrent):
-                self._on_current(message)
-            elif isinstance(message.body, VNext):
-                self._on_next(message)
+    def _dispatch_round_message(self, message: SignedMessage) -> None:
+        if isinstance(message.body, VCurrent):
+            self._on_current(message)
+        else:
+            self._on_next(message)
 
     def _on_current(self, message: SignedMessage) -> None:
         # Line 16: store the signed CURRENT.
@@ -346,11 +129,7 @@ class TransformedConsensusProcess(ConsensusProcess):
             and sm.body.est_vect == self.est_vect
         )
         if len(matching.senders()) >= self._quorum():
-            decide_cert = matching.union(self.est_cert)
-            self.decision_justification = self._broadcast_signed(
-                VDecide(sender=self.pid, est_vect=self.est_vect), decide_cert
-            )
-            self.decide_value(self.est_vect, round_number=self.round)
+            self._decide(self.est_vect, matching.union(self.est_cert))
             return
         current_senders = self.current_cert.senders()
         # Lines 28-29: change_mind (q1 -> q2).
@@ -374,27 +153,10 @@ class TransformedConsensusProcess(ConsensusProcess):
                 self.sent_next = True
             self._begin_round(self.round + 1)
 
-    def _on_decide(self, message: SignedMessage) -> None:
-        # Lines 2-3: relay the DECIDE with the same certificate, decide.
-        assert isinstance(message.body, VDecide)
-        cert = message.cert if isinstance(message.cert, Certificate) else None
-        if cert is None:
-            return  # a pruned DECIDE certificate would have been rejected
-        self.decision_justification = self._broadcast_signed(
-            VDecide(sender=self.pid, est_vect=message.body.est_vect), cert
-        )
-        self.decide_value(message.body.est_vect, round_number=self.round)
-
     # -- guards (lines 22-25) ---------------------------------------------------------------
 
     def evaluate_guards(self) -> None:
-        if self.decided or self.phase != PHASE_ROUNDS:
-            return
-        coordinator = self.coordinator
-        if coordinator == self.pid:
-            return
-        suspected = self.suspected if self.config.detect_muteness else frozenset()
-        if coordinator not in suspected and coordinator not in self.faulty:
+        if not self._coordinator_distrusted():
             return
         # q0 -> q2: only from the initial state (no vote sent, no CURRENT
         # received).

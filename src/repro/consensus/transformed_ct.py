@@ -2,17 +2,21 @@
 
 The paper insists its contribution is the *methodology*, not the
 transformed protocol of Figure 3. This module substantiates the claim by
-re-applying the recipe to the other classic ◇S protocol:
+re-applying the recipe to the other classic ◇S protocol. Everything
+Figure 1 fixes — signed ingress and egress, the vector-certified INIT
+phase, the round gate, the DECIDE relay, ``suspected_i ∪ faulty_i`` — is
+inherited from :class:`~repro.consensus.shell.TransformedShell`; what is
+designed for Chandra–Toueg is:
 
-1. a vector-certified INIT phase (identical to Figure 3's);
-2. every message signed + certified (:mod:`certification_ct` holds the
-   hand-designed certificates, per the Section 3 guidelines);
-3. a per-peer behaviour automaton (:mod:`monitor_ct`);
-4. a ◇M muteness detector consulted through ``suspected_i ∪ faulty_i`` —
-   protocol-relative: for the round's coordinator only its *expected*
-   messages (PROPOSE / DECIDE) re-arm the timer, so a chatty coordinator
-   withholding its proposal is still "mute w.r.t. the algorithm" [6];
-5. majorities replaced by ``n - F`` quorums.
+1. the certificates (:mod:`certification_ct`, hand-designed per the
+   Section 3 guidelines) attached at each send below;
+2. the per-peer behaviour automaton (:mod:`monitor_ct`);
+3. ``COORDINATOR_KINDS``: for the round's coordinator only its *expected*
+   messages (PROPOSE / DECIDE) re-arm the ◇M timer, so a chatty
+   coordinator withholding its proposal is still "mute w.r.t. the
+   algorithm" [6];
+4. the estimate / propose / ack-or-nack round logic over ``n - F``
+   quorums.
 
 Two CT-specific adaptations (recorded in DESIGN.md §5):
 
@@ -36,206 +40,52 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.consensus.base import ConsensusProcess
 from repro.consensus.certification_ct import (
     ack_problems,
     build_justification,
     select_proposal,
 )
-from repro.consensus.hurfin_raynal import coordinator_of
-from repro.consensus.monitor import MonitorBank
 from repro.consensus.monitor_ct import CtPeerMonitor
-from repro.core.certificates import (
-    Certificate,
-    CertificationAuthority,
-    EMPTY_CERTIFICATE,
-    SignedMessage,
-)
-from repro.core.modules import ModuleConfig
-from repro.core.specs import SystemParameters
-from repro.core.vector_certification import CertifiedVectorBuilder
-from repro.detectors.base import FailureDetector
-from repro.messages.base import Message
-from repro.messages.consensus import Init, Vector
+from repro.consensus.shell import TransformedShell
+from repro.core.certificates import Certificate, EMPTY_CERTIFICATE, SignedMessage
 from repro.messages.ct import CtAck, CtDecide, CtEstimate, CtNack, CtPropose
-from repro.observability.registry import (
-    MODULE_CERTIFICATION,
-    MODULE_PROTOCOL,
-    MODULE_SIGNATURE,
-    NULL_METRICS,
-)
-from repro.sim.process import ProcessEnv
-
-PHASE_INIT = "init"
-PHASE_ROUNDS = "rounds"
 
 
-class TransformedCtProcess(ConsensusProcess):
+class TransformedCtProcess(TransformedShell):
     """One correct participant in the transformed Chandra–Toueg protocol."""
 
-    def __init__(
-        self,
-        proposal: Any,
-        params: SystemParameters,
-        authority: CertificationAuthority,
-        detector: FailureDetector,
-        suspicion_poll: float = 0.5,
-        config: ModuleConfig | None = None,
-    ) -> None:
-        super().__init__(proposal, detector, suspicion_poll)
-        self.params = params
-        self.authority = authority
-        self.config = config if config is not None else ModuleConfig.full()
-        self.monitor_bank = MonitorBank(
-            own_pid=authority.pid,
-            params=params,
-            verify=authority.signature_valid,
-            use_ledger=self.config.track_equivocation,
-            monitor_factory=lambda peer: CtPeerMonitor(
-                peer,
-                params,
-                authority.signature_valid,
-                check_certificates=self.config.verify_certificates,
-            ),
-        )
-        self.phase = PHASE_INIT
-        self.round = 0
-        self.est_vect: Vector | None = None
-        self.est_cert: Certificate = EMPTY_CERTIFICATE  # witnesses (vect, ts)
+    DECIDE = CtDecide
+    ROUND_KINDS = (CtEstimate, CtPropose, CtAck, CtNack)
+    COORDINATOR_KINDS = (CtPropose, CtDecide)
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        # ``est_cert`` witnesses the pair (est_vect, ts).
         self.ts = 0
         self.replied = False
         self._proposed = False
         self._estimates: dict[int, SignedMessage] = {}  # this round, by sender
         self._replies: dict[int, bool] = {}  # sender -> is_ack
+        self._ack_messages: list[SignedMessage] = []
         self._round_propose: SignedMessage | None = None
-        self._vector_builder = CertifiedVectorBuilder(params)
-        self._future: dict[int, list[SignedMessage]] = {}
-        # Per-module metric scopes; rebound in bind() once a world exists.
-        self._sig_metrics = NULL_METRICS
-        self._cert_metrics = NULL_METRICS
-        self._proto_metrics = NULL_METRICS
 
-    def bind(self, env: ProcessEnv) -> None:
-        super().bind(env)
-        self._sig_metrics = env.metrics.scope(MODULE_SIGNATURE, self.pid)
-        self._cert_metrics = env.metrics.scope(MODULE_CERTIFICATION, self.pid)
-        self._proto_metrics = env.metrics.scope(MODULE_PROTOCOL, self.pid)
-        self.monitor_bank.attach_metrics(env.metrics, self.pid)
-
-    # -- views ------------------------------------------------------------------
-
-    @property
-    def faulty(self) -> frozenset[int]:
-        return self.monitor_bank.faulty
-
-    @property
-    def coordinator(self) -> int:
-        return coordinator_of(self.round, self.n)
-
-    def _quorum(self) -> int:
-        return self.params.quorum
-
-    # -- five-module ingress pipeline ------------------------------------------------
-
-    def on_message(self, src: int, payload: Any) -> None:
-        message = self._admit_signature(src, payload)
-        if message is None:
-            return
-        if self.detector is not None and self._feeds_muteness(src, message):
-            self.detector.on_protocol_message(src)
-        if self.config.monitor_behavior and not self.monitor_bank.admit(
-            src, message, self.now
-        ):
-            self.evaluate_guards()
-            return
-        if not self.decided:
-            self.handle_valid(message)
-
-    def _feeds_muteness(self, src: int, message: SignedMessage) -> bool:
-        """◇M is protocol-relative: a coordinator is mute unless it sends
-        the messages the algorithm expects *of the coordinator*."""
-        if self.phase != PHASE_ROUNDS or src != self.coordinator:
-            return True
-        return isinstance(message.body, (CtPropose, CtDecide))
-
-    def _admit_signature(self, src: int, payload: Any) -> SignedMessage | None:
-        if not isinstance(payload, SignedMessage):
-            self._sig_metrics.inc("messages_rejected")
-            self._declare(src, "signature module: unsigned payload")
-            return None
-        if not self.config.verify_signatures:
-            return payload
-        if payload.body.sender != src:
-            self._sig_metrics.inc("messages_rejected")
-            self._declare(
-                src,
-                f"signature module: identity field {payload.body.sender} "
-                f"inconsistent with the sending channel {src}",
-            )
-            return None
-        with self._sig_metrics.span("verify"):
-            valid = self.authority.signature_valid(payload)
-        if not valid:
-            self._sig_metrics.inc("messages_rejected")
-            self._declare(src, "signature module: invalid signature")
-            return None
-        self._sig_metrics.inc("messages_verified")
-        return payload
-
-    def _declare(self, culprit: int, reason: str) -> None:
-        if culprit == self.pid:
-            return
-        before = culprit in self.monitor_bank.faulty
-        self.monitor_bank.declare(culprit, reason, self.now)
-        if not before:
-            self.record("declare_faulty", target=culprit, reason=reason)
-        self.evaluate_guards()
-
-    def _broadcast_signed(self, body: Message, cert: Certificate) -> SignedMessage:
-        with self._sig_metrics.span("sign"):
-            message = self.authority.make(body, cert)
-        self._sig_metrics.inc("messages_signed")
-        round_label = self.round if self.phase == PHASE_ROUNDS else None
-        self._cert_metrics.inc("certificates_attached", round=round_label)
-        self._cert_metrics.observe("certificate_entries", len(cert))
-        self.broadcast(message)
-        return message
-
-    # -- INIT phase (identical construction to Figure 3) ------------------------------
-
-    def start_protocol(self) -> None:
-        own_init = self._broadcast_signed(
-            Init(sender=self.pid, value=self.proposal), EMPTY_CERTIFICATE
+    def _make_monitor(self, peer: int) -> CtPeerMonitor:
+        return CtPeerMonitor(
+            peer,
+            self.params,
+            self.authority.signature_valid,
+            check_certificates=self.config.verify_certificates,
         )
-        self._vector_builder.add(own_init)
-
-    def _on_init(self, message: SignedMessage) -> None:
-        if self.phase != PHASE_INIT:
-            return
-        self._vector_builder.add(message)
-        if not self._vector_builder.ready:
-            return
-        self.est_vect, self.est_cert = self._vector_builder.build()
-        self.ts = 0
-        self.record("vector-built", vector=self.est_vect)
-        self.phase = PHASE_ROUNDS
-        self._begin_round(1)
 
     # -- round machinery ------------------------------------------------------------------
 
-    def _begin_round(self, round_number: int) -> None:
-        self.round = round_number
-        self._proto_metrics.inc("rounds_started", round=round_number)
+    def _open_round(self) -> None:
         self.replied = False
         self._proposed = False
         self._estimates = {}
         self._replies = {}
+        self._ack_messages = []
         self._round_propose = None
-        self._ack_messages: list[SignedMessage] = []
-        notify = getattr(self.detector, "notify_round", None)
-        if notify is not None:
-            notify(round_number)  # round-aware ◇M variants scale patience
-        self.record("round-start", round=round_number)
         # Phase 1 (all-to-all): broadcast the certified estimate.
         self._broadcast_signed(
             CtEstimate(
@@ -246,38 +96,6 @@ class TransformedCtProcess(ConsensusProcess):
             ),
             self.est_cert,
         )
-        self._replay_buffered()
-        if not self.decided:
-            self.evaluate_guards()
-
-    def _replay_buffered(self) -> None:
-        for message in self._future.pop(self.round, []):
-            if self.decided:
-                return
-            self._dispatch_round_message(message)
-
-    def handle_valid(self, message: SignedMessage) -> None:
-        body = message.body
-        if isinstance(body, CtDecide):
-            self._on_decide(message)
-            return
-        if isinstance(body, Init):
-            self._on_init(message)
-            return
-        if not isinstance(body, (CtEstimate, CtPropose, CtAck, CtNack)):
-            return
-        if self.phase == PHASE_INIT:
-            self._proto_metrics.inc("messages_buffered")
-            self._future.setdefault(body.round, []).append(message)
-            return
-        if body.round < self.round:
-            self._proto_metrics.inc("messages_stale")
-            return
-        if body.round > self.round:
-            self._proto_metrics.inc("messages_buffered")
-            self._future.setdefault(body.round, []).append(message)
-            return
-        self._dispatch_round_message(message)
 
     def _dispatch_round_message(self, message: SignedMessage) -> None:
         body = message.body
@@ -352,37 +170,17 @@ class TransformedCtProcess(ConsensusProcess):
         if len(ack_senders) >= self._quorum() and self._round_propose is not None:
             proposal = self._round_propose
             assert isinstance(proposal.body, CtPropose)
-            decide_cert = Certificate(
-                (proposal, *self._ack_messages)
+            self._decide(
+                proposal.body.est_vect,
+                Certificate((proposal, *self._ack_messages)),
             )
-            self._broadcast_signed(
-                CtDecide(sender=self.pid, est_vect=proposal.body.est_vect),
-                decide_cert,
-            )
-            self.decide_value(proposal.body.est_vect, round_number=self.round)
             return
         self._begin_round(self.round + 1)
-
-    def _on_decide(self, message: SignedMessage) -> None:
-        assert isinstance(message.body, CtDecide)
-        cert = message.cert if isinstance(message.cert, Certificate) else None
-        if cert is None:
-            return
-        self._broadcast_signed(
-            CtDecide(sender=self.pid, est_vect=message.body.est_vect), cert
-        )
-        self.decide_value(message.body.est_vect, round_number=self.round)
 
     # -- suspicion guard -------------------------------------------------------------------
 
     def evaluate_guards(self) -> None:
-        if self.decided or self.phase != PHASE_ROUNDS or self.replied:
-            return
-        coordinator = self.coordinator
-        if coordinator == self.pid:
-            return
-        suspected = self.suspected if self.config.detect_muteness else frozenset()
-        if coordinator not in suspected and coordinator not in self.faulty:
+        if self.replied or not self._coordinator_distrusted():
             return
         self.replied = True
         self._broadcast_signed(

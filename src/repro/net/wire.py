@@ -72,7 +72,7 @@ VERSION = 1
 VERSION_BINARY = 2
 #: Payload versions this node decodes.
 SUPPORTED_VERSIONS = (VERSION, VERSION_BINARY)
-#: Payload version used for encoding unless a caller pins one.
+#: The one default of every encode/decode entry point below.
 DEFAULT_VERSION = VERSION_BINARY
 HEADER = struct.Struct(">2sBI")
 #: Ceiling on one frame's payload: bounds memory against hostile length
@@ -567,7 +567,9 @@ class EnvelopeTable:
 
 
 def encode_payload(
-    value: Any, version: int = VERSION, table: EnvelopeTable | None = None
+    value: Any,
+    version: int = DEFAULT_VERSION,
+    table: EnvelopeTable | None = None,
 ) -> bytes:
     """Encode one message to payload bytes (no frame header).
 
@@ -585,7 +587,7 @@ def encode_payload(
 
 def decode_payload(
     data: bytes | memoryview,
-    version: int = VERSION,
+    version: int = DEFAULT_VERSION,
     table: EnvelopeTable | None = None,
 ) -> Any:
     """Decode one payload; any malformation raises :class:`WireError`.

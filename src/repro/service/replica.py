@@ -508,7 +508,7 @@ class ServiceReplicaProcess(Process):
         self._decided.add(slot)
         vector = engine.decision
         self._pending_apply[slot] = vector
-        justification = getattr(engine, "decision_justification", None)
+        justification = engine.decision_justification
         if justification is not None:
             self._vector_justifications[slot] = justification
         self._metrics.inc("slots_decided")

@@ -29,6 +29,12 @@ def monitor_for(bench, peer=0) -> PeerMonitor:
     return PeerMonitor(peer, bench.params, bench.verify)
 
 
+def bank_for(bench, own_pid) -> MonitorBank:
+    return MonitorBank(
+        own_pid, bench.params, bench.verify, lambda peer: monitor_for(bench, peer)
+    )
+
+
 def suspicion_next(bench, sender, round_number=1):
     cert = Certificate(tuple(bench.init_quorum([0, 1, 2])))
     return bench.authorities[sender].make(
@@ -205,13 +211,13 @@ class TestEquivocationLedger:
 
 class TestMonitorBank:
     def test_admit_valid_sequence(self, bench):
-        bank = MonitorBank(3, bench.params, bench.verify)
+        bank = bank_for(bench, 3)
         assert bank.admit(0, bench.signed_init(0), now=0.0)
         assert bank.admit(0, bench.coordinator_current(), now=1.0)
         assert bank.faulty == frozenset()
 
     def test_rejection_declares_faulty_once(self, bench):
-        bank = MonitorBank(3, bench.params, bench.verify)
+        bank = bank_for(bench, 3)
         bad = bench.coordinator_current()  # before INIT: out-of-order
         assert not bank.admit(0, bad, now=1.0)
         assert bank.faulty == frozenset({0})
@@ -221,11 +227,11 @@ class TestMonitorBank:
         assert len(bank.reports) == 1
 
     def test_own_messages_trusted(self, bench):
-        bank = MonitorBank(0, bench.params, bench.verify)
+        bank = bank_for(bench, 0)
         assert bank.admit(0, bench.coordinator_current(), now=0.0)
 
     def test_equivocation_declared_but_message_admitted(self, bench):
-        bank = MonitorBank(3, bench.params, bench.verify)
+        bank = bank_for(bench, 3)
         bank.admit(1, bench.signed_init(1, "a"), now=0.0)
         # p1 equivocates its INIT; the message still enters p3's automaton
         # view (which flags the duplicate INIT as out-of-order anyway).
@@ -233,7 +239,7 @@ class TestMonitorBank:
         assert 1 in bank.faulty
 
     def test_state_of(self, bench):
-        bank = MonitorBank(3, bench.params, bench.verify)
+        bank = bank_for(bench, 3)
         bank.admit(0, bench.signed_init(0), now=0.0)
         assert bank.state_of(0) == Q0
         assert bank.state_of(3) == "self"

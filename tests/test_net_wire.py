@@ -132,8 +132,13 @@ class TestRoundTrips:
         assert decode_frame(encode_frame(value, version=version)) == value
 
     def test_default_version_is_binary(self):
-        frame = encode_frame(signed_vdecide())
+        message = signed_vdecide()
+        frame = encode_frame(message)
         assert frame[2] == DEFAULT_VERSION == VERSION_BINARY
+        # One default: the payload entry points agree with the frame's.
+        payload = encode_payload(message)
+        assert payload == frame[HEADER.size :]
+        assert decode_payload(payload) == message
 
     def test_binary_is_more_compact_on_certified_traffic(self):
         message = signed_vdecide()
