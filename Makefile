@@ -117,8 +117,10 @@ smoke: campaign-smoke lossy-smoke service-smoke net-smoke perf-smoke mc-smoke fa
 
 # Before-vs-after byte identity: the smoke targets compare two runs of
 # one commit; a refactor needs the same artifacts compared across two
-# commits. Runs every deterministic preset once into a temp dir and
-# prints `sha256  name` per artifact, sorted by name, nothing else on
+# commits. Runs every deterministic preset once into a temp dir (the
+# `extended` faults and zoo matrices too: heavier plans than the smoke
+# ones reach code a four-plan matrix does not) and prints
+# `sha256  name` per artifact, sorted by name, nothing else on
 # stdout:  diff <(make -s -C ../parent artifact-digests) <(make -s artifact-digests)
 artifact-digests:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && { \
@@ -128,6 +130,8 @@ artifact-digests:
 	$(PYTHON) -m repro mc run --max-depth 3 --out $$dir/mc.jsonl && \
 	$(PYTHON) -m repro campaign faults --preset smoke --fidelity sim,loopback --out $$dir/faults.json && \
 	$(PYTHON) -m repro campaign zoo --preset smoke --fidelity sim,loopback --out $$dir/zoo.json && \
+	$(PYTHON) -m repro campaign faults --preset extended --fidelity sim,loopback --out $$dir/faults-extended.json && \
+	$(PYTHON) -m repro campaign zoo --preset extended --fidelity sim,loopback --out $$dir/zoo-extended.json && \
 	$(PYTHON) -m repro shard loopback --out $$dir/shard.json; } >&2 && \
 	cd $$dir && sha256sum *
 

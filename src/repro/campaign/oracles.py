@@ -276,16 +276,23 @@ def evaluate_outcome(scenario: Scenario, system: ConsensusSystem) -> ScenarioOut
     )
 
 
+def kind_of(violation: str) -> str:
+    """The oracle kind of one violation string: the part before the
+    first ``:`` (``progress``, ``attribution``, …). Every oracle
+    catalogue words its violations ``<kind>: <detail>``."""
+    return violation.split(":", 1)[0]
+
+
 def violation_kinds(outcome_record: Mapping[str, Any]) -> frozenset[str]:
     """Coarse violation signature used by the shrinking pass.
 
-    Two scenarios "fail the same way" when the kinds (the part of each
-    violation before the first ``:``) coincide — the fine-grained text
-    carries pids and values that legitimately change while shrinking.
+    Two scenarios "fail the same way" when the kinds coincide — the
+    fine-grained text carries pids and values that legitimately change
+    while shrinking.
     """
     kinds = set()
     for violation in outcome_record.get("violations", ()):
-        kinds.add(violation.split(":", 1)[0])
+        kinds.add(kind_of(violation))
     for violation in outcome_record.get("properties", {}).get("violations", ()):
-        kinds.add(violation.split(":", 1)[0])
+        kinds.add(kind_of(violation))
     return frozenset(kinds)

@@ -6,8 +6,8 @@ answers "what happens to this message" as a list of ``(payload, delay)``
 deliveries — the empty list drops it, more than one entry duplicates it,
 a positive delay reorders it past later traffic. The simulation hands
 the answer to the :class:`~repro.sim.network.Network` tamper hook, the
-loopback twin to a scheduler-aware :class:`~repro.net.transport.LoopbackHub`
-subclass, and the real cluster to
+loopback twin to its :class:`~repro.net.transport.LoopbackHub` as the
+hub's link policy, and the real cluster to
 :class:`~repro.net.faulty.FaultyPeerTransport` — so one seeded plan
 produces the same fault schedule everywhere the message order matches.
 
@@ -103,7 +103,6 @@ class LinkFaultInjector:
         self._mute_at = {pid: at for pid, at in plan.mutes}
         self._flip_at = {pid: (at, count) for pid, at, count in plan.flips}
         self._flips_done: dict[int, int] = {pid: 0 for pid in self._flip_at}
-        self.flips_injected = 0
         self.drops: dict[str, int] = {
             "mute": 0,
             "loss": 0,
@@ -126,12 +125,19 @@ class LinkFaultInjector:
             self._burst: Any = BurstShaper(plan.timing)
         else:
             self._burst = None
-        self.suppressed = 0
-        self.timing_delays = 0
 
     @property
     def plan(self) -> FaultPlan:
         return self._plan
+
+    def link_counts(self) -> dict[str, Any]:
+        """Report extras: what the link pipeline did (never judged)."""
+        return {
+            "drops": dict(self.drops),
+            "partition_delays": self.partition_delays,
+            "duplicates": self.duplicates,
+            "reorders": self.reorders,
+        }
 
     def _link(self, src: int, dst: int) -> SeededRng:
         key = (src, dst)
@@ -175,6 +181,9 @@ class LinkFaultInjector:
         """
         plan = self._plan
         n = plan.n_replicas
+        if src == dst:
+            # A node's own loopback crosses no link: no fault touches it.
+            return None
         # Muteness swallows everything touching the muted replica,
         # clients included (a SIGSTOPped process neither sends nor acks).
         if self._muted(now, src) or self._muted(now, dst):
@@ -190,7 +199,6 @@ class LinkFaultInjector:
         if self._suppressor is not None and self._suppressor.suppressed(
             now, src, dst
         ):
-            self.suppressed += 1
             self._registry.inc(MODULE_ZOO, "suppressed_deliveries", pid=src)
             return []
         heal = self._severed_until(now, src, dst)
@@ -221,7 +229,6 @@ class LinkFaultInjector:
                     payload = corrupt
                     touched = True
                     self._flips_done[src] += 1
-                    self.flips_injected += 1
                     self._registry.inc(
                         MODULE_FAULTS, "arb_faults_injected", pid=src
                     )
@@ -247,7 +254,6 @@ class LinkFaultInjector:
             hold = self._burst.hold(src, dst, now)
             if hold > 0.0:
                 touched = True
-                self.timing_delays += 1
                 self._registry.inc(MODULE_ZOO, "timing_delays", pid=src)
                 deliveries = [
                     (item, delay + hold) for item, delay in deliveries

@@ -1,11 +1,13 @@
 """Fidelity 2: execute a fault plan on the deterministic loopback twin.
 
 Real :class:`~repro.net.node.NetNode` hosts, the real wire codec on
-every hop, but the transport is an injector-aware
-:class:`~repro.net.transport.LoopbackHub` subclass and the clock is a
+every hop, but the transport is a
+:class:`~repro.net.transport.LoopbackHub` whose link policy is the
+plan's injector and the clock is a
 :class:`~repro.net.clock.ManualScheduler` — plan seconds run 1:1 on the
-virtual clock, so the whole deployment executes deterministically inside
-the calling process. Kills drop the node object (volatile state lost)
+virtual clock, so the whole deployment
+(:class:`~repro.net.loopback.LoopbackCluster`) executes deterministically
+inside the calling process. Kills drop the node object (volatile state lost)
 and rejoins build a fresh one with ``join=True``, exactly like the
 subprocess fidelity's SIGKILL + ``--join`` respawn; muteness swallows
 all traffic touching the muted pid at the fabric, the closest
@@ -15,120 +17,25 @@ deterministic analogue of a SIGSTOPped process.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any
 
 from repro.byzantine import transformed_attack
 from repro.faults.injector import LinkFaultInjector
-from repro.faults.oracle import FidelityObservation, live_correct
+from repro.faults.oracle import (
+    FidelityObservation,
+    ReplicaFacts,
+    observe,
+    settled,
+)
 from repro.faults.plan import FIDELITY_LOOPBACK, FaultPlan
 from repro.net.clock import ManualScheduler
 from repro.net.genesis import Genesis
-from repro.net.messages import StatusReply
-from repro.net.node import NetNode
-from repro.net.transport import LoopbackHub
-from repro.observability.registry import (
-    MODULE_FAULTS,
-    MODULE_MUTENESS,
-    MODULE_SERVICE,
-    MODULE_SIGNATURE,
-    MetricsRegistry,
-)
-from repro.replication.kvstore import Command
-from repro.service.checkpoint import service_digest
-from repro.service.messages import ClientReply, ClientRequest
+from repro.net.loopback import TWIN_KNOBS, LoopbackCluster, fixed_addresses
+from repro.observability.registry import MetricsRegistry
 
 #: Extra plan-seconds the run may settle past the plan window.
 SETTLE_BUDGET = 40.0
 
-#: Fixed fake ports: the loopback fabric never binds a socket, but the
-#: genesis schema wants addresses — and *fixed* ones keep the genesis id
-#: (hence every hello MAC) identical across runs, which the fidelity-1/2
-#: byte-identity contract depends on.
 _PORT_BASE = 20001
-
-
-class FaultyLoopbackHub(LoopbackHub):
-    """A loopback hub that routes every submit through the injector.
-
-    A dropped message never reaches the queue; a delayed copy re-enters
-    :meth:`LoopbackHub.submit` when its timer fires, escaping the
-    fabric's FIFO exactly like a reordered TCP segment at fidelity 3.
-    """
-
-    def __init__(self, scheduler: Any, injector: LinkFaultInjector) -> None:
-        super().__init__(scheduler)
-        self._injector = injector
-
-    def submit(self, src: int, dst: int, payload: Any) -> None:
-        if src == dst:
-            super().submit(src, dst, payload)
-            return
-        deliveries = self._injector.plan_deliveries(
-            self._scheduler.now, src, dst, payload
-        )
-        if deliveries is None:
-            super().submit(src, dst, payload)
-            return
-        for copy, delay in deliveries:
-            if delay > 0:
-                self._scheduler.schedule_after(
-                    delay,
-                    "fault-delay",
-                    lambda c=copy: LoopbackHub.submit(self, src, dst, c),
-                )
-            else:
-                super().submit(src, dst, copy)
-
-
-class _PlanClient:
-    """Minimal correct client: f+1 distinct acks, resubmit on silence."""
-
-    def __init__(self, genesis: Genesis, hub: LoopbackHub, scheduler: Any):
-        self.genesis = genesis
-        self.pid = genesis.n_replicas
-        self.f = genesis.service_config().params().f
-        self.scheduler = scheduler
-        self.transport = hub.register(self.pid, self._on_message)
-        self.next_id = 0
-        self.outstanding: dict[int, ClientRequest] = {}
-        self.attempts: dict[int, int] = {}
-        self.acks: dict[int, set[int]] = {}
-        self.completed: set[int] = set()
-        self.statuses: dict[int, StatusReply] = {}
-
-    def _on_message(self, src: int, message: Any) -> None:
-        if isinstance(message, ClientReply) and message.client == self.pid:
-            if message.req_id in self.completed:
-                return
-            self.acks.setdefault(message.req_id, set()).add(message.replica)
-            if len(self.acks[message.req_id]) >= self.f + 1:
-                self.completed.add(message.req_id)
-                self.outstanding.pop(message.req_id, None)
-
-    def set(self, key: str, value: str) -> int:
-        req_id = self.next_id
-        self.next_id += 1
-        request = ClientRequest(
-            client=self.pid, req_id=req_id, command=Command("set", key, value)
-        )
-        self.outstanding[req_id] = request
-        self.attempts[req_id] = 0
-        self._submit(req_id)
-        return req_id
-
-    def _submit(self, req_id: int) -> None:
-        request = self.outstanding.get(req_id)
-        if request is None:
-            return
-        attempt = self.attempts[req_id]
-        self.attempts[req_id] += 1
-        target = (self.pid + req_id + attempt) % self.genesis.n_replicas
-        self.transport.send(target, request)
-        self.scheduler.schedule_after(
-            self.genesis.request_timeout,
-            "resubmit",
-            lambda: self._submit(req_id),
-        )
 
 
 def loopback_genesis(plan: FaultPlan) -> Genesis:
@@ -136,13 +43,9 @@ def loopback_genesis(plan: FaultPlan) -> Genesis:
         name=f"faults-{plan.plan_id}",
         seed=plan.seed,
         n_replicas=plan.n_replicas,
-        addresses=tuple(
-            ("127.0.0.1", _PORT_BASE + pid) for pid in range(plan.n_replicas)
-        ),
+        addresses=fixed_addresses(plan.n_replicas, _PORT_BASE),
         max_clients=1,
-        request_timeout=0.6,
-        stall_probe=2.0,
-        metrics_interval=0.0,
+        **TWIN_KNOBS,
     )
 
 
@@ -152,80 +55,55 @@ class _LoopbackRun:
     def __init__(self, plan: FaultPlan) -> None:
         # Lazy zoo import: repro.zoo depends on repro.faults.plan, so the
         # faults package never imports repro.zoo at module scope.
-        from repro.zoo.runtime import ZooInjections, zoo_loopback_overrides
+        from repro.zoo.runtime import zoo_loopback_overrides
 
         plan.validate()
         self.plan = plan
+        # What the injectors do, as counters: the reducer reads totals.
         self.registry = MetricsRegistry()
         self.injector = LinkFaultInjector(plan, registry=self.registry)
-        self.genesis = loopback_genesis(plan)
+        genesis = loopback_genesis(plan)
         # Zoo plans re-derive the cluster config exactly like the
         # subprocess fidelity does; empty for v1 plans, whose runs (and
         # genesis id, hence every hello MAC) stay byte-identical.
-        self.config = self.genesis.service_config()
+        config = genesis.service_config()
         overrides = zoo_loopback_overrides(plan)
         if overrides:
-            self.config = dataclasses.replace(self.config, **overrides)
-        self.zoo_injections = ZooInjections()
+            config = dataclasses.replace(config, **overrides)
         self.scheduler = ManualScheduler()
-        self.hub = FaultyLoopbackHub(self.scheduler, self.injector)
-        self.nodes: dict[int, NetNode] = {}
-        attacks = dict(plan.collusion)
-        for pid in range(plan.n_replicas):
-            factory = None
-            if pid in attacks:
-                factory = transformed_attack(pid, attacks[pid])[pid]
-            self._up(pid, engine_factory=factory)
-        self.client = _PlanClient(self.genesis, self.hub, self.scheduler)
-
-    def _up(self, pid: int, *, join: bool = False, engine_factory=None) -> None:
-        node = NetNode(
-            self.genesis,
-            pid,
+        self.cluster = LoopbackCluster(
+            genesis,
             self.scheduler,
-            join=join,
-            engine_factory=engine_factory,
-            config=self.config,
+            link=self.injector.plan_deliveries,
+            config=config,
+            engine_factories={
+                pid: transformed_attack(pid, name)[pid]
+                for pid, name in plan.collusion
+            },
         )
-        node.attach_transport(self.hub.register(pid, node.handle_message))
-        self.nodes[pid] = node
-        node.start()
-
-    def _kill(self, pid: int) -> None:
-        node = self.nodes.pop(pid, None)
-        if node is None:
-            return
-        self.hub.unregister(pid)
-        # Crash semantics: the dead process neither fires timers into the
-        # fabric nor keeps volatile state — rejoin builds a new node.
-        node.process.go_down()
+        self.client = self.cluster.clients[0]
 
     def _schedule_events(self) -> None:
-        from repro.zoo.runtime import install_zoo_injections
+        from repro.zoo.runtime import ZooInjections, install_zoo_injections
 
         plan = self.plan
+        nodes = self.cluster.nodes
         # Families (b)/(d): same shared wiring as the other fidelities;
         # the manual clock starts at zero, so plan time maps 1:1.
         install_zoo_injections(
             plan,
-            lambda at, label, thunk: self.scheduler.schedule_after(
-                at, label, thunk
-            ),
-            lambda pid: (
-                self.nodes[pid].process if pid in self.nodes else None
-            ),
-            self.zoo_injections,
+            self.scheduler.schedule_after,
+            lambda pid: nodes[pid].process if pid in nodes else None,
+            ZooInjections(),
             self.registry,
         )
         for pid, at, rejoin_at in plan.kills:
             self.scheduler.schedule_after(
-                at, "plan-kill", lambda p=pid: self._kill(p)
+                at, "plan-kill", lambda p=pid: self.cluster.kill(p)
             )
             if rejoin_at is not None:
                 self.scheduler.schedule_after(
-                    rejoin_at,
-                    "plan-rejoin",
-                    lambda p=pid: self._up(p, join=True),
+                    rejoin_at, "plan-rejoin", lambda p=pid: self.cluster.rejoin(p)
                 )
         # Workload: spread over the first ~70% of the plan window, so
         # post-rejoin replicas still see fresh traffic to catch up on.
@@ -238,140 +116,38 @@ class _LoopbackRun:
                 lambda i=index: self.client.set(f"k{i % 8}", f"v{i}"),
             )
 
-    def _pump(self, seconds: float) -> None:
-        for _ in range(int(round(seconds * 10))):
-            self.scheduler.advance(0.1)
-
-    def _settled(self) -> bool:
-        plan = self.plan
-        live = live_correct(plan)
-        if len(self.client.completed) < plan.requests:
-            return False
-        floor = plan.progress_floor
-        committed = {
-            pid: self.nodes[pid].process.committed_commands
-            for pid in live
-            if pid in self.nodes
+    def _facts(self) -> dict[int, ReplicaFacts]:
+        return {
+            pid: ReplicaFacts.of(node.process, node.metrics.counter_total)
+            for pid, node in self.cluster.nodes.items()
         }
-        if len(committed) < len(live):
-            return False
-        if any(count < floor for count in committed.values()):
-            return False
-        for pid in plan.rejoining_pids:
-            node = self.nodes.get(pid)
-            if node is None or not node.process.state_transfers_completed:
-                return False
-        digests = {
-            service_digest(
-                self.nodes[pid].process.store, self.nodes[pid].process.executed
-            )
-            for pid in live
-        }
-        return len(digests) == 1
 
     def execute(self) -> FidelityObservation:
         plan = self.plan
         self._schedule_events()
-        self._pump(plan.duration)
-        settled = self._settled()
+        self.cluster.pump(plan.duration)
         budget = SETTLE_BUDGET
-        while not settled and budget > 0:
-            self._pump(1.0)
+        while budget > 0 and not settled(
+            plan, self._facts(), len(self.client.completed)
+        ):
+            self.cluster.pump(1.0)
             budget -= 1.0
-            settled = self._settled()
-        live = live_correct(plan)
-        correct = frozenset(range(plan.n_replicas)) - plan.faulty_pids
-        declared = []
-        for pid in sorted(correct):
-            node = self.nodes.get(pid)
-            if node is None:
-                continue
-            for event in node.trace.of_kind("declare_faulty"):
-                declared.append(
-                    (pid, event.detail["target"], event.detail["reason"])
-                )
-        declared.sort()
-        detected = sum(
-            1
-            for _observer, target, _reason in declared
-            if target in plan.flip_pids
-        )
-        if detected:
-            self.registry.inc(MODULE_FAULTS, "arb_faults_detected", detected)
-        signature_rejections = sum(
-            int(
-                self.nodes[pid].metrics.counter_total(
-                    MODULE_SIGNATURE, "messages_rejected"
-                )
-            )
-            for pid in sorted(correct)
-            if pid in self.nodes
-        )
-
-        def node_total(pids: frozenset[int], module: str, name: str) -> int:
-            return sum(
-                int(self.nodes[pid].metrics.counter_total(module, name))
-                for pid in sorted(pids)
-                if pid in self.nodes
-            )
-
-        zoo: dict[str, Any] = {}
-        if plan.has_zoo:
-            if plan.suppressions:
-                zoo["suppressed"] = self.injector.suppressed
-            if plan.corruptions:
-                zoo["corruptions_injected"] = self.zoo_injections.corruptions
-                zoo["checkpoint_mismatches"] = node_total(
-                    live, MODULE_SERVICE, "checkpoint_mismatches"
-                )
-                zoo["state_heals"] = node_total(
-                    live, MODULE_SERVICE, "state_heals"
-                )
-            if plan.timing:
-                zoo["timing_delays"] = self.injector.timing_delays
-                zoo["wrongful_suspicions"] = node_total(
-                    correct, MODULE_MUTENESS, "wrongful_suspicions"
-                )
-            if plan.storage_flips:
-                zoo["storage_flips_injected"] = (
-                    self.zoo_injections.storage_flips_injected
-                )
-                zoo["storage_rejections"] = sum(
-                    self.nodes[pid].process.suffix_rejections
-                    for pid in sorted(live)
-                    if pid in self.nodes
-                ) + node_total(live, MODULE_SERVICE, "state_responses_rejected")
-        return FidelityObservation(
-            fidelity=FIDELITY_LOOPBACK,
+        return observe(
+            plan,
+            FIDELITY_LOOPBACK,
             completed=len(self.client.completed),
-            committed={
-                pid: self.nodes[pid].process.committed_commands
-                for pid in live
-                if pid in self.nodes
-            },
-            digests={
-                pid: service_digest(
-                    self.nodes[pid].process.store,
-                    self.nodes[pid].process.executed,
-                )
-                for pid in live
-                if pid in self.nodes
-            },
-            transfers={
-                pid: len(self.nodes[pid].process.state_transfers_completed)
-                for pid in sorted(plan.rejoining_pids)
-                if pid in self.nodes
-            },
-            declared=tuple(declared),
-            flips_injected=self.injector.flips_injected,
-            signature_rejections=signature_rejections,
-            zoo=zoo,
+            replicas=self._facts(),
+            # Each node keeps its own trace; sorting gives the merged
+            # list one order whatever the node iteration order was.
+            declarations=sorted(
+                (pid, event.detail["target"], event.detail["reason"])
+                for pid, node in self.cluster.nodes.items()
+                for event in node.trace.of_kind("declare_faulty")
+            ),
+            injected=self.registry.counter_total,
             extras={
                 "end_time": self.scheduler.now,
-                "drops": dict(self.injector.drops),
-                "partition_delays": self.injector.partition_delays,
-                "duplicates": self.injector.duplicates,
-                "reorders": self.injector.reorders,
+                **self.injector.link_counts(),
                 "resubmissions": sum(self.client.attempts.values())
                 - plan.requests,
             },

@@ -29,20 +29,19 @@ import asyncio
 import tempfile
 import time
 from pathlib import Path
-from typing import Any
+from typing import Any, Mapping
 
-from repro.faults.oracle import FidelityObservation, live_correct
+from repro.faults.oracle import (
+    Counters,
+    FidelityObservation,
+    ReplicaFacts,
+    live_correct,
+    observe,
+)
 from repro.faults.plan import FIDELITY_NET, FaultPlan
 from repro.net.client import NetClient, NetClientError
 from repro.net.cluster import LocalCluster, make_genesis, wait_cluster_ready
-from repro.observability.export import read_run_jsonl
-from repro.observability.registry import (
-    MODULE_FAULTS,
-    MODULE_MUTENESS,
-    MODULE_SERVICE,
-    MODULE_SIGNATURE,
-    MODULE_ZOO,
-)
+from repro.observability.export import RunArtifact, read_run_jsonl
 
 #: Lead time between spawning the cluster and the plan's t=0: replicas
 #: must be connected and ready before the first scheduled fault.
@@ -170,135 +169,54 @@ class _NetRun:
         await self._sleep_until(self.plan.duration)
         await self._settle()
 
-    # -- post-teardown harvest ----------------------------------------------
 
-    def observe(self) -> FidelityObservation:
-        """Reduce the run (status replies + exported JSONL) for the judge.
+def harvest(
+    plan: FaultPlan, metrics_dir: Path, statuses: Mapping[int, Any]
+) -> tuple[dict[int, ReplicaFacts], list[tuple[int, int, str]], Counters]:
+    """Facts from what a torn-down cluster left behind: per replica, the
+    sorted declarations, and the cluster-wide injection counter lookup.
 
-        Called *after* ``terminate_all``: SIGTERM flushes a final metrics
-        export from every thawed replica, and the per-node JSONL files
-        are the durable source for declarations and counters — the
-        in-memory bounded traces died with the processes.
-        """
-        plan = self.plan
-        correct = frozenset(range(plan.n_replicas)) - plan.faulty_pids
-        live = live_correct(plan)
-        declared: list[tuple[int, int, str]] = []
-        flips_injected = 0
-        signature_rejections = 0
-        zoo_totals: dict[str, int] = {}
-        for pid in range(plan.n_replicas):
-            path = self.cluster.metrics_dir / f"node-{pid}.jsonl"
-            if not path.exists():
-                continue
-            try:
-                artifact = read_run_jsonl(path)
-            except Exception:
-                continue
-            flips_injected += int(
-                artifact.metrics.counter_total(
-                    MODULE_FAULTS, "arb_faults_injected"
-                )
-            )
-            if plan.has_zoo:
-                # Injection counters come from every node (each replica
-                # owns its outbound links and its own self-injections)…
-                for key, module, name in (
-                    ("suppressed", MODULE_ZOO, "suppressed_deliveries"),
-                    ("corruptions_injected", MODULE_ZOO, "corruptions_injected"),
-                    ("timing_delays", MODULE_ZOO, "timing_delays"),
-                    ("storage_flips_injected", MODULE_ZOO, "storage_flips_injected"),
-                ):
-                    zoo_totals[key] = zoo_totals.get(key, 0) + int(
-                        artifact.metrics.counter_total(module, name)
-                    )
-                # …detection counters only from the judging side.
-                if pid in live:
-                    for key, module, name in (
-                        ("checkpoint_mismatches", MODULE_SERVICE, "checkpoint_mismatches"),
-                        ("state_heals", MODULE_SERVICE, "state_heals"),
-                        ("storage_rejections", MODULE_SERVICE, "state_responses_rejected"),
-                    ):
-                        zoo_totals[key] = zoo_totals.get(key, 0) + int(
-                            artifact.metrics.counter_total(module, name)
-                        )
-                if pid in correct:
-                    zoo_totals["wrongful_suspicions"] = zoo_totals.get(
-                        "wrongful_suspicions", 0
-                    ) + int(
-                        artifact.metrics.counter_total(
-                            MODULE_MUTENESS, "wrongful_suspicions"
-                        )
-                    )
-            if pid in correct:
-                signature_rejections += int(
-                    artifact.metrics.counter_total(
-                        MODULE_SIGNATURE, "messages_rejected"
-                    )
-                )
-                for event in artifact.events_of_type("declare_faulty"):
-                    declared.append(
-                        (
-                            pid,
-                            event["detail"]["target"],
-                            event["detail"]["reason"],
-                        )
-                    )
-        declared.sort()
-        zoo: dict[str, Any] = {}
-        if plan.has_zoo:
-            if plan.suppressions:
-                zoo["suppressed"] = zoo_totals.get("suppressed", 0)
-            if plan.corruptions:
-                for key in (
-                    "corruptions_injected",
-                    "checkpoint_mismatches",
-                    "state_heals",
-                ):
-                    zoo[key] = zoo_totals.get(key, 0)
-            if plan.timing:
-                zoo["timing_delays"] = zoo_totals.get("timing_delays", 0)
-                zoo["wrongful_suspicions"] = zoo_totals.get(
-                    "wrongful_suspicions", 0
-                )
-            if plan.storage_flips:
-                zoo["storage_flips_injected"] = zoo_totals.get(
-                    "storage_flips_injected", 0
-                )
-                zoo["storage_rejections"] = zoo_totals.get(
-                    "storage_rejections", 0
-                ) + sum(
-                    self.statuses[pid].suffix_rejections
-                    for pid in sorted(live)
-                    if pid in self.statuses
-                )
-        return FidelityObservation(
-            fidelity=FIDELITY_NET,
-            completed=self.completed_workload,
-            committed={
-                pid: status.committed
-                for pid, status in self.statuses.items()
-                if pid in live
-            },
-            digests={
-                pid: status.digest
-                for pid, status in self.statuses.items()
-                if pid in live
-            },
-            transfers={
-                pid: self.statuses[pid].transfers
-                for pid in sorted(plan.rejoining_pids)
-                if pid in self.statuses
-            },
-            declared=tuple(declared),
-            flips_injected=flips_injected,
-            signature_rejections=signature_rejections,
-            zoo=zoo,
-            extras={
-                "workdir": str(self.workdir),
-                "resubmissions": self.client.resubmissions,
-            },
-        )
+    ``statuses`` (pid -> last :class:`~repro.net.messages.StatusReply`)
+    gives the final state; the per-node ``node-<pid>.jsonl`` exports are
+    the durable source for counters and declarations — the in-memory
+    bounded traces died with the processes. Either may be missing for a
+    pid (never answered the probe; killed before its first export, or a
+    torn file). Injection counters are summed over every export — each
+    replica owns its outbound links and its own self-injections.
+    """
+    replicas: dict[int, ReplicaFacts] = {}
+    artifacts: dict[int, RunArtifact] = {}
+    for pid in range(plan.n_replicas):
+        try:
+            artifacts[pid] = read_run_jsonl(metrics_dir / f"node-{pid}.jsonl")
+        except Exception:
+            # Missing or torn export: the run still gets judged, this
+            # node just contributes no counters.
+            pass
+        status = statuses.get(pid)
+        if status is None and pid not in artifacts:
+            continue
+        facts = replicas[pid] = ReplicaFacts()
+        if status is not None:
+            facts.committed = status.committed
+            facts.digest = status.digest
+            facts.transfers = status.transfers
+            facts.suffix_rejections = status.suffix_rejections
+        if pid in artifacts:
+            facts.counter = artifacts[pid].metrics.counter_total
+    declarations = sorted(
+        (pid, event["detail"]["target"], event["detail"]["reason"])
+        for pid, artifact in artifacts.items()
+        for event in artifact.events_of_type("declare_faulty")
+    )
+    return (
+        replicas,
+        declarations,
+        lambda module, name: sum(
+            artifact.metrics.counter_total(module, name)
+            for artifact in artifacts.values()
+        ),
+    )
 
 
 async def run_net_plan_async(
@@ -324,15 +242,31 @@ async def run_net_plan_async(
     finally:
         await run.client.close()
         exit_codes = run.cluster.terminate_all()
-    observation = run.observe()
-    observation.extras["exit_codes"] = {
-        str(pid): code for pid, code in sorted(exit_codes.items())
+    # After terminate_all: SIGTERM flushes a final metrics export from
+    # every thawed replica.
+    replicas, declarations, injected = harvest(
+        plan, run.cluster.metrics_dir, run.statuses
+    )
+    extras: dict[str, Any] = {
+        "resubmissions": run.client.resubmissions,
+        "exit_codes": {
+            str(pid): code for pid, code in sorted(exit_codes.items())
+        },
+        "timed_out": timed_out,
     }
-    observation.extras["timed_out"] = timed_out
-    if owned_tmp is not None:
-        observation.extras.pop("workdir", None)
+    if owned_tmp is None:
+        extras["workdir"] = str(workdir)
+    else:
         owned_tmp.cleanup()
-    return observation
+    return observe(
+        plan,
+        FIDELITY_NET,
+        completed=run.completed_workload,
+        replicas=replicas,
+        declarations=declarations,
+        injected=injected,
+        extras=extras,
+    )
 
 
 def run_net_plan(

@@ -22,7 +22,7 @@ automaton must never convict the innocent flipped sender.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable, Iterable, Mapping
 
 from repro.byzantine.faults import DetectingModule
 from repro.campaign.oracles import (
@@ -32,6 +32,14 @@ from repro.campaign.oracles import (
     classify_fault_reason,
 )
 from repro.faults.plan import FaultPlan
+from repro.observability.registry import (
+    MODULE_FAULTS,
+    MODULE_MUTENESS,
+    MODULE_SERVICE,
+    MODULE_SIGNATURE,
+    MODULE_ZOO,
+)
+from repro.service.checkpoint import service_digest
 
 #: Modules allowed to flag a flipped-bit corruption (the verification
 #: side of the receive path; never the behaviour automaton).
@@ -70,6 +78,41 @@ class FidelityObservation:
     extras: dict[str, Any] = field(default_factory=dict)
 
 
+#: ``(module, name) -> total`` over one registry's counters
+#: (:meth:`MetricsRegistry.counter_total` has this shape).
+Counters = Callable[[str, str], int | float]
+
+
+@dataclass(slots=True)
+class ReplicaFacts:
+    """What a runner knows about one replica at the end of (or during)
+    a run, wherever it read it: a simulated process, a loopback node, or
+    a status reply plus an exported JSONL artifact."""
+
+    #: Commands committed; ``None`` when the replica has no final state
+    #: to show (dead, or silent to the status probe).
+    committed: int | None = None
+    #: Application-state digest, ``None`` alongside ``committed``.
+    digest: str | None = None
+    #: Certified state transfers completed.
+    transfers: int = 0
+    #: Corrupted transfer suffixes this replica refused.
+    suffix_rejections: int = 0
+    #: This replica's own counters.
+    counter: Counters = lambda module, name: 0
+
+    @classmethod
+    def of(cls, process: Any, counter: Counters) -> "ReplicaFacts":
+        """The facts of a live :class:`ServiceReplicaProcess`."""
+        return cls(
+            committed=process.committed_commands,
+            digest=service_digest(process.store, process.executed),
+            transfers=len(process.state_transfers_completed),
+            suffix_rejections=process.suffix_rejections,
+            counter=counter,
+        )
+
+
 def live_correct(plan: FaultPlan) -> frozenset[int]:
     """Replicas the convergence oracles may hold to account at the end:
     correct, never muted, and not dead at the end of the plan."""
@@ -79,6 +122,112 @@ def live_correct(plan: FaultPlan) -> frozenset[int]:
         | (plan.killed_pids - plan.rejoining_pids)
     )
     return frozenset(range(plan.n_replicas)) - gone
+
+
+def settled(
+    plan: FaultPlan, replicas: Mapping[int, ReplicaFacts], completed: int
+) -> bool:
+    """May a deterministic runner stop early? The workload drained, every
+    live correct replica reached the progress floor, every rejoiner
+    certified a transfer, and the live set shows one digest."""
+    if completed < plan.requests:
+        return False
+    live = [replicas.get(pid) for pid in live_correct(plan)]
+    if any(
+        facts is None
+        or facts.committed is None
+        or facts.committed < plan.progress_floor
+        for facts in live
+    ):
+        return False
+    if any(
+        pid not in replicas or replicas[pid].transfers < 1
+        for pid in plan.rejoining_pids
+    ):
+        return False
+    return len({facts.digest for facts in live}) == 1
+
+
+def observe(
+    plan: FaultPlan,
+    fidelity: str,
+    *,
+    completed: int,
+    replicas: Mapping[int, ReplicaFacts],
+    declarations: Iterable[tuple[int, int, str]],
+    injected: Counters,
+    extras: dict[str, Any],
+) -> FidelityObservation:
+    """Reduce one run's facts to the judge's vocabulary — the only place
+    the pid-set rules are written (docs/FAULTS.md): final state and
+    detection counters from the live correct replicas, declarations,
+    signature rejections and wrongful suspicions from the correct ones,
+    transfers from the rejoiners. A faulty replica's own counters and
+    declarations never count as detections, at any fidelity.
+
+    ``declarations`` are ``(observer, target, reason)`` in the order the
+    runner harvested them, which the observation keeps. ``injected``
+    looks up the run-wide total of an injection counter — the injectors
+    count what they do into a registry at every fidelity.
+    """
+    live = live_correct(plan)
+    correct = frozenset(range(plan.n_replicas)) - plan.faulty_pids
+    final = {
+        pid: replicas[pid]
+        for pid in sorted(live)
+        if pid in replicas and replicas[pid].committed is not None
+    }
+
+    def total(pids: frozenset[int], module: str, name: str) -> int:
+        return sum(
+            int(replicas[pid].counter(module, name))
+            for pid in sorted(pids)
+            if pid in replicas
+        )
+
+    zoo: dict[str, Any] = {}
+    if plan.suppressions:
+        zoo["suppressed"] = int(injected(MODULE_ZOO, "suppressed_deliveries"))
+    if plan.corruptions:
+        zoo["corruptions_injected"] = int(
+            injected(MODULE_ZOO, "corruptions_injected")
+        )
+        zoo["checkpoint_mismatches"] = total(
+            live, MODULE_SERVICE, "checkpoint_mismatches"
+        )
+        zoo["state_heals"] = total(live, MODULE_SERVICE, "state_heals")
+    if plan.timing:
+        zoo["timing_delays"] = int(injected(MODULE_ZOO, "timing_delays"))
+        zoo["wrongful_suspicions"] = total(
+            correct, MODULE_MUTENESS, "wrongful_suspicions"
+        )
+    if plan.storage_flips:
+        zoo["storage_flips_injected"] = int(
+            injected(MODULE_ZOO, "storage_flips_injected")
+        )
+        zoo["storage_rejections"] = sum(
+            replicas[pid].suffix_rejections for pid in live if pid in replicas
+        ) + total(live, MODULE_SERVICE, "state_responses_rejected")
+    return FidelityObservation(
+        fidelity=fidelity,
+        completed=completed,
+        committed={pid: facts.committed for pid, facts in final.items()},
+        digests={pid: facts.digest for pid, facts in final.items()},
+        transfers={
+            pid: replicas[pid].transfers
+            for pid in sorted(plan.rejoining_pids)
+            if pid in replicas
+        },
+        declared=tuple(
+            entry for entry in declarations if entry[0] in correct
+        ),
+        flips_injected=int(injected(MODULE_FAULTS, "arb_faults_injected")),
+        signature_rejections=total(
+            correct, MODULE_SIGNATURE, "messages_rejected"
+        ),
+        zoo=zoo,
+        extras=extras,
+    )
 
 
 def judge(

@@ -24,6 +24,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
+from repro.campaign.oracles import kind_of
 from repro.errors import ConfigurationError
 from repro.faults.oracle import FidelityObservation, judge
 from repro.faults.plan import FaultPlan
@@ -49,7 +50,7 @@ SCALAR_AXES: tuple[str, ...] = ("loss", "duplication", "reorder")
 
 def violation_kinds(violations: Iterable[str]) -> frozenset[str]:
     """The oracle-kind prefixes of a violation list (``progress``, …)."""
-    return frozenset(v.split(":", 1)[0] for v in violations)
+    return frozenset(kind_of(v) for v in violations)
 
 
 @dataclass(slots=True)

@@ -16,25 +16,21 @@ decide the verdict.
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.byzantine import transformed_attack
 from repro.faults.injector import LinkFaultInjector
-from repro.faults.oracle import FidelityObservation, live_correct
-from repro.faults.plan import FIDELITY_SIM, FaultPlan
-from repro.observability.registry import (
-    MODULE_FAULTS,
-    MODULE_MUTENESS,
-    MODULE_SERVICE,
-    MODULE_SIGNATURE,
+from repro.faults.oracle import (
+    FidelityObservation,
+    ReplicaFacts,
+    observe,
+    settled,
 )
+from repro.faults.plan import FIDELITY_SIM, FaultPlan
+from repro.observability.registry import MetricsRegistry
 from repro.replication.log import EngineFactory
-from repro.service.checkpoint import service_digest
 from repro.service.config import ServiceConfig
 from repro.service.runtime import ServiceSystem, build_service_system
-
-if TYPE_CHECKING:
-    from repro.zoo.runtime import ZooInjections
 
 #: Plan seconds -> simulated virtual time. The service stack's sim
 #: timeouts are an order of magnitude above the loopback/net genesis
@@ -88,12 +84,14 @@ def _byzantine(plan: FaultPlan) -> dict[int, EngineFactory]:
 
 def build_sim_system(
     plan: FaultPlan,
-) -> tuple[ServiceSystem, LinkFaultInjector, "ZooInjections"]:
-    """The (not yet run) fidelity-1 world for ``plan``."""
+) -> tuple[ServiceSystem, LinkFaultInjector, MetricsRegistry]:
+    """The (not yet run) fidelity-1 world for ``plan``, its link
+    injector, and the registry every injector of the run counts into."""
     from repro.zoo.runtime import ZooInjections, install_zoo_injections
 
     plan.validate()
-    injector = LinkFaultInjector(plan)
+    registry = MetricsRegistry()
+    injector = LinkFaultInjector(plan, registry=registry)
 
     def tamper(
         now: float, src: int, dst: int, payload: Any
@@ -126,7 +124,6 @@ def build_sim_system(
             system.world.scheduler.schedule_at(
                 at * SIM_TIME_SCALE, "service-down", replica.go_down
             )
-    injections = ZooInjections()
     world = system.world
     # Families (b) and (d): seeded live-state scribbles and sticky
     # storage faults, booked on the world's scheduler at the scaled
@@ -137,34 +134,29 @@ def build_sim_system(
             at * SIM_TIME_SCALE, label, thunk
         ),
         lambda pid: system.replicas[pid],
-        injections,
-        world.metrics,
+        ZooInjections(),
+        registry,
     )
-    return system, injector, injections
+    return system, injector, registry
 
 
 def run_sim_plan(plan: FaultPlan) -> FidelityObservation:
     """Execute ``plan`` at fidelity 1 and reduce it for the judge."""
-    system, injector, injections = build_sim_system(plan)
+    system, injector, registry = build_sim_system(plan)
     world = system.world
-    live = live_correct(plan)
-    floor = plan.progress_floor
 
-    def settled() -> bool:
-        if not system.all_clients_done():
-            return False
-        committed = {
-            pid: system.replicas[pid].committed_commands for pid in live
-        }
-        if any(count < floor for count in committed.values()):
-            return False
-        digests = {
-            service_digest(
-                system.replicas[pid].store, system.replicas[pid].executed
+    def facts() -> dict[int, ReplicaFacts]:
+        # One registry for the whole world: a replica's own counters
+        # are the ones labelled with its pid.
+        return {
+            pid: ReplicaFacts.of(
+                replica,
+                lambda module, name, pid=pid: world.metrics.counter(
+                    module, name, pid=pid
+                ),
             )
-            for pid in live
+            for pid, replica in enumerate(system.replicas)
         }
-        return len(digests) == 1
 
     horizon = (plan.duration + SETTLE_BUDGET) * SIM_TIME_SCALE
     deadline = plan.duration * SIM_TIME_SCALE
@@ -172,81 +164,20 @@ def run_sim_plan(plan: FaultPlan) -> FidelityObservation:
         result = world.run(max_events=5_000_000, max_time=deadline)
         if deadline >= horizon or result.reason == "quiescent":
             break
-        if deadline >= plan.duration * SIM_TIME_SCALE and settled():
+        if settled(plan, facts(), system.completed_requests()):
             break
         deadline = min(horizon, deadline + 5.0 * SIM_TIME_SCALE)
 
-    correct = frozenset(range(plan.n_replicas)) - plan.faulty_pids
-    declared = tuple(
-        (event.process, event.detail["target"], event.detail["reason"])
-        for event in world.trace.of_kind("declare_faulty")
-        if event.process in correct
-    )
-    detected = sum(
-        1
-        for _observer, target, _reason in declared
-        if target in plan.flip_pids
-    )
-    if detected:
-        world.metrics.inc(MODULE_FAULTS, "arb_faults_detected", detected)
-    zoo: dict[str, Any] = {}
-    if plan.has_zoo:
-        metrics = world.metrics
-        if plan.suppressions:
-            zoo["suppressed"] = injector.suppressed
-        if plan.corruptions:
-            zoo["corruptions_injected"] = injections.corruptions
-            zoo["checkpoint_mismatches"] = int(
-                metrics.counter_total(MODULE_SERVICE, "checkpoint_mismatches")
-            )
-            zoo["state_heals"] = int(
-                metrics.counter_total(MODULE_SERVICE, "state_heals")
-            )
-        if plan.timing:
-            zoo["timing_delays"] = injector.timing_delays
-            zoo["wrongful_suspicions"] = int(
-                sum(
-                    metrics.counter(
-                        MODULE_MUTENESS, "wrongful_suspicions", pid=pid
-                    )
-                    for pid in sorted(correct)
-                )
-            )
-        if plan.storage_flips:
-            zoo["storage_flips_injected"] = injections.storage_flips_injected
-            zoo["storage_rejections"] = int(
-                sum(system.replicas[pid].suffix_rejections for pid in live)
-                + metrics.counter_total(
-                    MODULE_SERVICE, "state_responses_rejected"
-                )
-            )
-    return FidelityObservation(
-        fidelity=FIDELITY_SIM,
+    return observe(
+        plan,
+        FIDELITY_SIM,
         completed=system.completed_requests(),
-        committed={
-            pid: system.replicas[pid].committed_commands for pid in live
-        },
-        digests={
-            pid: service_digest(
-                system.replicas[pid].store, system.replicas[pid].executed
-            )
-            for pid in live
-        },
-        transfers={
-            pid: len(system.replicas[pid].state_transfers_completed)
-            for pid in sorted(plan.rejoining_pids)
-        },
-        declared=declared,
-        flips_injected=injector.flips_injected,
-        signature_rejections=int(
-            world.metrics.counter_total(MODULE_SIGNATURE, "messages_rejected")
-        ),
-        zoo=zoo,
-        extras={
-            "end_time": world.now,
-            "drops": dict(injector.drops),
-            "partition_delays": injector.partition_delays,
-            "duplicates": injector.duplicates,
-            "reorders": injector.reorders,
-        },
+        replicas=facts(),
+        # One world, one trace: declarations stay in event order.
+        declarations=[
+            (event.process, event.detail["target"], event.detail["reason"])
+            for event in world.trace.of_kind("declare_faulty")
+        ],
+        injected=registry.counter_total,
+        extras={"end_time": world.now, **injector.link_counts()},
     )

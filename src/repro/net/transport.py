@@ -63,6 +63,15 @@ class TransportError(ReproError):
 # ---------------------------------------------------------------------------
 
 
+#: A link policy's verdict on one send: ``None`` delivers the payload
+#: now; otherwise one ``(payload, delay)`` per copy — none drops it,
+#: several duplicate it, a positive delay (scheduler seconds) makes that
+#: copy late. :meth:`LinkFaultInjector.plan_deliveries
+#: <repro.faults.injector.LinkFaultInjector.plan_deliveries>` has exactly
+#: this shape; policies compose as plain functions.
+LinkPolicy = Callable[[float, int, int, Any], list[tuple[Any, float]] | None]
+
+
 class LoopbackHub:
     """In-memory message fabric with the PeerTransport surface.
 
@@ -77,10 +86,18 @@ class LoopbackHub:
     itself is an iterative FIFO loop (never recursive), so message
     storms cannot blow the stack. Unregistered destinations drop
     (counted), modelling a killed process.
+
+    ``link`` is the fabric's one point of variation: a
+    :data:`LinkPolicy` asked about every send as ``link(now, src, dst,
+    payload)``. Latency, loss, duplication, partitions and corruption
+    are all policies (docs/NET.md); a late copy is encoded at send time
+    and joins the queue when its timer fires, so it escapes the FIFO
+    exactly like a reordered TCP segment.
     """
 
-    def __init__(self, scheduler: Any) -> None:
+    def __init__(self, scheduler: Any, link: LinkPolicy | None = None) -> None:
         self._scheduler = scheduler
+        self._link = link
         self._handlers: dict[int, MessageHandler] = {}
         self._queue: deque[tuple[int, int, bytes]] = deque()
         self._dispatching = False
@@ -101,11 +118,27 @@ class LoopbackHub:
         self._handlers.pop(pid, None)
 
     def submit(self, src: int, dst: int, payload: Any) -> None:
-        try:
-            frame = encode_frame(payload)
-        except WireError:
-            self.frames_rejected += 1
-            return
+        deliveries = None
+        if self._link is not None:
+            deliveries = self._link(self._scheduler.now, src, dst, payload)
+        if deliveries is None:
+            deliveries = ((payload, 0.0),)
+        for copy, delay in deliveries:
+            try:
+                frame = encode_frame(copy)
+            except WireError:
+                self.frames_rejected += 1
+                continue
+            if delay > 0.0:
+                self._scheduler.schedule_after(
+                    delay,
+                    "loopback-hop",
+                    lambda frame=frame: self._enqueue(src, dst, frame),
+                )
+            else:
+                self._enqueue(src, dst, frame)
+
+    def _enqueue(self, src: int, dst: int, frame: bytes) -> None:
         self._queue.append((src, dst, frame))
         if not self._dispatching and not self._drain_scheduled:
             self._drain_scheduled = True
@@ -114,9 +147,6 @@ class LoopbackHub:
     def flush(self) -> None:
         """Deliver everything queued (drains nested sends too)."""
         self._drain_scheduled = False
-        self._drain()
-
-    def _drain(self) -> None:
         if self._dispatching:
             return
         self._dispatching = True

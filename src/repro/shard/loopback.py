@@ -17,10 +17,10 @@ That buys two things:
   S groups each order carries ~1/S of the keys, and the aggregate
   throughput is the ratio the E21 acceptance bar checks.
 
-Each shard gets its own :class:`~repro.net.transport.LoopbackHub` — pid
-spaces are group-local, and two groups must not share a fabric any more
-than they share a total order. Routing happens in the client layer only,
-via the same deterministic map the TCP client uses.
+Each shard is one :class:`~repro.net.loopback.LoopbackCluster` with its
+own hub — pid spaces are group-local, and two groups must not share a
+fabric any more than they share a total order. Routing happens in the
+client layer only, via the same deterministic map the TCP client uses.
 """
 
 from __future__ import annotations
@@ -30,20 +30,12 @@ from typing import Any, Mapping
 
 from repro.errors import ConfigurationError
 from repro.net.clock import ManualScheduler
-from repro.net.genesis import Genesis
-from repro.net.node import NetNode
-from repro.net.transport import LoopbackHub
-from repro.net.wire import WireError, encode_frame
+from repro.net.loopback import TWIN_KNOBS, LoopbackCluster, fixed_addresses
+from repro.net.transport import LinkPolicy
 from repro.observability.registry import MODULE_SHARD, MetricsRegistry
-from repro.replication.kvstore import Command
-from repro.service.checkpoint import service_digest
-from repro.service.messages import ClientReply, ClientRequest
 from repro.shard.genesis import ShardGenesis
 
-#: Fixed fake ports: the loopback fabric never binds a socket, but the
-#: genesis schema wants addresses — fixed ones keep every shard genesis
-#: id (hence every hello MAC) identical across runs, which the
-#: byte-identity contract depends on. Shards get disjoint port ranges.
+#: Shards get disjoint fake-port ranges.
 _PORT_BASE = 30001
 _PORT_STRIDE = 100
 
@@ -54,10 +46,13 @@ SETTLE_BUDGET = 120.0
 HOP_DELAY = 0.005
 
 
-class LatencyHub(LoopbackHub):
-    """A :class:`LoopbackHub` whose every hop costs virtual time.
+def link_latency(
+    delay: float = HOP_DELAY,
+    link_delays: Mapping[tuple[int, int], float] | None = None,
+) -> LinkPolicy:
+    """A link policy under which every hop costs virtual time.
 
-    The stock hub drains at zero delay, which is perfect for protocol
+    A bare hub drains at zero delay, which is perfect for protocol
     correctness tests but useless for a *scaling* measurement: with free
     messages a group orders any backlog within one scheduler step, so
     virtual time cannot show the per-group ordering pipeline saturating.
@@ -72,46 +67,14 @@ class LatencyHub(LoopbackHub):
     ``(src, dst)`` FIFO order survives either way because a given link's
     delay is constant, so a link never reorders its own traffic; with
     heterogeneous delays *cross-link* interleavings shift, exactly the
-    effect being modelled. The uniform default (``link_delays=None``)
-    takes the same code path as before and stays byte-identical.
+    effect being modelled.
     """
+    overrides = dict(link_delays or {})
 
-    def __init__(
-        self,
-        scheduler: Any,
-        *,
-        delay: float = HOP_DELAY,
-        link_delays: Mapping[tuple[int, int], float] | None = None,
-    ) -> None:
-        super().__init__(scheduler)
-        self.delay = delay
-        self.link_delays = dict(link_delays) if link_delays else None
+    def link(now: float, src: int, dst: int, payload: Any):
+        return [(payload, overrides.get((src, dst), delay))]
 
-    def delay_for(self, src: int, dst: int) -> float:
-        """The virtual latency charged on the directed link ``src→dst``."""
-        if self.link_delays is not None:
-            return self.link_delays.get((src, dst), self.delay)
-        return self.delay
-
-    def submit(self, src: int, dst: int, payload: Any) -> None:
-        delay = self.delay_for(src, dst)
-        if delay <= 0.0:
-            super().submit(src, dst, payload)
-            return
-        try:
-            frame = encode_frame(payload)
-        except WireError:
-            self.frames_rejected += 1
-            return
-        self._scheduler.schedule_after(
-            delay,
-            "loopback-hop",
-            lambda: self._arrive(src, dst, frame),
-        )
-
-    def _arrive(self, src: int, dst: int, frame: bytes) -> None:
-        self._queue.append((src, dst, frame))
-        self._drain()
+    return link
 
 
 def loopback_shard_genesis(
@@ -127,18 +90,10 @@ def loopback_shard_genesis(
     if n_shards < 1:
         raise ConfigurationError(f"n_shards must be >= 1, got {n_shards}")
     addresses = tuple(
-        tuple(
-            ("127.0.0.1", _PORT_BASE + shard * _PORT_STRIDE + pid)
-            for pid in range(replicas_per_shard)
-        )
+        fixed_addresses(replicas_per_shard, _PORT_BASE + shard * _PORT_STRIDE)
         for shard in range(n_shards)
     )
-    knobs: dict[str, Any] = {
-        "request_timeout": 0.6,
-        "stall_probe": 2.0,
-        "metrics_interval": 0.0,
-    }
-    knobs.update(overrides)
+    knobs: dict[str, Any] = {**TWIN_KNOBS, **overrides}
     genesis = ShardGenesis(
         name=name,
         seed=seed,
@@ -150,62 +105,6 @@ def loopback_shard_genesis(
     )
     genesis.validate()
     return genesis
-
-
-class _ShardClient:
-    """One client identity on one shard's hub: f+1 acks, resubmits."""
-
-    def __init__(
-        self,
-        genesis: Genesis,
-        hub: LoopbackHub,
-        scheduler: ManualScheduler,
-        index: int,
-    ) -> None:
-        self.genesis = genesis
-        self.pid = genesis.n_replicas + index
-        self.f = genesis.service_config().params().f
-        self.scheduler = scheduler
-        self.transport = hub.register(self.pid, self._on_message)
-        self.next_id = 0
-        self.outstanding: dict[int, ClientRequest] = {}
-        self.attempts: dict[int, int] = {}
-        self.acks: dict[int, set[int]] = {}
-        self.completed: set[int] = set()
-
-    def _on_message(self, src: int, message: Any) -> None:
-        if isinstance(message, ClientReply) and message.client == self.pid:
-            if message.req_id in self.completed:
-                return
-            self.acks.setdefault(message.req_id, set()).add(message.replica)
-            if len(self.acks[message.req_id]) >= self.f + 1:
-                self.completed.add(message.req_id)
-                self.outstanding.pop(message.req_id, None)
-
-    def set(self, key: str, value: str) -> int:
-        req_id = self.next_id
-        self.next_id += 1
-        request = ClientRequest(
-            client=self.pid, req_id=req_id, command=Command("set", key, value)
-        )
-        self.outstanding[req_id] = request
-        self.attempts[req_id] = 0
-        self._submit(req_id)
-        return req_id
-
-    def _submit(self, req_id: int) -> None:
-        request = self.outstanding.get(req_id)
-        if request is None:
-            return
-        attempt = self.attempts[req_id]
-        self.attempts[req_id] += 1
-        target = (self.pid + req_id + attempt) % self.genesis.n_replicas
-        self.transport.send(target, request)
-        self.scheduler.schedule_after(
-            self.genesis.request_timeout,
-            "resubmit",
-            lambda: self._submit(req_id),
-        )
 
 
 class ShardedLoopbackCluster:
@@ -227,63 +126,42 @@ class ShardedLoopbackCluster:
         self.genesis = genesis
         self.scheduler = ManualScheduler()
         self.metrics = MetricsRegistry()
-        self.hubs: dict[int, LoopbackHub] = {}
-        self.nodes: dict[int, dict[int, NetNode]] = {}
-        #: shard -> client index -> in-process client.
-        self.clients: dict[int, dict[int, _ShardClient]] = {}
         #: shard -> sets routed there (the exactly-once expectation).
         self.routed: dict[int, int] = {
             shard: 0 for shard in range(genesis.n_shards)
         }
         self._issued = 0
-        # Per-link overrides apply to every shard's fabric alike: the
-        # pid space is group-local, so one map describes "replica 0 is
-        # behind a slow hop" for each group without enumerating shards.
-        for shard in range(genesis.n_shards):
-            hub = LatencyHub(
-                self.scheduler, delay=hop_delay, link_delays=link_delays
+        # One latency policy serves every shard's fabric: the pid space
+        # is group-local, so one map describes "replica 0 is behind a
+        # slow hop" for each group without enumerating shards.
+        link = link_latency(hop_delay, link_delays)
+        #: shard -> that group's nodes, hub and clients.
+        self.groups: dict[int, LoopbackCluster] = {
+            shard: LoopbackCluster(
+                genesis.genesis_for(shard),
+                self.scheduler,
+                link=link,
+                clients=clients,
             )
-            self.hubs[shard] = hub
-            self.nodes[shard] = {}
-            for pid in range(genesis.replicas_per_shard):
-                self._up(shard, pid)
-            self.clients[shard] = {
-                index: _ShardClient(
-                    genesis.genesis_for(shard), hub, self.scheduler, index
-                )
-                for index in range(clients)
-            }
+            for shard in range(genesis.n_shards)
+        }
 
     # -- node lifecycle ----------------------------------------------------
 
-    def _up(self, shard: int, pid: int, *, join: bool = False) -> None:
-        node = NetNode(
-            self.genesis.genesis_for(shard), pid, self.scheduler, join=join
-        )
-        node.attach_transport(
-            self.hubs[shard].register(pid, node.handle_message)
-        )
-        self.nodes[shard][pid] = node
-        node.start()
-
     def kill(self, shard: int, pid: int) -> None:
         """Crash semantics: volatile state lost, timers orphaned."""
-        node = self.nodes[shard].pop(pid, None)
-        if node is None:
-            return
-        self.hubs[shard].unregister(pid)
-        node.process.go_down()
+        self.groups[shard].kill(pid)
 
     def rejoin(self, shard: int, pid: int) -> None:
         """Fresh node with ``join=True``: certified transfer is the way back."""
-        self._up(shard, pid, join=True)
+        self.groups[shard].rejoin(pid)
 
     # -- workload ----------------------------------------------------------
 
     def submit(self, key: str, value: str, *, client: int = 0) -> int:
         """Route one set to its shard's client; returns the shard."""
         shard = self.genesis.shard_of(key)
-        self.clients[shard][client].set(key, value)
+        self.groups[shard].clients[client].set(key, value)
         self.routed[shard] += 1
         self._issued += 1
         self.metrics.inc(MODULE_SHARD, "commands_routed", pid=shard)
@@ -312,15 +190,11 @@ class ShardedLoopbackCluster:
     # -- progress ----------------------------------------------------------
 
     def completed(self) -> int:
-        return sum(
-            len(client.completed)
-            for per_shard in self.clients.values()
-            for client in per_shard.values()
-        )
+        return sum(group.completed() for group in self.groups.values())
 
     def pump(self, seconds: float, *, step: float = 0.1) -> None:
-        for _ in range(int(round(seconds / step))):
-            self.scheduler.advance(step)
+        # One shared clock: pumping any group pumps them all.
+        self.groups[0].pump(seconds, step=step)
 
     def run_until_complete(self, *, budget: float, step: float = 0.1) -> bool:
         """Advance until every issued request completed; True on success."""
@@ -335,21 +209,14 @@ class ShardedLoopbackCluster:
     # -- per-shard verdicts ------------------------------------------------
 
     def shard_committed(self, shard: int) -> dict[int, int]:
-        return {
-            pid: node.process.committed_commands
-            for pid, node in sorted(self.nodes[shard].items())
-        }
+        return self.groups[shard].committed()
 
     def shard_digests(self, shard: int) -> dict[int, str]:
-        return {
-            pid: service_digest(node.process.store, node.process.executed)
-            for pid, node in sorted(self.nodes[shard].items())
-        }
+        return self.groups[shard].digests()
 
     def shard_converged(self, shard: int) -> bool:
         """Digest agreement + exactly-once against the routed count."""
-        nodes = self.nodes[shard]
-        if len(nodes) < self.genesis.replicas_per_shard:
+        if len(self.groups[shard].nodes) < self.genesis.replicas_per_shard:
             return False
         if len(set(self.shard_digests(shard).values())) != 1:
             return False
@@ -414,7 +281,7 @@ def run_loopback_smoke(
     settled = cluster.settle()
     transfers = {}
     if kill_shard is not None:
-        node = cluster.nodes[kill_shard].get(kill_pid)
+        node = cluster.groups[kill_shard].nodes.get(kill_pid)
         transfers = {
             str(kill_shard): {
                 str(kill_pid): (
@@ -504,7 +371,7 @@ def loopback_scaling_cell(
     until the last command has its f+1th ack, plus the per-shard
     convergence + exactly-once oracles. The default knobs deliberately
     shrink per-group capacity (service-default ``batch_size=4`` /
-    ``window=2``) and charge :class:`LatencyHub` hops, so the one-group
+    ``window=2``) and charge :func:`link_latency` hops, so the one-group
     ordering pipeline genuinely saturates at a load the benchmark can
     afford to run.
     """

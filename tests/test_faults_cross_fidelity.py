@@ -12,15 +12,26 @@ fidelity is exercised separately (``tests/test_faults_net.py`` and
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 from repro.faults import (
     FAULT_PRESETS,
+    FIDELITIES,
     FaultPlan,
     FidelityObservation,
     judge,
     live_correct,
     run_cross_fidelity,
+)
+from repro.faults.loopback_runner import _LoopbackRun
+from repro.faults.oracle import ReplicaFacts, observe, settled
+from repro.observability.registry import (
+    MODULE_FAULTS,
+    MODULE_MUTENESS,
+    MODULE_SERVICE,
+    MODULE_SIGNATURE,
+    MODULE_ZOO,
 )
 
 
@@ -132,6 +143,153 @@ class TestJudge:
         observation.completed = 0
         verdict, _violations = judge(plan, observation)
         assert verdict == "expected-vulnerability"
+
+
+class TestReducer:
+    """One facts -> observation reduction under every fidelity label.
+
+    The plan arms all four zoo families plus flips, a rejoin and a
+    colluder, so every pid-set rule is on the path: replicas 0, 1, 5, 6
+    are correct throughout; 2 crashes and rejoins and 4 is a timing
+    attacker (both faulty, both live at the end); 3 colludes (faulty and
+    not live — the replica that must contribute nothing).
+    """
+
+    PLAN = FaultPlan(
+        name="every-rule",
+        requests=8,
+        duration=12.0,
+        n_replicas=7,
+        kills=((2, 3.0, 6.0),),
+        collusion=((3, "corrupt-vector"),),
+        flips=((1, 1.0, 2),),
+        suppressions=((1, 1.0, 2.0, 4.0),),
+        corruptions=((0, 4.0, "store"),),
+        timing=((4, 2.0, 6.0, 0.5),),
+        storage_flips=((1, 2.0, "log"),),
+    )
+    SIG = "signature module: invalid signature"
+
+    @staticmethod
+    def _facts(colluder_noise: int):
+        def replica(digest="d", transfers=0, suffix=0, **counts):
+            table = {
+                (MODULE_SERVICE, "checkpoint_mismatches"): counts.get("cm", 0),
+                (MODULE_SERVICE, "state_heals"): counts.get("heals", 0),
+                (MODULE_SERVICE, "state_responses_rejected"): counts.get("srr", 0),
+                (MODULE_SIGNATURE, "messages_rejected"): counts.get("sig", 0),
+                (MODULE_MUTENESS, "wrongful_suspicions"): counts.get("ws", 0),
+            }
+            return ReplicaFacts(
+                committed=8,
+                digest=digest,
+                transfers=transfers,
+                suffix_rejections=suffix,
+                counter=lambda module, name: table.get((module, name), 0),
+            )
+
+        n = colluder_noise
+        return {
+            0: replica(suffix=1, cm=1, heals=1, sig=2, ws=1),
+            1: replica(srr=1, sig=1),
+            2: replica(transfers=1, suffix=2, cm=2, sig=4, ws=8),
+            3: replica("x", n, n, cm=n, heals=n, srr=n, sig=n, ws=n),
+            4: replica(cm=16, ws=16, sig=16),
+            5: replica(),
+            6: replica(),
+        }
+
+    @classmethod
+    def _observe(cls, fidelity, colluder_noise=7):
+        declarations = [(0, 1, cls.SIG), (2, 3, "certification module: x")]
+        if colluder_noise:
+            declarations.append((3, 1, cls.SIG))
+        return observe(
+            cls.PLAN,
+            fidelity,
+            completed=8,
+            replicas=cls._facts(colluder_noise),
+            declarations=declarations,
+            injected=lambda module, name: {
+                (MODULE_FAULTS, "arb_faults_injected"): 2,
+                (MODULE_ZOO, "suppressed_deliveries"): 3,
+                (MODULE_ZOO, "timing_delays"): 4,
+                (MODULE_ZOO, "corruptions_injected"): 1,
+                (MODULE_ZOO, "storage_flips_injected"): 5,
+            }[module, name],
+            extras={"from": fidelity},
+        )
+
+    def test_plan_arms_every_rule(self):
+        self.PLAN.validate()
+        assert live_correct(self.PLAN) == {0, 1, 2, 4, 5, 6}
+        assert self.PLAN.faulty_pids == {2, 3, 4}
+
+    def test_identical_under_every_fidelity_label(self):
+        sim, loopback, net = (self._observe(f) for f in FIDELITIES)
+        for other in (loopback, net):
+            assert other.fidelity != sim.fidelity
+            assert dataclasses.replace(
+                other, fidelity=sim.fidelity, extras=sim.extras
+            ) == sim
+
+    def test_pid_set_rules(self):
+        observation = self._observe("sim")
+        # Final state: the live set (the colluder's divergent digest is
+        # not the judge's business); transfers: the rejoiner.
+        assert set(observation.committed) == {0, 1, 2, 4, 5, 6}
+        assert set(observation.digests.values()) == {"d"}
+        assert observation.transfers == {2: 1}
+        # Declarations, signature rejections, wrongful suspicions come
+        # from correct observers only — not the crashed-and-back 2, not
+        # the timing attacker 4.
+        assert observation.declared == ((0, 1, self.SIG),)
+        assert observation.signature_rejections == 2 + 1
+        assert observation.zoo["wrongful_suspicions"] == 1
+        # Detection counters come from the live set.
+        assert observation.zoo["checkpoint_mismatches"] == 1 + 2 + 16
+        assert observation.zoo["state_heals"] == 1
+        assert observation.zoo["storage_rejections"] == (1 + 2) + 1
+        # Injection counts are the run's, verbatim.
+        assert observation.flips_injected == 2
+        assert observation.zoo["suppressed"] == 3
+        assert observation.zoo["timing_delays"] == 4
+        assert observation.zoo["corruptions_injected"] == 1
+        assert observation.zoo["storage_flips_injected"] == 5
+
+    def test_a_colluding_replica_contributes_nothing(self):
+        for fidelity in FIDELITIES:
+            assert self._observe(fidelity, colluder_noise=7) == self._observe(
+                fidelity, colluder_noise=0
+            )
+
+    def test_settled_requires_the_rejoiners_transfer(self):
+        facts = self._facts(0)
+        assert settled(self.PLAN, facts, completed=8)
+        assert not settled(self.PLAN, facts, completed=7)
+        facts[2].transfers = 0
+        assert not settled(self.PLAN, facts, completed=8)
+        facts[2].transfers = 1
+        facts[1].digest = "e"
+        assert not settled(self.PLAN, facts, completed=8)
+        del facts[1]
+        assert not settled(self.PLAN, facts, completed=8)
+
+
+class TestLoopbackLinkPolicy:
+    def test_a_nodes_own_loopback_crosses_no_link(self):
+        # Replica 1 is mute from t=0: the injector — which *is* the
+        # loopback hub's link policy — swallows everything touching it,
+        # except what it sends itself.
+        run = _LoopbackRun(
+            FaultPlan(name="mute", requests=1, duration=4.0, mutes=((1, 0.0),))
+        )
+        link = run.cluster.hub._link
+        assert link == run.injector.plan_deliveries
+        assert link(0.0, 1, 1, "m") is None
+        assert link(0.0, 0, 1, "m") == []
+        assert link(0.0, 1, 0, "m") == []
+        assert run.injector.drops["mute"] == 2
 
 
 class TestCrossFidelityReport:

@@ -303,3 +303,47 @@ class TestDrainOrdering:
             return log
 
         assert run() == run()
+
+
+class TestLinkPolicy:
+    """The hub's one point of variation: ``link(now, src, dst, payload)``."""
+
+    @staticmethod
+    def _hub(link):
+        scheduler = ManualScheduler()
+        hub = LoopbackHub(scheduler, link)
+        log: list[tuple[int, str, float]] = []
+        hub.register(1, lambda src, msg: log.append((src, msg, scheduler.now)))
+        return scheduler, hub, log
+
+    def test_verdict_vocabulary(self):
+        verdicts = {
+            "pass": None,
+            "drop": [],
+            "dup": [("dup", 0.0), ("dup", 0.0)],
+            "late": [("late", 0.5)],
+        }
+        scheduler, hub, log = self._hub(
+            lambda now, src, dst, payload: verdicts[payload]
+        )
+        for payload in ("late", "drop", "dup", "pass"):
+            hub.submit(0, 1, payload)
+        scheduler.advance(1.0)
+        assert log == [
+            (0, "dup", 0.0),
+            (0, "dup", 0.0),
+            (0, "pass", 0.0),
+            (0, "late", 0.5),
+        ]
+        assert (hub.frames_delivered, hub.frames_rejected) == (4, 0)
+
+    def test_an_unencodable_copy_is_counted_and_its_sibling_delivered(self):
+        # A corrupting policy may emit a copy the codec refuses; that
+        # costs exactly that copy, whichever position it holds.
+        scheduler, hub, log = self._hub(
+            lambda now, src, dst, payload: [(object(), 0.0), (payload, 0.1)]
+        )
+        hub.submit(0, 1, "good")
+        scheduler.advance(1.0)
+        assert log == [(0, "good", 0.1)]
+        assert (hub.frames_delivered, hub.frames_rejected) == (1, 1)
