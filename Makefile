@@ -152,10 +152,12 @@ bench-selftest:
 # performance claim needs (benchmarks/pairs.py): PARENT is a git
 # revision (checked out into a temporary worktree) or a checkout
 # directory; each run lasts BENCHMARK.json's run_seconds. PAIRS and SEED
-# default to the script's own (10 pairs, seed 7).
+# default to the script's own (10 pairs, seed 7). OUT=BENCH_tcp.json
+# appends the series to the committed trajectory, one row per series.
 bench-pairs:
 	$(PYTHON) benchmarks/pairs.py --parent $(PARENT) --workload $(WORKLOAD) \
-		$(if $(PAIRS),--pairs $(PAIRS)) $(if $(SEED),--seed $(SEED))
+		$(if $(PAIRS),--pairs $(PAIRS)) $(if $(SEED),--seed $(SEED)) \
+		$(if $(OUT),--out $(OUT))
 
 experiments:
 	$(PYTHON) -m repro experiments --list

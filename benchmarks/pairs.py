@@ -1,7 +1,7 @@
 """Interleaved parent/change pairs of one benchmark workload.
 
     python3 benchmarks/pairs.py --parent <rev> --workload write_small
-    make bench-pairs PARENT=<rev> WORKLOAD=write_small [PAIRS=10] [SEED=7]
+    make bench-pairs PARENT=<rev> WORKLOAD=write_small [PAIRS=10] [SEED=7] [OUT=BENCH_tcp.json]
 
 The rule a performance claim has to meet on a small shared box
 (``bench/README.md``): run the parent commit and the working tree in
@@ -19,13 +19,23 @@ interpreter of the side's own tree, so each side is measured by its own
 copy of ``bench/``; the metric names, directions and bounds come from
 this tree's ``BENCHMARK.json``. Pure standard library; nothing here is
 imported by the benchmark itself.
+
+``--out`` appends the series to a trajectory file (``BENCH_tcp.json``,
+committed: one JSON row per line, one row per series) — the revision
+measured, its parent, the machine, and per metric both sides' quartiles,
+the win count and every run's value in the order made — so a regression
+shows up as a row, not a memory. An uncommitted tree is named by its
+commit plus a hash of what it changes in the code the benchmark runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -60,19 +70,64 @@ def parent_tree(parent: str) -> Iterator[Path]:
             )
 
 
-def run_once(tree: Path, workload: str, seed: int) -> dict[str, Any]:
-    """One untraced run of ``workload`` in ``tree``; its result object."""
+def run_once(tree: Path, workload: str, seed: int, no_pycache: str) -> dict[str, Any]:
+    """One untraced run of ``workload`` in ``tree``; its result object.
+
+    Every run compiles its tree from source (``no_pycache`` is an empty
+    directory named as the bytecode cache, and nothing is written to
+    it): a checkout that happens to hold ``__pycache__`` reads
+    ``cpu_ms_per_op`` up to a tenth apart from a fresh one on identical
+    code (the A/A series of docs/PERFORMANCE.md §9).
+    """
     done = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload,
          "--seed", str(seed), "--trace", "0"],
         cwd=tree,
         capture_output=True,
         text=True,
+        env={
+            **os.environ,
+            "PYTHONDONTWRITEBYTECODE": "1",
+            "PYTHONPYCACHEPREFIX": no_pycache,
+        },
     )
     lines = done.stdout.strip().splitlines()
     if not lines:
         raise SystemExit(f"{tree}: no result (exit {done.returncode})\n{done.stderr}")
     return json.loads(lines[-1])
+
+
+#: What a run executes of a tree: the part of a diff that names a dirty one.
+MEASURED_PATHS = ("src", "bench")
+
+
+def revision(tree: Path) -> str:
+    """``tree``'s commit; ``<commit>+<diff hash>`` with uncommitted code edits.
+
+    The hash is over ``git diff HEAD`` of :data:`MEASURED_PATHS`, so two
+    series of the same uncommitted code carry the same name and an edit
+    to it in between shows.
+    """
+
+    def git(*args: str) -> str:
+        done = subprocess.run(
+            ["git", "-C", str(tree), *args], capture_output=True, text=True
+        )
+        return done.stdout
+
+    commit = git("rev-parse", "--short=7", "HEAD").strip() or "unknown"
+    diff = git("diff", "HEAD", "--", *MEASURED_PATHS)
+    if not diff:
+        return commit
+    return f"{commit}+{hashlib.sha256(diff.encode()).hexdigest()[:12]}"
+
+
+def append_row(path: Path, row: dict[str, Any]) -> None:
+    """Add ``row`` to the trajectory at ``path`` (a JSON list, a row a line)."""
+    rows = json.loads(path.read_text(encoding="utf-8")) if path.exists() else []
+    rows.append(row)
+    lines = ",\n".join(json.dumps(entry, sort_keys=True) for entry in rows)
+    path.write_text(f"[\n{lines}\n]\n", encoding="utf-8")
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -107,6 +162,7 @@ def summarise(
         "metric": declared["name"],
         "parent": (p_q1, p_med, p_q3),
         "change": (c_q1, c_med, c_q3),
+        "runs": {"parent": parent, "change": change},
         "delta": (c_med - p_med) / p_med if p_med else 0.0,
         "wins": wins,
         "losses": losses,
@@ -120,19 +176,22 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--out", help="write every run's raw result to this JSON file")
+    parser.add_argument("--out", help="append this series as one row to a trajectory file")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
 
     runs: dict[str, list[dict[str, Any]]] = {"parent": [], "change": []}
-    with parent_tree(args.parent) as tree:
+    with parent_tree(args.parent) as tree, tempfile.TemporaryDirectory(
+        prefix="bench-no-pycache-"
+    ) as no_pycache:
         trees = {"parent": tree, "change": ROOT}
+        revisions = {side: revision(trees[side]) for side in trees}
         for pair in range(args.pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:
-                result = run_once(trees[side], args.workload, args.seed)
+                result = run_once(trees[side], args.workload, args.seed, no_pycache)
                 runs[side].append(result)
                 values = "  ".join(
                     f"{m['name']}={shown(result['metrics'][m['name']]['value'])}"
@@ -142,12 +201,15 @@ def main(argv: list[str] | None = None) -> int:
 
     print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs (lower quartile / median / upper quartile)")
     print(f"{'metric':<20}{'parent':>30}{'change':>30}{'delta':>9}{'wins':>9}  verdict")
+    rows = {}
     for declared in end_to_end:
         values = {
             side: [run["metrics"][declared["name"]]["value"] for run in runs[side]]
             for side in runs
         }
-        row = summarise(declared, values["parent"], values["change"])
+        row = rows[declared["name"]] = summarise(
+            declared, values["parent"], values["change"]
+        )
         spreads = [" / ".join(map(shown, row[side])) for side in ("parent", "change")]
         print(
             f"{row['metric']:<20}{spreads[0]:>30}{spreads[1]:>30}{row['delta']:>+9.1%}"
@@ -160,9 +222,38 @@ def main(argv: list[str] | None = None) -> int:
         f"change {failed['change']}/{attempted['change']}"
     )
     if args.out:
-        Path(args.out).write_text(
-            json.dumps({"workload": args.workload, "seed": args.seed, **runs}, indent=1) + "\n",
-            encoding="utf-8",
+        append_row(
+            Path(args.out),
+            {
+                "rev": revisions["change"],
+                "parent": revisions["parent"],
+                "machine": {
+                    "nproc": os.cpu_count(),
+                    "python": platform.python_version(),
+                    "platform": platform.platform(),
+                },
+                "workload": args.workload,
+                "seed": args.seed,
+                "pairs": args.pairs,
+                "failed": failed,
+                "attempted": attempted,
+                "metrics": {
+                    name: {
+                        **{
+                            side: [float(f"{value:.6g}") for value in row[side]]
+                            for side in runs
+                        },
+                        "runs": {
+                            side: [float(f"{value:.6g}") for value in row["runs"][side]]
+                            for side in runs
+                        },
+                        "wins": row["wins"],
+                        "losses": row["losses"],
+                        "verdict": row["verdict"],
+                    }
+                    for name, row in rows.items()
+                },
+            },
         )
     return 0
 

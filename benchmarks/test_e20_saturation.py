@@ -40,6 +40,7 @@ from repro.analysis.reporting import print_table
 from repro.crypto.cache import caching_disabled
 from repro.net.client import NetClient
 from repro.net.cluster import LocalCluster, make_genesis, wait_cluster_ready
+from repro.net.wire import DEFAULT_VERSION
 from repro.observability.export import read_run_jsonl
 from repro.observability.registry import (
     MODULE_CERTIFICATION,
@@ -78,6 +79,10 @@ DELTA_CONFIG = dict(
 
 TCP_REQUESTS = 120
 TCP_CONCURRENCY = 12
+#: The transport's counter of inbound frames in the version every node sends.
+FRAMES_COUNTER = f"frames_v{DEFAULT_VERSION}"
+#: ... and its sum over the replicas in the artifact's ``tcp`` record.
+FRAMES_KEY = f"replica_{FRAMES_COUNTER}"
 
 
 def run_cell(clients: int, batch_size: int, window: int) -> dict:
@@ -170,13 +175,13 @@ async def _tcp_workload() -> dict:
         finally:
             await client.close()
             cluster.terminate_all()
-        sig_hits = frames_v2 = 0
+        sig_hits = frames = 0
         for path in sorted(Path(workdir, "metrics").glob("node-*.jsonl")):
             run = read_run_jsonl(path)
             sig_hits += run.metrics.counter_total(
                 MODULE_SIGNATURE, "sig_cache_hits"
             )
-            frames_v2 += run.metrics.counter_total(MODULE_NET, "frames_v2")
+            frames += run.metrics.counter_total(MODULE_NET, FRAMES_COUNTER)
     return {
         "replicas": 4,
         "requests": TCP_REQUESTS,
@@ -186,7 +191,7 @@ async def _tcp_workload() -> dict:
         "wall_seconds": round(wall, 4),
         "ops_per_second": round(committed / wall, 4),
         "replica_sig_cache_hits": sig_hits,
-        "replica_frames_v2": frames_v2,
+        FRAMES_KEY: frames,
     }
 
 
@@ -250,7 +255,7 @@ def test_e20_saturation(benchmark):
     print(
         f"tcp: {tcp['committed']} commits in {tcp['wall_seconds']:.2f}s "
         f"({tcp['ops_per_second']:.0f} ops/s, "
-        f"{tcp['replica_frames_v2']} v2 frames, "
+        f"{tcp[FRAMES_KEY]} v{DEFAULT_VERSION} frames, "
         f"{tcp['replica_sig_cache_hits']} replica cache hits)"
     )
     ARTIFACT.write_text(
@@ -289,8 +294,9 @@ def test_e20_saturation(benchmark):
     # with byte-identical committed work on both sides.
     assert delta["identical_commits"], delta
     assert delta["speedup"] >= 2.0, delta
-    # The TCP path really pushed v2 frames through real sockets and the
-    # replicas really hit their verification caches.
+    # The TCP path really pushed frames of the codec's default version
+    # through real sockets and the replicas really hit their
+    # verification caches.
     assert tcp["committed"] >= TCP_REQUESTS
-    assert tcp["replica_frames_v2"] > 0
+    assert tcp[FRAMES_KEY] > 0
     assert tcp["replica_sig_cache_hits"] > 0

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Type, TypeVar
 
 from repro.crypto.cache import caching_enabled
-from repro.crypto.encoding import canonical_bytes, tuple_bytes
+from repro.crypto.encoding import canonical_bytes, tuple_bytes, tuple_prefix
 from repro.crypto.keys import Signer
 from repro.crypto.signatures import Signature, SignatureScheme
 from repro.errors import CertificateError
@@ -211,10 +211,12 @@ class SignedMessage:
         return value
 
     def payload_bytes(self) -> bytes:
-        """Canonical encoding of :meth:`signed_payload` (what the MAC covers)."""
-        return self._memo(
-            "_payload_bytes", lambda: canonical_bytes(self.signed_payload())
-        )
+        """Canonical encoding of :meth:`signed_payload` (what the MAC covers).
+
+        :meth:`light_bytes` up to the signature, so an envelope is walked
+        once; not retained — only its digest is asked for repeatedly.
+        """
+        return tuple_prefix(self.light_bytes(), 2)
 
     def payload_digest(self) -> bytes:
         """SHA-256 of :meth:`payload_bytes` — the verification-cache key part."""
@@ -318,7 +320,7 @@ class CertificationAuthority:
         if message.signature.signer != message.body.sender:
             return False
         return self._scheme.verify_digest(
-            message.payload_bytes(), message.payload_digest(), message.signature
+            message.payload_bytes, message.payload_digest(), message.signature
         )
 
 

@@ -55,6 +55,10 @@ def canonical_bytes(value: Any) -> bytes:
     return _encode(value)
 
 
+#: Bytes of one value's header: the tag and the u64 payload length.
+_TLV_HEAD = 9
+
+
 def tuple_bytes(payloads: Iterable[bytes]) -> bytes:
     """The encoding of a tuple whose items are already encoded.
 
@@ -62,6 +66,18 @@ def tuple_bytes(payloads: Iterable[bytes]) -> bytes:
     — lets certificate fingerprints reuse per-entry memoized encodings.
     """
     return _tlv(b"T", b"".join(payloads))
+
+
+def tuple_prefix(encoded: bytes, items: int) -> bytes:
+    """The encoding of the first ``items`` items of an encoded tuple.
+
+    ``tuple_prefix(canonical_bytes(t), k) == canonical_bytes(t[:k])``,
+    found by stepping over ``k`` item headers — nothing is re-encoded.
+    """
+    end = _TLV_HEAD
+    for _ in range(items):
+        end += _TLV_HEAD + int.from_bytes(encoded[end + 1 : end + _TLV_HEAD], "big")
+    return _tlv(b"T", encoded[_TLV_HEAD:end])
 
 
 def _tlv(tag: bytes, payload: bytes) -> bytes:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from repro.crypto.cache import SignatureCache, caching_enabled
 from repro.crypto.encoding import canonical_bytes
@@ -57,23 +57,26 @@ class SignatureScheme:
         )
 
     def verify_digest(
-        self, data: bytes, digest: bytes, signature: Signature
+        self, data: Callable[[], bytes], digest: bytes, signature: Signature
     ) -> bool:
         """Cached :meth:`verify` over pre-encoded bytes and their digest.
 
-        ``digest`` must be the SHA-256 of ``data``; callers that memoize
-        it per envelope (:class:`~repro.core.certificates.SignedMessage`)
-        turn every repeat verification into a dict lookup. The cache key
-        includes the authority's key domain, the claimed signer and the
-        MAC, so a hit is exactly as discriminating as the real check
-        (safety argument: :mod:`repro.crypto.cache`).
+        ``data()`` yields the signed bytes and ``digest`` must be their
+        SHA-256; ``data`` is called only when a MAC is actually computed,
+        so callers that memoize the digest per envelope
+        (:class:`~repro.core.certificates.SignedMessage`) turn every
+        repeat verification into a dict lookup that never materialises
+        the bytes. The cache key includes the authority's key domain,
+        the claimed signer and the MAC, so a hit is exactly as
+        discriminating as the real check (safety argument:
+        :mod:`repro.crypto.cache`).
         """
         if not caching_enabled():
-            return self._authority.verify(signature.signer, data, signature.mac)
+            return self._authority.verify(signature.signer, data(), signature.mac)
         key = (self._authority.domain, signature.signer, digest, signature.mac)
         verdict = self._cache.lookup(key)
         if verdict is None:
-            verdict = self._authority.verify(signature.signer, data, signature.mac)
+            verdict = self._authority.verify(signature.signer, data(), signature.mac)
             self._cache.store(key, verdict)
         return verdict
 

@@ -349,7 +349,7 @@ class PeerTransport:
     async def _accept(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        assembler = FrameAssembler(table=self._envelopes)
+        assembler = FrameAssembler(table=self._envelopes, metrics=self._metrics)
         peer: int | None = None
         self._accepted.add(writer)
         try:
@@ -357,16 +357,11 @@ class PeerTransport:
                 data = await reader.read(READ_CHUNK)
                 if not data:
                     return
-                before = dict(assembler.decoded_by_version)
                 try:
                     messages = assembler.feed(data)
                 except WireError:
                     self._metrics.inc("frames_rejected")
                     return
-                for version, count in assembler.decoded_by_version.items():
-                    delta = count - before.get(version, 0)
-                    if delta:
-                        self._metrics.inc(f"frames_v{version}", delta)
                 for message in messages:
                     if peer is None:
                         # First frame must be a valid Hello; anything

@@ -16,33 +16,44 @@ Frame layout::
     |  2 B   |   1 B   |     big-endian       |   ...   |
     +--------+---------+----------------------+---------+
 
-Two payload versions live behind that header (docs/PERFORMANCE.md):
+Three payload versions live behind that header (docs/NET.md,
+docs/PERFORMANCE.md):
 
 * **v1** — the original TLV payload: one-letter ASCII tags, u64 lengths,
   integers as decimal strings. Verbose but directly mirrors the
-  canonical signing encoding. Kept as the compatibility fallback.
-* **v2** — the compact binary payload (the default): single-byte tags,
-  zigzag-varint integers, raw IEEE-754 doubles, varint length prefixes,
+  canonical signing encoding. Decode-only legacy.
+* **v2** — the compact binary payload: single-byte tags, zigzag-varint
+  integers, raw IEEE-754 doubles, varint length prefixes,
   count-prefixed containers. Typically 2–3× smaller than v1 on signed
   certificate traffic, and decoded by slicing one shared
-  :class:`memoryview` cursor — no per-node buffer copies.
+  :class:`memoryview` cursor — no per-node buffer copies. Decode-only
+  legacy.
+* **v3** — what every node sends: the v2 grammar with one more record.
+  A :class:`~repro.core.certificates.SignedMessage` travels as
+  ``0x0C | u32 span length | body | cert | signature`` instead of as a
+  named, count-prefixed record, so a decoder can step over a whole
+  envelope without walking it. One encoder and one decoder serve v2
+  and v3; the version only decides which of the two records an envelope
+  is and which tags are admitted.
 
 A receiver accepts every version in :data:`SUPPORTED_VERSIONS`
 regardless of what it sends, so mixed-version clusters interoperate;
-:class:`FrameAssembler` counts decoded frames per version for the
-``frames_v1``/``frames_v2`` transport metrics.
+:class:`FrameAssembler` counts decoded frames per version
+(``frames_v1``/``frames_v2``/``frames_v3``) on the metrics scope it is
+given.
 
-An endpoint may hand the v2 codec its :class:`EnvelopeTable`: signed
-envelopes it has already decoded come back as the same object, and the
-envelope it encoded last is spliced rather than re-walked. The frames
-are byte-for-byte those of the table-less codec.
+An endpoint may hand the codec its :class:`EnvelopeTable`: a v3
+envelope span it has seen before — decoded, or encoded by itself — is
+answered with the object it already holds, *without being walked*, and
+the envelope it encoded last is spliced rather than re-walked. The
+frames are byte-for-byte those of the table-less codec.
 
 Robustness contract: **every** malformed input — truncated, oversized,
 wrong magic, wrong version, tampered payload, unknown type, hostile
 nesting depth — raises :class:`WireError` (a :class:`~repro.errors.
 ReproError`) and nothing else. Transports count these as rejections;
 nothing on the wire may crash or hang a node
-(``tests/test_net_wire.py`` fuzzes exactly this, for both versions).
+(``tests/test_net_wire.py`` fuzzes exactly this, for every version).
 """
 
 from __future__ import annotations
@@ -70,10 +81,12 @@ MAGIC = b"RB"
 VERSION = 1
 #: The compact binary payload version.
 VERSION_BINARY = 2
+#: The binary payload with length-prefixed signed envelopes.
+VERSION_ENVELOPE = 3
 #: Payload versions this node decodes.
-SUPPORTED_VERSIONS = (VERSION, VERSION_BINARY)
+SUPPORTED_VERSIONS = (VERSION, VERSION_BINARY, VERSION_ENVELOPE)
 #: The one default of every encode/decode entry point below.
-DEFAULT_VERSION = VERSION_BINARY
+DEFAULT_VERSION = VERSION_ENVELOPE
 HEADER = struct.Struct(">2sBI")
 #: Ceiling on one frame's payload: bounds memory against hostile length
 #: prefixes while leaving room for full state-transfer snapshots.
@@ -252,13 +265,15 @@ def _decode(buf: memoryview, pos: int, end: int, depth: int) -> tuple[Any, int]:
     raise WireError(f"unknown TLV tag {tag!r}")
 
 
-# -- the v2 compact binary payload ------------------------------------------
+# -- the v2/v3 compact binary payload ----------------------------------------
 #
 # Single-byte tags; varint(n) is base-128 little-endian with the high bit
 # as the continuation flag; zigzag maps signed to unsigned before the
 # varint. Containers are count-prefixed (not byte-length-prefixed), so
 # the decoder walks a single cursor over one memoryview of the receive
-# buffer and copies bytes only at str/bytes leaves.
+# buffer and copies bytes only at str/bytes leaves. The one exception is
+# v3's envelope record, byte-length-prefixed so that it can be stepped
+# over.
 
 _T2_NONE = 0x00
 _T2_FALSE = 0x01
@@ -271,8 +286,49 @@ _T2_TUPLE = 0x07
 _T2_DICT = 0x08
 _T2_SET = 0x09
 _T2_REG = 0x0A
+#: v3 only: ``u32 length | body | cert | signature`` of a SignedMessage.
+_T2_ENVELOPE = 0x0C
 
 _F64 = struct.Struct(">d")
+_U32 = struct.Struct(">I")
+#: Bytes of an envelope record ahead of its fields: tag and length.
+_ENVELOPE_HEAD = 1 + _U32.size
+#: SignedMessage memo: how many levels the v3 record registered for the
+#: object reaches below itself (its three fields are level 1).
+_HEIGHT = "_wire_height"
+
+
+class _Walk:
+    """What an encode or decode carries down the recursion.
+
+    One per (grammar, table), made once: a payload's walk allocates
+    nothing. The table-less ones below are shared by every caller, which
+    is sound because nothing reads what they accumulate.
+    """
+
+    __slots__ = ("envelopes", "table", "deepest")
+
+    def __init__(self, version: int, table: "EnvelopeTable | None") -> None:
+        #: v3: a SignedMessage is the envelope record, not a named one.
+        self.envelopes = version == VERSION_ENVELOPE
+        self.table = table
+        #: Depth of the deepest node under the envelope record being
+        #: walked. Only non-empty containers raise it — a leaf sits one
+        #: below a container that already did — and only an envelope
+        #: record *with a table* reads it, to learn its own height;
+        #: outside one it is a stale high-water mark nobody looks at.
+        self.deepest = 0
+
+
+def _walks(table: "EnvelopeTable | None") -> dict[int, _Walk]:
+    return {
+        version: _Walk(version, table)
+        for version in (VERSION_BINARY, VERSION_ENVELOPE)
+    }
+
+
+#: The walks of the table-less codec, by payload version.
+_PLAIN = _walks(None)
 
 
 def _write_varint(out: bytearray, n: int) -> None:
@@ -312,9 +368,7 @@ def _unzigzag(value: int) -> int:
     return value // 2 if value % 2 == 0 else -(value // 2) - 1
 
 
-def _encode_v2(
-    out: bytearray, value: Any, depth: int, table: "EnvelopeTable | None" = None
-) -> None:
+def _encode_v2(out: bytearray, value: Any, depth: int, walk: _Walk) -> None:
     if depth > MAX_DEPTH:
         raise WireError("payload nesting exceeds the depth ceiling")
     if value is None:
@@ -346,8 +400,8 @@ def _encode_v2(
         return
     registered = _BY_TYPE.get(type(value))
     if registered is not None:
-        if table is not None and type(value) is SignedMessage:
-            table.encode_envelope(out, value, depth)
+        if walk.envelopes and type(value) is SignedMessage:
+            _encode_envelope(out, value, depth, walk)
             return
         wire_name, to_fields = registered
         name = wire_name.encode("utf-8")
@@ -356,23 +410,29 @@ def _encode_v2(
         out += name
         fields = tuple(to_fields(value))
         _write_varint(out, len(fields))
+        if fields and depth >= walk.deepest:
+            walk.deepest = depth + 1
         for field in fields:
-            _encode_v2(out, field, depth + 1, table)
+            _encode_v2(out, field, depth + 1, walk)
         return
     if isinstance(value, (tuple, list)):
         out.append(_T2_TUPLE)
         _write_varint(out, len(value))
+        if value and depth >= walk.deepest:
+            walk.deepest = depth + 1
         for item in value:
-            _encode_v2(out, item, depth + 1, table)
+            _encode_v2(out, item, depth + 1, walk)
         return
     if isinstance(value, dict):
+        if value and depth >= walk.deepest:
+            walk.deepest = depth + 1
         # Canonically sorted by encoded key, exactly like v1's D tag.
         items = []
         for key, val in value.items():
             key_out = bytearray()
-            _encode_v2(key_out, key, depth + 1, table)
+            _encode_v2(key_out, key, depth + 1, walk)
             val_out = bytearray()
-            _encode_v2(val_out, val, depth + 1, table)
+            _encode_v2(val_out, val, depth + 1, walk)
             items.append((bytes(key_out), bytes(val_out)))
         out.append(_T2_DICT)
         _write_varint(out, len(items))
@@ -381,10 +441,12 @@ def _encode_v2(
             out += val_bytes
         return
     if isinstance(value, (set, frozenset)):
+        if value and depth >= walk.deepest:
+            walk.deepest = depth + 1
         members = []
         for item in value:
             item_out = bytearray()
-            _encode_v2(item_out, item, depth + 1, table)
+            _encode_v2(item_out, item, depth + 1, walk)
             members.append(bytes(item_out))
         out.append(_T2_SET)
         _write_varint(out, len(members))
@@ -392,6 +454,37 @@ def _encode_v2(
             out += member
         return
     raise WireError(f"type {type(value).__name__} is not wire-encodable")
+
+
+def _encode_envelope(
+    out: bytearray, envelope: SignedMessage, depth: int, walk: _Walk
+) -> None:
+    """Append ``envelope``'s v3 record: spliced if just encoded, else walked."""
+    table = walk.table
+    if table is not None:
+        record = table.spliced(envelope, depth)
+        if record is not None:
+            out += record
+            return
+        # Nested envelopes see no table: only the outermost is kept.
+        walk.table = None
+    enclosing = walk.deepest
+    walk.deepest = depth + 1
+    start = len(out)
+    out.append(_T2_ENVELOPE)
+    out += bytes(_U32.size)  # the length, patched in once it is known
+    try:
+        _encode_v2(out, envelope.body, depth + 1, walk)
+        _encode_v2(out, envelope.cert, depth + 1, walk)
+        _encode_v2(out, envelope.signature, depth + 1, walk)
+    finally:
+        walk.table = table
+    _U32.pack_into(out, start + 1, len(out) - start - _ENVELOPE_HEAD)
+    height = walk.deepest - depth
+    if enclosing > walk.deepest:
+        walk.deepest = enclosing
+    if table is not None:
+        table.remember(envelope, bytes(memoryview(out)[start:]), height)
 
 
 def _read_count(buf: memoryview, pos: int, end: int) -> tuple[int, int]:
@@ -405,11 +498,7 @@ def _read_count(buf: memoryview, pos: int, end: int) -> tuple[int, int]:
 
 
 def _decode_v2(
-    buf: memoryview,
-    pos: int,
-    end: int,
-    depth: int,
-    table: "EnvelopeTable | None" = None,
+    buf: memoryview, pos: int, end: int, depth: int, walk: _Walk
 ) -> tuple[Any, int]:
     if depth > MAX_DEPTH:
         raise WireError("payload nesting exceeds the depth ceiling")
@@ -441,17 +530,21 @@ def _decode_v2(
         return bytes(buf[pos : pos + length]), pos + length
     if tag == _T2_TUPLE:
         count, pos = _read_count(buf, pos, end)
+        if count and depth >= walk.deepest:
+            walk.deepest = depth + 1
         items = []
         for _ in range(count):
-            item, pos = _decode_v2(buf, pos, end, depth + 1, table)
+            item, pos = _decode_v2(buf, pos, end, depth + 1, walk)
             items.append(item)
         return tuple(items), pos
     if tag == _T2_DICT:
         count, pos = _read_count(buf, pos, end)
+        if count and depth >= walk.deepest:
+            walk.deepest = depth + 1
         mapping: dict[Any, Any] = {}
         for _ in range(count):
-            key, pos = _decode_v2(buf, pos, end, depth + 1, table)
-            value, pos = _decode_v2(buf, pos, end, depth + 1, table)
+            key, pos = _decode_v2(buf, pos, end, depth + 1, walk)
+            value, pos = _decode_v2(buf, pos, end, depth + 1, walk)
             try:
                 mapping[key] = value
             except TypeError as exc:
@@ -459,16 +552,17 @@ def _decode_v2(
         return mapping, pos
     if tag == _T2_SET:
         count, pos = _read_count(buf, pos, end)
+        if count and depth >= walk.deepest:
+            walk.deepest = depth + 1
         members = []
         for _ in range(count):
-            member, pos = _decode_v2(buf, pos, end, depth + 1, table)
+            member, pos = _decode_v2(buf, pos, end, depth + 1, walk)
             members.append(member)
         try:
             return frozenset(members), pos
         except TypeError as exc:
             raise WireError(f"unhashable set member: {exc}") from exc
     if tag == _T2_REG:
-        span_start = pos - 1
         length, pos = _read_count(buf, pos, end)
         try:
             wire_name = bytes(buf[pos : pos + length]).decode("utf-8")
@@ -478,21 +572,65 @@ def _decode_v2(
         entry = _BY_NAME.get(wire_name)
         if entry is None:
             raise WireError(f"unknown wire type {wire_name!r}")
+        cls, _to_fields, from_fields = entry
+        if walk.envelopes and cls is SignedMessage:
+            raise WireError("SignedMessage spelled as a named record in v3")
         count, pos = _read_count(buf, pos, end)
+        if count and depth >= walk.deepest:
+            walk.deepest = depth + 1
         fields = []
         for _ in range(count):
-            field, pos = _decode_v2(buf, pos, end, depth + 1, table)
+            field, pos = _decode_v2(buf, pos, end, depth + 1, walk)
             fields.append(field)
-        cls, _to_fields, from_fields = entry
-        if table is not None and cls is SignedMessage:
-            return table.intern(buf[span_start:pos], fields), pos
         try:
             return from_fields(tuple(fields)), pos
         except WireError:
             raise
         except Exception as exc:
             raise WireError(f"cannot rebuild {wire_name}: {exc}") from exc
+    if tag == _T2_ENVELOPE and walk.envelopes:
+        return _decode_envelope(buf, pos, end, depth, walk)
     raise WireError(f"unknown v2 tag {tag:#04x}")
+
+
+def _decode_envelope(
+    buf: memoryview, pos: int, end: int, depth: int, walk: _Walk
+) -> tuple[SignedMessage, int]:
+    """The envelope record whose length field starts at ``pos``."""
+    start = pos + _U32.size
+    if start > end:
+        raise WireError("truncated envelope length")
+    stop = start + _U32.unpack_from(buf, pos)[0]
+    if stop > end:
+        raise WireError("envelope length exceeds the enclosing payload")
+    table = walk.table
+    if table is not None:
+        key = hashlib.sha256(buf[pos - 1 : stop]).digest()
+        envelope = table.held(key)
+        if envelope is not None:
+            # Seen before, hence well-formed — except that it may sit
+            # deeper now. The height its first walk recorded says
+            # exactly how deep a full walk would get.
+            reach = depth + envelope.__dict__[_HEIGHT]
+            if reach > MAX_DEPTH:
+                raise WireError("payload nesting exceeds the depth ceiling")
+            if reach > walk.deepest:
+                walk.deepest = reach
+            return envelope, stop
+    enclosing = walk.deepest
+    walk.deepest = depth + 1
+    body, pos = _decode_v2(buf, start, stop, depth + 1, walk)
+    cert, pos = _decode_v2(buf, pos, stop, depth + 1, walk)
+    signature, pos = _decode_v2(buf, pos, stop, depth + 1, walk)
+    if pos != stop:
+        raise WireError("envelope fields end short of the declared length")
+    envelope = SignedMessage(body, cert, signature)
+    height = walk.deepest - depth
+    if enclosing > walk.deepest:
+        walk.deepest = enclosing
+    if table is not None:
+        table.register(key, envelope, height)
+    return envelope, stop
 
 
 class EnvelopeTable:
@@ -503,67 +641,73 @@ class EnvelopeTable:
     it — and its encoding/digest memos live on the Python object, so a
     decoder that builds a fresh twin per arrival throws them away
     (docs/PERFORMANCE.md §2). The table closes that gap on both sides of
-    the v2 codec without changing a byte of any frame:
+    the codec without changing a byte of any frame:
 
-    * **decoding** — a weak-valued map from the SHA-256 of an envelope's
-      exact wire span to the object those bytes decoded to. A repeat of
-      the span returns the object this endpoint already holds, memos
-      intact. Entries die with their last outside reference: the table
-      holds an envelope exactly as long as the protocol does, so there
-      is no size and nothing to evict.
-    * **encoding** — the last outermost envelope encoded, with its bytes
-      and the depth it was encoded at. A broadcast re-wraps one envelope
-      object per destination; every copy after the first is a splice.
+    * **decoding** — a weak-valued map from the SHA-256 of an envelope
+      record's exact bytes to the object they stand for. A v3 record is
+      length-prefixed, so a repeat is hashed, answered with the object
+      this endpoint already holds — memos intact — and stepped over: no
+      child is built. Entries die with their last outside
+      reference: the table holds an envelope exactly as long as the
+      protocol does, so there is no size and nothing to evict.
+    * **encoding** — the last outermost envelope encoded (held weakly,
+      like every entry), with its bytes and height. A broadcast re-wraps
+      one envelope object per destination; every copy after the first is
+      a splice. The record is entered into the same map, so the copy a
+      node sends itself — and every later citation of it by a peer — is
+      a hit on the object the node signed.
 
     One table per endpoint, never shared: a replica may skip only work
     it did itself. Both halves are off under
     :func:`~repro.crypto.cache.caching_disabled`.
     """
 
-    __slots__ = ("_interned", "_encoded", "_metrics")
+    __slots__ = ("_interned", "_encoded", "_metrics", "_walks")
 
     def __init__(self, metrics: Any = NULL_METRICS) -> None:
         self._interned: weakref.WeakValueDictionary[bytes, SignedMessage] = (
             weakref.WeakValueDictionary()
         )
-        self._encoded: tuple[SignedMessage, bytearray, int] | None = None
+        self._walks = _walks(self)
+        self._encoded: tuple[weakref.ref[SignedMessage], bytes, int] | None = None
         self._metrics = metrics
 
     def __len__(self) -> int:
         """Envelopes currently interned (alive somewhere in the process)."""
         return len(self._interned)
 
-    def intern(self, span: memoryview, fields: list) -> SignedMessage:
-        """The envelope for ``span``, whose decoded fields are ``fields``."""
-        key = hashlib.sha256(span).digest()
+    def held(self, key: bytes) -> SignedMessage | None:
+        """The envelope whose v3 record hashes to ``key``, if still alive."""
         envelope = self._interned.get(key)
         if envelope is not None:
             self._metrics.inc("envelope_intern_hits")
-            return envelope
-        try:
-            envelope = SignedMessage(*fields)
-        except Exception as exc:
-            raise WireError(f"cannot rebuild SignedMessage: {exc}") from exc
-        self._interned[key] = envelope
-        self._metrics.inc("envelopes_interned")
         return envelope
 
-    def encode_envelope(
-        self, out: bytearray, envelope: SignedMessage, depth: int
-    ) -> None:
-        """Append ``envelope``'s v2 encoding to ``out``, spliced if known."""
+    def register(self, key: bytes, envelope: SignedMessage, height: int) -> None:
+        """Keep the envelope just built from the v3 record hashing to ``key``."""
+        envelope.__dict__[_HEIGHT] = height
+        self._interned[key] = envelope
+        self._metrics.inc("envelopes_interned")
+
+    def spliced(self, envelope: SignedMessage, depth: int) -> bytes | None:
+        """``envelope``'s record if it was the last one encoded and fits here."""
         last = self._encoded
-        # A splice at the remembered depth or shallower cannot put a node
-        # past MAX_DEPTH that the remembered walk did not already pass;
-        # a deeper one re-encodes, so the ceiling check stays exact.
-        if last is not None and last[0] is envelope and depth <= last[2]:
-            out += last[1]
-            return
-        encoded = bytearray()
-        # Nested envelopes see no table: only the outermost is kept.
-        _encode_v2(encoded, envelope, depth)
-        self._encoded = (envelope, encoded, depth)
-        out += encoded
+        if last is not None and last[0]() is envelope and depth + last[2] <= MAX_DEPTH:
+            return last[1]
+        return None
+
+    def remember(self, envelope: SignedMessage, record: bytes, height: int) -> None:
+        """Keep the outermost envelope just encoded as the v3 ``record``."""
+        self._encoded = (weakref.ref(envelope), record, height)
+        memo = envelope.__dict__
+        # One record per object, so the height on the object is that
+        # record's: an envelope that came off the wire keeps the entry
+        # (and the height) its own bytes earned.
+        if _HEIGHT not in memo:
+            key = hashlib.sha256(record).digest()
+            if key not in self._interned:  # else an equal twin is held: it stays
+                memo[_HEIGHT] = height
+                self._interned[key] = envelope
 
 
 def encode_payload(
@@ -573,16 +717,18 @@ def encode_payload(
 ) -> bytes:
     """Encode one message to payload bytes (no frame header).
 
-    ``table`` (v2 only) splices the envelope this endpoint encoded last
+    ``table`` (v3 only) splices the envelope this endpoint encoded last
     instead of re-walking it; the bytes are the same either way.
     """
     if version == VERSION:
         return _encode(value, 0)
-    if version == VERSION_BINARY:
-        out = bytearray()
-        _encode_v2(out, value, 0, table if caching_enabled() else None)
-        return bytes(out)
-    raise WireError(f"unsupported wire version {version}")
+    walks = _PLAIN if table is None or not caching_enabled() else table._walks
+    walk = walks.get(version)
+    if walk is None:
+        raise WireError(f"unsupported wire version {version}")
+    out = bytearray()
+    _encode_v2(out, value, 0, walk)
+    return bytes(out)
 
 
 def decode_payload(
@@ -592,19 +738,20 @@ def decode_payload(
 ) -> Any:
     """Decode one payload; any malformation raises :class:`WireError`.
 
-    ``table`` (v2 only) interns the signed envelopes of the payload: one
-    this endpoint already holds is returned as that very object.
+    ``table`` interns the envelope records of a v3 payload: one this
+    endpoint already holds is returned as that very object. A v1 or v2
+    payload decodes the same with or without it.
     """
     buf = data if isinstance(data, memoryview) else memoryview(data)
     try:
         if version == VERSION:
             value, pos = _decode(buf, 0, len(buf), 0)
-        elif version == VERSION_BINARY:
-            value, pos = _decode_v2(
-                buf, 0, len(buf), 0, table if caching_enabled() else None
-            )
         else:
-            raise WireError(f"unsupported wire version {version}")
+            walks = _PLAIN if table is None or not caching_enabled() else table._walks
+            walk = walks.get(version)
+            if walk is None:
+                raise WireError(f"unsupported wire version {version}")
+            value, pos = _decode_v2(buf, 0, len(buf), 0, walk)
     except WireError:
         raise
     except Exception as exc:  # belt and braces: hostile input never crashes
@@ -621,9 +768,9 @@ def encode_frame(
 ) -> bytes:
     """Encode one message to a complete wire frame.
 
-    ``version`` selects the payload encoding (default: the compact
-    binary v2); any supported receiver decodes either. ``table`` is the
-    sending endpoint's :class:`EnvelopeTable`, if it keeps one.
+    ``version`` selects the payload encoding (default: v3); any
+    supported receiver decodes every one. ``table`` is the sending
+    endpoint's :class:`EnvelopeTable`, if it keeps one.
     """
     payload = encode_payload(value, version=version, table=table)
     if len(payload) > MAX_FRAME:
@@ -645,6 +792,10 @@ def decode_frame(data: bytes, table: EnvelopeTable | None = None) -> Any:
     return messages[0]
 
 
+#: The per-version counter of decoded frames, spelled once.
+_FRAMES_DECODED = {version: f"frames_v{version}" for version in SUPPORTED_VERSIONS}
+
+
 class FrameAssembler:
     """Incremental frame parser over a byte stream.
 
@@ -656,18 +807,21 @@ class FrameAssembler:
     stream is not attempted).
     """
 
-    __slots__ = ("_buffer", "_max_frame", "_table", "decoded_by_version")
+    __slots__ = ("_buffer", "_max_frame", "_table", "_metrics")
 
     def __init__(
-        self, max_frame: int = MAX_FRAME, table: EnvelopeTable | None = None
+        self,
+        max_frame: int = MAX_FRAME,
+        table: EnvelopeTable | None = None,
+        metrics: Any = NULL_METRICS,
     ) -> None:
         self._buffer = bytearray()
         self._max_frame = max_frame
         #: The receiving endpoint's envelope table (shared by all of its
         #: connections), or None to build every envelope afresh.
         self._table = table
-        #: version -> frames successfully decoded (transport metrics).
-        self.decoded_by_version: dict[int, int] = {}
+        #: Where ``frames_v<version>`` counts each decoded frame.
+        self._metrics = metrics
 
     @property
     def buffered(self) -> int:
@@ -676,6 +830,9 @@ class FrameAssembler:
     def feed(self, data: bytes) -> list[Any]:
         self._buffer += data
         messages: list[Any] = []
+        # version -> frames decoded by this call: one inc per version,
+        # however many pipelined frames one read carries.
+        decoded: dict[int, int] = {}
         while len(self._buffer) >= HEADER.size:
             magic, version, length = HEADER.unpack_from(self._buffer)
             if magic != MAGIC:
@@ -701,10 +858,10 @@ class FrameAssembler:
             finally:
                 view.release()
             del self._buffer[:frame_end]
-            self.decoded_by_version[version] = (
-                self.decoded_by_version.get(version, 0) + 1
-            )
+            decoded[version] = decoded.get(version, 0) + 1
             messages.append(message)
+        for version, count in decoded.items():
+            self._metrics.inc(_FRAMES_DECODED[version], count)
         return messages
 
 

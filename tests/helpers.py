@@ -102,3 +102,40 @@ class SignedWorkbench:
         )
 
 
+def envelopes(message: SignedMessage):
+    """Every envelope of a certificate tree, outermost first."""
+    yield message
+    if isinstance(message.cert, Certificate):
+        for entry in message.cert.entries:
+            yield from envelopes(entry)
+
+
+def envelope_trees(bench: SignedWorkbench, max_leaves: int = 8):
+    """Hypothesis strategy: signed envelope trees over ``bench``'s keys.
+
+    Leaves are INITs; every inner node is a CURRENT certified by its
+    children and then left as signed, cut to light entries, or cut to a
+    digest-only certificate — full, pruned and nested certificates mixed
+    at every level.
+    """
+    from hypothesis import strategies as st
+
+    def node(pid: int, round_number: int, children: list, prune: int) -> SignedMessage:
+        message = bench.authorities[pid].make(
+            VCurrent(sender=pid, round=round_number, est_vect=("x",) * bench.n),
+            Certificate(tuple(children)),
+        )
+        return {0: message, 1: message.pruned(1), 2: message.light()}[prune]
+
+    pids = st.integers(min_value=0, max_value=bench.n - 1)
+    return st.recursive(
+        st.builds(bench.signed_init, pids, st.text(max_size=4)),
+        lambda children: st.builds(
+            node,
+            pids,
+            st.integers(min_value=0, max_value=3),
+            st.lists(children, min_size=1, max_size=3),
+            st.integers(min_value=0, max_value=2),
+        ),
+        max_leaves=max_leaves,
+    )

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.core.certificates import (
     Certificate,
@@ -11,10 +13,12 @@ from repro.core.certificates import (
     EMPTY_CERTIFICATE,
     SignedMessage,
 )
+from repro.crypto.cache import caching_disabled
+from repro.crypto.encoding import canonical_bytes
 from repro.errors import CertificateError
 from repro.messages.consensus import Init, VNext
 
-from tests.helpers import SignedWorkbench
+from tests.helpers import SignedWorkbench, envelope_trees, envelopes
 
 
 @pytest.fixture
@@ -180,6 +184,75 @@ class TestCertificationAuthority:
             signature=bench.scheme.forge(0, draft.signed_payload()),
         )
         assert not bench.verify(forged)
+
+
+TREE_BENCH = SignedWorkbench(4)
+
+
+def memos(envelope: SignedMessage) -> dict:
+    """What an envelope has memoised next to its three fields."""
+    return {k: v for k, v in envelope.__dict__.items() if k.startswith("_")}
+
+
+class TestOneCanonicalWalk:
+    """``light_bytes()`` is the one encoding kept; the rest is cut from it."""
+
+    @staticmethod
+    def rebuilt(tree: SignedMessage) -> list[SignedMessage]:
+        """Every envelope of ``tree`` as a decoder would hold it: no memo."""
+        return [
+            SignedMessage(e.body, e.cert, e.signature) for e in envelopes(tree)
+        ]
+
+    @staticmethod
+    def check(envelope: SignedMessage) -> None:
+        payload = canonical_bytes(envelope.signed_payload())
+        light = canonical_bytes(envelope.light_canonical())
+        assert envelope.payload_bytes() == payload
+        assert envelope.payload_digest() == hashlib.sha256(payload).digest()
+        assert envelope.light_bytes() == light
+        assert envelope.envelope_digest() == hashlib.sha256(light).hexdigest()
+
+    @settings(max_examples=60, deadline=None)
+    @given(envelope_trees(TREE_BENCH))
+    def test_every_output_is_the_encoding_of_its_structure(self, tree):
+        # As signed, as rebuilt from fields (first asked in either
+        # order), and with nothing memoised at all.
+        for envelope in envelopes(tree):
+            self.check(envelope)
+        for envelope in self.rebuilt(tree):
+            self.check(envelope)
+        for envelope in self.rebuilt(tree):
+            assert envelope.light_bytes() == canonical_bytes(envelope.light_canonical())
+            self.check(envelope)
+        with caching_disabled():
+            for envelope in self.rebuilt(tree):
+                self.check(envelope)
+                assert not memos(envelope)
+
+    def test_one_encoding_is_retained_per_envelope(self, bench):
+        current = bench.coordinator_current()
+        assert bench.verify(current)
+        current.envelope_digest()
+        assert sorted(memos(current)) == [
+            "_envelope_digest", "_light_bytes", "_payload_digest",
+        ]
+        retained = [v for v in memos(current).values() if len(v) > 64]
+        assert retained == [current.light_bytes()]
+
+    def test_an_envelope_is_walked_once_whatever_is_asked_of_it(self, bench, monkeypatch):
+        import repro.core.certificates as certificates
+
+        signed = bench.signed_init(1)
+        message = SignedMessage(signed.body, signed.cert, signed.signature)
+        walked = []
+        real = certificates.canonical_bytes
+        monkeypatch.setattr(
+            certificates, "canonical_bytes", lambda v: walked.append(v) or real(v)
+        )
+        assert bench.verify(message)  # a MAC is computed: payload_bytes() is cut
+        message.payload_digest(), message.envelope_digest(), message.light_bytes()
+        assert walked == [message.light_canonical()]
 
 
 @given(n=st.integers(min_value=2, max_value=9), seed=st.integers(0, 100))

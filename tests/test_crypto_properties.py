@@ -20,8 +20,8 @@ from tests.helpers import SignedWorkbench
 
 # Values drawn from the encodable vocabulary. Lists map to tuples and
 # floats exclude NaN (NaN != NaN) and -0.0 (0.0 == -0.0 but their hex
-# encodings differ) so that structural equality of draws is exactly the
-# equality the encoding must respect.
+# encodings differ) so that *typed* structural equality of draws (see
+# ``typed``) is exactly the equality the encoding must respect.
 encodable = st.recursive(
     st.none()
     | st.booleans()
@@ -35,15 +35,35 @@ encodable = st.recursive(
 )
 
 
+def typed(value):
+    """``value`` with every leaf tagged by its type.
+
+    Python's ``==`` crosses types the encoding rightly keeps apart
+    (``False == 0 == 0.0``, ``True == 1 == 1.0``): two draws are the
+    same *value* only if their typed keys are equal.
+    """
+    if isinstance(value, tuple):
+        return (tuple, tuple(typed(item) for item in value))
+    if isinstance(value, dict):
+        return (dict, {key: typed(item) for key, item in value.items()})
+    return (type(value), value)
+
+
 class TestEncodingRoundTrip:
     @given(encodable, encodable)
     def test_injective(self, a, b):
         # The encoding is a bijection onto its image over this domain:
         # equal values encode equally, distinct values distinctly.
-        if a == b:
+        if typed(a) == typed(b):
             assert canonical_bytes(a) == canonical_bytes(b)
         else:
             assert canonical_bytes(a) != canonical_bytes(b)
+
+    def test_injective_across_the_types_python_conflates(self):
+        # The draws that used to fail test_injective, pinned.
+        for family in ((False, 0, 0.0), (True, 1, 1.0)):
+            assert len({canonical_bytes(value) for value in family}) == 3
+            assert len({canonical_bytes((value,)) for value in family}) == 3
 
     @given(encodable)
     def test_stable_across_calls(self, value):
@@ -66,7 +86,7 @@ class TestSignVerifyRoundTrip:
     ):
         scheme = SignatureScheme(KeyAuthority(4))
         signature = scheme.sign(scheme.authority.signer_for(signer), value)
-        assert scheme.verify(other, signature) == (value == other)
+        assert scheme.verify(other, signature) == (typed(value) == typed(other))
 
     @given(value=encodable, signer=st.integers(0, 3), claimed=st.integers(0, 3))
     @settings(max_examples=40, deadline=None)

@@ -1,11 +1,13 @@
 """Tests: the per-endpoint envelope table (repro.net.wire.EnvelopeTable).
 
 A signed envelope crosses a replica's wire many times — alone, then
-inside every certificate that cites it. With a table installed the v2
-decoder hands back the object the endpoint already holds (memoised
-encodings and digests intact) and the encoder splices a broadcast's
-envelope instead of re-walking it per destination. These tests attack
-what that must never change:
+inside every certificate that cites it. With a table installed the
+decoder steps over a v3 envelope record it has seen and hands back the
+object the endpoint already holds (memoised encodings and digests
+intact), and the encoder splices a broadcast's envelope instead of
+re-walking it per destination — and enters what it encodes, so a node's
+copy to itself is the object it signed. These tests attack what that
+must never change:
 
 * a repeat decodes to the *same* object, but one flipped byte anywhere
   in the span misses the table and is judged by the signature and
@@ -39,7 +41,6 @@ from repro.net.node import NetNode
 from repro.net.transport import LoopbackHub, PeerTransport
 from repro.net.wire import (
     MAX_DEPTH,
-    VERSION_BINARY,
     EnvelopeTable,
     WireError,
     decode_frame,
@@ -49,7 +50,7 @@ from repro.net.wire import (
 from repro.observability.registry import MODULE_NET, MetricsRegistry
 from repro.replication.log import SlotEnvelope
 
-from tests.helpers import SignedWorkbench
+from tests.helpers import SignedWorkbench, envelope_trees, envelopes
 
 BENCH = SignedWorkbench(4)
 #: The coordinator's CURRENT (three INITs in its est_cert) ...
@@ -68,14 +69,6 @@ def nested_current(relay: SignedMessage) -> SignedMessage | None:
     return None
 
 
-def envelopes(message: SignedMessage):
-    """Every envelope of a tree, outermost first."""
-    yield message
-    if isinstance(message.cert, Certificate):
-        for entry in message.cert.entries:
-            yield from envelopes(entry)
-
-
 class TestInterning:
     def test_a_repeated_span_decodes_to_the_same_object(self):
         registry = MetricsRegistry()
@@ -89,10 +82,21 @@ class TestInterning:
         assert nested_current(first.inner) is alone.inner
         assert nested_current(second.inner) is alone.inner
         # CURRENT + its 3 INITs + the two relays were built; CURRENT was
-        # then found twice — its INITs are walked and found first.
+        # then found twice and stepped over — its INITs never looked at.
         assert registry.counter_total(MODULE_NET, "envelopes_interned") == 6
-        assert registry.counter_total(MODULE_NET, "envelope_intern_hits") == 8
+        assert registry.counter_total(MODULE_NET, "envelope_intern_hits") == 2
         assert len(table) == 6
+
+    def test_what_a_node_encodes_it_decodes_to_the_object_it_holds(self):
+        table = EnvelopeTable()
+        mine = BENCH.relay_current(3, CURRENT)
+        frame = encode_frame(SlotEnvelope(3, mine), table=table)
+        assert decode_frame(frame, table=table).inner is mine
+        # ... and a peer citing it later finds the same object.
+        cited = BENCH.relay_current(2, mine)
+        assert nested_current(decode_frame(encode_frame(cited), table=table)) is mine
+        # Another endpoint's table never learns of it from the object.
+        assert decode_frame(frame, table=EnvelopeTable()).inner is not mine
 
     def test_memos_survive_the_second_arrival(self):
         table = EnvelopeTable()
@@ -127,10 +131,15 @@ class TestInterning:
             for relay in RELAYS
         ]
         assert len(table) == 6
+        # One this endpoint signed and sent: entered by the encoder.
+        mine = BENCH.relay_current(3, CURRENT)
+        encode_frame(SlotEnvelope(0, mine), table=table)
+        assert len(table) == 7
         del held[0]
         gc.collect()
-        assert len(table) == 5  # the other relay still cites CURRENT
+        assert len(table) == 6  # the other relay still cites CURRENT
         held.clear()
+        del mine
         gc.collect()
         assert len(table) == 0
 
@@ -175,7 +184,7 @@ class TestTampering:
         )
 
     def test_every_flip_in_the_nested_span_misses_and_is_rejected_as_uncached(self):
-        span = encode_payload(CURRENT, version=VERSION_BINARY)
+        span = encode_payload(CURRENT)  # its record: tag, length, fields
         frame = encode_frame(SlotEnvelope(5, RELAYS[0]))
         start = frame.index(span)
         # Warm everything with the honest traffic: the table holds
@@ -224,11 +233,11 @@ class TestEncodeOnce:
         ]
         assert spliced == plain
         # Only the outermost envelope is remembered, not the nested CURRENT.
-        assert table._encoded[0] is RELAYS[0]
+        assert table._encoded[0]() is RELAYS[0]
         assert encode_frame(SlotEnvelope(7, RELAYS[1]), table=table) == encode_frame(
             SlotEnvelope(7, RELAYS[1])
         )
-        assert table._encoded[0] is RELAYS[1]
+        assert table._encoded[0]() is RELAYS[1]
 
     def test_a_splice_past_the_depth_ceiling_still_raises(self):
         def wrapped(levels: int):
@@ -244,7 +253,7 @@ class TestEncodeOnce:
             if _encodes(wrapped(levels))
         )
         table = EnvelopeTable()
-        encode_frame(SlotEnvelope(0, RELAYS[0]), table=table)  # memoised at depth 1
+        encode_frame(SlotEnvelope(0, RELAYS[0]), table=table)  # memoised with its height
         assert encode_frame(wrapped(deepest), table=table) == encode_frame(
             wrapped(deepest)
         )
@@ -255,6 +264,18 @@ class TestEncodeOnce:
         assert encode_frame(SlotEnvelope(0, RELAYS[0]), table=table) == encode_frame(
             SlotEnvelope(0, RELAYS[0])
         )
+
+
+    def test_an_unencodable_envelope_leaves_the_table_working(self):
+        table = EnvelopeTable()
+        broken = SignedMessage(object(), RELAYS[0].cert, RELAYS[0].signature)
+        with pytest.raises(WireError):
+            encode_frame(SlotEnvelope(1, broken), table=table)
+        mine = BENCH.relay_current(3, CURRENT)
+        frame = encode_frame(SlotEnvelope(1, mine), table=table)
+        assert frame == encode_frame(SlotEnvelope(1, mine))
+        assert table._encoded[0]() is mine
+        assert decode_frame(frame, table=table).inner is mine
 
 
 def _encodes(value) -> bool:
@@ -268,27 +289,7 @@ def _encodes(value) -> bool:
 # -- random envelope trees ---------------------------------------------------
 
 
-def _node(pid: int, round_number: int, children: list, prune: int) -> SignedMessage:
-    message = BENCH.authorities[pid].make(
-        VCurrent(sender=pid, round=round_number, est_vect=("x",) * BENCH.n),
-        Certificate(tuple(children)),
-    )
-    # prune 0: as signed; 1: entries light; 2: digest-only certificate.
-    return {0: message, 1: message.pruned(1), 2: message.light()}[prune]
-
-
-_PIDS = st.integers(min_value=0, max_value=BENCH.n - 1)
-_TREES = st.recursive(
-    st.builds(BENCH.signed_init, _PIDS, st.text(max_size=4)),
-    lambda children: st.builds(
-        _node,
-        _PIDS,
-        st.integers(min_value=0, max_value=3),
-        st.lists(children, min_size=1, max_size=3),
-        st.integers(min_value=0, max_value=2),
-    ),
-    max_leaves=8,
-)
+_TREES = envelope_trees(BENCH)
 
 
 class TestRandomTrees:

@@ -1,13 +1,15 @@
 """Tests: the versioned wire codec (repro.net.wire).
 
 Round-trips every registered stack type — including deeply nested
-signed/certified messages — through **both** payload versions (v1 TLV
-and the compact binary v2), and then attacks the decoder the way a
-Byzantine peer would: truncation, oversizing, version skew, bit flips,
-random garbage, hostile length/count prefixes. The contract under
-attack is exactly one of two outcomes per input: a clean
-:class:`WireError` (counted rejection) or a valid decode. Never another
-exception type, never a hang.
+signed/certified messages — through **every** payload version (v1 TLV,
+the compact binary v2, and v3 with its length-prefixed envelope
+record), and then attacks the decoder the way a Byzantine peer would:
+truncation, oversizing, version skew, bit flips, random garbage,
+hostile length/count prefixes. The contract under attack is exactly one
+of two outcomes per input: a clean :class:`WireError` (counted
+rejection) or a valid decode. Never another exception type, never a
+hang. ``TestEnvelopeRecord`` turns the same attacks on the one record v3
+adds, against a decoder that steps over spans it has seen.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from repro.net.wire import (
     SUPPORTED_VERSIONS,
     VERSION,
     VERSION_BINARY,
+    VERSION_ENVELOPE,
     EnvelopeTable,
     FrameAssembler,
     WireError,
@@ -46,7 +49,9 @@ from repro.net.wire import (
     _write_varint,
     _zigzag,
 )
+from repro.observability.registry import MODULE_NET, MetricsRegistry
 from repro.replication.kvstore import Command
+from repro.replication.log import SlotEnvelope
 from repro.service.messages import (
     Checkpoint,
     ClientReply,
@@ -54,6 +59,8 @@ from repro.service.messages import (
     StateRequest,
     StateResponse,
 )
+
+from tests.helpers import SignedWorkbench, envelopes
 
 
 def signed_vdecide(slot: int = 3) -> SignedMessage:
@@ -110,6 +117,8 @@ SAMPLES = [
 ]
 
 VERSIONS = pytest.mark.parametrize("version", SUPPORTED_VERSIONS)
+#: The two versions sharing the binary grammar.
+BINARY_VERSIONS = (VERSION_BINARY, VERSION_ENVELOPE)
 
 #: A table that has interned (and, through WARM, keeps alive) every
 #: envelope of SAMPLES: tampered frames whose nested spans survive
@@ -134,7 +143,7 @@ class TestRoundTrips:
     def test_default_version_is_binary(self):
         message = signed_vdecide()
         frame = encode_frame(message)
-        assert frame[2] == DEFAULT_VERSION == VERSION_BINARY
+        assert frame[2] == DEFAULT_VERSION == VERSION_ENVELOPE
         # One default: the payload entry points agree with the frame's.
         payload = encode_payload(message)
         assert payload == frame[HEADER.size :]
@@ -145,6 +154,8 @@ class TestRoundTrips:
         v1 = encode_frame(message, version=VERSION)
         v2 = encode_frame(message, version=VERSION_BINARY)
         assert len(v2) < len(v1) / 2
+        # The envelope record drops the type name and the field count.
+        assert len(encode_frame(message, version=VERSION_ENVELOPE)) < len(v2)
 
     @VERSIONS
     def test_certificate_survives_canonical_ordering(self, version):
@@ -155,17 +166,25 @@ class TestRoundTrips:
 
     def test_assembler_reassembles_mixed_version_byte_dribble(self):
         # Versions alternate per frame: a receiver never negotiates.
+        sent = [
+            SUPPORTED_VERSIONS[i % len(SUPPORTED_VERSIONS)]
+            for i in range(len(SAMPLES))
+        ]
         stream = b"".join(
-            encode_frame(value, version=SUPPORTED_VERSIONS[i % 2])
-            for i, value in enumerate(SAMPLES)
+            encode_frame(value, version=version)
+            for value, version in zip(SAMPLES, sent)
         )
-        assembler = FrameAssembler()
+        registry = MetricsRegistry()
+        assembler = FrameAssembler(metrics=registry.scope(MODULE_NET, 0))
         out = []
         for i in range(0, len(stream), 7):
             out.extend(assembler.feed(stream[i : i + 7]))
         assert out == SAMPLES
-        assert sum(assembler.decoded_by_version.values()) == len(SAMPLES)
-        assert set(assembler.decoded_by_version) == set(SUPPORTED_VERSIONS)
+        # Counted where the frame is decoded, per version.
+        for version in SUPPORTED_VERSIONS:
+            assert registry.counter_total(
+                MODULE_NET, f"frames_v{version}"
+            ) == sent.count(version) > 0
 
     def test_register_rejects_duplicate_names(self):
         class Fresh:
@@ -226,16 +245,18 @@ class TestHostileFrames:
 
     @VERSIONS
     def test_cross_version_relabeling_is_contained(self, version):
-        # A frame whose version byte is flipped to the *other* supported
+        # A frame whose version byte is flipped to *another* supported
         # version is a payload parsed under the wrong grammar: that must
         # be a WireError (counted rejection) or a clean decode — nothing
         # else. This is the cross-version skew a mixed cluster can see
         # from a buggy or hostile peer.
-        other = [v for v in SUPPORTED_VERSIONS if v != version][0]
-        for value in SAMPLES:
-            frame = bytearray(encode_frame(value, version=version))
-            frame[2] = other
-            self.assert_rejected_or_decoded(bytes(frame))
+        for other in SUPPORTED_VERSIONS:
+            if other == version:
+                continue
+            for value in SAMPLES:
+                frame = bytearray(encode_frame(value, version=version))
+                frame[2] = other
+                self.assert_rejected_or_decoded(bytes(frame))
 
     def test_oversized_declared_length(self):
         for version in SUPPORTED_VERSIONS:
@@ -262,8 +283,9 @@ class TestHostileFrames:
             encode_payload(Alien(), version=version)
 
     def test_binary_varint_ceiling(self):
-        with pytest.raises(WireError):
-            encode_payload(1 << (7 * MAX_VARINT_BYTES + 7), version=VERSION_BINARY)
+        for version in BINARY_VERSIONS:
+            with pytest.raises(WireError):
+                encode_payload(1 << (7 * MAX_VARINT_BYTES + 7), version=version)
 
     def test_binary_hostile_count_prefix(self):
         # A tuple declaring 2**40 items inside a 16-byte payload must be
@@ -276,14 +298,17 @@ class TestHostileFrames:
             payload.append(low | 0x80 if n else low)
             if not n:
                 break
-        frame = HEADER.pack(MAGIC, VERSION_BINARY, len(payload)) + bytes(payload)
-        with pytest.raises(WireError):
-            decode_frame(frame)
+        for version in BINARY_VERSIONS:
+            frame = HEADER.pack(MAGIC, version, len(payload)) + bytes(payload)
+            with pytest.raises(WireError):
+                decode_frame(frame)
 
     def test_binary_unknown_tag(self):
-        frame = HEADER.pack(MAGIC, VERSION_BINARY, 1) + b"\xee"
-        with pytest.raises(WireError):
-            decode_frame(frame)
+        # 0x0B is unassigned in both grammars.
+        for version in BINARY_VERSIONS:
+            for tag in (b"\xee", b"\x0b"):
+                with pytest.raises(WireError):
+                    decode_frame(HEADER.pack(MAGIC, version, 1) + tag)
 
     @VERSIONS
     def test_every_single_bitflip_is_contained(self, version):
@@ -327,6 +352,164 @@ class TestHostileFrames:
 
     def test_wire_error_is_a_repro_error(self):
         assert issubclass(WireError, ReproError)
+
+
+# -- the v3 envelope record --------------------------------------------------
+
+BENCH = SignedWorkbench(4)
+#: Three levels of certificates: a relay citing the coordinator's
+#: CURRENT, which cites three INITs.
+CURRENT = BENCH.coordinator_current()
+RELAY = BENCH.relay_current(1, CURRENT)
+OTHER_RELAY = BENCH.relay_current(2, CURRENT)
+INIT = CURRENT.cert.entries[0]
+RELAY_FRAME = encode_frame(SlotEnvelope(2, RELAY))
+#: Tag and u32 length ahead of an envelope record's fields.
+RECORD_HEAD = 5
+
+
+def record_of(envelope: SignedMessage) -> bytes:
+    """An envelope alone *is* its record: ``0x0C | length | fields``."""
+    record = encode_payload(envelope)
+    assert record[0] == 0x0C
+    assert int.from_bytes(record[1:RECORD_HEAD], "big") == len(record) - RECORD_HEAD
+    return record
+
+
+def warm_table(*held: SignedMessage) -> tuple[EnvelopeTable, list]:
+    """A table that has decoded ``held``, and what keeps the entries alive."""
+    table = EnvelopeTable()
+    return table, [decode_payload(record_of(e), table=table) for e in held]
+
+
+def outcome(payload: bytes, table: EnvelopeTable | None):
+    """The decoded value, or WireError — the only two things allowed."""
+    try:
+        return decode_payload(payload, table=table)
+    except WireError:
+        return WireError
+
+
+class TestEnvelopeRecord:
+    """The one record v3 adds, attacked with and without a table.
+
+    A table that holds the frame's nested envelopes answers them without
+    walking them; a table that holds the whole relay answers the frame's
+    one envelope outright. Neither may accept what the plain decoder
+    rejects, or the reverse.
+    """
+
+    TABLES = {
+        "none": (None, []),
+        "nested": warm_table(CURRENT),
+        "whole": warm_table(RELAY),
+    }
+
+    def decodes(self, data: bytes) -> None:
+        """Every table yields what the plain decoder yields for ``data``."""
+        results = []
+        for table, _alive in self.TABLES.values():
+            try:
+                results.append(decode_frame(data, table=table))
+            except WireError:
+                results.append(WireError)
+        assert all(result == results[0] for result in results)
+
+    def test_every_single_byte_flip_is_contained(self):
+        for pos in range(len(RELAY_FRAME)):
+            for bit in (0x01, 0x80, 0xFF):
+                mutated = bytearray(RELAY_FRAME)
+                mutated[pos] ^= bit
+                self.decodes(bytes(mutated))
+
+    def test_every_truncation_is_rejected(self):
+        for cut in range(len(RELAY_FRAME)):
+            for table, _alive in self.TABLES.values():
+                with pytest.raises(WireError):
+                    decode_frame(RELAY_FRAME[:cut], table=table)
+
+    @pytest.mark.parametrize("envelope", [RELAY, CURRENT, INIT], ids=["outer", "nested", "leaf"])
+    @pytest.mark.parametrize("delta", [1, -1], ids=["one-more", "one-less"])
+    def test_declared_length_off_by_one(self, envelope, delta):
+        start = RELAY_FRAME.index(record_of(envelope))
+        declared = int.from_bytes(RELAY_FRAME[start + 1 : start + RECORD_HEAD], "big")
+        mutated = bytearray(RELAY_FRAME)
+        mutated[start + 1 : start + RECORD_HEAD] = (declared + delta).to_bytes(4, "big")
+        for table, _alive in self.TABLES.values():
+            with pytest.raises(WireError):
+                decode_frame(bytes(mutated), table=table)
+
+    @pytest.mark.parametrize("envelope", [RELAY, CURRENT, INIT], ids=["outer", "nested", "leaf"])
+    def test_declared_length_beyond_the_enclosing_payload(self, envelope):
+        start = RELAY_FRAME.index(record_of(envelope))
+        room = len(RELAY_FRAME) - (start + RECORD_HEAD)
+        for declared in (room + 1, MAX_FRAME, 0xFFFFFFFF):
+            mutated = bytearray(RELAY_FRAME)
+            mutated[start + 1 : start + RECORD_HEAD] = declared.to_bytes(4, "big")
+            for table, _alive in self.TABLES.values():
+                with pytest.raises(WireError):
+                    decode_frame(bytes(mutated), table=table)
+
+    def test_a_length_field_cut_short(self):
+        for cut in range(1, RECORD_HEAD):
+            with pytest.raises(WireError):
+                decode_payload(record_of(INIT)[:cut])
+
+    def test_the_record_belongs_to_v3_alone(self):
+        # A v2 payload may not contain the record ...
+        with pytest.raises(WireError):
+            decode_payload(record_of(RELAY), version=VERSION_BINARY)
+        # ... and a v3 payload may not spell SignedMessage by name.
+        named = encode_payload(RELAY, version=VERSION_BINARY)
+        assert decode_payload(named, version=VERSION_BINARY) == RELAY
+        with pytest.raises(WireError):
+            decode_payload(named, version=VERSION_ENVELOPE)
+        table, _alive = warm_table(RELAY)
+        with pytest.raises(WireError):
+            decode_payload(named, version=VERSION_ENVELOPE, table=table)
+
+    @pytest.mark.parametrize("held", [RELAY, CURRENT, INIT], ids=["outer", "nested", "leaf"])
+    @pytest.mark.parametrize("sent", [RELAY, OTHER_RELAY], ids=["seen", "unseen"])
+    def test_a_deep_hit_raises_exactly_where_a_full_walk_would(self, held, sent):
+        # First seen at depth 0, then sent under ever more one-item
+        # tuples: the table answers from the height it recorded, the
+        # plain decoder by walking — level for level the same verdict.
+        table, alive = warm_table(held)
+        record = record_of(sent)
+        verdicts = []
+        for levels in range(MAX_DEPTH + 3):
+            payload = b"\x07\x01" * levels + record
+            plain = outcome(payload, None)
+            assert (outcome(payload, table) is WireError) == (plain is WireError), levels
+            verdicts.append(plain is not WireError)
+        fits = verdicts.count(True)
+        assert verdicts == [True] * fits + [False] * (len(verdicts) - fits)
+        # INIT's fields are leaves two levels down; each certificate
+        # adds three (the Certificate, its entry tuple, the entry).
+        assert fits == MAX_DEPTH + 1 - 8
+        # The accepted ones really were answered from the table.
+        found = decode_payload(b"\x07\x01" * (fits - 1) + record, table=table)
+        for _ in range(fits - 1):
+            (found,) = found
+        assert any(e is alive[0] for e in envelopes(found)) == (
+            held is not RELAY or sent is RELAY
+        )
+
+    def test_v2_and_v3_frames_of_one_message_decode_equal_on_one_connection(self):
+        table = EnvelopeTable()
+        assembler = FrameAssembler(table=table)
+        first, second, third = assembler.feed(
+            encode_frame(RELAY, version=VERSION_BINARY)
+            + encode_frame(RELAY, version=VERSION_ENVELOPE)
+            + encode_frame(RELAY, version=VERSION)
+        )
+        assert first == second == third == RELAY
+        # The table serves the v3 record alone: a legacy frame decodes
+        # to a plain twin and enters nothing.
+        assert first is not second and third is not second
+        assert len(table) == len(list(envelopes(RELAY)))
+        (again,) = assembler.feed(encode_frame(RELAY, version=VERSION_ENVELOPE))
+        assert again is second
 
 
 def _payloads() -> st.SearchStrategy:
@@ -395,17 +578,19 @@ class TestCodecProperties:
     def test_payload_decode_flags_bytes_past_the_declared_value(
         self, value, junk
     ):
-        payload = encode_payload(value, version=VERSION_BINARY)
-        with pytest.raises(WireError):
-            decode_payload(payload + junk, version=VERSION_BINARY)
+        for version in BINARY_VERSIONS:
+            payload = encode_payload(value, version=version)
+            with pytest.raises(WireError):
+                decode_payload(payload + junk, version=version)
 
     @given(_payloads(), st.binary(max_size=HEADER.size - 1))
     def test_frame_decode_never_reads_past_the_declared_length(
         self, value, junk
     ):
-        frame = encode_frame(value, version=VERSION_BINARY)
-        assembler = FrameAssembler()
-        messages = assembler.feed(frame + junk)
-        assert len(messages) == 1
-        assert messages[0] == value
-        assert assembler.buffered == len(junk)
+        for version in BINARY_VERSIONS:
+            frame = encode_frame(value, version=version)
+            assembler = FrameAssembler()
+            messages = assembler.feed(frame + junk)
+            assert len(messages) == 1
+            assert messages[0] == value
+            assert assembler.buffered == len(junk)
