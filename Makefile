@@ -148,12 +148,13 @@ benchmarks:
 bench-selftest:
 	$(PYTHON) -m pytest bench -q
 
-# Interleaved parent/change pairs of one bench/ workload, the evidence a
+# Interleaved parent/change pairs of bench/ workloads, the evidence a
 # performance claim needs (benchmarks/pairs.py): PARENT is a git
 # revision (checked out into a temporary worktree) or a checkout
 # directory; each run lasts BENCHMARK.json's run_seconds. PAIRS and SEED
-# default to the script's own (10 pairs, seed 7). OUT=BENCH_tcp.json
-# appends the series to the committed trajectory, one row per series.
+# default to the script's own (10 pairs, seed 7). WORKLOAD is one name, a
+# comma-separated list, or `all`; OUT=BENCH_tcp.json appends each series
+# to the committed trajectory, one row per series.
 bench-pairs:
 	$(PYTHON) benchmarks/pairs.py --parent $(PARENT) --workload $(WORKLOAD) \
 		$(if $(PAIRS),--pairs $(PAIRS)) $(if $(SEED),--seed $(SEED)) \

@@ -1,7 +1,8 @@
-"""Interleaved parent/change pairs of one benchmark workload.
+"""Interleaved parent/change pairs of benchmark workloads.
 
     python3 benchmarks/pairs.py --parent <rev> --workload write_small
-    make bench-pairs PARENT=<rev> WORKLOAD=write_small [PAIRS=10] [SEED=7] [OUT=BENCH_tcp.json]
+    python3 benchmarks/pairs.py --parent <rev> --workload write_small,write_large
+    make bench-pairs PARENT=<rev> WORKLOAD=all [PAIRS=10] [SEED=7] [OUT=BENCH_tcp.json]
 
 The rule a performance claim has to meet on a small shared box
 (``bench/README.md``): run the parent commit and the working tree in
@@ -20,7 +21,11 @@ copy of ``bench/``; the metric names, directions and bounds come from
 this tree's ``BENCHMARK.json``. Pure standard library; nothing here is
 imported by the benchmark itself.
 
-``--out`` appends the series to a trajectory file (``BENCH_tcp.json``,
+``--workload`` takes one name, a comma-separated list, or ``all`` (the
+workloads ``BENCHMARK.json`` declares, in its order); each is a series
+of its own, run one after the other against the same parent checkout.
+
+``--out`` appends each series to a trajectory file (``BENCH_tcp.json``,
 committed: one JSON row per line, one row per series) — the revision
 measured, its parent, the machine, and per metric both sides' quartiles,
 the win count and every run's value in the order made — so a regression
@@ -170,36 +175,28 @@ def summarise(
     }
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", required=True, help="git revision, or a checkout directory")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--out", help="append this series as one row to a trajectory file")
-    args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
-    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
-
+def series(
+    workload: str,
+    args: argparse.Namespace,
+    trees: dict[str, Path],
+    revisions: dict[str, str],
+    end_to_end: list[dict[str, Any]],
+    no_pycache: str,
+) -> None:
+    """Run, print and (``--out``) record the pairs of one workload."""
     runs: dict[str, list[dict[str, Any]]] = {"parent": [], "change": []}
-    with parent_tree(args.parent) as tree, tempfile.TemporaryDirectory(
-        prefix="bench-no-pycache-"
-    ) as no_pycache:
-        trees = {"parent": tree, "change": ROOT}
-        revisions = {side: revision(trees[side]) for side in trees}
-        for pair in range(args.pairs):
-            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            for side in order:
-                result = run_once(trees[side], args.workload, args.seed, no_pycache)
-                runs[side].append(result)
-                values = "  ".join(
-                    f"{m['name']}={shown(result['metrics'][m['name']]['value'])}"
-                    for m in end_to_end
-                )
-                print(f"pair {pair + 1:>2} {side:<6} failed={result['failed']}  {values}", flush=True)
+    for pair in range(args.pairs):
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        for side in order:
+            result = run_once(trees[side], workload, args.seed, no_pycache)
+            runs[side].append(result)
+            values = "  ".join(
+                f"{m['name']}={shown(result['metrics'][m['name']]['value'])}"
+                for m in end_to_end
+            )
+            print(f"pair {pair + 1:>2} {side:<6} failed={result['failed']}  {values}", flush=True)
 
-    print(f"\n{args.workload}, seed {args.seed}, {args.pairs} pairs (lower quartile / median / upper quartile)")
+    print(f"\n{workload}, seed {args.seed}, {args.pairs} pairs (lower quartile / median / upper quartile)")
     print(f"{'metric':<20}{'parent':>30}{'change':>30}{'delta':>9}{'wins':>9}  verdict")
     rows = {}
     for declared in end_to_end:
@@ -219,7 +216,8 @@ def main(argv: list[str] | None = None) -> int:
     attempted = {side: sum(run["attempted"] for run in runs[side]) for side in runs}
     print(
         f"failed/attempted  parent {failed['parent']}/{attempted['parent']}  "
-        f"change {failed['change']}/{attempted['change']}"
+        f"change {failed['change']}/{attempted['change']}\n",
+        flush=True,
     )
     if args.out:
         append_row(
@@ -232,7 +230,7 @@ def main(argv: list[str] | None = None) -> int:
                     "python": platform.python_version(),
                     "platform": platform.platform(),
                 },
-                "workload": args.workload,
+                "workload": workload,
                 "seed": args.seed,
                 "pairs": args.pairs,
                 "failed": failed,
@@ -255,6 +253,33 @@ def main(argv: list[str] | None = None) -> int:
                 },
             },
         )
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="git revision, or a checkout directory")
+    parser.add_argument(
+        "--workload", required=True, help="a workload, a comma-separated list, or 'all'"
+    )
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--out", help="append each series as one row to a trajectory file")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    manifest = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    declared = [workload["name"] for workload in manifest["workloads"]]
+    workloads = declared if args.workload == "all" else args.workload.split(",")
+    if unknown := [name for name in workloads if name not in declared]:
+        parser.error(f"unknown workload {unknown[0]!r} (declared: {', '.join(declared)})")
+
+    with parent_tree(args.parent) as tree, tempfile.TemporaryDirectory(
+        prefix="bench-no-pycache-"
+    ) as no_pycache:
+        trees = {"parent": tree, "change": ROOT}
+        revisions = {side: revision(trees[side]) for side in trees}
+        for workload in workloads:
+            series(workload, args, trees, revisions, manifest["end_to_end"], no_pycache)
     return 0
 
 

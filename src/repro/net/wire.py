@@ -16,7 +16,7 @@ Frame layout::
     |  2 B   |   1 B   |     big-endian       |   ...   |
     +--------+---------+----------------------+---------+
 
-Three payload versions live behind that header (docs/NET.md,
+Four payload versions live behind that header (docs/NET.md,
 docs/PERFORMANCE.md):
 
 * **v1** — the original TLV payload: one-letter ASCII tags, u64 lengths,
@@ -28,25 +28,33 @@ docs/PERFORMANCE.md):
   certificate traffic, and decoded by slicing one shared
   :class:`memoryview` cursor — no per-node buffer copies. Decode-only
   legacy.
-* **v3** — what every node sends: the v2 grammar with one more record.
-  A :class:`~repro.core.certificates.SignedMessage` travels as
+* **v3** — the v2 grammar with one more record. A
+  :class:`~repro.core.certificates.SignedMessage` travels as
   ``0x0C | u32 span length | body | cert | signature`` instead of as a
-  named, count-prefixed record, so a decoder can step over a whole
-  envelope without walking it. One encoder and one decoder serve v2
-  and v3; the version only decides which of the two records an envelope
-  is and which tags are admitted.
+  named, count-prefixed record, every nested envelope spelled out in
+  place at every level. Decode-only legacy.
+* **v4** — what every node sends, *cited records*: ``record* root``. A
+  record is the v3 envelope record, or ``0x0E | u32 length | named
+  record`` for a value of a type registered ``shared=True``; inside a
+  record or the root such a value is never spelled in place but cited,
+  ``0x0D | SHA-256(record bytes)``, and the record it cites stands
+  *earlier in the same payload*. Each distinct envelope and shared value
+  is written once per frame however often a certificate repeats it; a
+  payload with nothing to pool is the v3 payload byte for byte.
 
-A receiver accepts every version in :data:`SUPPORTED_VERSIONS`
-regardless of what it sends, so mixed-version clusters interoperate;
+One encoder and one decoder serve v2, v3 and v4; the version only
+decides how an envelope is spelled and which tags are admitted. A
+receiver accepts every version in :data:`SUPPORTED_VERSIONS` regardless
+of what it sends, so mixed-version clusters interoperate;
 :class:`FrameAssembler` counts decoded frames per version
-(``frames_v1``/``frames_v2``/``frames_v3``) on the metrics scope it is
-given.
+(``frames_v1`` … ``frames_v4``) on the metrics scope it is given.
 
-An endpoint may hand the codec its :class:`EnvelopeTable`: a v3
-envelope span it has seen before — decoded, or encoded by itself — is
-answered with the object it already holds, *without being walked*, and
-the envelope it encoded last is spliced rather than re-walked. The
-frames are byte-for-byte those of the table-less codec.
+An endpoint may hand the codec its :class:`EnvelopeTable`: a v4
+envelope record it has seen before is answered with the object it
+already holds, *without being walked*. A record's bytes depend on
+nothing around it (its children are always citations), so the one digest
+is both citation and table key; a citation itself resolves against its
+own payload only. The frames are those of the table-less codec.
 
 Robustness contract: **every** malformed input — truncated, oversized,
 wrong magic, wrong version, tampered payload, unknown type, hostile
@@ -81,15 +89,18 @@ MAGIC = b"RB"
 VERSION = 1
 #: The compact binary payload version.
 VERSION_BINARY = 2
-#: The binary payload with length-prefixed signed envelopes.
+#: The binary payload with length-prefixed signed envelopes, in place.
 VERSION_ENVELOPE = 3
+#: The binary payload whose envelopes and shared values are cited records.
+VERSION_CITED = 4
 #: Payload versions this node decodes.
-SUPPORTED_VERSIONS = (VERSION, VERSION_BINARY, VERSION_ENVELOPE)
+SUPPORTED_VERSIONS = (VERSION, VERSION_BINARY, VERSION_ENVELOPE, VERSION_CITED)
 #: The one default of every encode/decode entry point below.
-DEFAULT_VERSION = VERSION_ENVELOPE
+DEFAULT_VERSION = VERSION_CITED
 HEADER = struct.Struct(">2sBI")
 #: Ceiling on one frame's payload: bounds memory against hostile length
-#: prefixes while leaving room for full state-transfer snapshots.
+#: prefixes while leaving room for full state-transfer snapshots. A v4
+#: payload is held to it *spelled out* — as long as its v3 form would be.
 MAX_FRAME = 8 * 1024 * 1024
 #: Ceiling on TLV nesting: certificates nest a few levels; a hostile
 #: payload must not recurse the decoder into a stack overflow.
@@ -103,6 +114,8 @@ MAX_VARINT_BYTES = 2048
 #: name -> (class, to_fields, from_fields); class -> (name, to_fields).
 _BY_NAME: dict[str, tuple[type, Callable[[Any], tuple], Callable[[tuple], Any]]] = {}
 _BY_TYPE: dict[type, tuple[str, Callable[[Any], tuple]]] = {}
+#: Types whose values a v4 payload pools and cites (``shared=True``).
+_SHARED: set[type] = set()
 
 
 def register_wire_type(
@@ -111,6 +124,7 @@ def register_wire_type(
     name: str | None = None,
     to_fields: Callable[[Any], tuple] | None = None,
     from_fields: Callable[[tuple], Any] | None = None,
+    shared: bool = False,
 ) -> type:
     """Register ``cls`` for faithful wire round-trips under tag ``R``.
 
@@ -118,6 +132,12 @@ def register_wire_type(
     field order and the constructor rebuilds them. Non-dataclasses (or
     classes whose constructor differs from their fields) pass explicit
     ``to_fields`` / ``from_fields``.
+
+    ``shared`` declares that certificates repeat equal values of the
+    type: below a v4 payload's root each distinct one is written once,
+    as a pool record, and cited. Such a value holds no signed envelope
+    and no shared value itself — its record cites nothing, and neither
+    v4 side accepts one that would, at the root or below it.
     """
     wire_name = name if name is not None else cls.__qualname__
     if to_fields is None:
@@ -139,6 +159,8 @@ def register_wire_type(
         raise WireError(f"wire name {wire_name!r} registered twice")
     _BY_NAME[wire_name] = (cls, to_fields, from_fields)
     _BY_TYPE[cls] = (wire_name, to_fields)
+    if shared:
+        _SHARED.add(cls)
     return cls
 
 
@@ -265,15 +287,15 @@ def _decode(buf: memoryview, pos: int, end: int, depth: int) -> tuple[Any, int]:
     raise WireError(f"unknown TLV tag {tag!r}")
 
 
-# -- the v2/v3 compact binary payload ----------------------------------------
+# -- the v2/v3/v4 compact binary payload -------------------------------------
 #
 # Single-byte tags; varint(n) is base-128 little-endian with the high bit
 # as the continuation flag; zigzag maps signed to unsigned before the
 # varint. Containers are count-prefixed (not byte-length-prefixed), so
 # the decoder walks a single cursor over one memoryview of the receive
-# buffer and copies bytes only at str/bytes leaves. The one exception is
-# v3's envelope record, byte-length-prefixed so that it can be stepped
-# over.
+# buffer and copies bytes only at str/bytes leaves. The exceptions are
+# the records of v3 and v4, byte-length-prefixed so that one can be
+# hashed, and stepped over, without being walked.
 
 _T2_NONE = 0x00
 _T2_FALSE = 0x01
@@ -286,16 +308,26 @@ _T2_TUPLE = 0x07
 _T2_DICT = 0x08
 _T2_SET = 0x09
 _T2_REG = 0x0A
-#: v3 only: ``u32 length | body | cert | signature`` of a SignedMessage.
+#: ``u32 length | body | cert | signature`` of a SignedMessage: in place
+#: in v3, a pool record in v4.
 _T2_ENVELOPE = 0x0C
+#: v4 only: the SHA-256 of a record written earlier in this payload.
+_T2_CITE = 0x0D
+#: v4 only, a pool record: ``u32 length | named record`` of a shared type.
+_T2_SHARED = 0x0E
 
 _F64 = struct.Struct(">d")
 _U32 = struct.Struct(">I")
-#: Bytes of an envelope record ahead of its fields: tag and length.
-_ENVELOPE_HEAD = 1 + _U32.size
-#: SignedMessage memo: how many levels the v3 record registered for the
-#: object reaches below itself (its three fields are level 1).
-_HEIGHT = "_wire_height"
+#: Bytes of a record ahead of what it holds: tag and length.
+_RECORD_HEAD = 1 + _U32.size
+_DIGEST = hashlib.sha256().digest_size
+#: Bytes of a citation: tag and digest.
+_CITE = 1 + _DIGEST
+#: SignedMessage memo ``(height, size, cites)`` of the v4 record the
+#: table holds the object for: how many levels it reaches below itself
+#: (its three fields are level 1), how many bytes it stands for with
+#: every citation spelled out, and the digests it cites directly.
+_RECORD = "_wire_record"
 
 
 class _Walk:
@@ -303,32 +335,57 @@ class _Walk:
 
     One per (grammar, table), made once: a payload's walk allocates
     nothing. The table-less ones below are shared by every caller, which
-    is sound because nothing reads what they accumulate.
+    is sound because a payload is encoded or decoded in one go — no
+    thread, no re-entry — and a v4 payload leaves its state empty.
     """
 
-    __slots__ = ("envelopes", "table", "deepest")
+    __slots__ = (
+        "envelopes", "cited", "table", "deepest", "spelled", "cites",
+        "pool", "reached", "seen", "records",
+    )
 
-    def __init__(self, version: int, table: "EnvelopeTable | None") -> None:
-        #: v3: a SignedMessage is the envelope record, not a named one.
+    def __init__(self, version: int, table: "EnvelopeTable | None" = None) -> None:
+        #: v3: a SignedMessage is the envelope record, in place.
         self.envelopes = version == VERSION_ENVELOPE
+        #: v4: a SignedMessage or shared value is a citation of a record.
+        self.cited = version == VERSION_CITED
         self.table = table
-        #: Depth of the deepest node under the envelope record being
-        #: walked. Only non-empty containers raise it — a leaf sits one
-        #: below a container that already did — and only an envelope
-        #: record *with a table* reads it, to learn its own height;
-        #: outside one it is a stale high-water mark nobody looks at.
+        # Of the v4 record (or root) being walked, each relative to it:
+        #: depth of its deepest node — only non-empty containers and
+        #: citations raise it, a leaf sits one below a container that
+        #: already did;
         self.deepest = 0
+        #: bytes its citations stand for beyond their own;
+        self.spelled = 0
+        #: the digests it cites.
+        self.cites: list[bytes] = []
+        # Of the v4 payload being walked:
+        #: digest -> ``(value, height, size)`` of a record met (decoding;
+        #: a shared record is ``(None, start, stop)`` until first cited)
+        #: or ``(digest, height, size)`` of one written (encoding);
+        self.pool: dict[bytes, tuple] = {}
+        #: digests cited so far — all of the pool by the end (decoding);
+        self.reached: set[bytes] = set()
+        #: ``id()`` -> the pool entry of an object encoded already;
+        self.seen: dict[int, tuple] = {}
+        #: the records written so far.
+        self.records = bytearray()
 
-
-def _walks(table: "EnvelopeTable | None") -> dict[int, _Walk]:
-    return {
-        version: _Walk(version, table)
-        for version in (VERSION_BINARY, VERSION_ENVELOPE)
-    }
+    def reset(self) -> None:
+        """Forget the payload: nothing of it may outlive the call."""
+        self.pool.clear()
+        self.reached.clear()
+        self.seen.clear()
+        self.records.clear()
+        self.cites.clear()
+        self.spelled = 0
 
 
 #: The walks of the table-less codec, by payload version.
-_PLAIN = _walks(None)
+_PLAIN = {
+    version: _Walk(version)
+    for version in (VERSION_BINARY, VERSION_ENVELOPE, VERSION_CITED)
+}
 
 
 def _write_varint(out: bytearray, n: int) -> None:
@@ -398,10 +455,18 @@ def _encode_v2(out: bytearray, value: Any, depth: int, walk: _Walk) -> None:
         _write_varint(out, len(value))
         out += value
         return
-    registered = _BY_TYPE.get(type(value))
+    cls = type(value)
+    registered = _BY_TYPE.get(cls)
     if registered is not None:
-        if walk.envelopes and type(value) is SignedMessage:
-            _encode_envelope(out, value, depth, walk)
+        if cls is SignedMessage:
+            if walk.cited:
+                _encode_citation(out, value, depth, walk)
+                return
+            if walk.envelopes:
+                _encode_envelope(out, value, depth, walk)
+                return
+        elif depth and walk.cited and cls in _SHARED:
+            _encode_citation(out, value, depth, walk)
             return
         wire_name, to_fields = registered
         name = wire_name.encode("utf-8")
@@ -459,32 +524,86 @@ def _encode_v2(out: bytearray, value: Any, depth: int, walk: _Walk) -> None:
 def _encode_envelope(
     out: bytearray, envelope: SignedMessage, depth: int, walk: _Walk
 ) -> None:
-    """Append ``envelope``'s v3 record: spliced if just encoded, else walked."""
-    table = walk.table
-    if table is not None:
-        record = table.spliced(envelope, depth)
-        if record is not None:
-            out += record
-            return
-        # Nested envelopes see no table: only the outermost is kept.
-        walk.table = None
-    enclosing = walk.deepest
-    walk.deepest = depth + 1
+    """Append ``envelope``'s record, its three fields at ``depth + 1``."""
     start = len(out)
     out.append(_T2_ENVELOPE)
     out += bytes(_U32.size)  # the length, patched in once it is known
+    _encode_v2(out, envelope.body, depth + 1, walk)
+    _encode_v2(out, envelope.cert, depth + 1, walk)
+    _encode_v2(out, envelope.signature, depth + 1, walk)
+    _U32.pack_into(out, start + 1, len(out) - start - _RECORD_HEAD)
+
+
+def _encode_citation(out: bytearray, value: Any, depth: int, walk: _Walk) -> None:
+    """Cite ``value``'s v4 record, writing it first unless the pool has it."""
+    entry = walk.seen.get(id(value))
+    if entry is None:
+        # The first thing the root pools, if an envelope, is the one a
+        # broadcast re-wraps per destination: the table keeps its records
+        # (a record's own fields are walked table-less, so only that one).
+        table = walk.table
+        if walk.pool or type(value) is not SignedMessage:
+            table = None
+        if table is not None:
+            entry = table.spliced(value, walk)
+        if entry is None:
+            entry = _encode_record(value, walk, table)
+        walk.seen[id(value)] = entry
+    key, height, size = entry
+    reach = depth + height
+    if reach > MAX_DEPTH:
+        raise WireError("payload nesting exceeds the depth ceiling")
+    if reach > walk.deepest:
+        walk.deepest = reach
+    walk.spelled += size - _CITE
+    walk.cites.append(key)
+    if depth:  # the root envelope is its record, the payload's last
+        out.append(_T2_CITE)
+        out += key
+
+
+def _encode_record(
+    value: Any, walk: _Walk, table: "EnvelopeTable | None"
+) -> tuple[bytes, int, int]:
+    """``value``'s pool entry, its record appended if no equal one was.
+
+    A record is walked at depth 0 whatever cites it: its bytes, and so
+    its digest, depend on the value alone. ``id()`` (``walk.seen``) only
+    saves the walk; an equal twin is walked again and found by digest.
+    What it holds is walked table-less: ``table`` remembers ``value`` alone.
+    """
+    enclosing = walk.deepest, walk.spelled, walk.cites, walk.table
+    walk.spelled, walk.table, cites = 0, None, []
+    walk.cites = cites
+    record = bytearray()
     try:
-        _encode_v2(out, envelope.body, depth + 1, walk)
-        _encode_v2(out, envelope.cert, depth + 1, walk)
-        _encode_v2(out, envelope.signature, depth + 1, walk)
+        if type(value) is SignedMessage:
+            walk.deepest = 1  # its three fields
+            _encode_envelope(record, value, 0, walk)
+            size = len(record)
+        else:
+            walk.deepest = 0
+            record.append(_T2_SHARED)
+            record += bytes(_U32.size)
+            _encode_v2(record, value, 0, walk)
+            if cites:
+                raise WireError(f"shared {type(value).__name__} holds a pooled value")
+            _U32.pack_into(record, 1, len(record) - _RECORD_HEAD)
+            size = len(record) - _RECORD_HEAD
+        size += walk.spelled
+        height = walk.deepest
     finally:
-        walk.table = table
-    _U32.pack_into(out, start + 1, len(out) - start - _ENVELOPE_HEAD)
-    height = walk.deepest - depth
-    if enclosing > walk.deepest:
-        walk.deepest = enclosing
+        walk.deepest, walk.spelled, walk.cites, walk.table = enclosing
+    if size > MAX_FRAME:
+        raise WireError("payload spells out beyond MAX_FRAME")
+    key = hashlib.sha256(record).digest()
+    entry = walk.pool.get(key)
+    if entry is None:
+        entry = walk.pool[key] = (key, height, size)
+        walk.records += record
     if table is not None:
-        table.remember(envelope, bytes(memoryview(out)[start:]), height)
+        table.remember(value, entry, tuple(cites), walk)
+    return entry
 
 
 def _read_count(buf: memoryview, pos: int, end: int) -> tuple[int, int]:
@@ -573,8 +692,11 @@ def _decode_v2(
         if entry is None:
             raise WireError(f"unknown wire type {wire_name!r}")
         cls, _to_fields, from_fields = entry
-        if walk.envelopes and cls is SignedMessage:
-            raise WireError("SignedMessage spelled as a named record in v3")
+        if cls is SignedMessage:
+            if walk.envelopes or walk.cited:
+                raise WireError("SignedMessage spelled as a named record")
+        elif depth and walk.cited and cls in _SHARED:
+            raise WireError(f"shared {wire_name} spelled in place below the root")
         count, pos = _read_count(buf, pos, end)
         if count and depth >= walk.deepest:
             walk.deepest = depth + 1
@@ -588,77 +710,197 @@ def _decode_v2(
             raise
         except Exception as exc:
             raise WireError(f"cannot rebuild {wire_name}: {exc}") from exc
-    if tag == _T2_ENVELOPE and walk.envelopes:
-        return _decode_envelope(buf, pos, end, depth, walk)
+    if walk.cited:
+        if tag == _T2_CITE:
+            return _decode_citation(buf, pos, end, depth, walk)
+        if not depth and (tag == _T2_ENVELOPE or tag == _T2_SHARED):
+            # A payload that opens with a record: the pool, then the root.
+            return _decode_cited(buf, end, walk), end
+    elif tag == _T2_ENVELOPE and walk.envelopes:
+        start, stop = _record_span(buf, pos, end)
+        return _decode_fields(buf, start, stop, depth + 1, walk), stop
     raise WireError(f"unknown v2 tag {tag:#04x}")
 
 
-def _decode_envelope(
-    buf: memoryview, pos: int, end: int, depth: int, walk: _Walk
-) -> tuple[SignedMessage, int]:
-    """The envelope record whose length field starts at ``pos``."""
+def _record_span(buf: memoryview, pos: int, end: int) -> tuple[int, int]:
+    """Where the record whose length field starts at ``pos`` begins and ends."""
     start = pos + _U32.size
     if start > end:
-        raise WireError("truncated envelope length")
+        raise WireError("truncated record length")
     stop = start + _U32.unpack_from(buf, pos)[0]
     if stop > end:
-        raise WireError("envelope length exceeds the enclosing payload")
-    table = walk.table
-    if table is not None:
-        key = hashlib.sha256(buf[pos - 1 : stop]).digest()
-        envelope = table.held(key)
-        if envelope is not None:
-            # Seen before, hence well-formed — except that it may sit
-            # deeper now. The height its first walk recorded says
-            # exactly how deep a full walk would get.
-            reach = depth + envelope.__dict__[_HEIGHT]
-            if reach > MAX_DEPTH:
-                raise WireError("payload nesting exceeds the depth ceiling")
-            if reach > walk.deepest:
-                walk.deepest = reach
-            return envelope, stop
-    enclosing = walk.deepest
-    walk.deepest = depth + 1
-    body, pos = _decode_v2(buf, start, stop, depth + 1, walk)
-    cert, pos = _decode_v2(buf, pos, stop, depth + 1, walk)
-    signature, pos = _decode_v2(buf, pos, stop, depth + 1, walk)
+        raise WireError("record length exceeds the enclosing payload")
+    return start, stop
+
+
+def _decode_fields(
+    buf: memoryview, start: int, stop: int, depth: int, walk: _Walk
+) -> SignedMessage:
+    """The envelope whose three fields, at ``depth``, fill ``start:stop``."""
+    body, pos = _decode_v2(buf, start, stop, depth, walk)
+    cert, pos = _decode_v2(buf, pos, stop, depth, walk)
+    signature, pos = _decode_v2(buf, pos, stop, depth, walk)
     if pos != stop:
         raise WireError("envelope fields end short of the declared length")
-    envelope = SignedMessage(body, cert, signature)
-    height = walk.deepest - depth
-    if enclosing > walk.deepest:
-        walk.deepest = enclosing
-    if table is not None:
-        table.register(key, envelope, height)
-    return envelope, stop
+    return SignedMessage(body, cert, signature)
+
+
+def _decode_citation(
+    buf: memoryview, pos: int, end: int, depth: int, walk: _Walk
+) -> tuple[Any, int]:
+    """What the citation whose digest starts at ``pos`` stands for."""
+    stop = pos + _DIGEST
+    if stop > end:
+        raise WireError("truncated citation")
+    if not depth:
+        raise WireError("the root is written in place, not cited")
+    key = bytes(buf[pos:stop])
+    entry = walk.pool.get(key)
+    if entry is None:
+        # Only this payload's own records count: not the table's, not
+        # an earlier frame's, not one further down this payload.
+        raise WireError("citation of no earlier record of this payload")
+    value, height, size = entry
+    if value is None:  # a shared record not cited before: (None, start, stop)
+        entry = walk.pool[key] = _decode_shared(buf, height, size, walk)
+        value, height, size = entry
+    reach = depth + height
+    if reach > MAX_DEPTH:
+        raise WireError("payload nesting exceeds the depth ceiling")
+    if reach > walk.deepest:
+        walk.deepest = reach
+    walk.spelled += size - _CITE
+    walk.cites.append(key)
+    return value, stop
+
+
+def _decode_shared(
+    buf: memoryview, start: int, stop: int, walk: _Walk
+) -> tuple[Any, int, int]:
+    """The pool entry of the shared record holding ``start:stop``, first cited."""
+    if start == stop or buf[start] != _T2_REG:
+        raise WireError("shared record holds no named record")
+    enclosing, cited = walk.deepest, len(walk.cites)
+    walk.deepest = 0
+    value, pos = _decode_v2(buf, start, stop, 0, walk)
+    if pos != stop:
+        raise WireError("shared record ends short of the declared length")
+    if type(value) not in _SHARED or len(walk.cites) != cited:
+        raise WireError(f"{type(value).__name__} in a shared record")
+    height, walk.deepest = walk.deepest, enclosing
+    return value, height, stop - start
+
+
+def payload_records(payload: bytes) -> list[bytes]:
+    """The records a v4 payload opens with, in order; the rest is its root."""
+    found, pos = [], 0
+    while pos < len(payload) and payload[pos] in (_T2_ENVELOPE, _T2_SHARED):
+        _start, stop = _record_span(memoryview(payload), pos + 1, len(payload))
+        found.append(bytes(payload[pos:stop]))
+        pos = stop
+    return found
+
+
+def _decode_cited(buf: memoryview, end: int, walk: _Walk) -> Any:
+    """A v4 payload that opens with a record: the pool, then the root.
+
+    Each record is bounds-checked and hashed whole. An envelope record
+    the table holds is answered with the held object, unwalked; any
+    other is decoded — three fields whose citations resolve in
+    ``walk.pool``, this payload's own — and remembered with its height
+    and spelled-out size, so that depth and length are judged where the
+    v3 spelling would be. A shared record waits for its first citation.
+    Every record must be cited further down: no byte goes unread.
+    """
+    pool, reached, table, cites = walk.pool, walk.reached, walk.table, walk.cites
+    pooled = pool.__contains__
+    pos = hits = 0
+    try:
+        while pos < end:
+            tag = buf[pos]
+            if tag != _T2_ENVELOPE and tag != _T2_SHARED:
+                break
+            start, stop = _record_span(buf, pos + 1, end)
+            key = hashlib.sha256(buf[pos:stop]).digest()
+            if key in pool:
+                raise WireError("record written twice")
+            if tag == _T2_SHARED:
+                pool[key] = (None, start, stop)
+                pos = stop
+                continue
+            envelope = table.held(key) if table is not None else None
+            if envelope is not None:
+                # Seen before, hence well-formed — in a payload that had
+                # the records it cites. This one must have them too.
+                hits += 1
+                height, size, cited = envelope.__dict__[_RECORD]
+                if not all(map(pooled, cited)):
+                    raise WireError("citation of no earlier record of this payload")
+                reached.update(cited)
+            else:
+                walk.deepest, walk.spelled = 1, 0
+                cites.clear()
+                envelope = _decode_fields(buf, start, stop, 1, walk)
+                height, size = walk.deepest, stop - pos + walk.spelled
+                if size > MAX_FRAME:
+                    raise WireError("payload spells out beyond MAX_FRAME")
+                reached.update(cites)
+                if table is not None:
+                    table.register(key, envelope, (height, size, tuple(cites)))
+            pool[key] = (envelope, height, size)
+            pos = stop
+            if pos == end:  # a root envelope is the last record
+                if len(reached) != len(pool) - 1:
+                    raise WireError("record that nothing cites")
+                return envelope
+        walk.spelled = 0
+        value, stop = _decode_v2(buf, pos, end, 0, walk)
+        if stop != end:
+            raise WireError("trailing bytes after payload")
+        if end - pos + walk.spelled > MAX_FRAME:
+            raise WireError("payload spells out beyond MAX_FRAME")
+        if type(value) in _SHARED:
+            raise WireError(f"shared {type(value).__name__} holds a pooled value")
+        reached.update(cites)
+        if len(reached) != len(pool):  # all cited were pooled: as many is all
+            raise WireError("record that nothing cites")
+        return value
+    finally:
+        walk.reset()
+        if hits:
+            table.stepped_over(hits)
 
 
 class EnvelopeTable:
     """One endpoint's memory of the signed envelopes crossing its wire.
 
     Certificates make one :class:`~repro.core.certificates.SignedMessage`
-    arrive many times — alone, then inside every certificate that cites
-    it — and its encoding/digest memos live on the Python object, so a
-    decoder that builds a fresh twin per arrival throws them away
-    (docs/PERFORMANCE.md §2). The table closes that gap on both sides of
-    the codec without changing a byte of any frame:
+    arrive many times — alone, then in the pool of every frame whose
+    certificates cite it — and its encoding/digest memos live on the
+    Python object, so a decoder that builds a fresh twin per arrival
+    throws them away (docs/PERFORMANCE.md §2). The table closes that gap
+    on both sides of the codec without changing a byte of any frame:
 
-    * **decoding** — a weak-valued map from the SHA-256 of an envelope
-      record's exact bytes to the object they stand for. A v3 record is
-      length-prefixed, so a repeat is hashed, answered with the object
-      this endpoint already holds — memos intact — and stepped over: no
-      child is built. Entries die with their last outside
-      reference: the table holds an envelope exactly as long as the
-      protocol does, so there is no size and nothing to evict.
-    * **encoding** — the last outermost envelope encoded (held weakly,
-      like every entry), with its bytes and height. A broadcast re-wraps
-      one envelope object per destination; every copy after the first is
-      a splice. The record is entered into the same map, so the copy a
-      node sends itself — and every later citation of it by a peer — is
-      a hit on the object the node signed.
+    * **decoding** — a weak-valued map from the SHA-256 of a v4 envelope
+      record's exact bytes — the digest a citation of it carries — to
+      the object they stand for. A record is length-prefixed, so a
+      repeat is hashed, answered with the object this endpoint already
+      holds — memos intact — and stepped over: no field is built.
+      Entries die with their last outside reference: the table holds an
+      envelope exactly as long as the protocol does, so there is no size
+      and nothing to evict.
+    * **encoding** — the pool records of the last outermost envelope
+      encoded (the envelope held weakly, like every entry; its records
+      as bytes with their digests, heights and sizes, no object). A
+      broadcast re-wraps one envelope object per destination; every
+      copy after the first is a splice. The envelope is entered into the
+      same map, so the copy a node sends itself — and every later
+      citation of it by a peer — is a hit on the object the node signed.
 
-    One table per endpoint, never shared: a replica may skip only work
-    it did itself. Both halves are off under
+    The table serves the v4 record only, and only as a whole: what a
+    citation *inside* a record stands for is looked up in the payload's
+    own pool, never here. One table per endpoint, never shared: a
+    replica may skip only work it did itself. Both halves are off under
     :func:`~repro.crypto.cache.caching_disabled`.
     """
 
@@ -668,8 +910,11 @@ class EnvelopeTable:
         self._interned: weakref.WeakValueDictionary[bytes, SignedMessage] = (
             weakref.WeakValueDictionary()
         )
-        self._walks = _walks(self)
-        self._encoded: tuple[weakref.ref[SignedMessage], bytes, int] | None = None
+        self._walks = {**_PLAIN, VERSION_CITED: _Walk(VERSION_CITED, self)}
+        #: (the envelope, its records, their pool entries, its own).
+        self._encoded: (
+            tuple[weakref.ref[SignedMessage], bytes, dict[bytes, tuple], tuple] | None
+        ) = None
         self._metrics = metrics
 
     def __len__(self) -> int:
@@ -677,37 +922,39 @@ class EnvelopeTable:
         return len(self._interned)
 
     def held(self, key: bytes) -> SignedMessage | None:
-        """The envelope whose v3 record hashes to ``key``, if still alive."""
-        envelope = self._interned.get(key)
-        if envelope is not None:
-            self._metrics.inc("envelope_intern_hits")
-        return envelope
+        """The envelope whose v4 record hashes to ``key``, if still alive."""
+        return self._interned.get(key)
 
-    def register(self, key: bytes, envelope: SignedMessage, height: int) -> None:
-        """Keep the envelope just built from the v3 record hashing to ``key``."""
-        envelope.__dict__[_HEIGHT] = height
+    def stepped_over(self, hits: int) -> None:
+        """Count the records of one payload that :meth:`held` answered."""
+        self._metrics.inc("envelope_intern_hits", hits)
+
+    def register(self, key: bytes, envelope: SignedMessage, record: tuple) -> None:
+        """Keep the envelope just built from the v4 record hashing to ``key``."""
+        envelope.__dict__[_RECORD] = record
         self._interned[key] = envelope
         self._metrics.inc("envelopes_interned")
 
-    def spliced(self, envelope: SignedMessage, depth: int) -> bytes | None:
-        """``envelope``'s record if it was the last one encoded and fits here."""
+    def spliced(self, envelope: SignedMessage, walk: _Walk) -> tuple | None:
+        """Open ``walk``'s pool with ``envelope``'s records if it was encoded last."""
         last = self._encoded
-        if last is not None and last[0]() is envelope and depth + last[2] <= MAX_DEPTH:
-            return last[1]
-        return None
+        if last is None or last[0]() is not envelope:
+            return None
+        walk.records += last[1]
+        walk.pool.update(last[2])
+        return last[3]
 
-    def remember(self, envelope: SignedMessage, record: bytes, height: int) -> None:
-        """Keep the outermost envelope just encoded as the v3 ``record``."""
-        self._encoded = (weakref.ref(envelope), record, height)
-        memo = envelope.__dict__
-        # One record per object, so the height on the object is that
-        # record's: an envelope that came off the wire keeps the entry
-        # (and the height) its own bytes earned.
-        if _HEIGHT not in memo:
-            key = hashlib.sha256(record).digest()
-            if key not in self._interned:  # else an equal twin is held: it stays
-                memo[_HEIGHT] = height
-                self._interned[key] = envelope
+    def remember(
+        self, envelope: SignedMessage, entry: tuple, cites: tuple, walk: _Walk
+    ) -> None:
+        """Keep the outermost envelope just encoded, ``walk``'s pool so far."""
+        self._encoded = (
+            weakref.ref(envelope), bytes(walk.records), dict(walk.pool), entry
+        )
+        key, height, size = entry
+        if key not in self._interned:  # else it, or an equal twin, is held: it stays
+            envelope.__dict__[_RECORD] = (height, size, cites)
+            self._interned[key] = envelope
 
 
 def encode_payload(
@@ -717,8 +964,9 @@ def encode_payload(
 ) -> bytes:
     """Encode one message to payload bytes (no frame header).
 
-    ``table`` (v3 only) splices the envelope this endpoint encoded last
-    instead of re-walking it; the bytes are the same either way.
+    ``table`` (v4 only) splices the records of the envelope this endpoint
+    encoded last instead of re-walking it; the bytes are the same either
+    way.
     """
     if version == VERSION:
         return _encode(value, 0)
@@ -727,8 +975,19 @@ def encode_payload(
     if walk is None:
         raise WireError(f"unsupported wire version {version}")
     out = bytearray()
-    _encode_v2(out, value, 0, walk)
-    return bytes(out)
+    try:
+        _encode_v2(out, value, 0, walk)
+        if not walk.pool:
+            return bytes(out)
+        if type(value) in _SHARED:  # so is a shared record's: it cites nothing
+            raise WireError(f"shared {type(value).__name__} holds a pooled value")
+        if len(out) + walk.spelled > MAX_FRAME:
+            raise WireError("payload spells out beyond MAX_FRAME")
+        walk.records += out  # the pool, then the root
+        return bytes(walk.records)
+    finally:
+        if walk.pool:
+            walk.reset()
 
 
 def decode_payload(
@@ -738,9 +997,9 @@ def decode_payload(
 ) -> Any:
     """Decode one payload; any malformation raises :class:`WireError`.
 
-    ``table`` interns the envelope records of a v3 payload: one this
-    endpoint already holds is returned as that very object. A v1 or v2
-    payload decodes the same with or without it.
+    ``table`` interns the envelope records of a v4 payload: one this
+    endpoint already holds is returned as that very object. A v1, v2 or
+    v3 payload decodes the same with or without it.
     """
     buf = data if isinstance(data, memoryview) else memoryview(data)
     try:
@@ -768,7 +1027,7 @@ def encode_frame(
 ) -> bytes:
     """Encode one message to a complete wire frame.
 
-    ``version`` selects the payload encoding (default: v3); any
+    ``version`` selects the payload encoding (default: v4); any
     supported receiver decodes every one. ``table`` is the sending
     endpoint's :class:`EnvelopeTable`, if it keeps one.
     """
@@ -897,7 +1156,6 @@ def _register_stack_types() -> None:
         VCurrent,
         VNext,
         VDecide,
-        ClientRequest,
         ClientReply,
         Checkpoint,
         StateRequest,
@@ -910,6 +1168,8 @@ def _register_stack_types() -> None:
         StatusReply,
     ):
         register_wire_type(cls)
+    # Every INIT and every est_vect of a slot repeats the same batches.
+    register_wire_type(ClientRequest, shared=True)
     # Certificate is a plain class sorting its entries itself; shipping
     # the entry tuple is enough to rebuild it canonically.
     register_wire_type(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 from repro.core.certificates import (
     Certificate,
     CertificationAuthority,
@@ -12,6 +14,7 @@ from repro.core.specs import SystemParameters
 from repro.crypto.keys import KeyAuthority
 from repro.crypto.signatures import SignatureScheme
 from repro.messages.consensus import Init, NULL, VCurrent, VNext, Vector
+from repro.net.wire import WireError, payload_records
 
 
 class SignedWorkbench:
@@ -110,32 +113,92 @@ def envelopes(message: SignedMessage):
             yield from envelopes(entry)
 
 
+#: Tag and u32 length ahead of what a wire record holds.
+RECORD_HEAD = 5
+
+
+#: The records a wire payload opens with, in order; the rest is its root.
+records = payload_records
+
+
+def cite(record: bytes) -> bytes:
+    """The citation of a wire record: ``0x0D | SHA-256(record bytes)``."""
+    return b"\x0d" + hashlib.sha256(record).digest()
+
+
+def recited(payload: bytes, tampered: bytes) -> bytes | None:
+    """``tampered`` — ``payload`` with bytes of its records changed — made to parse.
+
+    A record's citations carry its digest, so a changed record leaves
+    them dangling; this re-computes every citation down the payload, the
+    way a tamperer who wants the change *looked at* would have to.
+    ``None`` if the change moved a record boundary: no chain to mend.
+    """
+    try:
+        pool = records(tampered)
+    except WireError:
+        return None
+    if [len(r) for r in pool] != [len(r) for r in records(payload)]:
+        return None
+    root = tampered[sum(map(len, pool)) :]
+    for index, honest in enumerate(records(payload)):
+        old, new = cite(honest), cite(pool[index])
+        pool[index + 1 :] = [later.replace(old, new) for later in pool[index + 1 :]]
+        root = root.replace(old, new)
+    return b"".join(pool) + root
+
+
 def envelope_trees(bench: SignedWorkbench, max_leaves: int = 8):
     """Hypothesis strategy: signed envelope trees over ``bench``'s keys.
 
     Leaves are INITs; every inner node is a CURRENT certified by its
     children and then left as signed, cut to light entries, or cut to a
     digest-only certificate — full, pruned and nested certificates mixed
-    at every level.
+    at every level. Sub-envelopes and client requests repeat the way a
+    slot's traffic repeats them: a leaf's value may be a batch of
+    requests drawn, as fresh equal objects, from a handful; a node's
+    ``est_vect`` holds its children's batches again; and a node may cite
+    its first child's own entries next to the child, as a DECIDE cites
+    the INITs its CURRENTs cite.
     """
     from hypothesis import strategies as st
 
-    def node(pid: int, round_number: int, children: list, prune: int) -> SignedMessage:
+    from repro.replication.kvstore import Command
+    from repro.service.messages import ClientRequest
+
+    def node(
+        pid: int, round_number: int, children: list, prune: int, regrand: bool
+    ) -> SignedMessage:
+        entries = tuple(children)
+        if regrand and isinstance(children[0].cert, Certificate):
+            entries += children[0].cert.entries
+        est_vect = tuple(
+            child.body.value if isinstance(child.body, Init) else NULL
+            for child in children
+        )
         message = bench.authorities[pid].make(
-            VCurrent(sender=pid, round=round_number, est_vect=("x",) * bench.n),
-            Certificate(tuple(children)),
+            VCurrent(sender=pid, round=round_number, est_vect=est_vect),
+            Certificate(entries),
         )
         return {0: message, 1: message.pruned(1), 2: message.light()}[prune]
 
     pids = st.integers(min_value=0, max_value=bench.n - 1)
+    requests = st.builds(
+        ClientRequest,
+        client=st.just(bench.n),
+        req_id=st.integers(min_value=0, max_value=2),
+        command=st.just(Command("set", "k", "v")),
+    )
+    values = st.text(max_size=4) | st.lists(requests, max_size=3).map(tuple)
     return st.recursive(
-        st.builds(bench.signed_init, pids, st.text(max_size=4)),
+        st.builds(bench.signed_init, pids, values),
         lambda children: st.builds(
             node,
             pids,
             st.integers(min_value=0, max_value=3),
             st.lists(children, min_size=1, max_size=3),
             st.integers(min_value=0, max_value=2),
+            st.booleans(),
         ),
         max_leaves=max_leaves,
     )

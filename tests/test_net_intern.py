@@ -1,16 +1,17 @@
 """Tests: the per-endpoint envelope table (repro.net.wire.EnvelopeTable).
 
-A signed envelope crosses a replica's wire many times — alone, then
-inside every certificate that cites it. With a table installed the
-decoder steps over a v3 envelope record it has seen and hands back the
-object the endpoint already holds (memoised encodings and digests
-intact), and the encoder splices a broadcast's envelope instead of
-re-walking it per destination — and enters what it encodes, so a node's
-copy to itself is the object it signed. These tests attack what that
-must never change:
+A signed envelope crosses a replica's wire many times — alone, then in
+the pool of every frame whose certificates cite it. With a table
+installed the decoder steps over a v4 envelope record it has seen and
+hands back the object the endpoint already holds (memoised encodings
+and digests intact), and the encoder splices the pool of a broadcast's
+envelope instead of re-walking it per destination — and enters what it
+encodes, so a node's copy to itself is the object it signed. These tests
+attack what that must never change:
 
 * a repeat decodes to the *same* object, but one flipped byte anywhere
-  in the span misses the table and is judged by the signature and
+  in a record misses the table and — dangling as sent, or re-cited so
+  that it parses — is judged by the wire, the signature and the
   certification modules exactly as under ``caching_disabled()``;
 * a run over real sockets commits the same store with interning on and
   off;
@@ -25,6 +26,7 @@ from __future__ import annotations
 import asyncio
 import collections
 import gc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,7 +42,9 @@ from repro.net.cluster import make_genesis, wait_cluster_ready
 from repro.net.node import NetNode
 from repro.net.transport import LoopbackHub, PeerTransport
 from repro.net.wire import (
+    HEADER,
     MAX_DEPTH,
+    VERSION_CITED,
     EnvelopeTable,
     WireError,
     decode_frame,
@@ -50,7 +54,7 @@ from repro.net.wire import (
 from repro.observability.registry import MODULE_NET, MetricsRegistry
 from repro.replication.log import SlotEnvelope
 
-from tests.helpers import SignedWorkbench, envelope_trees, envelopes
+from tests.helpers import SignedWorkbench, envelope_trees, envelopes, recited
 
 BENCH = SignedWorkbench(4)
 #: The coordinator's CURRENT (three INITs in its est_cert) ...
@@ -81,10 +85,11 @@ class TestInterning:
         assert alone.inner == CURRENT
         assert nested_current(first.inner) is alone.inner
         assert nested_current(second.inner) is alone.inner
-        # CURRENT + its 3 INITs + the two relays were built; CURRENT was
-        # then found twice and stepped over — its INITs never looked at.
+        # CURRENT + its 3 INITs + the two relays were built; each relay's
+        # frame then pooled CURRENT and the INITs again — four records
+        # hashed, found and stepped over, per frame.
         assert registry.counter_total(MODULE_NET, "envelopes_interned") == 6
-        assert registry.counter_total(MODULE_NET, "envelope_intern_hits") == 2
+        assert registry.counter_total(MODULE_NET, "envelope_intern_hits") == 8
         assert len(table) == 6
 
     def test_what_a_node_encodes_it_decodes_to_the_object_it_holds(self):
@@ -142,6 +147,11 @@ class TestInterning:
         del mine
         gc.collect()
         assert len(table) == 0
+        # The broadcast memo kept bytes and digests of it, no object.
+        assert table._encoded[0]() is None
+        assert not any(
+            isinstance(part, SignedMessage) for part in gc.get_referents(table._encoded)
+        )
 
     def test_loopback_hub_keeps_the_plain_path(self):
         scheduler = ManualScheduler()
@@ -157,7 +167,7 @@ class TestInterning:
 
 
 class TestTampering:
-    """One flipped byte in a known span: a miss, then the usual verdict."""
+    """One flipped byte in a known record: a miss, then the usual verdict."""
 
     def verdict(self, frame: bytes, table, cache) -> tuple:
         """(rejecting module, detail) for one arriving relay frame."""
@@ -184,9 +194,10 @@ class TestTampering:
         )
 
     def test_every_flip_in_the_nested_span_misses_and_is_rejected_as_uncached(self):
-        span = encode_payload(CURRENT)  # its record: tag, length, fields
+        span = encode_payload(CURRENT)  # its pool: the INITs' records, then its own
         frame = encode_frame(SlotEnvelope(5, RELAYS[0]))
         start = frame.index(span)
+        assert start == HEADER.size
         # Warm everything with the honest traffic: the table holds
         # CURRENT, the verdict caches hold its accepts.
         table, cache = EnvelopeTable(), PredicateCache()
@@ -197,14 +208,26 @@ class TestTampering:
         cached, uncached = collections.Counter(), collections.Counter()
         for offset in range(len(span)):
             for bit in (0x01, 0x80):
-                mutated = bytearray(frame)
-                mutated[start + offset] ^= bit
-                mutated = bytes(mutated)
+                flipped = bytearray(frame)
+                flipped[start + offset] ^= bit
+                # As sent, whatever cited the flipped record dangles: the
+                # wire's verdict, and the same one table or no table —
+                # the records around it are all ones the table holds.
+                as_sent = self.verdict(bytes(flipped), table, cache)
+                with caching_disabled():
+                    assert as_sent == self.verdict(bytes(flipped), None, None)
+                assert as_sent == ("wire",), (offset, bit)
+                # Re-cited up the chain it parses, if the flip left the
+                # record well-formed, and the modules get to judge it.
+                payload = recited(frame[HEADER.size :], bytes(flipped[HEADER.size :]))
+                if payload is None:  # a flipped length byte
+                    continue
+                mutated = frame[: HEADER.size] + payload
                 try:
                     seen = nested_current(decode_frame(mutated, table=table).inner)
                 except WireError:
                     seen = None
-                assert seen is not honest.inner  # the flipped span missed
+                assert seen is not honest.inner  # the flipped record missed
                 with_table = self.verdict(mutated, table, cache)
                 with caching_disabled():
                     without = self.verdict(mutated, None, None)
@@ -212,7 +235,7 @@ class TestTampering:
                 if with_table[0] == "accepted":
                     # The codec reads a few non-canonical spellings (an
                     # empty tuple flipped to empty bytes): a different
-                    # span, hence a miss, for the very same value.
+                    # record, hence a miss, for the very same value.
                     assert decode_frame(mutated).inner == RELAYS[0]
                 cached[with_table[0]] += 1
                 uncached[without[0]] += 1
@@ -238,6 +261,17 @@ class TestEncodeOnce:
             SlotEnvelope(7, RELAYS[1])
         )
         assert table._encoded[0]() is RELAYS[1]
+        # ... and that is decided once a payload: the table is asked for
+        # the outermost envelope alone, not down its first-child chain.
+        with mock.patch.object(
+            EnvelopeTable, "remember", autospec=True, side_effect=EnvelopeTable.remember
+        ) as remember, mock.patch.object(
+            EnvelopeTable, "spliced", autospec=True, side_effect=EnvelopeTable.spliced
+        ) as asked:
+            for held in (EnvelopeTable(), table):
+                assert encode_frame(SlotEnvelope(7, RELAYS[0]), table=held) == plain[0]
+        assert remember.call_count == asked.call_count == 2
+        assert table._walks[VERSION_CITED].table is table
 
     def test_a_splice_past_the_depth_ceiling_still_raises(self):
         def wrapped(levels: int):
