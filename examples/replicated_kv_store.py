@@ -23,7 +23,7 @@ config = ServiceConfig(
     checkpoint_interval=2,
     seed=99,
 )
-system = build_service_system(config, recoveries=((2, 25.0, 60.0),))
+system = build_service_system(config, recoveries=((2, 15.0, 30.0),))
 result = system.run(max_time=2_500.0)
 print(f"run: {result.reason} at t={result.end_time:.1f}, "
       f"{system.world.network.messages_sent} messages")
@@ -50,7 +50,7 @@ print(f"final state digest {next(iter(digests))[:16]}..., "
 replica = system.replicas[2]
 assert replica.state_transfers_completed, "replica 2 never caught up!"
 when, installed, frontier = replica.state_transfers_completed[-1]
-print(f"\nreplica 2 went down at t=25, restarted empty at t=60,")
+print(f"\nreplica 2 went down at t=15, restarted empty at t=30,")
 print(f"  installed a certified snapshot of {installed} slots at t={when:.1f}")
 print(f"  and kept committing: applied frontier now {replica.next_apply} "
       f"(> {installed}, so it rejoined the pipeline).")

@@ -67,15 +67,22 @@ class SignatureCache:
     cached: a reject is as content-pinned as an accept, and Byzantine
     peers replaying a bad envelope should not buy a MAC computation per
     replay.
+
+    Verdicts are filed per key domain (a key's first component), so an
+    owner that retires a domain — a service replica truncating the slots
+    below its stable checkpoint — drops exactly its verdicts with
+    :meth:`drop_domain`, in time proportional to what it drops.
     """
 
-    __slots__ = ("max_entries", "hits", "misses", "_verdicts", "_metrics")
+    __slots__ = ("max_entries", "hits", "misses", "_domains", "_size", "_metrics")
 
     def __init__(self, max_entries: int = 1 << 16) -> None:
         self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
-        self._verdicts: dict[tuple, bool] = {}
+        #: domain -> key -> verdict, both in insertion order.
+        self._domains: dict[object, dict[tuple, bool]] = {}
+        self._size = 0
         self._metrics: ModuleMetrics = NULL_METRICS
 
     def attach_metrics(self, metrics: ModuleMetrics) -> None:
@@ -91,7 +98,8 @@ class SignatureCache:
 
     def lookup(self, key: tuple) -> bool | None:
         """The cached verdict for ``key``, or ``None`` on a miss."""
-        verdict = self._verdicts.get(key)
+        verdicts = self._domains.get(key[0])
+        verdict = None if verdicts is None else verdicts.get(key)
         if verdict is None:
             self.misses += 1
             self._metrics.inc("sig_cache_misses")
@@ -101,16 +109,35 @@ class SignatureCache:
         return verdict
 
     def store(self, key: tuple, verdict: bool) -> None:
-        if len(self._verdicts) >= self.max_entries:
-            # Drop the oldest entry (insertion order); the cache is a
+        verdicts = self._domains.get(key[0])
+        if verdicts is None:
+            verdicts = self._domains[key[0]] = {}
+        elif key in verdicts:
+            verdicts[key] = verdict
+            return
+        if self._size >= self.max_entries:
+            # Drop the oldest entry of the oldest domain; the cache is a
             # memo, so eviction costs a re-verification, never safety.
-            self._verdicts.pop(next(iter(self._verdicts)))
+            oldest = next(iter(self._domains))
+            victims = self._domains[oldest]
+            del victims[next(iter(victims))]
+            if not victims and oldest != key[0]:
+                del self._domains[oldest]
+            self._size -= 1
             self._metrics.inc("sig_cache_evictions")
-        self._verdicts[key] = verdict
+        verdicts[key] = verdict
+        self._size += 1
+
+    def drop_domain(self, domain: object) -> None:
+        """Forget every verdict filed under ``domain``."""
+        verdicts = self._domains.pop(domain, None)
+        if verdicts is not None:
+            self._size -= len(verdicts)
 
     def clear(self) -> None:
         """Forget every verdict (a restarting process starts cold)."""
-        self._verdicts.clear()
+        self._domains.clear()
+        self._size = 0
 
     def __len__(self) -> int:
-        return len(self._verdicts)
+        return self._size

@@ -14,12 +14,18 @@ never believes one reply (docs/NET.md):
   each replica *claims*, and the orchestrator cross-checks the claims
   against each other (digest convergence, exactly-once counts).
 
-Submission mirrors the simulator's clients: a request goes to one
-preferred replica, and silence past ``request_timeout`` resubmits the
-same request to the next replica round-robin — replica-side
-deduplication by ``(client, req_id)`` makes retries idempotent. Request
-ids are drawn from a random base per client *instance*, so a restarted
-client process cannot collide with its former self's ids.
+Submission mirrors the simulator's clients: every request goes to
+**every** replica, encoded once, and silence past ``request_timeout``
+sends it to every replica again. The replicas decide among themselves
+which one proposes it (docs/SERVICE.md); replica-side deduplication by
+``(client, req_id)`` makes resubmissions idempotent. Sending never
+waits on a replica: dials and drains run as tasks of their own, each
+bounded by ``request_timeout``. A replica that refuses a dial, hangs
+it, or stops reading is redialed no sooner than the transport's capped
+backoff allows, so a dead replica costs a connection attempt per
+backoff period, not one per request. Request ids are drawn from a
+random base per client *instance*, so a restarted client process
+cannot collide with its former self's ids.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from repro.net.messages import (
     StatusReply,
     StatusRequest,
 )
+from repro.net.transport import backoff_delay
 from repro.net.wire import FrameAssembler, WireError, encode_frame
 from repro.replication.kvstore import Command
 from repro.service.messages import ClientReply, ClientRequest
@@ -93,6 +100,13 @@ class NetClient:
         self.f = genesis.service_config().params().f
         self._writers: dict[int, asyncio.StreamWriter] = {}
         self._readers: dict[int, asyncio.Task] = {}
+        #: replica -> the dial in progress, and the frames it will send.
+        self._dials: dict[int, asyncio.Task] = {}
+        self._queued: dict[int, list[bytes]] = {}
+        #: replica -> the wait for its connection's send buffer to empty.
+        self._drains: dict[int, asyncio.Task] = {}
+        #: replica -> (failures in a row, loop time of the next dial).
+        self._backoff: dict[int, tuple[int, float]] = {}
         self._pending: dict[tuple[str, int], _PendingOp] = {}
         self._req_base = int.from_bytes(os.urandom(3), "big") << 24
         self._req_seq = 0
@@ -102,27 +116,59 @@ class NetClient:
 
     # -- connections -------------------------------------------------------
 
-    async def _ensure_connection(self, replica: int) -> asyncio.StreamWriter | None:
-        writer = self._writers.get(replica)
-        if writer is not None and not writer.is_closing():
-            return writer
+    async def _dial(self, replica: int) -> None:
+        """Connect to ``replica`` (bounded by ``request_timeout``), say
+        hello and send the frames queued meanwhile; on failure drop them
+        and back off."""
         self._drop_connection(replica)
         host, port = self.genesis.address_of(replica)
         try:
-            reader, writer = await asyncio.open_connection(host, port)
-            writer.write(
-                encode_frame(
-                    self.genesis.hello_for(self.pid, replica, ROLE_CLIENT)
-                )
+            reader, writer = await asyncio.wait_for(
+                asyncio.open_connection(host, port), self.genesis.request_timeout
             )
-            await writer.drain()
-        except (OSError, ConnectionError):
-            return None
+        except (OSError, asyncio.TimeoutError):
+            self._unreachable(replica)
+            return
+        finally:
+            self._dials.pop(replica, None)
+            frames = self._queued.pop(replica, [])
+        self._backoff.pop(replica, None)
         self._writers[replica] = writer
         self._readers[replica] = asyncio.get_running_loop().create_task(
             self._read_loop(replica, reader)
         )
-        return writer
+        writer.write(
+            encode_frame(self.genesis.hello_for(self.pid, replica, ROLE_CLIENT))
+        )
+        for frame in frames:
+            self._write(replica, writer, frame)
+
+    def _unreachable(self, replica: int) -> None:
+        failures = self._backoff.get(replica, (0, 0.0))[0] + 1
+        self._backoff[replica] = (
+            failures,
+            asyncio.get_running_loop().time() + backoff_delay(failures),
+        )
+
+    def _write(self, replica: int, writer: asyncio.StreamWriter, frame: bytes) -> None:
+        writer.write(frame)
+        if writer.transport.get_write_buffer_size() and replica not in self._drains:
+            self._drains[replica] = asyncio.get_running_loop().create_task(
+                self._drain(replica, writer)
+            )
+
+    async def _drain(self, replica: int, writer: asyncio.StreamWriter) -> None:
+        """Wait for what ``writer`` buffered to reach the replica; one
+        that does not take it within ``request_timeout`` — it stopped
+        reading — is dropped and backed off like a refused dial."""
+        try:
+            await asyncio.wait_for(writer.drain(), self.genesis.request_timeout)
+        except (OSError, asyncio.TimeoutError):
+            if self._writers.get(replica) is writer:
+                self._drop_connection(replica)
+                self._unreachable(replica)
+        finally:
+            self._drains.pop(replica, None)
 
     def _drop_connection(self, replica: int) -> None:
         writer = self._writers.pop(replica, None)
@@ -150,17 +196,31 @@ class NetClient:
             if self._readers.get(replica) is asyncio.current_task():
                 self._drop_connection(replica)
 
-    async def _send(self, replica: int, payload: Any) -> None:
-        writer = await self._ensure_connection(replica)
-        if writer is None:
-            return
-        try:
-            writer.write(encode_frame(payload))
-            await writer.drain()
-        except (OSError, ConnectionError):
-            self._drop_connection(replica)
+    def _multicast(self, payload: Any) -> None:
+        """Send ``payload`` to every reachable replica, encoded once.
+
+        Nothing here waits on a replica: a frame goes into each open
+        connection's buffer, or joins the dial in progress, or starts a
+        dial; a replica backing off is skipped. Dials and drains run as
+        tasks of their own, so a replica that hangs a dial or stops
+        reading holds up no other replica and no caller.
+        """
+        frame = encode_frame(payload)
+        for replica in range(self.genesis.n_replicas):
+            writer = self._writers.get(replica)
+            if writer is not None and not writer.is_closing():
+                self._write(replica, writer, frame)
+            elif replica in self._dials:
+                self._queued[replica].append(frame)
+            else:
+                loop = asyncio.get_running_loop()
+                if loop.time() >= self._backoff.get(replica, (0, 0.0))[1]:
+                    self._queued[replica] = [frame]
+                    self._dials[replica] = loop.create_task(self._dial(replica))
 
     async def close(self) -> None:
+        for task in [*self._dials.values(), *self._drains.values()]:
+            task.cancel()
         for replica in list(self._writers):
             self._drop_connection(replica)
         await asyncio.sleep(0)
@@ -190,18 +250,19 @@ class NetClient:
         kind: str,
         req_id: int,
         op: _PendingOp,
-        submit,
+        request: Any,
         *,
         attempts: int,
         what: str,
     ) -> Any:
-        """Drive submit / wait / resubmit until the op's future resolves."""
+        """Multicast ``request`` until the op's future resolves, again on
+        every ``request_timeout`` of silence."""
         self._pending[(kind, req_id)] = op
         try:
             for attempt in range(attempts):
                 if attempt:
                     self.resubmissions += 1
-                await submit(attempt)
+                self._multicast(request)
                 try:
                     return await asyncio.wait_for(
                         asyncio.shield(op.future),
@@ -225,14 +286,8 @@ class NetClient:
             client=self.pid, req_id=req_id, command=Command("set", key, value)
         )
         op = _PendingOp(need=self.f + 1, match=False)
-
-        async def submit(attempt: int) -> None:
-            # The simulator's redirect-on-silence rule, verbatim.
-            target = (self.pid + req_id + attempt) % self.genesis.n_replicas
-            await self._send(target, request)
-
         slot = await self._await_quorum(
-            "reply", req_id, op, submit,
+            "reply", req_id, op, request,
             attempts=attempts, what=f"set {key!r}",
         )
         self.sets_completed += 1
@@ -243,13 +298,8 @@ class NetClient:
         req_id = self._next_req_id()
         request = ReadRequest(client=self.pid, req_id=req_id, key=key)
         op = _PendingOp(need=self.f + 1, match=True)
-
-        async def submit(attempt: int) -> None:
-            for replica in range(self.genesis.n_replicas):
-                await self._send(replica, request)
-
         found, value = await self._await_quorum(
-            "read", req_id, op, submit,
+            "read", req_id, op, request,
             attempts=attempts, what=f"get {key!r}",
         )
         self.gets_completed += 1
@@ -261,9 +311,7 @@ class NetClient:
         op = _PendingOp(need=self.genesis.n_replicas, match=False)
         self._pending[("status", req_id)] = op
         try:
-            request = StatusRequest(client=self.pid, req_id=req_id)
-            for replica in range(self.genesis.n_replicas):
-                await self._send(replica, request)
+            self._multicast(StatusRequest(client=self.pid, req_id=req_id))
             try:
                 await asyncio.wait_for(asyncio.shield(op.future), timeout)
             except asyncio.TimeoutError:

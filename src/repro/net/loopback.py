@@ -42,8 +42,9 @@ def fixed_addresses(n_replicas: int, port_base: int) -> tuple[tuple[str, int], .
 class LoopbackClient:
     """Minimal correct client: f+1 distinct acks, resubmit on silence.
 
-    Each resubmission rotates to the next replica, so a dead or muted
-    first contact costs one ``request_timeout``, not the request.
+    Like :class:`~repro.net.client.NetClient`, it sends every request
+    and every resubmission to every replica; the replicas pick the
+    proposer.
     """
 
     def __init__(
@@ -84,10 +85,9 @@ class LoopbackClient:
         request = self.outstanding.get(req_id)
         if request is None:
             return
-        attempt = self.attempts[req_id]
         self.attempts[req_id] += 1
-        target = (self.pid + req_id + attempt) % self.genesis.n_replicas
-        self.transport.send(target, request)
+        for replica in range(self.genesis.n_replicas):
+            self.transport.send(replica, request)
         self.scheduler.schedule_after(
             self.genesis.request_timeout,
             "resubmit",

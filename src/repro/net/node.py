@@ -35,7 +35,7 @@ from repro.net.clock import WallScheduler
 from repro.net.genesis import Genesis
 from repro.net.messages import ReadReply, ReadRequest, StatusReply, StatusRequest
 from repro.net.transport import PeerTransport
-from repro.observability.export import write_run_jsonl
+from repro.observability.export import detail_value, write_run_jsonl
 from repro.observability.registry import MODULE_NET, MetricsRegistry
 from repro.service.checkpoint import service_digest
 from repro.service.replica import ServiceReplicaProcess
@@ -52,6 +52,9 @@ class BoundedTrace(Trace):
     Simulated runs are finite; a deployed node is not, so its trace must
     not grow without bound. The JSONL export of a long-lived node is
     therefore a *recent-events window* plus the (complete) metrics.
+    Each detail value is kept as the artifact renders it, never as the
+    object itself: a ring of 4,096 events must not hold thousands of
+    slots' proposals and vectors alive after the log let them go.
     """
 
     def __init__(self, max_events: int = 4096) -> None:
@@ -60,6 +63,8 @@ class BoundedTrace(Trace):
         self.dropped = 0
 
     def record(self, time: float, kind: str, process: int | None = None, **detail: Any):
+        for key, value in detail.items():
+            detail[key] = detail_value(value)
         event = super().record(time, kind, process=process, **detail)
         overflow = len(self._events) - self._max_events
         if overflow > 0:

@@ -54,6 +54,11 @@ BACKOFF_CAP = 2.0
 READ_CHUNK = 1 << 16
 
 
+def backoff_delay(failures: int) -> float:
+    """Seconds to wait before the next dial after ``failures`` in a row."""
+    return min(BACKOFF_CAP, BACKOFF_BASE * (2 ** min(failures, 10)))
+
+
 class TransportError(ReproError):
     """The transport was driven outside its contract."""
 
@@ -340,9 +345,7 @@ class PeerTransport:
                 return
             self._metrics.inc("peer_reconnects")
             attempt += 1
-            await asyncio.sleep(
-                min(BACKOFF_CAP, BACKOFF_BASE * (2 ** min(attempt, 10)))
-            )
+            await asyncio.sleep(backoff_delay(attempt))
 
     # -- inbound connections ----------------------------------------------
 

@@ -54,7 +54,7 @@ def dumps_canonical(record: Mapping[str, Any]) -> str:
 _dumps = dumps_canonical
 
 
-def _detail_value(value: Any) -> Any:
+def detail_value(value: Any) -> Any:
     """A JSON-ready rendering of one trace-event detail value."""
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
@@ -73,7 +73,7 @@ def event_record(event: TraceEvent) -> dict[str, Any]:
         "type": event.kind,
         "process": event.process,
         "detail": {
-            key: _detail_value(value) for key, value in event.detail.items()
+            key: detail_value(value) for key, value in event.detail.items()
         },
     }
 

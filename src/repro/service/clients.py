@@ -11,9 +11,11 @@ Two standard workload shapes drive the service (docs/SERVICE.md):
 Both draw every random choice from the world's seeded per-process
 stream (``env.rng``), so a run is a pure function of its seed. A client
 records the submit time of every request and the end-to-end latency of
-every completion; on silence past ``request_timeout`` it *resubmits the
-same request* to the next replica in round-robin order — the replicas'
-executed-id deduplication makes the retry safe.
+every completion. It sends every request to every replica — the
+replicas decide which one proposes it (docs/SERVICE.md) — and on
+silence past ``request_timeout`` *resubmits the same request* to every
+replica again; the replicas' executed-id deduplication makes the retry
+safe.
 """
 
 from __future__ import annotations
@@ -79,11 +81,8 @@ class ServiceClient(Process):
         self._submit(request)
 
     def _submit(self, request: ClientRequest) -> None:
-        # Round-robin over replicas: the preferred seat first, the next
-        # one on each resubmission (redirect-on-silence).
-        attempt = self.attempts[request.req_id]
-        target = (self.pid + request.req_id + attempt) % self.n_replicas
-        self.send(target, request)
+        for replica in range(self.n_replicas):
+            self.send(replica, request)
         self.set_timer(f"req-{request.req_id}", self.request_timeout)
 
     def on_timer(self, name: str) -> None:

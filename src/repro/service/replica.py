@@ -6,8 +6,10 @@ slot-per-instance Vector Consensus core (one transformed Figure-3 engine
 per slot, slot-separated signature domains, in-order apply), extended
 with everything a running service needs:
 
-* **batching** — pending client commands are packed into slot proposals,
-  flushed by size (``batch_size``) or by age (``batch_delay``);
+* **batching** — every replica holds every client request; each request
+  has one proposer, rotated past the replicas whose INIT the last slot
+  missed, and a slot opens once ``batch_size`` held requests wait
+  (``batch_delay`` is the ceiling);
 * **pipelining** — up to ``window`` slots run their consensus instances
   concurrently instead of strictly one after the other;
 * **checkpointing** — every ``checkpoint_interval`` applied slots the
@@ -27,7 +29,6 @@ the replica group alone (``n`` = replica count, not world size).
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any
 
 from repro.core.certificates import (
@@ -161,8 +162,22 @@ class ServiceReplicaProcess(Process):
         #: Compacted committed log: (slot, proposer, entry).
         self.log: list[tuple[int, int, Any]] = []
         # -- batching --------------------------------------------------------
-        self.pending: deque[ClientRequest] = deque()
-        self.pending_ids: set[tuple[int, int]] = set()
+        #: Held requests that no open slot covers yet, oldest first.
+        self.pending: dict[tuple[int, int], ClientRequest] = {}
+        #: Likewise, but passed over: a slot covered them and their seat
+        #: proposed a non-NULL entry without them. Later slots cover them
+        #: and their seat's timer opens one for them, but they count
+        #: toward no size trigger.
+        self._passed: dict[tuple[int, int], ClientRequest] = {}
+        #: ident -> how many times this replica received the request,
+        #: minus one: the ``attempt`` of :meth:`_proposer`'s rotation.
+        #: An entry lives exactly as long as the request is held.
+        self._attempts: dict[tuple[int, int], int] = {}
+        #: slot -> (request, seat) for each held request the slot covered
+        #: when it opened here; what it leaves unexecuted is released.
+        self._covered: dict[int, tuple[tuple[ClientRequest, int], ...]] = {}
+        #: Replicas whose entry was NULL in the last slot applied here.
+        self._silent: frozenset[int] = frozenset()
         self._batch_timer = False
         # -- slot pipeline ---------------------------------------------------
         self.engines: dict[int, Any] = {}
@@ -214,6 +229,11 @@ class ServiceReplicaProcess(Process):
         #: verifies in — slot engines, checkpoint votes, transfer
         #: re-checks. Keys carry the domain, so sharing is sound.
         self._sig_cache = SignatureCache()
+        #: Verdicts in the domains of slots below the stable checkpoint
+        #: (the stale-envelope ingress check), kept apart and small: a
+        #: truncated domain never refills the shared cache, and a
+        #: replayed stale envelope still costs no MAC.
+        self._stale_sig_cache = SignatureCache(max_entries=1 << 10)
         #: Fully-verified checkpoint certificates (state transfer).
         self._ckpt_cert_cache = CheckpointCertCache()
         #: slot -> verifying authority for suffix re-checks; rebuilding
@@ -237,6 +257,7 @@ class ServiceReplicaProcess(Process):
         self._metrics = env.metrics.scope(MODULE_SERVICE, env.pid)
         self._sig_metrics = env.metrics.scope(MODULE_SIGNATURE, env.pid)
         self._sig_cache.attach_metrics(self._sig_metrics)
+        self._stale_sig_cache.attach_metrics(self._sig_metrics)
         self._ckpt_cert_cache.attach_metrics(self._metrics)
         # The checkpoint signature domain is separated from every slot
         # domain (slots use seed*1_000_003 + slot for slot >= 0).
@@ -275,7 +296,7 @@ class ServiceReplicaProcess(Process):
         if isinstance(payload, SlotEnvelope):
             self._on_envelope(src, payload)
         elif isinstance(payload, ClientRequest):
-            self._on_request(payload)
+            self._on_request(src, payload)
         elif isinstance(payload, SignedMessage) and isinstance(
             payload.body, Checkpoint
         ):
@@ -299,11 +320,22 @@ class ServiceReplicaProcess(Process):
 
     # -- client requests and batching ----------------------------------------
 
-    def _on_request(self, request: ClientRequest) -> None:
-        if not isinstance(request.command, Command):
+    def _on_request(self, src: int, request: ClientRequest) -> None:
+        # Only the client itself submits its request (the channel is
+        # authenticated): a copy relayed by anyone else, a replica in
+        # particular, would move the request's attempt count — and so
+        # its proposer — on this replica alone.
+        if not (
+            src == request.client
+            and src >= self.config.n_replicas
+            and isinstance(request.client, int)
+            and isinstance(request.command, Command)
+            and isinstance(request.req_id, int)
+        ):
             self._metrics.inc("requests_rejected")
             return
-        if request.ident in self.executed:
+        ident = request.ident
+        if ident in self.executed:
             # The client resubmitted a command that already committed:
             # every reply evidently got lost; repeat ours. The slot is
             # unknown after compaction, hence the -1 sentinel.
@@ -312,25 +344,37 @@ class ServiceReplicaProcess(Process):
                 ClientReply(self.pid, request.client, request.req_id, -1),
             )
             return
-        if request.ident in self.pending_ids:
-            return  # duplicate submission, already queued or in flight
-        self.pending.append(request)
-        self.pending_ids.add(request.ident)
+        attempts = self._attempts.get(ident)
+        if attempts is not None:
+            # Held already: a resubmission moves the request one seat on
+            # along its rotation.
+            self._attempts[ident] = attempts + 1
+            return
+        self._attempts[ident] = 0
+        self.pending[ident] = request
         self._metrics.inc("requests_received")
         self._drain_batches(force=False)
 
-    def _prune_pending(self) -> None:
-        """Drop requests that committed via another replica's batch."""
-        if any(request.ident in self.executed for request in self.pending):
-            kept = deque(
-                request
-                for request in self.pending
-                if request.ident not in self.executed
-            )
-            for request in self.pending:
-                if request.ident in self.executed:
-                    self.pending_ids.discard(request.ident)
-            self.pending = kept
+    def _proposer(self, request: ClientRequest) -> int:
+        """The one replica that proposes ``request``.
+
+        The first seat of the rotation ``(client + req_id + attempt + k)
+        mod n``, k = 0, 1, …, whose entry was not NULL in the last slot
+        applied here — so a late or crashed replica's share moves to its
+        successor at the next decision, not after the client's
+        ``request_timeout``. Every correct replica applies the same
+        vectors and counts only submissions that came from the client
+        itself, so from a client that sends every submission to every
+        replica they count the same attempts and agree on the seat; no
+        replica can move the seat of another party's request.
+        """
+        n = self.config.n_replicas
+        start = request.client + request.req_id + self._attempts[request.ident]
+        for k in range(n):
+            seat = (start + k) % n
+            if seat not in self._silent:
+                return seat
+        return start % n
 
     def _open_slots(self) -> int:
         return sum(1 for slot in self.engines if slot not in self._decided)
@@ -338,13 +382,21 @@ class ServiceReplicaProcess(Process):
     def _drain_batches(self, force: bool) -> None:
         """Open new slots while the pipeline window and triggers allow.
 
-        ``force`` is the time trigger (the batch timer expired): it
-        flushes one partial batch; the size trigger keeps opening slots
-        while full batches are available and the window has room.
+        The size trigger fires while ``batch_size`` held requests wait
+        for a slot — every one counts, whoever proposes it, unless it was
+        passed over. ``force`` (this replica's batch timer expired) opens
+        one slot if this replica proposes one of the waiting requests.
+        Whichever replica opens a slot, every other one joins it with its
+        own share.
         """
-        self._prune_pending()
+        if force:
+            force = any(
+                self._proposer(request) == self.pid
+                for held in (self.pending, self._passed)
+                for request in held.values()
+            )
         while (
-            self.pending
+            (self.pending or self._passed)
             and self._open_slots() < self.config.window
             and (force or len(self.pending) >= self.config.batch_size)
         ):
@@ -355,24 +407,77 @@ class ServiceReplicaProcess(Process):
                 # re-drain once the frontier moves.
                 break
             force = False
-        if self.pending and not self._batch_timer:
+        # A holder's timer runs until what it holds is applied, so each
+        # waiting request meets its proposer's timer within batch_delay.
+        if not self._batch_timer and (self.pending or self._passed or self._covered):
             self._batch_timer = True
             self.set_timer("batch", self.config.batch_delay)
 
     def _proposal_for(self, slot: int) -> Any:
+        """This replica's entry for ``slot``.
+
+        The slot covers each proposer's first ``batch_size`` waiting
+        requests, passed-over ones first; this replica proposes its own
+        share of them.
+        """
+        size = self.config.batch_size
+        room = size * self.config.n_replicas
+        taken: dict[int, int] = {}
+        covered: list[tuple[ClientRequest, int]] = []
         batch: list[ClientRequest] = []
-        while self.pending and len(batch) < self.config.batch_size:
-            request = self.pending.popleft()
-            if request.ident in self.executed:
-                self.pending_ids.discard(request.ident)
+        waiting = [
+            (held, ident, request)
+            for held in (self._passed, self.pending)
+            for ident, request in held.items()
+        ]
+        for held, ident, request in waiting:
+            if ident in self.executed:  # installed by a state transfer
+                del held[ident]
+                self._attempts.pop(ident, None)
                 continue
-            batch.append(request)
+            seat = self._proposer(request)
+            if taken.get(seat, 0) == size:
+                continue
+            taken[seat] = taken.get(seat, 0) + 1
+            del held[ident]
+            covered.append((request, seat))
+            if seat == self.pid:
+                batch.append(request)
+            if len(covered) == room:
+                break
+        if covered:
+            self._covered[slot] = tuple(covered)
         proposal = tuple(batch) if batch else NOOP
         self._proposed[slot] = proposal
         if batch:
             self._metrics.inc("batches_proposed")
             self._metrics.observe("batch_occupancy", len(batch))
         return proposal
+
+    def _release(self, slot: int) -> None:
+        """Give back what ``slot`` covered and did not commit.
+
+        A request whose seat has moved on — its proposer's entry was
+        NULL — waits again ahead of later arrivals. One whose seat still
+        stands was passed over by a proposer that did propose (one that
+        had not received it yet, or withholds it): it waits in
+        ``_passed``, where it counts toward no size trigger, so a seat
+        that keeps passing requests over cannot make every replica
+        reopen slot after slot for them; the client's resubmission
+        moves such a request to the next seat.
+        """
+        back = {}
+        for request, seat in self._covered.pop(slot, ()):
+            ident = request.ident
+            if ident not in self._attempts:
+                continue  # committed
+            if self._proposer(request) == seat:
+                self._passed[ident] = request
+            else:
+                back[ident] = request
+        if back:
+            back.update(self.pending)
+            self.pending = back
 
     # -- the slot pipeline ---------------------------------------------------
 
@@ -390,6 +495,16 @@ class ServiceReplicaProcess(Process):
             + 8
         )
 
+    def _slot_seed(self, slot: int) -> int:
+        """Domain separation exactly as in the replicated log: one key
+        authority per slot, derived by a fixed affine map of the seed."""
+        return self.config.seed * 1_000_003 + slot
+
+    def _slot_domain(self, slot: int) -> tuple[int, int]:
+        """The ``KeyAuthority.domain`` of ``slot``'s authority: what its
+        signature verdicts are filed under."""
+        return (self.config.n_replicas, self._slot_seed(slot))
+
     def _ensure_engine(self, slot: int):
         if slot < self.base_slot:
             return None
@@ -399,11 +514,7 @@ class ServiceReplicaProcess(Process):
         if slot >= self._horizon():
             self._metrics.inc("slots_beyond_horizon")
             return None
-        # Domain separation exactly as in the replicated log: one key
-        # authority per slot, derived by a fixed affine map of the seed.
-        keys = KeyAuthority(
-            self.config.n_replicas, seed=self.config.seed * 1_000_003 + slot
-        )
+        keys = KeyAuthority(self.config.n_replicas, seed=self._slot_seed(slot))
         authority = CertificationAuthority(
             SignatureScheme(keys, cache=self._sig_cache),
             keys.signer_for(self.pid),
@@ -435,16 +546,18 @@ class ServiceReplicaProcess(Process):
 
         Shared by suffix re-checks during state transfer and the
         stale-envelope ingress check; the bounded cache keeps repeat
-        verifications of one slot's domain from re-deriving keys.
+        verifications of one slot's domain from re-deriving keys. A slot
+        below the stable checkpoint files its verdicts in the small
+        stale cache, not in the shared one its truncation emptied.
         """
         authority = self._transfer_authorities.get(slot)
         if authority is None:
-            keys = KeyAuthority(
-                self.config.n_replicas,
-                seed=self.config.seed * 1_000_003 + slot,
+            keys = KeyAuthority(self.config.n_replicas, seed=self._slot_seed(slot))
+            cache = (
+                self._sig_cache if slot >= self.base_slot else self._stale_sig_cache
             )
             authority = CertificationAuthority(
-                SignatureScheme(keys, cache=self._sig_cache),
+                SignatureScheme(keys, cache=cache),
                 keys.signer_for(self.pid),
             )
             if len(self._transfer_authorities) >= 256:
@@ -512,15 +625,10 @@ class ServiceReplicaProcess(Process):
         if justification is not None:
             self._vector_justifications[slot] = justification
         self._metrics.inc("slots_decided")
-        mine = self._proposed.get(slot, NOOP)
-        if mine != NOOP and vector[self.pid] == NULL:
-            # At-least-once: our batch lost the INIT race of this slot —
-            # requeue its still-unexecuted commands at the front.
+        if self._proposed.get(slot, NOOP) != NOOP and vector[self.pid] == NULL:
+            # Our batch lost the INIT race of this slot; at-least-once:
+            # the slot's release hands it to the next seat.
             self._metrics.inc("batches_lost")
-            for request in reversed(mine):
-                if request.ident not in self.executed:
-                    self.pending.appendleft(request)
-                    self.pending_ids.add(request.ident)
         self._apply_ready()
         self._drain_batches(force=False)
 
@@ -532,12 +640,18 @@ class ServiceReplicaProcess(Process):
             vector = self._pending_apply.pop(slot)
             self._vector_history[slot] = vector
             committed = 0
+            silent = []
             for proposer, batch in enumerate(vector):
-                if batch == NULL or batch == NOOP:
+                if batch == NULL:
+                    silent.append(proposer)
+                    continue
+                if batch == NOOP:
                     continue
                 entries = batch if isinstance(batch, tuple) else (batch,)
                 for entry in entries:
                     committed += self._apply_entry(slot, proposer, entry)
+            self._silent = frozenset(silent)
+            self._release(slot)
             self.record("commit", slot=slot, commands=committed)
             self._metrics.inc("slots_applied")
             self.next_apply += 1
@@ -551,7 +665,9 @@ class ServiceReplicaProcess(Process):
             self.executed.add(entry.ident)
             self.store.apply(entry.command)
             self.log.append((slot, proposer, entry))
-            self.pending_ids.discard(entry.ident)
+            self.pending.pop(entry.ident, None)
+            self._passed.pop(entry.ident, None)
+            self._attempts.pop(entry.ident, None)
             self._metrics.inc("commands_committed")
             if not self._replaying:
                 self.send(
@@ -667,6 +783,13 @@ class ServiceReplicaProcess(Process):
             del self.engines[slot]
             self._cancel_slot_timers(slot)
             self._proposed.pop(slot, None)
+        for slot in [s for s in self._covered if s < count]:
+            self._release(slot)  # installed by a transfer, never applied here
+        for slot in range(self.base_slot, count):
+            self._sig_cache.drop_domain(self._slot_domain(slot))
+            # Its authority files in the shared cache; a stale check
+            # builds one that files in the stale cache instead.
+            self._transfer_authorities.pop(slot, None)
         self._decided = {s for s in self._decided if s >= count}
         self._pending_apply = {
             s: v for s, v in self._pending_apply.items() if s >= count
@@ -735,13 +858,17 @@ class ServiceReplicaProcess(Process):
         self._vector_justifications.clear()
         self._proposed.clear()
         self.pending.clear()
-        self.pending_ids.clear()
+        self._attempts.clear()
+        self._covered.clear()
+        self._passed.clear()
+        self._silent = frozenset()
         self.log.clear()
         self._local_snapshots.clear()
         self._ckpt_votes.clear()
         # Verification memos live in process memory: a wiped replica
         # starts cold (re-verifies everything it is shown again).
         self._sig_cache.clear()
+        self._stale_sig_cache.clear()
         self._ckpt_cert_cache.clear()
         self._transfer_authorities.clear()
         self.store = KeyValueStore()
@@ -903,11 +1030,15 @@ class ServiceReplicaProcess(Process):
     def _on_state_response(self, response: StateResponse) -> None:
         before_apply = self.next_apply
         installed = 0
-        if response.count > self.next_apply:
+        if response.count > 0:
             certificate = response.certificate
             # The snapshot is untrusted: verify the certificate (f+1
             # valid matching signatures in the checkpoint domain) and
-            # recompute the digest from the payload before installing.
+            # recompute the digest from the payload — also when this
+            # replica is past it already, so a corrupted responder is
+            # rejected whichever response happened to arrive first —
+            # unless the payload is, field for field, the certified
+            # state this replica holds itself.
             if (
                 not isinstance(certificate, CheckpointCertificate)
                 or certificate.count != response.count
@@ -920,12 +1051,21 @@ class ServiceReplicaProcess(Process):
             ):
                 self._metrics.inc("state_responses_rejected")
                 return
-            probe = KeyValueStore().restore(
-                dict(response.snapshot), applied=response.store_applied
+            held = (
+                self.stable is not None
+                and self.stable.count == response.count
+                and self.stable.digest == certificate.digest
+                and self._stable_snapshot
+                == (response.snapshot, response.executed, response.store_applied)
             )
-            if service_digest(probe, response.executed) != certificate.digest:
-                self._metrics.inc("state_responses_rejected")
-                return
+            if not held:
+                probe = KeyValueStore().restore(
+                    dict(response.snapshot), applied=response.store_applied
+                )
+                if service_digest(probe, response.executed) != certificate.digest:
+                    self._metrics.inc("state_responses_rejected")
+                    return
+        if response.count > self.next_apply:
             self.store = probe
             self.executed = set(response.executed)
             self.stable = certificate
@@ -958,13 +1098,22 @@ class ServiceReplicaProcess(Process):
                 self._reject_suffix_entry("malformed")
                 continue
             slot, vector, justification = entry
+            if not isinstance(slot, int):
+                continue
             if (
-                not isinstance(slot, int)
-                or slot < self.next_apply
+                slot < self.next_apply
                 or slot in self._pending_apply
                 or slot in self._decided
             ):
-                continue  # stale or already decided locally
+                # Decided here already: a correct responder's vector is
+                # ours, so a different one is rejected whichever
+                # response happened to arrive first.
+                known = self._vector_history.get(
+                    slot, self._pending_apply.get(slot)
+                )
+                if known is not None and vector != known:
+                    self._reject_suffix_entry(f"slot {slot}")
+                continue
             if not self._suffix_entry_valid(slot, vector, justification):
                 self._reject_suffix_entry(f"slot {slot}")
                 continue

@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.net import loopback
 from repro.net import (
     LoopbackHub,
     ManualScheduler,
@@ -21,66 +22,27 @@ from repro.net import (
 )
 from repro.net.messages import ReadReply, ReadRequest, StatusReply, StatusRequest
 from repro.observability.export import read_run_jsonl
-from repro.replication.kvstore import Command
 from repro.service.checkpoint import service_digest
-from repro.service.messages import ClientReply, ClientRequest
 
 
-class LoopbackClient:
-    """Minimal correct client: f+1 distinct acks, resubmit on silence."""
+class LoopbackClient(loopback.LoopbackClient):
+    """The twin's client plus quorum reads and status probes."""
 
     def __init__(self, genesis, hub, scheduler, index=0):
-        self.genesis = genesis
-        self.pid = genesis.n_replicas + index
-        self.f = genesis.service_config().params().f
-        self.scheduler = scheduler
-        self.transport = hub.register(self.pid, self._on_message)
-        self.next_id = 0
-        self.outstanding: dict[int, ClientRequest] = {}
-        self.attempts: dict[int, int] = {}
-        self.acks: dict[int, set[int]] = {}
-        self.completed: set[int] = set()
+        super().__init__(genesis, hub, scheduler, index)
         self.read_replies: dict[int, dict[int, tuple[bool, object]]] = {}
         self.statuses: dict[int, StatusReply] = {}
 
     def _on_message(self, src, message):
-        if isinstance(message, ClientReply) and message.client == self.pid:
-            if message.req_id in self.completed:
-                return
-            self.acks.setdefault(message.req_id, set()).add(message.replica)
-            if len(self.acks[message.req_id]) >= self.f + 1:
-                self.completed.add(message.req_id)
-                self.outstanding.pop(message.req_id, None)
-        elif isinstance(message, ReadReply) and message.client == self.pid:
+        if isinstance(message, ReadReply) and message.client == self.pid:
             self.read_replies.setdefault(message.req_id, {})[message.replica] = (
                 message.found,
                 message.value,
             )
         elif isinstance(message, StatusReply) and message.client == self.pid:
             self.statuses[message.replica] = message
-
-    def set(self, key, value) -> int:
-        req_id = self.next_id
-        self.next_id += 1
-        request = ClientRequest(
-            client=self.pid, req_id=req_id, command=Command("set", key, value)
-        )
-        self.outstanding[req_id] = request
-        self.attempts[req_id] = 0
-        self._submit(req_id)
-        return req_id
-
-    def _submit(self, req_id) -> None:
-        request = self.outstanding.get(req_id)
-        if request is None:
-            return
-        attempt = self.attempts[req_id]
-        self.attempts[req_id] += 1
-        target = (self.pid + req_id + attempt) % self.genesis.n_replicas
-        self.transport.send(target, request)
-        self.scheduler.schedule_after(
-            self.genesis.request_timeout, "resubmit", lambda: self._submit(req_id)
-        )
+        else:
+            super()._on_message(src, message)
 
     def read(self, key) -> int:
         req_id = self.next_id
