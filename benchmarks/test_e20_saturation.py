@@ -38,7 +38,7 @@ from pathlib import Path
 
 from repro.analysis.reporting import print_table
 from repro.crypto.cache import caching_disabled
-from repro.net.client import NetClient
+from repro.net.client import NetClient, workload
 from repro.net.cluster import LocalCluster, make_genesis, wait_cluster_ready
 from repro.net.wire import DEFAULT_VERSION
 from repro.observability.export import read_run_jsonl
@@ -167,8 +167,8 @@ async def _tcp_workload() -> dict:
             cluster.start_all()
             await wait_cluster_ready(client, timeout=30.0)
             start = time.perf_counter()
-            await client.workload(
-                TCP_REQUESTS, concurrency=TCP_CONCURRENCY, tag="e20"
+            await workload(
+                client, TCP_REQUESTS, concurrency=TCP_CONCURRENCY, tag="e20"
             )
             wall = time.perf_counter() - start
             committed = client.sets_completed

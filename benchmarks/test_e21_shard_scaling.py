@@ -32,6 +32,7 @@ import time
 from pathlib import Path
 
 from repro.analysis.reporting import print_table
+from repro.net.client import workload
 from repro.shard import (
     ShardedLocalCluster,
     ShardedNetClient,
@@ -83,8 +84,8 @@ async def _tcp_cell(shards: int) -> dict:
             cluster.start_all()
             await wait_shards_ready(client, timeout=30.0)
             start = time.perf_counter()
-            stats = await client.workload(
-                TCP_REQUESTS, concurrency=TCP_CONCURRENCY, tag="e21"
+            stats = await workload(
+                client, TCP_REQUESTS, concurrency=TCP_CONCURRENCY, tag="e21"
             )
             wall = time.perf_counter() - start
         finally:

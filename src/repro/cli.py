@@ -1347,6 +1347,7 @@ def cmd_net(args: argparse.Namespace) -> int:
         run_cluster_smoke,
         serve_replica,
     )
+    from repro.net.client import workload
     from repro.net.loop import install_event_loop
 
     install_event_loop(
@@ -1420,8 +1421,8 @@ def cmd_net(args: argparse.Namespace) -> int:
                             f"rejected={status.suffix_rejections}"
                         )
                 else:
-                    stats = await client.workload(
-                        args.requests, concurrency=args.concurrency
+                    stats = await workload(
+                        client, args.requests, concurrency=args.concurrency
                     )
                     print(json.dumps(stats, indent=2, sort_keys=True))
             finally:
@@ -1449,6 +1450,7 @@ def cmd_shard(args: argparse.Namespace) -> int:
     import asyncio
     import json
 
+    from repro.net.client import workload
     from repro.net.cluster import free_ports
     from repro.net.loop import install_event_loop
     from repro.shard import (
@@ -1556,8 +1558,8 @@ def cmd_shard(args: argparse.Namespace) -> int:
                                 f"transfers={status.transfers}"
                             )
                 else:
-                    stats = await client.workload(
-                        args.requests, concurrency=args.concurrency
+                    stats = await workload(
+                        client, args.requests, concurrency=args.concurrency
                     )
                     print(json.dumps(stats, indent=2, sort_keys=True))
             finally:

@@ -147,8 +147,7 @@ class _LoopbackRun:
             extras={
                 "end_time": self.scheduler.now,
                 **self.injector.link_counts(),
-                "resubmissions": sum(self.client.attempts.values())
-                - plan.requests,
+                "resubmissions": self.client.resubmissions,
             },
         )
 

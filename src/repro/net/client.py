@@ -1,88 +1,44 @@
 """TCP client of a deployed cluster: writes, quorum reads, status probes.
 
-The client is *outside* the trust boundary of any single replica, so it
-never believes one reply (docs/NET.md):
+The protocol — f+1 distinct acks for a ``set``, f+1 matching replies
+for a ``get``, one reply per replica for a ``status`` probe, each
+counted under the replica whose connection carried it — is
+:class:`~repro.service.session.ClientSession`'s, the one the loopback
+and simulated clients run too (docs/NET.md). This module is its TCP
+driver: connections, sending, and a future per operation.
 
-* ``set`` completes once **f+1 distinct replicas** acknowledge the
-  commit — at least one of them is correct, so the command is durably
-  in the total order;
-* ``get`` (the read-only path) completes once **f+1 distinct replicas**
-  return the *same* ``(found, value)`` answer from their committed
-  state — again at least one correct replica vouches for it, and a
-  correct replica only reports committed state;
-* ``status`` is an observability probe (no quorum): it reports what
-  each replica *claims*, and the orchestrator cross-checks the claims
-  against each other (digest convergence, exactly-once counts).
-
-Submission mirrors the simulator's clients: every request goes to
-**every** replica, encoded once, and silence past ``request_timeout``
-sends it to every replica again. The replicas decide among themselves
-which one proposes it (docs/SERVICE.md); replica-side deduplication by
-``(client, req_id)`` makes resubmissions idempotent. Sending never
-waits on a replica: dials and drains run as tasks of their own, each
-bounded by ``request_timeout``. A replica that refuses a dial, hangs
-it, or stops reading is redialed no sooner than the transport's capped
-backoff allows, so a dead replica costs a connection attempt per
-backoff period, not one per request. Request ids are drawn from a
-random base per client *instance*, so a restarted client process
-cannot collide with its former self's ids.
+Every request goes to **every** replica, encoded once, and silence past
+``request_timeout`` sends it to every replica again. The replicas
+decide among themselves which one proposes it (docs/SERVICE.md);
+replica-side deduplication by ``(client, req_id)`` makes resubmissions
+idempotent. Sending never waits on a replica: dials and drains run as
+tasks of their own, each bounded by ``request_timeout``. A replica that
+refuses a dial, hangs it, or stops reading is redialed no sooner than
+the transport's capped backoff allows, so a dead replica costs a
+connection attempt per backoff period, not one per request. Request ids
+are drawn from a random base per client *instance*, so a restarted
+client process cannot collide with its former self's ids.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import os
 from typing import Any
 
 from repro.errors import ReproError
 from repro.net.genesis import Genesis
-from repro.net.messages import (
-    ROLE_CLIENT,
-    ReadReply,
-    ReadRequest,
-    StatusReply,
-    StatusRequest,
-)
+from repro.net.messages import ROLE_CLIENT, StatusReply
 from repro.net.transport import backoff_delay
 from repro.net.wire import FrameAssembler, WireError, encode_frame
-from repro.replication.kvstore import Command
-from repro.service.messages import ClientReply, ClientRequest
+from repro.service.session import ClientSession, PendingOp
 
 READ_CHUNK = 1 << 16
 
 
 class NetClientError(ReproError):
     """A client operation could not complete (exhausted retries)."""
-
-
-class _PendingOp:
-    """Reply accumulator: distinct-replica counting, optional matching."""
-
-    __slots__ = ("need", "match", "replies", "future")
-
-    def __init__(self, need: int, match: bool) -> None:
-        self.need = need
-        self.match = match
-        self.replies: dict[int, Any] = {}
-        self.future: asyncio.Future = asyncio.get_running_loop().create_future()
-
-    def add(self, replica: int, value: Any) -> None:
-        if self.future.done():
-            return
-        self.replies[replica] = value
-        if not self.match:
-            if len(self.replies) >= self.need:
-                self.future.set_result(value)
-            return
-        groups: dict[str, tuple[int, Any]] = {}
-        for candidate in self.replies.values():
-            key = repr(candidate)
-            count, _ = groups.get(key, (0, candidate))
-            groups[key] = (count + 1, candidate)
-        for count, candidate in groups.values():
-            if count >= self.need:
-                self.future.set_result(candidate)
-                return
 
 
 class NetClient:
@@ -97,7 +53,12 @@ class NetClient:
             )
         self.genesis = genesis
         self.pid = genesis.n_replicas + client_index
-        self.f = genesis.service_config().params().f
+        self.session = ClientSession(
+            self.pid,
+            genesis.n_replicas,
+            genesis.service_config().params().f,
+            first_req_id=int.from_bytes(os.urandom(3), "big") << 24,
+        )
         self._writers: dict[int, asyncio.StreamWriter] = {}
         self._readers: dict[int, asyncio.Task] = {}
         #: replica -> the dial in progress, and the frames it will send.
@@ -107,12 +68,14 @@ class NetClient:
         self._drains: dict[int, asyncio.Task] = {}
         #: replica -> (failures in a row, loop time of the next dial).
         self._backoff: dict[int, tuple[int, float]] = {}
-        self._pending: dict[tuple[str, int], _PendingOp] = {}
-        self._req_base = int.from_bytes(os.urandom(3), "big") << 24
-        self._req_seq = 0
+        #: req_id -> the future its caller awaits.
+        self._waiters: dict[int, asyncio.Future] = {}
         self.sets_completed = 0
         self.gets_completed = 0
-        self.resubmissions = 0
+
+    @property
+    def resubmissions(self) -> int:
+        return self.session.resubmissions
 
     # -- connections -------------------------------------------------------
 
@@ -189,7 +152,9 @@ class NetClient:
                 if not data:
                     return
                 for message in assembler.feed(data):
-                    self._on_message(replica, message)
+                    op = self.session.on_reply(replica, message)
+                    if op is not None:
+                        self._waiters[op.req_id].set_result(None)
         except (OSError, ConnectionError, WireError):
             return
         finally:
@@ -225,127 +190,99 @@ class NetClient:
             self._drop_connection(replica)
         await asyncio.sleep(0)
 
-    # -- reply plumbing ----------------------------------------------------
+    # -- operations --------------------------------------------------------
 
-    def _on_message(self, replica: int, message: Any) -> None:
-        if isinstance(message, ClientReply) and message.client == self.pid:
-            op = self._pending.get(("reply", message.req_id))
-            if op is not None:
-                op.add(message.replica, message.slot)
-        elif isinstance(message, ReadReply) and message.client == self.pid:
-            op = self._pending.get(("read", message.req_id))
-            if op is not None:
-                op.add(message.replica, (message.found, message.value))
-        elif isinstance(message, StatusReply) and message.client == self.pid:
-            op = self._pending.get(("status", message.req_id))
-            if op is not None:
-                op.add(message.replica, message)
-
-    def _next_req_id(self) -> int:
-        self._req_seq += 1
-        return self._req_base + self._req_seq
-
-    async def _await_quorum(
-        self,
-        kind: str,
-        req_id: int,
-        op: _PendingOp,
-        request: Any,
-        *,
-        attempts: int,
-        what: str,
+    async def _run(
+        self, op: PendingOp, what: str, *, attempts: int, timeout: float
     ) -> Any:
-        """Multicast ``request`` until the op's future resolves, again on
-        every ``request_timeout`` of silence."""
-        self._pending[(kind, req_id)] = op
+        """Multicast ``op``'s request until the session settles it, again
+        after every ``timeout`` of silence; returns its result, or raises
+        once ``attempts`` sends have left it unsettled."""
+        waiter = asyncio.get_running_loop().create_future()
+        self._waiters[op.req_id] = waiter
         try:
-            for attempt in range(attempts):
-                if attempt:
-                    self.resubmissions += 1
+            for _ in range(attempts):
+                request = self.session.submit(op.req_id)
+                if request is None:
+                    break
                 self._multicast(request)
                 try:
-                    return await asyncio.wait_for(
-                        asyncio.shield(op.future),
-                        self.genesis.request_timeout,
-                    )
+                    await asyncio.wait_for(asyncio.shield(waiter), timeout)
+                    break
                 except asyncio.TimeoutError:
                     continue
+        finally:
+            del self._waiters[op.req_id]
+            self.session.abandon(op.req_id)
+        if not op.done:
             raise NetClientError(
                 f"{what} got {len(op.replies)} of {op.need} needed replies "
                 f"after {attempts} attempts"
             )
-        finally:
-            self._pending.pop((kind, req_id), None)
-
-    # -- operations --------------------------------------------------------
+        return op.result
 
     async def set(self, key: str, value: Any, *, attempts: int = 40) -> int:
         """Commit ``set key=value``; returns the slot of the f+1th ack."""
-        req_id = self._next_req_id()
-        request = ClientRequest(
-            client=self.pid, req_id=req_id, command=Command("set", key, value)
-        )
-        op = _PendingOp(need=self.f + 1, match=False)
-        slot = await self._await_quorum(
-            "reply", req_id, op, request,
-            attempts=attempts, what=f"set {key!r}",
+        op = self.session.set(key, value, asyncio.get_running_loop().time())
+        slot = await self._run(
+            op, f"set {key!r}", attempts=attempts, timeout=self.genesis.request_timeout
         )
         self.sets_completed += 1
         return slot
 
     async def get(self, key: str, *, attempts: int = 40) -> tuple[bool, Any]:
         """Read ``key`` from committed state: f+1 matching distinct replies."""
-        req_id = self._next_req_id()
-        request = ReadRequest(client=self.pid, req_id=req_id, key=key)
-        op = _PendingOp(need=self.f + 1, match=True)
-        found, value = await self._await_quorum(
-            "read", req_id, op, request,
-            attempts=attempts, what=f"get {key!r}",
+        op = self.session.get(key, asyncio.get_running_loop().time())
+        found, value = await self._run(
+            op, f"get {key!r}", attempts=attempts, timeout=self.genesis.request_timeout
         )
         self.gets_completed += 1
         return found, value
 
     async def status(self, *, timeout: float = 1.0) -> dict[int, StatusReply]:
         """Best-effort per-replica status (whoever answers in ``timeout``)."""
-        req_id = self._next_req_id()
-        op = _PendingOp(need=self.genesis.n_replicas, match=False)
-        self._pending[("status", req_id)] = op
-        try:
-            self._multicast(StatusRequest(client=self.pid, req_id=req_id))
-            try:
-                await asyncio.wait_for(asyncio.shield(op.future), timeout)
-            except asyncio.TimeoutError:
-                pass
-            return dict(op.replies)
-        finally:
-            self._pending.pop(("status", req_id), None)
+        op = self.session.status(asyncio.get_running_loop().time())
+        with contextlib.suppress(NetClientError):
+            await self._run(op, "status", attempts=1, timeout=timeout)
+        return dict(op.replies)
 
-    async def workload(
-        self,
-        count: int,
-        *,
-        concurrency: int = 8,
-        key_space: int | None = None,
-        tag: str = "w",
-    ) -> dict[str, Any]:
-        """Issue ``count`` sets with bounded concurrency; return stats."""
-        space = key_space or self.genesis.key_space
-        loop = asyncio.get_running_loop()
-        semaphore = asyncio.Semaphore(concurrency)
-        latencies: list[float] = []
+async def workload(
+    client: Any,
+    count: int,
+    *,
+    concurrency: int = 8,
+    key_space: int | None = None,
+    tag: str = "w",
+) -> dict[str, Any]:
+    """Issue ``count`` sets through ``client`` — a :class:`NetClient` or a
+    :class:`~repro.shard.client.ShardedNetClient`, whose stats add
+    ``sets_by_shard`` — with bounded concurrency; return stats.
 
-        async def one(i: int) -> None:
-            async with semaphore:
-                started = loop.time()
-                await self.set(f"k{i % space}", f"{tag}{self.pid}-{i}")
-                latencies.append(loop.time() - started)
+    Keys cycle through ``k0..k{space-1}`` whatever the shard count, so
+    the offered load is identical — the property the scaling benchmark
+    depends on.
+    """
+    space = key_space or client.genesis.key_space
+    loop = asyncio.get_running_loop()
+    semaphore = asyncio.Semaphore(concurrency)
+    latencies: list[float] = []
 
-        await asyncio.gather(*(one(i) for i in range(count)))
-        latencies.sort()
-        return {
-            "issued": count,
-            "completed": len(latencies),
-            "resubmissions": self.resubmissions,
-            "latency_p50": latencies[len(latencies) // 2] if latencies else 0.0,
-            "latency_max": latencies[-1] if latencies else 0.0,
-        }
+    async def one(i: int) -> None:
+        async with semaphore:
+            started = loop.time()
+            await client.set(f"k{i % space}", f"{tag}{client.pid}-{i}")
+            latencies.append(loop.time() - started)
+
+    await asyncio.gather(*(one(i) for i in range(count)))
+    latencies.sort()
+    stats = {
+        "issued": count,
+        "completed": len(latencies),
+        "resubmissions": client.resubmissions,
+        "latency_p50": latencies[len(latencies) // 2] if latencies else 0.0,
+        "latency_max": latencies[-1] if latencies else 0.0,
+    }
+    by_shard = getattr(client, "sets_by_shard", None)
+    if by_shard is not None:
+        stats["sets_by_shard"] = dict(sorted(by_shard.items()))
+    return stats

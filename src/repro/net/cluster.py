@@ -38,7 +38,7 @@ from typing import Any
 
 import repro
 from repro.errors import ReproError
-from repro.net.client import NetClient
+from repro.net.client import NetClient, workload
 from repro.net.genesis import Genesis
 
 
@@ -231,35 +231,36 @@ async def wait_cluster_ready(
     )
 
 
-async def _wait_converged(
+async def wait_converged(
     client: NetClient,
     *,
     restarted: int | None,
     timeout: float,
+    nudge_key: str = "nudge",
 ) -> dict[int, Any]:
-    """Nudge-and-probe until every replica agrees with every other."""
+    """Nudge-and-probe until every replica agrees with every other and
+    has committed exactly the sets ``client`` completed, nudges included.
+
+    The sharded smoke runs it per shard, with that shard's client and a
+    ``nudge_key`` the shard owns.
+    """
     n = client.genesis.n_replicas
     deadline = time.monotonic() + timeout
     nudge = 0
     replies: dict[int, Any] = {}
     while time.monotonic() < deadline:
         replies = await client.status(timeout=1.0)
-        if len(replies) == n:
-            digests = {status.digest for status in replies.values()}
-            committed = {status.committed for status in replies.values()}
-            transfers_ok = (
-                restarted is None
-                or replies[restarted].transfers >= 1
-            )
-            if (
-                len(digests) == 1
-                and committed == {client.sets_completed}
-                and transfers_ok
-            ):
-                return replies
+        if (
+            len(replies) == n
+            and len({status.digest for status in replies.values()}) == 1
+            and {status.committed for status in replies.values()}
+            == {client.sets_completed}
+            and (restarted is None or replies[restarted].transfers >= 1)
+        ):
+            return replies
         # Nudge: new commits force new checkpoints, whose certificates
         # reveal the laggard's gap and trigger its certified transfer.
-        await client.set("nudge", f"n{nudge}")
+        await client.set(nudge_key, f"n{nudge}")
         nudge += 1
         await asyncio.sleep(0.3)
     detail = {
@@ -268,7 +269,8 @@ async def _wait_converged(
     }
     raise ClusterError(
         f"cluster did not converge within {timeout}s: "
-        f"client committed {client.sets_completed}, replicas report {detail}"
+        f"client committed {client.sets_completed} ({nudge} nudges), "
+        f"replicas report {detail}"
     )
 
 
@@ -297,16 +299,16 @@ async def run_cluster_smoke(
         cluster.start_all()
         await wait_cluster_ready(client, timeout=30.0)
 
-        await client.workload(phase1, concurrency=concurrency, tag="a")
+        await workload(client, phase1, concurrency=concurrency, tag="a")
         cluster.kill(kill_pid)
-        await client.workload(phase2, concurrency=concurrency, tag="b")
+        await workload(client, phase2, concurrency=concurrency, tag="b")
         cluster.spawn(kill_pid, join=True)
-        await client.workload(phase3, concurrency=concurrency, tag="c")
+        await workload(client, phase3, concurrency=concurrency, tag="c")
 
         sentinel = f"sentinel-{seed}"
         await client.set("sentinel", sentinel)
 
-        replies = await _wait_converged(
+        replies = await wait_converged(
             client, restarted=kill_pid, timeout=converge_timeout
         )
 

@@ -12,14 +12,13 @@ them on one shared scheduler under a latency policy
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from typing import Any, KeysView, Mapping
 
 from repro.net.genesis import Genesis
 from repro.net.node import NetNode
 from repro.net.transport import LinkPolicy, LoopbackHub
-from repro.replication.kvstore import Command
 from repro.service.checkpoint import service_digest
-from repro.service.messages import ClientReply, ClientRequest
+from repro.service.session import ClientSession, PendingOp
 
 #: Genesis timers of every twin: virtual seconds are free, so clients
 #: resubmit and replicas probe sooner than a deployment would, and no
@@ -40,11 +39,13 @@ def fixed_addresses(n_replicas: int, port_base: int) -> tuple[tuple[str, int], .
 
 
 class LoopbackClient:
-    """Minimal correct client: f+1 distinct acks, resubmit on silence.
+    """The one client protocol (:class:`~repro.service.session.ClientSession`)
+    on the hub and the virtual clock.
 
     Like :class:`~repro.net.client.NetClient`, it sends every request
     and every resubmission to every replica; the replicas pick the
-    proposer.
+    proposer. ``set``/``get``/``status`` return the request id, and
+    ``finished`` holds each operation the session settled.
     """
 
     def __init__(
@@ -52,40 +53,50 @@ class LoopbackClient:
     ) -> None:
         self.genesis = genesis
         self.pid = genesis.n_replicas + index
-        self.f = genesis.service_config().params().f
         self.scheduler = scheduler
+        self.session = ClientSession(
+            self.pid, genesis.n_replicas, genesis.service_config().params().f
+        )
         self.transport = hub.register(self.pid, self._on_message)
-        self.next_id = 0
-        self.outstanding: dict[int, ClientRequest] = {}
-        self.attempts: dict[int, int] = {}
-        self.acks: dict[int, set[int]] = {}
-        self.completed: set[int] = set()
+        #: req_id -> every operation settled, in completion order.
+        self.finished: dict[int, PendingOp] = {}
+
+    @property
+    def completed(self) -> KeysView[int]:
+        return self.finished.keys()
+
+    @property
+    def attempts(self) -> dict[int, int]:
+        """req_id -> how many times its request was sent, settled or not."""
+        ops = {**self.finished, **self.session.ops}
+        return {req_id: op.attempts for req_id, op in ops.items()}
+
+    @property
+    def resubmissions(self) -> int:
+        return self.session.resubmissions
 
     def _on_message(self, src: int, message: Any) -> None:
-        if isinstance(message, ClientReply) and message.client == self.pid:
-            if message.req_id in self.completed:
-                return
-            self.acks.setdefault(message.req_id, set()).add(message.replica)
-            if len(self.acks[message.req_id]) >= self.f + 1:
-                self.completed.add(message.req_id)
-                self.outstanding.pop(message.req_id, None)
+        op = self.session.on_reply(src, message)
+        if op is not None:
+            self.finished[op.req_id] = op
 
-    def set(self, key: str, value: str) -> int:
-        req_id = self.next_id
-        self.next_id += 1
-        request = ClientRequest(
-            client=self.pid, req_id=req_id, command=Command("set", key, value)
-        )
-        self.outstanding[req_id] = request
-        self.attempts[req_id] = 0
-        self._submit(req_id)
-        return req_id
+    def set(self, key: str, value: Any) -> int:
+        return self._start(self.session.set(key, value, self.scheduler.now))
+
+    def get(self, key: str) -> int:
+        return self._start(self.session.get(key, self.scheduler.now))
+
+    def status(self) -> int:
+        return self._start(self.session.status(self.scheduler.now))
+
+    def _start(self, op: PendingOp) -> int:
+        self._submit(op.req_id)
+        return op.req_id
 
     def _submit(self, req_id: int) -> None:
-        request = self.outstanding.get(req_id)
+        request = self.session.submit(req_id)
         if request is None:
             return
-        self.attempts[req_id] += 1
         for replica in range(self.genesis.n_replicas):
             self.transport.send(replica, request)
         self.scheduler.schedule_after(

@@ -11,52 +11,60 @@ Two standard workload shapes drive the service (docs/SERVICE.md):
 Both draw every random choice from the world's seeded per-process
 stream (``env.rng``), so a run is a pure function of its seed. A client
 records the submit time of every request and the end-to-end latency of
-every completion. It sends every request to every replica — the
-replicas decide which one proposes it (docs/SERVICE.md) — and on
+every completion. The protocol is :class:`~repro.service.session.ClientSession`,
+the one the TCP and loopback clients run: every request goes to every
+replica — the replicas decide which one proposes it (docs/SERVICE.md) —
 silence past ``request_timeout`` *resubmits the same request* to every
-replica again; the replicas' executed-id deduplication makes the retry
-safe.
+replica again (the replicas' executed-id deduplication makes the retry
+safe), and a request completes on acks from f+1 distinct replicas.
 """
 
 from __future__ import annotations
 
 from repro.observability.registry import MODULE_SERVICE
-from repro.replication.kvstore import Command
-from repro.service.messages import ClientReply, ClientRequest
+from repro.service.session import ClientSession
 from repro.sim.process import Process, ProcessEnv
 
 
 class ServiceClient(Process):
-    """Common request/latency bookkeeping of both workload shapes."""
+    """The one client protocol (:class:`~repro.service.session.ClientSession`)
+    in the simulator, plus the request/latency bookkeeping of both
+    workload shapes: a request completes on f+1 distinct acks, exactly
+    as it does for the TCP and loopback clients."""
 
     def __init__(
         self,
         n_replicas: int,
+        f: int,
         total_requests: int,
         request_timeout: float,
         key_space: int = 16,
     ) -> None:
         super().__init__()
         self.n_replicas = n_replicas
+        self.f = f
         self.total_requests = total_requests
         self.request_timeout = request_timeout
         self.key_space = key_space
-        self.issued = 0
-        #: req_id -> the request as originally issued (resent verbatim).
-        self.outstanding: dict[int, ClientRequest] = {}
-        self.sent_at: dict[int, float] = {}
-        self.attempts: dict[int, int] = {}
         #: req_id -> completion virtual time.
         self.completed: dict[int, float] = {}
-        #: end-to-end latencies in issue order (the benchmark's input).
+        #: end-to-end latencies in completion order (the benchmark's input).
         self.latencies: list[float] = []
-        self.resubmissions = 0
 
     def bind(self, env: ProcessEnv) -> None:
         super().bind(env)
+        self.session = ClientSession(env.pid, self.n_replicas, self.f)
         self._metrics = env.metrics.scope(MODULE_SERVICE, env.pid)
 
     # -- workload surface ---------------------------------------------------
+
+    @property
+    def issued(self) -> int:
+        return self.session.next_req_id
+
+    @property
+    def resubmissions(self) -> int:
+        return self.session.resubmissions
 
     @property
     def finished(self) -> bool:
@@ -68,51 +76,43 @@ class ServiceClient(Process):
     # -- request lifecycle --------------------------------------------------
 
     def _issue(self) -> None:
-        req_id = self.issued
-        self.issued += 1
+        req_id = self.session.next_req_id
         key = f"k{self.env.rng.randint(0, self.key_space - 1)}"
-        command = Command("set", key, f"c{self.pid}-{req_id}")
-        request = ClientRequest(client=self.pid, req_id=req_id, command=command)
-        self.outstanding[req_id] = request
-        self.sent_at[req_id] = self.now
-        self.attempts[req_id] = 0
+        self.session.set(key, f"c{self.pid}-{req_id}", self.now)
         self._metrics.inc("requests_issued")
         self.record("request", req_id=req_id)
-        self._submit(request)
+        self._submit(req_id)
 
-    def _submit(self, request: ClientRequest) -> None:
+    def _submit(self, req_id: int) -> None:
+        request = self.session.submit(req_id)
         for replica in range(self.n_replicas):
             self.send(replica, request)
-        self.set_timer(f"req-{request.req_id}", self.request_timeout)
+        self.set_timer(f"req-{req_id}", self.request_timeout)
 
     def on_timer(self, name: str) -> None:
         if name.startswith("req-"):
             req_id = int(name.partition("-")[2])
-            request = self.outstanding.get(req_id)
-            if request is None:
+            op = self.session.ops.get(req_id)
+            if op is None:
                 return
-            self.attempts[req_id] += 1
-            self.resubmissions += 1
             self._metrics.inc("resubmissions")
-            self.record("resubmit", req_id=req_id, attempt=self.attempts[req_id])
-            self._submit(request)
+            self.record("resubmit", req_id=req_id, attempt=op.attempts)
+            self._submit(req_id)
             return
         self.handle_workload_timer(name)
 
     def on_message(self, src: int, payload) -> None:
-        if not isinstance(payload, ClientReply) or payload.client != self.pid:
+        op = self.session.on_reply(src, payload)
+        if op is None:
             return
-        request = self.outstanding.pop(payload.req_id, None)
-        if request is None:
-            return  # duplicate reply (every replica replies; first wins)
-        self.cancel_timer(f"req-{payload.req_id}")
-        latency = self.now - self.sent_at[payload.req_id]
-        self.completed[payload.req_id] = self.now
+        self.cancel_timer(f"req-{op.req_id}")
+        latency = self.now - op.issued_at
+        self.completed[op.req_id] = self.now
         self.latencies.append(latency)
         self._metrics.inc("requests_completed")
         self._metrics.observe("request_latency", latency)
-        self.record("reply", req_id=payload.req_id, slot=payload.slot)
-        self.on_complete(payload.req_id)
+        self.record("reply", req_id=op.req_id, slot=op.result)
+        self.on_complete(op.req_id)
 
     # -- hooks for the two workload shapes ----------------------------------
 
@@ -129,12 +129,13 @@ class OpenLoopClient(ServiceClient):
     def __init__(
         self,
         n_replicas: int,
+        f: int,
         total_requests: int,
         request_timeout: float,
         rate: float,
         key_space: int = 16,
     ) -> None:
-        super().__init__(n_replicas, total_requests, request_timeout, key_space)
+        super().__init__(n_replicas, f, total_requests, request_timeout, key_space)
         self.rate = rate
 
     def on_start(self) -> None:
@@ -157,12 +158,13 @@ class ClosedLoopClient(ServiceClient):
     def __init__(
         self,
         n_replicas: int,
+        f: int,
         total_requests: int,
         request_timeout: float,
         think: float,
         key_space: int = 16,
     ) -> None:
-        super().__init__(n_replicas, total_requests, request_timeout, key_space)
+        super().__init__(n_replicas, f, total_requests, request_timeout, key_space)
         self.think = think
 
     def on_start(self) -> None:

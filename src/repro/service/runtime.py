@@ -130,6 +130,7 @@ def build_service_system(
             clients.append(
                 OpenLoopClient(
                     n_replicas=config.n_replicas,
+                    f=config.params().f,
                     total_requests=config.requests_per_client,
                     request_timeout=config.request_timeout,
                     rate=config.rate,
@@ -140,6 +141,7 @@ def build_service_system(
             clients.append(
                 ClosedLoopClient(
                     n_replicas=config.n_replicas,
+                    f=config.params().f,
                     total_requests=config.requests_per_client,
                     request_timeout=config.request_timeout,
                     think=config.think,

@@ -33,6 +33,8 @@ class ShardedNetClient:
             shard: NetClient(genesis.genesis_for(shard), client_index)
             for shard in range(genesis.n_shards)
         }
+        #: The same in every shard: each group numbers its clients alike.
+        self.pid = self.clients[0].pid
         #: Commands this client routed to each shard (sets only — the
         #: per-shard exactly-once oracle compares these against the
         #: shard replicas' committed counts).
@@ -82,46 +84,6 @@ class ShardedNetClient:
         return {
             shard: await client.status(timeout=timeout)
             for shard, client in sorted(self.clients.items())
-        }
-
-    async def workload(
-        self,
-        count: int,
-        *,
-        concurrency: int = 8,
-        key_space: int | None = None,
-        tag: str = "w",
-    ) -> dict[str, Any]:
-        """Issue ``count`` sets across the key space; returns stats.
-
-        Keys cycle through ``k0..k{space-1}`` exactly like the
-        single-group workload driver; the hash map spreads them over the
-        shards, so the offered load is identical whatever the shard
-        count — the property the scaling benchmark depends on.
-        """
-        import asyncio
-
-        space = key_space or self.genesis.key_space
-        loop = asyncio.get_running_loop()
-        semaphore = asyncio.Semaphore(concurrency)
-        latencies: list[float] = []
-        pid = next(iter(self.clients.values())).pid
-
-        async def one(index: int) -> None:
-            async with semaphore:
-                started = loop.time()
-                await self.set(f"k{index % space}", f"{tag}{pid}-{index}")
-                latencies.append(loop.time() - started)
-
-        await asyncio.gather(*(one(index) for index in range(count)))
-        latencies.sort()
-        return {
-            "issued": count,
-            "completed": len(latencies),
-            "resubmissions": self.resubmissions,
-            "sets_by_shard": dict(sorted(self.sets_by_shard.items())),
-            "latency_p50": latencies[len(latencies) // 2] if latencies else 0.0,
-            "latency_max": latencies[-1] if latencies else 0.0,
         }
 
     async def close(self) -> None:

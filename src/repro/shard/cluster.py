@@ -23,15 +23,19 @@ The untouched shards double as a blast-radius check: a crash in shard
 
 from __future__ import annotations
 
-import asyncio
 import tempfile
-import time
 from pathlib import Path
 from typing import Any
 
 from repro.errors import ConfigurationError, ReproError
-from repro.net.client import NetClient
-from repro.net.cluster import ClusterError, LocalCluster, free_ports, wait_cluster_ready
+from repro.net.client import workload
+from repro.net.cluster import (
+    ClusterError,
+    LocalCluster,
+    free_ports,
+    wait_cluster_ready,
+    wait_converged,
+)
 from repro.shard.client import ShardedNetClient
 from repro.shard.genesis import ShardGenesis
 from repro.shard.keymap import key_for_shard
@@ -125,56 +129,6 @@ async def wait_shards_ready(
             raise ShardClusterError(f"shard {shard}: {exc}") from exc
 
 
-async def _wait_shard_converged(
-    client: NetClient,
-    *,
-    shard: int,
-    expect_committed: int,
-    nudge_key: str,
-    restarted: int | None,
-    timeout: float,
-) -> dict[int, Any]:
-    """Nudge-and-probe one shard until its replicas agree.
-
-    The nudge key is shard-addressed: new commits in *this* group force
-    new checkpoints, whose certificates reveal a restarted laggard's gap
-    and trigger its certified transfer — the same liveness argument as
-    the single-group smoke, scoped to the shard.
-    """
-    n = client.genesis.n_replicas
-    deadline = time.monotonic() + timeout
-    nudge = 0
-    nudges_committed = 0
-    replies: dict[int, Any] = {}
-    while time.monotonic() < deadline:
-        replies = await client.status(timeout=1.0)
-        if len(replies) == n:
-            digests = {status.digest for status in replies.values()}
-            committed = {status.committed for status in replies.values()}
-            transfers_ok = (
-                restarted is None or replies[restarted].transfers >= 1
-            )
-            if (
-                len(digests) == 1
-                and committed == {expect_committed + nudges_committed}
-                and transfers_ok
-            ):
-                return replies
-        await client.set(nudge_key, f"n{nudge}")
-        nudges_committed += 1
-        nudge += 1
-        await asyncio.sleep(0.3)
-    detail = {
-        pid: (status.committed, status.transfers, status.digest[:8])
-        for pid, status in sorted(replies.items())
-    }
-    raise ShardClusterError(
-        f"shard {shard} did not converge within {timeout}s: expected "
-        f"{expect_committed}(+{nudges_committed} nudges) committed, "
-        f"replicas report {detail}"
-    )
-
-
 async def run_shard_smoke(
     *,
     shards: int = 2,
@@ -206,16 +160,16 @@ async def run_shard_smoke(
         cluster.start_all()
         await wait_shards_ready(client, timeout=30.0)
 
-        await client.workload(phase1, concurrency=concurrency, tag="a")
+        await workload(client, phase1, concurrency=concurrency, tag="a")
         committed_before_kill = {
             shard: count
             for shard, count in client.sets_by_shard.items()
             if shard != kill_shard
         }
         cluster.kill(kill_shard, kill_pid)
-        await client.workload(phase2, concurrency=concurrency, tag="b")
+        await workload(client, phase2, concurrency=concurrency, tag="b")
         cluster.spawn(kill_shard, kill_pid, join=True)
-        await client.workload(phase3, concurrency=concurrency, tag="c")
+        await workload(client, phase3, concurrency=concurrency, tag="c")
 
         # One sentinel per shard, shard-addressed by construction.
         sentinels = {
@@ -227,14 +181,17 @@ async def run_shard_smoke(
 
         shard_replies: dict[int, dict[int, Any]] = {}
         for shard in range(shards):
-            shard_replies[shard] = await _wait_shard_converged(
-                client.clients[shard],
-                shard=shard,
-                expect_committed=client.sets_by_shard[shard],
-                nudge_key=key_for_shard(f"nudge-{seed}-", shard, shards),
-                restarted=kill_pid if shard == kill_shard else None,
-                timeout=converge_timeout,
-            )
+            # The shard's own client completed exactly the sets routed to
+            # it plus its nudges: the per-shard exactly-once check.
+            try:
+                shard_replies[shard] = await wait_converged(
+                    client.clients[shard],
+                    restarted=kill_pid if shard == kill_shard else None,
+                    timeout=converge_timeout,
+                    nudge_key=key_for_shard(f"nudge-{seed}-", shard, shards),
+                )
+            except ClusterError as exc:
+                raise ShardClusterError(f"shard {shard}: {exc}") from exc
 
         for shard, key in sorted(sentinels.items()):
             found, value = await client.get(key)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.net import loopback
 from repro.net import (
     LoopbackHub,
     ManualScheduler,
@@ -20,54 +19,9 @@ from repro.net import (
     TransportError,
     make_genesis,
 )
-from repro.net.messages import ReadReply, ReadRequest, StatusReply, StatusRequest
+from repro.net.loopback import LoopbackClient
 from repro.observability.export import read_run_jsonl
 from repro.service.checkpoint import service_digest
-
-
-class LoopbackClient(loopback.LoopbackClient):
-    """The twin's client plus quorum reads and status probes."""
-
-    def __init__(self, genesis, hub, scheduler, index=0):
-        super().__init__(genesis, hub, scheduler, index)
-        self.read_replies: dict[int, dict[int, tuple[bool, object]]] = {}
-        self.statuses: dict[int, StatusReply] = {}
-
-    def _on_message(self, src, message):
-        if isinstance(message, ReadReply) and message.client == self.pid:
-            self.read_replies.setdefault(message.req_id, {})[message.replica] = (
-                message.found,
-                message.value,
-            )
-        elif isinstance(message, StatusReply) and message.client == self.pid:
-            self.statuses[message.replica] = message
-        else:
-            super()._on_message(src, message)
-
-    def read(self, key) -> int:
-        req_id = self.next_id
-        self.next_id += 1
-        request = ReadRequest(client=self.pid, req_id=req_id, key=key)
-        for replica in range(self.genesis.n_replicas):
-            self.transport.send(replica, request)
-        return req_id
-
-    def quorum_read(self, req_id):
-        """The f+1 matching-distinct-replies rule over collected answers."""
-        groups: dict[object, int] = {}
-        for answer in self.read_replies.get(req_id, {}).values():
-            groups[answer] = groups.get(answer, 0) + 1
-        for answer, count in groups.items():
-            if count >= self.f + 1:
-                return answer
-        return None
-
-    def probe_status(self) -> None:
-        self.statuses.clear()
-        request = StatusRequest(client=self.pid, req_id=self.next_id)
-        self.next_id += 1
-        for replica in range(self.genesis.n_replicas):
-            self.transport.send(replica, request)
 
 
 class Deployment:
@@ -131,21 +85,22 @@ class TestLoopbackDeployment:
 
     def test_quorum_read_returns_committed_value(self):
         deployment = Deployment(seed=4)
-        deployment.client.set("answer", "42")
+        client = deployment.client
+        client.set("answer", "42")
         deployment.pump(5)
-        req_id = deployment.client.read("answer")
+        req_id = client.get("answer")
         deployment.pump(1)
-        assert deployment.client.quorum_read(req_id) == (True, "42")
-        missing = deployment.client.read("never-written")
+        assert client.finished[req_id].result == (True, "42")
+        missing = client.get("never-written")
         deployment.pump(1)
-        assert deployment.client.quorum_read(missing) == (False, None)
+        assert client.finished[missing].result == (False, None)
 
     def test_status_probe_reports_all_replicas(self):
         deployment = Deployment(seed=5)
         deployment.commit(8)
-        deployment.client.probe_status()
+        req_id = deployment.client.status()
         deployment.pump(1)
-        statuses = deployment.client.statuses
+        statuses = deployment.client.finished[req_id].result
         assert set(statuses) == {0, 1, 2, 3}
         assert {status.committed for status in statuses.values()} == {8}
         assert len({status.digest for status in statuses.values()}) == 1
