@@ -26,8 +26,8 @@ lossy-smoke:
 # deployments judged by the service oracles, run twice — the JSON
 # records must be byte-identical (the determinism guarantee).
 service-smoke:
-	$(PYTHON) -m repro service campaign --preset smoke --out /tmp/service-smoke-a.json
-	$(PYTHON) -m repro service campaign --preset smoke --out /tmp/service-smoke-b.json
+	$(PYTHON) -m repro campaign service --preset smoke --out /tmp/service-smoke-a.json
+	$(PYTHON) -m repro campaign service --preset smoke --out /tmp/service-smoke-b.json
 	cmp /tmp/service-smoke-a.json /tmp/service-smoke-b.json
 	rm -f /tmp/service-smoke-a.json /tmp/service-smoke-b.json
 
@@ -81,20 +81,21 @@ faults-smoke:
 	$(PYTHON) -m repro campaign faults --preset smoke \
 		--fidelity sim,loopback,net --timeout 120
 
-# The adversary zoo (docs/ADVERSARIES.md): one plan per family (message
-# adversary, transient state corruption, timing attack, storage
-# bit-flips) at the two deterministic fidelities twice — the reports
-# must be byte-identical — then the message adversary once on a real
-# subprocess cluster at fidelity 3 under a hard timeout, asserting
-# verdict agreement across all three.
+# The adversary zoo (docs/ADVERSARIES.md): the fault campaign's
+# zoo-smoke preset, one plan per family (message adversary, transient
+# state corruption, timing attack, storage bit-flips), at the two
+# deterministic fidelities twice — the reports must be byte-identical —
+# then the message adversary once on a real subprocess cluster at
+# fidelity 3 under a hard timeout, asserting verdict agreement across
+# all three.
 zoo-smoke:
-	$(PYTHON) -m repro campaign zoo --preset smoke --fidelity sim,loopback \
+	$(PYTHON) -m repro campaign faults --preset zoo-smoke --fidelity sim,loopback \
 		--out /tmp/zoo-smoke-a.json
-	$(PYTHON) -m repro campaign zoo --preset smoke --fidelity sim,loopback \
+	$(PYTHON) -m repro campaign faults --preset zoo-smoke --fidelity sim,loopback \
 		--out /tmp/zoo-smoke-b.json
 	cmp /tmp/zoo-smoke-a.json /tmp/zoo-smoke-b.json
 	rm -f /tmp/zoo-smoke-a.json /tmp/zoo-smoke-b.json
-	$(PYTHON) -m repro campaign zoo --preset net-smoke \
+	$(PYTHON) -m repro campaign faults --preset zoo-net-smoke \
 		--fidelity sim,loopback,net --timeout 120
 
 # The sharded deployment (docs/SHARDING.md): the deterministic loopback
@@ -125,13 +126,13 @@ smoke: campaign-smoke lossy-smoke service-smoke net-smoke perf-smoke mc-smoke fa
 artifact-digests:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && { \
 	$(PYTHON) -m repro campaign run --preset smoke --master-seed 0 --out $$dir/campaign.jsonl && \
-	$(PYTHON) -m repro service campaign --preset smoke --out $$dir/service.json && \
+	$(PYTHON) -m repro campaign service --preset smoke --out $$dir/service.json && \
 	$(PYTHON) -m repro perf smoke --out $$dir/perf.json && \
 	$(PYTHON) -m repro mc run --max-depth 3 --out $$dir/mc.jsonl && \
 	$(PYTHON) -m repro campaign faults --preset smoke --fidelity sim,loopback --out $$dir/faults.json && \
-	$(PYTHON) -m repro campaign zoo --preset smoke --fidelity sim,loopback --out $$dir/zoo.json && \
+	$(PYTHON) -m repro campaign faults --preset zoo-smoke --fidelity sim,loopback --out $$dir/zoo.json && \
 	$(PYTHON) -m repro campaign faults --preset extended --fidelity sim,loopback --out $$dir/faults-extended.json && \
-	$(PYTHON) -m repro campaign zoo --preset extended --fidelity sim,loopback --out $$dir/zoo-extended.json && \
+	$(PYTHON) -m repro campaign faults --preset zoo-extended --fidelity sim,loopback --out $$dir/zoo-extended.json && \
 	$(PYTHON) -m repro shard loopback --out $$dir/shard.json; } >&2 && \
 	cd $$dir && sha256sum *
 

@@ -17,8 +17,9 @@ deterministic, replayable record:
 * :mod:`repro.campaign.artifact` — the versioned JSONL campaign
   artifact (``repro.campaign/v1``, byte-identical for a fixed master
   seed);
-* :mod:`repro.campaign.shrink` — minimise a failing scenario to a
-  small counterexample.
+* :mod:`repro.campaign.shrink` — the one delta-debugging loop, and its
+  scenario neighbours: minimise a failing scenario to a small
+  counterexample.
 
 ``python -m repro campaign run|list|replay|shrink`` is the CLI surface;
 ``docs/TESTING.md`` documents the workflow.

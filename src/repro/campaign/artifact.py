@@ -30,7 +30,7 @@ from typing import Any, IO, Iterable, Iterator, Mapping
 from repro.campaign.runner import CampaignResult
 from repro.campaign.scenario import Scenario
 from repro.errors import ReproError
-from repro.observability.export import dumps_canonical
+from repro.observability.export import check_schema, dumps_canonical
 
 CAMPAIGN_SCHEMA = "repro.campaign/v1"
 
@@ -122,20 +122,7 @@ def parse_campaign_lines(lines: Iterable[str]) -> CampaignArtifact:
         kind = record.get("kind")
         if kind == "header":
             schema = record.get("schema", "")
-            if not schema.startswith("repro.campaign/"):
-                raise CampaignArtifactError(f"unsupported schema {schema!r}")
-            try:
-                version = int(schema.rpartition("/v")[2])
-            except ValueError:
-                raise CampaignArtifactError(
-                    f"unsupported schema {schema!r}"
-                ) from None
-            if version > 1:
-                raise CampaignArtifactError(
-                    f"artifact schema {schema!r} is newer than the installed "
-                    f"code (supports {CAMPAIGN_SCHEMA}); upgrade before "
-                    f"replaying"
-                )
+            check_schema(schema, "repro.campaign", 1)
             artifact.schema = schema
             artifact.meta = record.get("meta", {})
             saw_header = True

@@ -36,7 +36,7 @@ Three oracle families evaluate every campaign run:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from repro.analysis.properties import (
     DetectionReport,
@@ -283,16 +283,19 @@ def kind_of(violation: str) -> str:
     return violation.split(":", 1)[0]
 
 
-def violation_kinds(outcome_record: Mapping[str, Any]) -> frozenset[str]:
-    """Coarse violation signature used by the shrinking pass.
+def violation_kinds(
+    violations: Mapping[str, Any] | Iterable[str],
+) -> frozenset[str]:
+    """Coarse violation signature used by the shrinkers.
 
-    Two scenarios "fail the same way" when the kinds coincide — the
-    fine-grained text carries pids and values that legitimately change
-    while shrinking.
+    Takes a list of violation strings, or an outcome record, whose
+    oracle and property violations count together. Two runs "fail the
+    same way" when the kinds coincide — the fine-grained text carries
+    pids and values that legitimately change while shrinking.
     """
-    kinds = set()
-    for violation in outcome_record.get("violations", ()):
-        kinds.add(kind_of(violation))
-    for violation in outcome_record.get("properties", {}).get("violations", ()):
-        kinds.add(kind_of(violation))
-    return frozenset(kinds)
+    if isinstance(violations, Mapping):
+        violations = (
+            *violations.get("violations", ()),
+            *violations.get("properties", {}).get("violations", ()),
+        )
+    return frozenset(kind_of(violation) for violation in violations)

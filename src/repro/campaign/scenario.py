@@ -12,8 +12,6 @@ resolves.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, replace
 from typing import Any, Mapping
 
@@ -22,6 +20,7 @@ from repro.byzantine.collusion import make_colluding_equivocators
 from repro.byzantine.ct_attacks import CT_ATTACKS, ct_attack
 from repro.core.specs import SystemParameters, crash_resilience
 from repro.errors import ConfigurationError
+from repro.observability.export import content_id
 from repro.sim.network import (
     DelayModel,
     ExponentialDelay,
@@ -51,25 +50,6 @@ DELAY_MODELS: dict[str, tuple[type, dict[str, float]]] = {
 
 #: Muteness-detector choices a transformed scenario may pin.
 MUTENESS_DETECTORS = ("oracle", "timeout", "round-aware", "adaptive")
-
-
-def parse_partition_groups(spec: str) -> tuple[tuple[int, ...], ...]:
-    """Parse a partition group spec like ``"0,1|2,3"`` into pid groups."""
-    try:
-        groups = tuple(
-            tuple(sorted(int(pid) for pid in side.split(",")))
-            for side in spec.split("|")
-        )
-    except ValueError as exc:
-        raise ConfigurationError(
-            f"malformed partition groups {spec!r} (expected e.g. '0,1|2,3')"
-        ) from exc
-    return groups
-
-
-def format_partition_groups(groups: tuple[tuple[int, ...], ...]) -> str:
-    """Inverse of :func:`parse_partition_groups`."""
-    return "|".join(",".join(str(pid) for pid in side) for side in groups)
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,10 +89,7 @@ class Scenario:
     @property
     def scenario_id(self) -> str:
         """Stable content hash of the full config (``s`` + 12 hex chars)."""
-        canonical = json.dumps(
-            self.to_config(), sort_keys=True, separators=(",", ":")
-        )
-        return "s" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
+        return content_id("s", self.to_config())
 
     # -- config round-trip ---------------------------------------------------
 
@@ -236,11 +213,7 @@ class Scenario:
             duplication=self.dup,
             reorder=self.reorder,
             partitions=tuple(
-                Partition(
-                    start=start,
-                    heal=heal,
-                    groups=parse_partition_groups(groups),
-                )
+                Partition.parse(start, heal, groups, self.n)
                 for start, heal, groups in self.partitions
             ),
         )
@@ -338,28 +311,7 @@ class Scenario:
                     f"{axis} probability must be in [0, 1), got {value!r}"
                 )
         for start, heal, groups in self.partitions:
-            if start < 0 or heal <= start:
-                raise ConfigurationError(
-                    f"partition window [{start!r}, {heal!r}) must satisfy "
-                    "0 <= start < heal"
-                )
-            sides = parse_partition_groups(groups)
-            if len(sides) < 2 or any(not side for side in sides):
-                raise ConfigurationError(
-                    f"partition groups {groups!r} need >= 2 non-empty sides"
-                )
-            seen: set[int] = set()
-            for side in sides:
-                for pid in side:
-                    if not 0 <= pid < self.n:
-                        raise ConfigurationError(
-                            f"partition pid {pid} out of range for n={self.n}"
-                        )
-                    if pid in seen:
-                        raise ConfigurationError(
-                            f"partition groups {groups!r} repeat pid {pid}"
-                        )
-                    seen.add(pid)
+            Partition.parse(start, heal, groups, self.n)
         if self.transport not in TRANSPORTS:
             raise ConfigurationError(
                 f"unknown transport {self.transport!r}; known: {list(TRANSPORTS)}"

@@ -1,55 +1,105 @@
-"""Shrink a failing scenario to a minimal counterexample.
+"""Delta debugging, written once: the smallest input that fails the same way.
 
-When a campaign run violates its oracles, the raw scenario is rarely
-the *smallest* world exhibiting the bug: it may carry extra faulty
-processes, a bigger system than needed, a fancy delay distribution.
-:func:`shrink_scenario` greedily re-runs structurally smaller variants —
-drop one fault, shrink ``n``, flatten the delay model to ``fixed``,
-zero the seed — keeping a candidate only when it still fails *the same
-way* (same violation kinds, per
-:func:`repro.campaign.oracles.violation_kinds`). The search is
-deterministic: candidates are generated in a fixed order and the first
-still-failing candidate is adopted, so the reported minimal
-counterexample is stable across machines and runs.
+:func:`shrink` is the one greedy loop behind every minimiser in the
+tree. It re-runs structurally smaller *neighbours* of the current
+candidate in the fixed order a generator yields them, skips any that do
+not ``validate()``, adopts the first one that still fails with the same
+violation kinds (per :func:`repro.campaign.oracles.violation_kinds`:
+exact counts and pids may legitimately shift as the input shrinks), and
+restarts from it. It stops when no neighbour is adopted or ``budget``
+runs, the start's included, are spent — so the reported minimum is
+stable across machines and runs, and a shrink has a hard cost cap.
+
+Callers only say what "smaller" means:
+
+* :func:`shrink_scenario` (campaign scenarios, and ``repro mc replay
+  --shrink``'s counterexamples): drop one faulty process, shrink ``n``,
+  heal the wire, flatten the delay model to ``fixed``, zero the seed;
+* :func:`repro.faults.shrink.shrink_fault_plan` (fault plans): drop one
+  clause, zero one scalar link-noise axis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterator
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.campaign.oracles import violation_kinds
 from repro.campaign.runner import ScenarioRecord, run_scenario
 from repro.campaign.scenario import Scenario
 from repro.errors import ConfigurationError
 
-#: Hard cap on candidate runs per shrink (each run is one full world).
+#: Hard cap on runs per shrink (each run is one full world).
 DEFAULT_BUDGET = 64
 
+#: ``candidate -> (violation kinds, what the run produced)``.
+Probe = Callable[[Any], tuple[frozenset[str], Any]]
 
-@dataclass(slots=True)
+#: ``candidate -> (step label, smaller candidate)`` in attempt order.
+Neighbours = Callable[[Any], Iterable[tuple[Any, Any]]]
+
+
+@dataclass(frozen=True, slots=True)
 class ShrinkResult:
-    """Outcome of one shrinking pass."""
+    """Outcome of one shrink."""
 
-    original: Scenario
-    minimal: Scenario
-    record: ScenarioRecord
-    #: Human-readable step log, one entry per adopted candidate.
-    steps: list[str] = field(default_factory=list)
-    candidates_tried: int = 0
+    original: Any
+    minimal: Any
+    #: Violation kinds of the original (empty: it did not fail).
+    kinds: frozenset[str]
+    #: What the probe returned for ``minimal``.
+    outcome: Any
+    #: Labels of the adopted neighbours, in adoption order.
+    steps: tuple[Any, ...]
+    #: Runs spent, the original's included.
+    runs: int
 
     @property
     def shrunk(self) -> bool:
         return self.minimal != self.original
 
-    def to_record(self) -> dict:
-        return {
-            "original_id": self.original.scenario_id,
-            "minimal_id": self.minimal.scenario_id,
-            "minimal_config": self.minimal.to_config(),
-            "steps": list(self.steps),
-            "candidates_tried": self.candidates_tried,
-        }
+
+def shrink(
+    start: Any,
+    neighbours: Neighbours,
+    probe: Probe,
+    budget: int = DEFAULT_BUDGET,
+) -> ShrinkResult:
+    """Greedy deterministic shrink of ``start`` (see the module doc).
+
+    A start that does not fail returns at once with empty ``kinds``:
+    there is nothing to shrink toward, and the callers refuse it.
+    """
+    start.validate()
+    kinds, outcome = probe(start)
+    runs = 1
+    current = start
+    steps: list[Any] = []
+    adopted = bool(kinds)
+    while adopted and runs < budget:
+        adopted = False
+        for label, candidate in neighbours(current):
+            if runs >= budget:
+                break
+            try:
+                candidate.validate()
+            except ConfigurationError:
+                continue  # not a well-formed smaller input; skip
+            runs += 1
+            candidate_kinds, candidate_outcome = probe(candidate)
+            if candidate_kinds == kinds:
+                current, outcome = candidate, candidate_outcome
+                steps.append(label)
+                adopted = True
+                break  # restart from the adopted candidate
+    return ShrinkResult(
+        original=start,
+        minimal=current,
+        kinds=kinds,
+        outcome=outcome,
+        steps=tuple(steps),
+        runs=runs,
+    )
 
 
 def _candidates(scenario: Scenario) -> Iterator[tuple[str, Scenario]]:
@@ -76,49 +126,26 @@ def _candidates(scenario: Scenario) -> Iterator[tuple[str, Scenario]]:
         yield "reset seed to 0", replace(scenario, seed=0)
 
 
+def _scenario_neighbours(scenario: Scenario) -> Iterator[tuple[str, Scenario]]:
+    for description, candidate in _candidates(scenario):
+        yield f"{description} -> {candidate.scenario_id}", candidate
+
+
+def _probe_scenario(scenario: Scenario) -> tuple[frozenset[str], ScenarioRecord]:
+    record = run_scenario(scenario)
+    return violation_kinds(record.to_record()), record
+
+
 def shrink_scenario(
     scenario: Scenario,
     budget: int = DEFAULT_BUDGET,
 ) -> ShrinkResult:
-    """Greedy deterministic shrink of a failing scenario.
-
-    The target predicate is "fails with the same violation kinds as the
-    original run". The original is re-run first to establish those kinds;
-    a scenario that does not fail at all raises
-    :class:`ConfigurationError` (there is nothing to shrink).
-    """
-    base_record = run_scenario(scenario)
-    base_kinds = violation_kinds(base_record.to_record())
-    if not base_kinds:
+    """Shrink a failing scenario; ``outcome`` is the minimal one's
+    :class:`ScenarioRecord`. A scenario that does not fail raises
+    :class:`ConfigurationError` (there is nothing to shrink)."""
+    result = shrink(scenario, _scenario_neighbours, _probe_scenario, budget)
+    if not result.kinds:
         raise ConfigurationError(
             f"scenario {scenario.scenario_id} does not fail; nothing to shrink"
         )
-    current = scenario
-    current_record = base_record
-    steps: list[str] = []
-    tried = 0
-    progress = True
-    while progress and tried < budget:
-        progress = False
-        for description, candidate in _candidates(current):
-            if tried >= budget:
-                break
-            try:
-                candidate.validate()
-            except ConfigurationError:
-                continue  # not a well-formed smaller world; skip
-            tried += 1
-            candidate_record = run_scenario(candidate)
-            if violation_kinds(candidate_record.to_record()) == base_kinds:
-                steps.append(f"{description} -> {candidate.scenario_id}")
-                current = candidate
-                current_record = candidate_record
-                progress = True
-                break  # restart candidate generation from the new base
-    return ShrinkResult(
-        original=scenario,
-        minimal=current,
-        record=current_record,
-        steps=steps,
-        candidates_tried=tried,
-    )
+    return result

@@ -257,73 +257,61 @@ def build_parser() -> argparse.ArgumentParser:
         "--artifact", required=True, help="campaign artifact holding the id"
     )
 
-    def _add_fault_campaign_args(parser, preset_help: str) -> None:
-        parser.add_argument("--preset", default="smoke", help=preset_help)
-        parser.add_argument(
-            "--plan",
-            action="append",
-            default=[],
-            metavar="FILE",
-            help="run this saved plan JSON instead of the preset (repeatable)",
-        )
-        parser.add_argument(
-            "--fidelity",
-            default="sim,loopback",
-            metavar="F1,F2,...",
-            help="comma-separated fidelities: sim, loopback, net",
-        )
-        parser.add_argument(
-            "--out",
-            metavar="FILE",
-            help="write the cross-fidelity report (canonical JSON) here",
-        )
-        parser.add_argument(
-            "--workdir",
-            help="keep net-fidelity cluster state here (default: temp dirs)",
-        )
-        parser.add_argument(
-            "--timeout", type=float, default=180.0,
-            help="hard wall-clock cap per plan at the net fidelity (seconds)",
-        )
-        parser.add_argument(
-            "--rehunt", type=int, default=0, metavar="K",
-            help="flake hunting: re-run each verdict-disagreeing plan K more "
-            "times per fidelity and report the verdict distribution",
-        )
-        parser.add_argument(
-            "--shrink-out", metavar="DIR",
-            help="delta-debug every plan that truly failed at the sim "
-            "fidelity down to a minimal same-failure plan; write the "
-            "shrunk plan JSONs here (docs/FAULTS.md)",
-        )
-        parser.add_argument(
-            "--json", action="store_true", help="emit the report as JSON"
-        )
-
     c_faults = campaign_sub.add_parser(
         "faults",
         help="run fault plans at several fidelities and cross-check the "
-        "verdicts (docs/FAULTS.md)",
+        "verdicts (docs/FAULTS.md, docs/ADVERSARIES.md)",
     )
-    _add_fault_campaign_args(
-        c_faults, "fault-plan preset: smoke or extended (docs/FAULTS.md)"
+    c_faults.add_argument(
+        "--preset",
+        default="smoke",
+        help="fault-plan preset: smoke, extended, zoo-smoke, zoo-extended, "
+        "zoo-sweep or zoo-net-smoke",
     )
-
-    c_zoo = campaign_sub.add_parser(
-        "zoo",
-        help="run the adversary-zoo plan matrices across fidelities "
-        "(docs/ADVERSARIES.md)",
+    c_faults.add_argument(
+        "--plan",
+        action="append",
+        default=[],
+        metavar="FILE",
+        help="run this saved plan JSON instead of the preset (repeatable)",
     )
-    _add_fault_campaign_args(
-        c_zoo,
-        "zoo preset: smoke, extended, sweep, or net-smoke "
-        "(docs/ADVERSARIES.md)",
+    c_faults.add_argument(
+        "--fidelity",
+        default="sim,loopback",
+        metavar="F1,F2,...",
+        help="comma-separated fidelities: sim, loopback, net",
+    )
+    c_faults.add_argument(
+        "--out",
+        metavar="FILE",
+        help="write the cross-fidelity report (canonical JSON) here",
+    )
+    c_faults.add_argument(
+        "--workdir",
+        help="keep net-fidelity cluster state here (default: temp dirs)",
+    )
+    c_faults.add_argument(
+        "--timeout", type=float, default=180.0,
+        help="hard wall-clock cap per plan at the net fidelity (seconds)",
+    )
+    c_faults.add_argument(
+        "--rehunt", type=int, default=0, metavar="K",
+        help="flake hunting: re-run each verdict-disagreeing plan K more "
+        "times per fidelity and report the verdict distribution",
+    )
+    c_faults.add_argument(
+        "--shrink-out", metavar="DIR",
+        help="delta-debug every plan that truly failed at the sim "
+        "fidelity down to a minimal same-failure plan; write the "
+        "shrunk plan JSONs here (docs/FAULTS.md)",
+    )
+    c_faults.add_argument(
+        "--json", action="store_true", help="emit the report as JSON"
     )
 
     c_service = campaign_sub.add_parser(
         "service",
-        help="run a service scenario preset with oracles (same engine as "
-        "`service campaign`)",
+        help="run a service scenario preset with oracles (docs/SERVICE.md)",
     )
     c_service.add_argument("--preset", default="smoke")
     c_service.add_argument(
@@ -390,17 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     s_run.add_argument("--max-time", type=float, default=2_500.0)
     s_run.add_argument(
         "--json", metavar="FILE", help="export the run record as JSON to FILE"
-    )
-
-    s_campaign = service_sub.add_parser(
-        "campaign", help="run a service scenario preset with oracles"
-    )
-    s_campaign.add_argument("--preset", default="smoke")
-    s_campaign.add_argument(
-        "--out", metavar="FILE", help="write the records as JSON to FILE"
-    )
-    s_campaign.add_argument(
-        "--json", action="store_true", help="emit the records as JSON"
     )
 
     net = sub.add_parser(
@@ -721,7 +698,7 @@ def _parse_pairs(pairs: list[str], what: str) -> dict[int, str]:
     return parsed
 
 
-def _parse_partitions(specs: list[str]) -> tuple[Partition, ...]:
+def _parse_partitions(specs: list[str], n: int) -> tuple[Partition, ...]:
     partitions = []
     for spec in specs:
         parts = spec.split(":")
@@ -729,24 +706,18 @@ def _parse_partitions(specs: list[str]) -> tuple[Partition, ...]:
             raise ConfigurationError(
                 f"--partition expects START:HEAL:GROUPS, got {spec!r}"
             )
-        start_text, heal_text, groups_text = parts
         try:
-            start, heal = float(start_text), float(heal_text)
-            groups = tuple(
-                tuple(int(pid) for pid in side.split(","))
-                for side in groups_text.split("|")
-            )
+            start, heal = float(parts[0]), float(parts[1])
         except ValueError:
             raise ConfigurationError(
-                f"--partition expects numeric START:HEAL and GROUPS like "
-                f"0,1|2,3, got {spec!r}"
+                f"--partition expects numeric START:HEAL, got {spec!r}"
             ) from None
-        partitions.append(Partition(start=start, heal=heal, groups=groups))
+        partitions.append(Partition.parse(start, heal, parts[2], n))
     return tuple(partitions)
 
 
 def _build_link_model(args: argparse.Namespace) -> LinkModel | None:
-    partitions = _parse_partitions(args.partition)
+    partitions = _parse_partitions(args.partition, args.n)
     if not (args.loss or args.dup or args.reorder or partitions):
         return None
     return LinkModel(
@@ -964,11 +935,11 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     )
     from repro.campaign.matrix import campaign_spec
 
-    if args.campaign_command in ("faults", "zoo"):
+    if args.campaign_command == "faults":
         return _faults_campaign(args)
 
     if args.campaign_command == "service":
-        return _service_campaign(args.preset, args.out, args.json)
+        return _service_campaign(args)
 
     if args.campaign_command == "list":
         spec = campaign_spec(args.preset)
@@ -1068,14 +1039,14 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 
     # shrink
     shrink = shrink_scenario(scenario)
-    print(f"shrink {args.id} ({shrink.candidates_tried} candidates tried):")
+    print(f"shrink {args.id} ({shrink.runs - 1} candidates tried):")
     for step in shrink.steps:
         print(f"  {step}")
     if not shrink.shrunk:
         print("  already minimal")
     print(
         f"minimal scenario {shrink.minimal.scenario_id} "
-        f"(verdict {shrink.record.verdict}):"
+        f"(verdict {shrink.outcome.verdict}):"
     )
     import json
 
@@ -1149,60 +1120,57 @@ def cmd_service(args: argparse.Namespace) -> int:
 
     from repro.service import ServiceScenario, run_service_scenario
 
-    if args.service_command == "run":
-        attack_names = _parse_pairs(args.attack, "attack")
-        scenario = ServiceScenario(
-            name="cli",
-            n_replicas=args.n,
-            n_clients=args.clients,
-            mode=args.mode,
-            rate=args.rate,
-            think=args.think,
-            requests_per_client=args.requests,
-            batch_size=args.batch_size,
-            batch_delay=args.batch_delay,
-            window=args.window,
-            checkpoint_interval=args.checkpoint_interval,
-            request_timeout=args.request_timeout,
-            seed=args.seed,
-            attacks=tuple(sorted(attack_names.items())),
-            recoveries=_parse_recoveries(args.recover),
-            loss=args.loss,
-            transport=args.transport,
-            delay_model=args.delay_model,
-            max_time=args.max_time,
-        )
-        record = run_service_scenario(scenario)
-        _print_service_record(record)
-        if args.json:
-            with open(args.json, "w", encoding="utf-8") as handle:
-                json.dump(record, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            print(f"run record exported to {args.json}")
-        return 0 if record["verdict"] == "pass" else 1
-
-    # campaign (also reachable as `repro campaign service`)
-    return _service_campaign(args.preset, args.out, args.json)
+    attack_names = _parse_pairs(args.attack, "attack")
+    scenario = ServiceScenario(
+        name="cli",
+        n_replicas=args.n,
+        n_clients=args.clients,
+        mode=args.mode,
+        rate=args.rate,
+        think=args.think,
+        requests_per_client=args.requests,
+        batch_size=args.batch_size,
+        batch_delay=args.batch_delay,
+        window=args.window,
+        checkpoint_interval=args.checkpoint_interval,
+        request_timeout=args.request_timeout,
+        seed=args.seed,
+        attacks=tuple(sorted(attack_names.items())),
+        recoveries=_parse_recoveries(args.recover),
+        loss=args.loss,
+        transport=args.transport,
+        delay_model=args.delay_model,
+        max_time=args.max_time,
+    )
+    record = run_service_scenario(scenario)
+    _print_service_record(record)
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as handle:
+            json.dump(record, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        print(f"run record exported to {args.json}")
+    return 0 if record["verdict"] == "pass" else 1
 
 
-def _service_campaign(preset: str, out: str | None, as_json: bool) -> int:
-    """The service campaign engine behind both CLI spellings."""
+def _service_campaign(args: argparse.Namespace) -> int:
+    """`repro campaign service`: a service preset judged by its oracles."""
     import json
 
     from repro.service import run_service_scenario, service_preset
 
     records = [
-        run_service_scenario(scenario) for scenario in service_preset(preset)
+        run_service_scenario(scenario)
+        for scenario in service_preset(args.preset)
     ]
     payload = json.dumps(records, indent=2, sort_keys=True) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(payload)
-    if as_json:
+    if args.json:
         print(payload, end="")
     else:
         print_table(
-            f"service campaign {preset!r} ({len(records)} scenarios)",
+            f"service campaign {args.preset!r} ({len(records)} scenarios)",
             ["scenario", "verdict", "commands", "checkpoints", "transfers",
              "p50", "p99"],
             [
@@ -1218,8 +1186,8 @@ def _service_campaign(preset: str, out: str | None, as_json: bool) -> int:
                 for record in records
             ],
         )
-        if out:
-            print(f"campaign records exported to {out}")
+        if args.out:
+            print(f"campaign records exported to {args.out}")
     failures = [r for r in records if r["verdict"] != "pass"]
     for record in failures:
         print(
@@ -1230,22 +1198,18 @@ def _service_campaign(preset: str, out: str | None, as_json: bool) -> int:
 
 
 def _faults_campaign(args: argparse.Namespace) -> int:
-    """`repro campaign faults` / `repro campaign zoo`: the cross-fidelity
-    fault-plan engine over the v1 presets or the adversary-zoo matrices."""
+    """`repro campaign faults`: the cross-fidelity fault-plan engine over
+    a preset (the adversary zoo's matrices included) or saved plans."""
     from repro.faults import FAULT_PRESETS, FaultPlan, run_cross_fidelity
 
-    if args.campaign_command == "zoo":
-        from repro.zoo.presets import ZOO_PRESETS as presets
-    else:
-        presets = FAULT_PRESETS
     if args.plan:
         plans = tuple(FaultPlan.load(path) for path in args.plan)
     else:
-        preset = presets.get(args.preset)
+        preset = FAULT_PRESETS.get(args.preset)
         if preset is None:
             raise ConfigurationError(
-                f"unknown {args.campaign_command} preset {args.preset!r}; "
-                f"known: {sorted(presets)}"
+                f"unknown faults preset {args.preset!r}; "
+                f"known: {sorted(FAULT_PRESETS)}"
             )
         plans = preset
     fidelities = tuple(
@@ -1312,7 +1276,7 @@ def _faults_campaign(args: argparse.Namespace) -> int:
     if args.shrink_out:
         from pathlib import Path
 
-        from repro.faults.shrink import shrink_fault_plan
+        from repro.faults.shrink import CLAUSE_AXES, shrink_fault_plan
 
         out_dir = Path(args.shrink_out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -1320,16 +1284,14 @@ def _faults_campaign(args: argparse.Namespace) -> int:
             if result.verdicts.get("sim") != "fail":
                 continue
             shrunk = shrink_fault_plan(result.plan)
-            path = shrunk.plan.save(out_dir / f"{result.plan.name}-shrunk.json")
+            path = shrunk.minimal.save(
+                out_dir / f"{result.plan.name}-shrunk.json"
+            )
             kept = sum(
-                len(getattr(shrunk.plan, axis))
-                for axis in (
-                    "mutes", "kills", "partitions", "flips", "collusion",
-                    "suppressions", "corruptions", "timing", "storage_flips",
-                )
+                len(getattr(shrunk.minimal, axis)) for axis in CLAUSE_AXES
             )
             print(
-                f"shrunk {result.plan.name}: {len(shrunk.removed)} clause(s) "
+                f"shrunk {result.plan.name}: {len(shrunk.steps)} clause(s) "
                 f"removed, {kept} kept, {shrunk.runs} runs, "
                 f"kinds={sorted(shrunk.kinds)} -> {path}"
             )
@@ -1699,7 +1661,14 @@ def cmd_mc(args: argparse.Namespace) -> int:
         if args.shrink:
             from repro.campaign import shrink_scenario
 
-            shrink_record = shrink_scenario(scenario).to_record()
+            shrunk = shrink_scenario(scenario)
+            shrink_record = {
+                "original_id": scenario.scenario_id,
+                "minimal_id": shrunk.minimal.scenario_id,
+                "minimal_config": shrunk.minimal.to_config(),
+                "steps": list(shrunk.steps),
+                "candidates_tried": shrunk.runs - 1,
+            }
     record = {
         "path": [list(label) for label in path],
         "recorded": list(chosen["violations"]),

@@ -5,7 +5,7 @@ state at one instant — the replicated store (its digest then diverges
 from the certified quorum, which the certification module must expose)
 or its muteness detectors (hair-trigger timeouts, which the estimator
 must back off from on its own). The fault is transient: the replica is
-expected to re-converge, and :func:`repro.zoo.oracles.reconvergence_verdict`
+expected to re-converge, and :func:`repro.faults.oracle.reconvergence_verdict`
 judges whether it did.
 
 Family (d) models the Barbieri et al. hardware fault: a **stuck bit**
@@ -26,6 +26,11 @@ from typing import Any
 
 from repro.faults.plan import FaultPlan
 from repro.sim.rng import SeededRng
+
+#: Family labels that name the garbage streams: they are part of every
+#: fork label :func:`corruption_rng` derives, so they never change.
+FAMILY_STATE_CORRUPTION = "state-corruption"
+FAMILY_STORAGE_FLIP = "storage-flip"
 
 
 def corruption_rng(plan: FaultPlan, family: str, pid: int) -> SeededRng:

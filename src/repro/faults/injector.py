@@ -32,17 +32,28 @@ INIT or NEXT would itself convict the sender.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any
+from typing import Any, Callable
 
 from repro.core.certificates import SignedMessage
+from repro.faults.corruption import (
+    FAMILY_STATE_CORRUPTION,
+    FAMILY_STORAGE_FLIP,
+    StorageFault,
+    corrupt_live_state,
+    corruption_rng,
+)
 from repro.faults.plan import FaultPlan
+from repro.faults.suppressor import RoundSuppressor
+from repro.faults.timing import BurstShaper
 from repro.messages.consensus import VCurrent
 from repro.observability.registry import (
     MODULE_FAULTS,
     MODULE_ZOO,
     NULL_METRICS,
+    MetricsRegistry,
 )
 from repro.replication.log import SlotEnvelope
+from repro.sim.network import Partition
 from repro.sim.rng import SeededRng
 
 #: One decision: deliver ``payload`` after ``delay`` extra plan-seconds.
@@ -79,7 +90,7 @@ class LinkFaultInjector:
     from the directed link's own stream, in send order — the property
     the cross-fidelity byte-identity check rests on. The two zoo stages
     are draw-free: per-round suppression sets are pure seed forks
-    (:class:`~repro.zoo.suppressor.RoundSuppressor`) and the timing
+    (:class:`~repro.faults.suppressor.RoundSuppressor`) and the timing
     attack's burst shaping is a deterministic function of the per-link
     send history, so v1 plans consume exactly the streams they did
     before the v2 schema.
@@ -99,7 +110,10 @@ class LinkFaultInjector:
         root = SeededRng(plan.seed, f"faults-{plan.plan_id}")
         self._links: dict[tuple[int, int], SeededRng] = {}
         self._root = root
-        self._partitions = plan.parsed_partitions()
+        self._partitions = tuple(
+            Partition.parse(start, heal, groups, plan.n_replicas)
+            for start, heal, groups in plan.partitions
+        )
         self._mute_at = {pid: at for pid, at in plan.mutes}
         self._flip_at = {pid: (at, count) for pid, at, count in plan.flips}
         self._flips_done: dict[int, int] = {pid: 0 for pid in self._flip_at}
@@ -110,21 +124,9 @@ class LinkFaultInjector:
         self.partition_delays = 0
         self.duplicates = 0
         self.reorders = 0
-        # -- adversary zoo (v2 plans; inert on v1 plans). The zoo imports
-        # are lazy: repro.zoo depends on repro.faults.plan, so repro.faults
-        # modules must never import repro.zoo at module scope.
-        if plan.suppressions:
-            from repro.zoo.suppressor import RoundSuppressor
-
-            self._suppressor: Any = RoundSuppressor(plan)
-        else:
-            self._suppressor = None
-        if plan.timing:
-            from repro.zoo.timing import BurstShaper
-
-            self._burst: Any = BurstShaper(plan.timing)
-        else:
-            self._burst = None
+        # -- adversary zoo (v2 plans; inert on v1 plans).
+        self._suppressor = RoundSuppressor(plan) if plan.suppressions else None
+        self._burst = BurstShaper(plan.timing) if plan.timing else None
 
     @property
     def plan(self) -> FaultPlan:
@@ -146,22 +148,6 @@ class LinkFaultInjector:
             rng = self._root.fork(f"link-{src}-{dst}")
             self._links[key] = rng
         return rng
-
-    def _severed_until(self, now: float, src: int, dst: int) -> float | None:
-        """Heal time of the partition currently severing ``src -> dst``."""
-        for start, heal, groups in self._partitions:
-            if not start <= now < heal:
-                continue
-            src_group = next(
-                (i for i, group in enumerate(groups) if src in group), None
-            )
-            dst_group = next(
-                (i for i, group in enumerate(groups) if dst in group), None
-            )
-            if src_group is not None and dst_group is not None:
-                if src_group != dst_group:
-                    return heal
-        return None
 
     def _muted(self, now: float, pid: int) -> bool:
         at = self._mute_at.get(pid)
@@ -201,7 +187,9 @@ class LinkFaultInjector:
         ):
             self._registry.inc(MODULE_ZOO, "suppressed_deliveries", pid=src)
             return []
-        heal = self._severed_until(now, src, dst)
+        heal = next(
+            (p.heal for p in self._partitions if p.severs(now, src, dst)), None
+        )
         if heal is not None:
             # A partition *withholds* traffic until the heal instant
             # rather than destroying it: over real TCP the severed
@@ -261,3 +249,101 @@ class LinkFaultInjector:
         if not touched:
             return None
         return deliveries
+
+
+# -- the adversary zoo's process-level injections ---------------------------
+#
+# The three fidelity runners schedule the same zoo injections against
+# different substrates (a simulated world's scheduler, the loopback twin's
+# manual scheduler, a subprocess replica's wall scheduler). Which
+# ServiceConfig knobs a zoo plan flips on, and the scheduling of its
+# injections, are both derived purely from the plan, so every fidelity
+# arms the exact same adversary. What was injected is counted on the
+# runner's registry (``corruptions_injected``, ``storage_flips_injected``),
+# the only place the oracles read it.
+
+
+def zoo_service_overrides(plan: FaultPlan) -> dict[str, Any]:
+    """ServiceConfig fields a zoo plan turns on (empty for v1 plans).
+
+    Transient-corruption plans arm the self-stabilizing heal; timing
+    plans arm the adaptive muteness estimator the attack targets.
+    Storage-flip plans whose stuck bit sits in the *log* (and not the
+    checkpoint snapshot) push checkpoints out of the run entirely, so
+    every served state transfer carries a log suffix for the fault to
+    hit — with a tight cadence the suffix is empty whenever a transfer
+    lands just after a checkpoint, and the injection oracle would flake.
+    """
+    overrides: dict[str, Any] = {}
+    if plan.corruptions:
+        overrides["heal_on_mismatch"] = True
+    if plan.timing:
+        overrides["muteness_detector"] = "adaptive"
+    flip_targets = {target for _pid, _at, target in plan.storage_flips}
+    if flip_targets and "checkpoint" not in flip_targets:
+        overrides["checkpoint_interval"] = 64
+    return overrides
+
+
+def zoo_loopback_overrides(plan: FaultPlan) -> dict[str, Any]:
+    """The loopback/net variant: also tighten the checkpoint cadence.
+
+    The loopback genesis checkpoints every 4 applied slots of batches of
+    8 — too sparse for a corruption injected mid-window to meet a
+    certified quorum before the settle budget. Corruption and
+    checkpoint-flip plans shrink both knobs (cluster-wide: the
+    checkpoint schedule must agree across replicas); log-only flip
+    plans keep the loose interval chosen above. The sim config already
+    runs at this cadence.
+    """
+    overrides = zoo_service_overrides(plan)
+    if plan.corruptions or plan.storage_flips:
+        overrides.setdefault("checkpoint_interval", 1)
+        overrides["batch_size"] = 2
+    return overrides
+
+
+def install_zoo_injections(
+    plan: FaultPlan,
+    schedule: Callable[[float, str, Callable[[], None]], Any],
+    replica: Callable[[int], Any],
+    metrics: MetricsRegistry,
+    pids: frozenset[int] | None = None,
+) -> None:
+    """Schedule families (b) and (d) against one runner's substrate.
+
+    ``schedule(at, label, thunk)`` books a callback at plan-time ``at``
+    on the runner's clock (the caller owns the time-scale mapping);
+    ``replica(pid)`` resolves the live :class:`ServiceReplicaProcess`
+    hosting ``pid`` at fire time, or ``None`` when that replica is not
+    hosted here. ``pids`` restricts the clauses to the locally-hosted
+    replicas (the subprocess fidelity hosts exactly one).
+    """
+    for pid, at, target in plan.corruptions:
+        if pids is not None and pid not in pids:
+            continue
+
+        def corrupt(pid: int = pid, target: str = target) -> None:
+            process = replica(pid)
+            if process is None:
+                return
+            rng = corruption_rng(plan, FAMILY_STATE_CORRUPTION, pid)
+            corrupt_live_state(process, target, rng)
+            metrics.inc(MODULE_ZOO, "corruptions_injected", pid=pid)
+
+        schedule(at, "zoo-corrupt", corrupt)
+    for pid, at, target in plan.storage_flips:
+        if pids is not None and pid not in pids:
+            continue
+        fault = StorageFault(
+            (target,),
+            corruption_rng(plan, FAMILY_STORAGE_FLIP, pid),
+            metrics=metrics.scope(MODULE_ZOO, pid),
+        )
+
+        def install(pid: int = pid, fault: StorageFault = fault) -> None:
+            process = replica(pid)
+            if process is not None:
+                process.storage_fault = fault
+
+        schedule(at, "zoo-storage-fault", install)

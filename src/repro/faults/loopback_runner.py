@@ -19,7 +19,11 @@ from __future__ import annotations
 import dataclasses
 
 from repro.byzantine import transformed_attack
-from repro.faults.injector import LinkFaultInjector
+from repro.faults.injector import (
+    LinkFaultInjector,
+    install_zoo_injections,
+    zoo_loopback_overrides,
+)
 from repro.faults.oracle import (
     FidelityObservation,
     ReplicaFacts,
@@ -53,10 +57,6 @@ class _LoopbackRun:
     """One plan execution on the loopback twin."""
 
     def __init__(self, plan: FaultPlan) -> None:
-        # Lazy zoo import: repro.zoo depends on repro.faults.plan, so the
-        # faults package never imports repro.zoo at module scope.
-        from repro.zoo.runtime import zoo_loopback_overrides
-
         plan.validate()
         self.plan = plan
         # What the injectors do, as counters: the reducer reads totals.
@@ -84,8 +84,6 @@ class _LoopbackRun:
         self.client = self.cluster.clients[0]
 
     def _schedule_events(self) -> None:
-        from repro.zoo.runtime import install_zoo_injections
-
         plan = self.plan
         nodes = self.cluster.nodes
         # Families (b)/(d): same shared wiring as the other fidelities;

@@ -31,7 +31,7 @@ from repro.campaign.oracles import (
     VERDICT_PASS,
     classify_fault_reason,
 )
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FIDELITY_NET, FaultPlan
 from repro.observability.registry import (
     MODULE_FAULTS,
     MODULE_MUTENESS,
@@ -71,8 +71,8 @@ class FidelityObservation:
     signature_rejections: int = 0
     #: Adversary-zoo facts (docs/ADVERSARIES.md): injection/detection
     #: counters per family plus the re-convergence verdict. Populated
-    #: only for zoo plans, so v1 plan records stay byte-identical; the
-    #: per-family oracles in :mod:`repro.zoo.oracles` judge it.
+    #: only for zoo plans, so v1 plan records stay byte-identical;
+    #: :func:`judge_zoo` judges it.
     zoo: dict[str, Any] = field(default_factory=dict)
     #: Free-form runner extras carried into the report (never judged).
     extras: dict[str, Any] = field(default_factory=dict)
@@ -315,11 +315,7 @@ def judge(
 
     # Adversary-zoo families (v2 plans): per-family injection/detection/
     # attribution oracles, including the self-stabilization verdict.
-    # Imported lazily — repro.zoo depends on repro.faults.plan, so the
-    # faults package never imports repro.zoo at module scope.
     if plan.has_zoo:
-        from repro.zoo.oracles import judge_zoo
-
         violations.extend(judge_zoo(plan, observation, live))
 
     if not violations:
@@ -327,3 +323,164 @@ def judge(
     if plan.expect == "vulnerable":
         return VERDICT_EXPECTED_VULNERABILITY, violations
     return VERDICT_FAIL, violations
+
+
+# -- the adversary zoo's oracles ---------------------------------------------
+#
+# judge_zoo extends judge for plans carrying zoo clauses. Each family's
+# oracle checks three things in the same vocabulary as the flip oracle:
+# the adversary actually *ran* (injection counters), the right Figure-1
+# module *caught* it (detection), and no other module got *blamed* for it
+# (attribution). Family (b) additionally computes the self-stabilization
+# verdict — recovered / stuck / diverged — and stores it in
+# observation.zoo["reconvergence"] so it lands in the report.
+#
+# The runners populate observation.zoo with the raw facts (see observe):
+#
+#     suppressed                deliveries removed by the message adversary
+#     corruptions_injected      live-state scribbles performed
+#     checkpoint_mismatches     certified-quorum digest mismatches observed
+#     timing_delays             messages the timing attacker burst-shaped
+#     wrongful_suspicions       muteness suspicions of processes that spoke
+#     storage_flips_injected    at-rest flips served to catching-up peers
+#     storage_rejections        corrupted transfer state rejected by the
+#                               requesting side (signature + certification)
+#
+# Detection counters are asserted at the deterministic fidelities; at the
+# net fidelity, response ordering can mask a rejection (an already-covered
+# slot is skipped unverified), so there only injection and the base
+# progress/convergence oracles are required — mirroring the fidelity-3
+# fallback the flip oracle already uses.
+
+#: Self-stabilization verdicts of the re-convergence oracle.
+RECOVERED = "recovered"
+STUCK = "stuck"
+DIVERGED = "diverged"
+
+
+def _innocent_convictions(
+    plan: FaultPlan, observation: FidelityObservation
+) -> list[tuple[int, int, str]]:
+    """Declarations by correct observers against *correct* processes.
+
+    Flip senders are excluded — the flip oracle owns their attribution
+    story (they are corrupted on the wire, not by the zoo).
+    """
+    guilty = plan.faulty_pids | plan.flip_pids
+    return sorted(
+        {
+            (observer, target, classify_fault_reason(reason).value)
+            for observer, target, reason in observation.declared
+            if target not in guilty
+        }
+    )
+
+
+def reconvergence_verdict(
+    plan: FaultPlan, observation: FidelityObservation, live: frozenset[int]
+) -> str:
+    """The self-stabilization verdict for a transient-corruption plan.
+
+    ``diverged`` — the live correct replicas did not end on one digest
+    (the corruption leaked into the replicated state); ``stuck`` — the
+    digests agree but progress stalled below the plan's floor;
+    ``recovered`` — the system returned to a legal state within the
+    settle horizon.
+    """
+    digests = {
+        observation.digests[pid] for pid in live if pid in observation.digests
+    }
+    if len(digests) != 1 or any(
+        pid not in observation.digests for pid in live
+    ):
+        return DIVERGED
+    floor = plan.progress_floor
+    if observation.completed < plan.requests or any(
+        observation.committed.get(pid, 0) < floor for pid in live
+    ):
+        return STUCK
+    return RECOVERED
+
+
+def judge_zoo(
+    plan: FaultPlan, observation: FidelityObservation, live: frozenset[int]
+) -> list[str]:
+    """Apply every applicable family oracle; return the violations."""
+    violations: list[str] = []
+    zoo = observation.zoo
+    deterministic = observation.fidelity != FIDELITY_NET
+
+    # Family (a): the message adversary. Pure omission — it must run,
+    # and no module may convict a correct process over missing traffic.
+    if plan.suppressions:
+        if zoo.get("suppressed", 0) < 1:
+            violations.append(
+                "injection: the plan schedules a message adversary but no "
+                "delivery was suppressed"
+            )
+        convicted = _innocent_convictions(plan, observation)
+        if convicted:
+            violations.append(
+                "attribution: pure omission convicted correct process(es): "
+                f"{convicted}"
+            )
+
+    # Family (b): transient state corruption + the re-convergence oracle.
+    if plan.corruptions:
+        if zoo.get("corruptions_injected", 0) < 1:
+            violations.append(
+                "injection: the plan schedules state corruption but none "
+                "was injected"
+            )
+        if (
+            deterministic
+            and any(target == "store" for _p, _a, target in plan.corruptions)
+            and zoo.get("checkpoint_mismatches", 0) < 1
+        ):
+            violations.append(
+                "detection: store corruption never surfaced as a certified "
+                "checkpoint-digest mismatch (certification module)"
+            )
+        verdict = reconvergence_verdict(plan, observation, live)
+        zoo["reconvergence"] = verdict
+        if verdict != RECOVERED:
+            violations.append(
+                f"reconvergence: transient corruption left the system "
+                f"{verdict} (self-stabilization oracle)"
+            )
+
+    # Family (c): the timing attack. The adaptive estimator may suspect
+    # wrongfully (that is the attack working) but the blame must never
+    # escape the muteness module as a declaration against a correct peer.
+    if plan.timing:
+        if zoo.get("timing_delays", 0) < 1:
+            violations.append(
+                "injection: the plan schedules a timing attack but no "
+                "message was burst-shaped"
+            )
+        elif deterministic and zoo.get("wrongful_suspicions", 0) < 1:
+            violations.append(
+                "engagement: the timing attack never drove the muteness "
+                "estimator into a wrongful suspicion"
+            )
+        escaped = _innocent_convictions(plan, observation)
+        if escaped:
+            violations.append(
+                "attribution: timing-attack blame escaped the muteness "
+                f"module as declaration(s): {escaped}"
+            )
+
+    # Family (d): at-rest storage flips, caught by the requesting side.
+    if plan.storage_flips:
+        if zoo.get("storage_flips_injected", 0) < 1:
+            violations.append(
+                "injection: the plan schedules storage flips but no served "
+                "state was corrupted (did any peer transfer?)"
+            )
+        elif deterministic and zoo.get("storage_rejections", 0) < 1:
+            violations.append(
+                "detection: corrupted at-rest state was never rejected by "
+                "the signature/certification re-checks"
+            )
+
+    return violations

@@ -22,7 +22,6 @@ replayable, content-addressed artifact.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -31,6 +30,8 @@ from typing import Any, Mapping
 from repro.byzantine import TRANSFORMED_ATTACKS
 from repro.core.specs import SystemParameters
 from repro.errors import ConfigurationError
+from repro.observability.export import check_schema, content_id
+from repro.sim.network import Partition
 
 #: Newest schema tag this code reads and writes.
 FAULTS_SCHEMA = "repro.faults/v2"
@@ -54,37 +55,6 @@ FIDELITY_SIM = "sim"
 FIDELITY_LOOPBACK = "loopback"
 FIDELITY_NET = "net"
 FIDELITIES = (FIDELITY_SIM, FIDELITY_LOOPBACK, FIDELITY_NET)
-
-
-def _parse_groups(groups: str, n_replicas: int) -> tuple[tuple[int, ...], ...]:
-    """``"0,1|2,3"`` -> ``((0, 1), (2, 3))`` with full validation."""
-    try:
-        parsed = tuple(
-            tuple(int(pid) for pid in part.split(","))
-            for part in groups.split("|")
-        )
-    except ValueError as exc:
-        raise ConfigurationError(
-            f"malformed partition groups {groups!r}: {exc}"
-        ) from exc
-    if len(parsed) < 2:
-        raise ConfigurationError(
-            f"a partition needs >= 2 groups, got {groups!r}"
-        )
-    seen: set[int] = set()
-    for group in parsed:
-        for pid in group:
-            if not 0 <= pid < n_replicas:
-                raise ConfigurationError(
-                    f"partition pid {pid} out of range for "
-                    f"n_replicas={n_replicas}"
-                )
-            if pid in seen:
-                raise ConfigurationError(
-                    f"partition pid {pid} appears in two groups: {groups!r}"
-                )
-            seen.add(pid)
-    return parsed
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,10 +136,7 @@ class FaultPlan:
 
     @property
     def plan_id(self) -> str:
-        canonical = json.dumps(
-            self.to_config(), sort_keys=True, separators=(",", ":")
-        )
-        return "f" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
+        return content_id("f", self.to_config())
 
     # -- config round-trip ---------------------------------------------------
 
@@ -390,14 +357,6 @@ class FaultPlan:
     def progress_floor(self) -> int:
         return self.min_commands if self.min_commands else self.requests
 
-    def parsed_partitions(
-        self,
-    ) -> tuple[tuple[float, float, tuple[tuple[int, ...], ...]], ...]:
-        return tuple(
-            (start, heal, _parse_groups(groups, self.n_replicas))
-            for start, heal, groups in self.partitions
-        )
-
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> None:
@@ -450,13 +409,8 @@ class FaultPlan:
                         f"its kill at {at!r}"
                     )
         for start, heal, groups in self.partitions:
-            _parse_groups(groups, self.n_replicas)
+            Partition.parse(start, heal, groups, self.n_replicas)
             self._check_time(start, "partition start")
-            if heal <= start:
-                raise ConfigurationError(
-                    f"partition window [{start!r}, {heal!r}) must satisfy "
-                    "start < heal"
-                )
             if heal > self.duration:
                 raise ConfigurationError(
                     f"partition heals at {heal!r}, past the plan duration "
@@ -633,21 +587,4 @@ class FaultPlan:
 
 def check_faults_schema(schema: str) -> None:
     """Reject documents from a newer schema than this code understands."""
-    prefix = "repro.faults/v"
-    if not schema.startswith(prefix):
-        raise ConfigurationError(
-            f"unsupported fault-plan schema {schema!r}; expected "
-            f"{FAULTS_SCHEMA!r}"
-        )
-    try:
-        version = int(schema[len(prefix):])
-    except ValueError:
-        raise ConfigurationError(
-            f"unsupported fault-plan schema {schema!r}; expected "
-            f"{FAULTS_SCHEMA!r}"
-        ) from None
-    if version > 2:
-        raise ConfigurationError(
-            f"fault-plan schema {schema!r} is newer than the installed "
-            f"code (supports {FAULTS_SCHEMA}); upgrade repro to read it"
-        )
+    check_schema(schema, "repro.faults", 2)

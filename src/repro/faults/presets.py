@@ -1,14 +1,19 @@
-"""Named zoo plan matrices for ``repro campaign zoo`` (docs/ADVERSARIES.md).
+"""Named plan matrices for ``repro campaign faults --preset NAME``.
 
-* ``smoke`` — one plan per family, the ``make zoo-smoke`` matrix;
-* ``extended`` — smoke plus the second target of families (b) and (d);
-* ``sweep`` — the ``(F, d)`` compounding matrix of the message
+* ``smoke`` — muteness, partition-then-heal, kill/rejoin and bit-flip,
+  the ``make faults-smoke`` matrix (docs/FAULTS.md);
+* ``extended`` — smoke plus link noise and a colluding replica;
+* ``zoo-smoke`` — one plan per adversary family, the ``make zoo-smoke``
+  matrix (docs/ADVERSARIES.md);
+* ``zoo-extended`` — zoo-smoke plus the second target of families (b)
+  and (d);
+* ``zoo-sweep`` — the ``(F, d)`` compounding matrix of the message
   adversary: process faults (F muted replicas) crossed with the
   per-broadcast suppression bound d, probing where the two bounds
   compound (at n=4, F=1, quorum=3 a receiver can lose the mute plus
   d=2 further inputs — below the quorum — so the corner is expected to
   need the settle horizon's retransmissions to converge);
-* ``net-smoke`` — the single family-(a) plan the make target runs at
+* ``zoo-net-smoke`` — the single family-(a) plan the make target runs at
   fidelity 3 under a hard timeout.
 """
 
@@ -19,6 +24,55 @@ from repro.faults.plan import FaultPlan
 
 def _preset_plans() -> dict[str, tuple[FaultPlan, ...]]:
     smoke = (
+        FaultPlan(
+            name="mute-one",
+            seed=11,
+            requests=18,
+            duration=10.0,
+            mutes=((1, 3.0),),
+        ),
+        FaultPlan(
+            name="partition-heal",
+            seed=12,
+            requests=18,
+            duration=12.0,
+            partitions=((3.0, 6.0, "0,1|2,3"),),
+        ),
+        FaultPlan(
+            name="kill-rejoin",
+            seed=13,
+            requests=18,
+            duration=12.0,
+            kills=((2, 3.0, 6.0),),
+        ),
+        FaultPlan(
+            name="bit-flip",
+            seed=14,
+            requests=18,
+            duration=10.0,
+            flips=((1, 1.0, 3),),
+        ),
+    )
+    extended = smoke + (
+        FaultPlan(
+            name="link-noise",
+            seed=15,
+            requests=18,
+            duration=12.0,
+            loss=0.02,
+            duplication=0.02,
+            reorder=0.05,
+            reorder_spread=0.3,
+        ),
+        FaultPlan(
+            name="collusion-corrupt-vector",
+            seed=16,
+            requests=18,
+            duration=12.0,
+            collusion=((3, "corrupt-vector"),),
+        ),
+    )
+    zoo_smoke = (
         # One 0.5 s suppression round: enough traffic to prove injection
         # (tens of removed deliveries) while the quorum geometry can
         # still absorb d=1 — the engines never retransmit consensus
@@ -57,7 +111,7 @@ def _preset_plans() -> dict[str, tuple[FaultPlan, ...]]:
             storage_flips=((0, 3.0, "log"),),
         ),
     )
-    extended = smoke + (
+    zoo_extended = zoo_smoke + (
         FaultPlan(
             name="zoo-transient-detector",
             seed=25,
@@ -81,7 +135,7 @@ def _preset_plans() -> dict[str, tuple[FaultPlan, ...]]:
     # a permanently undecided slot, so progress legitimately fails. Those
     # cells are declared vulnerable; the benign corner keeps the short
     # window the smoke plan survives.
-    sweep = tuple(
+    zoo_sweep = tuple(
         FaultPlan(
             name=f"zoo-fd-F{f_count}-d{d}",
             seed=30 + 2 * f_count + d,
@@ -101,10 +155,12 @@ def _preset_plans() -> dict[str, tuple[FaultPlan, ...]]:
     return {
         "smoke": smoke,
         "extended": extended,
-        "sweep": sweep,
-        "net-smoke": smoke[:1],
+        "zoo-smoke": zoo_smoke,
+        "zoo-extended": zoo_extended,
+        "zoo-sweep": zoo_sweep,
+        "zoo-net-smoke": zoo_smoke[:1],
     }
 
 
 #: Named plan matrices for the CLI and the make targets.
-ZOO_PRESETS = _preset_plans()
+FAULT_PRESETS = _preset_plans()

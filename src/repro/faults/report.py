@@ -19,6 +19,7 @@ from typing import Any
 
 from repro.errors import ConfigurationError
 from repro.faults.loopback_runner import run_loopback_plan
+from repro.faults.net_runner import run_net_plan
 from repro.faults.oracle import FidelityObservation, judge
 from repro.faults.plan import (
     FAULTS_SCHEMA,
@@ -36,63 +37,6 @@ from repro.faults.sim_runner import run_sim_plan
 DETERMINISTIC_FIDELITIES = (FIDELITY_SIM, FIDELITY_LOOPBACK)
 
 
-def _preset_plans() -> dict[str, tuple[FaultPlan, ...]]:
-    smoke = (
-        FaultPlan(
-            name="mute-one",
-            seed=11,
-            requests=18,
-            duration=10.0,
-            mutes=((1, 3.0),),
-        ),
-        FaultPlan(
-            name="partition-heal",
-            seed=12,
-            requests=18,
-            duration=12.0,
-            partitions=((3.0, 6.0, "0,1|2,3"),),
-        ),
-        FaultPlan(
-            name="kill-rejoin",
-            seed=13,
-            requests=18,
-            duration=12.0,
-            kills=((2, 3.0, 6.0),),
-        ),
-        FaultPlan(
-            name="bit-flip",
-            seed=14,
-            requests=18,
-            duration=10.0,
-            flips=((1, 1.0, 3),),
-        ),
-    )
-    extended = smoke + (
-        FaultPlan(
-            name="link-noise",
-            seed=15,
-            requests=18,
-            duration=12.0,
-            loss=0.02,
-            duplication=0.02,
-            reorder=0.05,
-            reorder_spread=0.3,
-        ),
-        FaultPlan(
-            name="collusion-corrupt-vector",
-            seed=16,
-            requests=18,
-            duration=12.0,
-            collusion=((3, "corrupt-vector"),),
-        ),
-    )
-    return {"smoke": smoke, "extended": extended}
-
-
-#: Named plan matrices for the CLI and the make targets.
-FAULT_PRESETS = _preset_plans()
-
-
 def run_plan(
     plan: FaultPlan,
     fidelity: str,
@@ -106,10 +50,6 @@ def run_plan(
     if fidelity == FIDELITY_LOOPBACK:
         return run_loopback_plan(plan)
     if fidelity == FIDELITY_NET:
-        # Imported lazily: the deterministic fidelities must not depend
-        # on subprocess/socket machinery.
-        from repro.faults.net_runner import run_net_plan
-
         return run_net_plan(plan, workdir=workdir, timeout=timeout)
     raise ConfigurationError(
         f"unknown fidelity {fidelity!r}; known: {list(FIDELITIES)}"

@@ -19,7 +19,11 @@ import dataclasses
 from typing import Any
 
 from repro.byzantine import transformed_attack
-from repro.faults.injector import LinkFaultInjector
+from repro.faults.injector import (
+    LinkFaultInjector,
+    install_zoo_injections,
+    zoo_service_overrides,
+)
 from repro.faults.oracle import (
     FidelityObservation,
     ReplicaFacts,
@@ -43,10 +47,6 @@ SETTLE_BUDGET = 40.0
 
 
 def _sim_config(plan: FaultPlan) -> ServiceConfig:
-    # Lazy zoo import: repro.zoo depends on repro.faults.plan, so the
-    # faults package never imports repro.zoo at module scope.
-    from repro.zoo.runtime import zoo_service_overrides
-
     duration = plan.duration * SIM_TIME_SCALE
     # Open-loop workload spread over the first ~70% of the window, so
     # post-rejoin replicas still see fresh traffic to catch up against.
@@ -87,8 +87,6 @@ def build_sim_system(
 ) -> tuple[ServiceSystem, LinkFaultInjector, MetricsRegistry]:
     """The (not yet run) fidelity-1 world for ``plan``, its link
     injector, and the registry every injector of the run counts into."""
-    from repro.zoo.runtime import install_zoo_injections
-
     plan.validate()
     registry = MetricsRegistry()
     injector = LinkFaultInjector(plan, registry=registry)

@@ -22,12 +22,11 @@ Scope bounds of ``repro.mc`` v1 (see docs/MODELCHECK.md):
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.errors import ConfigurationError
+from repro.observability.export import content_id
 
 #: The bounded adversary-action alphabet (docs/MODELCHECK.md):
 #:
@@ -92,10 +91,7 @@ class McConfig:
     @property
     def config_id(self) -> str:
         """Stable content hash of the full config (``mc`` + 12 hex chars)."""
-        canonical = json.dumps(
-            self.to_config(), sort_keys=True, separators=(",", ":")
-        )
-        return "mc" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
+        return content_id("mc", self.to_config())
 
     # -- config round-trip ---------------------------------------------------
 

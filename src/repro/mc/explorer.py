@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from repro.campaign.oracles import violation_kinds
 from repro.campaign.scenario import Scenario
 from repro.errors import ConfigurationError
 from repro.mc.config import McConfig
@@ -38,6 +39,7 @@ from repro.mc.digest import state_digest
 from repro.mc.mutations import apply_mutation
 from repro.mc.predicates import check_state
 from repro.mc.stepper import Label, Stepper
+from repro.observability.export import check_schema
 from repro.observability.registry import MODULE_MC, MetricsRegistry
 
 #: Artifact format tag; bump on any change to the record grammar.
@@ -55,7 +57,7 @@ class Violation:
     violations: tuple[str, ...]
 
     def kinds(self) -> frozenset[str]:
-        return frozenset(v.split(":", 1)[0] for v in self.violations)
+        return violation_kinds(self.violations)
 
 
 @dataclass(slots=True)
@@ -464,10 +466,9 @@ def _read_artifact(path: Path) -> list[dict[str, Any]]:
                 records.append(json.loads(line))
             except json.JSONDecodeError:
                 break  # a torn trailing line from an interrupted write
-    if not records or records[0].get("format") != ARTIFACT_FORMAT:
-        raise ConfigurationError(
-            f"{path} is not a {ARTIFACT_FORMAT} artifact"
-        )
+    if not records:
+        raise ConfigurationError(f"{path} holds no {ARTIFACT_FORMAT} header")
+    check_schema(records[0].get("format", ""), "repro.mc", 1)
     return records
 
 

@@ -25,6 +25,7 @@ cluster's directory).
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import signal
 import time
 from pathlib import Path
@@ -272,25 +273,18 @@ async def serve_replica(
         from repro.byzantine import transformed_attack
 
         engine_factory = transformed_attack(pid, attack)[pid]
-    plan = origin = None
-    config = None
+    plan = origin = config = None
     if fault_plan is not None:
+        from repro.faults.injector import zoo_loopback_overrides
         from repro.faults.plan import FaultPlan
 
         plan = FaultPlan.load(fault_plan)
         origin = fault_origin if fault_origin is not None else loop.time()
-        if plan.has_zoo:
-            # Zoo plans re-derive the cluster config from the shared
-            # plan (every node computes the same overrides).
-            import dataclasses
-
-            from repro.zoo.runtime import zoo_loopback_overrides
-
-            overrides = zoo_loopback_overrides(plan)
-            if overrides:
-                config = dataclasses.replace(
-                    genesis.service_config(), **overrides
-                )
+        # Zoo plans re-derive the cluster config from the shared plan
+        # (every node computes the same overrides; a v1 plan has none).
+        config = dataclasses.replace(
+            genesis.service_config(), **zoo_loopback_overrides(plan)
+        )
     node = NetNode(
         genesis,
         pid,
@@ -301,7 +295,10 @@ async def serve_replica(
         config=config,
     )
     if plan is not None:
-        from repro.faults.injector import LinkFaultInjector
+        from repro.faults.injector import (
+            LinkFaultInjector,
+            install_zoo_injections,
+        )
         from repro.net.faulty import FaultyPeerTransport
 
         injector = LinkFaultInjector(
@@ -315,21 +312,18 @@ async def serve_replica(
             injector=injector,
             plan_clock=lambda: time.time() - origin,
         )
-        if plan.has_zoo:
-            # Families (b)/(d) are *self*-injections: each subprocess
-            # corrupts only its own replica, at the plan instant mapped
-            # onto the shared wall-clock origin.
-            from repro.zoo.runtime import install_zoo_injections
-
-            install_zoo_injections(
-                plan,
-                lambda at, label, thunk: scheduler.schedule_after(
-                    max(0.0, at - (time.time() - origin)), label, thunk
-                ),
-                lambda p: node.process if p == pid else None,
-                node.metrics,
-                pids=frozenset({pid}),
-            )
+        # Families (b)/(d) are *self*-injections: each subprocess
+        # corrupts only its own replica, at the plan instant mapped onto
+        # the shared wall-clock origin.
+        install_zoo_injections(
+            plan,
+            lambda at, label, thunk: scheduler.schedule_after(
+                max(0.0, at - (time.time() - origin)), label, thunk
+            ),
+            lambda p: node.process if p == pid else None,
+            node.metrics,
+            pids=frozenset({pid}),
+        )
     else:
         transport = PeerTransport(
             genesis, pid, node.handle_message, metrics=node.net_metrics

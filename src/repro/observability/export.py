@@ -25,20 +25,21 @@ deterministic and live only in the in-memory registry.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, IO, Iterable, Iterator, Mapping
 
-from repro.errors import ReproError
+from repro.errors import ConfigurationError
 from repro.observability.registry import MetricsRegistry
 from repro.sim.trace import Trace, TraceEvent
 
 SCHEMA_VERSION = "repro.observability/v1"
 
 
-class ArtifactError(ReproError):
-    """A JSONL artifact is malformed or has an unsupported schema."""
+class ArtifactError(ConfigurationError):
+    """An artifact is malformed or has an unsupported schema."""
 
 
 def dumps_canonical(record: Mapping[str, Any]) -> str:
@@ -49,6 +50,40 @@ def dumps_canonical(record: Mapping[str, Any]) -> str:
     fixed-seed artifacts byte-identical.
     """
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+def content_id(prefix: str, config: Mapping[str, Any]) -> str:
+    """A config's stable content address: ``prefix`` + the first 12 hex
+    chars of the SHA-256 of its canonical JSON. Scenario, fault-plan,
+    service-scenario and model-checker ids are all this one hash."""
+    digest = hashlib.sha256(dumps_canonical(config).encode("utf-8"))
+    return prefix + digest.hexdigest()[:12]
+
+
+def check_schema(tag: str, family: str, newest: int) -> None:
+    """Gate one artifact's version tag, for every reader's header.
+
+    ``tag`` must read ``<family>/v<k>`` with ``1 <= k <= newest``. An
+    alien or garbled tag is unsupported; a newer one is refused rather
+    than half-read, since this code cannot know what a later version
+    changed.
+    """
+    prefix = f"{family}/v"
+    version = (
+        tag[len(prefix):]
+        if isinstance(tag, str) and tag.startswith(prefix)
+        else ""
+    )
+    if not version.isdecimal() or int(version) < 1:
+        raise ArtifactError(
+            f"unsupported schema {tag!r}; this code reads {family}/v1 "
+            f"to {family}/v{newest}"
+        )
+    if int(version) > newest:
+        raise ArtifactError(
+            f"schema {tag!r} is newer than the installed code (reads up "
+            f"to {family}/v{newest}); upgrade repro to read it"
+        )
 
 
 _dumps = dumps_canonical
@@ -200,8 +235,7 @@ def parse_lines(lines: Iterable[str]) -> RunArtifact:
         kind = record.get("kind")
         if kind == "header":
             schema = record.get("schema", "")
-            if not schema.startswith("repro.observability/"):
-                raise ArtifactError(f"unsupported schema {schema!r}")
+            check_schema(schema, "repro.observability", 1)
             artifact.schema = schema
             artifact.meta = record.get("meta", {})
             saw_header = True

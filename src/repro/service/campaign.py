@@ -26,14 +26,13 @@ The service oracle catalogue judges a finished run on:
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.byzantine import TRANSFORMED_ATTACKS, transformed_attack
 from repro.campaign.scenario import DELAY_MODELS
 from repro.errors import ConfigurationError
+from repro.observability.export import content_id
 from repro.service.checkpoint import certificate_valid
 from repro.service.config import CLIENT_MODES, ServiceConfig
 from repro.service.runtime import ServiceSystem, build_service_system
@@ -79,10 +78,7 @@ class ServiceScenario:
 
     @property
     def scenario_id(self) -> str:
-        canonical = json.dumps(
-            self.to_config(), sort_keys=True, separators=(",", ":")
-        )
-        return "v" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
+        return content_id("v", self.to_config())
 
     # -- config round-trip ---------------------------------------------------
 
@@ -389,7 +385,7 @@ def run_service_scenario(scenario: ServiceScenario) -> dict[str, Any]:
 
 
 def service_preset(name: str) -> list[ServiceScenario]:
-    """The named scenario lists behind ``repro service campaign``."""
+    """The named scenario lists behind ``repro campaign service``."""
     if name not in SERVICE_PRESETS:
         raise ConfigurationError(
             f"unknown service preset {name!r}; known: {sorted(SERVICE_PRESETS)}"

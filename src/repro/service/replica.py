@@ -243,7 +243,7 @@ class ServiceReplicaProcess(Process):
         #: (one declaration event per culprit, like the engines').
         self._stale_culprits: set[int] = set()
         #: Adversary-zoo family (d) hook (docs/ADVERSARIES.md): when the
-        #: campaign installs a :class:`~repro.zoo.corruption.StorageFault`
+        #: campaign installs a :class:`~repro.faults.corruption.StorageFault`
         #: here, every state response this replica serves passes through
         #: it — modelling stuck bits in the at-rest log/checkpoint
         #: storage. ``None`` (the default) is a no-op.

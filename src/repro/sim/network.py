@@ -183,16 +183,14 @@ class Partition:
             )
         if len(self.groups) < 2:
             raise ConfigurationError("a partition needs at least two groups")
-        seen: set[int] = set()
-        for group in self.groups:
-            if not group:
-                raise ConfigurationError("empty partition group")
-            overlap = seen & set(group)
-            if overlap:
-                raise ConfigurationError(
-                    f"pids {sorted(overlap)} appear in two partition groups"
-                )
-            seen |= set(group)
+        if not all(self.groups):
+            raise ConfigurationError("empty partition group")
+        pids = [pid for group in self.groups for pid in group]
+        repeated = sorted({pid for pid in pids if pids.count(pid) > 1})
+        if repeated:
+            raise ConfigurationError(
+                f"pids {repeated} appear twice in the partition groups"
+            )
 
     def severs(self, now: float, src: int, dst: int) -> bool:
         """Is the ``src -> dst`` link cut at virtual time ``now``?"""
@@ -205,6 +203,32 @@ class Partition:
             if dst in group:
                 side_dst = index
         return side_src is not None and side_dst is not None and side_src != side_dst
+
+    @classmethod
+    def parse(cls, start: float, heal: float, spec: str, n: int) -> "Partition":
+        """The window ``[start, heal)`` cutting ``spec`` (``"0,1|2,3"``).
+
+        The one parser of the group syntax, shared by the campaign
+        scenarios, the fault plans and ``repro run --partition``: each
+        side is sorted and every pid must lie in ``range(n)``; the
+        constructor checks the rest.
+        """
+        try:
+            groups = tuple(
+                tuple(sorted(int(pid) for pid in side.split(",")))
+                for side in spec.split("|")
+            )
+        except ValueError as exc:
+            raise ConfigurationError(
+                f"malformed partition groups {spec!r} (expected e.g. '0,1|2,3')"
+            ) from exc
+        for group in groups:
+            for pid in group:
+                if not 0 <= pid < n:
+                    raise ConfigurationError(
+                        f"partition pid {pid} out of range for n={n}"
+                    )
+        return cls(start, heal, groups)
 
 
 class LinkModel:

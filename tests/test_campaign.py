@@ -9,6 +9,7 @@ exit-2 behaviour on invalid configs.
 from __future__ import annotations
 
 import io
+from dataclasses import dataclass
 
 import pytest
 
@@ -36,8 +37,12 @@ from repro.campaign.oracles import (
     violation_kinds,
 )
 from repro.campaign.runner import record_matches
+from repro.campaign.shrink import shrink
 from repro.cli import main
 from repro.errors import ConfigurationError
+from repro.faults import FaultPlan
+from repro.mc import McConfig
+from repro.service import ServiceScenario
 
 #: A scenario known to violate properties deterministically: the
 #: unprotected crash-model protocol facing a value-corrupting Byzantine
@@ -331,6 +336,7 @@ class TestLinkFaultPresets:
             {"partitions": ((-1.0, 5.0, "0,1|2,3"),)},
             {"partitions": ((0.0, 5.0, "0,1,2,3"),)},  # single side
             {"partitions": ((0.0, 5.0, "0,1|1,2"),)},  # repeated pid
+            {"partitions": ((0.0, 5.0, "0,0|1,2"),)},  # repeated in a side
             {"partitions": ((0.0, 5.0, "0,1|2,9"),)},  # pid out of range
             {"partitions": ((0.0, 5.0, "0,1|x"),)},  # malformed groups
             {"transport": "carrier-pigeon"},
@@ -381,7 +387,7 @@ class TestShrink:
         assert minimal.seed == 0
         # Same failure signature before and after.
         base = run_scenario(SHRINKABLE)
-        assert violation_kinds(result.record.to_record()) == violation_kinds(
+        assert violation_kinds(result.outcome.to_record()) == violation_kinds(
             base.to_record()
         )
 
@@ -390,12 +396,122 @@ class TestShrink:
         second = shrink_scenario(SHRINKABLE)
         assert first.minimal == second.minimal
         assert first.steps == second.steps
-        assert first.candidates_tried == second.candidates_tried
+        assert first.runs == second.runs
 
     def test_passing_scenario_refuses_to_shrink(self):
         passing = Scenario(protocol="transformed", n=4, seed=0)
         with pytest.raises(ConfigurationError, match="does not fail"):
             shrink_scenario(passing)
+
+
+@dataclass(frozen=True)
+class _Bag:
+    """A world-free shrink candidate: a set of named items."""
+
+    items: frozenset[str]
+
+    def validate(self) -> None:
+        if "invalid" in self.items:
+            raise ConfigurationError("an invalid candidate")
+
+
+def _drop_one(bag: _Bag):
+    """Neighbours in name order: drop one item, or (first of all) swap
+    the first item for an invalid one."""
+    if bag.items:
+        first = min(bag.items)
+        yield "poison", _Bag(bag.items - {first} | {"invalid"})
+    for item in sorted(bag.items):
+        yield item, _Bag(bag.items - {item})
+
+
+class TestShrinkLoop:
+    """The one delta-debugging loop, with a fake probe and no world: a
+    bag fails (kind ``progress``) while it holds ``culprit``."""
+
+    START = _Bag(frozenset({"a", "culprit", "z"}))
+
+    @staticmethod
+    def _probe(probed: list[_Bag]):
+        def probe(bag: _Bag):
+            probed.append(bag)
+            kinds = frozenset({"progress"}) if "culprit" in bag.items else frozenset()
+            return kinds, sorted(bag.items)
+
+        return probe
+
+    def test_shrinks_to_the_culprit(self):
+        probed: list[_Bag] = []
+        result = shrink(self.START, _drop_one, self._probe(probed))
+        assert result.minimal == _Bag(frozenset({"culprit"}))
+        assert result.kinds == frozenset({"progress"})
+        assert result.outcome == ["culprit"]
+        assert result.steps == ("a", "z")
+        assert result.shrunk and result.runs == len(probed)
+
+    def test_budget_bounds_the_runs(self):
+        probed: list[_Bag] = []
+        result = shrink(self.START, _drop_one, self._probe(probed), budget=2)
+        assert result.runs == len(probed) == 2
+        assert result.steps == ("a",)
+
+    def test_restarts_from_each_adopted_candidate(self):
+        asked: list[_Bag] = []
+
+        def neighbours(bag: _Bag):
+            asked.append(bag)
+            yield from _drop_one(bag)
+
+        result = shrink(self.START, neighbours, self._probe([]))
+        # One generator per adopted candidate: the old one is abandoned.
+        assert asked == [
+            self.START,
+            _Bag(frozenset({"culprit", "z"})),
+            _Bag(frozenset({"culprit"})),
+        ]
+        assert result.minimal == asked[-1]
+
+    def test_invalid_neighbours_are_skipped_unrun(self):
+        probed: list[_Bag] = []
+        shrink(self.START, _drop_one, self._probe(probed))
+        assert all("invalid" not in bag.items for bag in probed)
+
+    def test_same_result_twice(self):
+        first = shrink(self.START, _drop_one, self._probe([]))
+        assert shrink(self.START, _drop_one, self._probe([])) == first
+
+    def test_passing_start_returns_after_one_run(self):
+        probed: list[_Bag] = []
+        start = _Bag(frozenset({"a", "b"}))
+        result = shrink(start, _drop_one, self._probe(probed))
+        assert result.kinds == frozenset()
+        assert result.minimal == start and result.runs == 1 == len(probed)
+
+
+class TestContentIds:
+    def test_every_family_keeps_its_id(self):
+        # One pinned id per id family; the hash of the canonical config
+        # is the artifact's address, so none of these may ever move.
+        assert (
+            Scenario(
+                protocol="transformed", n=4, seed=3, attacks=((0, "mute"),)
+            ).scenario_id
+            == "s89470d56ccbc"
+        )
+        assert (
+            FaultPlan(name="pinned", seed=5, mutes=((1, 2.0),)).plan_id
+            == "f18a2b6e7522f"
+        )
+        assert (
+            FaultPlan(
+                name="pinned-zoo", seed=5, suppressions=((1, 0.5, 2.0, 2.5),)
+            ).plan_id
+            == "f8f434aacf368"
+        )
+        assert ServiceScenario(name="pinned", seed=5).scenario_id == (
+            "v8d9e692c721f"
+        )
+        assert McConfig().config_id == "mc327c3c9c67a6"
 
 
 class TestCli:
@@ -458,3 +574,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # `campaign faults --preset zoo-smoke` and `campaign service`
+            # are the one spelling of each.
+            ["campaign", "zoo", "--preset", "smoke"],
+            ["service", "campaign", "--preset", "smoke"],
+        ],
+    )
+    def test_retired_verbs_do_not_parse(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        capsys.readouterr()
+
+    def test_malformed_partition_groups_exit_two(self, capsys):
+        argv = ["run", "--protocol", "transformed", "--partition"]
+        assert main(argv + ["0:5:0,1|x"]) == 2
+        assert main(argv + ["0:5:0,1|1,2"]) == 2
+        assert "partition" in capsys.readouterr().err

@@ -127,7 +127,7 @@ class TestTamperedCertificates:
             cert=message.cert,
             signature=message.signature,
         )
-        assert bench.verify(tampered) == (value == other)
+        assert bench.verify(tampered) == (typed(value) == typed(other))
 
     def test_tampered_certificate_rejected(self):
         # The signature covers the certificate digest: swapping the

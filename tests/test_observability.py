@@ -181,6 +181,17 @@ class TestExportRoundTrip:
         with pytest.raises(ArtifactError):
             parse_lines([])  # no header
 
+    def test_report_refuses_a_newer_schema(self, tmp_path, capsys):
+        # A v2 artifact from some later release must not be half-read as
+        # v1: `repro report` exits 2 like every other artifact reader.
+        path = tmp_path / "future.jsonl"
+        header = {
+            "kind": "header", "schema": "repro.observability/v2", "meta": {}
+        }
+        path.write_text(json.dumps(header) + "\n")
+        assert main(["report", str(path)]) == 2
+        assert "newer than" in capsys.readouterr().err
+
 
 class TestPaperModuleAttribution:
     def test_every_module_active_under_attacks(self):

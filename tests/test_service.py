@@ -395,7 +395,7 @@ class TestServiceCli:
         assert "--recover" in capsys.readouterr().err
 
     def test_unknown_preset_exits_two(self, capsys):
-        assert main(["service", "campaign", "--preset", "zzz"]) == 2
+        assert main(["campaign", "service", "--preset", "zzz"]) == 2
         assert "preset" in capsys.readouterr().err
 
     def test_json_export(self, tmp_path, capsys):

@@ -19,18 +19,33 @@ from __future__ import annotations
 
 import pytest
 
+from repro.campaign.oracles import violation_kinds
 from repro.errors import ConfigurationError
 from repro.faults import (
+    FAULT_PRESETS,
     FAULTS_SCHEMA,
     FAULTS_SCHEMA_V1,
     FaultPlan,
     FidelityObservation,
+    judge_zoo,
     live_correct,
     run_cross_fidelity,
     shrink_fault_plan,
-    violation_kinds,
 )
-from repro.zoo import ZOO_FAMILIES, ZOO_PRESETS, families_in, judge_zoo
+
+#: Each family's clauses live in one FaultPlan field (docs/ADVERSARIES.md).
+ZOO_FIELDS = {
+    "message-adversary": "suppressions",
+    "state-corruption": "corruptions",
+    "timing-attack": "timing",
+    "storage-flip": "storage_flips",
+}
+
+#: The zoo's preset matrices, by their name in FAULT_PRESETS.
+ZOO_PRESETS = {
+    name: plans for name, plans in FAULT_PRESETS.items()
+    if name.startswith("zoo-")
+}
 
 #: One small plan per family; each passes at sim AND loopback in a few
 #: hundred milliseconds (the heavyweight preset matrix runs under
@@ -195,13 +210,16 @@ class TestZooPresets:
                 assert plan.has_zoo
 
     def test_extended_covers_all_four_families(self):
-        covered = set()
-        for plan in ZOO_PRESETS["extended"]:
-            covered |= set(families_in(plan))
-        assert covered == set(ZOO_FAMILIES)
+        covered = {
+            field
+            for plan in ZOO_PRESETS["zoo-extended"]
+            for field in ZOO_FIELDS.values()
+            if getattr(plan, field)
+        }
+        assert covered == set(ZOO_FIELDS.values())
 
     def test_sweep_declares_the_compounding_expectations(self):
-        cells = {plan.name: plan for plan in ZOO_PRESETS["sweep"]}
+        cells = {plan.name: plan for plan in ZOO_PRESETS["zoo-sweep"]}
         assert set(cells) == {
             "zoo-fd-F0-d1", "zoo-fd-F0-d2", "zoo-fd-F1-d1", "zoo-fd-F1-d2"
         }
@@ -210,9 +228,10 @@ class TestZooPresets:
             assert cells[heavy].expect == "vulnerable"
 
     def test_fast_plans_cover_all_four_families(self):
+        assert set(FAST_PLANS) == set(ZOO_FIELDS)
         for key, plan in FAST_PLANS.items():
             plan.validate()
-            assert key in families_in(plan)
+            assert getattr(plan, ZOO_FIELDS[key])
 
 
 class TestZooEndToEnd:
@@ -262,18 +281,18 @@ class TestShrink:
     def test_shrinks_to_the_guilty_clause(self):
         result = shrink_fault_plan(self.SEEDED_FAILING)
         assert result.kinds == frozenset({"progress"})
-        assert result.plan.suppressions == self.SEEDED_FAILING.suppressions
-        assert result.plan.mutes == ()
-        assert result.plan.duplication == 0.0
-        assert {axis for axis, _clause in result.removed} == {
+        assert result.minimal.suppressions == self.SEEDED_FAILING.suppressions
+        assert result.minimal.mutes == ()
+        assert result.minimal.duplication == 0.0
+        assert {axis for axis, _clause in result.steps} == {
             "mutes", "duplication"
         }
 
     def test_shrink_is_deterministic(self):
         a = shrink_fault_plan(self.SEEDED_FAILING)
         b = shrink_fault_plan(self.SEEDED_FAILING)
-        assert a.plan.plan_id == b.plan.plan_id
-        assert a.removed == b.removed
+        assert a.minimal.plan_id == b.minimal.plan_id
+        assert a.steps == b.steps
         assert a.runs == b.runs
 
     def test_passing_plans_refuse_to_shrink(self):

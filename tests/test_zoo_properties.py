@@ -32,10 +32,13 @@ from repro.faults.plan import (
     FaultPlan,
     check_faults_schema,
 )
-from repro.zoo.corruption import corruption_rng
-from repro.zoo.families import FAMILY_STATE_CORRUPTION, FAMILY_STORAGE_FLIP
-from repro.zoo.suppressor import RoundSuppressor
-from repro.zoo.timing import BURST_FIFO_SPACING, BurstShaper, burst_hold
+from repro.faults.corruption import (
+    FAMILY_STATE_CORRUPTION,
+    FAMILY_STORAGE_FLIP,
+    corruption_rng,
+)
+from repro.faults.suppressor import RoundSuppressor
+from repro.faults.timing import BURST_FIFO_SPACING, BurstShaper, burst_hold
 
 # -- strategies --------------------------------------------------------------
 
