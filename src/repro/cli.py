@@ -32,38 +32,24 @@ Usage (``python -m repro <command> ...``):
   run plus a cached/uncached equivalence check, exported as canonical
   JSON for byte-identity pinning (``smoke``; see docs/PERFORMANCE.md).
 
-Invalid configurations (unknown attacks, malformed ``PID:VALUE`` pairs,
-fault plans beyond the resilience bounds, ...) exit with status 2 via
-:class:`~repro.errors.ConfigurationError` — never a traceback.
+Each leaf parser names its handler; a handler only builds the library
+object that owns the rule (``run`` and ``gallery`` a campaign ``Scenario``)
+and prints the result. Invalid configurations (unknown attacks, malformed
+``PID:VALUE`` pairs, fault plans beyond the resilience bounds, ...) exit
+with status 2 via :class:`~repro.errors.ConfigurationError` — never a
+traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
-from repro.analysis.properties import (
-    check_crash_consensus,
-    check_detection,
-    check_vector_consensus,
-)
 from repro.analysis.reporting import print_table
-from repro.analysis.run_report import RunReport
-from repro.analysis.tracefmt import render_sequence, trace_to_json
-from repro.observability.export import read_run_jsonl, write_run_jsonl
-from repro.byzantine import (
-    CRASH_ATTACKS,
-    TRANSFORMED_ATTACKS,
-    crash_attack,
-    transformed_attack,
-)
-from repro.byzantine.ct_attacks import CT_ATTACKS, ct_attack
-from repro.core.specs import SystemParameters, certification_resilience, crash_resilience
 from repro.errors import ConfigurationError, ReproError
-from repro.sim.network import LinkModel, Partition
 from repro.sim.world import TRANSPORTS
-from repro.systems import build_crash_system, build_transformed_system
 
 CRASH_PROTOCOLS = ("hurfin-raynal", "chandra-toueg")
 
@@ -76,8 +62,109 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run one consensus instance")
-    run.add_argument("--n", type=int, default=4, help="number of processes")
+    def leaf(subparsers, name: str, handler: Callable, help: str, *parents):
+        command = subparsers.add_parser(name, help=help, parents=parents)
+        command.set_defaults(handler=handler)
+        return command
+
+    def group(name: str, help: str):
+        return sub.add_parser(name, help=help).add_subparsers(
+            dest=f"{name}_command", required=True
+        )
+
+    # Flag groups several verbs share.
+    as_json = argparse.ArgumentParser(add_help=False)
+    as_json.add_argument(
+        "--json", action="store_true", help="emit the result as JSON"
+    )
+    keygen = argparse.ArgumentParser(add_help=False)
+    keygen.add_argument("--out", required=True, metavar="FILE")
+    keygen.add_argument("--clients", type=int, default=4)
+    keygen.add_argument("--seed", type=int, default=0)
+    keygen.add_argument("--host", default="127.0.0.1")
+    keygen.add_argument(
+        "--base-port",
+        type=int,
+        default=0,
+        help="replica i of group g listens on base + g*replicas + i; "
+        "0 allocates free ports now",
+    )
+    genesis = argparse.ArgumentParser(add_help=False)
+    genesis.add_argument("--genesis", required=True, metavar="FILE")
+    client = argparse.ArgumentParser(add_help=False, parents=[genesis])
+    client.add_argument(
+        "--index", type=int, default=0, help="client identity index"
+    )
+    client.add_argument("op", choices=("set", "get", "status", "workload"))
+    client.add_argument(
+        "operands", nargs="*", help="set KEY VALUE | get KEY"
+    )
+    client.add_argument(
+        "--requests", type=int, default=20, help="workload size"
+    )
+    client.add_argument("--concurrency", type=int, default=8)
+    cluster = argparse.ArgumentParser(add_help=False)
+    cluster.add_argument("--seed", type=int, default=7)
+    cluster.add_argument(
+        "--workdir", help="keep genesis/logs/metrics here (default: temp)"
+    )
+    cluster.add_argument("--concurrency", type=int, default=8)
+    shards = argparse.ArgumentParser(add_help=False)
+    shards.add_argument("--shards", type=int, default=2)
+    shards.add_argument("--replicas-per-shard", type=int, default=4)
+    kill = argparse.ArgumentParser(add_help=False)
+    kill.add_argument(
+        "--kill-shard", type=int, default=1,
+        help="shard whose replica is killed mid-run",
+    )
+    kill.add_argument(
+        "--kill-pid", type=int, default=2,
+        help="replica to kill and rejoin by certified state transfer",
+    )
+    record_out = argparse.ArgumentParser(add_help=False)
+    record_out.add_argument(
+        "--out",
+        help="write the canonical JSON record to this file (default: stdout)",
+    )
+    world = argparse.ArgumentParser(add_help=False)
+    world.add_argument("--n", type=int, default=4, help="number of processes")
+    world.add_argument("--seed", type=int, default=0)
+    faults = argparse.ArgumentParser(add_help=False)
+    faults.add_argument(
+        "--attack",
+        action="append",
+        default=[],
+        metavar="PID:NAME",
+        help="install a Byzantine behaviour on PID (repeatable)",
+    )
+    faults.add_argument(
+        "--loss",
+        type=float,
+        default=0.0,
+        help="per-link drop probability in [0, 1) (docs/NETWORK.md)",
+    )
+    faults.add_argument(
+        "--transport",
+        choices=TRANSPORTS,
+        default="none",
+        help="reliable-channel layer over the faulty wire "
+        "(no-retransmit is the ablation)",
+    )
+    preset = argparse.ArgumentParser(add_help=False)
+    preset.add_argument(
+        "--preset",
+        default="smoke",
+        help="campaign preset: smoke (~55 scenarios), full (220), or the "
+        "link-fault matrices lossy / partition (docs/NETWORK.md)",
+    )
+    preset.add_argument("--master-seed", type=int, default=0)
+    recorded = argparse.ArgumentParser(add_help=False)
+    recorded.add_argument("id", help="scenario id (sXXXXXXXXXXXX)")
+    recorded.add_argument(
+        "--artifact", required=True, help="campaign artifact holding the id"
+    )
+
+    run = leaf(sub, "run", cmd_run, "run one consensus instance", world, faults)
     run.add_argument(
         "--protocol",
         choices=("transformed",) + CRASH_PROTOCOLS,
@@ -91,11 +178,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--base",
-        choices=("hurfin-raynal", "chandra-toueg"),
+        choices=CRASH_PROTOCOLS,
         default="hurfin-raynal",
         help="which crash protocol the transformation was applied to",
     )
-    run.add_argument("--seed", type=int, default=0)
     run.add_argument(
         "--crash",
         action="append",
@@ -103,20 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PID:TIME",
         help="crash PID at virtual TIME (repeatable)",
     )
-    run.add_argument(
-        "--attack",
-        action="append",
-        default=[],
-        metavar="PID:NAME",
-        help="install a Byzantine behaviour (repeatable)",
-    )
     run.add_argument("--max-time", type=float, default=3_000.0)
-    run.add_argument(
-        "--loss",
-        type=float,
-        default=0.0,
-        help="per-link drop probability in [0, 1) (docs/NETWORK.md)",
-    )
     run.add_argument(
         "--dup",
         type=float,
@@ -136,13 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="START:HEAL:GROUPS",
         help="sever cross-group links during [START, HEAL), e.g. "
         "40:120:0,1|2,3 (repeatable)",
-    )
-    run.add_argument(
-        "--transport",
-        choices=TRANSPORTS,
-        default="none",
-        help="reliable-channel layer over the faulty wire "
-        "(no-retransmit is the ablation)",
     )
     run.add_argument(
         "--muteness",
@@ -166,8 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
         "(read it back with `python -m repro report FILE`)",
     )
 
-    report = sub.add_parser(
-        "report", help="aggregate JSONL run artifacts into tables"
+    report = leaf(
+        sub, "report", cmd_report,
+        "aggregate JSONL run artifacts into tables", as_json,
     )
     report.add_argument(
         "artifact",
@@ -176,42 +243,32 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics-dir; several files render per-pid rows grouped by "
         "artifact",
     )
-    report.add_argument(
-        "--json", action="store_true", help="emit the report as JSON"
+
+    leaf(
+        sub, "gallery", cmd_gallery,
+        "run every attack against the transformed protocol", world,
     )
 
-    gallery = sub.add_parser(
-        "gallery", help="run every attack against the transformed protocol"
-    )
-    gallery.add_argument("--n", type=int, default=4)
-    gallery.add_argument("--seed", type=int, default=0)
-
-    attacks = sub.add_parser("attacks", help="list the attack catalogues")
+    attacks = leaf(sub, "attacks", cmd_attacks, "list the attack catalogues")
     attacks.add_argument(
         "--model",
         choices=("crash", "transformed", "both"),
         default="both",
     )
 
-    params = sub.add_parser("params", help="resilience arithmetic for n")
+    params = leaf(sub, "params", cmd_params, "resilience arithmetic for n")
     params.add_argument("--n", type=int, required=True)
 
-    campaign = sub.add_parser(
+    campaign_sub = group(
         "campaign",
-        help="scenario-matrix fault-injection campaigns (docs/TESTING.md)",
+        "scenario-matrix fault-injection campaigns (docs/TESTING.md)",
     )
-    campaign_sub = campaign.add_subparsers(dest="campaign_command", required=True)
 
-    c_run = campaign_sub.add_parser(
-        "run", help="enumerate and run a campaign, export a JSONL artifact"
+    c_run = leaf(
+        campaign_sub, "run", cmd_campaign_run,
+        "enumerate and run a campaign, export a JSONL artifact",
+        preset, as_json,
     )
-    c_run.add_argument(
-        "--preset",
-        default="smoke",
-        help="campaign preset: smoke (~55 scenarios), full (220), or the "
-        "link-fault matrices lossy / partition (docs/NETWORK.md)",
-    )
-    c_run.add_argument("--master-seed", type=int, default=0)
     c_run.add_argument(
         "--out",
         metavar="FILE",
@@ -227,40 +284,27 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip the automatic shrink of failing scenarios",
     )
-    c_run.add_argument(
-        "--json", action="store_true", help="emit the summary as JSON"
+
+    leaf(
+        campaign_sub, "list", cmd_campaign_list,
+        "list the scenario ids a preset enumerates", preset,
     )
 
-    c_list = campaign_sub.add_parser(
-        "list", help="list the scenario ids a preset enumerates"
+    leaf(
+        campaign_sub, "replay", cmd_campaign_replay,
+        "re-run one recorded scenario and check the verdict reproduces",
+        recorded, as_json,
     )
-    c_list.add_argument("--preset", default="smoke")
-    c_list.add_argument("--master-seed", type=int, default=0)
-
-    c_replay = campaign_sub.add_parser(
-        "replay",
-        help="re-run one recorded scenario and check the verdict reproduces",
-    )
-    c_replay.add_argument("id", help="scenario id (sXXXXXXXXXXXX)")
-    c_replay.add_argument(
-        "--artifact", required=True, help="campaign artifact holding the id"
-    )
-    c_replay.add_argument(
-        "--json", action="store_true", help="emit the fresh record as JSON"
+    leaf(
+        campaign_sub, "shrink", cmd_campaign_shrink,
+        "minimise a recorded failing scenario", recorded,
     )
 
-    c_shrink = campaign_sub.add_parser(
-        "shrink", help="minimise a recorded failing scenario"
-    )
-    c_shrink.add_argument("id", help="scenario id (sXXXXXXXXXXXX)")
-    c_shrink.add_argument(
-        "--artifact", required=True, help="campaign artifact holding the id"
-    )
-
-    c_faults = campaign_sub.add_parser(
-        "faults",
-        help="run fault plans at several fidelities and cross-check the "
+    c_faults = leaf(
+        campaign_sub, "faults", cmd_campaign_faults,
+        "run fault plans at several fidelities and cross-check the "
         "verdicts (docs/FAULTS.md, docs/ADVERSARIES.md)",
+        as_json,
     )
     c_faults.add_argument(
         "--preset",
@@ -305,32 +349,26 @@ def build_parser() -> argparse.ArgumentParser:
         "fidelity down to a minimal same-failure plan; write the "
         "shrunk plan JSONs here (docs/FAULTS.md)",
     )
-    c_faults.add_argument(
-        "--json", action="store_true", help="emit the report as JSON"
-    )
 
-    c_service = campaign_sub.add_parser(
-        "service",
-        help="run a service scenario preset with oracles (docs/SERVICE.md)",
+    c_service = leaf(
+        campaign_sub, "service", cmd_campaign_service,
+        "run a service scenario preset with oracles (docs/SERVICE.md)",
+        as_json,
     )
     c_service.add_argument("--preset", default="smoke")
     c_service.add_argument(
         "--out", metavar="FILE", help="write the records as JSON to FILE"
     )
-    c_service.add_argument(
-        "--json", action="store_true", help="emit the records as JSON"
-    )
 
-    service = sub.add_parser(
+    service_sub = group(
         "service",
-        help="run the BFT replicated key-value service (docs/SERVICE.md)",
+        "run the BFT replicated key-value service (docs/SERVICE.md)",
     )
-    service_sub = service.add_subparsers(dest="service_command", required=True)
 
-    s_run = service_sub.add_parser(
-        "run", help="run one service deployment and report on it"
+    s_run = leaf(
+        service_sub, "run", cmd_service_run,
+        "run one service deployment and report on it", world, faults,
     )
-    s_run.add_argument("--n", type=int, default=4, help="number of replicas")
     s_run.add_argument("--clients", type=int, default=2)
     s_run.add_argument("--mode", choices=("open", "closed"), default="open")
     s_run.add_argument(
@@ -351,14 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="checkpoint every K applied slots",
     )
     s_run.add_argument("--request-timeout", type=float, default=40.0)
-    s_run.add_argument("--seed", type=int, default=0)
-    s_run.add_argument(
-        "--attack",
-        action="append",
-        default=[],
-        metavar="PID:NAME",
-        help="install a Byzantine consensus engine on a replica (repeatable)",
-    )
     s_run.add_argument(
         "--recover",
         action="append",
@@ -367,9 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="take PID down at DOWN, restart (state transfer) at UP "
         "(repeatable)",
     )
-    s_run.add_argument("--loss", type=float, default=0.0,
-                       help="per-link drop probability in [0, 1)")
-    s_run.add_argument("--transport", choices=TRANSPORTS, default="none")
     s_run.add_argument(
         "--delay-model",
         choices=("uniform", "fixed", "exponential"),
@@ -380,33 +407,23 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", metavar="FILE", help="export the run record as JSON to FILE"
     )
 
-    net = sub.add_parser(
+    net_sub = group(
         "net",
-        help="deploy the replica stack as real processes over TCP "
+        "deploy the replica stack as real processes over TCP "
         "(docs/NET.md)",
     )
-    net_sub = net.add_subparsers(dest="net_command", required=True)
 
-    n_keygen = net_sub.add_parser(
-        "keygen", help="write a genesis file (addresses, seed, knobs)"
+    n_keygen = leaf(
+        net_sub, "keygen", cmd_net_keygen,
+        "write a genesis file (addresses, seed, knobs)", keygen,
     )
-    n_keygen.add_argument("--out", required=True, metavar="FILE")
     n_keygen.add_argument("--replicas", type=int, default=4)
-    n_keygen.add_argument("--clients", type=int, default=4)
-    n_keygen.add_argument("--seed", type=int, default=0)
     n_keygen.add_argument("--name", default="local")
-    n_keygen.add_argument("--host", default="127.0.0.1")
-    n_keygen.add_argument(
-        "--base-port",
-        type=int,
-        default=0,
-        help="replica i listens on base+i; 0 allocates free ports now",
-    )
 
-    n_replica = net_sub.add_parser(
-        "replica", help="run one replica until SIGTERM/SIGINT"
+    n_replica = leaf(
+        net_sub, "replica", cmd_net_replica,
+        "run one replica until SIGTERM/SIGINT", genesis,
     )
-    n_replica.add_argument("--genesis", required=True, metavar="FILE")
     n_replica.add_argument("--pid", type=int, required=True)
     n_replica.add_argument(
         "--join",
@@ -442,25 +459,16 @@ def build_parser() -> argparse.ArgumentParser:
         "falls back to stock asyncio with a note when it is not",
     )
 
-    n_client = net_sub.add_parser(
-        "client", help="talk to a running cluster as a client"
+    leaf(
+        net_sub, "client", cmd_net_client,
+        "talk to a running cluster as a client", client,
     )
-    n_client.add_argument("--genesis", required=True, metavar="FILE")
-    n_client.add_argument("--index", type=int, default=0,
-                          help="client identity index")
-    n_client.add_argument(
-        "op", choices=("set", "get", "status", "workload")
-    )
-    n_client.add_argument("operands", nargs="*",
-                          help="set KEY VALUE | get KEY")
-    n_client.add_argument("--requests", type=int, default=20,
-                          help="workload size")
-    n_client.add_argument("--concurrency", type=int, default=8)
 
-    n_cluster = net_sub.add_parser(
-        "cluster",
-        help="spawn a local cluster, commit a workload through a "
+    n_cluster = leaf(
+        net_sub, "cluster", cmd_net_cluster,
+        "spawn a local cluster, commit a workload through a "
         "kill+restart, assert convergence (the net smoke)",
+        cluster,
     )
     n_cluster.add_argument("--replicas", type=int, default=4)
     n_cluster.add_argument("--requests", type=int, default=100)
@@ -468,40 +476,23 @@ def build_parser() -> argparse.ArgumentParser:
         "--kill", type=int, default=2,
         help="replica to SIGKILL mid-run and restart with --join",
     )
-    n_cluster.add_argument("--seed", type=int, default=7)
-    n_cluster.add_argument(
-        "--workdir", help="keep genesis/logs/metrics here (default: temp)"
-    )
-    n_cluster.add_argument("--concurrency", type=int, default=8)
 
-    shard = sub.add_parser(
+    shard_sub = group(
         "shard",
-        help="sharded multi-group service: partition the key space across "
+        "sharded multi-group service: partition the key space across "
         "independent replicated groups (docs/SHARDING.md)",
     )
-    shard_sub = shard.add_subparsers(dest="shard_command", required=True)
 
-    sh_keygen = shard_sub.add_parser(
-        "keygen",
-        help="write a shard genesis (per-shard addresses, derived seeds)",
+    sh_keygen = leaf(
+        shard_sub, "keygen", cmd_shard_keygen,
+        "write a shard genesis (per-shard addresses, derived seeds)",
+        keygen, shards,
     )
-    sh_keygen.add_argument("--out", required=True, metavar="FILE")
-    sh_keygen.add_argument("--shards", type=int, default=2)
-    sh_keygen.add_argument("--replicas-per-shard", type=int, default=4)
-    sh_keygen.add_argument("--clients", type=int, default=4)
-    sh_keygen.add_argument("--seed", type=int, default=0)
     sh_keygen.add_argument("--name", default="sharded")
-    sh_keygen.add_argument("--host", default="127.0.0.1")
-    sh_keygen.add_argument(
-        "--base-port",
-        type=int,
-        default=0,
-        help="shard s replica i listens on base + s*replicas + i; "
-        "0 allocates free ports now",
-    )
 
-    sh_route = shard_sub.add_parser(
-        "route", help="show which shard each key routes to"
+    sh_route = leaf(
+        shard_sub, "route", cmd_shard_route,
+        "show which shard each key routes to",
     )
     sh_route.add_argument("keys", nargs="+", help="keys to route")
     sh_route.add_argument(
@@ -511,76 +502,41 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards", type=int, help="shard count (instead of --genesis)"
     )
 
-    sh_client = shard_sub.add_parser(
-        "client", help="talk to a running sharded deployment as a client"
+    leaf(
+        shard_sub, "client", cmd_shard_client,
+        "talk to a running sharded deployment as a client", client,
     )
-    sh_client.add_argument("--genesis", required=True, metavar="FILE")
-    sh_client.add_argument(
-        "--index", type=int, default=0, help="client identity index"
-    )
-    sh_client.add_argument("op", choices=("set", "get", "status", "workload"))
-    sh_client.add_argument(
-        "operands", nargs="*", help="set KEY VALUE | get KEY"
-    )
-    sh_client.add_argument(
-        "--requests", type=int, default=20, help="workload size"
-    )
-    sh_client.add_argument("--concurrency", type=int, default=8)
 
-    sh_cluster = shard_sub.add_parser(
-        "cluster",
-        help="spawn every shard as a local TCP cluster, commit a workload "
+    sh_cluster = leaf(
+        shard_sub, "cluster", cmd_shard_cluster,
+        "spawn every shard as a local TCP cluster, commit a workload "
         "through a kill+restart in one shard, assert per-shard "
         "convergence (the shard smoke)",
+        shards, kill, cluster,
     )
-    sh_cluster.add_argument("--shards", type=int, default=2)
-    sh_cluster.add_argument("--replicas-per-shard", type=int, default=4)
     sh_cluster.add_argument("--requests", type=int, default=40)
-    sh_cluster.add_argument(
-        "--kill-shard", type=int, default=1,
-        help="shard whose replica is SIGKILLed mid-run",
-    )
-    sh_cluster.add_argument(
-        "--kill-pid", type=int, default=2,
-        help="replica to SIGKILL and restart with --join",
-    )
-    sh_cluster.add_argument("--seed", type=int, default=7)
-    sh_cluster.add_argument(
-        "--workdir", help="keep genesis/logs/metrics here (default: temp)"
-    )
-    sh_cluster.add_argument("--concurrency", type=int, default=8)
 
-    sh_loopback = shard_sub.add_parser(
-        "loopback",
-        help="run the deterministic in-process shard twin and emit its "
+    sh_loopback = leaf(
+        shard_sub, "loopback", cmd_shard_loopback,
+        "run the deterministic in-process shard twin and emit its "
         "canonical record (byte-identical across runs)",
+        shards, kill, record_out,
     )
-    sh_loopback.add_argument("--shards", type=int, default=2)
-    sh_loopback.add_argument("--replicas-per-shard", type=int, default=4)
     sh_loopback.add_argument("--requests", type=int, default=24)
     sh_loopback.add_argument("--seed", type=int, default=0)
     sh_loopback.add_argument(
-        "--kill-shard", type=int, default=1,
-        help="shard whose replica is killed and rejoined mid-run",
-    )
-    sh_loopback.add_argument("--kill-pid", type=int, default=2)
-    sh_loopback.add_argument(
         "--no-kill", action="store_true", help="skip the kill/rejoin phase"
     )
-    sh_loopback.add_argument(
-        "--out",
-        help="write the canonical JSON record to this file (default: stdout)",
-    )
 
-    mc = sub.add_parser(
+    mc_sub = group(
         "mc",
-        help="small-scope model checking of the real stack (docs/MODELCHECK.md)",
+        "small-scope model checking of the real stack (docs/MODELCHECK.md)",
     )
-    mc_sub = mc.add_subparsers(dest="mc_command", required=True)
 
-    m_run = mc_sub.add_parser(
-        "run",
-        help="explore all interleavings of a bounded world, export an artifact",
+    m_run = leaf(
+        mc_sub, "run", cmd_mc_run,
+        "explore all interleavings of a bounded world, export an artifact",
+        as_json,
     )
     m_run.add_argument(
         "--out",
@@ -620,22 +576,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--stop-on-violation", action="store_true",
         help="stop at the first counterexample instead of sweeping on",
     )
-    m_run.add_argument(
-        "--json", action="store_true", help="emit the summary as JSON"
-    )
 
-    m_resume = mc_sub.add_parser(
-        "resume", help="continue an interrupted exploration from its artifact"
+    m_resume = leaf(
+        mc_sub, "resume", cmd_mc_resume,
+        "continue an interrupted exploration from its artifact", as_json,
     )
     m_resume.add_argument("artifact", help="repro.mc/v1 artifact to resume")
-    m_resume.add_argument(
-        "--json", action="store_true", help="emit the summary as JSON"
-    )
 
-    m_replay = mc_sub.add_parser(
-        "replay",
-        help="re-check a recorded counterexample and map it onto a "
+    m_replay = leaf(
+        mc_sub, "replay", cmd_mc_replay,
+        "re-check a recorded counterexample and map it onto a "
         "campaign scenario",
+        as_json,
     )
     m_replay.add_argument("artifact", help="repro.mc/v1 artifact with violations")
     m_replay.add_argument(
@@ -646,27 +598,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--shrink", action="store_true",
         help="hand the mapped scenario to the campaign shrinker",
     )
-    m_replay.add_argument(
-        "--json", action="store_true", help="emit the result as JSON"
+
+    leaf(
+        group("perf", "deterministic performance smoke (docs/PERFORMANCE.md)"),
+        "smoke", cmd_perf_smoke,
+        "short saturation run + cached/uncached equivalence check",
+        record_out,
     )
 
-    perf = sub.add_parser(
-        "perf",
-        help="deterministic performance smoke (docs/PERFORMANCE.md)",
-    )
-    perf_sub = perf.add_subparsers(dest="perf_command", required=True)
-    p_smoke = perf_sub.add_parser(
-        "smoke",
-        help="short saturation run + cached/uncached equivalence check",
-    )
-    p_smoke.add_argument(
-        "--out",
-        help="write the canonical JSON record to this file (default: stdout)",
-    )
-
-    experiments = sub.add_parser(
-        "experiments",
-        help="regenerate experiment tables (E1..E18) outside pytest",
+    experiments = leaf(
+        sub, "experiments", cmd_experiments,
+        "regenerate experiment tables (E1..E18) outside pytest",
     )
     experiments.add_argument(
         "--only",
@@ -679,116 +621,88 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_pairs(pairs: list[str], what: str) -> dict[int, str]:
-    parsed: dict[int, str] = {}
-    for pair in pairs:
-        pid_text, _, value = pair.partition(":")
-        if not value:
-            raise ConfigurationError(
-                f"--{what} expects PID:VALUE, got {pair!r}"
-            )
+def _colon_specs(flag: str, specs: Sequence[str], **fields: type) -> list[tuple]:
+    """Split each ``A:B:...`` value of ``--flag`` into the typed ``fields``
+    (their names spell the expected form in the error)."""
+    parsed = []
+    for spec in specs:
+        parts = spec.split(":")
         try:
-            pid = int(pid_text)
+            if len(parts) == len(fields) and all(parts):
+                parsed.append(
+                    tuple(kind(part) for kind, part in zip(fields.values(), parts))
+                )
+                continue
         except ValueError:
-            raise ConfigurationError(
-                f"--{what} expects an integer PID, got {pid_text!r} "
-                f"in {pair!r}"
-            ) from None
-        parsed[pid] = value
+            pass
+        raise ConfigurationError(
+            f"--{flag} expects {':'.join(fields)}, got {spec!r}"
+        )
     return parsed
 
 
-def _parse_partitions(specs: list[str], n: int) -> tuple[Partition, ...]:
-    partitions = []
-    for spec in specs:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ConfigurationError(
-                f"--partition expects START:HEAL:GROUPS, got {spec!r}"
-            )
-        try:
-            start, heal = float(parts[0]), float(parts[1])
-        except ValueError:
-            raise ConfigurationError(
-                f"--partition expects numeric START:HEAL, got {spec!r}"
-            ) from None
-        partitions.append(Partition.parse(start, heal, parts[2], n))
-    return tuple(partitions)
+def _print_json(document: Any) -> None:
+    print(json.dumps(document, indent=2, sort_keys=True))
 
 
-def _build_link_model(args: argparse.Namespace) -> LinkModel | None:
-    partitions = _parse_partitions(args.partition, args.n)
-    if not (args.loss or args.dup or args.reorder or partitions):
-        return None
-    return LinkModel(
-        loss=args.loss,
-        duplication=args.dup,
-        reorder=args.reorder,
-        partitions=partitions,
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+
+
+def _run_async(args: argparse.Namespace, coroutine) -> Any:
+    """``asyncio.run`` under the event-loop policy the invocation asked for."""
+    import asyncio
+
+    from repro.net.loop import install_event_loop
+
+    install_event_loop(
+        uvloop_flag=getattr(args, "uvloop", False),
+        announce=lambda note: print(f"note: {note}", file=sys.stderr),
     )
-
-
-def _parse_crashes(pairs: list[str]) -> dict[int, float]:
-    crashes: dict[int, float] = {}
-    for pid, time_text in _parse_pairs(pairs, "crash").items():
-        try:
-            crashes[pid] = float(time_text)
-        except ValueError:
-            raise ConfigurationError(
-                f"--crash expects PID:TIME with a numeric TIME, got "
-                f"{time_text!r} for pid {pid}"
-            ) from None
-    return crashes
+    return asyncio.run(coroutine)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    crash_at = _parse_crashes(args.crash)
-    attack_names = _parse_pairs(args.attack, "attack")
-    link_model = _build_link_model(args)
-    proposals = [f"v{i}" for i in range(args.n)]
-    if args.protocol == "transformed":
-        byzantine = {}
-        attack_maker = (
-            transformed_attack if args.base == "hurfin-raynal" else ct_attack
-        )
-        for pid, name in attack_names.items():
-            byzantine.update(attack_maker(pid, name))
-        system = build_transformed_system(
-            proposals,
-            byzantine=byzantine,
-            crash_at=crash_at,
-            seed=args.seed,
-            variant=args.variant,
-            base=args.base,
-            muteness=args.muteness,
-            link_model=link_model,
-            transport=args.transport,
-        )
-        system.run(max_time=args.max_time)
-        report = check_vector_consensus(system)
-    else:
-        if args.muteness != "oracle":
-            raise ConfigurationError(
-                "--muteness selects a ◇M detector; crash protocols use ◇S"
+    from repro.analysis.properties import (
+        check_crash_consensus,
+        check_detection,
+        check_vector_consensus,
+    )
+    from repro.analysis.tracefmt import render_sequence, trace_to_json
+    from repro.campaign.scenario import Scenario, build_scenario_system
+    from repro.observability.export import write_run_jsonl
+
+    crashes = dict(_colon_specs("crash", args.crash, PID=int, TIME=float))
+    attacks = dict(_colon_specs("attack", args.attack, PID=int, NAME=str))
+    ct_base = args.protocol == "transformed" and args.base == "chandra-toueg"
+    scenario = Scenario(
+        protocol="transformed-ct" if ct_base else args.protocol,
+        n=args.n,
+        seed=args.seed,
+        attacks=tuple(sorted(attacks.items())),
+        crashes=tuple(sorted(crashes.items())),
+        variant=args.variant,
+        max_time=args.max_time,
+        loss=args.loss,
+        dup=args.dup,
+        reorder=args.reorder,
+        partitions=tuple(
+            _colon_specs(
+                "partition", args.partition, START=float, HEAL=float, GROUPS=str
             )
-        byzantine = {}
-        for pid, name in attack_names.items():
-            byzantine.update(crash_attack(pid, name))
-        system = build_crash_system(
-            proposals,
-            byzantine=byzantine,
-            crash_at=crash_at,
-            protocol=args.protocol,
-            seed=args.seed,
-            link_model=link_model,
-            transport=args.transport,
-        )
-        system.run(max_time=args.max_time)
-        report = check_crash_consensus(system)
+        ),
+        transport=args.transport,
+        muteness=args.muteness,
+    )
+    system = build_scenario_system(scenario)
+    system.run(max_time=scenario.max_time)
+    check = check_vector_consensus if scenario.is_transformed else check_crash_consensus
+    report = check(system)
 
     print(f"run finished: {system.result.reason} at t={system.result.end_time:.2f}, "
           f"{system.world.network.messages_sent} messages")
-    if link_model is not None:
+    if scenario.has_link_faults:
         transport = system.world.transport
         print(
             f"link faults: {system.world.network.messages_dropped} dropped, "
@@ -812,8 +726,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         print()
         print(render_sequence(system.world.trace, args.n, max_events=args.chart_rows))
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(trace_to_json(system.world.trace))
+        _write_text(args.json, trace_to_json(system.world.trace))
         print(f"trace exported to {args.json}")
     if args.metrics_out:
         write_run_jsonl(
@@ -826,8 +739,8 @@ def cmd_run(args: argparse.Namespace) -> int:
                 "protocol": args.protocol,
                 "variant": args.variant,
                 "base": args.base,
-                "attacks": dict(sorted(attack_names.items())),
-                "crashes": {pid: crash_at[pid] for pid in sorted(crash_at)},
+                "attacks": dict(scenario.attacks),
+                "crashes": dict(scenario.crashes),
             },
         )
         print(f"metrics artifact exported to {args.metrics_out}")
@@ -835,40 +748,41 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    from repro.analysis.run_report import (
+        RunReport,
+        artifacts_to_json,
+        render_artifacts,
+    )
+    from repro.observability.export import read_run_jsonl
+
     if len(args.artifact) == 1:
         run_report = RunReport.from_artifact(read_run_jsonl(args.artifact[0]))
         if args.json:
-            import json
-
-            print(json.dumps(run_report.to_json(), indent=2, sort_keys=True))
+            _print_json(run_report.to_json())
         else:
             print(run_report.render())
         return 0
-
-    from repro.analysis.run_report import artifacts_to_json, render_artifacts
-
     items = [(path, read_run_jsonl(path)) for path in args.artifact]
     if args.json:
-        import json
-
-        print(json.dumps(artifacts_to_json(items), indent=2, sort_keys=True))
+        _print_json(artifacts_to_json(items))
     else:
         print(render_artifacts(items))
     return 0
 
 
 def cmd_gallery(args: argparse.Namespace) -> int:
-    proposals = [f"v{i}" for i in range(args.n)]
+    from repro.analysis.properties import check_detection, check_vector_consensus
+    from repro.byzantine import TRANSFORMED_ATTACKS
+    from repro.campaign.scenario import Scenario, build_scenario_system
+
     rows = []
-    worst = 0
     for name in sorted(TRANSFORMED_ATTACKS):
         seat = 0 if name in ("equivocate-current", "wrong-cert-current") else args.n - 1
-        system = build_transformed_system(
-            proposals,
-            byzantine=transformed_attack(seat, name),
-            seed=args.seed,
+        scenario = Scenario(
+            "transformed", args.n, args.seed, attacks=((seat, name),)
         )
-        system.run(max_time=3_000.0)
+        system = build_scenario_system(scenario)
+        system.run(max_time=scenario.max_time)
         report = check_vector_consensus(system)
         detection = check_detection(system)
         rows.append(
@@ -879,17 +793,18 @@ def cmd_gallery(args: argparse.Namespace) -> int:
                 "yes" if seat in detection.suspected_by_any else "no",
             ]
         )
-        if not report.all_hold:
-            worst = 1
     print_table(
         f"attack gallery (n={args.n}, seed={args.seed})",
         ["attack", "safe", "convictions", "suspected"],
         rows,
     )
-    return worst
+    return 0 if all(row[1] == "yes" for row in rows) else 1
 
 
 def cmd_attacks(args: argparse.Namespace) -> int:
+    from repro.byzantine import CRASH_ATTACKS, TRANSFORMED_ATTACKS
+    from repro.byzantine.ct_attacks import CT_ATTACKS
+
     def rows_for(catalog):
         return [
             [
@@ -914,6 +829,12 @@ def cmd_attacks(args: argparse.Namespace) -> int:
 
 
 def cmd_params(args: argparse.Namespace) -> int:
+    from repro.core.specs import (
+        SystemParameters,
+        certification_resilience,
+        crash_resilience,
+    )
+
     params = SystemParameters.for_n(args.n)
     print(f"n                          = {params.n}")
     print(f"crash resilience           = {crash_resilience(args.n)}  (floor((n-1)/2))")
@@ -924,120 +845,111 @@ def cmd_params(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_campaign(args: argparse.Namespace) -> int:
-    from repro.campaign import (
-        enumerate_scenarios,
-        read_campaign_jsonl,
-        run_campaign,
-        run_scenario,
-        shrink_scenario,
-        write_campaign_jsonl,
-    )
+def _preset_scenarios(args: argparse.Namespace) -> list:
+    from repro.campaign import enumerate_scenarios
     from repro.campaign.matrix import campaign_spec
 
-    if args.campaign_command == "faults":
-        return _faults_campaign(args)
+    return enumerate_scenarios(
+        campaign_spec(args.preset), master_seed=args.master_seed
+    )
 
-    if args.campaign_command == "service":
-        return _service_campaign(args)
 
-    if args.campaign_command == "list":
-        spec = campaign_spec(args.preset)
-        scenarios = enumerate_scenarios(spec, master_seed=args.master_seed)
-        rows = [
-            [
-                scenario.scenario_id,
-                scenario.protocol,
-                scenario.n,
-                scenario.seed,
-                scenario.delay_model,
-                _fault_plan(scenario),
-            ]
-            for scenario in scenarios
+def cmd_campaign_list(args: argparse.Namespace) -> int:
+    scenarios = _preset_scenarios(args)
+    rows = [
+        [
+            scenario.scenario_id,
+            scenario.protocol,
+            scenario.n,
+            scenario.seed,
+            scenario.delay_model,
+            _fault_plan(scenario),
         ]
+        for scenario in scenarios
+    ]
+    print_table(
+        f"campaign {args.preset!r} (master seed {args.master_seed}, "
+        f"{len(scenarios)} scenarios)",
+        ["id", "protocol", "n", "seed", "delay", "fault plan"],
+        rows,
+    )
+    return 0
+
+
+def cmd_campaign_run(args: argparse.Namespace) -> int:
+    from repro.campaign import run_campaign, shrink_scenario, write_campaign_jsonl
+
+    scenarios = _preset_scenarios(args)
+    if args.max_scenarios is not None:
+        if args.max_scenarios < 1:
+            raise ConfigurationError(
+                f"--max-scenarios must be positive, got {args.max_scenarios}"
+            )
+        scenarios = scenarios[: args.max_scenarios]
+    result = run_campaign(scenarios)
+    meta = {
+        "preset": args.preset,
+        "master_seed": args.master_seed,
+        "scenarios": len(scenarios),
+    }
+    if args.out:
+        write_campaign_jsonl(args.out, result, meta=meta)
+    summary = result.summary()
+    if args.json:
+        _print_json(summary)
+    else:
         print_table(
-            f"campaign {args.preset!r} (master seed {args.master_seed}, "
-            f"{len(scenarios)} scenarios)",
-            ["id", "protocol", "n", "seed", "delay", "fault plan"],
-            rows,
+            f"campaign {args.preset!r} (master seed {args.master_seed})",
+            ["verdict", "scenarios"],
+            [list(row) for row in summary["verdicts"].items()],
         )
-        return 0
-
-    if args.campaign_command == "run":
-        spec = campaign_spec(args.preset)
-        scenarios = enumerate_scenarios(spec, master_seed=args.master_seed)
-        if args.max_scenarios is not None:
-            if args.max_scenarios < 1:
-                raise ConfigurationError(
-                    f"--max-scenarios must be positive, got {args.max_scenarios}"
-                )
-            scenarios = scenarios[: args.max_scenarios]
-        result = run_campaign(scenarios)
-        meta = {
-            "preset": args.preset,
-            "master_seed": args.master_seed,
-            "scenarios": len(scenarios),
-        }
+        print_table(
+            "failure-class coverage (Section-2 taxonomy)",
+            ["failure class", "scenarios"],
+            [list(row) for row in summary["failure_class_coverage"].items()],
+        )
         if args.out:
-            write_campaign_jsonl(args.out, result, meta=meta)
-        summary = result.summary()
-        if args.json:
-            import json
+            print(f"campaign artifact exported to {args.out}")
+    for record in result.failures:
+        print(f"FAIL {record.scenario_id}: {'; '.join(record.outcome.violations)}")
+        if not args.no_shrink:
+            shrink = shrink_scenario(record.scenario)
+            print(
+                f"  minimal counterexample {shrink.minimal.scenario_id}: "
+                f"{shrink.minimal.to_config()}"
+            )
+            for step in shrink.steps:
+                print(f"    {step}")
+    return 1 if result.failures else 0
 
-            print(json.dumps(summary, indent=2, sort_keys=True))
-        else:
-            print_table(
-                f"campaign {args.preset!r} (master seed {args.master_seed})",
-                ["verdict", "scenarios"],
-                [[verdict, count] for verdict, count in summary["verdicts"].items()],
-            )
-            print_table(
-                "failure-class coverage (Section-2 taxonomy)",
-                ["failure class", "scenarios"],
-                [
-                    [failure_class, count]
-                    for failure_class, count in summary[
-                        "failure_class_coverage"
-                    ].items()
-                ],
-            )
-            if args.out:
-                print(f"campaign artifact exported to {args.out}")
-        for record in result.failures:
-            print(f"FAIL {record.scenario_id}: {'; '.join(record.outcome.violations)}")
-            if not args.no_shrink:
-                shrink = shrink_scenario(record.scenario)
-                print(
-                    f"  minimal counterexample {shrink.minimal.scenario_id}: "
-                    f"{shrink.minimal.to_config()}"
-                )
-                for step in shrink.steps:
-                    print(f"    {step}")
-        return 1 if result.failures else 0
+
+def cmd_campaign_replay(args: argparse.Namespace) -> int:
+    from repro.campaign import read_campaign_jsonl, run_scenario
+    from repro.campaign.runner import record_matches
 
     artifact = read_campaign_jsonl(args.artifact)
     scenario = artifact.scenario_for(args.id)
-    if args.campaign_command == "replay":
-        recorded = artifact.find(args.id)
-        fresh = run_scenario(scenario)
-        fresh_record = fresh.to_record()
-        if args.json:
-            import json
+    recorded = artifact.find(args.id)
+    fresh = run_scenario(scenario)
+    fresh_record = fresh.to_record()
+    if args.json:
+        _print_json(fresh_record)
+    reproduced = record_matches(recorded, fresh)
+    print(
+        f"replay {args.id}: verdict={fresh.verdict} "
+        f"({'matches the artifact' if reproduced else 'DIVERGED from the artifact'})"
+    )
+    for key in sorted(set(recorded) | set(fresh_record)):
+        if recorded.get(key) != fresh_record.get(key):
+            print(f"  {key}: recorded {recorded.get(key)!r}")
+            print(f"  {key}: fresh    {fresh_record.get(key)!r}")
+    return 0 if reproduced else 1
 
-            print(json.dumps(fresh_record, indent=2, sort_keys=True))
-        reproduced = recorded == fresh_record
-        print(
-            f"replay {args.id}: verdict={fresh.verdict} "
-            f"({'matches the artifact' if reproduced else 'DIVERGED from the artifact'})"
-        )
-        if not reproduced:
-            for key in sorted(set(recorded) | set(fresh_record)):
-                if recorded.get(key) != fresh_record.get(key):
-                    print(f"  {key}: recorded {recorded.get(key)!r}")
-                    print(f"  {key}: fresh    {fresh_record.get(key)!r}")
-        return 0 if reproduced else 1
 
-    # shrink
+def cmd_campaign_shrink(args: argparse.Namespace) -> int:
+    from repro.campaign import read_campaign_jsonl, shrink_scenario
+
+    scenario = read_campaign_jsonl(args.artifact).scenario_for(args.id)
     shrink = shrink_scenario(scenario)
     print(f"shrink {args.id} ({shrink.runs - 1} candidates tried):")
     for step in shrink.steps:
@@ -1048,9 +960,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         f"minimal scenario {shrink.minimal.scenario_id} "
         f"(verdict {shrink.outcome.verdict}):"
     )
-    import json
-
-    print(json.dumps(shrink.minimal.to_config(), indent=2, sort_keys=True))
+    _print_json(shrink.minimal.to_config())
     return 0
 
 
@@ -1061,34 +971,14 @@ def _fault_plan(scenario) -> str:
         parts.append(scenario.collusion)
     if scenario.variant != "standard":
         parts.append(scenario.variant)
-    if scenario.loss:
-        parts.append(f"loss={scenario.loss:g}")
-    if scenario.dup:
-        parts.append(f"dup={scenario.dup:g}")
-    if scenario.reorder:
-        parts.append(f"reorder={scenario.reorder:g}")
+    for axis in ("loss", "dup", "reorder"):
+        if getattr(scenario, axis):
+            parts.append(f"{axis}={getattr(scenario, axis):g}")
     for start, heal, groups in scenario.partitions:
         parts.append(f"partition[{start:g},{heal:g}){groups}")
     if scenario.transport != "none":
         parts.append(scenario.transport)
     return " ".join(parts) or "fault-free"
-
-
-def _parse_recoveries(specs: list[str]) -> tuple[tuple[int, float, float], ...]:
-    recoveries = []
-    for spec in specs:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ConfigurationError(
-                f"--recover expects PID:DOWN:UP, got {spec!r}"
-            )
-        try:
-            recoveries.append((int(parts[0]), float(parts[1]), float(parts[2])))
-        except ValueError:
-            raise ConfigurationError(
-                f"--recover expects numeric PID:DOWN:UP, got {spec!r}"
-            ) from None
-    return tuple(sorted(recoveries))
 
 
 def _print_service_record(record: dict) -> None:
@@ -1115,12 +1005,10 @@ def _print_service_record(record: dict) -> None:
         print(f"  violation: {violation}")
 
 
-def cmd_service(args: argparse.Namespace) -> int:
-    import json
-
+def cmd_service_run(args: argparse.Namespace) -> int:
     from repro.service import ServiceScenario, run_service_scenario
 
-    attack_names = _parse_pairs(args.attack, "attack")
+    attacks = dict(_colon_specs("attack", args.attack, PID=int, NAME=str))
     scenario = ServiceScenario(
         name="cli",
         n_replicas=args.n,
@@ -1135,8 +1023,10 @@ def cmd_service(args: argparse.Namespace) -> int:
         checkpoint_interval=args.checkpoint_interval,
         request_timeout=args.request_timeout,
         seed=args.seed,
-        attacks=tuple(sorted(attack_names.items())),
-        recoveries=_parse_recoveries(args.recover),
+        attacks=tuple(sorted(attacks.items())),
+        recoveries=tuple(sorted(
+            _colon_specs("recover", args.recover, PID=int, DOWN=float, UP=float)
+        )),
         loss=args.loss,
         transport=args.transport,
         delay_model=args.delay_model,
@@ -1145,17 +1035,13 @@ def cmd_service(args: argparse.Namespace) -> int:
     record = run_service_scenario(scenario)
     _print_service_record(record)
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(record, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_text(args.json, json.dumps(record, indent=2, sort_keys=True) + "\n")
         print(f"run record exported to {args.json}")
     return 0 if record["verdict"] == "pass" else 1
 
 
-def _service_campaign(args: argparse.Namespace) -> int:
+def cmd_campaign_service(args: argparse.Namespace) -> int:
     """`repro campaign service`: a service preset judged by its oracles."""
-    import json
-
     from repro.service import run_service_scenario, service_preset
 
     records = [
@@ -1164,8 +1050,7 @@ def _service_campaign(args: argparse.Namespace) -> int:
     ]
     payload = json.dumps(records, indent=2, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+        _write_text(args.out, payload)
     if args.json:
         print(payload, end="")
     else:
@@ -1197,10 +1082,13 @@ def _service_campaign(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _faults_campaign(args: argparse.Namespace) -> int:
+def cmd_campaign_faults(args: argparse.Namespace) -> int:
     """`repro campaign faults`: the cross-fidelity fault-plan engine over
     a preset (the adversary zoo's matrices included) or saved plans."""
+    from pathlib import Path
+
     from repro.faults import FAULT_PRESETS, FaultPlan, run_cross_fidelity
+    from repro.faults.shrink import CLAUSE_AXES, shrink_fault_plan
 
     if args.plan:
         plans = tuple(FaultPlan.load(path) for path in args.plan)
@@ -1274,10 +1162,6 @@ def _faults_campaign(args: argparse.Namespace) -> int:
                     f"rehunt {result.plan.name} @ {fidelity}: {distribution}"
                 )
     if args.shrink_out:
-        from pathlib import Path
-
-        from repro.faults.shrink import CLAUSE_AXES, shrink_fault_plan
-
         out_dir = Path(args.shrink_out)
         out_dir.mkdir(parents=True, exist_ok=True)
         for result in report.results:
@@ -1298,103 +1182,121 @@ def _faults_campaign(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_net(args: argparse.Namespace) -> int:
-    import asyncio
-    import json
+def cmd_net_keygen(args: argparse.Namespace) -> int:
+    from repro.net import Genesis
+    from repro.net.cluster import group_addresses
 
-    from repro.net import (
-        Genesis,
-        NetClient,
-        free_ports,
-        run_cluster_smoke,
-        serve_replica,
+    addresses = group_addresses(
+        1, args.replicas, host=args.host, base_port=args.base_port
+    )[0]
+    genesis = Genesis(
+        name=args.name,
+        seed=args.seed,
+        n_replicas=args.replicas,
+        max_clients=args.clients,
+        addresses=addresses,
     )
+    path = genesis.save(args.out)
+    print(f"genesis {genesis.genesis_id()} written to {path}")
+    for pid, (host, port) in enumerate(addresses):
+        print(f"  replica {pid}: {host}:{port}")
+    return 0
+
+
+def cmd_net_replica(args: argparse.Namespace) -> int:
+    from repro.net import Genesis, serve_replica
+
+    return _run_async(
+        args,
+        serve_replica(
+            Genesis.load(args.genesis),
+            args.pid,
+            join=args.join,
+            metrics_dir=args.metrics_dir,
+            fault_plan=args.faults,
+            fault_origin=args.faults_origin,
+            attack=args.attack,
+        ),
+    )
+
+
+def cmd_net_client(args: argparse.Namespace) -> int:
+    from repro.net import Genesis, NetClient
+
+    return _drive_client(args, NetClient, Genesis.load(args.genesis))
+
+
+def cmd_shard_client(args: argparse.Namespace) -> int:
+    from repro.shard import ShardedNetClient, ShardGenesis
+
+    return _drive_client(args, ShardedNetClient, ShardGenesis.load(args.genesis))
+
+
+def _drive_client(args: argparse.Namespace, client_class, genesis) -> int:
+    """One ``net client`` / ``shard client`` operation. A sharded client's
+    lines also name the shard that served the key."""
     from repro.net.client import workload
-    from repro.net.loop import install_event_loop
 
-    install_event_loop(
-        uvloop_flag=getattr(args, "uvloop", False),
-        announce=lambda note: print(f"note: {note}", file=sys.stderr),
-    )
+    async def drive() -> int:
+        client = client_class(genesis, args.index)
+        sharded = hasattr(client, "shard_for")
 
-    if args.net_command == "keygen":
-        if args.base_port:
-            addresses = tuple(
-                (args.host, args.base_port + pid)
-                for pid in range(args.replicas)
-            )
-        else:
-            addresses = tuple(
-                (args.host, port) for port in free_ports(args.replicas)
-            )
-        genesis = Genesis(
-            name=args.name,
-            seed=args.seed,
-            n_replicas=args.replicas,
-            max_clients=args.clients,
-            addresses=addresses,
-        )
-        path = genesis.save(args.out)
-        print(f"genesis {genesis.genesis_id()} written to {path}")
-        for pid, (host, port) in enumerate(addresses):
-            print(f"  replica {pid}: {host}:{port}")
-        return 0
+        def noted(text: str, key: str, *notes: str) -> str:
+            if sharded:
+                notes = (f"shard {client.shard_for(key)}",) + notes
+            return f"{text} ({', '.join(notes)})" if notes else text
 
-    if args.net_command == "replica":
-        genesis = Genesis.load(args.genesis)
-        return asyncio.run(
-            serve_replica(
-                genesis,
-                args.pid,
-                join=args.join,
-                metrics_dir=args.metrics_dir,
-                fault_plan=args.faults,
-                fault_origin=args.faults_origin,
-                attack=args.attack,
-            )
-        )
-
-    if args.net_command == "client":
-        genesis = Genesis.load(args.genesis)
-
-        async def drive() -> int:
-            client = NetClient(genesis, args.index)
-            try:
-                if args.op == "set":
-                    if len(args.operands) != 2:
-                        raise ConfigurationError("set expects KEY VALUE")
-                    key, value = args.operands
-                    slot = await client.set(key, value)
-                    print(f"committed {key}={value} (slot {slot})")
-                elif args.op == "get":
-                    if len(args.operands) != 1:
-                        raise ConfigurationError("get expects KEY")
-                    found, value = await client.get(args.operands[0])
-                    print(f"{args.operands[0]} = {value!r}"
-                          if found else f"{args.operands[0]} is unset")
-                elif args.op == "status":
-                    replies = await client.status()
-                    for pid, status in sorted(replies.items()):
+        try:
+            if args.op == "set":
+                if len(args.operands) != 2:
+                    raise ConfigurationError("set expects KEY VALUE")
+                key, value = args.operands
+                slot = await client.set(key, value)
+                print(noted(f"committed {key}={value}", key, f"slot {slot}"))
+            elif args.op == "get":
+                if len(args.operands) != 1:
+                    raise ConfigurationError("get expects KEY")
+                key = args.operands[0]
+                found, value = await client.get(key)
+                print(noted(f"{key} = {value!r}" if found else f"{key} is unset", key))
+            elif args.op == "status":
+                replies = await client.status()
+                groups = sorted(replies.items()) if sharded else [(None, replies)]
+                for shard, group in groups:
+                    if sharded:
+                        print(f"shard {shard}:")
+                    for pid, status in sorted(group.items()):
                         print(
-                            f"replica {pid}: applied={status.applied} "
+                            f"{'  ' if sharded else ''}replica {pid}: "
+                            f"applied={status.applied} "
                             f"committed={status.committed} "
                             f"digest={status.digest[:12]} "
                             f"transfers={status.transfers} "
                             f"rejected={status.suffix_rejections}"
                         )
-                else:
-                    stats = await workload(
-                        client, args.requests, concurrency=args.concurrency
-                    )
-                    print(json.dumps(stats, indent=2, sort_keys=True))
-            finally:
-                await client.close()
-            return 0
+            else:
+                stats = await workload(
+                    client, args.requests, concurrency=args.concurrency
+                )
+                _print_json(stats)
+        finally:
+            await client.close()
+        return 0
 
-        return asyncio.run(drive())
+    return _run_async(args, drive())
 
-    # cluster
-    verdict = asyncio.run(
+
+def _print_verdict(args: argparse.Namespace, smoke) -> int:
+    verdict = _run_async(args, smoke)
+    _print_json(verdict)
+    return 0 if verdict["ok"] else 1
+
+
+def cmd_net_cluster(args: argparse.Namespace) -> int:
+    from repro.net import run_cluster_smoke
+
+    return _print_verdict(
+        args,
         run_cluster_smoke(
             replicas=args.replicas,
             requests=args.requests,
@@ -1402,151 +1304,87 @@ def cmd_net(args: argparse.Namespace) -> int:
             seed=args.seed,
             workdir=args.workdir,
             concurrency=args.concurrency,
-        )
-    )
-    print(json.dumps(verdict, indent=2, sort_keys=True))
-    return 0 if verdict["ok"] else 1
-
-
-def cmd_shard(args: argparse.Namespace) -> int:
-    import asyncio
-    import json
-
-    from repro.net.client import workload
-    from repro.net.cluster import free_ports
-    from repro.net.loop import install_event_loop
-    from repro.shard import (
-        ShardGenesis,
-        ShardedNetClient,
-        run_loopback_smoke,
-        run_shard_smoke,
-        shard_of,
-        smoke_json,
+        ),
     )
 
-    install_event_loop(
-        announce=lambda note: print(f"note: {note}", file=sys.stderr),
-    )
 
-    if args.shard_command == "keygen":
-        if args.base_port:
-            addresses = tuple(
-                tuple(
-                    (
-                        args.host,
-                        args.base_port
-                        + shard * args.replicas_per_shard
-                        + pid,
-                    )
-                    for pid in range(args.replicas_per_shard)
-                )
-                for shard in range(args.shards)
-            )
-        else:
-            ports = iter(free_ports(args.shards * args.replicas_per_shard))
-            addresses = tuple(
-                tuple(
-                    (args.host, next(ports))
-                    for _ in range(args.replicas_per_shard)
-                )
-                for _ in range(args.shards)
-            )
-        genesis = ShardGenesis(
-            name=args.name,
-            seed=args.seed,
-            n_shards=args.shards,
+def cmd_shard_keygen(args: argparse.Namespace) -> int:
+    from repro.net.cluster import group_addresses
+    from repro.shard import ShardGenesis
+
+    addresses = group_addresses(
+        args.shards,
+        args.replicas_per_shard,
+        host=args.host,
+        base_port=args.base_port,
+    )
+    genesis = ShardGenesis(
+        name=args.name,
+        seed=args.seed,
+        n_shards=args.shards,
+        replicas_per_shard=args.replicas_per_shard,
+        max_clients=args.clients,
+        addresses=addresses,
+    )
+    genesis.validate()
+    path = genesis.save(args.out)
+    print(f"shard genesis {genesis.shard_genesis_id()} written to {path}")
+    for shard in range(args.shards):
+        sub_genesis = genesis.genesis_for(shard)
+        print(f"  shard {shard} (genesis {sub_genesis.genesis_id()}):")
+        for pid, (host, port) in enumerate(addresses[shard]):
+            print(f"    replica {pid}: {host}:{port}")
+    return 0
+
+
+def cmd_shard_route(args: argparse.Namespace) -> int:
+    from repro.shard import ShardGenesis, shard_of
+
+    if args.genesis:
+        n_shards = ShardGenesis.load(args.genesis).n_shards
+    elif args.shards is not None:
+        n_shards = args.shards
+    else:
+        raise ConfigurationError("route needs --genesis or --shards")
+    for key in args.keys:
+        print(f"{key} -> shard {shard_of(key, n_shards)}")
+    return 0
+
+
+def cmd_shard_cluster(args: argparse.Namespace) -> int:
+    from repro.shard import run_shard_smoke
+
+    return _print_verdict(
+        args,
+        run_shard_smoke(
+            shards=args.shards,
             replicas_per_shard=args.replicas_per_shard,
-            max_clients=args.clients,
-            addresses=addresses,
-        )
-        genesis.validate()
-        path = genesis.save(args.out)
-        print(f"shard genesis {genesis.shard_genesis_id()} written to {path}")
-        for shard in range(args.shards):
-            sub_genesis = genesis.genesis_for(shard)
-            print(f"  shard {shard} (genesis {sub_genesis.genesis_id()}):")
-            for pid, (host, port) in enumerate(addresses[shard]):
-                print(f"    replica {pid}: {host}:{port}")
-        return 0
+            requests=args.requests,
+            kill_shard=args.kill_shard,
+            kill_pid=args.kill_pid,
+            seed=args.seed,
+            workdir=args.workdir,
+            concurrency=args.concurrency,
+        ),
+    )
 
-    if args.shard_command == "route":
-        if args.genesis:
-            n_shards = ShardGenesis.load(args.genesis).n_shards
-        elif args.shards is not None:
-            n_shards = args.shards
-        else:
-            raise ConfigurationError("route needs --genesis or --shards")
-        for key in args.keys:
-            print(f"{key} -> shard {shard_of(key, n_shards)}")
-        return 0
 
-    if args.shard_command == "client":
-        genesis = ShardGenesis.load(args.genesis)
+def _emit_record(
+    args: argparse.Namespace, text: str, smoke: str, ok: bool, detail: str
+) -> int:
+    """A smoke's canonical record goes to ``--out`` when given, else to
+    stdout; its one-line verdict goes to stderr."""
+    if args.out:
+        _write_text(args.out, text)
+    else:
+        print(text, end="")
+    print(f"{smoke}: {'ok' if ok else 'FAILED'} ({detail})", file=sys.stderr)
+    return 0 if ok else 1
 
-        async def drive() -> int:
-            client = ShardedNetClient(genesis, args.index)
-            try:
-                if args.op == "set":
-                    if len(args.operands) != 2:
-                        raise ConfigurationError("set expects KEY VALUE")
-                    key, value = args.operands
-                    shard = client.shard_for(key)
-                    slot = await client.set(key, value)
-                    print(
-                        f"committed {key}={value} "
-                        f"(shard {shard}, slot {slot})"
-                    )
-                elif args.op == "get":
-                    if len(args.operands) != 1:
-                        raise ConfigurationError("get expects KEY")
-                    key = args.operands[0]
-                    found, value = await client.get(key)
-                    shard = client.shard_for(key)
-                    print(
-                        f"{key} = {value!r} (shard {shard})"
-                        if found
-                        else f"{key} is unset (shard {shard})"
-                    )
-                elif args.op == "status":
-                    for shard, replies in sorted(
-                        (await client.status()).items()
-                    ):
-                        print(f"shard {shard}:")
-                        for pid, status in sorted(replies.items()):
-                            print(
-                                f"  replica {pid}: applied={status.applied} "
-                                f"committed={status.committed} "
-                                f"digest={status.digest[:12]} "
-                                f"transfers={status.transfers}"
-                            )
-                else:
-                    stats = await workload(
-                        client, args.requests, concurrency=args.concurrency
-                    )
-                    print(json.dumps(stats, indent=2, sort_keys=True))
-            finally:
-                await client.close()
-            return 0
 
-        return asyncio.run(drive())
+def cmd_shard_loopback(args: argparse.Namespace) -> int:
+    from repro.shard import run_loopback_smoke, smoke_json
 
-    if args.shard_command == "cluster":
-        verdict = asyncio.run(
-            run_shard_smoke(
-                shards=args.shards,
-                replicas_per_shard=args.replicas_per_shard,
-                requests=args.requests,
-                kill_shard=args.kill_shard,
-                kill_pid=args.kill_pid,
-                seed=args.seed,
-                workdir=args.workdir,
-                concurrency=args.concurrency,
-            )
-        )
-        print(json.dumps(verdict, indent=2, sort_keys=True))
-        return 0 if verdict["ok"] else 1
-
-    # loopback
     record = run_loopback_smoke(
         shards=args.shards,
         replicas_per_shard=args.replicas_per_shard,
@@ -1555,93 +1393,80 @@ def cmd_shard(args: argparse.Namespace) -> int:
         kill_shard=None if args.no_kill else args.kill_shard,
         kill_pid=args.kill_pid,
     )
-    text = smoke_json(record)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+    return _emit_record(
+        args, smoke_json(record), "shard loopback smoke", record["ok"],
+        f"{record['shards']} shards x {record['replicas_per_shard']} "
+        f"replicas, {record['completed']}/{record['requests']} completed",
+    )
+
+
+def _mc_summary(args: argparse.Namespace, result) -> int:
+    record = {
+        "config_id": result.config.config_id,
+        "states_explored": result.states_explored,
+        "states_pruned": result.states_pruned,
+        "frontier_depth": result.frontier_depth,
+        "transitions": result.transitions,
+        "stop_reason": result.stop_reason,
+        "violations": [
+            {"path": [list(l) for l in v.path], "violations": list(v.violations)}
+            for v in result.violations
+        ],
+    }
+    if args.json:
+        _print_json(record)
     else:
-        print(text, end="")
-    print(
-        f"shard loopback smoke: {'ok' if record['ok'] else 'FAILED'} "
-        f"({record['shards']} shards x {record['replicas_per_shard']} "
-        f"replicas, {record['completed']}/{record['requests']} completed)",
-        file=sys.stderr,
+        counts = ("states_explored", "states_pruned", "frontier_depth",
+                  "transitions", "stop_reason")
+        print_table(
+            f"mc exploration {result.config.config_id} "
+            f"({result.config.strategy}, depth <= {result.config.max_depth})",
+            ["metric", "value"],
+            [[key.replace("_", " "), record[key]] for key in counts]
+            + [["violations", len(result.violations)]],
+        )
+        for violation in result.violations:
+            print(f"counterexample ({len(violation.path)} steps):")
+            for problem in violation.violations:
+                print(f"  {problem}")
+    return 1 if result.violations else 0
+
+
+def cmd_mc_run(args: argparse.Namespace) -> int:
+    from repro.mc import Explorer, McConfig
+
+    alphabet = tuple(
+        part.strip() for part in (args.alphabet or "").split(",") if part.strip()
     )
-    return 0 if record["ok"] else 1
-
-
-def cmd_mc(args: argparse.Namespace) -> int:
-    import json as json_module
-
-    from repro.mc import (
-        Explorer,
-        McConfig,
-        Stepper,
-        check_state,
-        counterexample_scenario,
-        load_artifact,
+    config = McConfig(
+        adversary=args.adversary,
+        alphabet=alphabet,
+        max_depth=args.max_depth,
+        max_states=args.max_states,
+        max_rounds=args.max_rounds,
+        strategy=args.strategy,
+        mutation=args.mutation,
+        seed=args.seed,
+        stop_on_violation=args.stop_on_violation,
+        suppress_d=args.suppress_d,
     )
+    config.validate()
+    return _mc_summary(args, Explorer(config, args.out).run())
+
+
+def cmd_mc_resume(args: argparse.Namespace) -> int:
+    from repro.mc import Explorer
+
+    return _mc_summary(args, Explorer.resume(args.artifact))
+
+
+def cmd_mc_replay(args: argparse.Namespace) -> int:
+    """Re-check a recorded counterexample against the live stack, then
+    map it onto a campaign scenario (optionally shrinking it)."""
+    from repro.campaign import shrink_scenario
+    from repro.mc import Stepper, check_state, counterexample_scenario, load_artifact
     from repro.mc.mutations import apply_mutation
 
-    def summarize(result) -> int:
-        record = {
-            "config_id": result.config.config_id,
-            "states_explored": result.states_explored,
-            "states_pruned": result.states_pruned,
-            "frontier_depth": result.frontier_depth,
-            "transitions": result.transitions,
-            "stop_reason": result.stop_reason,
-            "violations": [
-                {"path": [list(l) for l in v.path], "violations": list(v.violations)}
-                for v in result.violations
-            ],
-        }
-        if args.json:
-            print(json_module.dumps(record, indent=2, sort_keys=True))
-        else:
-            print_table(
-                f"mc exploration {result.config.config_id} "
-                f"({result.config.strategy}, depth <= {result.config.max_depth})",
-                ["metric", "value"],
-                [
-                    ["states explored", result.states_explored],
-                    ["states pruned", result.states_pruned],
-                    ["frontier depth", result.frontier_depth],
-                    ["transitions", result.transitions],
-                    ["stop reason", result.stop_reason],
-                    ["violations", len(result.violations)],
-                ],
-            )
-            for violation in result.violations:
-                print(f"counterexample ({len(violation.path)} steps):")
-                for problem in violation.violations:
-                    print(f"  {problem}")
-        return 1 if result.violations else 0
-
-    if args.mc_command == "run":
-        alphabet = tuple(
-            part.strip() for part in (args.alphabet or "").split(",") if part.strip()
-        )
-        config = McConfig(
-            adversary=args.adversary,
-            alphabet=alphabet,
-            max_depth=args.max_depth,
-            max_states=args.max_states,
-            max_rounds=args.max_rounds,
-            strategy=args.strategy,
-            mutation=args.mutation,
-            seed=args.seed,
-            stop_on_violation=args.stop_on_violation,
-            suppress_d=args.suppress_d,
-        )
-        config.validate()
-        return summarize(Explorer(config, args.out).run())
-
-    if args.mc_command == "resume":
-        return summarize(Explorer.resume(args.artifact))
-
-    # replay: re-check the recorded counterexample against the live stack,
-    # then map it onto a campaign scenario (optionally shrinking it).
     config, records = load_artifact(args.artifact)
     violations = [r for r in records if r["type"] == "violation"]
     if not violations:
@@ -1659,8 +1484,6 @@ def cmd_mc(args: argparse.Namespace) -> int:
         scenario = counterexample_scenario(config, path)
         shrink_record = None
         if args.shrink:
-            from repro.campaign import shrink_scenario
-
             shrunk = shrink_scenario(scenario)
             shrink_record = {
                 "original_id": scenario.scenario_id,
@@ -1679,7 +1502,7 @@ def cmd_mc(args: argparse.Namespace) -> int:
         "shrink": shrink_record,
     }
     if args.json:
-        print(json_module.dumps(record, indent=2, sort_keys=True))
+        _print_json(record)
     else:
         status = "reproduces" if record["reproduces"] else "DIVERGED"
         print(f"counterexample replay ({len(path)} steps): {status}")
@@ -1694,33 +1517,23 @@ def cmd_mc(args: argparse.Namespace) -> int:
     return 0 if record["reproduces"] else 1
 
 
-def cmd_perf(args: argparse.Namespace) -> int:
+def cmd_perf_smoke(args: argparse.Namespace) -> int:
     from repro.analysis.perf import smoke_json, smoke_ok, smoke_record
 
     record = smoke_record()
-    text = smoke_json(record) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        print(text, end="")
-    ok = smoke_ok(record)
-    print(
-        f"perf smoke: {'ok' if ok else 'FAILED'} "
-        f"({len(record['cells'])} cells, equivalence "
-        f"{'held' if record['equivalence']['equivalent'] else 'BROKEN'})",
-        file=sys.stderr,
+    return _emit_record(
+        args, smoke_json(record) + "\n", "perf smoke", smoke_ok(record),
+        f"{len(record['cells'])} cells, equivalence "
+        f"{'held' if record['equivalence']['equivalent'] else 'BROKEN'}",
     )
-    return 0 if ok else 1
 
 
 def cmd_experiments(args: argparse.Namespace) -> int:
-    from repro.analysis.reporting import print_table as table
     from repro.analysis.suite import discover, run_experiments
 
     available = discover()
     if args.list or not args.only:
-        table(
+        print_table(
             "available experiments (see DESIGN.md §3 / EXPERIMENTS.md)",
             ["id", "benchmark file"],
             [[key, available[key].name] for key in sorted(
@@ -1735,7 +1548,7 @@ def cmd_experiments(args: argparse.Namespace) -> int:
     for key, result in results.items():
         rows = result[0] if isinstance(result, tuple) else result
         width = max(len(row) for row in rows)
-        table(
+        print_table(
             f"{key.upper()} — {available[key].stem.removeprefix('test_')}",
             [f"col {i}" for i in range(width)],
             rows,
@@ -1748,24 +1561,9 @@ def cmd_experiments(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "run": cmd_run,
-        "report": cmd_report,
-        "gallery": cmd_gallery,
-        "attacks": cmd_attacks,
-        "params": cmd_params,
-        "campaign": cmd_campaign,
-        "service": cmd_service,
-        "net": cmd_net,
-        "shard": cmd_shard,
-        "mc": cmd_mc,
-        "perf": cmd_perf,
-        "experiments": cmd_experiments,
-    }
+    args = build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (ReproError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -64,6 +64,24 @@ def free_ports(count: int) -> list[int]:
         return ports
 
 
+def group_addresses(
+    groups: int, size: int, *, host: str = "127.0.0.1", base_port: int = 0
+) -> tuple[tuple[tuple[str, int], ...], ...]:
+    """Listen addresses for ``groups`` replica groups of ``size`` each.
+
+    Replica ``i`` of group ``g`` listens on ``base_port + g*size + i``;
+    ``base_port=0`` takes free ports from the OS instead. One group (a
+    plain :class:`Genesis`) is ``group_addresses(1, n)[0]``.
+    """
+    count = groups * size
+    ports = iter(
+        range(base_port, base_port + count) if base_port else free_ports(count)
+    )
+    return tuple(
+        tuple((host, next(ports)) for _ in range(size)) for _ in range(groups)
+    )
+
+
 def make_genesis(
     n_replicas: int = 4,
     *,
@@ -72,7 +90,7 @@ def make_genesis(
     **overrides: Any,
 ) -> Genesis:
     """A loopback-interface genesis with freshly allocated ports."""
-    addresses = tuple(("127.0.0.1", port) for port in free_ports(n_replicas))
+    addresses = group_addresses(1, n_replicas)[0]
     genesis = Genesis(
         name=name,
         seed=seed,

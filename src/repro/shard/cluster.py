@@ -32,7 +32,7 @@ from repro.net.client import workload
 from repro.net.cluster import (
     ClusterError,
     LocalCluster,
-    free_ports,
+    group_addresses,
     wait_cluster_ready,
     wait_converged,
 )
@@ -56,11 +56,7 @@ def make_shard_genesis(
     """A loopback-interface shard genesis with freshly allocated ports."""
     if n_shards < 1:
         raise ConfigurationError(f"n_shards must be >= 1, got {n_shards}")
-    ports = iter(free_ports(n_shards * replicas_per_shard))
-    addresses = tuple(
-        tuple(("127.0.0.1", next(ports)) for _ in range(replicas_per_shard))
-        for _ in range(n_shards)
-    )
+    addresses = group_addresses(n_shards, replicas_per_shard)
     genesis = ShardGenesis(
         name=name,
         seed=seed,

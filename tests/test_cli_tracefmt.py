@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 
 import pytest
@@ -12,7 +13,7 @@ from repro.analysis.tracefmt import (
     trace_to_json,
     trace_to_records,
 )
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.messages.consensus import Current, Decide
 from repro.systems import build_crash_system, build_transformed_system
 from tests.helpers import SignedWorkbench
@@ -157,3 +158,153 @@ class TestCli:
         )
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--n", "4", "--attack", "9:mute"],
+            ["run", "--n", "4", "--attack", "1:mute", "--crash", "1:5"],
+            ["run", "--protocol", "chandra-toueg", "--n", "4",
+             "--attack", "1:mute"],
+            ["run", "--protocol", "hurfin-raynal", "--n", "4",
+             "--variant", "echo-init"],
+        ],
+        ids=["pid-out-of-range", "crashed-and-byzantine",
+             "attack-on-chandra-toueg", "variant-on-crash-protocol"],
+    )
+    def test_scenario_validation_exits_2(self, argv, capsys):
+        # `run` goes through Scenario.validate, like every campaign run.
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+
+def _cli_surface(parser: argparse.ArgumentParser, path: tuple = ()) -> dict:
+    """verb path -> {option strings (or positional dest): default}."""
+    surface: dict = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                surface.update(_cli_surface(child, path + (name,)))
+        elif not isinstance(action, argparse._HelpAction):
+            key = " ".join(action.option_strings) or action.dest
+            surface.setdefault(" ".join(path), {})[key] = action.default
+    return surface
+
+
+#: Every verb, flag and default the command line offers; a refactor of
+#: cli.py must keep all of them.
+CLI_SURFACE = {
+    'run': {
+        '--n': 4, '--protocol': 'transformed', '--variant': 'standard',
+        '--base': 'hurfin-raynal', '--seed': 0, '--crash': [], '--attack': [],
+        '--max-time': 3000.0, '--loss': 0.0, '--dup': 0.0, '--reorder': 0.0,
+        '--partition': [], '--transport': 'none', '--muteness': 'oracle',
+        '--chart': False, '--chart-rows': 60, '--json': None,
+        '--metrics-out': None,
+    },
+    'report': {
+        'artifact': None, '--json': False,
+    },
+    'gallery': {
+        '--n': 4, '--seed': 0,
+    },
+    'attacks': {
+        '--model': 'both',
+    },
+    'params': {
+        '--n': None,
+    },
+    'campaign run': {
+        '--preset': 'smoke', '--master-seed': 0, '--out': None,
+        '--max-scenarios': None, '--no-shrink': False, '--json': False,
+    },
+    'campaign list': {
+        '--preset': 'smoke', '--master-seed': 0,
+    },
+    'campaign replay': {
+        'id': None, '--artifact': None, '--json': False,
+    },
+    'campaign shrink': {
+        'id': None, '--artifact': None,
+    },
+    'campaign faults': {
+        '--preset': 'smoke', '--plan': [], '--fidelity': 'sim,loopback',
+        '--out': None, '--workdir': None, '--timeout': 180.0, '--rehunt': 0,
+        '--shrink-out': None, '--json': False,
+    },
+    'campaign service': {
+        '--preset': 'smoke', '--out': None, '--json': False,
+    },
+    'service run': {
+        '--n': 4, '--clients': 2, '--mode': 'open', '--rate': 2.0,
+        '--think': 1.0, '--requests': 20, '--batch-size': 4,
+        '--batch-delay': 1.0, '--window': 2, '--checkpoint-interval': 2,
+        '--request-timeout': 40.0, '--seed': 0, '--attack': [],
+        '--recover': [], '--loss': 0.0, '--transport': 'none',
+        '--delay-model': 'uniform', '--max-time': 2500.0, '--json': None,
+    },
+    'net keygen': {
+        '--out': None, '--replicas': 4, '--clients': 4, '--seed': 0,
+        '--name': 'local', '--host': '127.0.0.1', '--base-port': 0,
+    },
+    'net replica': {
+        '--genesis': None, '--pid': None, '--join': False,
+        '--metrics-dir': None, '--faults': None, '--faults-origin': None,
+        '--attack': None, '--uvloop': False,
+    },
+    'net client': {
+        '--genesis': None, '--index': 0, 'op': None, 'operands': None,
+        '--requests': 20, '--concurrency': 8,
+    },
+    'net cluster': {
+        '--replicas': 4, '--requests': 100, '--kill': 2, '--seed': 7,
+        '--workdir': None, '--concurrency': 8,
+    },
+    'shard keygen': {
+        '--out': None, '--shards': 2, '--replicas-per-shard': 4,
+        '--clients': 4, '--seed': 0, '--name': 'sharded',
+        '--host': '127.0.0.1', '--base-port': 0,
+    },
+    'shard route': {
+        'keys': None, '--genesis': None, '--shards': None,
+    },
+    'shard client': {
+        '--genesis': None, '--index': 0, 'op': None, 'operands': None,
+        '--requests': 20, '--concurrency': 8,
+    },
+    'shard cluster': {
+        '--shards': 2, '--replicas-per-shard': 4, '--requests': 40,
+        '--kill-shard': 1, '--kill-pid': 2, '--seed': 7, '--workdir': None,
+        '--concurrency': 8,
+    },
+    'shard loopback': {
+        '--shards': 2, '--replicas-per-shard': 4, '--requests': 24,
+        '--seed': 0, '--kill-shard': 1, '--kill-pid': 2, '--no-kill': False,
+        '--out': None,
+    },
+    'mc run': {
+        '--out': None, '--strategy': 'bfs', '--max-depth': 6,
+        '--max-states': 20000, '--max-rounds': 2, '--seed': 0,
+        '--adversary': None, '--alphabet': None, '--suppress-d': 1,
+        '--mutation': None, '--stop-on-violation': False, '--json': False,
+    },
+    'mc resume': {
+        'artifact': None, '--json': False,
+    },
+    'mc replay': {
+        'artifact': None, '--index': 0, '--shrink': False, '--json': False,
+    },
+    'perf smoke': {
+        '--out': None,
+    },
+    'experiments': {
+        '--only': None, '--list': False,
+    },
+}
+
+
+def test_cli_surface_is_pinned():
+    assert _cli_surface(build_parser()) == CLI_SURFACE
