@@ -2,35 +2,41 @@
 
 The paper motivates consensus as the foundation of fault-tolerant
 services; this experiment measures the service built on the transformed
-protocol in :mod:`repro.replication`: a replicated log committing client
-commands slot by slot (one Vector Consensus instance per slot,
-slot-separated signature domains).
+protocol in :mod:`repro.service`: closed-loop clients committing
+key-value commands through a log of slots (one Vector Consensus
+instance per slot, slot-separated signature domains), one request per
+proposal and one slot open at a time, no checkpoint inside the run.
 
-Reported per configuration: log convergence (identical command sequences
-at all correct replicas), committed commands, virtual-time throughput
-and per-command message cost — failure-free vs a crashed replica vs a
+Reported per configuration: log convergence (every client done and
+identical logs at all correct replicas), identical service state,
+committed commands, virtual time and per-command message cost (client
+traffic included) — failure-free vs a crashed replica vs a
 value-corrupting Byzantine replica.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.analysis.reporting import percent, print_table
 from repro.byzantine.transformed_attacks import TCorruptVectorAttacker
-from repro.replication import Command, build_replicated_system, materialise
+from repro.service import ServiceConfig, build_service_system, service_digest
 from repro.sim.network import UniformDelay
 
 from conftest import run_once
 
 N = 4
-SLOTS = 4
 SEEDS = range(10)
-
-
-def workloads():
-    return [
-        [Command("set", f"k{pid}-{slot}", slot) for slot in range(SLOTS)]
-        for pid in range(N)
-    ]
+CONFIG = ServiceConfig(
+    n_replicas=N,
+    n_clients=4,
+    mode="closed",
+    think=0.5,
+    requests_per_client=4,
+    batch_size=1,
+    window=1,
+    checkpoint_interval=1000,
+)
 
 
 def corrupt_engine(pid, proposal, params, authority, detector, config):
@@ -42,32 +48,30 @@ def corrupt_engine(pid, proposal, params, authority, detector, config):
 
 def run_cell(label, crash_at=None, byzantine=None):
     converged = 0
+    stores_identical = 0
     commands = 0.0
     duration = 0.0
     messages = 0.0
-    stores_identical = 0
     for seed in SEEDS:
-        system = build_replicated_system(
-            workloads(),
-            target_slots=SLOTS,
-            seed=seed,
+        system = build_service_system(
+            dataclasses.replace(CONFIG, seed=seed),
             byzantine=byzantine,
             delay_model=UniformDelay(0.1, 1.5),
         )
-        if crash_at:
-            for pid, time in crash_at.items():
-                system.world.crash_at(pid, time)
-            system.byzantine_pids = frozenset(crash_at) | system.byzantine_pids
+        for pid, time in (crash_at or {}).items():
+            system.world.crash_at(pid, time)
+            system.byzantine_pids = system.byzantine_pids | {pid}
         result = system.run(max_time=4_000.0)
-        if system.converged():
+        logs = [system.replicas[pid].slotlog for pid in sorted(system.correct_pids)]
+        if system.all_clients_done() and len(
+            {tuple(map(repr, log.log)) for log in logs}
+        ) == 1:
             converged += 1
-        logs = system.correct_logs()
-        commands += len(logs[0])
+        if len({service_digest(log.store, log.executed) for log in logs}) == 1:
+            stores_identical += 1
+        commands += system.committed_commands()
         duration += result.end_time
         messages += system.world.network.messages_sent
-        stores = {tuple(sorted(materialise(log).items())) for log in logs}
-        if len(stores) == 1:
-            stores_identical += 1
     count = len(SEEDS)
     return [
         label,
@@ -90,8 +94,9 @@ def run_experiment():
 def test_e18_replicated_log(benchmark):
     rows = run_once(benchmark, run_experiment)
     print_table(
-        f"E18 - BFT replicated log over the transformed protocol "
-        f"(n={N}, {SLOTS} slots, {len(SEEDS)} seeds/row)",
+        f"E18 - BFT replicated service over the transformed protocol "
+        f"(n={N}, {CONFIG.n_clients} clients x {CONFIG.requests_per_client} "
+        f"sets, batch 1, window 1, {len(SEEDS)} seeds/row)",
         ["configuration", "logs converge", "stores identical",
          "commands", "virtual time", "msgs/command"],
         rows,
@@ -100,6 +105,5 @@ def test_e18_replicated_log(benchmark):
     for row in rows:
         assert row[1] == "100%", row
         assert row[2] == "100%", row
-    # Shape: a corrupting replica cannot reduce committed throughput to
-    # zero (its slots still commit the correct replicas' commands).
-    assert rows[2][3] > 0
+    # Shape: every client command commits under each fault.
+    assert all(row[3] == CONFIG.n_clients * CONFIG.requests_per_client for row in rows)

@@ -39,7 +39,7 @@ assert system.checkpoints_agree(), "checkpoint digests diverged!"
 print(f"checkpoints: {system.certified_checkpoints()} counts certified "
       f"(f+1 matching signed digests each), logs compacted under them.")
 digests = {
-    service_digest(system.replicas[pid].store, system.replicas[pid].executed)
+    service_digest(system.replicas[pid].slotlog.store, system.replicas[pid].slotlog.executed)
     for pid in system.correct_pids
 }
 assert len(digests) == 1, "stores diverged!"
@@ -52,7 +52,7 @@ assert replica.state_transfers_completed, "replica 2 never caught up!"
 when, installed, frontier = replica.state_transfers_completed[-1]
 print(f"\nreplica 2 went down at t=15, restarted empty at t=30,")
 print(f"  installed a certified snapshot of {installed} slots at t={when:.1f}")
-print(f"  and kept committing: applied frontier now {replica.next_apply} "
+print(f"  and kept committing: applied frontier now {replica.slotlog.next_apply} "
       f"(> {installed}, so it rejoined the pipeline).")
-assert replica.next_apply > installed
+assert replica.slotlog.next_apply > installed
 print("\nThe restarted replica recovered by state transfer and rejoined.")

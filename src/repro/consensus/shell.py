@@ -44,6 +44,7 @@ from repro.core.certificates import (
     CertificationAuthority,
     EMPTY_CERTIFICATE,
     SignedMessage,
+    signature_refusal,
 )
 from repro.core.modules import ModuleConfig
 from repro.core.specs import SystemParameters
@@ -198,32 +199,23 @@ class TransformedShell(ConsensusProcess):
     def _admit_signature(self, src: int, payload: Any) -> SignedMessage | None:
         """The signature module's ingress check.
 
-        A payload that is not a signed message, claims an identity other
-        than its channel of arrival, or fails verification is discarded
-        and its (channel-identified) sender is declared faulty.
+        A payload that :func:`~repro.core.certificates.signature_refusal`
+        refuses is discarded and its (channel-identified) sender is
+        declared faulty.
         """
-        if not isinstance(payload, SignedMessage):
+        verify = self._verify if self.config.verify_signatures else None
+        reason = signature_refusal(src, payload, verify)
+        if reason is not None:
             self._sig_metrics.inc("messages_rejected")
-            self._declare(src, "signature module: unsigned payload")
+            self._declare(src, reason)
             return None
-        if not self.config.verify_signatures:
-            return payload  # ablated: admit without authentication (E8)
-        if payload.body.sender != src:
-            self._sig_metrics.inc("messages_rejected")
-            self._declare(
-                src,
-                f"signature module: identity field {payload.body.sender} "
-                f"inconsistent with the sending channel {src}",
-            )
-            return None
-        with self._sig_metrics.span("verify"):
-            valid = self.authority.signature_valid(payload)
-        if not valid:
-            self._sig_metrics.inc("messages_rejected")
-            self._declare(src, "signature module: invalid signature")
-            return None
-        self._sig_metrics.inc("messages_verified")
+        if verify is not None:
+            self._sig_metrics.inc("messages_verified")
         return payload
+
+    def _verify(self, message: SignedMessage) -> bool:
+        with self._sig_metrics.span("verify"):
+            return self.authority.signature_valid(message)
 
     def _declare(self, culprit: int, reason: str) -> None:
         if culprit == self.pid:

@@ -325,3 +325,31 @@ class CertificationAuthority:
 
 
 _PLACEHOLDER = Signature(signer=-1, mac=b"")
+
+
+def signature_refusal(
+    src: int,
+    payload: Any,
+    verify: Callable[[SignedMessage], bool] | None,
+) -> str | None:
+    """The signature module's ingress rule (Figure 1).
+
+    Returns why ``payload``, arriving on ``src``'s channel, is refused —
+    unsigned, an identity field other than the channel (a body with no
+    ``sender`` included), or a signature ``verify`` rejects — or ``None``
+    to admit it. ``verify=None`` admits any signed payload unchecked
+    (the E8 ablation). Counting and declaring are the caller's.
+    """
+    if not isinstance(payload, SignedMessage):
+        return "signature module: unsigned payload"
+    if verify is None:
+        return None
+    sender = getattr(payload.body, "sender", None)
+    if sender != src:
+        return (
+            f"signature module: identity field {sender} "
+            f"inconsistent with the sending channel {src}"
+        )
+    if not verify(payload):
+        return "signature module: invalid signature"
+    return None

@@ -52,7 +52,7 @@ from repro.observability.registry import (
     NULL_METRICS,
     MetricsRegistry,
 )
-from repro.replication.log import SlotEnvelope
+from repro.service.messages import SlotEnvelope
 from repro.sim.network import Partition
 from repro.sim.rng import SeededRng
 

@@ -105,8 +105,8 @@ class ReplicaFacts:
     def of(cls, process: Any, counter: Counters) -> "ReplicaFacts":
         """The facts of a live :class:`ServiceReplicaProcess`."""
         return cls(
-            committed=process.committed_commands,
-            digest=service_digest(process.store, process.executed),
+            committed=process.slotlog.committed_commands,
+            digest=service_digest(process.slotlog.store, process.slotlog.executed),
             transfers=len(process.state_transfers_completed),
             suffix_rejections=process.suffix_rejections,
             counter=counter,

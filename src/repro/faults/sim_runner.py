@@ -32,8 +32,8 @@ from repro.faults.oracle import (
 )
 from repro.faults.plan import FIDELITY_SIM, FaultPlan
 from repro.observability.registry import MetricsRegistry
-from repro.replication.log import EngineFactory
 from repro.service.config import ServiceConfig
+from repro.service.replica import EngineFactory
 from repro.service.runtime import ServiceSystem, build_service_system
 
 #: Plan seconds -> simulated virtual time. The service stack's sim

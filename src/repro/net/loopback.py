@@ -172,12 +172,13 @@ class LoopbackCluster:
 
     def committed(self) -> dict[int, int]:
         return {
-            pid: node.process.committed_commands
+            pid: node.process.slotlog.committed_commands
             for pid, node in sorted(self.nodes.items())
         }
 
     def digests(self) -> dict[int, str]:
-        return {
-            pid: service_digest(node.process.store, node.process.executed)
-            for pid, node in sorted(self.nodes.items())
-        }
+        digests = {}
+        for pid, node in sorted(self.nodes.items()):
+            log = node.process.slotlog
+            digests[pid] = service_digest(log.store, log.executed)
+        return digests

@@ -181,7 +181,7 @@ class NetNode:
         """
         if self.process.down:
             return
-        value = self.process.store.get(request.key, _MISSING)
+        value = self.process.slotlog.store.get(request.key, _MISSING)
         found = value is not _MISSING
         self.net_metrics.inc("reads_served")
         self.dispatch_send(
@@ -193,7 +193,7 @@ class NetNode:
                 key=request.key,
                 found=found,
                 value=value if found else None,
-                applied=self.process.next_apply,
+                applied=self.process.slotlog.next_apply,
             ),
         )
 
@@ -205,14 +205,15 @@ class NetNode:
 
     def status_reply(self, request: StatusRequest) -> StatusReply:
         process = self.process
+        log = process.slotlog
         return StatusReply(
             replica=self.pid,
             client=request.client,
             req_id=request.req_id,
-            applied=process.next_apply,
-            committed=process.committed_commands,
-            store_applied=process.store.applied,
-            digest=service_digest(process.store, process.executed),
+            applied=log.next_apply,
+            committed=log.committed_commands,
+            store_applied=log.store.applied,
+            digest=service_digest(log.store, log.executed),
             stable_count=process.stable.count if process.stable else 0,
             transfers=len(process.state_transfers_completed),
             suffix_rejections=process.suffix_rejections,
@@ -235,8 +236,8 @@ class NetNode:
             "runtime": "net",
             "genesis": self.genesis.genesis_id(),
             "node": self.pid,
-            "applied": self.process.next_apply,
-            "committed": self.process.committed_commands,
+            "applied": self.process.slotlog.next_apply,
+            "committed": self.process.slotlog.committed_commands,
             "trace_dropped": self.trace.dropped,
         }
         write_run_jsonl(self._metrics_path, self.trace, self.metrics, meta)

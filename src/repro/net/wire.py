@@ -928,12 +928,12 @@ def _register_stack_types() -> None:
         StatusRequest,
     )
     from repro.replication.kvstore import Command
-    from repro.replication.log import SlotEnvelope
     from repro.service.checkpoint import CheckpointCertificate
     from repro.service.messages import (
         Checkpoint,
         ClientReply,
         ClientRequest,
+        SlotEnvelope,
         StateRequest,
         StateResponse,
     )

@@ -1,107 +1,8 @@
-"""Replicated state machines over the transformed protocol (extension)."""
+"""The replicated state machine: a deterministic key-value store.
 
-from dataclasses import dataclass
+The log that feeds it lives in :mod:`repro.service` (docs/SERVICE.md).
+"""
 
-from repro.core.modules import ModuleConfig
-from repro.core.specs import SystemParameters
 from repro.replication.kvstore import Command, KeyValueStore, materialise
-from repro.replication.log import (
-    NOOP,
-    EngineFactory,
-    ReplicatedLogProcess,
-    SlotEnv,
-    SlotEnvelope,
-    SlotTimerProxy,
-)
-from repro.sim.network import DelayModel, LinkModel
-from repro.sim.world import World
 
-
-@dataclass(slots=True)
-class ReplicatedSystem:
-    """A runnable replicated-log deployment."""
-
-    world: World
-    replicas: list[ReplicatedLogProcess]
-    byzantine_pids: frozenset[int]
-
-    @property
-    def correct_pids(self) -> frozenset[int]:
-        return frozenset(range(len(self.replicas))) - self.byzantine_pids
-
-    def run(self, max_events: int = 2_000_000, max_time: float = 10_000.0):
-        return self.world.run(max_events=max_events, max_time=max_time)
-
-    def correct_logs(self) -> list[list]:
-        return [
-            self.replicas[pid].command_log() for pid in sorted(self.correct_pids)
-        ]
-
-    def converged(self) -> bool:
-        """All correct replicas finished every slot with identical logs."""
-        logs = self.correct_logs()
-        return (
-            all(self.replicas[pid].finished for pid in self.correct_pids)
-            and len({tuple(map(repr, log)) for log in logs}) == 1
-        )
-
-
-def build_replicated_system(
-    commands: list[list],
-    target_slots: int,
-    f: int | None = None,
-    seed: int = 0,
-    byzantine: dict[int, EngineFactory] | None = None,
-    delay_model: DelayModel | None = None,
-    config: ModuleConfig | None = None,
-    link_model: LinkModel | None = None,
-    transport: str = "none",
-) -> ReplicatedSystem:
-    """Build an n-replica log deployment (n = len(commands)).
-
-    ``commands[pid]`` is the command queue replica ``pid`` proposes, one
-    per slot. ``byzantine`` maps a replica to the consensus-engine
-    factory used for *every* slot it participates in (any transformed
-    attack class fits). ``link_model``/``transport`` expose the faulty
-    wire exactly as in :class:`~repro.sim.world.World`.
-    """
-    byzantine = dict(byzantine or {})
-    n = len(commands)
-    params = SystemParameters.for_n(n, f=f)
-    replicas = []
-    for pid in range(n):
-        kwargs = dict(
-            commands=commands[pid],
-            params=params,
-            seed=seed,
-            target_slots=target_slots,
-            config=config,
-        )
-        if pid in byzantine:
-            kwargs["engine_factory"] = byzantine[pid]
-        replicas.append(ReplicatedLogProcess(**kwargs))
-    world = World(
-        replicas,
-        seed=seed,
-        delay_model=delay_model,
-        link_model=link_model,
-        transport=transport,
-    )
-    return ReplicatedSystem(
-        world=world, replicas=replicas, byzantine_pids=frozenset(byzantine)
-    )
-
-
-__all__ = [
-    "Command",
-    "EngineFactory",
-    "KeyValueStore",
-    "NOOP",
-    "ReplicatedLogProcess",
-    "ReplicatedSystem",
-    "SlotEnv",
-    "SlotEnvelope",
-    "SlotTimerProxy",
-    "build_replicated_system",
-    "materialise",
-]
+__all__ = ["Command", "KeyValueStore", "materialise"]

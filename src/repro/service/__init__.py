@@ -27,10 +27,16 @@ from repro.service.messages import (
     Checkpoint,
     ClientReply,
     ClientRequest,
+    SlotEnvelope,
     StateRequest,
     StateResponse,
 )
-from repro.service.replica import ServiceReplicaProcess
+from repro.service.replica import (
+    EngineFactory,
+    ServiceReplicaProcess,
+    SlotEnv,
+    default_engine,
+)
 from repro.service.runtime import ServiceSystem, build_service_system
 
 __all__ = [
@@ -40,6 +46,7 @@ __all__ = [
     "ClientReply",
     "ClientRequest",
     "ClosedLoopClient",
+    "EngineFactory",
     "OpenLoopClient",
     "SERVICE_PRESETS",
     "ServiceClient",
@@ -47,10 +54,13 @@ __all__ = [
     "ServiceReplicaProcess",
     "ServiceScenario",
     "ServiceSystem",
+    "SlotEnv",
+    "SlotEnvelope",
     "StateRequest",
     "StateResponse",
     "build_service_system",
     "certificate_valid",
+    "default_engine",
     "evaluate_service_outcome",
     "run_service_scenario",
     "service_digest",

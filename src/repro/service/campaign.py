@@ -297,7 +297,7 @@ def evaluate_service_outcome(
     # Exactly-once: a completed request is executed at a correct replica.
     executed_union: set[tuple[int, int]] = set()
     for pid in system.correct_pids:
-        executed_union |= system.replicas[pid].executed
+        executed_union |= system.replicas[pid].slotlog.executed
     for client in system.clients:
         missing = client.completed_idents() - executed_union
         if missing:
@@ -332,7 +332,7 @@ def evaluate_service_outcome(
         _when, installed, applied_at_completion = (
             replica.state_transfers_completed[-1]
         )
-        if replica.next_apply <= installed:
+        if replica.slotlog.next_apply <= installed:
             violations.append(
                 f"recovery: replica {pid} committed no slots past its "
                 f"installed snapshot (count {installed})"

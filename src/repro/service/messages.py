@@ -16,9 +16,8 @@ Three traffic classes share the simulated network (docs/SERVICE.md):
   carrying a certified snapshot plus the decided-vector suffix a lagging
   or restarted replica needs to rejoin.
 
-Consensus traffic itself stays wrapped in
-:class:`~repro.replication.log.SlotEnvelope` exactly as in the
-replicated log.
+Consensus traffic itself travels wrapped in a :class:`SlotEnvelope`
+naming the log slot whose engine it is for.
 """
 
 from __future__ import annotations
@@ -28,6 +27,14 @@ from typing import Any
 
 from repro.messages.base import Message
 from repro.replication.kvstore import Command
+
+
+@dataclass(frozen=True, slots=True)
+class SlotEnvelope:
+    """Wire wrapper tagging a consensus message with its log slot."""
+
+    slot: int
+    inner: Any
 
 
 @dataclass(frozen=True, slots=True)

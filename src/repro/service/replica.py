@@ -1,60 +1,41 @@
-"""The service replica: batching, pipelining, checkpoints, state transfer.
+"""The service replica: slot engines, checkpoints, state transfer.
 
-A :class:`ServiceReplicaProcess` is the long-lived counterpart of
-:class:`~repro.replication.log.ReplicatedLogProcess`: the same
-slot-per-instance Vector Consensus core (one transformed Figure-3 engine
-per slot, slot-separated signature domains, in-order apply), extended
-with everything a running service needs:
-
-* **batching** — every replica holds every client request; each request
-  has one proposer, rotated past the replicas whose INIT the last slot
-  missed, and a slot opens once ``batch_size`` held requests wait
-  (``batch_delay`` is the ceiling);
-* **pipelining** — up to ``window`` slots run their consensus instances
-  concurrently instead of strictly one after the other;
-* **checkpointing** — every ``checkpoint_interval`` applied slots the
-  replica digests its state, exchanges signed votes, and an f+1 quorum
-  of matching digests forms a :class:`~repro.service.checkpoint.
-  CheckpointCertificate` that lets it truncate the log and the dead slot
-  engines;
-* **state transfer** — a restarted (or detectably lagging) replica
-  fetches a certified snapshot plus the decided-vector suffix from a
-  peer, re-verifies certificate and digest locally, installs it and
-  rejoins the pipeline.
-
-The replica group shares its world with client processes; the
-:class:`_ReplicaEnvView` facade keeps the consensus engines' horizon to
-the replica group alone (``n`` = replica count, not world size).
+A :class:`ServiceReplicaProcess` runs the replicated key-value service
+on a log of slots, each decided by its own transformed Figure-3 engine
+(behind a :class:`SlotEnv`) under its own signature domain. The request
+rules — the seat that proposes each held request, when a slot opens,
+in-order exactly-once apply — are the :class:`~repro.service.slotlog.
+SlotLog` core, which has no I/O: the replica feeds it events and carries
+out the intents it returns, in order. The replica keeps the rest: the
+engines, checkpoint votes and certificates (f+1 matching signed digests
+let it truncate the log), and certified state transfer for a restarted
+or lagging replica (docs/SERVICE.md).
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
+from repro.consensus.transformed import TransformedConsensusProcess
 from repro.core.certificates import (
     Certificate,
     CertificationAuthority,
     SignedMessage,
+    signature_refusal,
 )
 from repro.core.modules import ModuleConfig
 from repro.core.specs import SystemParameters
 from repro.crypto.cache import SignatureCache
 from repro.crypto.keys import KeyAuthority
 from repro.crypto.signatures import SignatureScheme
+from repro.detectors.base import FailureDetector
 from repro.detectors.diamond_m import (
     AdaptiveMutenessDetector,
     MutenessDetector,
 )
-from repro.messages.consensus import NULL, VCurrent, VDecide
+from repro.messages.consensus import VCurrent, VDecide
 from repro.observability.registry import MODULE_SERVICE, MODULE_SIGNATURE
-from repro.replication.kvstore import Command, KeyValueStore
-from repro.replication.log import (
-    NOOP,
-    EngineFactory,
-    SlotEnv,
-    SlotEnvelope,
-    default_engine,
-)
+from repro.replication.kvstore import KeyValueStore
 from repro.service.checkpoint import (
     CheckpointCertCache,
     CheckpointCertificate,
@@ -66,41 +47,73 @@ from repro.service.messages import (
     Checkpoint,
     ClientReply,
     ClientRequest,
+    SlotEnvelope,
     StateRequest,
     StateResponse,
 )
+from repro.service.slotlog import (
+    ArmBatchTimer, CheckpointDue, Commit, Open, Reply, SlotLog,
+)
 from repro.sim.process import Process, ProcessEnv
 
+#: Factory producing the consensus engine for one slot. Signature matches
+#: the transformed-system protocol factory, letting attacks be injected
+#: per replica.
+EngineFactory = Callable[
+    [int, Any, SystemParameters, CertificationAuthority, FailureDetector,
+     ModuleConfig],
+    TransformedConsensusProcess,
+]
 
-class _ReplicaEnvView:
-    """The engines' window onto the world, restricted to the replicas.
 
-    Clients share the simulated world but take no part in consensus,
-    checkpoint quorums or muteness monitoring, so everything an engine
-    derives from ``n`` (broadcast fan-out, quorum sizes, coordinator
-    rotation, detector targets) must see the replica count, not the
-    world size. The facade also gates sends while the replica is down
-    (a down replica is silent, not crashed) and tracks timer names so
-    slot timers can be cancelled wholesale at truncation and restart.
+def default_engine(pid, proposal, params, authority, detector, config):
+    """The honest-engine factory: one transformed Figure-3 instance."""
+    return TransformedConsensusProcess(
+        proposal=proposal,
+        params=params,
+        authority=authority,
+        detector=detector,
+        config=config,
+    )
+
+
+def _from(table: dict, count: int) -> dict:
+    """The entries of ``table`` keyed ``count`` or later."""
+    return {key: value for key, value in table.items() if key >= count}
+
+
+class SlotEnv:
+    """One slot engine's window onto the world (the ``ProcessEnv`` shape).
+
+    Clients share the world but take no part in consensus, so ``n`` is
+    the replica count: everything an engine derives from it (broadcast
+    fan-out, quorums, coordinator rotation, detector targets) sees the
+    replica group alone. Sends are dropped while the replica is down (a
+    down replica is silent, not crashed) and wrapped in a
+    :class:`SlotEnvelope`; timers are namespaced ``slot{k}:`` under the
+    replica's environment, and the env keeps its own timer names so a
+    truncation or a restart cancels exactly the slot's timers.
     """
 
-    __slots__ = ("_process", "_env", "_n", "timer_names")
+    __slots__ = (
+        "_replica", "_env", "slot", "n", "pid", "scheduler", "trace", "rng",
+        "metrics", "_timers",
+    )
 
-    def __init__(
-        self, process: "ServiceReplicaProcess", env: ProcessEnv, n_replicas: int
-    ) -> None:
-        self._process = process
+    def __init__(self, replica: "ServiceReplicaProcess", slot: int) -> None:
+        env = replica.env
+        self._replica = replica
         self._env = env
-        self._n = n_replicas
-        self.timer_names: set[str] = set()
-
-    @property
-    def pid(self) -> int:
-        return self._env.pid
-
-    @property
-    def n(self) -> int:
-        return self._n
+        self.slot = slot
+        self.n = replica.config.n_replicas
+        self.pid = env.pid
+        self.scheduler = env.scheduler
+        self.trace = env.trace
+        self.rng = env.rng
+        # Slot engines share the replica's registry: per-slot counters
+        # aggregate under the same (module, pid) keys.
+        self.metrics = env.metrics
+        self._timers: set[str] = set()
 
     @property
     def now(self) -> float:
@@ -110,34 +123,32 @@ class _ReplicaEnvView:
     def crashed(self) -> bool:
         return self._env.crashed
 
-    @property
-    def scheduler(self):
-        return self._env.scheduler
-
-    @property
-    def trace(self):
-        return self._env.trace
-
-    @property
-    def rng(self):
-        return self._env.rng
-
-    @property
-    def metrics(self):
-        return self._env.metrics
-
     def send(self, dst: int, payload: Any) -> None:
-        if self._process.down:
-            return
-        self._env.send(dst, payload)
+        if not self._replica.down:
+            self._env.send(dst, SlotEnvelope(slot=self.slot, inner=payload))
 
     def set_timer(self, owner, name: str, delay: float) -> None:
-        self.timer_names.add(name)
-        self._env.set_timer(owner, name, delay)
+        self._timers.add(name)
+        self._env.set_timer(self, f"slot{self.slot}:{name}", delay)
 
     def cancel_timer(self, name: str) -> None:
-        self.timer_names.discard(name)
-        self._env.cancel_timer(name)
+        self._timers.discard(name)
+        self._env.cancel_timer(f"slot{self.slot}:{name}")
+
+    def cancel_timers(self) -> None:
+        for name in list(self._timers):
+            self.cancel_timer(name)
+
+    def on_timer(self, name: str) -> None:
+        """A namespaced timer fired: the slot's engine sees its own name.
+
+        The engine is looked up, not kept: an env that held its engine
+        would close a reference cycle, and a truncated slot's engine
+        would outlive its truncation until a full garbage collection.
+        """
+        engine = self._replica.engines.get(self.slot)
+        if engine is not None:
+            engine.on_timer(name.partition(":")[2])
 
 
 class ServiceReplicaProcess(Process):
@@ -156,33 +167,10 @@ class ServiceReplicaProcess(Process):
         self.module_config = (
             module_config if module_config is not None else ModuleConfig.full()
         )
-        # -- service state machine -----------------------------------------
-        self.store = KeyValueStore()
-        self.executed: set[tuple[int, int]] = set()
-        #: Compacted committed log: (slot, proposer, entry).
-        self.log: list[tuple[int, int, Any]] = []
-        # -- batching --------------------------------------------------------
-        #: Held requests that no open slot covers yet, oldest first.
-        self.pending: dict[tuple[int, int], ClientRequest] = {}
-        #: Likewise, but passed over: a slot covered them and their seat
-        #: proposed a non-NULL entry without them. Later slots cover them
-        #: and their seat's timer opens one for them, but they count
-        #: toward no size trigger.
-        self._passed: dict[tuple[int, int], ClientRequest] = {}
-        #: ident -> how many times this replica received the request,
-        #: minus one: the ``attempt`` of :meth:`_proposer`'s rotation.
-        #: An entry lives exactly as long as the request is held.
-        self._attempts: dict[tuple[int, int], int] = {}
-        #: slot -> (request, seat) for each held request the slot covered
-        #: when it opened here; what it leaves unexecuted is released.
-        self._covered: dict[int, tuple[tuple[ClientRequest, int], ...]] = {}
-        #: Replicas whose entry was NULL in the last slot applied here.
-        self._silent: frozenset[int] = frozenset()
-        self._batch_timer = False
         # -- slot pipeline ---------------------------------------------------
+        #: The request rules and the applied state (bound in :meth:`bind`).
+        self.slotlog: SlotLog
         self.engines: dict[int, Any] = {}
-        self._decided: set[int] = set()
-        self._pending_apply: dict[int, tuple] = {}
         #: Applied vectors retained since the stable checkpoint — the
         #: suffix served to catching-up peers.
         self._vector_history: dict[int, tuple] = {}
@@ -191,11 +179,7 @@ class ServiceReplicaProcess(Process):
         #: transfer installed) — shipped alongside the suffix so peers
         #: can re-check each slot against its own signature domain.
         self._vector_justifications: dict[int, SignedMessage] = {}
-        self._proposed: dict[int, Any] = {}
-        self.next_apply = 0
         self.base_slot = 0
-        self._next_open = 0
-        self.faulty_union: set[int] = set()
         # -- checkpoints -----------------------------------------------------
         #: count -> (snapshot items, executed tuple, store.applied, digest).
         self._local_snapshots: dict[int, tuple] = {}
@@ -216,7 +200,6 @@ class ServiceReplicaProcess(Process):
         self.restarts = 0
         self._transferring = False
         self._transfer_reason = ""
-        self._replaying = False
         #: Suffix entries refused during state transfer (forged vector,
         #: missing/invalid justification) — an oracle surface.
         self.suffix_rejections = 0
@@ -253,36 +236,20 @@ class ServiceReplicaProcess(Process):
 
     def bind(self, env: ProcessEnv) -> None:
         super().bind(env)
-        self._view = _ReplicaEnvView(self, env, self.config.n_replicas)
         self._metrics = env.metrics.scope(MODULE_SERVICE, env.pid)
         self._sig_metrics = env.metrics.scope(MODULE_SIGNATURE, env.pid)
+        self.slotlog = SlotLog(self.config, env.pid, self._metrics)
         self._sig_cache.attach_metrics(self._sig_metrics)
         self._stale_sig_cache.attach_metrics(self._sig_metrics)
         self._ckpt_cert_cache.attach_metrics(self._metrics)
-        # The checkpoint signature domain is separated from every slot
-        # domain (slots use seed*1_000_003 + slot for slot >= 0).
-        keys = KeyAuthority(
-            self.config.n_replicas, seed=self.config.seed * 1_000_003 - 1
-        )
-        self._ckpt_authority = CertificationAuthority(
-            SignatureScheme(keys, cache=self._sig_cache), keys.signer_for(env.pid)
-        )
+        # The checkpoint signature domain is separated from every slot's:
+        # it is the domain a slot -1 would have.
+        self._ckpt_authority = self._authority(-1, self._sig_cache)
 
     def send(self, dst: int, payload: Any) -> None:
         if self.down:
             return
         super().send(dst, payload)
-
-    # -- public surface (oracles, reports) ----------------------------------
-
-    @property
-    def committed_commands(self) -> int:
-        """Client commands executed exactly once on this replica."""
-        return len(self.executed)
-
-    @property
-    def applied_slots(self) -> int:
-        return self.next_apply
 
     # -- message routing ----------------------------------------------------
 
@@ -296,7 +263,7 @@ class ServiceReplicaProcess(Process):
         if isinstance(payload, SlotEnvelope):
             self._on_envelope(src, payload)
         elif isinstance(payload, ClientRequest):
-            self._on_request(src, payload)
+            self._run(self.slotlog.request(src, payload))
         elif isinstance(payload, SignedMessage) and isinstance(
             payload.body, Checkpoint
         ):
@@ -310,236 +277,54 @@ class ServiceReplicaProcess(Process):
         if self.down:
             return
         if name == "batch":
-            self._batch_timer = False
-            self._drain_batches(force=True)
+            self._run(self.slotlog.batch_timer())
         elif name == "state-retry" and self._transferring:
             self._broadcast_state_request()
             self.set_timer("state-retry", self.config.transfer_retry)
         elif name == "stall-probe":
             self._stall_probe()
 
-    # -- client requests and batching ----------------------------------------
-
-    def _on_request(self, src: int, request: ClientRequest) -> None:
-        # Only the client itself submits its request (the channel is
-        # authenticated): a copy relayed by anyone else, a replica in
-        # particular, would move the request's attempt count — and so
-        # its proposer — on this replica alone.
-        if not (
-            src == request.client
-            and src >= self.config.n_replicas
-            and isinstance(request.client, int)
-            and isinstance(request.command, Command)
-            and isinstance(request.req_id, int)
-        ):
-            self._metrics.inc("requests_rejected")
-            return
-        ident = request.ident
-        if ident in self.executed:
-            # The client resubmitted a command that already committed:
-            # every reply evidently got lost; repeat ours. The slot is
-            # unknown after compaction, hence the -1 sentinel.
-            self.send(
-                request.client,
-                ClientReply(self.pid, request.client, request.req_id, -1),
-            )
-            return
-        attempts = self._attempts.get(ident)
-        if attempts is not None:
-            # Held already: a resubmission moves the request one seat on
-            # along its rotation.
-            self._attempts[ident] = attempts + 1
-            return
-        self._attempts[ident] = 0
-        self.pending[ident] = request
-        self._metrics.inc("requests_received")
-        self._drain_batches(force=False)
-
-    def _proposer(self, request: ClientRequest) -> int:
-        """The one replica that proposes ``request``.
-
-        The first seat of the rotation ``(client + req_id + attempt + k)
-        mod n``, k = 0, 1, …, whose entry was not NULL in the last slot
-        applied here — so a late or crashed replica's share moves to its
-        successor at the next decision, not after the client's
-        ``request_timeout``. Every correct replica applies the same
-        vectors and counts only submissions that came from the client
-        itself, so from a client that sends every submission to every
-        replica they count the same attempts and agree on the seat; no
-        replica can move the seat of another party's request.
-        """
-        n = self.config.n_replicas
-        start = request.client + request.req_id + self._attempts[request.ident]
-        for k in range(n):
-            seat = (start + k) % n
-            if seat not in self._silent:
-                return seat
-        return start % n
-
-    def _open_slots(self) -> int:
-        return sum(1 for slot in self.engines if slot not in self._decided)
-
-    def _drain_batches(self, force: bool) -> None:
-        """Open new slots while the pipeline window and triggers allow.
-
-        The size trigger fires while ``batch_size`` held requests wait
-        for a slot — every one counts, whoever proposes it, unless it was
-        passed over. ``force`` (this replica's batch timer expired) opens
-        one slot if this replica proposes one of the waiting requests.
-        Whichever replica opens a slot, every other one joins it with its
-        own share.
-        """
-        if force:
-            force = any(
-                self._proposer(request) == self.pid
-                for held in (self.pending, self._passed)
-                for request in held.values()
-            )
-        while (
-            (self.pending or self._passed)
-            and self._open_slots() < self.config.window
-            and (force or len(self.pending) >= self.config.batch_size)
-        ):
-            if self._ensure_engine(self._next_open) is None:
-                # The pipeline horizon refused the slot. Nothing mutates
-                # between iterations of this loop, so retrying the same
-                # slot can only spin; the next delivery or timer will
-                # re-drain once the frontier moves.
-                break
-            force = False
-        # A holder's timer runs until what it holds is applied, so each
-        # waiting request meets its proposer's timer within batch_delay.
-        if not self._batch_timer and (self.pending or self._passed or self._covered):
-            self._batch_timer = True
-            self.set_timer("batch", self.config.batch_delay)
-
-    def _proposal_for(self, slot: int) -> Any:
-        """This replica's entry for ``slot``.
-
-        The slot covers each proposer's first ``batch_size`` waiting
-        requests, passed-over ones first; this replica proposes its own
-        share of them.
-        """
-        size = self.config.batch_size
-        room = size * self.config.n_replicas
-        taken: dict[int, int] = {}
-        covered: list[tuple[ClientRequest, int]] = []
-        batch: list[ClientRequest] = []
-        waiting = [
-            (held, ident, request)
-            for held in (self._passed, self.pending)
-            for ident, request in held.items()
-        ]
-        for held, ident, request in waiting:
-            if ident in self.executed:  # installed by a state transfer
-                del held[ident]
-                self._attempts.pop(ident, None)
-                continue
-            seat = self._proposer(request)
-            if taken.get(seat, 0) == size:
-                continue
-            taken[seat] = taken.get(seat, 0) + 1
-            del held[ident]
-            covered.append((request, seat))
-            if seat == self.pid:
-                batch.append(request)
-            if len(covered) == room:
-                break
-        if covered:
-            self._covered[slot] = tuple(covered)
-        proposal = tuple(batch) if batch else NOOP
-        self._proposed[slot] = proposal
-        if batch:
-            self._metrics.inc("batches_proposed")
-            self._metrics.observe("batch_occupancy", len(batch))
-        return proposal
-
-    def _release(self, slot: int) -> None:
-        """Give back what ``slot`` covered and did not commit.
-
-        A request whose seat has moved on — its proposer's entry was
-        NULL — waits again ahead of later arrivals. One whose seat still
-        stands was passed over by a proposer that did propose (one that
-        had not received it yet, or withholds it): it waits in
-        ``_passed``, where it counts toward no size trigger, so a seat
-        that keeps passing requests over cannot make every replica
-        reopen slot after slot for them; the client's resubmission
-        moves such a request to the next seat.
-        """
-        back = {}
-        for request, seat in self._covered.pop(slot, ()):
-            ident = request.ident
-            if ident not in self._attempts:
-                continue  # committed
-            if self._proposer(request) == seat:
-                self._passed[ident] = request
-            else:
-                back[ident] = request
-        if back:
-            back.update(self.pending)
-            self.pending = back
+    def _run(self, intents) -> None:
+        """Carry out the slot log's intents in the order it gave them."""
+        for intent in intents:
+            match intent:
+                case Reply(client, req_id, slot):
+                    self.send(client, ClientReply(self.pid, client, req_id, slot))
+                case Open(slot, proposal):
+                    self._open(slot, proposal)
+                case Commit(slot, vector, commands):
+                    self._vector_history[slot] = vector
+                    self.record("commit", slot=slot, commands=commands)
+                case CheckpointDue(count, state):
+                    self._take_checkpoint(count, state)
+                case ArmBatchTimer():
+                    self.set_timer("batch", self.config.batch_delay)
 
     # -- the slot pipeline ---------------------------------------------------
 
-    def _horizon(self) -> int:
-        """Highest slot this replica will instantiate an engine for.
-
-        Bounds resource use against a Byzantine peer spraying envelopes
-        for far-future slots; generous enough that correct pipelining
-        (window ahead of the applied frontier, plus transfer lag) never
-        hits it.
-        """
-        return (
-            self.next_apply
-            + 4 * (self.config.window + self.config.checkpoint_interval)
-            + 8
-        )
-
-    def _slot_seed(self, slot: int) -> int:
-        """Domain separation exactly as in the replicated log: one key
-        authority per slot, derived by a fixed affine map of the seed."""
-        return self.config.seed * 1_000_003 + slot
-
     def _slot_domain(self, slot: int) -> tuple[int, int]:
-        """The ``KeyAuthority.domain`` of ``slot``'s authority: what its
-        signature verdicts are filed under."""
-        return (self.config.n_replicas, self._slot_seed(slot))
+        """The ``KeyAuthority.domain`` of ``slot``'s authority: one per
+        slot, by a fixed affine map of the seed (domain separation)."""
+        return (self.config.n_replicas, self.config.seed * 1_000_003 + slot)
 
-    def _ensure_engine(self, slot: int):
-        if slot < self.base_slot:
-            return None
-        engine = self.engines.get(slot)
-        if engine is not None:
-            return engine
-        if slot >= self._horizon():
-            self._metrics.inc("slots_beyond_horizon")
-            return None
-        keys = KeyAuthority(self.config.n_replicas, seed=self._slot_seed(slot))
-        authority = CertificationAuthority(
-            SignatureScheme(keys, cache=self._sig_cache),
-            keys.signer_for(self.pid),
+    def _authority(self, slot: int, cache: SignatureCache) -> CertificationAuthority:
+        keys = KeyAuthority(*self._slot_domain(slot))
+        return CertificationAuthority(
+            SignatureScheme(keys, cache=cache), keys.signer_for(self.pid)
         )
-        if self.config.muteness_detector == "adaptive":
-            detector: MutenessDetector = AdaptiveMutenessDetector(
-                initial_timeout=self.config.muteness_timeout
-            )
-        else:
-            detector = MutenessDetector(
-                initial_timeout=self.config.muteness_timeout
-            )
+
+    def _open(self, slot: int, proposal: Any) -> None:
+        authority = self._authority(slot, self._sig_cache)
+        adaptive = self.config.muteness_detector == "adaptive"
+        detector = (AdaptiveMutenessDetector if adaptive else MutenessDetector)(
+            initial_timeout=self.config.muteness_timeout
+        )
         engine = self.engine_factory(
-            self.pid,
-            self._proposal_for(slot),
-            self.params,
-            authority,
-            detector,
-            self.module_config,
+            self.pid, proposal, self.params, authority, detector, self.module_config
         )
-        engine.bind(SlotEnv(self._view, slot))  # type: ignore[arg-type]
+        engine.bind(SlotEnv(self, slot))  # type: ignore[arg-type]
         self.engines[slot] = engine
-        self._next_open = max(self._next_open, slot + 1)
         engine.on_start()
-        return engine
 
     def _slot_authority(self, slot: int) -> CertificationAuthority:
         """A verifying authority for ``slot``'s signature domain (cached).
@@ -552,13 +337,9 @@ class ServiceReplicaProcess(Process):
         """
         authority = self._transfer_authorities.get(slot)
         if authority is None:
-            keys = KeyAuthority(self.config.n_replicas, seed=self._slot_seed(slot))
-            cache = (
-                self._sig_cache if slot >= self.base_slot else self._stale_sig_cache
-            )
-            authority = CertificationAuthority(
-                SignatureScheme(keys, cache=cache),
-                keys.signer_for(self.pid),
+            authority = self._authority(
+                slot,
+                self._sig_cache if slot >= self.base_slot else self._stale_sig_cache,
             )
             if len(self._transfer_authorities) >= 256:
                 self._transfer_authorities.pop(
@@ -566,6 +347,26 @@ class ServiceReplicaProcess(Process):
                 )
             self._transfer_authorities[slot] = authority
         return authority
+
+    def _on_envelope(self, src: int, envelope: SlotEnvelope) -> None:
+        slot = envelope.slot
+        if type(slot) is not int or slot < 0:
+            # A slot is an int >= 0 (bool is no slot): a fraction or a
+            # string would open slots no decision ever fills.
+            self._metrics.inc("envelopes_rejected")
+            return
+        if slot < self.base_slot:
+            self._metrics.inc("stale_envelopes")
+            self._stale_ingress(src, envelope)
+            return
+        engine = self.engines.get(slot)
+        if engine is None:
+            self._run(self.slotlog.join(slot))
+            engine = self.engines.get(slot)
+            if engine is None:
+                return
+        engine.on_message(src, envelope.inner)
+        self._harvest(slot)
 
     def _stale_ingress(self, src: int, envelope: SlotEnvelope) -> None:
         """The signature module's check on an envelope the protocol no
@@ -578,127 +379,33 @@ class ServiceReplicaProcess(Process):
         it. Without this, a corrupted envelope racing a checkpoint
         truncation would vanish unexamined.
         """
-        inner = envelope.inner
-        if not isinstance(inner, SignedMessage):
-            self._sig_metrics.inc("messages_rejected")
-            self._declare_stale(src, "signature module: unsigned payload")
+        reason = signature_refusal(
+            src,
+            envelope.inner,
+            lambda inner: self._slot_authority(envelope.slot).signature_valid(inner),
+        )
+        if reason is None:
             return
-        if inner.body.sender != src:
-            self._sig_metrics.inc("messages_rejected")
-            self._declare_stale(
-                src,
-                f"signature module: identity field {inner.body.sender} "
-                f"inconsistent with the sending channel {src}",
-            )
-            return
-        if not self._slot_authority(envelope.slot).signature_valid(inner):
-            self._sig_metrics.inc("messages_rejected")
-            self._declare_stale(src, "signature module: invalid signature")
-
-    def _declare_stale(self, culprit: int, reason: str) -> None:
-        if culprit == self.pid or culprit in self._stale_culprits:
-            return
-        self._stale_culprits.add(culprit)
-        self.faulty_union.add(culprit)
-        self.record("declare_faulty", target=culprit, reason=reason)
-
-    def _on_envelope(self, src: int, envelope: SlotEnvelope) -> None:
-        if envelope.slot < self.base_slot:
-            self._metrics.inc("stale_envelopes")
-            self._stale_ingress(src, envelope)
-            return
-        engine = self._ensure_engine(envelope.slot)
-        if engine is None:
-            return
-        engine.on_message(src, envelope.inner)
-        self.faulty_union |= engine.faulty
-        self._harvest(envelope.slot)
+        self._sig_metrics.inc("messages_rejected")
+        if src != self.pid and src not in self._stale_culprits:
+            self._stale_culprits.add(src)
+            self.record("declare_faulty", target=src, reason=reason)
 
     def _harvest(self, slot: int) -> None:
         engine = self.engines.get(slot)
-        if engine is None or not engine.decided or slot in self._decided:
+        if engine is None or not engine.decided or slot in self.slotlog.decided:
             return
-        self._decided.add(slot)
-        vector = engine.decision
-        self._pending_apply[slot] = vector
         justification = engine.decision_justification
         if justification is not None:
             self._vector_justifications[slot] = justification
         self._metrics.inc("slots_decided")
-        if self._proposed.get(slot, NOOP) != NOOP and vector[self.pid] == NULL:
-            # Our batch lost the INIT race of this slot; at-least-once:
-            # the slot's release hands it to the next seat.
-            self._metrics.inc("batches_lost")
-        self._apply_ready()
-        self._drain_batches(force=False)
-
-    def _apply_ready(self) -> None:
-        """Apply buffered decisions in strict slot order; checkpoint on
-        every ``checkpoint_interval`` boundary."""
-        while self.next_apply in self._pending_apply:
-            slot = self.next_apply
-            vector = self._pending_apply.pop(slot)
-            self._vector_history[slot] = vector
-            committed = 0
-            silent = []
-            for proposer, batch in enumerate(vector):
-                if batch == NULL:
-                    silent.append(proposer)
-                    continue
-                if batch == NOOP:
-                    continue
-                entries = batch if isinstance(batch, tuple) else (batch,)
-                for entry in entries:
-                    committed += self._apply_entry(slot, proposer, entry)
-            self._silent = frozenset(silent)
-            self._release(slot)
-            self.record("commit", slot=slot, commands=committed)
-            self._metrics.inc("slots_applied")
-            self.next_apply += 1
-            if self.next_apply % self.config.checkpoint_interval == 0:
-                self._take_checkpoint(self.next_apply)
-
-    def _apply_entry(self, slot: int, proposer: int, entry: Any) -> int:
-        if isinstance(entry, ClientRequest):
-            if entry.ident in self.executed:
-                return 0  # committed in an earlier slot or batch
-            self.executed.add(entry.ident)
-            self.store.apply(entry.command)
-            self.log.append((slot, proposer, entry))
-            self.pending.pop(entry.ident, None)
-            self._passed.pop(entry.ident, None)
-            self._attempts.pop(entry.ident, None)
-            self._metrics.inc("commands_committed")
-            if not self._replaying:
-                self.send(
-                    entry.client,
-                    ClientReply(self.pid, entry.client, entry.req_id, slot),
-                )
-            return 1
-        # A Byzantine proposer smuggled a non-request into the vector:
-        # apply it deterministically (the store ignores unknown shapes)
-        # so every correct replica stays in lockstep.
-        self.store.apply(entry)
-        self.log.append((slot, proposer, entry))
-        self._metrics.inc("foreign_entries")
-        return 0
+        self._run(self.slotlog.decide(slot, engine.decision))
 
     # -- checkpoints ---------------------------------------------------------
 
-    def _take_checkpoint(self, count: int) -> None:
-        digest = service_digest(self.store, self.executed)
-        snapshot = tuple(
-            sorted(
-                self.store.snapshot().items(),
-                key=lambda kv: (type(kv[0]).__name__, repr(kv[0])),
-            )
-        )
-        self._local_snapshots[count] = (
-            snapshot,
-            tuple(sorted(self.executed)),
-            self.store.applied,
-            digest,
-        )
+    def _take_checkpoint(self, count: int, state: tuple) -> None:
+        digest = state[3]
+        self._local_snapshots[count] = state
         self.checkpoint_history.append((count, digest))
         self.record("checkpoint", count=count, digest=digest)
         self._metrics.inc("checkpoints_taken")
@@ -758,7 +465,7 @@ class ServiceReplicaProcess(Process):
         # at least one full checkpoint interval — catch up via transfer.
         if (
             not self._transferring
-            and body.count >= self.next_apply + self.config.checkpoint_interval
+            and body.count >= self.slotlog.next_apply + self.config.checkpoint_interval
         ):
             self._start_state_transfer()
 
@@ -780,42 +487,18 @@ class ServiceReplicaProcess(Process):
     def _truncate(self, count: int) -> None:
         """Log compaction: drop everything the certificate covers."""
         for slot in [s for s in self.engines if s < count]:
-            del self.engines[slot]
-            self._cancel_slot_timers(slot)
-            self._proposed.pop(slot, None)
-        for slot in [s for s in self._covered if s < count]:
-            self._release(slot)  # installed by a transfer, never applied here
+            self.engines.pop(slot).env.cancel_timers()
+        self.slotlog.truncate(count)
         for slot in range(self.base_slot, count):
             self._sig_cache.drop_domain(self._slot_domain(slot))
             # Its authority files in the shared cache; a stale check
             # builds one that files in the stale cache instead.
             self._transfer_authorities.pop(slot, None)
-        self._decided = {s for s in self._decided if s >= count}
-        self._pending_apply = {
-            s: v for s, v in self._pending_apply.items() if s >= count
-        }
-        self._vector_history = {
-            s: v for s, v in self._vector_history.items() if s >= count
-        }
-        self._vector_justifications = {
-            s: j for s, j in self._vector_justifications.items() if s >= count
-        }
-        before = len(self.log)
-        self.log = [entry for entry in self.log if entry[0] >= count]
-        self._metrics.inc("log_entries_truncated", before - len(self.log))
-        self._local_snapshots = {
-            c: s for c, s in self._local_snapshots.items() if c >= count
-        }
-        self._ckpt_votes = {
-            c: v for c, v in self._ckpt_votes.items() if c > count
-        }
+        self._vector_history = _from(self._vector_history, count)
+        self._vector_justifications = _from(self._vector_justifications, count)
+        self._local_snapshots = _from(self._local_snapshots, count)
+        self._ckpt_votes = {c: v for c, v in self._ckpt_votes.items() if c > count}
         self.base_slot = count
-        self._next_open = max(self._next_open, count)
-
-    def _cancel_slot_timers(self, slot: int) -> None:
-        prefix = f"slot{slot}:"
-        for name in [n for n in self._view.timer_names if n.startswith(prefix)]:
-            self._view.cancel_timer(name)
 
     # -- recovery: down / restart / state transfer ---------------------------
 
@@ -825,7 +508,7 @@ class ServiceReplicaProcess(Process):
             return
         self.down = True
         self.downs += 1
-        self.record("service_down", applied=self.next_apply)
+        self.record("service_down", applied=self.slotlog.next_apply)
         self._metrics.inc("downs")
 
     def restart(self) -> None:
@@ -842,27 +525,16 @@ class ServiceReplicaProcess(Process):
         self.restarts += 1
         self.record("service_restart")
         self._metrics.inc("restarts")
-        if self.config.stall_probe > 0:
-            self._probe_apply = 0
-            self.set_timer("stall-probe", self.config.stall_probe)
-        self._start_state_transfer("restart")
+        self._recover("restart")
 
     def _wipe_volatile(self) -> None:
         """Drop everything rebuilt from messages (the restart recipe)."""
-        for name in list(self._view.timer_names):
-            self._view.cancel_timer(name)
+        for engine in self.engines.values():
+            engine.env.cancel_timers()
         self.engines.clear()
-        self._decided.clear()
-        self._pending_apply.clear()
+        self.slotlog.reset()
         self._vector_history.clear()
         self._vector_justifications.clear()
-        self._proposed.clear()
-        self.pending.clear()
-        self._attempts.clear()
-        self._covered.clear()
-        self._passed.clear()
-        self._silent = frozenset()
-        self.log.clear()
         self._local_snapshots.clear()
         self._ckpt_votes.clear()
         # Verification memos live in process memory: a wiped replica
@@ -871,14 +543,9 @@ class ServiceReplicaProcess(Process):
         self._stale_sig_cache.clear()
         self._ckpt_cert_cache.clear()
         self._transfer_authorities.clear()
-        self.store = KeyValueStore()
-        self.executed = set()
         self.stable = None
         self._stable_snapshot = None
-        self.next_apply = 0
         self.base_slot = 0
-        self._next_open = 0
-        self._batch_timer = False
 
     def _heal_divergence(self, count: int) -> None:
         """Recover from a certified-quorum digest mismatch in place.
@@ -889,13 +556,17 @@ class ServiceReplicaProcess(Process):
         corruption oracle asserts. The ``"heal"`` transfer reason keeps
         retrying until real progress, like a restart's.
         """
-        self.record("state_heal", count=count, applied=self.next_apply)
+        self.record("state_heal", count=count, applied=self.slotlog.next_apply)
         self._metrics.inc("state_heals")
         self._wipe_volatile()
+        self._recover("heal")
+
+    def _recover(self, reason: str) -> None:
+        """Pull certified state back after a wipe, the stall probe re-armed."""
         if self.config.stall_probe > 0:
             self._probe_apply = 0
             self.set_timer("stall-probe", self.config.stall_probe)
-        self._start_state_transfer("heal")
+        self._start_state_transfer(reason)
 
     def catch_up(self) -> None:
         """Ask peers for certified state right away.
@@ -917,29 +588,30 @@ class ServiceReplicaProcess(Process):
         full probe period elapsed with outstanding slot work and zero
         apply progress, pull certified state from the peers.
         """
+        log = self.slotlog
         stalled = (
-            self.next_apply == self._probe_apply
+            log.next_apply == self._probe_apply
             and not self._transferring
-            and (bool(self._pending_apply) or self._open_slots() > 0)
+            and (bool(log.buffered) or log.open_slots() > 0)
         )
         if stalled:
             self._metrics.inc("stall_probes_fired")
             self._start_state_transfer("probe")
-        self._probe_apply = self.next_apply
+        self._probe_apply = log.next_apply
         self.set_timer("stall-probe", self.config.stall_probe)
 
     def _start_state_transfer(self, reason: str = "lag") -> None:
         self._transferring = True
         self._transfer_reason = reason
         self.record(
-            "state_transfer_start", applied=self.next_apply, reason=reason
+            "state_transfer_start", applied=self.slotlog.next_apply, reason=reason
         )
         self._metrics.inc("state_transfers_started")
         self._broadcast_state_request()
         self.set_timer("state-retry", self.config.transfer_retry)
 
     def _broadcast_state_request(self) -> None:
-        request = StateRequest(replica=self.pid, applied=self.next_apply)
+        request = StateRequest(replica=self.pid, applied=self.slotlog.next_apply)
         for dst in range(self.config.n_replicas):
             if dst != self.pid:
                 self.send(dst, request)
@@ -955,12 +627,8 @@ class ServiceReplicaProcess(Process):
             snapshot, executed, store_applied, count, certificate = (
                 (), (), 0, 0, None,
             )
-        suffix = {
-            s: v for s, v in self._vector_history.items() if s >= count
-        }
-        suffix.update(
-            {s: v for s, v in self._pending_apply.items() if s >= count}
-        )
+        suffix = _from(self._vector_history, count)
+        suffix.update(_from(self.slotlog.buffered, count))
         response = StateResponse(
             replica=self.pid,
             count=count,
@@ -1020,15 +688,14 @@ class ServiceReplicaProcess(Process):
                 if not authority.signature_valid(entry):
                     continue
                 by_round.setdefault(inner.round, set()).add(inner.sender)
-            return any(
-                len(senders) >= self.params.quorum
-                for senders in by_round.values()
-            )
+            quorum = self.params.quorum
+            return any(len(senders) >= quorum for senders in by_round.values())
         except Exception:
             return False  # structurally malformed entry: rejection, not crash
 
     def _on_state_response(self, response: StateResponse) -> None:
-        before_apply = self.next_apply
+        log = self.slotlog
+        before_apply = log.next_apply
         installed = 0
         if response.count > 0:
             certificate = response.certificate
@@ -1043,9 +710,7 @@ class ServiceReplicaProcess(Process):
                 not isinstance(certificate, CheckpointCertificate)
                 or certificate.count != response.count
                 or not certificate_valid(
-                    certificate,
-                    self._ckpt_authority,
-                    self.params.f,
+                    certificate, self._ckpt_authority, self.params.f,
                     cache=self._ckpt_cert_cache,
                 )
             ):
@@ -1065,26 +730,18 @@ class ServiceReplicaProcess(Process):
                 if service_digest(probe, response.executed) != certificate.digest:
                     self._metrics.inc("state_responses_rejected")
                     return
-        if response.count > self.next_apply:
-            self.store = probe
-            self.executed = set(response.executed)
+        if response.count > before_apply:
+            log.install(response.count, probe, response.executed)
             self.stable = certificate
             self._stable_snapshot = (
-                response.snapshot,
-                response.executed,
-                response.store_applied,
+                response.snapshot, response.executed, response.store_applied
             )
-            self.next_apply = response.count
             installed = response.count
             self.certified_counts.add(response.count)
             if (response.count, certificate.digest) not in self.checkpoint_history:
-                self.checkpoint_history.append(
-                    (response.count, certificate.digest)
-                )
+                self.checkpoint_history.append((response.count, certificate.digest))
             self.record(
-                "snapshot_installed",
-                count=response.count,
-                digest=certificate.digest,
+                "snapshot_installed", count=response.count, digest=certificate.digest
             )
             self._metrics.inc("snapshots_installed")
             self._truncate(response.count)
@@ -1092,7 +749,6 @@ class ServiceReplicaProcess(Process):
         # Each entry is verified against its slot's signature domain
         # before it is believed — the suffix is exactly as untrusted as
         # the snapshot (the ROADMAP trust gap this closes).
-        self._replaying = True
         for entry in response.suffix:
             if not (isinstance(entry, tuple) and len(entry) == 3):
                 self._reject_suffix_entry("malformed")
@@ -1100,17 +756,11 @@ class ServiceReplicaProcess(Process):
             slot, vector, justification = entry
             if not isinstance(slot, int):
                 continue
-            if (
-                slot < self.next_apply
-                or slot in self._pending_apply
-                or slot in self._decided
-            ):
+            if slot < log.next_apply or slot in log.buffered or slot in log.decided:
                 # Decided here already: a correct responder's vector is
                 # ours, so a different one is rejected whichever
                 # response happened to arrive first.
-                known = self._vector_history.get(
-                    slot, self._pending_apply.get(slot)
-                )
+                known = self._vector_history.get(slot, log.buffered.get(slot))
                 if known is not None and vector != known:
                     self._reject_suffix_entry(f"slot {slot}")
                 continue
@@ -1118,23 +768,17 @@ class ServiceReplicaProcess(Process):
                 self._reject_suffix_entry(f"slot {slot}")
                 continue
             self._metrics.inc("suffix_entries_verified")
-            self._decided.add(slot)
-            self._pending_apply[slot] = tuple(vector)
+            log.learn(slot, tuple(vector))
             self._vector_justifications[slot] = justification
-        self._apply_ready()
-        self._replaying = False
-        progress = self.next_apply > before_apply or bool(installed)
+        self._run(log.apply(reply=False))
+        progress = log.next_apply > before_apply or bool(installed)
         if progress:
-            self.state_transfers_completed.append(
-                (self.now, installed, self.next_apply)
-            )
+            self.state_transfers_completed.append((self.now, installed, log.next_apply))
             self.record(
-                "state_transfer_complete",
-                count=installed,
-                applied=self.next_apply,
+                "state_transfer_complete", count=installed, applied=log.next_apply
             )
             self._metrics.inc("state_transfers_completed")
-            self._drain_batches(force=False)
+            self._run(log.drain())
         if self._transferring and (
             progress
             or (

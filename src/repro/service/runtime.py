@@ -14,10 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.replication.log import EngineFactory
 from repro.service.clients import ClosedLoopClient, OpenLoopClient, ServiceClient
 from repro.service.config import ServiceConfig
-from repro.service.replica import ServiceReplicaProcess
+from repro.service.replica import EngineFactory, ServiceReplicaProcess
 from repro.sim.network import DelayModel, LinkModel, TamperHook
 from repro.sim.world import World
 
@@ -46,7 +45,7 @@ class ServiceSystem:
     def committed_commands(self) -> int:
         """Client commands committed at the most advanced correct replica."""
         return max(
-            self.replicas[pid].committed_commands for pid in self.correct_pids
+            self.replicas[pid].slotlog.committed_commands for pid in self.correct_pids
         )
 
     def checkpoint_digests(self) -> dict[int, set[str]]:

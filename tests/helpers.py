@@ -228,3 +228,60 @@ def envelope_trees(bench: SignedWorkbench, max_leaves: int = 8):
         ),
         max_leaves=max_leaves,
     )
+
+
+#: The replicated log as E18 runs it on the service: one request per
+#: proposal, one slot open at a time, no checkpoint inside the run.
+LOG_SERVICE = dict(
+    n_replicas=4,
+    n_clients=4,
+    mode="closed",
+    think=0.5,
+    requests_per_client=4,
+    batch_size=1,
+    window=1,
+    checkpoint_interval=1000,
+)
+
+
+def attack_engine(attack):
+    """A service engine factory running the transformed ``attack``."""
+
+    def factory(pid, proposal, params, authority, detector, config):
+        return attack(
+            proposal=proposal, params=params, authority=authority,
+            detector=detector, config=config,
+        )
+
+    return factory
+
+
+def log_service(seed=0, byzantine=None, delay=None, link=None, transport="none", **knobs):
+    """A (not yet run) :data:`LOG_SERVICE` world."""
+    from repro.service import ServiceConfig, build_service_system
+    from repro.sim.network import UniformDelay
+
+    return build_service_system(
+        ServiceConfig(**{**LOG_SERVICE, **knobs, "seed": seed}),
+        byzantine=byzantine,
+        delay_model=delay or UniformDelay(0.1, 1.5),
+        link_model=link,
+        transport=transport,
+    )
+
+
+def correct_logs(system):
+    """The slot logs of the correct replicas, by pid."""
+    return [system.replicas[pid].slotlog for pid in sorted(system.correct_pids)]
+
+
+def log_converged(system) -> bool:
+    """Every client done, identical logs and states at the correct replicas."""
+    from repro.service import service_digest
+
+    logs = correct_logs(system)
+    return (
+        system.all_clients_done()
+        and len({tuple(map(repr, log.log)) for log in logs}) == 1
+        and len({service_digest(log.store, log.executed) for log in logs}) == 1
+    )

@@ -261,7 +261,7 @@ class TestWarmCacheStateTransfer:
             ),
         )
         replica._on_state_response(response)
-        assert replica.next_apply == 1
+        assert replica.slotlog.next_apply == 1
         assert replica.suffix_rejections == 2
 
 

@@ -26,7 +26,7 @@ from repro.faults import (
     flip_signed_payload,
 )
 from repro.messages.consensus import Init, VCurrent
-from repro.replication.log import SlotEnvelope
+from repro.service.messages import SlotEnvelope
 from tests.helpers import SignedWorkbench
 
 

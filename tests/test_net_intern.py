@@ -51,7 +51,7 @@ from repro.net.wire import (
     encode_payload,
 )
 from repro.observability.registry import MODULE_NET, MetricsRegistry
-from repro.replication.log import SlotEnvelope
+from repro.service.messages import SlotEnvelope
 
 from tests.helpers import SignedWorkbench, envelope_trees, envelopes, recited
 
@@ -373,10 +373,10 @@ async def _run_cluster(requests: int) -> tuple[list[str], list[NetNode]]:
         for i in range(requests):
             await client.set(f"k{i % 5}", f"v{i}")
         deadline = loop.time() + 20.0
-        while any(node.process.committed_commands < requests for node in nodes):
+        while any(node.process.slotlog.committed_commands < requests for node in nodes):
             assert loop.time() < deadline, "replicas did not converge"
             await asyncio.sleep(0.05)
-        return [node.process.store.digest() for node in nodes], nodes
+        return [node.process.slotlog.store.digest() for node in nodes], nodes
     finally:
         await client.close()
         for node in nodes:

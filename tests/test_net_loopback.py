@@ -65,7 +65,7 @@ class Deployment:
 
     def digests(self):
         return {
-            pid: service_digest(node.process.store, node.process.executed)
+            pid: service_digest(node.process.slotlog.store, node.process.slotlog.executed)
             for pid, node in sorted(self.nodes.items())
         }
 
@@ -77,7 +77,7 @@ class TestLoopbackDeployment:
         client = deployment.client
         assert len(client.completed) == 30
         committed = {
-            node.process.committed_commands
+            node.process.slotlog.committed_commands
             for node in deployment.nodes.values()
         }
         assert committed == {30}
@@ -116,7 +116,7 @@ class TestLoopbackDeployment:
         deployment.pump(10)
         assert len(deployment.client.completed) == 40
         assert len(set(deployment.digests().values())) == 1
-        assert rejoined.process.committed_commands == 40
+        assert rejoined.process.slotlog.committed_commands == 40
         assert len(rejoined.process.state_transfers_completed) >= 1
         assert rejoined.process.suffix_rejections == 0
 

@@ -59,11 +59,11 @@ from repro.net.wire import (
 )
 from repro.observability.registry import MODULE_NET, MetricsRegistry
 from repro.replication.kvstore import Command
-from repro.replication.log import SlotEnvelope
 from repro.service.messages import (
     Checkpoint,
     ClientReply,
     ClientRequest,
+    SlotEnvelope,
     StateRequest,
     StateResponse,
 )

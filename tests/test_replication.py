@@ -1,48 +1,37 @@
-"""Integration tests: BFT state-machine replication over Vector Consensus."""
+"""Integration tests: BFT state-machine replication over Vector Consensus.
+
+The replicated log runs as the service runs it (``tests.helpers.
+LOG_SERVICE``): closed-loop clients, one request per proposal, one slot
+open at a time, no checkpoint inside the run.
+"""
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.byzantine.transformed_attacks import (
+    TBadSignatureAttacker,
     TCorruptVectorAttacker,
     TForgedDecideAttacker,
 )
-from repro.replication import (
-    Command,
-    KeyValueStore,
-    build_replicated_system,
-    materialise,
-)
+from repro.replication import Command, KeyValueStore, materialise
 from repro.sim.network import UniformDelay
 
+from tests.helpers import (
+    LOG_SERVICE,
+    attack_engine,
+    correct_logs,
+    log_converged,
+    log_service,
+)
 
-def workloads(n, slots):
-    return [
-        [Command("set", f"key-{pid}-{slot}", slot) for slot in range(slots)]
-        for pid in range(n)
-    ]
-
-
-def corrupt_engine(pid, proposal, params, authority, detector, config):
-    return TCorruptVectorAttacker(
-        proposal=proposal,
-        params=params,
-        authority=authority,
-        detector=detector,
-        config=config,
-    )
+TOTAL = LOG_SERVICE["n_clients"] * LOG_SERVICE["requests_per_client"]
+corrupt_engine = attack_engine(TCorruptVectorAttacker)
 
 
-def forged_decide_engine(pid, proposal, params, authority, detector, config):
-    return TForgedDecideAttacker(
-        proposal=proposal,
-        params=params,
-        authority=authority,
-        detector=detector,
-        config=config,
-    )
+def run(system, max_time=4_000.0):
+    system.run(max_time=max_time)
+    return system
 
 
 class TestKeyValueStore:
@@ -112,52 +101,50 @@ class TestKeyValueStore:
         assert original.get("z") is None
 
 
+
+
 class TestReplicatedLog:
     def test_single_slot_converges(self):
-        system = build_replicated_system(workloads(4, 1), target_slots=1, seed=1)
-        result = system.run()
-        assert result.quiescent()
-        assert system.converged()
+        system = run(log_service(seed=1, n_clients=1, requests_per_client=1))
+        assert log_converged(system)
+        assert {log.next_apply for log in correct_logs(system)} == {1}
 
     def test_multi_slot_converges(self):
-        system = build_replicated_system(workloads(4, 4), target_slots=4, seed=2)
-        system.run()
-        assert system.converged()
-        assert all(r.committed_slots == 4 for r in system.replicas)
+        system = run(log_service(seed=2))
+        assert log_converged(system)
+        applied = {log.next_apply for log in correct_logs(system)}
+        # One request per proposal: at most n requests per slot.
+        assert len(applied) == 1 and applied.pop() >= TOTAL // 4
 
     def test_logs_identical_across_replicas(self):
-        system = build_replicated_system(workloads(4, 3), target_slots=3, seed=3)
-        system.run()
-        logs = system.correct_logs()
+        system = run(log_service(seed=3))
+        logs = [log.log for log in correct_logs(system)]
+        assert len(logs[0]) == TOTAL
         assert all(log == logs[0] for log in logs)
 
     def test_stores_identical_across_replicas(self):
-        system = build_replicated_system(workloads(4, 3), target_slots=3, seed=4)
-        system.run()
-        stores = [materialise(log) for log in system.correct_logs()]
-        assert all(store == stores[0] for store in stores)
+        system = run(log_service(seed=4))
+        stores = [
+            materialise(entry.command for _, _, entry in log.log)
+            for log in correct_logs(system)
+        ]
+        assert stores[0] and all(store == stores[0] for store in stores)
+        assert all(log.store.snapshot() == stores[0] for log in correct_logs(system))
 
     def test_at_least_once_reproposal(self):
-        # With enough spare slots every command eventually commits even if
-        # it loses some INIT races.
-        n, commands_each = 4, 2
-        system = build_replicated_system(
-            workloads(n, commands_each),
-            target_slots=8,
-            seed=5,
-            delay_model=UniformDelay(0.1, 2.0),
-        )
-        system.run()
-        assert system.converged()
-        committed = set(system.correct_logs()[0])
-        for pid in range(n):
-            for slot in range(commands_each):
-                assert Command("set", f"key-{pid}-{slot}", slot) in committed
+        # A batch that loses its slot's INIT race is proposed again.
+        system = run(log_service(seed=5, delay=UniformDelay(0.1, 2.0), window=2))
+        assert system.world.metrics.counter_total("service", "batches_lost") > 0
+        assert log_converged(system)
+        committed = {entry.ident for _, _, entry in correct_logs(system)[0].log}
+        assert committed == {
+            (client.pid, req_id) for client in system.clients for req_id in client.completed
+        }
+        assert len(committed) == TOTAL
 
     def test_slot_key_domain_separation(self):
         # Engines of different slots must not share signature domains.
-        system = build_replicated_system(workloads(4, 2), target_slots=2, seed=6)
-        system.run()
+        system = run(log_service(seed=6))
         replica = system.replicas[0]
         slot0 = replica.engines[0]
         slot1 = replica.engines[1]
@@ -168,50 +155,55 @@ class TestReplicatedLog:
 
 class TestReplicationUnderByzantineReplica:
     def test_corrupting_replica_does_not_diverge_the_log(self):
-        system = build_replicated_system(
-            workloads(4, 3),
-            target_slots=3,
-            seed=7,
-            byzantine={3: corrupt_engine},
-        )
-        system.run()
-        assert system.converged()
-        stores = [materialise(log) for log in system.correct_logs()]
+        system = run(log_service(seed=7, byzantine={3: corrupt_engine}))
+        assert log_converged(system)
+        stores = [log.store.snapshot() for log in correct_logs(system)]
         assert all(store == stores[0] for store in stores)
 
     def test_forged_decides_do_not_commit(self):
-        system = build_replicated_system(
-            workloads(4, 2),
-            target_slots=2,
-            seed=8,
-            byzantine={2: forged_decide_engine},
+        # The attacker's own log follows its fabricated vectors, so it
+        # never executes what it holds and keeps opening slots: stop at
+        # a horizon well past the clients' last reply.
+        system = run(
+            log_service(seed=8, byzantine={2: attack_engine(TForgedDecideAttacker)}),
+            max_time=200.0,
         )
-        system.run()
-        assert system.converged()
-        # The attacker's fabricated vectors never appear in the log.
-        for log in system.correct_logs():
-            assert all(isinstance(entry, Command) for entry in log)
+        assert log_converged(system)
+        # The fabricated vectors' entries are no requests: none reached a
+        # correct replica's log, and every request did.
+        metrics = system.world.metrics
+        for pid in system.correct_pids:
+            assert metrics.counter("service", "foreign_entries", pid=pid) == 0
+        for log in correct_logs(system):
+            assert all(
+                isinstance(entry.command, Command) for _, _, entry in log.log
+            )
+            assert len(log.executed) == TOTAL
 
     def test_attacker_convicted_across_slots(self):
-        system = build_replicated_system(
-            workloads(4, 2),
-            target_slots=2,
-            seed=9,
-            byzantine={3: corrupt_engine},
+        # Each slot's engine convicts the attacker itself and records it:
+        # one declaration per slot it spoke in, at every correct replica.
+        system = run(
+            log_service(seed=9, byzantine={3: attack_engine(TBadSignatureAttacker)})
         )
-        system.run()
+        assert log_converged(system)
         for pid in system.correct_pids:
-            assert 3 in system.replicas[pid].faulty_union
+            declared = [
+                event
+                for event in system.world.trace.of_kind("declare_faulty")
+                if event.process == pid and event.detail["target"] == 3
+            ]
+            assert len(declared) > 1
 
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=20_000))
     def test_convergence_across_random_schedules(self, seed):
-        system = build_replicated_system(
-            workloads(4, 2),
-            target_slots=2,
-            seed=seed,
-            byzantine={3: corrupt_engine},
-            delay_model=UniformDelay(0.1, 2.0),
+        system = run(
+            log_service(
+                seed=seed,
+                byzantine={3: corrupt_engine},
+                delay=UniformDelay(0.1, 2.0),
+            ),
+            max_time=2_000.0,
         )
-        system.run(max_time=2_000)
-        assert system.converged()
+        assert log_converged(system)

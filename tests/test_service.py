@@ -176,7 +176,7 @@ class TestServiceBaseline:
         assert system.committed_commands() == 24
         digests = {
             service_digest(
-                system.replicas[pid].store, system.replicas[pid].executed
+                system.replicas[pid].slotlog.store, system.replicas[pid].slotlog.executed
             )
             for pid in system.correct_pids
         }
@@ -205,7 +205,7 @@ class TestServiceBaseline:
             replica = system.replicas[pid]
             assert replica.stable is not None
             assert replica.base_slot == replica.stable.count
-            assert all(slot >= replica.base_slot for slot, _, _ in replica.log)
+            assert all(slot >= replica.base_slot for slot, _, _ in replica.slotlog.log)
             assert all(s >= replica.base_slot for s in replica.engines)
 
     def test_pipelining_window_respected(self):
@@ -220,15 +220,14 @@ class TestServiceBaseline:
         system = build_service_system(config)
         max_open = 0
         replica = system.replicas[0]
-        original = replica._ensure_engine
+        original = replica._open
 
-        def spying(slot):
+        def spying(slot, proposal):
             nonlocal max_open
-            engine = original(slot)
-            max_open = max(max_open, replica._open_slots())
-            return engine
+            original(slot, proposal)
+            max_open = max(max_open, replica.slotlog.open_slots())
 
-        replica._ensure_engine = spying
+        replica._open = spying
         system.run(max_time=2_500.0)
         # The window bounds slots *opened by batching*; envelope-driven
         # engine creation (peers already proposing) may add a few more.
@@ -317,7 +316,7 @@ class TestServiceAcceptance:
         assert replica.downs == 1 and replica.restarts == 1
         assert replica.state_transfers_completed
         _when, installed, _frontier = replica.state_transfers_completed[-1]
-        assert replica.next_apply > installed  # committed new slots after
+        assert replica.slotlog.next_apply > installed  # committed new slots after
         # The certificate protecting the installed snapshot verifies.
         assert replica.stable is not None
         assert certificate_valid(

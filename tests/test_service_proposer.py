@@ -30,8 +30,8 @@ from repro.net.wire import FrameAssembler, decode_frame, encode_frame
 from repro.observability.export import run_to_lines
 from repro.observability.registry import MetricsRegistry
 from repro.replication.kvstore import Command
-from repro.replication.log import NOOP, SlotEnvelope
-from repro.service.messages import ClientReply, ClientRequest, StateRequest
+from repro.service.messages import ClientReply, ClientRequest, SlotEnvelope, StateRequest
+from repro.service.slotlog import NOOP
 from repro.sim.trace import Trace
 
 from tests.helpers import SignedWorkbench
@@ -55,7 +55,7 @@ def spy_proposals(cluster: LoopbackCluster) -> list[tuple[int, int, tuple]]:
     seen: list[tuple[int, int, tuple]] = []
     for pid, node in cluster.nodes.items():
         process = node.process
-        original = process._proposal_for
+        original = process.slotlog._proposal_for
 
         def spying(slot, pid=pid, original=original):
             proposal = original(slot)
@@ -63,7 +63,7 @@ def spy_proposals(cluster: LoopbackCluster) -> list[tuple[int, int, tuple]]:
                 seen.append((pid, slot, proposal))
             return proposal
 
-        process._proposal_for = spying
+        process.slotlog._proposal_for = spying
     return seen
 
 
@@ -115,15 +115,15 @@ class TestOneProposerPerRequest:
         ids = [client.set(f"late{i}", "x") for i in range(3)]
         cluster.scheduler.advance(0.0)
         holder = cluster.nodes[0].process
-        held = [holder.pending[(client.pid, req_id)] for req_id in ids]
-        proposers = {holder._proposer(request) for request in held}
+        held = [holder.slotlog.pending[(client.pid, req_id)] for req_id in ids]
+        proposers = {holder.slotlog._proposer(request) for request in held}
         # Round 1 of every slot is coordinated by replica 0; killing it
         # would time the rounds out, which is not what is under test.
         victim = max(proposers)
         assert victim != 0
         for pid, node in cluster.nodes.items():
             if pid != victim:
-                seats = {node.process._proposer(request) for request in held}
+                seats = {node.process.slotlog._proposer(request) for request in held}
                 assert seats == proposers  # the survivors agree on the seats
         started = cluster.scheduler.now
         cluster.kill(victim)
@@ -143,7 +143,7 @@ class TestOneProposerPerRequest:
         holder = next(
             replica
             for replica in range(N)
-            if replica != seat and replica not in node._silent
+            if replica != seat and replica not in node.slotlog._silent
         )
         acks: set[int] = set()
         transport = cluster.hub.register(
@@ -186,7 +186,7 @@ class TestOneProposerPerRequest:
         assert cluster.clients[0].completed == set(ids)
         assert len(set(cluster.digests().values())) == 1
         for node in cluster.nodes.values():
-            idents = [entry.ident for _, _, entry in node.process.log]
+            idents = [entry.ident for _, _, entry in node.process.slotlog.log]
             assert sorted(idents) == sorted(set(idents)) == sorted(proposed)
             assert node.metrics.counter_total("service", "commands_committed") == 48
 
@@ -204,7 +204,7 @@ class TestOneProposerPerRequest:
         process = node.process
         received: Counter = Counter()
         relayed: Counter = Counter()
-        deliver, propose = process.deliver, process._proposal_for
+        deliver, propose = process.deliver, process.slotlog._proposal_for
 
         def relaying(src, payload):
             if isinstance(payload, ClientRequest) and src == payload.client:
@@ -226,7 +226,7 @@ class TestOneProposerPerRequest:
             propose(slot)
             return NOOP
 
-        process.deliver, process._proposal_for = relaying, withholding
+        process.deliver, process.slotlog._proposal_for = relaying, withholding
         client = cluster.clients[0]
         ids = burst(cluster, 64, every=32)
         cluster.pump(3 * cluster.genesis.request_timeout)
@@ -373,7 +373,7 @@ class TestStaleTraffic:
         server.send = lambda dst, payload: served.append(payload)
         server._on_state_request(1, StateRequest(replica=1, applied=0))
         response = served[-1]
-        assert 0 < response.count <= receiver.next_apply
+        assert 0 < response.count <= receiver.slotlog.next_apply
         assert response.snapshot == receiver._stable_snapshot[0]
         key, value = response.snapshot[0]
         flipped = dataclasses.replace(

@@ -152,9 +152,9 @@ class TestTransferReplay:
         # Slot 0 verified and applied; slots 1-2 and the malformed entry
         # rejected, each counted, and the apply frontier never crossed
         # the unproven gap.
-        assert replica.next_apply == 1
+        assert replica.slotlog.next_apply == 1
         assert replica.suffix_rejections == 3
-        assert 1 not in replica._pending_apply
+        assert 1 not in replica.slotlog.buffered
         assert replica.state_transfers_completed
 
     def test_all_forged_suffix_makes_no_progress(self):
@@ -171,6 +171,6 @@ class TestTransferReplay:
             suffix=((0, vect, forged),),
         )
         replica._on_state_response(response)
-        assert replica.next_apply == 0
+        assert replica.slotlog.next_apply == 0
         assert replica.suffix_rejections == 1
         assert not replica.state_transfers_completed
