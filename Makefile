@@ -22,12 +22,12 @@ lossy-smoke:
 	$(PYTHON) -m repro campaign run --preset lossy --master-seed 0
 	$(PYTHON) -m repro campaign run --preset partition --master-seed 0
 
-# The replicated-service preset (docs/SERVICE.md): four seeded
-# deployments judged by the service oracles, run twice — the JSON
-# records must be byte-identical (the determinism guarantee).
+# The replicated service (docs/SERVICE.md): one knob-rich deployment —
+# closed loop, batching, a Byzantine replica over a lossy wire — judged
+# by the fault engine's oracles, run twice; the records must be identical.
 service-smoke:
-	$(PYTHON) -m repro campaign service --preset smoke --out /tmp/service-smoke-a.json
-	$(PYTHON) -m repro campaign service --preset smoke --out /tmp/service-smoke-b.json
+	$(PYTHON) -m repro service run --clients 3 --mode closed --think 0.5 --requests 12 --batch-size 2 --attack 3:corrupt-vector --loss 0.03 --transport reliable --seed 3 --json /tmp/service-smoke-a.json
+	$(PYTHON) -m repro service run --clients 3 --mode closed --think 0.5 --requests 12 --batch-size 2 --attack 3:corrupt-vector --loss 0.03 --transport reliable --seed 3 --json /tmp/service-smoke-b.json
 	cmp /tmp/service-smoke-a.json /tmp/service-smoke-b.json
 	rm -f /tmp/service-smoke-a.json /tmp/service-smoke-b.json
 
@@ -126,7 +126,7 @@ smoke: campaign-smoke lossy-smoke service-smoke net-smoke perf-smoke mc-smoke fa
 artifact-digests:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && { \
 	$(PYTHON) -m repro campaign run --preset smoke --master-seed 0 --out $$dir/campaign.jsonl && \
-	$(PYTHON) -m repro campaign service --preset smoke --out $$dir/service.json && \
+	$(PYTHON) -m repro service run --clients 3 --mode closed --think 0.5 --requests 12 --batch-size 2 --attack 3:corrupt-vector --loss 0.03 --transport reliable --seed 3 --json $$dir/service-run.json && \
 	$(PYTHON) -m repro perf smoke --out $$dir/perf.json && \
 	$(PYTHON) -m repro mc run --max-depth 3 --out $$dir/mc.jsonl && \
 	$(PYTHON) -m repro campaign faults --preset smoke --fidelity sim,loopback --out $$dir/faults.json && \

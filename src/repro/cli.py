@@ -15,7 +15,7 @@ Usage (``python -m repro <command> ...``):
   ``shrink``; see ``docs/TESTING.md``);
 * ``service`` — the long-lived BFT replicated key-value service:
   clients, batching, pipelining, checkpoints and state transfer
-  (``run`` / ``campaign``; see ``docs/SERVICE.md``);
+  (``run``, judged by the fault engine's oracles; see ``docs/SERVICE.md``);
 * ``net`` — the deployed runtime: the same replica stack as real OS
   processes over TCP (``keygen`` / ``replica`` / ``client`` /
   ``cluster``; see ``docs/NET.md``);
@@ -33,11 +33,11 @@ Usage (``python -m repro <command> ...``):
   JSON for byte-identity pinning (``smoke``; see docs/PERFORMANCE.md).
 
 Each leaf parser names its handler; a handler only builds the library
-object that owns the rule (``run`` and ``gallery`` a campaign ``Scenario``)
-and prints the result. Invalid configurations (unknown attacks, malformed
-``PID:VALUE`` pairs, fault plans beyond the resilience bounds, ...) exit
-with status 2 via :class:`~repro.errors.ConfigurationError` — never a
-traceback.
+object that owns the rule (``run`` and ``gallery`` a campaign ``Scenario``,
+``service run`` a ``FaultPlan``) and prints the result. Invalid
+configurations (unknown attacks, malformed ``PID:VALUE`` pairs, fault
+plans beyond the resilience bounds, ...) exit with status 2 via
+:class:`~repro.errors.ConfigurationError` — never a traceback.
 """
 
 from __future__ import annotations
@@ -348,16 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="delta-debug every plan that truly failed at the sim "
         "fidelity down to a minimal same-failure plan; write the "
         "shrunk plan JSONs here (docs/FAULTS.md)",
-    )
-
-    c_service = leaf(
-        campaign_sub, "service", cmd_campaign_service,
-        "run a service scenario preset with oracles (docs/SERVICE.md)",
-        as_json,
-    )
-    c_service.add_argument("--preset", default="smoke")
-    c_service.add_argument(
-        "--out", metavar="FILE", help="write the records as JSON to FILE"
     )
 
     service_sub = group(
@@ -981,9 +971,48 @@ def _fault_plan(scenario) -> str:
     return " ".join(parts) or "fault-free"
 
 
-def _print_service_record(record: dict) -> None:
-    service = record["service"]
-    latency = record["latency"]
+def cmd_service_run(args: argparse.Namespace) -> int:
+    """`repro service run`: one service deployment, judged by the fault
+    engine's oracles under the fault plan its flags describe."""
+    from repro.faults import FaultPlan
+    from repro.faults.sim_runner import run_service_plan
+    from repro.service import ServiceConfig
+
+    if args.loss and args.transport == "none":
+        raise ConfigurationError(
+            "--loss needs a reliable transport (--transport reliable); "
+            "the service assumes reliable channels"
+        )
+    config = ServiceConfig(
+        n_replicas=args.n,
+        n_clients=args.clients,
+        mode=args.mode,
+        rate=args.rate,
+        think=args.think,
+        requests_per_client=args.requests,
+        batch_size=args.batch_size,
+        batch_delay=args.batch_delay,
+        window=args.window,
+        checkpoint_interval=args.checkpoint_interval,
+        request_timeout=args.request_timeout,
+        seed=args.seed,
+    )
+    attacks = dict(_colon_specs("attack", args.attack, PID=int, NAME=str))
+    recoveries = _colon_specs("recover", args.recover, PID=int, DOWN=float, UP=float)
+    plan = FaultPlan(
+        name="service-run",
+        seed=args.seed,
+        n_replicas=args.n,
+        requests=args.clients * args.requests,
+        duration=args.max_time,
+        kills=tuple(sorted(recoveries)),
+        loss=args.loss,
+        collusion=tuple(sorted(attacks.items())),
+    )
+    record = run_service_plan(
+        plan, config, delay_model=args.delay_model, transport=args.transport
+    )
+    service, latency = record["service"], record["latency"]
     print_table(
         f"service run {record['id']} ({record['config']['name']})",
         ["measure", "value"],
@@ -1003,83 +1032,10 @@ def _print_service_record(record: dict) -> None:
     )
     for violation in record["violations"]:
         print(f"  violation: {violation}")
-
-
-def cmd_service_run(args: argparse.Namespace) -> int:
-    from repro.service import ServiceScenario, run_service_scenario
-
-    attacks = dict(_colon_specs("attack", args.attack, PID=int, NAME=str))
-    scenario = ServiceScenario(
-        name="cli",
-        n_replicas=args.n,
-        n_clients=args.clients,
-        mode=args.mode,
-        rate=args.rate,
-        think=args.think,
-        requests_per_client=args.requests,
-        batch_size=args.batch_size,
-        batch_delay=args.batch_delay,
-        window=args.window,
-        checkpoint_interval=args.checkpoint_interval,
-        request_timeout=args.request_timeout,
-        seed=args.seed,
-        attacks=tuple(sorted(attacks.items())),
-        recoveries=tuple(sorted(
-            _colon_specs("recover", args.recover, PID=int, DOWN=float, UP=float)
-        )),
-        loss=args.loss,
-        transport=args.transport,
-        delay_model=args.delay_model,
-        max_time=args.max_time,
-    )
-    record = run_service_scenario(scenario)
-    _print_service_record(record)
     if args.json:
         _write_text(args.json, json.dumps(record, indent=2, sort_keys=True) + "\n")
         print(f"run record exported to {args.json}")
     return 0 if record["verdict"] == "pass" else 1
-
-
-def cmd_campaign_service(args: argparse.Namespace) -> int:
-    """`repro campaign service`: a service preset judged by its oracles."""
-    from repro.service import run_service_scenario, service_preset
-
-    records = [
-        run_service_scenario(scenario)
-        for scenario in service_preset(args.preset)
-    ]
-    payload = json.dumps(records, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        _write_text(args.out, payload)
-    if args.json:
-        print(payload, end="")
-    else:
-        print_table(
-            f"service campaign {args.preset!r} ({len(records)} scenarios)",
-            ["scenario", "verdict", "commands", "checkpoints", "transfers",
-             "p50", "p99"],
-            [
-                [
-                    record["config"]["name"],
-                    record["verdict"],
-                    record["service"]["committed_commands"],
-                    record["service"]["certified_checkpoints"],
-                    record["service"]["state_transfers"],
-                    record["latency"]["p50"],
-                    record["latency"]["p99"],
-                ]
-                for record in records
-            ],
-        )
-        if args.out:
-            print(f"campaign records exported to {args.out}")
-    failures = [r for r in records if r["verdict"] != "pass"]
-    for record in failures:
-        print(
-            f"FAIL {record['config']['name']}: "
-            f"{'; '.join(record['violations'])}"
-        )
-    return 1 if failures else 0
 
 
 def cmd_campaign_faults(args: argparse.Namespace) -> int:

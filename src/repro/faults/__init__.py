@@ -29,7 +29,7 @@ from repro.faults.report import (
     run_plan,
 )
 from repro.faults.shrink import ShrinkResult, shrink_fault_plan
-from repro.faults.sim_runner import run_sim_plan
+from repro.faults.sim_runner import run_service_plan, run_sim_plan
 
 __all__ = [
     "CrossFidelityReport",
@@ -54,6 +54,7 @@ __all__ = [
     "run_cross_fidelity",
     "run_loopback_plan",
     "run_plan",
+    "run_service_plan",
     "run_sim_plan",
     "shrink_fault_plan",
 ]

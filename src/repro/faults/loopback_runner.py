@@ -142,6 +142,11 @@ class _LoopbackRun:
                 for event in node.trace.of_kind("declare_faulty")
             ),
             injected=self.registry.counter_total,
+            writes=[
+                (self.client.pid, req_id)
+                for req_id, op in self.client.finished.items()
+                if op.kind == "set"
+            ],
             extras={
                 "end_time": self.scheduler.now,
                 **self.injector.link_counts(),

@@ -39,7 +39,8 @@ from repro.observability.registry import (
     MODULE_SIGNATURE,
     MODULE_ZOO,
 )
-from repro.service.checkpoint import service_digest
+from repro.crypto.cache import caching_disabled
+from repro.service.checkpoint import certificate_valid, service_digest
 
 #: Modules allowed to flag a flipped-bit corruption (the verification
 #: side of the receive path; never the behaviour automaton).
@@ -74,6 +75,12 @@ class FidelityObservation:
     #: only for zoo plans, so v1 plan records stay byte-identical;
     #: :func:`judge_zoo` judges it.
     zoo: dict[str, Any] = field(default_factory=dict)
+    #: pid -> facts of each live correct replica with a final state, for
+    #: the service checks (not serialised; not compared: they hold lookups).
+    facts: dict[int, "ReplicaFacts"] = field(default_factory=dict, compare=False)
+    #: ``(client, req_id)`` of every completed write; ``None`` where the
+    #: runner cannot list them (fidelity 3).
+    writes: frozenset[tuple[int, int]] | None = None
     #: Free-form runner extras carried into the report (never judged).
     extras: dict[str, Any] = field(default_factory=dict)
 
@@ -100,16 +107,43 @@ class ReplicaFacts:
     suffix_rejections: int = 0
     #: This replica's own counters.
     counter: Counters = lambda module, name: 0
+    # The service state below is read off the replica object; it stays
+    # ``None`` at fidelity 3, where the checks on it stand down.
+    #: ``(count, digest)`` of every checkpoint this replica attested.
+    checkpoints: tuple[tuple[int, str], ...] | None = None
+    #: Certified digests that conflicted with this replica's own.
+    checkpoint_mismatches: int | None = None
+    #: Its stable checkpoint certificate re-verifies (``True`` without one).
+    certificate_valid: bool | None = None
+    #: ``(client, req_id)`` of every request it executed.
+    executed: frozenset[tuple[int, int]] | None = None
+    #: Slots applied (the log's ``next_apply``).
+    applied: int | None = None
+    #: Count its last state transfer installed (0: a suffix only).
+    installed: int | None = None
 
     @classmethod
     def of(cls, process: Any, counter: Counters) -> "ReplicaFacts":
         """The facts of a live :class:`ServiceReplicaProcess`."""
+        log, stable = process.slotlog, process.stable
+        # Uncached: judging must not touch the replica's verdict cache.
+        with caching_disabled():
+            valid = stable is None or certificate_valid(
+                stable, process._ckpt_authority, process.params.f
+            )
+        transfers = process.state_transfers_completed
         return cls(
-            committed=process.slotlog.committed_commands,
-            digest=service_digest(process.slotlog.store, process.slotlog.executed),
-            transfers=len(process.state_transfers_completed),
+            committed=log.committed_commands,
+            digest=service_digest(log.store, log.executed),
+            transfers=len(transfers),
             suffix_rejections=process.suffix_rejections,
             counter=counter,
+            checkpoints=tuple(process.checkpoint_history),
+            checkpoint_mismatches=process.checkpoint_mismatches,
+            certificate_valid=valid,
+            executed=frozenset(log.executed),
+            applied=log.next_apply,
+            installed=transfers[-1][1] if transfers else None,
         )
 
 
@@ -157,6 +191,7 @@ def observe(
     declarations: Iterable[tuple[int, int, str]],
     injected: Counters,
     extras: dict[str, Any],
+    writes: Iterable[tuple[int, int]] | None = None,
 ) -> FidelityObservation:
     """Reduce one run's facts to the judge's vocabulary — the only place
     the pid-set rules are written (docs/FAULTS.md): final state and
@@ -168,7 +203,8 @@ def observe(
     ``declarations`` are ``(observer, target, reason)`` in the order the
     runner harvested them, which the observation keeps. ``injected``
     looks up the run-wide total of an injection counter — the injectors
-    count what they do into a registry at every fidelity.
+    count what they do into a registry at every fidelity. ``writes``
+    lists the completed writes' ``(client, req_id)``, where it can.
     """
     live = live_correct(plan)
     correct = frozenset(range(plan.n_replicas)) - plan.faulty_pids
@@ -227,6 +263,8 @@ def observe(
         ),
         zoo=zoo,
         extras=extras,
+        facts=final,
+        writes=None if writes is None else frozenset(writes),
     )
 
 
@@ -276,6 +314,8 @@ def judge(
                 "state transfer"
             )
 
+    violations.extend(judge_service(plan, observation, live))
+
     # Arbitrary-fault family: flips injected, detected, and attributed
     # to the verification modules — never the behaviour automaton.
     if plan.flips:
@@ -323,6 +363,74 @@ def judge(
     if plan.expect == "vulnerable":
         return VERDICT_EXPECTED_VULNERABILITY, violations
     return VERDICT_FAIL, violations
+
+
+def judge_service(
+    plan: FaultPlan, observation: FidelityObservation, live: frozenset[int]
+) -> list[str]:
+    """The checks on the live correct replicas' service state. Each
+    stands down where its facts are ``None`` (fidelity 3)."""
+    violations: list[str] = []
+    known = sorted(live & set(observation.facts))
+    facts = {pid: observation.facts[pid] for pid in known}
+
+    # Checkpoint agreement: one digest per count, and no certified digest
+    # conflicting with a replica's own. A corrupted replica is left to
+    # the re-convergence oracle: its mismatch is the detection it wants.
+    agreeing = {
+        pid: facts[pid] for pid in facts if pid not in plan.corrupted_pids
+    }
+    digests: dict[int, set[str]] = {}
+    for replica in agreeing.values():
+        for count, digest in replica.checkpoints or ():
+            digests.setdefault(count, set()).add(digest)
+    violations.extend(
+        f"convergence: checkpoint {count} has {len(seen)} distinct digests "
+        "across live correct replicas"
+        for count, seen in sorted(digests.items())
+        if len(seen) > 1
+    )
+    violations.extend(
+        f"convergence: replica {pid} observed a certified checkpoint digest "
+        "conflicting with its own"
+        for pid, replica in agreeing.items()
+        if replica.checkpoint_mismatches
+    )
+
+    # Certificate validity: every stable certificate re-verifies.
+    violations.extend(
+        f"certificate: replica {pid}'s stable checkpoint certificate does "
+        "not verify"
+        for pid, replica in facts.items()
+        if replica.certificate_valid is False
+    )
+
+    # Exactly-once: a completed write was executed by a live correct
+    # replica (a reply never precedes the commit).
+    executed = [replica.executed for replica in facts.values()]
+    if observation.writes is not None and None not in executed:
+        missing = observation.writes.difference(*executed)
+        if missing:
+            violations.append(
+                f"exactly-once: {len(missing)} completed write(s) no live "
+                "correct replica executed"
+            )
+
+    # Recovery: what every other live replica applied past a rejoiner's
+    # installed snapshot, the rejoiner applied too.
+    for pid in sorted(plan.rejoining_pids):
+        rejoiner = facts.get(pid)
+        if rejoiner is None or rejoiner.installed is None:
+            continue
+        others = [facts[other].applied for other in facts if other != pid]
+        frontier = min(others, default=0)
+        if frontier > rejoiner.installed and rejoiner.applied < frontier:
+            violations.append(
+                f"recovery: rejoined replica {pid} applied {rejoiner.applied} "
+                f"slots; the live set applied {frontier}, past its installed "
+                f"snapshot (count {rejoiner.installed})"
+            )
+    return violations
 
 
 # -- the adversary zoo's oracles ---------------------------------------------

@@ -23,7 +23,7 @@ replayable, content-addressed artifact.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -580,9 +580,6 @@ class FaultPlan:
         plan = cls.from_config(document.get("config") or {})
         plan.validate()
         return plan
-
-    def with_seed(self, seed: int) -> "FaultPlan":
-        return replace(self, seed=seed)
 
 
 def check_faults_schema(schema: str) -> None:

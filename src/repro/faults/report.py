@@ -230,42 +230,34 @@ def run_cross_fidelity(
                 f"unknown fidelity {fidelity!r}; known: {list(FIDELITIES)}"
             )
     report = CrossFidelityReport(fidelities=tuple(fidelities))
+
+    def attempt(
+        plan: FaultPlan, fidelity: str, rerun: int | None = None
+    ) -> tuple[str, list[str], FidelityObservation]:
+        label, tag = "", ""
+        if rerun is not None:
+            label, tag = f" rehunt {rerun + 1}/{rehunt}", f"-rehunt{rerun}"
+        if progress is not None:
+            progress(f"{plan.name} [{plan.plan_id}] @ {fidelity}{label}")
+        subdir = None
+        if workdir is not None:
+            subdir = Path(workdir) / f"{plan.plan_id}-{fidelity}{tag}"
+        observation = run_plan(plan, fidelity, workdir=subdir, timeout=timeout)
+        return (*judge(plan, observation), observation)
+
     for plan in plans:
         plan.validate()
         result = PlanResult(plan=plan)
         for fidelity in fidelities:
-            if progress is not None:
-                progress(f"{plan.name} [{plan.plan_id}] @ {fidelity}")
-            subdir = None
-            if workdir is not None:
-                subdir = Path(workdir) / f"{plan.plan_id}-{fidelity}"
-            observation = run_plan(
-                plan, fidelity, workdir=subdir, timeout=timeout
-            )
-            verdict, violations = judge(plan, observation)
-            result.outcomes[fidelity] = (verdict, violations, observation)
+            result.outcomes[fidelity] = attempt(plan, fidelity)
         if rehunt > 0 and not result.agree:
             distribution: dict[str, dict[str, int]] = {
                 fidelity: {result.verdicts[fidelity]: 1}
                 for fidelity in fidelities
             }
-            for attempt in range(rehunt):
+            for rerun in range(rehunt):
                 for fidelity in fidelities:
-                    if progress is not None:
-                        progress(
-                            f"{plan.name} [{plan.plan_id}] @ {fidelity} "
-                            f"rehunt {attempt + 1}/{rehunt}"
-                        )
-                    subdir = None
-                    if workdir is not None:
-                        subdir = (
-                            Path(workdir)
-                            / f"{plan.plan_id}-{fidelity}-rehunt{attempt}"
-                        )
-                    observation = run_plan(
-                        plan, fidelity, workdir=subdir, timeout=timeout
-                    )
-                    verdict, _violations = judge(plan, observation)
+                    verdict = attempt(plan, fidelity, rerun)[0]
                     counts = distribution[fidelity]
                     counts[verdict] = counts.get(verdict, 0) + 1
             result.rehunt = distribution

@@ -18,15 +18,20 @@ from __future__ import annotations
 import dataclasses
 from typing import Any
 
+from repro.analysis.stats import percentile
 from repro.byzantine import transformed_attack
+from repro.campaign.scenario import DELAY_MODELS
+from repro.errors import ConfigurationError
 from repro.faults.injector import (
     LinkFaultInjector,
     install_zoo_injections,
     zoo_service_overrides,
 )
 from repro.faults.oracle import (
+    Counters,
     FidelityObservation,
     ReplicaFacts,
+    judge,
     observe,
     settled,
 )
@@ -35,6 +40,7 @@ from repro.observability.registry import MetricsRegistry
 from repro.service.config import ServiceConfig
 from repro.service.replica import EngineFactory
 from repro.service.runtime import ServiceSystem, build_service_system
+from repro.sim.network import LinkModel
 
 #: Plan seconds -> simulated virtual time. The service stack's sim
 #: timeouts are an order of magnitude above the loopback/net genesis
@@ -137,44 +143,145 @@ def build_sim_system(
     return system, injector, registry
 
 
+def system_facts(system: ServiceSystem) -> dict[int, ReplicaFacts]:
+    """Every replica's facts. One registry serves the whole world: a
+    replica's own counters are the ones labelled with its pid."""
+    metrics = system.world.metrics
+    return {
+        pid: ReplicaFacts.of(
+            replica,
+            lambda module, name, pid=pid: metrics.counter(module, name, pid=pid),
+        )
+        for pid, replica in enumerate(system.replicas)
+    }
+
+
+def observe_system(
+    plan: FaultPlan,
+    system: ServiceSystem,
+    *,
+    injected: Counters = lambda module, name: 0,
+    extras: dict[str, Any] | None = None,
+) -> FidelityObservation:
+    """Reduce a finished fidelity-1 world to the judge's vocabulary."""
+    world = system.world
+    return observe(
+        plan,
+        FIDELITY_SIM,
+        completed=system.completed_requests(),
+        replicas=system_facts(system),
+        # One world, one trace: declarations stay in event order.
+        declarations=[
+            (event.process, event.detail["target"], event.detail["reason"])
+            for event in world.trace.of_kind("declare_faulty")
+        ],
+        injected=injected,
+        extras={"end_time": world.now, **(extras or {})},
+        # The simulated clients only ever write.
+        writes=[
+            ident for client in system.clients for ident in client.completed_idents()
+        ],
+    )
+
+
 def run_sim_plan(plan: FaultPlan) -> FidelityObservation:
     """Execute ``plan`` at fidelity 1 and reduce it for the judge."""
     system, injector, registry = build_sim_system(plan)
     world = system.world
-
-    def facts() -> dict[int, ReplicaFacts]:
-        # One registry for the whole world: a replica's own counters
-        # are the ones labelled with its pid.
-        return {
-            pid: ReplicaFacts.of(
-                replica,
-                lambda module, name, pid=pid: world.metrics.counter(
-                    module, name, pid=pid
-                ),
-            )
-            for pid, replica in enumerate(system.replicas)
-        }
-
     horizon = (plan.duration + SETTLE_BUDGET) * SIM_TIME_SCALE
     deadline = plan.duration * SIM_TIME_SCALE
     while True:
         result = world.run(max_events=5_000_000, max_time=deadline)
         if deadline >= horizon or result.reason == "quiescent":
             break
-        if settled(plan, facts(), system.completed_requests()):
+        if settled(plan, system_facts(system), system.completed_requests()):
             break
         deadline = min(horizon, deadline + 5.0 * SIM_TIME_SCALE)
-
-    return observe(
-        plan,
-        FIDELITY_SIM,
-        completed=system.completed_requests(),
-        replicas=facts(),
-        # One world, one trace: declarations stay in event order.
-        declarations=[
-            (event.process, event.detail["target"], event.detail["reason"])
-            for event in world.trace.of_kind("declare_faulty")
-        ],
-        injected=registry.counter_total,
-        extras={"end_time": world.now, **injector.link_counts()},
+    return observe_system(
+        plan, system, injected=registry.counter_total, extras=injector.link_counts()
     )
+
+
+# -- `repro service run` -------------------------------------------------------
+
+
+def build_service_run(
+    plan: FaultPlan,
+    config: ServiceConfig,
+    *,
+    delay_model: str = "uniform",
+    transport: str = "none",
+) -> ServiceSystem:
+    """The (not yet run) world of ``repro service run``: ``config``'s
+    deployment under the faults ``plan`` describes, in the run's own
+    virtual seconds — Byzantine engines from ``collusion``, a down/restart
+    per ``kills`` entry, per-link ``loss`` under ``transport``."""
+    config.validate()
+    plan.validate()
+    requests = config.n_clients * config.requests_per_client
+    if (plan.n_replicas, plan.seed, plan.requests) != (
+        config.n_replicas, config.seed, requests
+    ):
+        raise ConfigurationError(
+            "the plan's n_replicas, seed and requests (clients x requests "
+            "per client) must match the service config"
+        )
+    if plan.mutes or plan.partitions or plan.flips or plan.has_zoo or any(
+        rejoin_at is None for _pid, _at, rejoin_at in plan.kills
+    ) or plan.duplication or plan.reorder:
+        raise ConfigurationError(
+            "a service run realises only collusion, loss and kills that rejoin"
+        )
+    factory, defaults = DELAY_MODELS[delay_model]
+    return build_service_system(
+        config,
+        byzantine=_byzantine(plan),
+        recoveries=tuple(plan.kills),
+        delay_model=factory(**defaults),
+        link_model=LinkModel(loss=plan.loss) if plan.loss else None,
+        transport=transport,
+    )
+
+
+def run_service_plan(
+    plan: FaultPlan,
+    config: ServiceConfig,
+    *,
+    delay_model: str = "uniform",
+    transport: str = "none",
+) -> dict[str, Any]:
+    """Build, run and judge one service run; the record is JSON-ready and
+    byte-identical across runs of the same arguments."""
+    system = build_service_run(
+        plan, config, delay_model=delay_model, transport=transport
+    )
+    result = system.run(max_time=plan.duration)
+    verdict, violations = judge(plan, observe_system(plan, system))
+    latencies = system.client_latencies()
+    return {
+        "id": plan.plan_id,
+        "config": plan.to_config(),
+        "run": {
+            "end_time": round(result.end_time, 9),
+            "end_reason": result.reason,
+            "events": result.events_dispatched,
+            "messages_sent": system.world.network.messages_sent,
+        },
+        "service": {
+            "committed_commands": system.committed_commands(),
+            "completed_requests": system.completed_requests(),
+            "certified_checkpoints": system.certified_checkpoints(),
+            "checkpoints_attested": len(system.checkpoint_digests()),
+            "state_transfers": sum(
+                len(r.state_transfers_completed) for r in system.replicas
+            ),
+            "resubmissions": sum(c.resubmissions for c in system.clients),
+        },
+        "latency": {
+            "completions": len(latencies),
+            "p50": round(percentile(latencies, 50.0), 9) if latencies else None,
+            "p99": round(percentile(latencies, 99.0), 9) if latencies else None,
+        },
+        "verdict": verdict,
+        "violations": violations,
+    }

@@ -9,13 +9,6 @@ certificates, and bring lagging or restarted replicas back with
 certified state transfer. See docs/SERVICE.md.
 """
 
-from repro.service.campaign import (
-    SERVICE_PRESETS,
-    ServiceScenario,
-    evaluate_service_outcome,
-    run_service_scenario,
-    service_preset,
-)
 from repro.service.checkpoint import (
     CheckpointCertificate,
     certificate_valid,
@@ -48,11 +41,9 @@ __all__ = [
     "ClosedLoopClient",
     "EngineFactory",
     "OpenLoopClient",
-    "SERVICE_PRESETS",
     "ServiceClient",
     "ServiceConfig",
     "ServiceReplicaProcess",
-    "ServiceScenario",
     "ServiceSystem",
     "SlotEnv",
     "SlotEnvelope",
@@ -61,8 +52,5 @@ __all__ = [
     "build_service_system",
     "certificate_valid",
     "default_engine",
-    "evaluate_service_outcome",
-    "run_service_scenario",
     "service_digest",
-    "service_preset",
 ]

@@ -235,9 +235,6 @@ CLI_SURFACE = {
         '--out': None, '--workdir': None, '--timeout': 180.0, '--rehunt': 0,
         '--shrink-out': None, '--json': False,
     },
-    'campaign service': {
-        '--preset': 'smoke', '--out': None, '--json': False,
-    },
     'service run': {
         '--n': 4, '--clients': 2, '--mode': 'open', '--rate': 2.0,
         '--think': 1.0, '--requests': 20, '--batch-size': 4,

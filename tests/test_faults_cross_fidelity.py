@@ -25,7 +25,13 @@ from repro.faults import (
     run_cross_fidelity,
 )
 from repro.faults.loopback_runner import _LoopbackRun
-from repro.faults.oracle import ReplicaFacts, observe, settled
+from repro.faults.oracle import (
+    ReplicaFacts,
+    judge_service,
+    observe,
+    settled,
+)
+from repro.faults.report import run_plan
 from repro.observability.registry import (
     MODULE_FAULTS,
     MODULE_MUTENESS,
@@ -143,6 +149,147 @@ class TestJudge:
         observation.completed = 0
         verdict, _violations = judge(plan, observation)
         assert verdict == "expected-vulnerability"
+
+
+class TestServiceState:
+    """The service-state checks on hand-built facts: each fires on its
+    own defect, and each stands down where its facts are missing."""
+
+    PLAN = FaultPlan(name="svc", requests=4, duration=12.0)
+    WRITES = frozenset({(9, req_id) for req_id in range(4)})
+
+    @classmethod
+    def _facts(cls, **overrides) -> ReplicaFacts:
+        fields = dict(
+            committed=4,
+            digest="d" * 16,
+            checkpoints=((2, "c2"), (4, "c4")),
+            checkpoint_mismatches=0,
+            certificate_valid=True,
+            executed=cls.WRITES,
+            applied=4,
+        )
+        fields.update(overrides)
+        return ReplicaFacts(**fields)
+
+    def _judge(self, plan, replicas, fidelity="sim", writes=WRITES):
+        observation = observe(
+            plan,
+            fidelity,
+            completed=plan.requests,
+            replicas=replicas,
+            declarations=(),
+            injected=lambda module, name: 0,
+            extras={},
+            writes=writes,
+        )
+        return judge_service(plan, observation, live_correct(plan))
+
+    def _with(self, pid, plan=None, **overrides):
+        plan = plan or self.PLAN
+        replicas = {p: self._facts() for p in range(plan.n_replicas)}
+        replicas[pid] = self._facts(**overrides)
+        return self._judge(plan, replicas)
+
+    def test_healthy_facts_pass(self):
+        assert self._with(0) == []
+        plan = FaultPlan(name="ok", requests=4)
+        observation = _healthy(plan)
+        observation.facts = {pid: self._facts() for pid in range(4)}
+        observation.writes = self.WRITES
+        assert judge(plan, observation) == ("pass", [])
+
+    def test_two_digests_at_one_count_fail(self):
+        violations = self._with(1, checkpoints=((2, "c2"), (4, "other")))
+        assert violations == [
+            "convergence: checkpoint 4 has 2 distinct digests across live "
+            "correct replicas"
+        ]
+
+    def test_a_certified_digest_mismatch_fails(self):
+        (violation,) = self._with(2, checkpoint_mismatches=1)
+        assert violation.startswith("convergence: replica 2 observed")
+
+    def test_an_invalid_stable_certificate_fails(self):
+        (violation,) = self._with(3, certificate_valid=False)
+        assert violation.startswith("certificate: replica 3")
+
+    def test_a_completed_write_nobody_executed_fails(self):
+        replicas = {
+            pid: self._facts(executed=self.WRITES - {(9, 0)})
+            for pid in range(4)
+        }
+        (violation,) = self._judge(self.PLAN, replicas)
+        assert violation.startswith("exactly-once: 1 completed write")
+
+    def test_a_colluders_executed_set_does_not_count(self):
+        plan = dataclasses.replace(
+            self.PLAN, collusion=((3, "corrupt-vector"),)
+        )
+        replicas = {
+            pid: self._facts(executed=self.WRITES - {(9, 0)})
+            for pid in range(3)
+        }
+        replicas[3] = self._facts()
+        (violation,) = self._judge(plan, replicas)
+        assert violation.startswith("exactly-once")
+
+    def test_a_rejoiner_behind_the_applied_frontier_fails(self):
+        plan = dataclasses.replace(self.PLAN, kills=((2, 3.0, 6.0),))
+        (violation,) = self._with(2, plan, applied=3, installed=2)
+        assert violation.startswith("recovery: rejoined replica 2 applied 3")
+
+    def test_a_rejoiner_with_nothing_past_its_snapshot_passes(self):
+        # The documented `--recover 2:20:45` run: the workload drained
+        # before the rejoin, so the snapshot is the whole frontier.
+        plan = dataclasses.replace(self.PLAN, kills=((2, 3.0, 6.0),))
+        assert self._with(2, plan, installed=4) == []
+
+    def test_a_corrupted_replica_is_left_to_reconvergence(self):
+        scribbled = dict(
+            checkpoints=((2, "c2"), (4, "scribbled")), checkpoint_mismatches=1
+        )
+        assert len(self._with(1, **scribbled)) == 2
+        plan = dataclasses.replace(
+            self.PLAN, corruptions=((1, 2.0, "store"),)
+        )
+        assert self._with(1, plan, **scribbled) == []
+
+    def test_every_check_stands_down_at_net(self):
+        # What a status reply gives the net runner: no service state.
+        plan = dataclasses.replace(self.PLAN, kills=((2, 3.0, 6.0),))
+        replicas = {
+            pid: ReplicaFacts(committed=4, digest="d" * 16, transfers=1)
+            for pid in range(4)
+        }
+        assert self._judge(plan, replicas, "net", writes=None) == []
+
+
+class TestByzantineOverLoss:
+    """A colluder over a lossy link with no reliable transport: F = 1 is
+    spent on the colluder, so every slot needs all three correct
+    replicas' messages, and the engines never retransmit one
+    (docs/FAULTS.md, "A Byzantine replica over a lossy link")."""
+
+    PLAN = FaultPlan(
+        name="byzantine-lossy",
+        seed=3,
+        requests=40,
+        collusion=((3, "corrupt-vector"),),
+        loss=0.03,
+        expect="vulnerable",
+    )
+
+    def test_the_combined_cell_stalls_at_both_deterministic_fidelities(self):
+        for fidelity in ("sim", "loopback"):
+            verdict, violations = judge(self.PLAN, run_plan(self.PLAN, fidelity))
+            assert verdict == "expected-vulnerability", fidelity
+            assert any(v.startswith("progress") for v in violations), fidelity
+
+    def test_without_loss_the_colluder_is_tolerated(self):
+        plan = dataclasses.replace(self.PLAN, loss=0.0)
+        for fidelity in ("sim", "loopback"):
+            assert judge(plan, run_plan(plan, fidelity)) == ("pass", [])
 
 
 class TestReducer:
@@ -365,6 +512,39 @@ class TestRehunt:
         assert result.rehunt["loopback"] == {"fail": 1, "pass": 3}
         record = result.to_record()
         assert record["rehunt"]["loopback"] == {"fail": 1, "pass": 3}
+
+    def test_every_run_is_announced_and_gets_its_own_workdir(
+        self, monkeypatch, tmp_path
+    ):
+        import repro.faults.report as report_module
+
+        fake = self._fake_run_plan(flaky_after=1)
+        workdirs = []
+
+        def recording(plan, fidelity, *, workdir=None, timeout=180.0):
+            workdirs.append(workdir.name)
+            return fake(plan, fidelity)
+
+        monkeypatch.setattr(report_module, "run_plan", recording)
+        plan = FaultPlan(name="flaky", seed=3, requests=6, duration=6.0)
+        lines = []
+        report_module.run_cross_fidelity(
+            (plan,), ("sim", "loopback"), workdir=tmp_path, rehunt=1,
+            progress=lines.append,
+        )
+        pid = plan.plan_id
+        assert lines == [
+            f"flaky [{pid}] @ sim",
+            f"flaky [{pid}] @ loopback",
+            f"flaky [{pid}] @ sim rehunt 1/1",
+            f"flaky [{pid}] @ loopback rehunt 1/1",
+        ]
+        assert workdirs == [
+            f"{pid}-sim",
+            f"{pid}-loopback",
+            f"{pid}-sim-rehunt0",
+            f"{pid}-loopback-rehunt0",
+        ]
 
     def test_agreeing_plans_are_never_rerun_and_stay_byte_identical(self):
         plan = FaultPlan(name="tiny", seed=2, requests=6, duration=6.0)

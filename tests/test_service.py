@@ -10,23 +10,23 @@ and commits new slots.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import main
 from repro.core.certificates import Certificate, SignedMessage
 from repro.errors import ConfigurationError
+from repro.faults import FaultPlan, judge
+from repro.faults.sim_runner import build_service_run, observe_system
 from repro.observability.registry import MODULE_SERVICE
 from repro.replication.kvstore import Command, KeyValueStore
 from repro.service import (
     CheckpointCertificate,
     ServiceConfig,
-    ServiceScenario,
     build_service_system,
     certificate_valid,
-    evaluate_service_outcome,
-    run_service_scenario,
     service_digest,
-    service_preset,
 )
 from repro.service.messages import Checkpoint
 
@@ -35,6 +35,33 @@ def run_system(config, **kwargs):
     system = build_service_system(config, **kwargs)
     system.run(max_time=2_500.0)
     return system
+
+
+def judged_run(plan, config, **kwargs):
+    """Build and run ``repro service run``'s world; judge it by the
+    fault engine's oracles."""
+    system = build_service_run(plan, config, **kwargs)
+    system.run(max_time=plan.duration)
+    return system, judge(plan, observe_system(plan, system))
+
+
+def service_run(tmp_path, argv, name="record.json"):
+    """``repro service run ARGV --json``: the exit code and the record."""
+    target = tmp_path / name
+    code = main(["service", "run", *argv, "--json", str(target)])
+    return code, json.loads(target.read_text())
+
+
+#: The four deployments the retired service preset ran, as argvs.
+SMOKE_ARGVS = {
+    "open-loop-baseline": "--seed 1 --clients 2 --requests 20",
+    "closed-loop": "--seed 2 --mode closed --think 0.5 --clients 3 "
+    "--requests 12 --batch-size 2",
+    "byzantine-lossy": "--seed 3 --clients 2 --requests 20 "
+    "--attack 3:corrupt-vector --loss 0.03 --transport reliable",
+    "recovery": "--seed 4 --clients 2 --rate 0.4 --requests 30 "
+    "--recover 2:25:60",
+}
 
 
 class TestServiceConfig:
@@ -262,56 +289,61 @@ class TestServiceBaseline:
         assert len(latencies) == 20
         assert all(latency > 0 for latency in latencies)
 
-    def test_deterministic_replay(self):
-        def run(seed):
-            scenario = ServiceScenario(
-                seed=seed, requests_per_client=10, min_commands=20
-            )
-            return run_service_scenario(scenario)
-
-        assert run(21) == run(21)
+    def test_deterministic_replay(self, tmp_path, capsys):
+        argv = ["--seed", "21", "--requests", "10"]
+        first = service_run(tmp_path, argv, "a.json")
+        assert first == service_run(tmp_path, argv, "b.json")
+        assert first[0] == 0
+        capsys.readouterr()
 
 
 class TestServiceAcceptance:
     """The issue's acceptance runs (sized-down only in wall-clock)."""
 
     def test_200_commands_3_checkpoints_byzantine_lossy(self):
-        scenario = ServiceScenario(
+        plan = FaultPlan(
             name="acceptance",
             seed=7,
+            requests=210,
+            duration=2_500.0,
+            collusion=((3, "corrupt-vector"),),
+            loss=0.05,
+        )
+        config = ServiceConfig(
             n_clients=3,
             requests_per_client=70,
             rate=3.0,
             batch_size=8,
             window=3,
             checkpoint_interval=3,
-            attacks=((3, "corrupt-vector"),),
-            loss=0.05,
-            transport="reliable",
-            min_commands=200,
-            min_checkpoints=3,
+            seed=7,
         )
-        record = run_service_scenario(scenario)
-        assert record["verdict"] == "pass", record["violations"]
-        assert record["service"]["committed_commands"] >= 200
-        assert record["service"]["certified_checkpoints"] >= 3
+        system, (verdict, violations) = judged_run(
+            plan, config, transport="reliable"
+        )
+        assert verdict == "pass", violations
+        assert system.committed_commands() >= 200
+        assert system.certified_checkpoints() >= 3
 
     def test_recovery_completes_state_transfer_and_rejoins(self):
-        scenario = ServiceScenario(
+        plan = FaultPlan(
             name="recovery",
             seed=4,
+            requests=60,
+            duration=2_500.0,
+            kills=((2, 25.0, 60.0),),
+        )
+        config = ServiceConfig(
             n_clients=2,
             rate=0.4,
             requests_per_client=30,
             checkpoint_interval=2,
-            recoveries=((2, 25.0, 60.0),),
-            min_commands=60,
-            min_checkpoints=3,
+            seed=4,
         )
-        system = scenario.build()
-        system.run(max_time=scenario.max_time)
-        verdict, violations = evaluate_service_outcome(scenario, system)
+        system, (verdict, violations) = judged_run(plan, config)
         assert verdict == "pass", violations
+        assert system.committed_commands() >= 60
+        assert system.certified_checkpoints() >= 3
         replica = system.replicas[2]
         assert replica.downs == 1 and replica.restarts == 1
         assert replica.state_transfers_completed
@@ -320,9 +352,7 @@ class TestServiceAcceptance:
         # The certificate protecting the installed snapshot verifies.
         assert replica.stable is not None
         assert certificate_valid(
-            replica.stable,
-            replica._ckpt_authority,
-            scenario.service_config().params().f,
+            replica.stable, replica._ckpt_authority, config.params().f
         )
         # The recovery story is visible in the trace.
         kinds = {event.kind for event in system.world.trace}
@@ -337,37 +367,36 @@ class TestServiceAcceptance:
 
 
 class TestServiceScenarioSurface:
-    def test_config_round_trip(self):
-        scenario = service_preset("smoke")[2]
-        again = ServiceScenario.from_config(scenario.to_config())
-        assert again == scenario
-        assert again.scenario_id == scenario.scenario_id
+    """`repro service run` describes its faults as a fault plan."""
 
-    def test_validate_rejects_bad_plans(self):
-        with pytest.raises(ConfigurationError):
-            ServiceScenario(attacks=((9, "corrupt-vector"),)).validate()
-        with pytest.raises(ConfigurationError):
-            ServiceScenario(attacks=((1, "no-such-attack"),)).validate()
-        with pytest.raises(ConfigurationError):
-            ServiceScenario(recoveries=((1, 30.0, 10.0),)).validate()
-        with pytest.raises(ConfigurationError):
-            ServiceScenario(
-                attacks=((1, "mute"),), recoveries=((1, 5.0, 10.0),)
-            ).validate()
-        with pytest.raises(ConfigurationError):
-            ServiceScenario(loss=0.1).validate()  # lossy without transport
-        with pytest.raises(ConfigurationError):
-            ServiceScenario(
-                attacks=((1, "mute"),), recoveries=((2, 5.0, 10.0),)
-            ).validate()  # two faulty replicas exceed F=1 at n=4
+    def test_config_round_trip(self, tmp_path, capsys):
+        code, record = service_run(
+            tmp_path, SMOKE_ARGVS["byzantine-lossy"].split()
+        )
+        assert code == 0
+        plan = FaultPlan.from_config(record["config"])
+        assert plan.collusion == ((3, "corrupt-vector"),)
+        assert (plan.requests, plan.loss, plan.seed) == (40, 0.03, 3)
+        assert FaultPlan.from_config(plan.to_config()) == plan
+        assert plan.plan_id == record["id"]
+        capsys.readouterr()
 
-    def test_smoke_preset_all_pass(self):
-        for scenario in service_preset("smoke"):
-            record = run_service_scenario(scenario)
-            assert record["verdict"] == "pass", (
-                scenario.name,
-                record["violations"],
-            )
+    def test_validate_rejects_bad_plans(self, capsys):
+        for argv in (
+            "--attack 9:corrupt-vector",
+            "--attack 1:no-such-attack",
+            "--recover 1:30:10",
+            "--attack 1:mute --recover 1:5:10",
+            "--loss 0.1",  # lossy without a reliable transport
+            "--attack 1:mute --recover 2:5:10",  # two faulty exceed F=1
+        ):
+            assert main(["service", "run", *argv.split()]) == 2, argv
+            assert capsys.readouterr().err.startswith("error:"), argv
+
+    def test_smoke_preset_all_pass(self, capsys):
+        for name, argv in SMOKE_ARGVS.items():
+            assert main(["service", "run", *argv.split()]) == 0, name
+            assert "violation" not in capsys.readouterr().out, name
 
 
 class TestServiceCli:
@@ -394,20 +423,33 @@ class TestServiceCli:
         assert "--recover" in capsys.readouterr().err
 
     def test_unknown_preset_exits_two(self, capsys):
-        assert main(["campaign", "service", "--preset", "zzz"]) == 2
+        assert main(["campaign", "faults", "--preset", "zzz"]) == 2
         assert "preset" in capsys.readouterr().err
 
     def test_json_export(self, tmp_path, capsys):
-        target = tmp_path / "service.json"
-        code = main(
-            [
-                "service", "run", "--requests", "6", "--seed", "2",
-                "--json", str(target),
-            ]
+        code, record = service_run(
+            tmp_path, ["--requests", "6", "--seed", "2"], "service.json"
         )
         assert code == 0
-        import json
-
-        record = json.loads(target.read_text())
         assert record["verdict"] == "pass"
         assert record["service"]["committed_commands"] == 12
+
+    def test_documented_recovery_run_passes(self, tmp_path, capsys):
+        """docs/SERVICE.md's recovery run. The workload drains before
+        replica 2 rejoins, so there is nothing past its snapshot to
+        commit; it still ends on the live set's digest."""
+        argv = ["--clients", "2", "--requests", "8", "--seed", "7",
+                "--recover", "2:20:45"]
+        assert main(["service", "run", *argv]) == 0
+        assert "recovery:" not in capsys.readouterr().out
+        plan = FaultPlan(
+            name="service-run", seed=7, requests=16, duration=2_500.0,
+            kills=((2, 20.0, 45.0),),
+        )
+        config = ServiceConfig(n_clients=2, requests_per_client=8, seed=7)
+        system, (verdict, violations) = judged_run(plan, config)
+        assert verdict == "pass", violations
+        observation = observe_system(plan, system)
+        assert observation.transfers[2] == 1
+        assert len(set(observation.digests.values())) == 1
+        assert observation.digests[2] == observation.digests[0]
