@@ -119,8 +119,8 @@ smoke: campaign-smoke lossy-smoke service-smoke net-smoke perf-smoke mc-smoke fa
 # Before-vs-after byte identity: the smoke targets compare two runs of
 # one commit; a refactor needs the same artifacts compared across two
 # commits. Runs every deterministic preset once into a temp dir (the
-# `extended` faults and zoo matrices too: heavier plans than the smoke
-# ones reach code a four-plan matrix does not) and prints
+# `extended` matrices reach code the smoke ones do not; `lossy` and
+# `partition` pin every LinkModel draw) and prints
 # `sha256  name` per artifact, sorted by name, nothing else on
 # stdout:  diff <(make -s -C ../parent artifact-digests) <(make -s artifact-digests)
 artifact-digests:
@@ -133,7 +133,9 @@ artifact-digests:
 	$(PYTHON) -m repro campaign faults --preset zoo-smoke --fidelity sim,loopback --out $$dir/zoo.json && \
 	$(PYTHON) -m repro campaign faults --preset extended --fidelity sim,loopback --out $$dir/faults-extended.json && \
 	$(PYTHON) -m repro campaign faults --preset zoo-extended --fidelity sim,loopback --out $$dir/zoo-extended.json && \
-	$(PYTHON) -m repro shard loopback --out $$dir/shard.json; } >&2 && \
+	$(PYTHON) -m repro shard loopback --out $$dir/shard.json && \
+	$(PYTHON) -m repro campaign run --preset lossy --master-seed 0 --out $$dir/lossy.jsonl && \
+	$(PYTHON) -m repro campaign run --preset partition --master-seed 0 --out $$dir/partition.jsonl; } >&2 && \
 	cd $$dir && sha256sum *
 
 # Execute every ```python snippet in README.md and docs/*.md
@@ -144,18 +146,16 @@ docs-check:
 benchmarks:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
-# The wall-clock benchmark's own self-test (bench/README.md; ~1 min,
-# not part of tier-1).
+# The wall-clock benchmark's own self-test (bench/README.md; ~1 min, not tier-1).
 bench-selftest:
 	$(PYTHON) -m pytest bench -q
 
-# Interleaved parent/change pairs of bench/ workloads, the evidence a
-# performance claim needs (benchmarks/pairs.py): PARENT is a git
-# revision (checked out into a temporary worktree) or a checkout
-# directory; each run lasts BENCHMARK.json's run_seconds. PAIRS and SEED
-# default to the script's own (10 pairs, seed 7). WORKLOAD is one name, a
-# comma-separated list, or `all`; OUT=BENCH_tcp.json appends each series
-# to the committed trajectory, one row per series.
+# Interleaved parent/change pairs of bench/ workloads, the evidence a performance
+# claim needs (benchmarks/pairs.py): PARENT is a git revision (checked out into a
+# temporary worktree) or a checkout directory; each run lasts BENCHMARK.json's
+# run_seconds. PAIRS and SEED default to the script's own (10 pairs, seed 7).
+# WORKLOAD is one name, a comma-separated list, or `all`; OUT=BENCH_tcp.json
+# appends each series to the committed trajectory, one row per series.
 bench-pairs:
 	$(PYTHON) benchmarks/pairs.py --parent $(PARENT) --workload $(WORKLOAD) \
 		$(if $(PAIRS),--pairs $(PAIRS)) $(if $(SEED),--seed $(SEED)) \

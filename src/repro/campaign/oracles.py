@@ -71,11 +71,23 @@ def acceptable_modules(profile: FaultProfile) -> frozenset[DetectingModule]:
         return frozenset({DetectingModule.MUTENESS_DETECTOR})
     return _VERIFICATION_PAIR
 
-#: Reason-string prefixes raised by the signature module (see
-#: ``TransformedConsensusProcess._declare``).
-_SIGNATURE_PREFIX = "signature module:"
-#: Reason-string prefixes raised by the behaviour automaton (Figure 4).
-_AUTOMATON_PREFIXES = ("out-of-order", "identity mismatch", "unexpected")
+#: Reason-string prefixes of the signature checks: the shell's ingress
+#: (``repro.core.certificates``) and echo-INIT's on RB-delivered INITs.
+_SIGNATURE_PREFIXES = (
+    "signature module:",
+    "echo-init: RB payload is not a signed INIT",
+    "echo-init: RB-delivered INIT claims another process's identity",
+    "echo-init: invalid INIT signature",
+)
+#: Reason-string prefixes of the behaviour automata (Figure 4's, the
+#: Chandra-Toueg one in ``monitor_ct``) and of echo-INIT's behaviour rule.
+_AUTOMATON_PREFIXES = (
+    "out-of-order",
+    "identity mismatch",
+    "spurious:",
+    "misevaluation:",
+    "echo-init: INIT outside reliable broadcast",
+)
 
 
 def classify_fault_reason(reason: str) -> DetectingModule:
@@ -83,12 +95,12 @@ def classify_fault_reason(reason: str) -> DetectingModule:
 
     The monitor bank funnels every declaration through one ledger, so
     the module boundary is recovered from the (stable, tested) reason
-    vocabulary: the signature module prefixes its reasons, the automaton
-    raises out-of-order / identity-mismatch reasons, and everything else
-    comes out of the certification analysers (including the equivocation
-    ledger, which proves value corruption from signed evidence).
+    vocabulary: the signature checks and the behaviour automata each
+    raise their own listed prefixes, and everything else comes out of
+    the certification analysers (including the equivocation ledger,
+    which proves value corruption from signed evidence).
     """
-    if reason.startswith(_SIGNATURE_PREFIX):
+    if reason.startswith(_SIGNATURE_PREFIXES):
         return DetectingModule.SIGNATURE
     if reason.startswith(_AUTOMATON_PREFIXES):
         return DetectingModule.NON_MUTENESS_DETECTOR

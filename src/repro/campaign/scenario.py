@@ -216,6 +216,7 @@ class Scenario:
                 Partition.parse(start, heal, groups, self.n)
                 for start, heal, groups in self.partitions
             ),
+            seed=self.seed,
         )
 
     # -- validation ----------------------------------------------------------
@@ -376,7 +377,7 @@ def build_scenario_system(scenario: Scenario) -> ConsensusSystem:
     scenario.validate()
     proposals = [f"v{i}" for i in range(scenario.n)]
     delay_model = scenario.build_delay_model()
-    link_model = scenario.build_link_model()
+    link = scenario.build_link_model()
     if not scenario.is_transformed:
         byzantine: dict[int, Any] = {}
         for pid, name in scenario.attacks:
@@ -388,7 +389,7 @@ def build_scenario_system(scenario: Scenario) -> ConsensusSystem:
             protocol=scenario.protocol,
             seed=scenario.seed,
             delay_model=delay_model,
-            link_model=link_model,
+            link=link,
             transport=scenario.transport,
         )
     attack_maker = transformed_attack if scenario.protocol == "transformed" else ct_attack
@@ -406,6 +407,6 @@ def build_scenario_system(scenario: Scenario) -> ConsensusSystem:
         variant=scenario.variant,
         base="hurfin-raynal" if scenario.protocol == "transformed" else "chandra-toueg",
         muteness=scenario.muteness,
-        link_model=link_model,
+        link=link,
         transport=scenario.transport,
     )

@@ -4,11 +4,12 @@
 three runners: given ``(now, src, dst, payload)`` in *plan* units it
 answers "what happens to this message" as a list of ``(payload, delay)``
 deliveries — the empty list drops it, more than one entry duplicates it,
-a positive delay reorders it past later traffic. The simulation hands
-the answer to the :class:`~repro.sim.network.Network` tamper hook, the
-loopback twin to its :class:`~repro.net.transport.LoopbackHub` as the
-hub's link policy, and the real cluster to
-:class:`~repro.net.faulty.FaultyPeerTransport` — so one seeded plan
+a positive delay reorders it past later traffic. That is the
+:data:`~repro.sim.network.LinkPolicy` contract, so every fidelity hands
+the answer to its fabric's one link seam — the simulation's
+:class:`~repro.sim.network.Network`, the loopback twin's
+:class:`~repro.net.transport.LoopbackHub` and each real replica's
+:class:`~repro.net.transport.PeerTransport` — and one seeded plan
 produces the same fault schedule everywhere the message order matches.
 
 Determinism: every directed link forks its own named stream from

@@ -9,9 +9,9 @@ privileges:
 * **crash / rejoin** is ``SIGKILL`` plus a respawn with ``--join``
   (certified state transfer over sockets is the only way back);
 * **link faults** (loss, duplication, reorder, partitions, bit-flips)
-  run inside each replica's :class:`~repro.net.faulty.FaultyPeerTransport`,
-  seeded per directed link from the same plan so every replica owns its
-  own outbound decisions.
+  run as the link policy of each replica's
+  :class:`~repro.net.transport.PeerTransport`, seeded per directed link
+  from the same plan so every replica owns its own outbound decisions.
 
 All replica processes measure plan time from one shared wall-clock
 ``origin`` epoch passed on the command line, so partition windows and

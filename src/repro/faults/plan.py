@@ -12,8 +12,8 @@ document, the same content-hash id) then executes at three fidelities:
 2. the deterministic loopback twin (``repro.net`` nodes on a
    :class:`~repro.net.clock.ManualScheduler`, plan seconds 1:1);
 3. real subprocess clusters over TCP (SIGSTOP/SIGKILL for
-   muteness/crash, socket-level injection in
-   :class:`~repro.net.faulty.FaultyPeerTransport`).
+   muteness/crash, socket-level injection through each replica's
+   :class:`~repro.net.transport.PeerTransport` link policy).
 
 Like every scenario family in this repo, a plan round-trips through
 plain JSON and hashes to a stable id (prefix ``f``), so a plan file is a

@@ -4,8 +4,8 @@ The plan's fidelity-neutral timeline (plan seconds) is scaled by
 :data:`SIM_TIME_SCALE` onto the service world's virtual clock, whose
 native timeouts (``request_timeout=40``, ``muteness_timeout=10``) were
 tuned for the campaign presets. Link faults run through the shared
-:class:`~repro.faults.injector.LinkFaultInjector` via the network's
-tamper hook; kills/rejoins reuse the service runtime's recovery
+:class:`~repro.faults.injector.LinkFaultInjector`, the network's link
+policy; kills/rejoins reuse the service runtime's recovery
 scheduling (down = volatile state lost, up = certified state transfer);
 collusion installs transformed-attack engines. The run then settles past
 the plan window until the workload drains and the live replicas agree,
@@ -23,6 +23,7 @@ from repro.byzantine import transformed_attack
 from repro.campaign.scenario import DELAY_MODELS
 from repro.errors import ConfigurationError
 from repro.faults.injector import (
+    Delivery,
     LinkFaultInjector,
     install_zoo_injections,
     zoo_service_overrides,
@@ -97,17 +98,11 @@ def build_sim_system(
     registry = MetricsRegistry()
     injector = LinkFaultInjector(plan, registry=registry)
 
-    def tamper(
-        now: float, src: int, dst: int, payload: Any
-    ) -> list[tuple[Any, float]] | None:
-        deliveries = injector.plan_deliveries(
-            now / SIM_TIME_SCALE, src, dst, payload
-        )
-        if deliveries is None:
+    def link(now: float, src: int, dst: int, payload: Any) -> list[Delivery] | None:
+        copies = injector.plan_deliveries(now / SIM_TIME_SCALE, src, dst, payload)
+        if copies is None:
             return None
-        return [
-            (copy, delay * SIM_TIME_SCALE) for copy, delay in deliveries
-        ]
+        return [(copy, delay * SIM_TIME_SCALE) for copy, delay in copies]
 
     recoveries = tuple(
         (pid, at * SIM_TIME_SCALE, rejoin_at * SIM_TIME_SCALE)
@@ -118,7 +113,7 @@ def build_sim_system(
         _sim_config(plan),
         byzantine=_byzantine(plan),
         recoveries=recoveries,
-        tamper=tamper,
+        link=link,
     )
     # Permanent kills have no recovery leg: take the replica down and
     # leave it down (silent, volatile state lost — the crash model).
@@ -238,7 +233,7 @@ def build_service_run(
         byzantine=_byzantine(plan),
         recoveries=tuple(plan.kills),
         delay_model=factory(**defaults),
-        link_model=LinkModel(loss=plan.loss) if plan.loss else None,
+        link=LinkModel(loss=plan.loss, seed=config.seed) if plan.loss else None,
         transport=transport,
     )
 

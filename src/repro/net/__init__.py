@@ -15,7 +15,6 @@ from repro.net.cluster import (
     run_cluster_smoke,
     wait_cluster_ready,
 )
-from repro.net.faulty import FaultyPeerTransport
 from repro.net.genesis import HELLO_DOMAIN, Genesis
 from repro.net.messages import (
     ROLE_CLIENT,
@@ -55,7 +54,6 @@ __all__ = [
     "make_genesis",
     "run_cluster_smoke",
     "wait_cluster_ready",
-    "FaultyPeerTransport",
     "HELLO_DOMAIN",
     "Genesis",
     "ROLE_CLIENT",

@@ -16,9 +16,10 @@ from typing import Any, KeysView, Mapping
 
 from repro.net.genesis import Genesis
 from repro.net.node import NetNode
-from repro.net.transport import LinkPolicy, LoopbackHub
+from repro.net.transport import LoopbackHub
 from repro.service.checkpoint import service_digest
 from repro.service.session import ClientSession, PendingOp
+from repro.sim.network import LinkPolicy
 
 #: Genesis timers of every twin: virtual seconds are free, so clients
 #: resubmit and replicas probe sooner than a deployment would, and no

@@ -40,6 +40,7 @@ from repro.observability.export import detail_value, write_run_jsonl
 from repro.observability.registry import MODULE_NET, MetricsRegistry
 from repro.service.checkpoint import service_digest
 from repro.service.replica import ServiceReplicaProcess
+from repro.sim.network import LinkPolicy
 from repro.sim.process import ProcessEnv
 from repro.sim.rng import SeededRng
 from repro.sim.trace import Trace
@@ -258,9 +259,10 @@ async def serve_replica(
     """Run one replica until SIGTERM/SIGINT; the ``net replica`` command.
 
     ``fault_plan``/``fault_origin`` load a :class:`repro.faults` plan and
-    install a :class:`~repro.net.faulty.FaultyPeerTransport` that injects
-    the plan's link faults on this node's *outbound* traffic, with plan
-    time measured from the shared wall-clock ``fault_origin`` epoch.
+    give the :class:`PeerTransport` the plan's injector as its link
+    policy, so the plan's link faults hit this node's *outbound* traffic,
+    with plan time measured from the shared wall-clock ``fault_origin``
+    epoch.
     ``attack`` names a transformed-attack engine, turning this replica
     Byzantine (the collusion axis).
     """
@@ -295,23 +297,18 @@ async def serve_replica(
         engine_factory=engine_factory,
         config=config,
     )
+    link: LinkPolicy | None = None
     if plan is not None:
         from repro.faults.injector import (
             LinkFaultInjector,
             install_zoo_injections,
         )
-        from repro.net.faulty import FaultyPeerTransport
 
         injector = LinkFaultInjector(
             plan, registry=node.metrics, local_pid=pid
         )
-        transport: PeerTransport = FaultyPeerTransport(
-            genesis,
-            pid,
-            node.handle_message,
-            metrics=node.net_metrics,
-            injector=injector,
-            plan_clock=lambda: time.time() - origin,
+        link = lambda _now, src, dst, p: injector.plan_deliveries(
+            time.time() - origin, src, dst, p
         )
         # Families (b)/(d) are *self*-injections: each subprocess
         # corrupts only its own replica, at the plan instant mapped onto
@@ -325,10 +322,9 @@ async def serve_replica(
             node.metrics,
             pids=frozenset({pid}),
         )
-    else:
-        transport = PeerTransport(
-            genesis, pid, node.handle_message, metrics=node.net_metrics
-        )
+    transport = PeerTransport(
+        genesis, pid, node.handle_message, metrics=node.net_metrics, link=link
+    )
     await transport.start()
     node.attach_transport(transport)
     node.start()

@@ -43,6 +43,7 @@ from repro.net.wire import (
     encode_frame,
 )
 from repro.observability.registry import NULL_METRICS
+from repro.sim.network import LinkPolicy
 
 MessageHandler = Callable[[int, Any], None]
 
@@ -68,15 +69,6 @@ class TransportError(ReproError):
 # ---------------------------------------------------------------------------
 
 
-#: A link policy's verdict on one send: ``None`` delivers the payload
-#: now; otherwise one ``(payload, delay)`` per copy — none drops it,
-#: several duplicate it, a positive delay (scheduler seconds) makes that
-#: copy late. :meth:`LinkFaultInjector.plan_deliveries
-#: <repro.faults.injector.LinkFaultInjector.plan_deliveries>` has exactly
-#: this shape; policies compose as plain functions.
-LinkPolicy = Callable[[float, int, int, Any], list[tuple[Any, float]] | None]
-
-
 class LoopbackHub:
     """In-memory message fabric with the PeerTransport surface.
 
@@ -93,11 +85,11 @@ class LoopbackHub:
     (counted), modelling a killed process.
 
     ``link`` is the fabric's one point of variation: a
-    :data:`LinkPolicy` asked about every send as ``link(now, src, dst,
-    payload)``. Latency, loss, duplication, partitions and corruption
-    are all policies (docs/NET.md); a late copy is encoded at send time
-    and joins the queue when its timer fires, so it escapes the FIFO
-    exactly like a reordered TCP segment.
+    :data:`~repro.sim.network.LinkPolicy` asked about every send as
+    ``link(now, src, dst, payload)``. Latency, loss, duplication,
+    partitions and corruption are all policies (docs/NET.md); a late
+    copy is encoded at send time and joins the queue when its timer
+    fires, so it escapes the FIFO exactly like a reordered TCP segment.
     """
 
     def __init__(self, scheduler: Any, link: LinkPolicy | None = None) -> None:
@@ -193,7 +185,14 @@ class LoopbackTransport:
 
 
 class PeerTransport:
-    """Authenticated full-mesh TCP transport for one replica."""
+    """Authenticated full-mesh TCP transport for one replica.
+
+    ``link`` is the :data:`~repro.sim.network.LinkPolicy` the in-memory
+    fabrics take, asked (``now`` = the loop's clock) about every send to
+    another replica, so a fault plan's link faults hit real TCP with no
+    privileged machinery. A copy with a positive delay is sent through
+    ``loop.call_later`` and overtakes in-flight traffic.
+    """
 
     def __init__(
         self,
@@ -203,6 +202,7 @@ class PeerTransport:
         *,
         metrics: Any = NULL_METRICS,
         queue_limit: int = QUEUE_LIMIT,
+        link: LinkPolicy | None = None,
     ) -> None:
         genesis.address_of(pid)  # raises ConfigurationError on a bad pid
         self._genesis = genesis
@@ -210,9 +210,9 @@ class PeerTransport:
         self._handler = handler
         self._metrics = metrics
         self._queue_limit = queue_limit
+        self._link = link
         self._queues: dict[int, asyncio.Queue[bytes]] = {}
-        #: Live outbound writer per peer (fault injection hooks abort
-        #: these to simulate mid-stream connection resets).
+        #: Live outbound writer per peer.
         self._peer_writers: dict[int, asyncio.StreamWriter] = {}
         self._accepted: set[asyncio.StreamWriter] = set()
         self._clients: dict[int, asyncio.StreamWriter] = {}
@@ -257,6 +257,25 @@ class PeerTransport:
     # -- sending -----------------------------------------------------------
 
     def send(self, dst: int, payload: Any) -> None:
+        """Send ``payload`` to ``dst``; the link policy decides sends to peers."""
+        if (
+            self._link is not None
+            and dst != self._pid
+            and dst < self._genesis.n_replicas
+        ):
+            loop = asyncio.get_running_loop()
+            copies = self._link(loop.time(), self._pid, dst, payload)
+            if copies is not None:
+                for copy, delay in copies:
+                    if delay > 0:
+                        loop.call_later(delay, self._send_now, dst, copy)
+                    else:
+                        self._send_now(dst, copy)
+                return
+        self._send_now(dst, payload)
+
+    def _send_now(self, dst: int, payload: Any) -> None:
+        """Encode ``payload`` and hand it to ``dst``'s queue or socket."""
         try:
             frame = encode_frame(payload, table=self._envelopes)
         except WireError:

@@ -17,7 +17,7 @@ from repro.errors import ConfigurationError
 from repro.service.clients import ClosedLoopClient, OpenLoopClient, ServiceClient
 from repro.service.config import ServiceConfig
 from repro.service.replica import EngineFactory, ServiceReplicaProcess
-from repro.sim.network import DelayModel, LinkModel, TamperHook
+from repro.sim.network import DelayModel, LinkPolicy
 from repro.sim.world import World
 
 
@@ -87,9 +87,8 @@ def build_service_system(
     byzantine: dict[int, EngineFactory] | None = None,
     recoveries: tuple[tuple[int, float, float], ...] = (),
     delay_model: DelayModel | None = None,
-    link_model: LinkModel | None = None,
+    link: LinkPolicy | None = None,
     transport: str = "none",
-    tamper: TamperHook | None = None,
 ) -> ServiceSystem:
     """Validate ``config`` and build the (not yet run) service world."""
     config.validate()
@@ -152,9 +151,8 @@ def build_service_system(
         replicas + clients,
         seed=config.seed,
         delay_model=delay_model,
-        link_model=link_model,
+        link=link,
         transport=transport,
-        tamper=tamper,
     )
     for pid, down_at, up_at in recoveries:
         replica = replicas[pid]

@@ -31,9 +31,9 @@ from typing import Any, Mapping
 from repro.errors import ConfigurationError
 from repro.net.clock import ManualScheduler
 from repro.net.loopback import TWIN_KNOBS, LoopbackCluster, fixed_addresses
-from repro.net.transport import LinkPolicy
 from repro.observability.registry import MODULE_SHARD, MetricsRegistry
 from repro.shard.genesis import ShardGenesis
+from repro.sim.network import LinkPolicy
 
 #: Shards get disjoint fake-port ranges.
 _PORT_BASE = 30001

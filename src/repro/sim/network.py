@@ -7,10 +7,11 @@ that is *FIFO*, with no bound on transfer delays. Delay distributions are
 pluggable so the adversary can delay messages arbitrarily (but finitely)
 — the standard way to model asynchrony in a discrete-event simulator.
 
-A :class:`LinkModel` turns the substrate into the network a production
-deployment actually faces: per-link message loss, duplication, burst
-reordering and scripted (healing) :class:`Partition` windows, all drawn
-from the run's seeded randomness so faulty runs replay exactly. The
+What the wire does to a message is decided by one :data:`LinkPolicy`,
+the seam every fabric of the repo shares. :class:`LinkModel` is the
+policy a production deployment actually faces: per-link message loss,
+duplication, burst reordering and scripted (healing) :class:`Partition`
+windows, all drawn from the run's seed so faulty runs replay exactly. The
 paper's channel assumptions are then *restored* one layer up by
 :mod:`repro.sim.transport`, whose seq/ack/retransmit machinery is what
 lets the five Figure-1 modules run unmodified above a lossy fabric (see
@@ -24,6 +25,7 @@ can do to a frame in transit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Protocol
 
 from repro.errors import ConfigurationError, NetworkError
@@ -37,14 +39,18 @@ from repro.sim.trace import Trace
 
 DeliverCallback = Callable[[int, Any], None]
 
-#: Message-tampering hook (the fault-plan injector, docs/FAULTS.md).
-#: Called as ``tamper(now, src, dst, payload)`` for every ``src != dst``
-#: send. ``None`` means "no opinion" (the normal link handling runs); an
-#: empty iterable destroys the message (a counted ``fault`` drop); a list
-#: of ``(payload, extra_delay)`` pairs schedules each copy, where a
-#: positive ``extra_delay`` escapes the FIFO clamp exactly like a burst
-#: reordering.
-TamperHook = Callable[[float, int, int, Any], "list[tuple[Any, float]] | None"]
+#: A link policy's verdict on one ``src != dst`` send, asked as
+#: ``link(now, src, dst, payload)``: ``None`` delivers the payload once;
+#: otherwise one ``(payload, extra_delay)`` per copy — none drops it,
+#: several duplicate it, and a positive extra delay makes that copy late
+#: (it escapes the FIFO clamp, so later traffic may overtake it). Every
+#: fabric takes one: :class:`Network`, :class:`~repro.net.transport.LoopbackHub`
+#: and :class:`~repro.net.transport.PeerTransport`. :class:`LinkModel` and
+#: :meth:`LinkFaultInjector.plan_deliveries
+#: <repro.faults.injector.LinkFaultInjector.plan_deliveries>` are policies.
+#: The contract is the call alone; :class:`Network` also traces the cuts
+#: and heals of a :class:`LinkModel`'s partitions (not of a wrapped one).
+LinkPolicy = Callable[[float, int, int, Any], "list[tuple[Any, float]] | None"]
 
 # Minimal spacing inserted between two deliveries on the same channel so
 # FIFO order is preserved even when a sampled delay would reorder them.
@@ -232,21 +238,23 @@ class Partition:
 
 
 class LinkModel:
-    """Composable per-link fault model: loss, duplication, reordering, cuts.
+    """Composable per-link fault policy: loss, duplication, reordering, cuts.
 
-    Probabilities are per message; all sampling happens on the network's
-    dedicated ``links`` substream, so two runs with the same seed lose,
-    duplicate and reorder exactly the same messages. A process's channel
-    to itself is internal and never faulted.
+    A :data:`LinkPolicy`. Probabilities are per message; every draw comes
+    from ``SeededRng(seed).fork("links")``, so two runs with the same seed
+    lose, duplicate and reorder exactly the same messages. A message
+    inside a :class:`Partition` window that severs its link is dropped.
 
     Args:
         loss: probability a message silently vanishes in transit.
         duplication: probability the wire delivers a second copy.
-        reorder: probability a message escapes the FIFO clamp and is
+        reorder: probability a copy escapes the FIFO clamp and is
             additionally delayed by up to ``reorder_spread`` (a burst
             reordering: later traffic on the channel may overtake it).
-        reorder_spread: maximum extra delay of a reordered message.
+        reorder_spread: maximum extra delay of a reordered copy.
         partitions: scripted :class:`Partition` windows (may overlap).
+        seed: the run's seed — pass the world's, so one seed fixes the
+            run; it has no default so a caller cannot silently lose it.
     """
 
     def __init__(
@@ -256,6 +264,8 @@ class LinkModel:
         reorder: float = 0.0,
         reorder_spread: float = 5.0,
         partitions: tuple[Partition, ...] | list[Partition] = (),
+        *,
+        seed: int,
     ) -> None:
         for name, probability in (
             ("loss", loss), ("duplication", duplication), ("reorder", reorder)
@@ -273,6 +283,7 @@ class LinkModel:
         self.reorder = reorder
         self.reorder_spread = reorder_spread
         self.partitions = tuple(partitions)
+        self._rng = SeededRng(seed).fork("links")
 
     @property
     def faultless(self) -> bool:
@@ -283,8 +294,23 @@ class LinkModel:
             and not self.partitions
         )
 
-    def severed(self, now: float, src: int, dst: int) -> bool:
-        return any(p.severs(now, src, dst) for p in self.partitions)
+    def __call__(
+        self, now: float, src: int, dst: int, payload: Any
+    ) -> list[tuple[Any, float]]:
+        if any(p.severs(now, src, dst) for p in self.partitions):
+            return []
+        rng = self._rng
+        if self.loss and rng.chance(self.loss):
+            return []
+        copies = [(payload, self._reorder_delay())]
+        if self.duplication and rng.chance(self.duplication):
+            copies.append((payload, self._reorder_delay()))
+        return copies
+
+    def _reorder_delay(self) -> float:
+        if self.reorder and self._rng.chance(self.reorder):
+            return self._rng.uniform(0.0, self.reorder_spread)
+        return 0.0
 
 
 class Network:
@@ -292,10 +318,11 @@ class Network:
 
     Processes are registered with a delivery callback; :meth:`send`
     schedules a delivery event whose timestamp respects per-channel FIFO
-    order regardless of the sampled delays. An optional :class:`LinkModel`
-    makes individual links lossy, duplicating, reordering or partitioned;
-    every drop, duplicate and partition transition is traced and counted
-    so nothing the wire does is invisible to the oracles.
+    order regardless of the sampled delays. An optional :data:`LinkPolicy`
+    (a :class:`LinkModel`, a fault plan's injector) decides what the wire
+    does to each message between two distinct processes; every drop,
+    duplicate and partition transition is traced and counted so nothing
+    the wire does is invisible to the oracles.
     """
 
     def __init__(
@@ -305,17 +332,17 @@ class Network:
         delay_model: DelayModel | None = None,
         fifo: bool = True,
         metrics: MetricsRegistry | None = None,
-        link_model: LinkModel | None = None,
-        tamper: TamperHook | None = None,
+        link: LinkPolicy | None = None,
     ) -> None:
         self._scheduler = scheduler
         self._trace = trace
         self._metrics = metrics
-        self._tamper = tamper
+        self._link = link
         self._delay_model: DelayModel = delay_model or UniformDelay()
         self._rng = scheduler.rng.fork("network")
-        self._link_rng = scheduler.rng.fork("links")
-        self._link_model = link_model
+        # A LinkModel's partition cuts and heals are traced, and its drops
+        # inside a window read "partition"; every other drop reads "link".
+        self._partitions = link.partitions if isinstance(link, LinkModel) else ()
         self._inboxes: dict[int, DeliverCallback] = {}
         self._last_delivery: dict[tuple[int, int], float] = {}
         self._messages_sent = 0
@@ -326,23 +353,13 @@ class Network:
         # only so experiment E14 can demonstrate the assumption is
         # load-bearing (agreement breaks without it).
         self._fifo = fifo
-        if link_model is not None:
-            self._schedule_partition_transitions(link_model)
-
-    def _schedule_partition_transitions(self, link_model: LinkModel) -> None:
-        """Trace every partition cut and heal as a first-class event."""
-        for index, partition in enumerate(link_model.partitions):
+        for index, window in enumerate(self._partitions):
             for kind, time in (
-                ("partition-start", partition.start),
-                ("partition-heal", partition.heal),
+                ("partition-start", window.start),
+                ("partition-heal", window.heal),
             ):
-                self._scheduler.schedule_at(
-                    time,
-                    "partition",
-                    lambda k=kind, i=index, p=partition: self._partition_transition(
-                        k, i, p
-                    ),
-                )
+                transition = partial(self._partition_transition, kind, index, window)
+                scheduler.schedule_at(time, "partition", transition)
 
     def _partition_transition(self, kind: str, index: int, partition: Partition) -> None:
         self._trace.record(
@@ -365,21 +382,13 @@ class Network:
 
     @property
     def messages_dropped(self) -> int:
-        """Messages the link model destroyed in transit (loss + partition)."""
+        """Messages the link policy destroyed in transit."""
         return self._messages_dropped
 
     @property
     def messages_duplicated(self) -> int:
-        """Extra copies the link model delivered beyond the first."""
+        """Extra copies the link policy delivered beyond the first."""
         return self._messages_duplicated
-
-    @property
-    def link_model(self) -> LinkModel | None:
-        return self._link_model
-
-    @property
-    def process_ids(self) -> list[int]:
-        return sorted(self._inboxes)
 
     def register(self, process_id: int, deliver: DeliverCallback) -> None:
         """Attach a process's delivery callback to the network."""
@@ -391,81 +400,62 @@ class Network:
         """Transmit ``payload`` from ``src`` to ``dst`` (may be ``src`` itself).
 
         The message is delivered after a finite delay drawn from the delay
-        model, never before any earlier message on the same channel.
+        model, never before any earlier message on the same channel; the
+        link policy, if any, is asked first when ``src != dst``.
         """
         if dst not in self._inboxes:
             raise NetworkError(f"send to unknown process {dst}")
         if src not in self._inboxes:
             raise NetworkError(f"send from unknown process {src}")
         now = self._scheduler.now
+        metrics = self._metrics
         self._messages_sent += 1
-        if self._metrics is not None:
-            self._metrics.inc(MODULE_NETWORK, "messages_sent", pid=src)
-        if self._tamper is not None and src != dst:
-            deliveries = self._tamper(now, src, dst, payload)
-            if deliveries is not None:
-                deliveries = list(deliveries)
-                if not deliveries:
-                    self._drop(now, src, dst, payload, "fault")
-                    return
-                if len(deliveries) > 1:
-                    self._messages_duplicated += len(deliveries) - 1
-                    if self._metrics is not None:
-                        self._metrics.inc(
-                            MODULE_NETWORK,
-                            "messages_duplicated",
-                            len(deliveries) - 1,
-                            pid=src,
-                        )
-                for index, (copy, extra_delay) in enumerate(deliveries):
-                    self._schedule_copy(
-                        now,
-                        src,
-                        dst,
-                        copy,
-                        duplicate=index > 0,
-                        extra_delay=extra_delay,
-                    )
+        if metrics is not None:
+            metrics.inc(MODULE_NETWORK, "messages_sent", pid=src)
+        copies = None
+        if self._link is not None and src != dst:
+            copies = self._link(now, src, dst, payload)
+        if copies is None:
+            deliver_at = self._schedule_copy(now, src, dst, payload)
+        else:
+            if not copies:
+                self._drop(now, src, dst, payload)
                 return
-        links = self._link_model
-        if links is not None and src != dst:
-            if links.severed(now, src, dst):
-                self._drop(now, src, dst, payload, "partition")
-                return
-            if links.loss and self._link_rng.chance(links.loss):
-                self._drop(now, src, dst, payload, "loss")
-                return
-        deliver_at = self._schedule_copy(now, src, dst, payload, duplicate=False)
-        if (
-            links is not None
-            and src != dst
-            and links.duplication
-            and self._link_rng.chance(links.duplication)
-        ):
-            self._messages_duplicated += 1
-            if self._metrics is not None:
-                self._metrics.inc(MODULE_NETWORK, "messages_duplicated", pid=src)
-                self._metrics.inc(MODULE_NETWORK, f"dup[{src}->{dst}]")
-            self._schedule_copy(now, src, dst, payload, duplicate=True)
-        if self._metrics is not None:
+            extra = len(copies) - 1
+            if extra:
+                self._messages_duplicated += extra
+                if metrics is not None:
+                    metrics.inc(MODULE_NETWORK, "messages_duplicated", extra, pid=src)
+                    metrics.inc(MODULE_NETWORK, f"dup[{src}->{dst}]", extra)
+            (first, delay), *duplicates = copies
+            deliver_at = self._schedule_copy(
+                now, src, dst, first, extra_delay=delay
+            )
+            for copy, delay in duplicates:
+                self._schedule_copy(
+                    now, src, dst, copy, duplicate=True, extra_delay=delay
+                )
+        if metrics is not None:
             # Scheduled transfer delay: FIFO back-pressure included, so the
             # histogram reflects what the receiver actually experiences.
-            self._metrics.observe(
+            metrics.observe(
                 MODULE_NETWORK, "delivery_latency", deliver_at - now, pid=dst
             )
-            self._metrics.gauge_max(
+            metrics.gauge_max(
                 MODULE_NETWORK,
                 "in_flight_max",
                 self._messages_sent - self._messages_delivered
                 - self._messages_dropped,
             )
 
-    def _drop(self, now: float, src: int, dst: int, payload: Any, reason: str) -> None:
+    def _drop(self, now: float, src: int, dst: int, payload: Any) -> None:
         """The wire destroyed the message: count and trace, never deliver."""
         self._messages_dropped += 1
         if self._metrics is not None:
             self._metrics.inc(MODULE_NETWORK, "messages_dropped", pid=src)
             self._metrics.inc(MODULE_NETWORK, f"drop[{src}->{dst}]")
+        cut = any(p.severs(now, src, dst) for p in self._partitions)
+        reason = "partition" if cut else "link"
         self._trace.record(
             now, "link-drop", process=src, dst=dst, payload=payload, reason=reason
         )
@@ -476,7 +466,7 @@ class Network:
         src: int,
         dst: int,
         payload: Any,
-        duplicate: bool,
+        duplicate: bool = False,
         extra_delay: float = 0.0,
     ) -> float:
         """Sample a delay and schedule one delivery; returns the timestamp."""
@@ -487,27 +477,11 @@ class Network:
             delay = self._delay_model.sample(self._rng, src, dst)
         if delay < 0:
             raise NetworkError(f"delay model produced negative delay {delay!r}")
-        links = self._link_model
-        reordered = (
-            links is not None
-            and src != dst
-            and links.reorder
-            and self._link_rng.chance(links.reorder)
-        )
         channel = (src, dst)
         if extra_delay > 0:
-            # A tamper-hook delay escapes the FIFO clamp (and does not
-            # tighten it) exactly like a burst reordering, so later
-            # traffic on the channel may overtake the delayed copy.
+            # A late copy escapes the FIFO clamp (and does not tighten
+            # it), so later traffic on the channel may overtake it.
             deliver_at = now + delay + extra_delay
-            if self._metrics is not None:
-                self._metrics.inc(MODULE_NETWORK, "messages_reordered", pid=src)
-        elif reordered:
-            # A burst reordering: the copy escapes the FIFO clamp (and does
-            # not tighten it), so later traffic on the channel may overtake.
-            deliver_at = now + delay + self._link_rng.uniform(
-                0.0, links.reorder_spread
-            )
             if self._metrics is not None:
                 self._metrics.inc(MODULE_NETWORK, "messages_reordered", pid=src)
         elif self._fifo:

@@ -163,10 +163,6 @@ class ReliableTransport:
 
     # -- network-compatible surface ------------------------------------------
 
-    @property
-    def process_ids(self) -> list[int]:
-        return sorted(self._upper)
-
     def register(self, process_id: int, deliver: DeliverCallback) -> None:
         """Attach a process above the transport (and below, on the wire)."""
         if process_id in self._upper:

@@ -13,7 +13,7 @@ from typing import Sequence
 
 from repro.errors import ConfigurationError
 from repro.observability.registry import MetricsRegistry
-from repro.sim.network import DelayModel, LinkModel, Network, TamperHook
+from repro.sim.network import DelayModel, LinkPolicy, Network
 from repro.sim.process import Process, ProcessEnv
 from repro.sim.scheduler import RunResult, Scheduler
 from repro.sim.trace import Trace
@@ -26,8 +26,9 @@ TRANSPORTS = ("none", "reliable", "no-retransmit")
 class World:
     """A closed system of ``n`` processes over a reliable FIFO network.
 
-    With a faulty :class:`LinkModel` installed, the channels are only
-    reliable again if ``transport="reliable"`` slides a
+    With a faulty ``link`` policy installed (a
+    :class:`~repro.sim.network.LinkModel`, a fault plan's injector), the
+    channels are only reliable again if ``transport="reliable"`` slides a
     :class:`ReliableTransport` between the processes and the wire;
     ``transport="no-retransmit"`` is the ablation that frames and acks
     but never resends, and ``"none"`` exposes the raw fabric.
@@ -39,11 +40,10 @@ class World:
         seed: int = 0,
         delay_model: DelayModel | None = None,
         fifo: bool = True,
-        link_model: LinkModel | None = None,
+        link: LinkPolicy | None = None,
         transport: str = "none",
         transport_rto: float = 4.0,
         transport_retry_limit: int = 20,
-        tamper: TamperHook | None = None,
     ) -> None:
         if not processes:
             raise ConfigurationError("a world needs at least one process")
@@ -61,8 +61,7 @@ class World:
             delay_model=delay_model,
             fifo=fifo,
             metrics=self.metrics,
-            link_model=link_model,
-            tamper=tamper,
+            link=link,
         )
         self.transport: ReliableTransport | None = None
         fabric: Network | ReliableTransport = self.network

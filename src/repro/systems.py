@@ -37,7 +37,7 @@ from repro.detectors.diamond_m import (
 from repro.detectors.heartbeat import HeartbeatDetector
 from repro.detectors.oracles import OracleDetector
 from repro.errors import ConfigurationError
-from repro.sim.network import DelayModel, LinkModel, UniformDelay
+from repro.sim.network import DelayModel, LinkPolicy, UniformDelay
 from repro.sim.scheduler import RunResult
 from repro.sim.world import World
 
@@ -112,7 +112,7 @@ def build_crash_system(
     suspicion_poll: float = 0.5,
     fifo: bool = True,
     fd: str = "oracle",
-    link_model: LinkModel | None = None,
+    link: LinkPolicy | None = None,
     transport: str = "none",
 ) -> ConsensusSystem:
     """A crash-model consensus system with a ◇S detector suite.
@@ -128,8 +128,9 @@ def build_crash_system(
         fd: ``"oracle"`` — ◇S enforced from ground truth — or
             ``"heartbeat"`` — the honest adaptive-timeout implementation
             (converges into ◇P ⊆ ◇S under eventually-bounded delays).
-        link_model: optional :class:`LinkModel` fault injection (loss,
-            duplication, reordering, partitions) on the wire.
+        link: optional link policy on the wire, e.g. a
+            :class:`~repro.sim.network.LinkModel` (loss, duplication,
+            reordering, partitions).
         transport: ``"none"`` (raw fabric), ``"reliable"`` (seq/ack/
             retransmit layer restoring the channel assumptions) or
             ``"no-retransmit"`` (the ablation; see
@@ -184,7 +185,7 @@ def build_crash_system(
         seed=seed,
         delay_model=delay_model or UniformDelay(),
         fifo=fifo,
-        link_model=link_model,
+        link=link,
         transport=transport,
     )
     for detector in detectors:
@@ -221,7 +222,7 @@ def build_transformed_system(
     allow_excess_faults: bool = False,
     variant: str = "standard",
     base: str = "hurfin-raynal",
-    link_model: LinkModel | None = None,
+    link: LinkPolicy | None = None,
     transport: str = "none",
 ) -> ConsensusSystem:
     """The transformed (Figure 3) protocol with the five-module structure.
@@ -248,7 +249,7 @@ def build_transformed_system(
             ``"hurfin-raynal"`` (the paper's case study, Figure 3) or
             ``"chandra-toueg"`` (the second case study,
             :mod:`repro.consensus.transformed_ct`).
-        link_model / transport: wire fault injection and the reliable-
+        link / transport: the wire's link policy and the reliable-
             channel layer above it; see :func:`build_crash_system`.
     """
     byzantine = dict(byzantine or {})
@@ -336,7 +337,7 @@ def build_transformed_system(
         processes,
         seed=seed,
         delay_model=delay_model or UniformDelay(),
-        link_model=link_model,
+        link=link,
         transport=transport,
     )
     for pid, time in crash_at.items():

@@ -265,7 +265,7 @@ def log_service(seed=0, byzantine=None, delay=None, link=None, transport="none",
         ServiceConfig(**{**LOG_SERVICE, **knobs, "seed": seed}),
         byzantine=byzantine,
         delay_model=delay or UniformDelay(0.1, 1.5),
-        link_model=link,
+        link=link,
         transport=transport,
     )
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.byzantine.faults import FailureClass
+from repro.byzantine.faults import DetectingModule, FailureClass
 from repro.campaign import (
     CampaignArtifact,
     Scenario,
@@ -33,6 +33,7 @@ from repro.campaign.matrix import campaign_spec
 from repro.campaign.oracles import (
     VERDICT_EXPECTED_VULNERABILITY,
     VERDICT_FAIL,
+    classify_fault_reason,
     injected_failure_classes,
     violation_kinds,
 )
@@ -213,6 +214,55 @@ class TestOracles:
                         "certification",
                     }
         assert attributed > 0
+
+    @pytest.mark.parametrize(
+        "reason, module",
+        [
+            # repro.consensus.monitor_ct: the CT automaton's own rules.
+            (
+                "spurious: peer 1 proposed in round 1 without holding the "
+                "coordinator seat",
+                DetectingModule.NON_MUTENESS_DETECTOR,
+            ),
+            (
+                "misevaluation: a round's coordinator nacked itself",
+                DetectingModule.NON_MUTENESS_DETECTOR,
+            ),
+            # repro.consensus.echo_init: signature checks on RB-delivered
+            # INITs, then the variant's behaviour rule.
+            (
+                "echo-init: RB payload is not a signed INIT",
+                DetectingModule.SIGNATURE,
+            ),
+            (
+                "echo-init: RB-delivered INIT claims another process's identity",
+                DetectingModule.SIGNATURE,
+            ),
+            ("echo-init: invalid INIT signature", DetectingModule.SIGNATURE),
+            (
+                "echo-init: INIT outside reliable broadcast",
+                DetectingModule.NON_MUTENESS_DETECTOR,
+            ),
+        ],
+        ids=[
+            "ct-spurious",
+            "ct-misevaluation",
+            "echo-rb-not-signed-init",
+            "echo-rb-identity",
+            "echo-rb-signature",
+            "echo-init-outside-rb",
+        ],
+    )
+    def test_fault_reason_names_the_raising_module(self, reason, module):
+        assert classify_fault_reason(reason) is module
+
+    def test_ct_spurious_propose_attributed_to_the_automaton(self):
+        record = run_scenario(
+            Scenario("transformed-ct", 4, 1, attacks=((1, "ct-spurious-propose"),))
+        )
+        assert record.verdict == "pass"
+        assert "non-muteness-detector" in record.outcome.attribution[1]
+        assert "certification" not in record.outcome.attribution[1]
 
     def test_violation_kinds_views_both_violation_families(self):
         record = {

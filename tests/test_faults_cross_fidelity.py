@@ -127,7 +127,8 @@ class TestJudge:
         plan = FaultPlan(name="flip", requests=8, flips=((1, 1.0, 2),))
         observation = _healthy(plan)
         observation.declared = (
-            (0, 1, "unexpected CURRENT in round 2"),
+            (0, 1, "out-of-order: CURRENT for round 2 while the peer's "
+             "stream is at round 1"),
         )
         verdict, violations = judge(plan, observation)
         assert verdict == "fail"
@@ -139,7 +140,8 @@ class TestJudge:
         )
         observation = _healthy(plan)
         observation.declared = (
-            (0, 1, "unexpected CURRENT in round 2"),
+            (0, 1, "out-of-order: CURRENT for round 2 while the peer's "
+             "stream is at round 1"),
         )
         assert judge(plan, observation) == ("pass", [])
 

@@ -1,6 +1,6 @@
 """Tests: mid-frame connection resets against the real-socket transport.
 
-The chaos hook :meth:`FaultyPeerTransport.inject_reset` aborts an
+The chaos hook :meth:`ResettablePeerTransport.inject_reset` aborts an
 established outbound peer connection, optionally flushing garbage bytes
 first — the userspace analogue of an RST landing mid-frame. The
 transport contract under that fault (docs/FAULTS.md): the acceptor's
@@ -15,9 +15,32 @@ from __future__ import annotations
 import asyncio
 
 from repro.net.cluster import make_genesis
-from repro.net.faulty import FaultyPeerTransport
 from repro.net.transport import PeerTransport
 from repro.observability.registry import MODULE_NET, MetricsRegistry
+
+
+class ResettablePeerTransport(PeerTransport):
+    """A peer transport that can tear down its own outbound connections."""
+
+    def inject_reset(self, dst: int, *, partial: bytes = b"") -> bool:
+        """Tear down the established outbound connection to ``dst``.
+
+        ``partial`` bytes are written first (un-drained), so the peer's
+        assembler is left holding a truncated or garbage frame when the
+        connection aborts — the closest userspace analogue of an RST
+        mid-frame. Returns ``False`` when no connection to ``dst`` is
+        currently established.
+        """
+        writer = self._peer_writers.get(dst)
+        if writer is None or writer.is_closing():
+            return False
+        if partial:
+            try:
+                writer.write(partial)
+            except (OSError, RuntimeError):
+                pass
+        writer.transport.abort()
+        return True
 
 
 class Endpoint:
@@ -58,7 +81,7 @@ def test_reset_mid_frame_is_counted_and_reconnected():
         # The full mesh is up, so the dialer's reconnect counter can only
         # move when an *established* connection drops — the reset below.
         nodes = [
-            Endpoint(genesis, 0, transport_cls=FaultyPeerTransport),
+            Endpoint(genesis, 0, transport_cls=ResettablePeerTransport),
             Endpoint(genesis, 1),
             Endpoint(genesis, 2),
             Endpoint(genesis, 3),
@@ -118,7 +141,7 @@ def test_reset_mid_frame_is_counted_and_reconnected():
 def test_reset_without_an_established_connection_reports_false():
     async def scenario():
         genesis = make_genesis(4, seed=32, name="no-conn")
-        lone = Endpoint(genesis, 0, transport_cls=FaultyPeerTransport)
+        lone = Endpoint(genesis, 0, transport_cls=ResettablePeerTransport)
         await lone.transport.start()
         try:
             # Nothing was ever sent, so no outbound connection exists.

@@ -193,7 +193,7 @@ class TestReplicatedService:
             log_service(
                 seed=13,
                 delay=FixedDelay(0.4),
-                link=LinkModel(duplication=0.3),
+                link=LinkModel(duplication=0.3, seed=13),
                 transport="reliable",
             ),
             max_time=2_000.0,

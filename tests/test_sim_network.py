@@ -20,11 +20,11 @@ from repro.sim.scheduler import Scheduler
 from repro.sim.trace import Trace
 
 
-def make_network(delay_model=None, n=3, seed=0, link_model=None, metrics=None):
+def make_network(delay_model=None, n=3, seed=0, link=None, metrics=None):
     scheduler = Scheduler(seed=seed)
     trace = Trace()
     network = Network(
-        scheduler, trace, delay_model=delay_model, link_model=link_model,
+        scheduler, trace, delay_model=delay_model, link=link,
         metrics=metrics,
     )
     inboxes: dict[int, list] = {pid: [] for pid in range(n)}
@@ -165,19 +165,19 @@ class TestNetwork:
 class TestLinkModel:
     def test_probabilities_validated(self):
         with pytest.raises(ConfigurationError):
-            LinkModel(loss=1.0)
+            LinkModel(loss=1.0, seed=0)
         with pytest.raises(ConfigurationError):
-            LinkModel(duplication=-0.1)
+            LinkModel(duplication=-0.1, seed=0)
         with pytest.raises(ConfigurationError):
-            LinkModel(reorder=2.0)
+            LinkModel(reorder=2.0, seed=0)
         with pytest.raises(ConfigurationError):
-            LinkModel(reorder_spread=0.0)
+            LinkModel(reorder_spread=0.0, seed=0)
 
     def test_faultless_detection(self):
-        assert LinkModel().faultless
-        assert not LinkModel(loss=0.1).faultless
+        assert LinkModel(seed=0).faultless
+        assert not LinkModel(loss=0.1, seed=0).faultless
         assert not LinkModel(
-            partitions=(Partition(1.0, 2.0, ((0,), (1,))),)
+            partitions=(Partition(1.0, 2.0, ((0,), (1,))),), seed=0
         ).faultless
 
     def test_partition_window_validated(self):
@@ -202,8 +202,8 @@ class TestLinkModel:
         assert not partition.severs(15.0, 0, 4)  # pid outside every group
 
     def test_loss_drops_messages_and_counts_them(self):
-        model = LinkModel(loss=0.5)
-        scheduler, network, inboxes = make_network(link_model=model, seed=3)
+        model = LinkModel(loss=0.5, seed=3)
+        scheduler, network, inboxes = make_network(link=model, seed=3)
         for i in range(100):
             network.send(0, 1, i)
         scheduler.run()
@@ -212,11 +212,11 @@ class TestLinkModel:
         assert network.messages_dropped == 100 - delivered
         assert network.messages_delivered == delivered
         assert network._trace.count("link-drop") == network.messages_dropped
-        assert network._trace.first("link-drop").detail["reason"] == "loss"
+        assert network._trace.first("link-drop").detail["reason"] == "link"
 
     def test_duplication_delivers_extra_copies(self):
-        model = LinkModel(duplication=0.5)
-        scheduler, network, inboxes = make_network(link_model=model, seed=3)
+        model = LinkModel(duplication=0.5, seed=3)
+        scheduler, network, inboxes = make_network(link=model, seed=3)
         for i in range(60):
             network.send(0, 1, i)
         scheduler.run()
@@ -227,10 +227,11 @@ class TestLinkModel:
 
     def test_partition_drops_cross_group_then_heals(self):
         model = LinkModel(
-            partitions=(Partition(start=0.0, heal=50.0, groups=((0,), (1,))),)
+            partitions=(Partition(start=0.0, heal=50.0, groups=((0,), (1,))),),
+            seed=0,
         )
         scheduler, network, inboxes = make_network(
-            delay_model=FixedDelay(1.0), link_model=model
+            delay_model=FixedDelay(1.0), link=model
         )
         network.send(0, 1, "cut")  # t=0: severed
         network.send(0, 2, "side")  # 2 is in no group: unaffected
@@ -243,8 +244,8 @@ class TestLinkModel:
         assert network._trace.count("partition-heal") == 1
 
     def test_self_channel_never_faulted(self):
-        model = LinkModel(loss=0.99, duplication=0.5)
-        scheduler, network, inboxes = make_network(link_model=model)
+        model = LinkModel(loss=0.99, duplication=0.5, seed=0)
+        scheduler, network, inboxes = make_network(link=model)
         for i in range(20):
             network.send(1, 1, i)
         scheduler.run()
@@ -252,11 +253,11 @@ class TestLinkModel:
         assert network.messages_dropped == 0
 
     def test_reorder_can_break_fifo_but_loses_nothing(self):
-        model = LinkModel(reorder=0.3, reorder_spread=20.0)
         broke_fifo = False
         for seed in range(10):
+            model = LinkModel(reorder=0.3, reorder_spread=20.0, seed=seed)
             scheduler, network, inboxes = make_network(
-                delay_model=FixedDelay(1.0), link_model=model, seed=seed
+                delay_model=FixedDelay(1.0), link=model, seed=seed
             )
             for i in range(40):
                 network.send(0, 1, i)
@@ -269,8 +270,8 @@ class TestLinkModel:
 
     def test_link_faults_are_deterministic_per_seed(self):
         def run(seed):
-            model = LinkModel(loss=0.3, duplication=0.2, reorder=0.1)
-            scheduler, network, inboxes = make_network(link_model=model, seed=seed)
+            model = LinkModel(loss=0.3, duplication=0.2, reorder=0.1, seed=seed)
+            scheduler, network, inboxes = make_network(link=model, seed=seed)
             for i in range(80):
                 network.send(0, 1, i)
             scheduler.run()
@@ -287,9 +288,9 @@ class TestLinkModel:
         from repro.observability.registry import MODULE_NETWORK, MetricsRegistry
 
         metrics = MetricsRegistry()
-        model = LinkModel(loss=0.5, duplication=0.4)
+        model = LinkModel(loss=0.5, duplication=0.4, seed=1)
         scheduler, network, _ = make_network(
-            link_model=model, seed=1, metrics=metrics
+            link=model, seed=1, metrics=metrics
         )
         for i in range(80):
             network.send(0, 1, i)

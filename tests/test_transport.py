@@ -27,7 +27,7 @@ from repro.sim.world import World
 from repro.systems import build_transformed_system
 
 
-def make_stack(link_model=None, n=3, seed=0, crashed=None, **transport_kwargs):
+def make_stack(link=None, n=3, seed=0, crashed=None, **transport_kwargs):
     scheduler = Scheduler(seed=seed)
     trace = Trace()
     metrics = MetricsRegistry()
@@ -36,7 +36,7 @@ def make_stack(link_model=None, n=3, seed=0, crashed=None, **transport_kwargs):
         trace,
         delay_model=FixedDelay(1.0),
         metrics=metrics,
-        link_model=link_model,
+        link=link,
     )
     transport = ReliableTransport(
         network, scheduler, trace, metrics=metrics, crashed=crashed,
@@ -79,8 +79,8 @@ class TestTransportUnit:
                 ReliableTransport(network, scheduler, trace, **kwargs)
 
     def test_loss_recovered_by_retransmission_in_order(self):
-        model = LinkModel(loss=0.4)
-        scheduler, transport, inboxes, _ = make_stack(link_model=model, seed=5)
+        model = LinkModel(loss=0.4, seed=5)
+        scheduler, transport, inboxes, _ = make_stack(link=model, seed=5)
         for i in range(40):
             transport.send(0, 1, i)
         scheduler.run()
@@ -88,8 +88,8 @@ class TestTransportUnit:
         assert transport.retransmissions > 0
 
     def test_wire_duplicates_suppressed_exactly_once(self):
-        model = LinkModel(duplication=0.6)
-        scheduler, transport, inboxes, _ = make_stack(link_model=model, seed=5)
+        model = LinkModel(duplication=0.6, seed=5)
+        scheduler, transport, inboxes, _ = make_stack(link=model, seed=5)
         for i in range(40):
             transport.send(0, 1, i)
         scheduler.run()
@@ -97,25 +97,25 @@ class TestTransportUnit:
         assert transport.duplicates_suppressed > 0
 
     def test_reordered_wire_reassembled_fifo(self):
-        model = LinkModel(reorder=0.4, reorder_spread=15.0)
-        scheduler, transport, inboxes, _ = make_stack(link_model=model, seed=5)
+        model = LinkModel(reorder=0.4, reorder_spread=15.0, seed=5)
+        scheduler, transport, inboxes, _ = make_stack(link=model, seed=5)
         for i in range(40):
             transport.send(0, 1, i)
         scheduler.run()
         assert [msg for _, msg in inboxes[1]] == list(range(40))
 
     def test_everything_at_once_still_exactly_once_in_order(self):
-        model = LinkModel(loss=0.25, duplication=0.25, reorder=0.2)
-        scheduler, transport, inboxes, _ = make_stack(link_model=model, seed=9)
+        model = LinkModel(loss=0.25, duplication=0.25, reorder=0.2, seed=9)
+        scheduler, transport, inboxes, _ = make_stack(link=model, seed=9)
         for i in range(60):
             transport.send(0, 1, i)
         scheduler.run()
         assert [msg for _, msg in inboxes[1]] == list(range(60))
 
     def test_no_retransmit_ablation_loses_messages(self):
-        model = LinkModel(loss=0.4)
+        model = LinkModel(loss=0.4, seed=5)
         scheduler, transport, inboxes, _ = make_stack(
-            link_model=model, seed=5, retransmit=False
+            link=model, seed=5, retransmit=False
         )
         for i in range(40):
             transport.send(0, 1, i)
@@ -128,9 +128,10 @@ class TestTransportUnit:
 
     def test_retransmission_survives_partition_then_heal(self):
         model = LinkModel(
-            partitions=(Partition(start=0.0, heal=40.0, groups=((0,), (1,))),)
+            partitions=(Partition(start=0.0, heal=40.0, groups=((0,), (1,))),),
+            seed=0,
         )
-        scheduler, transport, inboxes, _ = make_stack(link_model=model)
+        scheduler, transport, inboxes, _ = make_stack(link=model)
         for i in range(5):
             transport.send(0, 1, i)
         scheduler.run()
@@ -144,10 +145,11 @@ class TestTransportUnit:
         model = LinkModel(
             partitions=(
                 Partition(start=0.0, heal=100_000.0, groups=((0,), (1,))),
-            )
+            ),
+            seed=0,
         )
         scheduler, transport, inboxes, _ = make_stack(
-            link_model=model, retry_limit=3
+            link=model, retry_limit=3
         )
         transport.send(0, 1, "void")
         result = scheduler.run()
@@ -167,10 +169,11 @@ class TestTransportUnit:
 
     def test_rto_backs_off_exponentially(self):
         model = LinkModel(
-            partitions=(Partition(start=0.0, heal=200.0, groups=((0,), (1,))),)
+            partitions=(Partition(start=0.0, heal=200.0, groups=((0,), (1,))),),
+            seed=0,
         )
         scheduler, transport, inboxes, _ = make_stack(
-            link_model=model, rto=2.0, backoff=2.0, max_rto=16.0
+            link=model, rto=2.0, backoff=2.0, max_rto=16.0
         )
         transport.send(0, 1, "x")
         scheduler.run()
@@ -183,9 +186,9 @@ class TestTransportUnit:
         assert inboxes[1] == [(0, "x")]  # heals before the retry budget ends
 
     def test_per_link_metrics_recorded(self):
-        model = LinkModel(loss=0.4)
+        model = LinkModel(loss=0.4, seed=5)
         scheduler, transport, inboxes, metrics = make_stack(
-            link_model=model, seed=5
+            link=model, seed=5
         )
         for i in range(40):
             transport.send(0, 1, i)
@@ -207,12 +210,12 @@ class TestWorldIntegration:
             World([Process(), Process()], transport="bogus")
 
     def test_transformed_consensus_survives_loss(self):
-        link = LinkModel(loss=0.2)
+        link = LinkModel(loss=0.2, seed=1)
         system = build_transformed_system(
             ["a", "b", "c", "d"],
             seed=1,
             muteness="adaptive",
-            link_model=link,
+            link=link,
             transport="reliable",
         )
         system.run(max_time=3_000.0)
