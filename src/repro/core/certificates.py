@@ -43,7 +43,12 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Type, TypeVar
 
 from repro.crypto.cache import caching_enabled
-from repro.crypto.encoding import canonical_bytes, tuple_bytes, tuple_prefix
+from repro.crypto.encoding import (
+    canonical_bytes,
+    tuple_append,
+    tuple_bytes,
+    tuple_prefix,
+)
 from repro.crypto.keys import Signer
 from repro.crypto.signatures import Signature, SignatureScheme
 from repro.errors import CertificateError
@@ -307,8 +312,16 @@ class CertificationAuthority:
                 f"claiming sender {body.sender}"
             )
         draft = SignedMessage(body=body, cert=cert, signature=_PLACEHOLDER)
-        signature = self._scheme.sign(self._signer, draft.signed_payload())
-        return SignedMessage(body=body, cert=cert, signature=signature)
+        payload = canonical_bytes(draft.signed_payload())
+        signature = self._scheme.sign_bytes(self._signer, payload)
+        message = SignedMessage(body=body, cert=cert, signature=signature)
+        if caching_enabled():
+            # The walk just signed is the envelope's: seed what it would
+            # otherwise walk the body again for when first asked.
+            memo = message.__dict__
+            memo["_payload_digest"] = hashlib.sha256(payload).digest()
+            memo["_light_bytes"] = tuple_append(payload, canonical_bytes(signature))
+        return message
 
     def signature_valid(self, message: SignedMessage) -> bool:
         """True iff the signature verifies *and* matches the identity field.

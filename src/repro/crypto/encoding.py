@@ -80,6 +80,15 @@ def tuple_prefix(encoded: bytes, items: int) -> bytes:
     return _tlv(b"T", encoded[_TLV_HEAD:end])
 
 
+def tuple_append(encoded: bytes, item: bytes) -> bytes:
+    """The encoding of an encoded tuple with one encoded item appended.
+
+    ``tuple_append(canonical_bytes(t), canonical_bytes(x)) ==
+    canonical_bytes(t + (x,))`` — the inverse of :func:`tuple_prefix`.
+    """
+    return _tlv(b"T", encoded[_TLV_HEAD:] + item)
+
+
 def _tlv(tag: bytes, payload: bytes) -> bytes:
     return tag + len(payload).to_bytes(8, "big") + payload
 

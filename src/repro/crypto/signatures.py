@@ -48,7 +48,17 @@ class SignatureScheme:
 
     def sign(self, signer: Signer, value: Any) -> Signature:
         """Sign ``value`` with the capability ``signer``."""
-        return Signature(signer=signer.pid, mac=signer.sign(canonical_bytes(value)))
+        return self.sign_bytes(signer, canonical_bytes(value))
+
+    def sign_bytes(self, signer: Signer, data: bytes) -> Signature:
+        """:meth:`sign` over pre-encoded bytes — every MAC is made here.
+
+        ``data`` must be ``canonical_bytes`` of the value signed; a caller
+        that needs those bytes anyway
+        (:meth:`~repro.core.certificates.CertificationAuthority.make`)
+        encodes once, as :meth:`verify_digest` lets a verifier do.
+        """
+        return Signature(signer=signer.pid, mac=signer.sign(data))
 
     def verify(self, value: Any, signature: Signature) -> bool:
         """True iff ``signature`` is valid for ``value`` under its claimed signer."""

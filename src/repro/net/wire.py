@@ -26,12 +26,13 @@ a record or the root such a value is never spelled in place but cited,
 *earlier in the same payload*. Each distinct envelope and shared value
 is written once per frame however often a certificate repeats it.
 
-An endpoint may hand the codec its :class:`EnvelopeTable`: an envelope
-record it has seen before is answered with the object it already holds,
-*without being walked*. A record's bytes depend on nothing around it
-(its children are always citations), so the one digest is both
-citation and table key; a citation itself resolves against its own
-payload only. The frames are those of the table-less codec.
+An endpoint may hand the codec its :class:`EnvelopeTable`: a record
+it has seen before — an envelope, or a shared value such as a client
+request — is answered with the object it already holds, *without being
+walked*. A record's bytes depend on nothing around it (its children are
+always citations, and a shared record has none), so the one digest is
+both citation and table key; a citation itself resolves against its
+own payload only. The frames are those of the table-less codec.
 
 Robustness contract: **every** malformed input — truncated, oversized,
 wrong magic, wrong version, tampered payload, unknown type, hostile
@@ -109,9 +110,14 @@ def register_wire_type(
     type: below a payload's root each distinct one is written once, as
     a pool record, and cited. Such a value holds no signed envelope and
     no shared value itself — its record cites nothing, and neither side
-    of the codec accepts one that would, at the root or below it.
+    of the codec accepts one that would, at the root or below it. An
+    :class:`EnvelopeTable` holds such values weakly, with their record
+    memo in the instance ``__dict__``: the type must have both (no
+    ``__slots__``).
     """
     wire_name = name if name is not None else cls.__qualname__
+    if shared and not (cls.__dictoffset__ and cls.__weakrefoffset__):
+        raise WireError(f"shared {cls.__name__} needs a __dict__ and weak references")
     if to_fields is None:
         if not dataclasses.is_dataclass(cls):
             raise WireError(
@@ -172,10 +178,11 @@ _RECORD_HEAD = 1 + _U32.size
 _DIGEST = hashlib.sha256().digest_size
 #: Bytes of a citation: tag and digest.
 _CITE = 1 + _DIGEST
-#: SignedMessage memo ``(height, size, cites)`` of the record the
-#: table holds the object for: how many levels it reaches below itself
-#: (its three fields are level 1), how many bytes it stands for with
-#: every citation spelled out, and the digests it cites directly.
+#: Memo ``(height, size, cites)`` of the record the table holds the
+#: object (an envelope or a shared value) for: how many levels it
+#: reaches below itself (an envelope's three fields are level 1), how
+#: many bytes it stands for with every citation spelled out, and the
+#: digests it cites directly (none, for a shared value).
 _RECORD = "_wire_record"
 
 
@@ -218,6 +225,7 @@ class _Walk:
 
     def reset(self) -> None:
         """Forget the payload: nothing of it may outlive the call."""
+        self.deepest = 0
         self.pool.clear()
         self.reached.clear()
         self.seen.clear()
@@ -582,6 +590,8 @@ def _decode_citation(
     if value is None:  # a shared record not cited before: (None, start, stop)
         entry = walk.pool[key] = _decode_shared(buf, height, size, walk)
         value, height, size = entry
+        if walk.table is not None:
+            walk.table.register(key, value, (height, size, ()))
     reach = depth + height
     if reach > MAX_DEPTH:
         raise WireError("payload nesting exceeds the depth ceiling")
@@ -627,12 +637,13 @@ def _decode_cited(buf: memoryview, end: int, walk: _Walk) -> Any:
     other is decoded — three fields whose citations resolve in
     ``walk.pool``, this payload's own — and remembered with its height
     and spelled-out size, so that depth and length are judged on the
-    spelled-out form. A shared record waits for its first citation.
-    Every record must be cited further down: no byte goes unread.
+    spelled-out form. A shared record the table holds is answered the
+    same way; any other waits for its first citation. Every record must
+    be cited further down: no byte goes unread.
     """
     pool, reached, table, cites = walk.pool, walk.reached, walk.table, walk.cites
     pooled = pool.__contains__
-    pos = hits = 0
+    pos = hits = shared_hits = 0
     try:
         while pos < end:
             tag = buf[pos]
@@ -643,7 +654,14 @@ def _decode_cited(buf: memoryview, end: int, walk: _Walk) -> Any:
             if key in pool:
                 raise WireError("record written twice")
             if tag == _T_SHARED:
-                pool[key] = (None, start, stop)
+                # It cites nothing: held means its bytes were decoded once.
+                held = table.held(key) if table is not None else None
+                if held is None:
+                    pool[key] = (None, start, stop)
+                else:
+                    shared_hits += 1
+                    height, size, _cited = held.__dict__[_RECORD]
+                    pool[key] = (held, height, size)
                 pos = stop
                 continue
             envelope = table.held(key) if table is not None else None
@@ -671,7 +689,7 @@ def _decode_cited(buf: memoryview, end: int, walk: _Walk) -> Any:
                 if len(reached) != len(pool) - 1:
                     raise WireError("record that nothing cites")
                 return envelope
-        walk.spelled = 0
+        walk.deepest = walk.spelled = 0
         value, stop = _decode_value(buf, pos, end, 0, walk)
         if stop != end:
             raise WireError("trailing bytes after payload")
@@ -685,12 +703,12 @@ def _decode_cited(buf: memoryview, end: int, walk: _Walk) -> Any:
         return value
     finally:
         walk.reset()
-        if hits:
-            table.stepped_over(hits)
+        if hits or shared_hits:
+            table.stepped_over(hits, shared_hits)
 
 
 class EnvelopeTable:
-    """One endpoint's memory of the signed envelopes crossing its wire.
+    """One endpoint's memory of the records crossing its wire.
 
     Certificates make one :class:`~repro.core.certificates.SignedMessage`
     arrive many times — alone, then in the pool of every frame whose
@@ -715,17 +733,27 @@ class EnvelopeTable:
       same map, so the copy a node sends itself — and every later
       citation of it by a peer — is a hit on the object the node signed.
 
-    The table serves the envelope record only, and only as a whole: what a
-    citation *inside* a record stands for is looked up in the payload's
-    own pool, never here. One table per endpoint, never shared: a
-    replica may skip only work it did itself. Both halves are off under
+    * **shared records** — a client request rides in its INIT, in every
+      CURRENT's vector and in the DECIDE's certificate. Its record cites
+      nothing, so its bytes alone decide whether it is valid: the same
+      map keeps each one decoded, keyed by the same digest, and a repeat
+      is answered with the held object, canonical memo intact. A request
+      that arrives as the root of a client's frame is entered under the
+      digest of its record form, ``0x0E | u32 length | payload``, hashed
+      only for a root of a shared type.
+
+    The table serves records only, and only as a whole: what a citation
+    *inside* a record stands for is looked up in the payload's own pool,
+    never here. One table per endpoint, never shared: a replica may skip
+    only work it did itself. Both halves are off under
     :func:`~repro.crypto.cache.caching_disabled`.
     """
 
     __slots__ = ("_interned", "_encoded", "_metrics", "_walk")
 
     def __init__(self, metrics: Any = NULL_METRICS) -> None:
-        self._interned: weakref.WeakValueDictionary[bytes, SignedMessage] = (
+        #: Envelopes and shared values, by the digest of their record.
+        self._interned: weakref.WeakValueDictionary[bytes, Any] = (
             weakref.WeakValueDictionary()
         )
         self._walk = _Walk(self)
@@ -736,22 +764,39 @@ class EnvelopeTable:
         self._metrics = metrics
 
     def __len__(self) -> int:
-        """Envelopes currently interned (alive somewhere in the process)."""
+        """Records currently interned (alive somewhere in the process)."""
         return len(self._interned)
 
-    def held(self, key: bytes) -> SignedMessage | None:
-        """The envelope whose record hashes to ``key``, if still alive."""
+    def held(self, key: bytes) -> Any:
+        """The envelope or shared value whose record hashes to ``key``, if alive."""
         return self._interned.get(key)
 
-    def stepped_over(self, hits: int) -> None:
+    def stepped_over(self, envelopes: int, shared: int) -> None:
         """Count the records of one payload that :meth:`held` answered."""
-        self._metrics.inc("envelope_intern_hits", hits)
+        if envelopes:
+            self._metrics.inc("envelope_intern_hits", envelopes)
+        if shared:
+            self._metrics.inc("request_intern_hits", shared)
 
-    def register(self, key: bytes, envelope: SignedMessage, record: tuple) -> None:
-        """Keep the envelope just built from the record hashing to ``key``."""
-        envelope.__dict__[_RECORD] = record
-        self._interned[key] = envelope
-        self._metrics.inc("envelopes_interned")
+    def register(self, key: bytes, value: Any, record: tuple) -> None:
+        """Keep the envelope or shared value just built from the record ``key``."""
+        value.__dict__[_RECORD] = record
+        self._interned[key] = value
+        self._metrics.inc(
+            "envelopes_interned" if type(value) is SignedMessage else "requests_interned"
+        )
+
+    def root(self, value: Any, payload: memoryview, height: int) -> Any:
+        """The held twin of a shared ``value`` decoded as a payload's root,
+        else ``value``, kept under the digest of its record form."""
+        record = hashlib.sha256(bytes((_T_SHARED,)) + _U32.pack(len(payload)))
+        record.update(payload)
+        key = record.digest()
+        held = self._interned.get(key)
+        if held is not None:
+            return held
+        self.register(key, value, (height, len(payload), ()))
+        return value
 
     def spliced(self, envelope: SignedMessage, walk: _Walk) -> tuple | None:
         """Open ``walk``'s pool with ``envelope``'s records if it was encoded last."""
@@ -776,7 +821,9 @@ class EnvelopeTable:
 
 
 def _walk_for(table: EnvelopeTable | None) -> _Walk:
-    return _PLAIN if table is None or not caching_enabled() else table._walk
+    walk = _PLAIN if table is None or not caching_enabled() else table._walk
+    walk.deepest = 0
+    return walk
 
 
 def encode_payload(value: Any, table: EnvelopeTable | None = None) -> bytes:
@@ -807,18 +854,23 @@ def decode_payload(
 ) -> Any:
     """Decode one payload; any malformation raises :class:`WireError`.
 
-    ``table`` interns its envelope records: one this endpoint already
-    holds is returned as that very object.
+    ``table`` interns its envelope and shared records, and a root of a
+    shared type: one this endpoint already holds is returned as that
+    very object.
     """
     buf = data if isinstance(data, memoryview) else memoryview(data)
+    walk = _walk_for(table)
     try:
-        value, pos = _decode_value(buf, 0, len(buf), 0, _walk_for(table))
+        value, pos = _decode_value(buf, 0, len(buf), 0, walk)
     except WireError:
         raise
     except Exception as exc:  # belt and braces: hostile input never crashes
         raise WireError(f"undecodable payload: {exc}") from exc
     if pos != len(buf):
         raise WireError("trailing bytes after payload")
+    if type(value) in _SHARED and walk.table is not None:
+        # Decoded, so it cites nothing: the payload is its named record.
+        return walk.table.root(value, buf, walk.deepest)
     return value
 
 

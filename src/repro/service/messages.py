@@ -37,7 +37,13 @@ class SlotEnvelope:
     inner: Any
 
 
-@dataclass(frozen=True, slots=True)
+# No ``slots=True`` here, deliberately (as for SignedMessage): one
+# request rides in its INIT, every CURRENT's vector and the DECIDE's
+# certificate. The instance __dict__ carries its canonical encoding and
+# wire-record memos (sound: frozen, immutable fields), and __weakref__
+# lets the envelope table (repro.net.wire) hold it. The memos never
+# enter __eq__/__hash__, which see the declared fields only.
+@dataclass(frozen=True)
 class ClientRequest:
     """One client command; also the unit batches are made of.
 

@@ -263,3 +263,67 @@ def test_certificate_digest_deterministic_across_processes(n, seed):
     cert_a = Certificate(tuple(bench_a.signed_init(p) for p in range(n)))
     cert_b = Certificate(tuple(bench_b.signed_init(p) for p in range(n)))
     assert cert_a.digest() == cert_b.digest()
+
+
+class TestMakeSeedsItsMemos:
+    """``make`` signs the bytes it walks once and seeds the envelope from them."""
+
+    @staticmethod
+    def made(bench: SignedWorkbench) -> list[SignedMessage]:
+        """An INIT with an empty certificate and a CURRENT with a full one."""
+        current = bench.coordinator_current()
+        assert current.has_full_cert and len(current.cert) == bench.quorum
+        return [bench.signed_init(2), current]
+
+    def test_the_seeded_memos_are_those_of_a_fresh_envelope(self, bench):
+        for message in self.made(bench):
+            assert sorted(memos(message)) == ["_light_bytes", "_payload_digest"]
+            fresh = SignedMessage(message.body, message.cert, message.signature)
+            assert not memos(fresh)
+            assert message.light_bytes() == fresh.light_bytes()
+            assert message.payload_digest() == fresh.payload_digest()
+            assert message.envelope_digest() == fresh.envelope_digest()
+            assert bench.verify(message)
+
+    def test_nothing_is_seeded_under_the_kill_switch(self, bench):
+        with caching_disabled():
+            made = self.made(bench)
+            for message in made:
+                assert not memos(message)
+                assert bench.verify(message)
+        for message in made:
+            fresh = SignedMessage(message.body, message.cert, message.signature)
+            assert message.light_bytes() == fresh.light_bytes()
+
+    def test_every_mac_is_made_by_one_code_path(self, monkeypatch):
+        # make() signs pre-encoded bytes, scheme.sign() encodes first;
+        # both reach Signer.sign through sign_bytes and nowhere else —
+        # the impersonation attacker's forged INIT through scheme.sign.
+        from repro.byzantine import transformed_attack
+        from repro.byzantine.transformed_attacks import POISON
+        from repro.crypto.keys import Signer
+        from repro.crypto.signatures import SignatureScheme
+        from repro.systems import build_transformed_system
+
+        macs, through, values = [], [], []
+
+        def spy(cls, name, log, record):
+            real = getattr(cls, name)
+
+            def wrapper(*args):
+                log.append(record(*args))
+                return real(*args)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        spy(Signer, "sign", macs, lambda _self, data: data)
+        spy(SignatureScheme, "sign_bytes", through, lambda _s, _signer, data: data)
+        spy(SignatureScheme, "sign", values, lambda _s, _signer, value: value)
+        system = build_transformed_system(
+            [f"v{i}" for i in range(4)],
+            byzantine=transformed_attack(3, "impersonation"),
+            seed=8,
+        )
+        system.run(max_time=3_000)
+        assert macs and macs == through
+        assert any(body.value == POISON for body, _cert in values)

@@ -18,7 +18,10 @@ attack what that must never change:
 * the table holds nothing the protocol has dropped (bounded memory);
 * the ``MAX_DEPTH`` ceiling stays exact across a splice;
 * for random envelope trees, decoding with a table equals decoding
-  without one, memo for memo.
+  without one, memo for memo;
+* a client request is decoded once per endpoint: its client's root frame
+  and every INIT and certificate citing it yield one object, counted
+  apart from envelopes.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ from repro.analysis.run_report import RunReport
 from repro.consensus.certification import PredicateCache, current_message_problems
 from repro.core.certificates import Certificate, SignedMessage
 from repro.crypto.cache import caching_disabled
-from repro.messages.consensus import VCurrent
+from repro.crypto.encoding import canonical_bytes
+from repro.messages.consensus import NULL, VCurrent
 from repro.net.client import NetClient
 from repro.net.clock import ManualScheduler, WallScheduler
 from repro.net.cluster import make_genesis, wait_cluster_ready
@@ -51,7 +55,8 @@ from repro.net.wire import (
     encode_payload,
 )
 from repro.observability.registry import MODULE_NET, MetricsRegistry
-from repro.service.messages import SlotEnvelope
+from repro.replication.kvstore import Command
+from repro.service.messages import ClientRequest, SlotEnvelope
 
 from tests.helpers import SignedWorkbench, envelope_trees, envelopes, recited
 
@@ -163,6 +168,63 @@ class TestInterning:
         hub.flush()
         first, second = (nested_current(message) for message in inbox)
         assert first == second and first is not second
+
+
+class TestSharedRecords:
+    """A client request is decoded once per endpoint, then held while cited."""
+
+    @staticmethod
+    def slot_traffic(request: ClientRequest) -> list[SlotEnvelope]:
+        """An INIT batching ``request``, then a CURRENT certifying that INIT."""
+        init = BENCH.signed_init(0, (request,))
+        current = BENCH.authorities[1].make(
+            VCurrent(sender=1, round=1, est_vect=(init.body.value, NULL, NULL, NULL)),
+            Certificate((init,)),
+        )
+        return [SlotEnvelope(2, init), SlotEnvelope(2, current)]
+
+    def test_a_request_from_its_client_is_the_one_every_certificate_cites(self):
+        registry = MetricsRegistry()
+        table = EnvelopeTable(registry.scope(MODULE_NET, 0))
+        request = ClientRequest(client=4, req_id=1, command=Command("set", "k", "v"))
+        held = decode_frame(encode_frame(request), table=table)  # the client's own frame
+        assert held == request and held is not request
+        canonical_bytes(held)
+        memo = held.__dict__["_canonical_memo"]
+        init, current = (
+            decode_frame(encode_frame(value), table=table).inner
+            for value in self.slot_traffic(request)
+        )
+        assert init.body.value[0] is held
+        assert current.body.est_vect[0][0] is held
+        assert current.cert.entries[0] is init
+        assert canonical_bytes(current.body.est_vect[0][0]) is memo
+        cold = decode_frame(encode_frame(self.slot_traffic(request)[1])).inner
+        assert cold == current and cold.body.est_vect[0][0] is not held
+        # The root entered the request; each slot frame pooled it once and
+        # found it held. The envelope counters count envelopes alone.
+        count = lambda name: registry.counter_total(MODULE_NET, name)  # noqa: E731
+        assert (count("requests_interned"), count("request_intern_hits")) == (1, 2)
+        assert (count("envelopes_interned"), count("envelope_intern_hits")) == (2, 1)
+        assert len(table) == 3
+        del held, init, current, cold
+        gc.collect()
+        assert len(table) == 0
+
+    def test_a_root_frame_after_a_citation_is_the_held_request(self):
+        table = EnvelopeTable()
+        request = ClientRequest(client=4, req_id=2, command=Command("set", "k", "v"))
+        init = decode_frame(encode_frame(self.slot_traffic(request)[0]), table=table).inner
+        held = init.body.value[0]
+        assert decode_frame(encode_frame(request), table=table) is held
+        assert decode_frame(encode_frame(request)) is not held
+        with caching_disabled():
+            assert decode_frame(encode_frame(request), table=table) is not held
+        del init, held
+        gc.collect()
+        with caching_disabled():
+            decode_frame(encode_frame(request), table=table)
+            assert len(table) == 0
 
 
 class TestTampering:

@@ -20,6 +20,7 @@ are judged on.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from typing import Any
 from unittest import mock
@@ -244,6 +245,18 @@ class TestRoundTrips:
         with pytest.raises(WireError):
             register_wire_type(Fresh, name="Command")
 
+    def test_a_shared_type_keeps_a_dict_and_weak_references(self):
+        # An envelope table holds shared values weakly, with a memo in
+        # their __dict__: a slotted type is refused when declared, not
+        # by every frame that pools one of its values.
+        @dataclasses.dataclass(frozen=True, slots=True)
+        class Slotted:
+            n: int
+
+        with pytest.raises(WireError, match="weak references"):
+            register_wire_type(Slotted, name="test.Slotted", shared=True)
+        assert ClientRequest.__dictoffset__ and ClientRequest.__weakrefoffset__
+
 
 class TestHostileFrames:
     """Satellite: fuzzed malformed frames are rejections, never crashes."""
@@ -442,6 +455,10 @@ def decide_shaped() -> SignedMessage:
 
 DECIDE = decide_shaped()
 DECIDE_PAYLOAD = encode_payload(SlotEnvelope(9, DECIDE))
+#: A client request whose record reaches REQUEST_HEIGHT levels below
+#: itself: its fields, the Command's, the value's items, ("w",)'s item.
+REQUEST = ClientRequest(client=4, req_id=77, command=Command("set", "k", ("v", ("w",))))
+REQUEST_HEIGHT = 4
 
 
 def record_of(envelope: SignedMessage) -> bytes:
@@ -906,6 +923,45 @@ class TestCitedRecords:
         assert encode_payload(deepest) == b"".join(chain[:MAX_DEPTH])
         with pytest.raises(WireError):
             encode_payload(SignedMessage(deepest, None, None))
+
+    def test_a_request_held_from_its_root_frame_is_cited_like_a_cold_one(self):
+        # The table first decodes deep frames with no records: a walk
+        # must not carry their depth into the request's root frame, which
+        # enters the request under the height it works out there.
+        table = EnvelopeTable()
+        deep: Any = "x"
+        for _ in range(MAX_DEPTH - REQUEST_HEIGHT):
+            deep = (deep,)
+        for _ in range(3):
+            assert decode_frame(encode_frame(deep), table=table) == deep
+        held = decode_frame(encode_frame(REQUEST), table=table)
+        # Then an INIT and a CURRENT certificate cite it: one value,
+        # warm table or none.
+        init = BENCH.signed_init(0, (REQUEST,))
+        current = BENCH.authorities[1].make(
+            VCurrent(sender=1, round=1, est_vect=(init.body.value, NULL, NULL, NULL)),
+            Certificate((init,)),
+        )
+        for value in (SlotEnvelope(5, init), SlotEnvelope(5, current)):
+            frame = encode_frame(value)
+            assert decode_frame(frame, table=table) == decode_frame(frame) == value
+        # Cited under ever more one-item tuples, the held request is
+        # judged on the height it was entered with, the cold one on the
+        # height worked out: the same verdict level for level.
+        (record,) = records(encode_payload((REQUEST,)))
+        assert record[0] == 0x0E
+        verdicts = []
+        for levels in range(1, MAX_DEPTH + 1):
+            payload = record + b"\x07\x01" * levels + cite(record)
+            plain = outcome(payload, None)
+            assert (outcome(payload, table) is WireError) == (plain is WireError), levels
+            verdicts.append(plain is not WireError)
+        fits = MAX_DEPTH - REQUEST_HEIGHT
+        assert verdicts == [True] * fits + [False] * REQUEST_HEIGHT
+        found = decode_payload(record + b"\x07\x01" * fits + cite(record), table=table)
+        for _ in range(fits):
+            (found,) = found
+        assert found is held
 
     def test_a_good_frame_decodes_after_a_rejected_one_on_the_same_table(self):
         table = EnvelopeTable()
