@@ -44,14 +44,14 @@ class KeyValueStore:
     def apply(self, command: Any) -> None:
         """Apply one command; unknown shapes are ignored deterministically.
 
-        Byzantine replicas can propose garbage commands; determinism (and
-        hence replica convergence) only requires every correct replica to
-        handle the garbage identically — ignoring it is the simplest
-        uniform rule.
+        Byzantine replicas can propose garbage commands, and a client can
+        name a key that is not a ``str``; determinism (and hence replica
+        convergence) only requires every correct replica to handle the
+        garbage identically — ignoring it is the simplest uniform rule.
         """
         self.applied += 1
-        if not isinstance(command, Command):
-            return
+        if not isinstance(command, Command) or not isinstance(command.key, str):
+            return  # a key of another type would not sort among the keys
         if command.op == "set":
             self._data[command.key] = command.value
         elif command.op == "del":

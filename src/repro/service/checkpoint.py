@@ -16,16 +16,75 @@ allows majority tests").
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from repro.core.certificates import Certificate, CertificationAuthority
 from repro.crypto.cache import caching_enabled
-from repro.crypto.encoding import canonical_bytes
+from repro.crypto.encoding import canonical_bytes, tuple_bytes
 from repro.observability.registry import NULL_METRICS
 from repro.replication.kvstore import KeyValueStore
 from repro.service.messages import Checkpoint
+
+
+class ExecutedIds:
+    """The ids of the requests a replica executed, kept for checkpoints.
+
+    A set to every reader (``in``, ``len``, ``==`` with a plain set),
+    iterated in sorted order. Each id is canonically encoded once, when
+    it is added, and the encodings are kept in the same sorted order,
+    so a checkpoint's :meth:`encoded` is one join and :meth:`ids` one
+    tuple copy — no Python loop over the history. An :meth:`add` still
+    moves the list tails past its sorted position (a C ``memmove``, O(n)
+    pointers). Every id is a ``(client, req_id)`` pair of ints, which
+    sort against each other: ``SlotLog._apply_entry`` adds no other, and
+    :func:`state_from_wire` checks the ids a peer ships.
+    """
+
+    __slots__ = ("_set", "_ids", "_encodings")
+
+    def __init__(self, ids: Iterable[tuple[int, int]] = ()) -> None:
+        self._set: set[tuple[int, int]] = set(ids)
+        self._ids: list[tuple[int, int]] = sorted(self._set)
+        #: ``canonical_bytes(id)`` of each id, in the order of ``_ids``.
+        self._encodings: list[bytes] = [canonical_bytes(i) for i in self._ids]
+
+    def add(self, ident: tuple[int, int]) -> None:
+        if ident in self._set:
+            return
+        at = bisect.bisect(self._ids, ident)
+        self._ids.insert(at, ident)
+        self._encodings.insert(at, canonical_bytes(ident))
+        self._set.add(ident)
+
+    def ids(self) -> tuple[tuple[int, int], ...]:
+        """The ids, sorted."""
+        return tuple(self._ids)
+
+    def encoded(self) -> bytes:
+        """``canonical_bytes(self.ids())``, joined from the kept encodings."""
+        return tuple_bytes(self._encodings)
+
+    def __contains__(self, ident: object) -> bool:
+        return ident in self._set
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return iter(self._ids)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ExecutedIds):
+            return self._ids == other._ids
+        if isinstance(other, (set, frozenset)):
+            return self._set == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"ExecutedIds({self._ids!r})"
 
 
 def service_digest(store: KeyValueStore, executed: Iterable[tuple[int, int]]) -> str:
@@ -35,11 +94,55 @@ def service_digest(store: KeyValueStore, executed: Iterable[tuple[int, int]]) ->
     sorted executed-request ids, so two replicas agree on the digest iff
     a transferred snapshot would make the receiver indistinguishable
     from the sender — including its request deduplication behaviour.
+    ``executed`` is an :class:`ExecutedIds` (a replica's own, encoded
+    already) or any iterable of request ids, converted here.
     """
+    if not isinstance(executed, ExecutedIds):
+        executed = ExecutedIds(executed)
     hasher = hashlib.sha256()
     hasher.update(store.digest().encode("ascii"))
-    hasher.update(canonical_bytes(tuple(sorted(executed))))
+    hasher.update(executed.encoded())
     return hasher.hexdigest()
+
+
+def state_from_wire(
+    snapshot: Any, executed: Any, applied: Any
+) -> tuple[KeyValueStore, ExecutedIds]:
+    """The store and executed ids a state response ships.
+
+    ``ValueError`` unless ``snapshot`` is a tuple of ``(str key, value)``
+    pairs with distinct keys, ``executed`` a strictly ascending tuple of
+    ``(int, int)`` request ids (a correct responder ships them sorted)
+    and ``applied`` an int: a responder can replay a genuine certificate
+    beside any payload, and a payload of another shape could not even be
+    digested. One pass each, so a frame costs time linear in its size.
+    """
+    if type(snapshot) is not tuple or not all(
+        type(item) is tuple and len(item) == 2 and isinstance(item[0], str)
+        for item in snapshot
+    ):
+        raise ValueError("snapshot is not a tuple of (str key, value) pairs")
+    contents = dict(snapshot)
+    if len(contents) != len(snapshot):
+        raise ValueError("snapshot repeats a key")
+    if not isinstance(applied, int):
+        raise ValueError("store_applied is not an int")
+    if type(executed) is not tuple:
+        raise ValueError("executed ids are not a tuple")
+    previous: tuple[int, int] | None = None
+    for ident in executed:
+        if not (
+            type(ident) is tuple
+            and len(ident) == 2
+            and isinstance(ident[0], int)
+            and isinstance(ident[1], int)
+        ):
+            raise ValueError(f"not a (client, req_id) pair of ints: {ident!r}")
+        if previous is not None and not previous < ident:
+            raise ValueError("executed ids are not strictly ascending")
+        previous = ident
+    store = KeyValueStore().restore(contents, applied=applied)
+    return store, ExecutedIds(executed)
 
 
 @dataclass(frozen=True, slots=True)

@@ -35,12 +35,12 @@ from repro.detectors.diamond_m import (
 )
 from repro.messages.consensus import VCurrent, VDecide
 from repro.observability.registry import MODULE_SERVICE, MODULE_SIGNATURE
-from repro.replication.kvstore import KeyValueStore
 from repro.service.checkpoint import (
     CheckpointCertCache,
     CheckpointCertificate,
     certificate_valid,
     service_digest,
+    state_from_wire,
 )
 from repro.service.config import ServiceConfig
 from repro.service.messages import (
@@ -724,17 +724,22 @@ class ServiceReplicaProcess(Process):
                 == (response.snapshot, response.executed, response.store_applied)
             )
             if not held:
-                probe = KeyValueStore().restore(
-                    dict(response.snapshot), applied=response.store_applied
-                )
-                if service_digest(probe, response.executed) != certificate.digest:
+                try:
+                    probe, executed = state_from_wire(
+                        response.snapshot, response.executed, response.store_applied
+                    )
+                except ValueError:
+                    self._metrics.inc("state_responses_rejected")
+                    return
+                if service_digest(probe, executed) != certificate.digest:
                     self._metrics.inc("state_responses_rejected")
                     return
         if response.count > before_apply:
-            log.install(response.count, probe, response.executed)
+            # Not ``held``: this replica holds only counts it applied.
+            log.install(response.count, probe, executed)
             self.stable = certificate
             self._stable_snapshot = (
-                response.snapshot, response.executed, response.store_applied
+                response.snapshot, executed.ids(), response.store_applied
             )
             installed = response.count
             self.certified_counts.add(response.count)

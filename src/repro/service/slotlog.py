@@ -28,7 +28,7 @@ from typing import Any, Sequence
 
 from repro.messages.consensus import NULL
 from repro.replication.kvstore import Command, KeyValueStore
-from repro.service.checkpoint import service_digest
+from repro.service.checkpoint import ExecutedIds, service_digest
 from repro.service.config import ServiceConfig
 from repro.service.messages import ClientRequest
 
@@ -105,7 +105,7 @@ class SlotLog:
     def reset(self) -> None:
         """Forget everything: an empty store, nothing held or decided."""
         self.store = KeyValueStore()
-        self.executed: set[tuple[int, int]] = set()
+        self.executed = ExecutedIds()
         #: Compacted committed log: (slot, proposer, entry).
         self.log: list[tuple[int, int, Any]] = []
         #: Held requests that no open slot covers yet, oldest first.
@@ -157,6 +157,7 @@ class SlotLog:
             and src >= self.n
             and isinstance(request.client, int)
             and isinstance(request.command, Command)
+            and isinstance(request.command.key, str)
             and isinstance(request.req_id, int)
         ):
             self._metrics.inc("requests_rejected")
@@ -222,11 +223,11 @@ class SlotLog:
             return ()
         return [self._open(slot)]
 
-    def install(self, count: int, store: KeyValueStore, executed: Any) -> None:
+    def install(self, count: int, store: KeyValueStore, executed: ExecutedIds) -> None:
         """Adopt a certified snapshot of the first ``count`` slots; the
         caller then truncates at ``count``."""
         self.store = store
-        self.executed = set(executed)
+        self.executed = executed
         self.next_apply = count
 
     def truncate(self, count: int) -> None:
@@ -420,7 +421,11 @@ class SlotLog:
                 self._out.append(self._checkpoint(self.next_apply))
 
     def _apply_entry(self, slot: int, proposer: int, entry: Any, reply: bool) -> int:
-        if isinstance(entry, ClientRequest):
+        if (
+            isinstance(entry, ClientRequest)
+            and isinstance(entry.client, int)
+            and isinstance(entry.req_id, int)
+        ):
             ident = entry.ident
             if ident in self.executed:
                 return 0  # committed in an earlier slot or batch
@@ -434,9 +439,11 @@ class SlotLog:
             if reply:
                 self._out.append(Reply(entry.client, entry.req_id, slot))
             return 1
-        # A Byzantine proposer smuggled a non-request into the vector:
-        # apply it deterministically (the store ignores unknown shapes)
-        # so every correct replica stays in lockstep.
+        # A Byzantine proposer smuggled a non-request — or a request
+        # whose id is not a pair of ints, which would not sort among the
+        # executed ids — into the vector: apply it deterministically
+        # (the store ignores unknown shapes) so every correct replica
+        # stays in lockstep.
         self.store.apply(entry)
         self.log.append((slot, proposer, entry))
         self._metrics.inc("foreign_entries")
@@ -451,5 +458,5 @@ class SlotLog:
             )
         )
         return CheckpointDue(
-            count, (snapshot, tuple(sorted(self.executed)), self.store.applied, digest)
+            count, (snapshot, self.executed.ids(), self.store.applied, digest)
         )

@@ -54,6 +54,16 @@ class TestKeyValueStore:
         assert store.snapshot() == {}
         assert store.applied == 2
 
+    def test_a_key_that_is_not_a_str_is_ignored_deterministically(self):
+        # An authenticated client can name any key; one that does not
+        # sort among the str keys would break every later digest.
+        clean = KeyValueStore().apply_all([Command("set", "x", 1)])
+        dirty = KeyValueStore().apply_all(
+            [Command("set", "x", 1), Command("set", 5, "v"), Command("del", ("t",))]
+        )
+        assert dirty.snapshot() == {"x": 1} and dirty.applied == 3
+        assert dirty.digest() == clean.digest()
+
     def test_materialise(self):
         log = [Command("set", "x", 1), Command("set", "x", 2)]
         assert materialise(log) == {"x": 2}

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.crypto.encoding as encoding
 from repro.core.certificates import EMPTY_CERTIFICATE, SignedMessage
 from repro.crypto.signatures import Signature
 from repro.messages.consensus import NULL
@@ -29,6 +30,7 @@ from repro.service.messages import ClientRequest, SlotEnvelope
 from repro.service.slotlog import (
     NOOP,
     ArmBatchTimer,
+    CheckpointDue,
     Commit,
     Open,
     Reply,
@@ -131,6 +133,59 @@ class TestSlotLogCore:
         assert log.request(1, posing) == ()  # a replica posing as a client
         assert not log.pending and not log._attempts
         assert registry.counter_total("service", "requests_rejected") == 3
+
+    def test_a_command_whose_key_is_not_a_str_is_refused(self):
+        log, registry = core()
+        odd = ClientRequest(CLIENT, 1, Command("set", 5, "v"))
+        assert log.request(CLIENT, odd) == ()
+        assert not log.pending and not log._attempts
+        assert registry.counter_total("service", "requests_rejected") == 1
+
+    def test_a_decided_request_with_an_unorderable_id_is_a_foreign_entry(self):
+        # A Byzantine proposer's INIT can carry a request whose id does
+        # not sort among the (int, int) ids: every correct replica
+        # applies it as a foreign entry and keeps checkpointing.
+        log, registry = core(pid=0, checkpoint_interval=2)
+        good = request(1)
+        odd = ClientRequest("mallory", 1, Command("set", "m", 1))
+        log.decide(0, ((good,), (odd,), NOOP, NOOP))
+        intents = log.decide(1, (NOOP,) * N)
+        (due,) = of(CheckpointDue, intents)
+        assert due.count == 2 and due.state[1] == (good.ident,)
+        assert log.executed == {good.ident} and log.store.applied == 2
+        assert registry.counter_total("service", "foreign_entries") == 1
+        assert of(Reply, intents) == []
+        log.decide(2, ((request(2),), NOOP, NOOP, NOOP))
+        (later,) = of(CheckpointDue, log.decide(3, (NOOP,) * N))
+        assert later.state[1] == (good.ident, request(2).ident)
+
+    @staticmethod
+    def encodes_per_checkpoint(monkeypatch, count):
+        """``_encode`` calls of the checkpoint after ``count`` applied ids
+        (one key in the store, so only the ids grow)."""
+        log, _ = core(checkpoint_interval=2)
+        batch = tuple(
+            ClientRequest(CLIENT + n % 3, n, Command("set", "k", n))
+            for n in range(count)
+        )
+        log.decide(0, (batch, NOOP, NOOP, NOOP))
+        calls = 0
+        real = encoding._encode
+
+        def counted(value):
+            nonlocal calls
+            calls += 1
+            return real(value)
+
+        monkeypatch.setattr(encoding, "_encode", counted)
+        (due,) = of(CheckpointDue, log.decide(1, (NOOP,) * N))
+        monkeypatch.setattr(encoding, "_encode", real)
+        assert len(due.state[1]) == count
+        return calls
+
+    def test_a_checkpoint_encodes_as_much_at_ten_thousand_ids(self, monkeypatch):
+        small = self.encodes_per_checkpoint(monkeypatch, 10**2)
+        assert self.encodes_per_checkpoint(monkeypatch, 10**4) == small
 
     def test_noop_proposed_when_nothing_held(self):
         log, _ = core(pid=0)

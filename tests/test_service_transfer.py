@@ -13,12 +13,15 @@ never crashes.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.certificates import Certificate, CertificationAuthority
 from repro.crypto.keys import KeyAuthority
 from repro.crypto.signatures import SignatureScheme
 from repro.messages.consensus import NULL, VCurrent, VDecide
+from repro.observability.registry import MODULE_SERVICE
 from repro.service import ServiceConfig, build_service_system
 from repro.service.messages import StateResponse
 
@@ -174,3 +177,69 @@ class TestTransferReplay:
         assert replica.slotlog.next_apply == 0
         assert replica.suffix_rejections == 1
         assert not replica.state_transfers_completed
+
+
+class TestSnapshotShape:
+    """A responder can replay a genuine certificate beside a payload that
+    cannot even be digested: a counted rejection, never a raise."""
+
+    CONFIG = ServiceConfig(
+        n_clients=2, requests_per_client=8, seed=12, checkpoint_interval=2
+    )
+
+    @pytest.fixture(scope="class")
+    def certified(self):
+        """A genuine response: replica 1's certified snapshot."""
+        system = build_service_system(self.CONFIG)
+        system.run(max_time=2_500.0)
+        served = system.replicas[1]
+        snapshot, executed, store_applied = served._stable_snapshot
+        assert served.stable is not None and len(executed) >= 2
+        return StateResponse(
+            replica=1,
+            count=served.stable.count,
+            snapshot=snapshot,
+            executed=executed,
+            store_applied=store_applied,
+            certificate=served.stable,
+            suffix=(),
+        )
+
+    def deliver(self, response):
+        replica = build_service_system(self.CONFIG).replicas[0]
+        replica._on_state_response(response)
+        rejected = replica.env.metrics.counter_total(
+            MODULE_SERVICE, "state_responses_rejected"
+        )
+        return replica, rejected
+
+    def test_the_genuine_response_installs(self, certified):
+        replica, rejected = self.deliver(certified)
+        assert rejected == 0
+        assert replica.slotlog.next_apply == certified.count
+        assert replica.slotlog.executed == set(certified.executed)
+
+    @pytest.mark.parametrize(
+        "executed",
+        [
+            lambda ids: ids + (("mallory", 1),),  # does not sort
+            lambda ids: ids + ids[:1],  # repeats an id
+            lambda ids: ids[:-1] + ((1, 2, 3),),  # not a pair
+            lambda ids: ids[::-1],  # out of order
+        ],
+        ids=["unorderable", "repeated", "triple", "reversed"],
+    )
+    def test_executed_ids_that_do_not_sort_are_rejected(self, certified, executed):
+        replica, rejected = self.deliver(
+            replace(certified, executed=executed(certified.executed))
+        )
+        assert rejected == 1 and replica.slotlog.next_apply == 0
+
+    @pytest.mark.parametrize(
+        "snapshot",
+        [("k",), (("k", 1, 2),), ((5, 1),), (("k", 1), ("k", 2))],
+        ids=["not-pairs", "triple", "int-key", "repeated-key"],
+    )
+    def test_a_snapshot_not_made_of_pairs_is_rejected(self, certified, snapshot):
+        replica, rejected = self.deliver(replace(certified, snapshot=snapshot))
+        assert rejected == 1 and replica.slotlog.next_apply == 0
