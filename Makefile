@@ -31,12 +31,12 @@ service-smoke:
 	cmp /tmp/service-smoke-a.json /tmp/service-smoke-b.json
 	rm -f /tmp/service-smoke-a.json /tmp/service-smoke-b.json
 
-# The deployed runtime (docs/NET.md): 4 replica OS processes over real
-# TCP commit >=100 commands while replica 2 is SIGKILLed and restarted
-# mid-run (certified state transfer over sockets); asserts digest
-# convergence and exactly-once at every replica.
+# The deployed runtime (docs/NET.md): the net-smoke fault plan, 4 replica
+# OS processes over real TCP commit 100 sets while replica 2 is SIGKILLed
+# and rejoins (certified state transfer over sockets), judged like any plan
+# plus the net checks: exactly-once counts, clean exits, sentinel read-back.
 net-smoke:
-	$(PYTHON) -m repro net cluster --replicas 4 --requests 100 --kill 2
+	$(PYTHON) -m repro campaign faults --preset net-smoke --fidelity net
 
 # The performance smoke (docs/PERFORMANCE.md): a short deterministic
 # saturation run plus the cached/uncached equivalence check, run twice —

@@ -1,6 +1,6 @@
 """E20 (performance) — saturation sweep and the cached-verification delta.
 
-Three measurements, one artifact (``BENCH_saturation.json``, repo root;
+Two measurements, one artifact (``BENCH_saturation.json``, repo root;
 methodology in docs/PERFORMANCE.md):
 
 1. **Saturation sweep** (simulator, deterministic): open-loop client
@@ -17,34 +17,22 @@ methodology in docs/PERFORMANCE.md):
    commit the identical command sequence; only the wall clock moves.
    The acceptance bar is a >= 2x speedup.
 
-3. **TCP wall-clock variant**: a 4-replica cluster of real OS processes
-   (:mod:`repro.net.cluster`) absorbing an open-loop client workload
-   over sockets, timed end to end. Replica-side JSONL artifacts are
-   read back to confirm the caches and the binary wire codec (v2
-   frames) were exercised by real traffic.
-
 Wall-clock fields are marked as such in the artifact and excluded from
 determinism claims; everything else is byte-stable at fixed seed
-(`make perf-smoke` pins exactly that).
+(`make perf-smoke` pins exactly that). Wall-clock throughput over real
+sockets is `make bench-pairs` (`write_small`, BENCHMARK.json).
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
-import tempfile
 import time
 from pathlib import Path
 
 from repro.analysis.reporting import print_table
 from repro.crypto.cache import caching_disabled
-from repro.net.client import NetClient, workload
-from repro.net.cluster import LocalCluster, make_genesis, wait_cluster_ready
-from repro.net.wire import DEFAULT_VERSION
-from repro.observability.export import read_run_jsonl
 from repro.observability.registry import (
     MODULE_CERTIFICATION,
-    MODULE_NET,
     MODULE_SERVICE,
     MODULE_SIGNATURE,
 )
@@ -76,13 +64,6 @@ DELTA_CONFIG = dict(
     checkpoint_interval=4,
     seed=3,
 )
-
-TCP_REQUESTS = 120
-TCP_CONCURRENCY = 12
-#: The transport's counter of inbound frames in the version every node sends.
-FRAMES_COUNTER = f"frames_v{DEFAULT_VERSION}"
-#: ... and its sum over the replicas in the artifact's ``tcp`` record.
-FRAMES_KEY = f"replica_{FRAMES_COUNTER}"
 
 
 def run_cell(clients: int, batch_size: int, window: int) -> dict:
@@ -157,48 +138,6 @@ def run_delta() -> dict:
     }
 
 
-async def _tcp_workload() -> dict:
-    """Open-loop client workload against real replica subprocesses."""
-    genesis = make_genesis(4, seed=SEED, name="e20")
-    with tempfile.TemporaryDirectory(prefix="repro-e20-") as workdir:
-        cluster = LocalCluster(genesis, workdir)
-        client = NetClient(genesis, 0)
-        try:
-            cluster.start_all()
-            await wait_cluster_ready(client, timeout=30.0)
-            start = time.perf_counter()
-            await workload(
-                client, TCP_REQUESTS, concurrency=TCP_CONCURRENCY, tag="e20"
-            )
-            wall = time.perf_counter() - start
-            committed = client.sets_completed
-        finally:
-            await client.close()
-            cluster.terminate_all()
-        sig_hits = frames = 0
-        for path in sorted(Path(workdir, "metrics").glob("node-*.jsonl")):
-            run = read_run_jsonl(path)
-            sig_hits += run.metrics.counter_total(
-                MODULE_SIGNATURE, "sig_cache_hits"
-            )
-            frames += run.metrics.counter_total(MODULE_NET, FRAMES_COUNTER)
-    return {
-        "replicas": 4,
-        "requests": TCP_REQUESTS,
-        "concurrency": TCP_CONCURRENCY,
-        "committed": committed,
-        # Wall-clock values: machine-dependent, excluded from determinism.
-        "wall_seconds": round(wall, 4),
-        "ops_per_second": round(committed / wall, 4),
-        "replica_sig_cache_hits": sig_hits,
-        FRAMES_KEY: frames,
-    }
-
-
-def run_tcp() -> dict:
-    return asyncio.run(_tcp_workload())
-
-
 def _rows(cells):
     return [
         [
@@ -218,8 +157,7 @@ def _rows(cells):
 def run_experiment():
     """Table rows for ``python -m repro experiments --only e20``.
 
-    Simulator sweep only: the CLI path stays subprocess-free; the
-    wall-clock delta and the TCP variant run under pytest.
+    Simulator sweep only: the wall-clock delta runs under pytest.
     """
     return _rows(run_sweep())
 
@@ -233,7 +171,7 @@ def _throughput(cells, clients, batch_size):
 
 def test_e20_saturation(benchmark):
     def experiment():
-        return {"sweep": run_sweep(), "delta": run_delta(), "tcp": run_tcp()}
+        return {"sweep": run_sweep(), "delta": run_delta()}
 
     results = run_once(benchmark, experiment)
     cells = results["sweep"]
@@ -245,18 +183,11 @@ def test_e20_saturation(benchmark):
         _rows(cells),
     )
     delta = results["delta"]
-    tcp = results["tcp"]
     print(
         f"delta: {delta['wall_seconds_before']:.2f}s -> "
         f"{delta['wall_seconds_after']:.2f}s "
         f"(speedup {delta['speedup']:.1f}x on "
         f"{delta['committed_commands']} identical commands)"
-    )
-    print(
-        f"tcp: {tcp['committed']} commits in {tcp['wall_seconds']:.2f}s "
-        f"({tcp['ops_per_second']:.0f} ops/s, "
-        f"{tcp[FRAMES_KEY]} v{DEFAULT_VERSION} frames, "
-        f"{tcp['replica_sig_cache_hits']} replica cache hits)"
     )
     ARTIFACT.write_text(
         json.dumps(
@@ -268,7 +199,6 @@ def test_e20_saturation(benchmark):
                 "rate": RATE,
                 "sweep": cells,
                 "delta": delta,
-                "tcp": tcp,
             },
             indent=2,
             sort_keys=True,
@@ -294,9 +224,3 @@ def test_e20_saturation(benchmark):
     # with byte-identical committed work on both sides.
     assert delta["identical_commits"], delta
     assert delta["speedup"] >= 2.0, delta
-    # The TCP path really pushed frames of the codec's default version
-    # through real sockets and the replicas really hit their
-    # verification caches.
-    assert tcp["committed"] >= TCP_REQUESTS
-    assert tcp[FRAMES_KEY] > 0
-    assert tcp["replica_sig_cache_hits"] > 0

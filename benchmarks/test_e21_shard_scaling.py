@@ -1,45 +1,31 @@
 """E21 (performance) — sharded scaling: aggregate throughput vs shard count.
 
-Two measurements, one artifact (``BENCH_shard.json``, repo root;
-methodology in docs/SHARDING.md):
+One artifact (``BENCH_shard.json``, repo root; methodology in
+docs/SHARDING.md):
 
-1. **Loopback scaling sweep** (deterministic, virtual time): the full
-   real-codec node stack per shard on one shared manual scheduler, with
-   a fixed per-hop virtual latency so protocol rounds have a cost and a
-   deliberately small per-group capacity (batch 4, window 2) so a
-   single group saturates under the open-loop burst. The sweep holds
-   the offered load and the per-shard replica count fixed while the
-   shard count doubles: 1 -> 2 -> 4. The paper-level claim under test
-   is near-linear aggregate throughput, because the groups share no
-   protocol state — the deterministic key map is the only cross-shard
-   agreement. The acceptance bar: 4 shards >= 2.5x the 1-shard
-   baseline, with per-shard convergence and exactly-once oracles green
-   in every cell.
+**Loopback scaling sweep** (deterministic, virtual time): the full
+real-codec node stack per shard on one shared manual scheduler, with a
+fixed per-hop virtual latency so protocol rounds have a cost and a
+deliberately small per-group capacity (batch 4, window 2) so a single
+group saturates under the open-loop burst. The sweep holds the offered
+load and the per-shard replica count fixed while the shard count
+doubles: 1 -> 2 -> 4. The paper-level claim under test is near-linear
+aggregate throughput, because the groups share no protocol state — the
+deterministic key map is the only cross-shard agreement. The acceptance
+bar: 4 shards >= 2.5x the 1-shard baseline, with per-shard convergence
+and exactly-once oracles green in every cell.
 
-2. **TCP wall-clock variant**: 1-shard and 2-shard deployments of real
-   replica subprocesses absorbing the identical open-loop socket
-   workload end to end. Wall-clock fields are machine-dependent and
-   excluded from determinism claims; the oracle is completion plus
-   per-shard routing totals, not the measured ops/s.
+The wall-clock comparison of one group against two on real sockets is
+`make bench-pairs` (`write_small` against `write_shard2`, BENCHMARK.json).
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
-import tempfile
-import time
 from pathlib import Path
 
 from repro.analysis.reporting import print_table
-from repro.net.client import workload
-from repro.shard import (
-    ShardedLocalCluster,
-    ShardedNetClient,
-    loopback_scaling_cell,
-    make_shard_genesis,
-    wait_shards_ready,
-)
+from repro.shard import loopback_scaling_cell
 
 from conftest import run_once
 
@@ -54,9 +40,6 @@ REPLICAS_PER_SHARD = 4
 REQUESTS = 768
 CLIENTS = 4
 
-TCP_REQUESTS = 96
-TCP_CONCURRENCY = 12
-
 
 def run_sweep() -> list[dict]:
     """One deterministic loopback cell per shard count."""
@@ -70,43 +53,6 @@ def run_sweep() -> list[dict]:
         )
         for shards in SHARDS
     ]
-
-
-async def _tcp_cell(shards: int) -> dict:
-    """One wall-clock cell: real subprocesses, real sockets."""
-    genesis = make_shard_genesis(
-        shards, REPLICAS_PER_SHARD, seed=SEED, name=f"e21-s{shards}"
-    )
-    with tempfile.TemporaryDirectory(prefix="repro-e21-") as workdir:
-        cluster = ShardedLocalCluster(genesis, workdir)
-        client = ShardedNetClient(genesis, 0)
-        try:
-            cluster.start_all()
-            await wait_shards_ready(client, timeout=30.0)
-            start = time.perf_counter()
-            stats = await workload(
-                client, TCP_REQUESTS, concurrency=TCP_CONCURRENCY, tag="e21"
-            )
-            wall = time.perf_counter() - start
-        finally:
-            await client.close()
-            cluster.terminate_all()
-    return {
-        "shards": shards,
-        "replicas_per_shard": REPLICAS_PER_SHARD,
-        "requests": TCP_REQUESTS,
-        "concurrency": TCP_CONCURRENCY,
-        "completed": stats["completed"],
-        "sets_by_shard": stats["sets_by_shard"],
-        "resubmissions": stats["resubmissions"],
-        # Wall-clock values: machine-dependent, excluded from determinism.
-        "wall_seconds": round(wall, 4),
-        "ops_per_second": round(stats["completed"] / wall, 4),
-    }
-
-
-def run_tcp() -> list[dict]:
-    return [asyncio.run(_tcp_cell(shards)) for shards in (1, 2)]
 
 
 def _rows(cells):
@@ -129,8 +75,7 @@ def _rows(cells):
 def run_experiment():
     """Table rows for ``python -m repro experiments --only e21``.
 
-    Loopback sweep only: the CLI path stays subprocess-free; the TCP
-    wall-clock variant runs under pytest.
+    The loopback sweep, as under pytest.
     """
     return _rows(run_sweep())
 
@@ -144,7 +89,7 @@ def _speedup(cells, shards):
 
 def test_e21_shard_scaling(benchmark):
     def experiment():
-        return {"sweep": run_sweep(), "tcp": run_tcp()}
+        return {"sweep": run_sweep()}
 
     results = run_once(benchmark, experiment)
     cells = results["sweep"]
@@ -155,12 +100,6 @@ def test_e21_shard_scaling(benchmark):
          "speedup", "converged", "exactly once"],
         _rows(cells),
     )
-    for cell in results["tcp"]:
-        print(
-            f"tcp x{cell['shards']}: {cell['completed']} commits in "
-            f"{cell['wall_seconds']:.2f}s ({cell['ops_per_second']:.0f} ops/s, "
-            f"routed {cell['sets_by_shard']})"
-        )
     ARTIFACT.write_text(
         json.dumps(
             {
@@ -170,7 +109,6 @@ def test_e21_shard_scaling(benchmark):
                 "requests": REQUESTS,
                 "clients": CLIENTS,
                 "sweep": cells,
-                "tcp": results["tcp"],
             },
             indent=2,
             sort_keys=True,
@@ -193,9 +131,3 @@ def test_e21_shard_scaling(benchmark):
     assert _speedup(cells, 2) > 1.4
     # Acceptance bar: near-linear at 4 shards.
     assert _speedup(cells, 4) >= 2.5, [cell["throughput"] for cell in cells]
-    # TCP variant: the identical workload completes at both shard counts
-    # and the 2-shard run really used both groups.
-    for cell in results["tcp"]:
-        assert cell["completed"] == TCP_REQUESTS
-    two = results["tcp"][1]["sets_by_shard"]
-    assert len(two) == 2 and all(count > 0 for count in two.values())

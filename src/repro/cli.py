@@ -17,8 +17,8 @@ Usage (``python -m repro <command> ...``):
   clients, batching, pipelining, checkpoints and state transfer
   (``run``, judged by the fault engine's oracles; see ``docs/SERVICE.md``);
 * ``net`` — the deployed runtime: the same replica stack as real OS
-  processes over TCP (``keygen`` / ``replica`` / ``client`` /
-  ``cluster``; see ``docs/NET.md``);
+  processes over TCP (``keygen`` / ``replica`` / ``client``; see
+  ``docs/NET.md``);
 * ``shard`` — the sharded multi-group service: partition the key space
   across independent replicated groups for aggregate throughput
   (``keygen`` / ``route`` / ``client`` / ``cluster`` / ``loopback``;
@@ -103,12 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--requests", type=int, default=20, help="workload size"
     )
     client.add_argument("--concurrency", type=int, default=8)
-    cluster = argparse.ArgumentParser(add_help=False)
-    cluster.add_argument("--seed", type=int, default=7)
-    cluster.add_argument(
-        "--workdir", help="keep genesis/logs/metrics here (default: temp)"
-    )
-    cluster.add_argument("--concurrency", type=int, default=8)
     shards = argparse.ArgumentParser(add_help=False)
     shards.add_argument("--shards", type=int, default=2)
     shards.add_argument("--replicas-per-shard", type=int, default=4)
@@ -310,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--preset",
         default="smoke",
         help="fault-plan preset: smoke, extended, zoo-smoke, zoo-extended, "
-        "zoo-sweep or zoo-net-smoke",
+        "zoo-sweep, zoo-net-smoke or net-smoke",
     )
     c_faults.add_argument(
         "--plan",
@@ -454,19 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
         "talk to a running cluster as a client", client,
     )
 
-    n_cluster = leaf(
-        net_sub, "cluster", cmd_net_cluster,
-        "spawn a local cluster, commit a workload through a "
-        "kill+restart, assert convergence (the net smoke)",
-        cluster,
-    )
-    n_cluster.add_argument("--replicas", type=int, default=4)
-    n_cluster.add_argument("--requests", type=int, default=100)
-    n_cluster.add_argument(
-        "--kill", type=int, default=2,
-        help="replica to SIGKILL mid-run and restart with --join",
-    )
-
     shard_sub = group(
         "shard",
         "sharded multi-group service: partition the key space across "
@@ -502,8 +483,13 @@ def build_parser() -> argparse.ArgumentParser:
         "spawn every shard as a local TCP cluster, commit a workload "
         "through a kill+restart in one shard, assert per-shard "
         "convergence (the shard smoke)",
-        shards, kill, cluster,
+        shards, kill,
     )
+    sh_cluster.add_argument("--seed", type=int, default=7)
+    sh_cluster.add_argument(
+        "--workdir", help="keep genesis/logs/metrics here (default: temp)"
+    )
+    sh_cluster.add_argument("--concurrency", type=int, default=8)
     sh_cluster.add_argument("--requests", type=int, default=40)
 
     sh_loopback = leaf(
@@ -1043,7 +1029,13 @@ def cmd_campaign_faults(args: argparse.Namespace) -> int:
     a preset (the adversary zoo's matrices included) or saved plans."""
     from pathlib import Path
 
-    from repro.faults import FAULT_PRESETS, FaultPlan, run_cross_fidelity
+    from repro.faults import (
+        FAULT_PRESETS,
+        FIDELITY_NET,
+        FaultPlan,
+        run_cross_fidelity,
+    )
+    from repro.faults.oracle import net_checks
     from repro.faults.shrink import CLAUSE_AXES, shrink_fault_plan
 
     if args.plan:
@@ -1097,6 +1089,12 @@ def cmd_campaign_faults(args: argparse.Namespace) -> int:
                 for result in report.results
             ],
         )
+        if FIDELITY_NET in fidelities:
+            for result in report.results:
+                print(
+                    f"{result.plan.name} @ net checked: "
+                    f"{', '.join(net_checks(result.plan))}"
+                )
         if args.out:
             print(f"cross-fidelity report exported to {args.out}")
     for result in report.results:
@@ -1242,28 +1240,6 @@ def _drive_client(args: argparse.Namespace, client_class, genesis) -> int:
     return _run_async(args, drive())
 
 
-def _print_verdict(args: argparse.Namespace, smoke) -> int:
-    verdict = _run_async(args, smoke)
-    _print_json(verdict)
-    return 0 if verdict["ok"] else 1
-
-
-def cmd_net_cluster(args: argparse.Namespace) -> int:
-    from repro.net import run_cluster_smoke
-
-    return _print_verdict(
-        args,
-        run_cluster_smoke(
-            replicas=args.replicas,
-            requests=args.requests,
-            kill_pid=args.kill,
-            seed=args.seed,
-            workdir=args.workdir,
-            concurrency=args.concurrency,
-        ),
-    )
-
-
 def cmd_shard_keygen(args: argparse.Namespace) -> int:
     from repro.net.cluster import group_addresses
     from repro.shard import ShardGenesis
@@ -1310,7 +1286,7 @@ def cmd_shard_route(args: argparse.Namespace) -> int:
 def cmd_shard_cluster(args: argparse.Namespace) -> int:
     from repro.shard import run_shard_smoke
 
-    return _print_verdict(
+    verdict = _run_async(
         args,
         run_shard_smoke(
             shards=args.shards,
@@ -1323,6 +1299,8 @@ def cmd_shard_cluster(args: argparse.Namespace) -> int:
             concurrency=args.concurrency,
         ),
     )
+    _print_json(verdict)
+    return 0 if verdict["ok"] else 1
 
 
 def _emit_record(

@@ -48,7 +48,7 @@ def corrupt_live_state(process: Any, target: str, rng: SeededRng) -> dict:
     if target == "store":
         key = f"zoo-corrupt-{rng.randint(0, 0xFFFF):04x}"
         value = f"{rng.randint(0, 0xFFFFFFFF):08x}"
-        process.slotlog.store._data[key] = value  # memory scribble, not a command
+        process.slotlog.store._put(key, value)  # memory scribble, not a command
         return {"target": target, "key": key}
     if target == "detector":
         scrambled = 0

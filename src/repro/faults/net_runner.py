@@ -15,23 +15,31 @@ privileges:
 
 All replica processes measure plan time from one shared wall-clock
 ``origin`` epoch passed on the command line, so partition windows and
-flip activation agree across the cluster. The run is verdict-stable, not
-byte-stable: wall clocks, socket scheduling and ``NetClient``'s random
-request-id base all vary, so the cross-fidelity contract only asserts
-the *verdict* (docs/FAULTS.md), and the whole scenario sits under a hard
-wall-clock timeout — a hung cluster becomes a failing observation, never
-a hung make target.
+flip activation agree across the cluster. Once the plan window closes
+the client writes a sentinel, nudges until the live correct replicas
+agree (:func:`~repro.net.cluster.wait_converged`) and reads the
+sentinel back by quorum; the client's counts, the exit codes and that
+read are the :class:`~repro.faults.oracle.ClusterFacts` only this
+fidelity has.
+
+The run is verdict-stable, not byte-stable: wall clocks, socket
+scheduling and ``NetClient``'s random request-id base all vary, so the
+cross-fidelity contract only asserts the *verdict* (docs/FAULTS.md), and
+the whole scenario sits under a hard wall-clock timeout — a hung cluster
+becomes a failing observation, never a hung make target.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import tempfile
 import time
 from pathlib import Path
 from typing import Any, Mapping
 
 from repro.faults.oracle import (
+    ClusterFacts,
     Counters,
     FidelityObservation,
     ReplicaFacts,
@@ -40,7 +48,12 @@ from repro.faults.oracle import (
 )
 from repro.faults.plan import FIDELITY_NET, FaultPlan
 from repro.net.client import NetClient, NetClientError
-from repro.net.cluster import LocalCluster, make_genesis, wait_cluster_ready
+from repro.net.cluster import (
+    LocalCluster,
+    make_genesis,
+    wait_cluster_ready,
+    wait_converged,
+)
 from repro.observability.export import RunArtifact, read_run_jsonl
 
 #: Lead time between spawning the cluster and the plan's t=0: replicas
@@ -49,6 +62,10 @@ ORIGIN_GRACE = 3.0
 
 #: Extra wall-clock seconds the run may settle past the plan window.
 SETTLE_BUDGET = 45.0
+
+#: The key the run writes once the plan window closes and reads back
+#: by quorum after settling (the sentinel check, docs/FAULTS.md).
+SENTINEL_KEY = "sentinel"
 
 
 class _NetRun:
@@ -77,7 +94,9 @@ class _NetRun:
         )
         self.client = NetClient(self.genesis, 0)
         self.completed_workload = 0
+        #: pid -> last status reply of each live correct replica.
         self.statuses: dict[int, Any] = {}
+        self.sentinel_read = False
         self._attacks = dict(plan.collusion)
 
     def _spawn(self, pid: int, *, join: bool = False) -> None:
@@ -127,38 +146,28 @@ class _NetRun:
             else:
                 self._spawn(pid, join=True)
 
-    async def _settle(self) -> None:
-        """Nudge-and-probe until the live correct replicas agree."""
-        plan = self.plan
-        live = live_correct(plan)
-        deadline = time.monotonic() + SETTLE_BUDGET
-        nudge = 0
-        while time.monotonic() < deadline:
-            replies = await self.client.status(timeout=1.0)
-            self.statuses = {
-                pid: status for pid, status in replies.items() if pid in live
-            }
-            if len(self.statuses) == len(live):
-                digests = {s.digest for s in self.statuses.values()}
-                committed_ok = all(
-                    s.committed >= self.client.sets_completed
-                    for s in self.statuses.values()
-                )
-                transfers_ok = all(
-                    self.statuses[pid].transfers >= 1
-                    for pid in plan.rejoining_pids
-                    if pid in self.statuses
-                )
-                if len(digests) == 1 and committed_ok and transfers_ok:
-                    return
-            # New commits circulate fresh checkpoints, whose certificates
-            # reveal a laggard's gap and trigger its certified transfer.
-            try:
-                await self.client.set("nudge", f"n{nudge}")
-            except NetClientError:
-                pass
-            nudge += 1
-            await asyncio.sleep(0.3)
+    def _converged(self, replies: Mapping[int, Any]) -> bool:
+        """The live correct replicas all answered, agree on one digest,
+        committed every set the client completed, and every rejoiner
+        certified a transfer. Keeps their replies in ``statuses``, so a
+        run the timeout cuts short is judged on its last probe."""
+        live = live_correct(self.plan)
+        self.statuses = {
+            pid: status for pid, status in replies.items() if pid in live
+        }
+        return (
+            len(self.statuses) == len(live)
+            and len({s.digest for s in self.statuses.values()}) == 1
+            and all(
+                s.committed >= self.client.sets_completed
+                for s in self.statuses.values()
+            )
+            and all(
+                self.statuses[pid].transfers >= 1
+                for pid in self.plan.rejoining_pids
+                if pid in self.statuses
+            )
+        )
 
     async def execute(self) -> None:
         for pid in range(self.plan.n_replicas):
@@ -167,7 +176,15 @@ class _NetRun:
         await self._sleep_until(0.0)
         await asyncio.gather(self._workload(), self._fire_events())
         await self._sleep_until(self.plan.duration)
-        await self._settle()
+        sentinel = f"sentinel-{self.plan.seed}"
+        with contextlib.suppress(NetClientError):
+            await self.client.set(SENTINEL_KEY, sentinel)
+        await wait_converged(
+            self.client, self._converged, timeout=SETTLE_BUDGET
+        )
+        with contextlib.suppress(NetClientError):
+            read = await self.client.get(SENTINEL_KEY)
+            self.sentinel_read = read == (True, sentinel)
 
 
 def harvest(
@@ -249,9 +266,6 @@ async def run_net_plan_async(
     )
     extras: dict[str, Any] = {
         "resubmissions": run.client.resubmissions,
-        "exit_codes": {
-            str(pid): code for pid, code in sorted(exit_codes.items())
-        },
         "timed_out": timed_out,
     }
     if owned_tmp is None:
@@ -266,6 +280,12 @@ async def run_net_plan_async(
         declarations=declarations,
         injected=injected,
         extras=extras,
+        cluster=ClusterFacts(
+            sets_issued=run.client.sets_issued,
+            sets_completed=run.client.sets_completed,
+            exit_codes=exit_codes,
+            sentinel_read=run.sentinel_read,
+        ),
     )
 
 

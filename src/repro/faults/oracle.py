@@ -81,6 +81,8 @@ class FidelityObservation:
     #: ``(client, req_id)`` of every completed write; ``None`` where the
     #: runner cannot list them (fidelity 3).
     writes: frozenset[tuple[int, int]] | None = None
+    #: What only a real cluster shows; ``None`` below fidelity 3.
+    cluster: "ClusterFacts | None" = None
     #: Free-form runner extras carried into the report (never judged).
     extras: dict[str, Any] = field(default_factory=dict)
 
@@ -147,6 +149,22 @@ class ReplicaFacts:
         )
 
 
+@dataclass(frozen=True, slots=True)
+class ClusterFacts:
+    """What a subprocess cluster shows and the deterministic fidelities
+    have no counterpart for: the client's own counts, the processes'
+    exit codes, and a quorum read after the run."""
+
+    #: ``set`` calls the client made and completed: the workload, the
+    #: settle loop's nudges and the sentinel.
+    sets_issued: int
+    sets_completed: int
+    #: pid -> exit code of every replica process at shutdown.
+    exit_codes: Mapping[int, int]
+    #: The sentinel written after the workload read back by quorum.
+    sentinel_read: bool
+
+
 def live_correct(plan: FaultPlan) -> frozenset[int]:
     """Replicas the convergence oracles may hold to account at the end:
     correct, never muted, and not dead at the end of the plan."""
@@ -192,6 +210,7 @@ def observe(
     injected: Counters,
     extras: dict[str, Any],
     writes: Iterable[tuple[int, int]] | None = None,
+    cluster: ClusterFacts | None = None,
 ) -> FidelityObservation:
     """Reduce one run's facts to the judge's vocabulary — the only place
     the pid-set rules are written (docs/FAULTS.md): final state and
@@ -204,7 +223,8 @@ def observe(
     runner harvested them, which the observation keeps. ``injected``
     looks up the run-wide total of an injection counter — the injectors
     count what they do into a registry at every fidelity. ``writes``
-    lists the completed writes' ``(client, req_id)``, where it can.
+    lists the completed writes' ``(client, req_id)``, where it can, and
+    ``cluster`` what only a real cluster shows.
     """
     live = live_correct(plan)
     correct = frozenset(range(plan.n_replicas)) - plan.faulty_pids
@@ -265,6 +285,7 @@ def observe(
         extras=extras,
         facts=final,
         writes=None if writes is None else frozenset(writes),
+        cluster=cluster,
     )
 
 
@@ -315,6 +336,7 @@ def judge(
             )
 
     violations.extend(judge_service(plan, observation, live))
+    violations.extend(judge_net(plan, observation, live))
 
     # Arbitrary-fault family: flips injected, detected, and attributed
     # to the verification modules — never the behaviour automaton.
@@ -430,6 +452,75 @@ def judge_service(
                 f"slots; the live set applied {frontier}, past its installed "
                 f"snapshot (count {rejoiner.installed})"
             )
+    return violations
+
+
+#: The checks only a real cluster can make, in the order ``judge_net``
+#: makes them; ``net_checks`` says which apply to a plan.
+NET_CHECKS = (
+    "exactly-once-count",
+    "suffix-rejections",
+    "exit-codes",
+    "sentinel-read",
+)
+
+
+def net_checks(plan: FaultPlan) -> tuple[str, ...]:
+    """The :data:`NET_CHECKS` ``judge`` makes of ``plan`` at fidelity 3:
+    all four, less the suffix-rejection check unless the plan is benign."""
+    return tuple(
+        check
+        for check in NET_CHECKS
+        if check != "suffix-rejections" or plan.benign
+    )
+
+
+def judge_net(
+    plan: FaultPlan, observation: FidelityObservation, live: frozenset[int]
+) -> list[str]:
+    """The checks on what only a real cluster shows (:data:`NET_CHECKS`).
+    They stand down at sim and loopback, which have no cluster facts."""
+    cluster = observation.cluster
+    if observation.fidelity != FIDELITY_NET or cluster is None:
+        return []
+    violations: list[str] = []
+    facts = {
+        pid: observation.facts[pid]
+        for pid in sorted(live & set(observation.facts))
+    }
+
+    # Exactly-once by count: a set completes only once committed, and
+    # no set commits twice, nudges and the sentinel included.
+    low, high = cluster.sets_completed, cluster.sets_issued
+    violations.extend(
+        f"exactly-once: replica {pid} committed {replica.committed} "
+        f"commands; the client completed {low} and issued {high} sets"
+        for pid, replica in facts.items()
+        if not low <= replica.committed <= high
+    )
+
+    # A correct run refuses no transfer suffix: only a corrupted one is.
+    if plan.benign:
+        violations.extend(
+            f"integrity: replica {pid} refused {replica.suffix_rejections} "
+            "transfer suffix(es) in a run with only benign faults"
+            for pid, replica in facts.items()
+            if replica.suffix_rejections
+        )
+
+    # Clean shutdown: every replica the plan left running exits 0.
+    dead = plan.killed_pids - plan.rejoining_pids
+    violations.extend(
+        f"shutdown: replica {pid} exited {code}"
+        for pid, code in sorted(cluster.exit_codes.items())
+        if pid not in dead and code != 0
+    )
+
+    if not cluster.sentinel_read:
+        violations.append(
+            "read-back: the sentinel written after the workload did not "
+            "read back by quorum"
+        )
     return violations
 
 

@@ -336,6 +336,12 @@ class FaultPlan:
         )
 
     @property
+    def benign(self) -> bool:
+        """Only mutes, kills, partitions and link noise: no fault here
+        corrupts a message or a state, so a correct run refuses none."""
+        return not (self.flips or self.collusion or self.has_zoo)
+
+    @property
     def schema_tag(self) -> str:
         """The lowest schema version able to express this plan."""
         return FAULTS_SCHEMA if self.has_zoo else FAULTS_SCHEMA_V1

@@ -14,7 +14,10 @@
   d=2 further inputs — below the quorum — so the corner is expected to
   need the settle horizon's retransmissions to converge);
 * ``zoo-net-smoke`` — the single family-(a) plan the make target runs at
-  fidelity 3 under a hard timeout.
+  fidelity 3 under a hard timeout;
+* ``net-smoke`` — the ``make net-smoke`` run at fidelity 3: 100 sets
+  while replica 2 is SIGKILLed mid-workload and rejoins with ``--join``
+  (certified state transfer over sockets).
 """
 
 from __future__ import annotations
@@ -159,6 +162,17 @@ def _preset_plans() -> dict[str, tuple[FaultPlan, ...]]:
         "zoo-extended": zoo_extended,
         "zoo-sweep": zoo_sweep,
         "zoo-net-smoke": zoo_smoke[:1],
+        "net-smoke": (
+            # The workload is paced over the first 14 s: the kill lands
+            # after about 40 of the 100 sets, the rejoin after about 80.
+            FaultPlan(
+                name="net-smoke",
+                seed=7,
+                requests=100,
+                duration=20.0,
+                kills=((2, 5.6, 11.2),),
+            ),
+        ),
     }
 
 

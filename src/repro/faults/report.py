@@ -20,7 +20,7 @@ from typing import Any
 from repro.errors import ConfigurationError
 from repro.faults.loopback_runner import run_loopback_plan
 from repro.faults.net_runner import run_net_plan
-from repro.faults.oracle import FidelityObservation, judge
+from repro.faults.oracle import FidelityObservation, judge, net_checks
 from repro.faults.plan import (
     FAULTS_SCHEMA,
     FAULTS_SCHEMA_V1,
@@ -102,7 +102,10 @@ class PlanResult:
             }
             # Only the deterministic fidelities expose their raw
             # observation: fidelity 3's numbers vary run to run and
-            # would break the double-run byte-identity contract.
+            # would break the double-run byte-identity contract. It
+            # names the checks only a real cluster can make instead.
+            if fidelity == FIDELITY_NET:
+                entry["checks"] = list(net_checks(self.plan))
             if fidelity in DETERMINISTIC_FIDELITIES:
                 entry["observation"] = {
                     "completed": observation.completed,

@@ -12,7 +12,6 @@ from repro.net.cluster import (
     LocalCluster,
     free_ports,
     make_genesis,
-    run_cluster_smoke,
     wait_cluster_ready,
 )
 from repro.net.genesis import HELLO_DOMAIN, Genesis
@@ -52,7 +51,6 @@ __all__ = [
     "LocalCluster",
     "free_ports",
     "make_genesis",
-    "run_cluster_smoke",
     "wait_cluster_ready",
     "HELLO_DOMAIN",
     "Genesis",

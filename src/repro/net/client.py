@@ -70,6 +70,7 @@ class NetClient:
         self._backoff: dict[int, tuple[int, float]] = {}
         #: req_id -> the future its caller awaits.
         self._waiters: dict[int, asyncio.Future] = {}
+        self.sets_issued = 0
         self.sets_completed = 0
         self.gets_completed = 0
 
@@ -224,6 +225,7 @@ class NetClient:
     async def set(self, key: str, value: Any, *, attempts: int = 40) -> int:
         """Commit ``set key=value``; returns the slot of the f+1th ack."""
         op = self.session.set(key, value, asyncio.get_running_loop().time())
+        self.sets_issued += 1
         slot = await self._run(
             op, f"set {key!r}", attempts=attempts, timeout=self.genesis.request_timeout
         )

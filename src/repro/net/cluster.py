@@ -1,49 +1,36 @@
-"""Local cluster orchestration: genesis, spawn, kill/restart, smoke verdict.
+"""Local cluster orchestration: genesis, spawn, kill/restart, settle.
 
-This module turns the net runtime into a one-command demonstration that
-the simulated stack survives contact with real processes:
-:func:`run_cluster_smoke` spawns ``n`` replicas as OS subprocesses over
-TCP, commits a workload through a real client, SIGKILLs one replica
-mid-run, restarts it with ``--join`` (certified state transfer over
-sockets is the only way back), and asserts the end state:
-
-* every replica reports the **same** applied-state digest;
-* every replica committed **exactly** the number of commands the client
-  completed (exactly-once, no loss, no duplication);
-* the restarted replica completed at least one state transfer;
-* a quorum ``get`` of a sentinel key returns the value written last.
-
-The quiesce loop uses *nudge writes*: a lagging restarted replica may
-hold no evidence that it is behind until new checkpoints circulate, so
-the orchestrator keeps committing small writes until certificates
-propagate and the laggard's checkpoint-lag / stall-probe transfer pulls
-it level. That keeps liveness entirely inside the protocol — the
-orchestrator never talks to replicas except as an ordinary client.
+:class:`LocalCluster` runs ``n`` replicas as OS subprocesses over TCP
+and realises crashes and muteness as real signals;
+:func:`wait_cluster_ready` and :func:`wait_converged` probe it as an
+ordinary client. Judging a run is not done here: the kill/rejoin run
+over TCP (``make net-smoke``) is the ``net-smoke`` fault plan, executed
+by :mod:`repro.faults.net_runner` and judged by
+:func:`repro.faults.oracle.judge` (docs/FAULTS.md).
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
-import json
 import os
 import signal
 import socket
 import subprocess
 import sys
-import tempfile
 import time
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import repro
 from repro.errors import ReproError
-from repro.net.client import NetClient, workload
+from repro.net.client import NetClient, NetClientError
 from repro.net.genesis import Genesis
+from repro.net.messages import StatusReply
 
 
 class ClusterError(ReproError):
-    """The cluster failed to start, converge, or pass its assertions."""
+    """The cluster failed to start or to converge."""
 
 
 def free_ports(count: int) -> list[int]:
@@ -238,6 +225,7 @@ async def wait_cluster_ready(
     """Block until every replica answers a status probe."""
     n = client.genesis.n_replicas
     deadline = time.monotonic() + timeout
+    replies: dict[int, StatusReply] = {}
     while time.monotonic() < deadline:
         replies = await client.status(timeout=1.0)
         if len(replies) == n:
@@ -251,119 +239,33 @@ async def wait_cluster_ready(
 
 async def wait_converged(
     client: NetClient,
+    converged: Callable[[dict[int, StatusReply]], bool],
     *,
-    restarted: int | None,
     timeout: float,
     nudge_key: str = "nudge",
-) -> dict[int, Any]:
-    """Nudge-and-probe until every replica agrees with every other and
-    has committed exactly the sets ``client`` completed, nudges included.
+) -> tuple[dict[int, StatusReply], bool]:
+    """Nudge-and-probe until ``converged`` holds of a status probe's
+    replies or ``timeout`` passes; returns the last probe's replies and
+    whether they converged. The last probe always follows the last nudge.
 
-    The sharded smoke runs it per shard, with that shard's client and a
-    ``nudge_key`` the shard owns.
+    A lagging rejoiner may hold no evidence that it is behind until new
+    checkpoints circulate, so between probes the loop commits a small
+    ``set`` of ``nudge_key``: new commits force new checkpoints, whose
+    certificates reveal the laggard's gap and trigger its certified
+    transfer. The loop talks to the replicas only as an ordinary client,
+    and a nudge that fails is left to the next probe to judge. The fault
+    engine's net runner and the sharded smoke (per shard, with a
+    ``nudge_key`` the shard owns) both settle through it.
     """
-    n = client.genesis.n_replicas
     deadline = time.monotonic() + timeout
     nudge = 0
-    replies: dict[int, Any] = {}
-    while time.monotonic() < deadline:
+    while True:
         replies = await client.status(timeout=1.0)
-        if (
-            len(replies) == n
-            and len({status.digest for status in replies.values()}) == 1
-            and {status.committed for status in replies.values()}
-            == {client.sets_completed}
-            and (restarted is None or replies[restarted].transfers >= 1)
-        ):
-            return replies
-        # Nudge: new commits force new checkpoints, whose certificates
-        # reveal the laggard's gap and trigger its certified transfer.
-        await client.set(nudge_key, f"n{nudge}")
+        if converged(replies):
+            return replies, True
+        if time.monotonic() >= deadline:
+            return replies, False
+        with contextlib.suppress(NetClientError):
+            await client.set(nudge_key, f"n{nudge}")
         nudge += 1
         await asyncio.sleep(0.3)
-    detail = {
-        pid: (status.committed, status.transfers, status.digest[:8])
-        for pid, status in sorted(replies.items())
-    }
-    raise ClusterError(
-        f"cluster did not converge within {timeout}s: "
-        f"client committed {client.sets_completed} ({nudge} nudges), "
-        f"replicas report {detail}"
-    )
-
-
-async def run_cluster_smoke(
-    *,
-    replicas: int = 4,
-    requests: int = 100,
-    kill_pid: int = 2,
-    seed: int = 7,
-    workdir: str | Path | None = None,
-    concurrency: int = 8,
-    converge_timeout: float = 60.0,
-) -> dict[str, Any]:
-    """The `make net-smoke` scenario; returns the verdict record."""
-    owned_tmp = None
-    if workdir is None:
-        owned_tmp = tempfile.TemporaryDirectory(prefix="repro-net-")
-        workdir = owned_tmp.name
-    genesis = make_genesis(replicas, seed=seed)
-    cluster = LocalCluster(genesis, workdir)
-    client = NetClient(genesis, 0)
-    phase1 = max(1, (requests * 2) // 5)
-    phase2 = max(1, (requests * 2) // 5)
-    phase3 = max(1, requests - phase1 - phase2)
-    try:
-        cluster.start_all()
-        await wait_cluster_ready(client, timeout=30.0)
-
-        await workload(client, phase1, concurrency=concurrency, tag="a")
-        cluster.kill(kill_pid)
-        await workload(client, phase2, concurrency=concurrency, tag="b")
-        cluster.spawn(kill_pid, join=True)
-        await workload(client, phase3, concurrency=concurrency, tag="c")
-
-        sentinel = f"sentinel-{seed}"
-        await client.set("sentinel", sentinel)
-
-        replies = await wait_converged(
-            client, restarted=kill_pid, timeout=converge_timeout
-        )
-
-        found, value = await client.get("sentinel")
-        if not found or value != sentinel:
-            raise ClusterError(
-                f"quorum get of sentinel returned {(found, value)!r}, "
-                f"expected (True, {sentinel!r})"
-            )
-        rejections = {
-            pid: status.suffix_rejections for pid, status in replies.items()
-        }
-        verdict = {
-            "ok": True,
-            "replicas": replicas,
-            "killed": kill_pid,
-            "committed": client.sets_completed,
-            "workload": requests,
-            "resubmissions": client.resubmissions,
-            "digest": next(iter(replies.values())).digest,
-            "transfers": {
-                pid: status.transfers for pid, status in sorted(replies.items())
-            },
-            "suffix_rejections": rejections,
-            "workdir": str(workdir),
-        }
-    finally:
-        await client.close()
-        exit_codes = cluster.terminate_all()
-        if owned_tmp is not None:
-            owned_tmp.cleanup()
-    verdict["exit_codes"] = exit_codes
-    bad = {pid: code for pid, code in exit_codes.items() if code != 0}
-    if bad:
-        raise ClusterError(f"replicas exited non-zero at shutdown: {bad}")
-    return verdict
-
-
-def print_verdict(verdict: dict[str, Any]) -> None:
-    print(json.dumps(verdict, indent=2, sort_keys=True))

@@ -177,17 +177,39 @@ async def run_shard_smoke(
 
         shard_replies: dict[int, dict[int, Any]] = {}
         for shard in range(shards):
-            # The shard's own client completed exactly the sets routed to
-            # it plus its nudges: the per-shard exactly-once check.
-            try:
-                shard_replies[shard] = await wait_converged(
-                    client.clients[shard],
-                    restarted=kill_pid if shard == kill_shard else None,
-                    timeout=converge_timeout,
-                    nudge_key=key_for_shard(f"nudge-{seed}-", shard, shards),
+            sub = client.clients[shard]
+            restarted = kill_pid if shard == kill_shard else None
+
+            def converged(replies: dict[int, Any]) -> bool:
+                # The shard's own client completed exactly the sets
+                # routed to it plus its nudges: per-shard exactly-once.
+                return (
+                    len(replies) == replicas_per_shard
+                    and len({status.digest for status in replies.values()}) == 1
+                    and {status.committed for status in replies.values()}
+                    == {sub.sets_completed}
+                    and (
+                        restarted is None or replies[restarted].transfers >= 1
+                    )
                 )
-            except ClusterError as exc:
-                raise ShardClusterError(f"shard {shard}: {exc}") from exc
+
+            replies, ok = await wait_converged(
+                sub,
+                converged,
+                timeout=converge_timeout,
+                nudge_key=key_for_shard(f"nudge-{seed}-", shard, shards),
+            )
+            if not ok:
+                detail = {
+                    pid: (status.committed, status.transfers, status.digest[:8])
+                    for pid, status in sorted(replies.items())
+                }
+                raise ShardClusterError(
+                    f"shard {shard} did not converge within "
+                    f"{converge_timeout}s: client committed "
+                    f"{sub.sets_completed}, replicas report {detail}"
+                )
+            shard_replies[shard] = replies
 
         for shard, key in sorted(sentinels.items()):
             found, value = await client.get(key)

@@ -625,10 +625,12 @@ class TestCli:
         "argv",
         [
             # The zoo is `campaign faults --preset zoo-smoke`; the service
-            # campaign is gone (`service run` is judged like any plan).
+            # campaign is gone (`service run` is judged like any plan),
+            # and so is the net smoke (`--preset net-smoke --fidelity net`).
             ["campaign", "zoo", "--preset", "smoke"],
             ["service", "campaign", "--preset", "smoke"],
             ["campaign", "service", "--preset", "smoke"],
+            ["net", "cluster", "--replicas", "4", "--kill", "2"],
         ],
     )
     def test_retired_verbs_do_not_parse(self, argv, capsys):

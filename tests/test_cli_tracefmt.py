@@ -256,10 +256,6 @@ CLI_SURFACE = {
         '--genesis': None, '--index': 0, 'op': None, 'operands': None,
         '--requests': 20, '--concurrency': 8,
     },
-    'net cluster': {
-        '--replicas': 4, '--requests': 100, '--kill': 2, '--seed': 7,
-        '--workdir': None, '--concurrency': 8,
-    },
     'shard keygen': {
         '--out': None, '--shards': 2, '--replicas-per-shard': 4,
         '--clients': 4, '--seed': 0, '--name': 'sharded',

@@ -26,8 +26,12 @@ from repro.faults import (
 )
 from repro.faults.loopback_runner import _LoopbackRun
 from repro.faults.oracle import (
+    NET_CHECKS,
+    ClusterFacts,
     ReplicaFacts,
+    judge_net,
     judge_service,
+    net_checks,
     observe,
     settled,
 )
@@ -265,6 +269,106 @@ class TestServiceState:
             for pid in range(4)
         }
         assert self._judge(plan, replicas, "net", writes=None) == []
+
+
+class TestNetChecks:
+    """The checks only a real cluster can make, on hand-built facts: each
+    fires on its own defect, and each stands down at sim and loopback."""
+
+    #: Replica 3 is killed for good; the others finish. The client
+    #: completed 5 sets (workload, nudge, sentinel) of 6 it issued.
+    PLAN = FaultPlan(
+        name="net", requests=4, duration=12.0, kills=((3, 3.0, None),)
+    )
+
+    @staticmethod
+    def _cluster(**overrides) -> ClusterFacts:
+        fields = dict(
+            sets_issued=6,
+            sets_completed=5,
+            exit_codes={0: 0, 1: 0, 2: 0, 3: -9},
+            sentinel_read=True,
+        )
+        fields.update(overrides)
+        return ClusterFacts(**fields)
+
+    def _observe(self, fidelity="net", plan=None, cluster=None, **replica_1):
+        plan = plan or self.PLAN
+        replicas = {
+            pid: ReplicaFacts(committed=5, digest="d" * 16)
+            for pid in range(3)
+        }
+        replicas[1] = ReplicaFacts(
+            **{"committed": 5, "digest": "d" * 16, **replica_1}
+        )
+        return observe(
+            plan,
+            fidelity,
+            completed=plan.requests,
+            replicas=replicas,
+            declarations=(),
+            injected=lambda module, name: 0,
+            extras={},
+            cluster=cluster or self._cluster(),
+        )
+
+    def _judge(self, fidelity="net", plan=None, **overrides):
+        plan = plan or self.PLAN
+        observation = self._observe(fidelity, plan, **overrides)
+        return judge_net(plan, observation, live_correct(plan))
+
+    def test_healthy_facts_pass(self):
+        assert self._judge() == []
+        assert judge(self.PLAN, self._observe()) == ("pass", [])
+
+    def test_a_commit_outside_completed_to_issued_fails(self):
+        for committed in (4, 7):
+            (violation,) = self._judge(committed=committed)
+            assert violation.startswith(
+                f"exactly-once: replica 1 committed {committed} commands"
+            )
+        assert self._judge(committed=6) == []
+
+    def test_a_refused_suffix_fails_on_a_benign_plan_only(self):
+        (violation,) = self._judge(suffix_rejections=1)
+        assert violation.startswith("integrity: replica 1 refused 1")
+        flipping = dataclasses.replace(self.PLAN, flips=((0, 1.0, 2),))
+        assert not flipping.benign
+        assert self._judge(plan=flipping, suffix_rejections=1) == []
+
+    def test_a_nonzero_exit_fails_unless_the_plan_left_it_dead(self):
+        codes = {0: 0, 1: 0, 2: 1, 3: -9}
+        (violation,) = self._judge(cluster=self._cluster(exit_codes=codes))
+        assert violation == "shutdown: replica 2 exited 1"
+
+    def test_a_sentinel_that_does_not_read_back_fails(self):
+        (violation,) = self._judge(
+            cluster=self._cluster(sentinel_read=False)
+        )
+        assert violation.startswith("read-back: the sentinel")
+
+    def test_every_check_stands_down_at_sim_and_loopback(self):
+        every_defect = dict(
+            cluster=self._cluster(
+                exit_codes={0: 1, 1: 1, 2: 1, 3: 1}, sentinel_read=False
+            ),
+            committed=9,
+            suffix_rejections=2,
+        )
+        kinds = {v.split(":")[0] for v in self._judge(**every_defect)}
+        assert kinds == {"exactly-once", "integrity", "shutdown", "read-back"}
+        for fidelity in ("sim", "loopback"):
+            assert self._judge(fidelity, **every_defect) == []
+
+    def test_the_net_record_names_the_checks_made(self):
+        assert net_checks(self.PLAN) == NET_CHECKS
+        flipping = dataclasses.replace(self.PLAN, flips=((0, 1.0, 2),))
+        assert "suffix-rejections" not in net_checks(flipping)
+        result = run_cross_fidelity((self.PLAN,), ("sim",)).results[0]
+        result.outcomes["net"] = result.outcomes["sim"]
+        record = result.to_record()["fidelities"]
+        assert record["net"]["checks"] == list(NET_CHECKS)
+        assert "checks" not in record["sim"]
 
 
 class TestByzantineOverLoss:

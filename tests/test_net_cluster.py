@@ -1,27 +1,33 @@
 """Tests: real OS-process cluster orchestration (repro.net.cluster).
 
-The heavyweight test here is a scaled-down `make net-smoke`: four
-replica subprocesses over real TCP, one SIGKILLed and restarted
-mid-workload, convergence and exactly-once asserted from the verdict
-record. The rest covers genesis generation and the operator-facing
-guard rails without spawning anything.
+The heavyweight test here is a scaled-down `make net-smoke`: the
+`net-smoke` fault plan on four replica subprocesses over real TCP, one
+SIGKILLed and restarted mid-workload, judged by the fault engine with
+convergence and exactly-once asserted from the observation. The rest
+covers genesis generation, the probe loops on a stub client and the
+operator-facing guard rails without spawning anything.
 """
 
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import os
 import subprocess
 import sys
 
 import pytest
 
+from repro.faults import FAULT_PRESETS, judge
+from repro.faults.net_runner import run_net_plan
+from repro.net.client import NetClientError
 from repro.net.cluster import (
     ClusterError,
     LocalCluster,
     free_ports,
     make_genesis,
-    run_cluster_smoke,
+    wait_cluster_ready,
+    wait_converged,
 )
 
 
@@ -68,26 +74,75 @@ class TestClusterGuards:
         assert result.returncode == 2
 
 
+class _StubClient:
+    """Answers status probes from a script and refuses every set."""
+
+    def __init__(self, probes):
+        self.genesis = make_genesis(4, seed=34)
+        self.probes = list(probes)
+        self.sets = 0
+
+    async def status(self, *, timeout):
+        return self.probes.pop(0) if len(self.probes) > 1 else self.probes[0]
+
+    async def set(self, key, value):
+        self.sets += 1
+        raise NetClientError("stub refuses")
+
+
+def _replies(*pids):
+    """A probe's replies; the loops only count them."""
+    return {pid: f"status of {pid}" for pid in pids}
+
+
+class TestProbeLoops:
+    def test_ready_past_its_deadline_raises_cluster_error(self):
+        # The deadline passes before the first probe: the error still
+        # names what the (absent) last probe saw.
+        client = _StubClient([_replies(0, 1)])
+        with pytest.raises(ClusterError, match="saw 0/4 replicas"):
+            asyncio.run(wait_cluster_ready(client, timeout=0))
+
+    def test_ready_returns_once_every_replica_answers(self):
+        client = _StubClient([_replies(0), _replies(0, 1, 2, 3)])
+        asyncio.run(wait_cluster_ready(client, timeout=10.0))
+        assert client.probes == [_replies(0, 1, 2, 3)]
+
+    def test_converged_nudges_until_the_predicate_holds(self):
+        client = _StubClient([_replies(0), _replies(0, 1, 2, 3)])
+        replies, ok = asyncio.run(
+            wait_converged(client, lambda r: len(r) == 4, timeout=10.0)
+        )
+        # One refused nudge between the two probes, tolerated.
+        assert ok and replies == _replies(0, 1, 2, 3) and client.sets == 1
+
+    def test_converged_past_its_deadline_returns_the_last_probe(self):
+        client = _StubClient([_replies(0)])
+        replies, ok = asyncio.run(
+            wait_converged(client, lambda r: False, timeout=0)
+        )
+        assert not ok and replies == _replies(0) and client.sets == 0
+
+
 class TestSubprocessCluster:
     def test_kill_restart_smoke_converges_exactly_once(self, tmp_path):
-        verdict = asyncio.run(
-            run_cluster_smoke(
-                replicas=4,
-                requests=24,
-                kill_pid=1,
-                seed=19,
-                workdir=tmp_path,
-                concurrency=4,
-                converge_timeout=90.0,
-            )
+        (smoke,) = FAULT_PRESETS["net-smoke"]
+        plan = dataclasses.replace(
+            smoke, seed=19, requests=24, duration=8.0, kills=((1, 2.0, 4.0),)
         )
-        assert verdict["ok"]
+        observation = run_net_plan(plan, workdir=tmp_path, timeout=150.0)
+        verdict, violations = judge(plan, observation)
+        assert verdict == "pass", (violations, observation.extras)
+        cluster = observation.cluster
         # sets_completed counts the workload plus the sentinel and any
         # convergence nudges — never fewer, duplicates never double-count.
-        assert verdict["committed"] >= 25
-        assert verdict["transfers"][1] >= 1
-        assert set(verdict["exit_codes"].values()) == {0}
-        assert all(r == 0 for r in verdict["suffix_rejections"].values())
+        assert cluster.sets_completed >= 25
+        assert observation.transfers[1] >= 1
+        assert set(cluster.exit_codes.values()) == {0}
+        assert all(
+            facts.suffix_rejections == 0
+            for facts in observation.facts.values()
+        )
         logs = sorted(p.name for p in tmp_path.glob("node-*.log"))
         assert logs == ["node-0.log", "node-1.log", "node-2.log", "node-3.log"]
         metrics = list((tmp_path / "metrics").glob("node-*.jsonl"))

@@ -7,6 +7,8 @@ open at a time, no checkpoint inside the run.
 
 from __future__ import annotations
 
+import hashlib
+
 from hypothesis import given, settings, strategies as st
 
 from repro.byzantine.transformed_attacks import (
@@ -14,7 +16,9 @@ from repro.byzantine.transformed_attacks import (
     TCorruptVectorAttacker,
     TForgedDecideAttacker,
 )
-from repro.replication import Command, KeyValueStore, materialise
+from repro.crypto.encoding import canonical_bytes
+from repro.errors import EncodingError
+from repro.replication import Command, KeyValueStore, kvstore, materialise
 from repro.sim.network import UniformDelay
 
 from tests.helpers import (
@@ -95,6 +99,50 @@ class TestKeyValueStore:
         a = KeyValueStore().apply_all([Command("set", "x", {"a", "b"})])
         b = KeyValueStore().apply_all([Command("set", "x", {"a", "b"})])
         assert a.digest() == b.digest()
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["set", "del"]),
+                st.sampled_from(["a", "b", "c", "d", "e"]),
+                st.one_of(st.integers(), st.text(max_size=3), st.just({1})),
+            ),
+            max_size=30,
+        )
+    )
+    def test_digest_hashes_the_sorted_entries(self, commands):
+        # The kept encodings give the bytes of the documented formula:
+        # each sorted key's canonical bytes, then its value's (repr's).
+        store = KeyValueStore().apply_all(Command(*c) for c in commands)
+        expected = hashlib.sha256()
+        for key in sorted(store.snapshot()):
+            value = store.get(key)
+            expected.update(canonical_bytes(key))
+            try:
+                expected.update(canonical_bytes(value))
+            except EncodingError:
+                expected.update(canonical_bytes(repr(value)))
+        assert store.digest() == expected.hexdigest()
+        restored = KeyValueStore().restore(store.snapshot(), store.applied)
+        assert restored.digest() == store.digest()
+
+    def test_a_digest_encodes_as_much_at_ten_thousand_keys(self, monkeypatch):
+        stores = {
+            size: KeyValueStore().apply_all(
+                Command("set", f"k{i}", i) for i in range(size)
+            )
+            for size in (10**2, 10**4)
+        }
+        calls = {size: 0 for size in stores}
+        for size, store in stores.items():
+            def counting(value, size=size):
+                calls[size] += 1
+                return canonical_bytes(value)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(kvstore, "canonical_bytes", counting)
+                store.digest()
+        assert calls[10**4] == calls[10**2]
 
     def test_snapshot_restore_round_trip(self):
         original = KeyValueStore().apply_all(
