@@ -8,6 +8,7 @@ harness runtime; assertions pin the *shape* the paper claims.
 
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
 
@@ -27,6 +28,26 @@ def metrics_dir() -> Path | None:
     """The JSONL artifact drop directory, or None when exporting is off."""
     directory = os.environ.get("REPRO_METRICS_DIR")
     return Path(directory) if directory else None
+
+
+def write_bench(name: str, record: dict) -> Path | None:
+    """Write a committed ``BENCH_*.json`` record if ``REPRO_METRICS_DIR``
+    is set; the committed files are regenerated from the repo root with::
+
+        REPRO_METRICS_DIR=. python -m pytest benchmarks/test_e20_saturation.py
+
+    Without the environment variable this is a no-op, so a default run
+    leaves the working tree as it found it.
+    """
+    target_dir = metrics_dir()
+    if target_dir is None:
+        return None
+    target_dir.mkdir(parents=True, exist_ok=True)
+    target = target_dir / name
+    target.write_text(
+        json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    return target
 
 
 def export_artifact(system, name: str, **meta) -> Path | None:

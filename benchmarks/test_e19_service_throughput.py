@@ -7,24 +7,20 @@ pipelining window) configurations. Reported per configuration:
 virtual-time throughput, p50/p99 client-observed commit latency, mean
 batch occupancy and certified checkpoints.
 
-Besides the printed table the experiment exports ``BENCH_service.json``
-(repo root): the same numbers as a machine-readable artifact,
-byte-identical across runs of a fixed seed.
+Besides the printed table the experiment writes ``BENCH_service.json``
+into ``REPRO_METRICS_DIR`` when it is set (``REPRO_METRICS_DIR=.``
+regenerates the committed file): the same numbers as a machine-readable
+artifact, byte-identical across runs of a fixed seed.
 """
 
 from __future__ import annotations
-
-import json
-from pathlib import Path
 
 from repro.analysis.reporting import print_table
 from repro.analysis.stats import percentile
 from repro.observability.registry import MODULE_SERVICE
 from repro.service import ServiceConfig, build_service_system
 
-from conftest import run_once
-
-ARTIFACT = Path("BENCH_service.json")
+from conftest import run_once, write_bench
 
 SEED = 19
 N_CLIENTS = 3
@@ -118,9 +114,7 @@ def test_e19_service_throughput(benchmark):
         "rate": RATE,
         "configurations": cells,
     }
-    ARTIFACT.write_text(
-        json.dumps(artifact, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_bench("BENCH_service.json", artifact)
     # Shape: every configuration commits the full workload, converges,
     # and certifies checkpoints.
     for cell in cells:

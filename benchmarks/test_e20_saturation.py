@@ -1,7 +1,7 @@
 """E20 (performance) — saturation sweep and the cached-verification delta.
 
-Two measurements, one artifact (``BENCH_saturation.json``, repo root;
-methodology in docs/PERFORMANCE.md):
+Two measurements, one artifact (``BENCH_saturation.json``, written into
+``REPRO_METRICS_DIR`` when it is set; methodology in docs/PERFORMANCE.md):
 
 1. **Saturation sweep** (simulator, deterministic): open-loop client
    populations from tens to hundreds crossed with (batch size x
@@ -25,9 +25,7 @@ sockets is `make bench-pairs` (`write_small`, BENCHMARK.json).
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 from repro.analysis.reporting import print_table
 from repro.crypto.cache import caching_disabled
@@ -38,9 +36,7 @@ from repro.observability.registry import (
 )
 from repro.service import ServiceConfig, build_service_system
 
-from conftest import run_once
-
-ARTIFACT = Path("BENCH_saturation.json")
+from conftest import run_once, write_bench
 
 SEED = 20
 REQUESTS = 4
@@ -189,22 +185,17 @@ def test_e20_saturation(benchmark):
         f"(speedup {delta['speedup']:.1f}x on "
         f"{delta['committed_commands']} identical commands)"
     )
-    ARTIFACT.write_text(
-        json.dumps(
-            {
-                "experiment": "e20_saturation",
-                "seed": SEED,
-                "n_replicas": 4,
-                "requests_per_client": REQUESTS,
-                "rate": RATE,
-                "sweep": cells,
-                "delta": delta,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
+    write_bench(
+        "BENCH_saturation.json",
+        {
+            "experiment": "e20_saturation",
+            "seed": SEED,
+            "n_replicas": 4,
+            "requests_per_client": REQUESTS,
+            "rate": RATE,
+            "sweep": cells,
+            "delta": delta,
+        },
     )
 
     # Shape: every cell converges and commits its full open-loop load.

@@ -1,7 +1,7 @@
 """E21 (performance) — sharded scaling: aggregate throughput vs shard count.
 
-One artifact (``BENCH_shard.json``, repo root; methodology in
-docs/SHARDING.md):
+One artifact (``BENCH_shard.json``, written into ``REPRO_METRICS_DIR``
+when it is set; methodology in docs/SHARDING.md):
 
 **Loopback scaling sweep** (deterministic, virtual time): the full
 real-codec node stack per shard on one shared manual scheduler, with a
@@ -21,15 +21,11 @@ The wall-clock comparison of one group against two on real sockets is
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 
 from repro.analysis.reporting import print_table
 from repro.shard import loopback_scaling_cell
 
-from conftest import run_once
-
-ARTIFACT = Path("BENCH_shard.json")
+from conftest import run_once, write_bench
 
 SEED = 21
 #: Shard counts under test at fixed per-shard replica count.
@@ -100,21 +96,16 @@ def test_e21_shard_scaling(benchmark):
          "speedup", "converged", "exactly once"],
         _rows(cells),
     )
-    ARTIFACT.write_text(
-        json.dumps(
-            {
-                "experiment": "e21_shard_scaling",
-                "seed": SEED,
-                "replicas_per_shard": REPLICAS_PER_SHARD,
-                "requests": REQUESTS,
-                "clients": CLIENTS,
-                "sweep": cells,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
+    write_bench(
+        "BENCH_shard.json",
+        {
+            "experiment": "e21_shard_scaling",
+            "seed": SEED,
+            "replicas_per_shard": REPLICAS_PER_SHARD,
+            "requests": REQUESTS,
+            "clients": CLIENTS,
+            "sweep": cells,
+        },
     )
 
     # Oracles: every cell commits the full burst, converges per shard,

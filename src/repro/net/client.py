@@ -5,18 +5,16 @@ for a ``get``, one reply per replica for a ``status`` probe, each
 counted under the replica whose connection carried it — is
 :class:`~repro.service.session.ClientSession`'s, the one the loopback
 and simulated clients run too (docs/NET.md). This module is its TCP
-driver: connections, sending, and a future per operation.
+driver: a session, one :class:`~repro.net.transport.Dialer` per
+replica, and a future per operation.
 
 Every request goes to **every** replica, encoded once, and silence past
 ``request_timeout`` sends it to every replica again. The replicas
 decide among themselves which one proposes it (docs/SERVICE.md);
 replica-side deduplication by ``(client, req_id)`` makes resubmissions
-idempotent. Sending never waits on a replica: dials and drains run as
-tasks of their own, each bounded by ``request_timeout``. A replica that
-refuses a dial, hangs it, or stops reading is redialed no sooner than
-the transport's capped backoff allows, so a dead replica costs a
-connection attempt per backoff period, not one per request. Request ids
-are drawn from a random base per client *instance*, so a restarted
+idempotent. Sending never waits on a replica, and a request sent while
+a replica is still starting reaches it once a dial succeeds. Request
+ids are drawn from a random base per client *instance*, so a restarted
 client process cannot collide with its former self's ids.
 """
 
@@ -29,12 +27,11 @@ from typing import Any
 
 from repro.errors import ReproError
 from repro.net.genesis import Genesis
-from repro.net.messages import ROLE_CLIENT, StatusReply
-from repro.net.transport import backoff_delay
-from repro.net.wire import FrameAssembler, WireError, encode_frame
+from repro.net.messages import StatusReply
+from repro.net.transport import Dialer
+from repro.net.wire import encode_frame
+from repro.observability.registry import MODULE_NET, MetricsRegistry
 from repro.service.session import ClientSession, PendingOp
-
-READ_CHUNK = 1 << 16
 
 
 class NetClientError(ReproError):
@@ -59,15 +56,13 @@ class NetClient:
             genesis.service_config().params().f,
             first_req_id=int.from_bytes(os.urandom(3), "big") << 24,
         )
-        self._writers: dict[int, asyncio.StreamWriter] = {}
-        self._readers: dict[int, asyncio.Task] = {}
-        #: replica -> the dial in progress, and the frames it will send.
-        self._dials: dict[int, asyncio.Task] = {}
-        self._queued: dict[int, list[bytes]] = {}
-        #: replica -> the wait for its connection's send buffer to empty.
-        self._drains: dict[int, asyncio.Task] = {}
-        #: replica -> (failures in a row, loop time of the next dial).
-        self._backoff: dict[int, tuple[int, float]] = {}
+        #: The links' ``net`` counters, each under its replica's pid.
+        self.metrics = MetricsRegistry()
+        scope = self.metrics.scope
+        self._dialers = [
+            Dialer(genesis, self.pid, r, self._on_reply, metrics=scope(MODULE_NET, r))
+            for r in range(genesis.n_replicas)
+        ]
         #: req_id -> the future its caller awaits.
         self._waiters: dict[int, asyncio.Future] = {}
         self.sets_issued = 0
@@ -78,117 +73,20 @@ class NetClient:
     def resubmissions(self) -> int:
         return self.session.resubmissions
 
-    # -- connections -------------------------------------------------------
-
-    async def _dial(self, replica: int) -> None:
-        """Connect to ``replica`` (bounded by ``request_timeout``), say
-        hello and send the frames queued meanwhile; on failure drop them
-        and back off."""
-        self._drop_connection(replica)
-        host, port = self.genesis.address_of(replica)
-        try:
-            reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(host, port), self.genesis.request_timeout
-            )
-        except (OSError, asyncio.TimeoutError):
-            self._unreachable(replica)
-            return
-        finally:
-            self._dials.pop(replica, None)
-            frames = self._queued.pop(replica, [])
-        self._backoff.pop(replica, None)
-        self._writers[replica] = writer
-        self._readers[replica] = asyncio.get_running_loop().create_task(
-            self._read_loop(replica, reader)
-        )
-        writer.write(
-            encode_frame(self.genesis.hello_for(self.pid, replica, ROLE_CLIENT))
-        )
-        for frame in frames:
-            self._write(replica, writer, frame)
-
-    def _unreachable(self, replica: int) -> None:
-        failures = self._backoff.get(replica, (0, 0.0))[0] + 1
-        self._backoff[replica] = (
-            failures,
-            asyncio.get_running_loop().time() + backoff_delay(failures),
-        )
-
-    def _write(self, replica: int, writer: asyncio.StreamWriter, frame: bytes) -> None:
-        writer.write(frame)
-        if writer.transport.get_write_buffer_size() and replica not in self._drains:
-            self._drains[replica] = asyncio.get_running_loop().create_task(
-                self._drain(replica, writer)
-            )
-
-    async def _drain(self, replica: int, writer: asyncio.StreamWriter) -> None:
-        """Wait for what ``writer`` buffered to reach the replica; one
-        that does not take it within ``request_timeout`` — it stopped
-        reading — is dropped and backed off like a refused dial."""
-        try:
-            await asyncio.wait_for(writer.drain(), self.genesis.request_timeout)
-        except (OSError, asyncio.TimeoutError):
-            if self._writers.get(replica) is writer:
-                self._drop_connection(replica)
-                self._unreachable(replica)
-        finally:
-            self._drains.pop(replica, None)
-
-    def _drop_connection(self, replica: int) -> None:
-        writer = self._writers.pop(replica, None)
-        if writer is not None:
-            try:
-                writer.close()
-            except Exception:
-                pass
-        task = self._readers.pop(replica, None)
-        if task is not None and task is not asyncio.current_task():
-            task.cancel()
-
-    async def _read_loop(self, replica: int, reader: asyncio.StreamReader) -> None:
-        assembler = FrameAssembler()
-        try:
-            while True:
-                data = await reader.read(READ_CHUNK)
-                if not data:
-                    return
-                for message in assembler.feed(data):
-                    op = self.session.on_reply(replica, message)
-                    if op is not None:
-                        self._waiters[op.req_id].set_result(None)
-        except (OSError, ConnectionError, WireError):
-            return
-        finally:
-            if self._readers.get(replica) is asyncio.current_task():
-                self._drop_connection(replica)
+    def _on_reply(self, replica: int, message: Any) -> None:
+        op = self.session.on_reply(replica, message)
+        if op is not None:
+            self._waiters[op.req_id].set_result(None)
 
     def _multicast(self, payload: Any) -> None:
-        """Send ``payload`` to every reachable replica, encoded once.
-
-        Nothing here waits on a replica: a frame goes into each open
-        connection's buffer, or joins the dial in progress, or starts a
-        dial; a replica backing off is skipped. Dials and drains run as
-        tasks of their own, so a replica that hangs a dial or stops
-        reading holds up no other replica and no caller.
-        """
+        """Send ``payload`` to every replica, encoded once."""
         frame = encode_frame(payload)
-        for replica in range(self.genesis.n_replicas):
-            writer = self._writers.get(replica)
-            if writer is not None and not writer.is_closing():
-                self._write(replica, writer, frame)
-            elif replica in self._dials:
-                self._queued[replica].append(frame)
-            else:
-                loop = asyncio.get_running_loop()
-                if loop.time() >= self._backoff.get(replica, (0, 0.0))[1]:
-                    self._queued[replica] = [frame]
-                    self._dials[replica] = loop.create_task(self._dial(replica))
+        for dialer in self._dialers:
+            dialer.send(frame)
 
     async def close(self) -> None:
-        for task in [*self._dials.values(), *self._drains.values()]:
-            task.cancel()
-        for replica in list(self._writers):
-            self._drop_connection(replica)
+        for dialer in self._dialers:
+            dialer.close()
         await asyncio.sleep(0)
 
     # -- operations --------------------------------------------------------

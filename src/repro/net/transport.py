@@ -8,22 +8,13 @@ asyncio TCP. The loopback still pushes **every** payload through the
 wire codec: what the tests exercise is byte-for-byte what the sockets
 carry.
 
-:class:`PeerTransport` design (docs/NET.md):
-
-* one *outbound* TCP connection per peer replica, used only for sending;
-  inbound frames arrive on connections the peer dialed. Every connection
-  opens with an authenticated :class:`~repro.net.messages.Hello` bound
-  to (genesis, dialer, acceptor, role);
-* per-peer outbound queues: ``await writer.drain()`` applies TCP
-  backpressure to the queue consumer, and a full queue drops the
-  *oldest* frame (counted) — the protocol tolerates loss via resubmits,
-  retries and state transfer, so bounded memory wins over completeness;
-* reconnect with exponential backoff (capped), forever: a restarted
-  peer is redialed automatically, which is what lets a killed replica
-  rejoin without any orchestration;
-* client connections are remembered by pid at hello time so replica →
-  client traffic (replies, read answers) routes back over the stream
-  the client opened.
+Every outbound TCP connection to a replica — a replica's to each peer,
+a client's to each replica — is one :class:`Dialer` and follows its
+rules (docs/NET.md). A frame dropped from a full backlog, or written
+into a connection that breaks, is lost: nothing here retransmits, and
+neither do the consensus engines (docs/FAULTS.md, "Byzantine over
+loss"). A replica reads its peers' frames on the connections they
+dialed and answers each client over the connection the client opened.
 """
 
 from __future__ import annotations
@@ -34,7 +25,7 @@ from typing import Any, Callable
 
 from repro.errors import ReproError
 from repro.net.genesis import Genesis
-from repro.net.messages import ROLE_REPLICA, Hello
+from repro.net.messages import ROLE_CLIENT, ROLE_REPLICA, Hello
 from repro.net.wire import (
     EnvelopeTable,
     FrameAssembler,
@@ -47,7 +38,7 @@ from repro.sim.network import LinkPolicy
 
 MessageHandler = Callable[[int, Any], None]
 
-#: Outbound queue bound per peer (frames, not bytes).
+#: Backlog bound per outbound connection (frames, not bytes).
 QUEUE_LIMIT = 512
 #: Reconnect backoff: base * 2^attempt, capped.
 BACKOFF_BASE = 0.05
@@ -184,6 +175,128 @@ class LoopbackTransport:
 # ---------------------------------------------------------------------------
 
 
+class Dialer:
+    """The one outbound TCP connection from ``pid`` to ``replica``.
+
+    * FIFO, and the authenticated hello (role from ``pid``) goes first;
+    * connected with nothing waiting, :meth:`send` writes at once;
+      otherwise the frame joins a backlog of :data:`QUEUE_LIMIT` frames,
+      and a full one drops its oldest (``frames_dropped``);
+    * a waiting frame and no back-off running start a dial;
+    * a dial or a drain not done within ``request_timeout``, or an EOF
+      or error on read, closes the connection (``peer_reconnects``) and
+      backs off :func:`backoff_delay`; frames still waiting dial again
+      after it: a dead replica costs one dial per back-off period;
+    * one read loop per connection hands ``handler(replica, message)``
+      each frame the replica writes.
+    """
+
+    def __init__(
+        self,
+        genesis: Genesis,
+        pid: int,
+        replica: int,
+        handler: MessageHandler,
+        *,
+        metrics: Any = NULL_METRICS,
+    ) -> None:
+        self._timeout = genesis.request_timeout
+        self._address = genesis.address_of(replica)
+        self._replica = replica
+        self._handler = handler
+        self._metrics = metrics
+        role = ROLE_REPLICA if pid < genesis.n_replicas else ROLE_CLIENT
+        self._hello = encode_frame(genesis.hello_for(pid, replica, role))
+        self._backlog: deque[bytes] = deque()
+        self._writer: asyncio.StreamWriter | None = None
+        self._reading: asyncio.Task | None = None  # holds the read loop alive
+        #: The dial, back-off or drain in progress; frames wait while it runs.
+        self._busy: asyncio.Task | None = None
+        self._failures = 0
+        self._retry_at = 0.0
+        self._closed = False
+
+    def send(self, frame: bytes) -> None:
+        writer = self._writer
+        if writer is not None and self._busy is None:
+            writer.write(frame)
+            if not writer.transport.get_write_buffer_size():
+                return
+        else:
+            if len(self._backlog) >= QUEUE_LIMIT:
+                # Bounded memory beats completeness: drop the *oldest* frame.
+                self._backlog.popleft()
+                self._metrics.inc("frames_dropped")
+            self._backlog.append(frame)
+        if self._busy is None and not self._closed:
+            self._busy = asyncio.get_running_loop().create_task(self._carry())
+
+    async def _carry(self) -> None:
+        """Back off, dial, drain and write the backlog until it is empty."""
+        loop = asyncio.get_running_loop()
+        try:
+            while (writer := self._writer) is not None or self._backlog:
+                if writer is None and loop.time() < self._retry_at:
+                    await asyncio.sleep(self._retry_at - loop.time())
+                elif writer is None:
+                    try:
+                        reader, writer = await asyncio.wait_for(
+                            asyncio.open_connection(*self._address), self._timeout
+                        )
+                    except (OSError, asyncio.TimeoutError):
+                        self._lost(None)
+                        continue
+                    writer.write(self._hello)
+                    self._metrics.inc("peer_connects")
+                    self._failures = 0
+                    self._writer = writer
+                    self._reading = loop.create_task(self._read(reader, writer))
+                else:
+                    try:
+                        await asyncio.wait_for(writer.drain(), self._timeout)
+                    except (OSError, asyncio.TimeoutError):
+                        self._lost(writer)
+                        continue
+                    if not self._backlog:
+                        return
+                    writer.writelines(self._backlog)
+                    self._backlog.clear()
+        finally:
+            self._busy = None
+
+    async def _read(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        assembler = FrameAssembler()
+        try:
+            while data := await reader.read(READ_CHUNK):
+                for message in assembler.feed(data):
+                    self._handler(self._replica, message)
+        except (OSError, WireError):
+            pass
+        self._lost(writer)
+
+    def _lost(self, writer: asyncio.StreamWriter | None) -> None:
+        """The dial (``None``) or ``writer``'s connection failed: close it
+        (which ends its read loop too) and back off, once."""
+        if self._writer is writer:
+            if writer is not None:
+                writer.transport.abort()
+                self._writer = None
+            self._metrics.inc("peer_reconnects")
+            self._failures += 1
+            delay = backoff_delay(self._failures)
+            self._retry_at = asyncio.get_running_loop().time() + delay
+
+    def close(self) -> None:
+        self._closed = True
+        if self._busy is not None:
+            self._busy.cancel()
+        if self._writer is not None:
+            self._writer.transport.abort()  # ends the read loop too
+            self._writer = None
+
+
 class PeerTransport:
     """Authenticated full-mesh TCP transport for one replica.
 
@@ -201,7 +314,6 @@ class PeerTransport:
         handler: MessageHandler,
         *,
         metrics: Any = NULL_METRICS,
-        queue_limit: int = QUEUE_LIMIT,
         link: LinkPolicy | None = None,
     ) -> None:
         genesis.address_of(pid)  # raises ConfigurationError on a bad pid
@@ -209,16 +321,17 @@ class PeerTransport:
         self._pid = pid
         self._handler = handler
         self._metrics = metrics
-        self._queue_limit = queue_limit
         self._link = link
-        self._queues: dict[int, asyncio.Queue[bytes]] = {}
-        #: Live outbound writer per peer.
-        self._peer_writers: dict[int, asyncio.StreamWriter] = {}
+        self._dialers = {
+            peer: Dialer(genesis, pid, peer, self._unexpected, metrics=metrics)
+            for peer in range(genesis.n_replicas)
+            if peer != pid
+        }
         self._accepted: set[asyncio.StreamWriter] = set()
         self._clients: dict[int, asyncio.StreamWriter] = {}
-        self._tasks: list[asyncio.Task] = []
+        #: Client connection -> the wait for its send buffer to drain.
+        self._drains: dict[asyncio.StreamWriter, asyncio.Task] = {}
         self._server: asyncio.AbstractServer | None = None
-        self._closing = False
         self.bound_port: int | None = None
         # This replica's signed envelopes, shared by every connection:
         # a repeat decodes to the object already held, a broadcast
@@ -231,26 +344,18 @@ class PeerTransport:
         host, port = self._genesis.address_of(self._pid)
         self._server = await asyncio.start_server(self._accept, host, port)
         self.bound_port = self._server.sockets[0].getsockname()[1]
-        loop = asyncio.get_running_loop()
-        for peer in range(self._genesis.n_replicas):
-            if peer == self._pid:
-                continue
-            self._queues[peer] = asyncio.Queue(maxsize=self._queue_limit)
-            self._tasks.append(loop.create_task(self._outbound(peer)))
 
     async def stop(self) -> None:
-        self._closing = True
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        for task in self._tasks:
-            task.cancel()
-        await asyncio.gather(*self._tasks, return_exceptions=True)
+        for dialer in self._dialers.values():
+            dialer.close()
         # Server.close() only stops *listening*; established inbound
         # connections keep reading unless we hang up on each — a peer
         # that dialed us must see the drop to start its reconnect loop.
         for writer in list(self._accepted):
-            _close_quietly(writer)
+            writer.close()
         self._accepted.clear()
         self._clients.clear()
 
@@ -275,7 +380,7 @@ class PeerTransport:
         self._send_now(dst, payload)
 
     def _send_now(self, dst: int, payload: Any) -> None:
-        """Encode ``payload`` and hand it to ``dst``'s queue or socket."""
+        """Encode ``payload`` and hand it to ``dst``'s dialer or socket."""
         try:
             frame = encode_frame(payload, table=self._envelopes)
         except WireError:
@@ -296,69 +401,27 @@ class PeerTransport:
             )
             return
         if dst < self._genesis.n_replicas:
-            queue = self._queues.get(dst)
-            if queue is None:
-                self._metrics.inc("frames_dropped")
-                return
-            try:
-                queue.put_nowait(frame)
-            except asyncio.QueueFull:
-                # Bounded memory beats completeness: drop the *oldest*
-                # frame — the freshest protocol state supersedes it.
-                try:
-                    queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    pass
-                queue.put_nowait(frame)
-                self._metrics.inc("frames_dropped")
+            self._dialers[dst].send(frame)
             return
         writer = self._clients.get(dst)
         if writer is None or writer.is_closing():
             self._metrics.inc("client_frames_dropped")
             return
+        writer.write(frame)
+        if writer.transport.get_write_buffer_size() and writer not in self._drains:
+            self._drains[writer] = asyncio.get_running_loop().create_task(
+                self._drain_replies(writer)
+            )
+
+    async def _drain_replies(self, writer: asyncio.StreamWriter) -> None:
+        """The dialer's drain rule: a client that stops reading is cut off."""
         try:
-            writer.write(frame)
-        except (OSError, RuntimeError):
+            await asyncio.wait_for(writer.drain(), self._genesis.request_timeout)
+        except (OSError, asyncio.TimeoutError):
             self._metrics.inc("client_frames_dropped")
-
-    # -- outbound connections ---------------------------------------------
-
-    async def _outbound(self, peer: int) -> None:
-        """Dial ``peer`` forever: connect, hello, pump the queue, back off."""
-        host, port = self._genesis.address_of(peer)
-        queue = self._queues[peer]
-        attempt = 0
-        while not self._closing:
-            writer: asyncio.StreamWriter | None = None
-            try:
-                _reader, writer = await asyncio.open_connection(host, port)
-                writer.write(
-                    encode_frame(
-                        self._genesis.hello_for(self._pid, peer, ROLE_REPLICA)
-                    )
-                )
-                await writer.drain()
-                self._metrics.inc("peer_connects")
-                self._peer_writers[peer] = writer
-                attempt = 0
-                while not self._closing:
-                    frame = await queue.get()
-                    writer.write(frame)
-                    await writer.drain()  # TCP backpressure lands here
-            except asyncio.CancelledError:
-                raise
-            except (OSError, ConnectionError):
-                pass
-            finally:
-                if writer is not None:
-                    if self._peer_writers.get(peer) is writer:
-                        del self._peer_writers[peer]
-                    _close_quietly(writer)
-            if self._closing:
-                return
-            self._metrics.inc("peer_reconnects")
-            attempt += 1
-            await asyncio.sleep(backoff_delay(attempt))
+            writer.transport.abort()
+        finally:
+            del self._drains[writer]
 
     # -- inbound connections ----------------------------------------------
 
@@ -369,10 +432,7 @@ class PeerTransport:
         peer: int | None = None
         self._accepted.add(writer)
         try:
-            while True:
-                data = await reader.read(READ_CHUNK)
-                if not data:
-                    return
+            while data := await reader.read(READ_CHUNK):
                 try:
                     messages = assembler.feed(data)
                 except WireError:
@@ -394,19 +454,17 @@ class PeerTransport:
                         continue
                     self._metrics.inc("frames_received")
                     self._dispatch(peer, message)
-        except asyncio.CancelledError:
-            raise
-        except (OSError, ConnectionError):
+        except OSError:
             return
         finally:
             self._accepted.discard(writer)
-            if (
-                peer is not None
-                and peer >= self._genesis.n_replicas
-                and self._clients.get(peer) is writer
-            ):
+            if peer is not None and self._clients.get(peer) is writer:
                 del self._clients[peer]
-            _close_quietly(writer)
+            writer.close()
+
+    def _unexpected(self, src: int, message: Any) -> None:
+        """Peers never write on a connection this replica dialed."""
+        self._metrics.inc("frames_rejected")
 
     def _dispatch(self, src: int, message: Any) -> None:
         try:
@@ -416,9 +474,3 @@ class PeerTransport:
             # for the whole connection; count it and keep serving.
             self._metrics.inc("handler_errors")
 
-
-def _close_quietly(writer: asyncio.StreamWriter) -> None:
-    try:
-        writer.close()
-    except Exception:
-        pass

@@ -31,7 +31,7 @@ class ResettablePeerTransport(PeerTransport):
         mid-frame. Returns ``False`` when no connection to ``dst`` is
         currently established.
         """
-        writer = self._peer_writers.get(dst)
+        writer = self._dialers[dst]._writer
         if writer is None or writer.is_closing():
             return False
         if partial:

@@ -10,9 +10,12 @@ never collide.
 from __future__ import annotations
 
 import asyncio
+import socket
 
 from repro.net.cluster import make_genesis
+from repro.net.genesis import Genesis
 from repro.net.messages import ROLE_CLIENT
+from repro.net import transport as transport_module
 from repro.net.transport import PeerTransport
 from repro.net.wire import FrameAssembler, encode_frame
 from repro.observability.registry import MODULE_NET, MetricsRegistry
@@ -128,10 +131,110 @@ def test_client_replies_route_over_the_clients_own_connection():
     asyncio.run(scenario())
 
 
-def test_outbound_queue_drops_oldest_when_peer_is_down():
+def test_a_client_that_stops_reading_loses_its_connection():
+    # The client says a valid hello and never reads again: once the
+    # reply connection's buffer has not drained for a request_timeout,
+    # the replica closes it instead of buffering replies without bound.
+    async def scenario():
+        genesis = make_genesis(4, seed=26, request_timeout=0.5)
+        node = Endpoint(genesis, 0)
+        await node.transport.start()
+        client_pid = genesis.n_replicas
+        loop = asyncio.get_running_loop()
+        sock = socket.socket()
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.setblocking(False)
+        try:
+            await loop.sock_connect(sock, ("127.0.0.1", node.transport.bound_port))
+            await loop.sock_sendall(
+                sock,
+                encode_frame(genesis.hello_for(client_pid, 0, ROLE_CLIENT))
+                + encode_frame(("get", 1)),
+            )
+            await node.expect(1)
+            reply = ("reply", "x" * (64 << 10))
+            started = loop.time()
+            while not node.counter("client_frames_dropped"):
+                assert loop.time() - started < 6 * genesis.request_timeout
+                node.transport.send(client_pid, reply)
+                await asyncio.sleep(0.01)
+            assert node.transport._clients == {}  # the connection is gone
+        finally:
+            sock.close()
+            await node.transport.stop()
+
+    asyncio.run(scenario())
+
+
+def test_a_peer_that_stops_reading_is_redialed_and_holds_up_no_one():
+    # Peer 1 accepts and never reads. Replica 0's connection to it is
+    # closed once a drain has waited a request_timeout, then redialed;
+    # peer 2 gets every frame meanwhile.
+    async def scenario():
+        deaf_connections = []
+        heard = []
+
+        async def deaf(reader, writer):
+            deaf_connections.append(writer)
+
+        async def hearing(reader, writer):
+            assembler = FrameAssembler()
+            while data := await reader.read(1 << 16):
+                heard.extend(assembler.feed(data))
+            writer.close()
+
+        listener = socket.socket()
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        listener.bind(("127.0.0.1", 0))
+        servers = [
+            await asyncio.start_server(deaf, sock=listener),
+            await asyncio.start_server(hearing, "127.0.0.1", 0),
+        ]
+        addresses = make_genesis(4, seed=27).addresses
+        genesis = Genesis(
+            name="deaf-peer",
+            seed=27,
+            n_replicas=4,
+            addresses=(
+                addresses[0],
+                *(server.sockets[0].getsockname()[:2] for server in servers),
+                addresses[3],
+            ),
+            request_timeout=0.5,
+        )
+        sender = Endpoint(genesis, 0)
+        await sender.transport.start()
+        loop = asyncio.get_running_loop()
+        try:
+            bulk = "x" * (128 << 10)
+            for i in range(60):  # 7.5 MiB to the deaf peer over 1.2 s
+                sender.transport.send(1, ("bulk", i, bulk))
+                sender.transport.send(2, ("small", i))
+                await asyncio.sleep(0.02)
+            started = loop.time()
+            while len(heard) < 61 or len(deaf_connections) < 2:
+                assert loop.time() - started < 6 * genesis.request_timeout
+                sender.transport.send(1, ("bulk", -1, bulk))
+                await asyncio.sleep(0.05)
+            assert heard[1:] == [("small", i) for i in range(60)]  # after the hello
+            assert sender.counter("peer_reconnects") >= 1
+        finally:
+            await sender.transport.stop()
+            for writer in deaf_connections:
+                writer.close()
+            for server in servers:
+                server.close()
+                await server.wait_closed()
+
+    asyncio.run(asyncio.wait_for(scenario(), 30))
+
+
+def test_outbound_queue_drops_oldest_when_peer_is_down(monkeypatch):
+    monkeypatch.setattr(transport_module, "QUEUE_LIMIT", 8)
+
     async def scenario():
         genesis = make_genesis(4, seed=24)
-        node = Endpoint(genesis, 0, queue_limit=8)
+        node = Endpoint(genesis, 0)
         await node.transport.start()
         try:
             for i in range(20):  # peer 1 never comes up

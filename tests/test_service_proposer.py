@@ -28,7 +28,7 @@ from repro.net.loopback import TWIN_KNOBS, LoopbackCluster, fixed_addresses
 from repro.net.node import BoundedTrace
 from repro.net.wire import FrameAssembler, decode_frame, encode_frame
 from repro.observability.export import run_to_lines
-from repro.observability.registry import MetricsRegistry
+from repro.observability.registry import MODULE_NET, MetricsRegistry
 from repro.replication.kvstore import Command
 from repro.service.messages import ClientReply, ClientRequest, SlotEnvelope, StateRequest
 from repro.service.slotlog import NOOP
@@ -466,14 +466,6 @@ def test_a_replica_that_stops_reading_holds_up_no_one():
             request_timeout=0.5,
         )
         client = NetClient(genesis)
-        unreachable = client._unreachable
-        dropped: Counter = Counter()
-
-        def counting(replica):
-            dropped[replica] += 1
-            unreachable(replica)
-
-        client._unreachable = counting
         value = "x" * (128 << 10)
         slowest = 0.0
         for i in range(48):  # 6 MiB: more than the deaf socket's buffers hold
@@ -491,6 +483,66 @@ def test_a_replica_that_stops_reading_holds_up_no_one():
         assert deaf_connections
         assert slowest < genesis.request_timeout and client.resubmissions == 0
         assert [received[replica] for replica in range(1, N)] == [48] * (N - 1)
-        assert set(dropped) == {0}
+        dropped = {
+            replica
+            for replica in range(N)
+            if client.metrics.counter(MODULE_NET, "peer_reconnects", pid=replica)
+        }
+        assert dropped == {0}
+
+    asyncio.run(asyncio.wait_for(scenario(), 20))
+
+
+def test_a_request_sent_before_a_replica_listens_reaches_it():
+    # Replica 3 starts listening 0.2 s after the set, well inside
+    # request_timeout: the frame waits in the dialer's backlog through
+    # the refused dials and arrives without a resubmission.
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        received: Counter = Counter()
+
+        def answering(replica):
+            async def serve(reader, writer):
+                assembler = FrameAssembler()
+                try:
+                    while data := await reader.read(1 << 16):
+                        for message in assembler.feed(data):
+                            if isinstance(message, ClientRequest):
+                                received[replica] += 1
+                                reply = ClientReply(replica, message.client, message.req_id, 0)
+                                writer.write(encode_frame(reply))
+                finally:
+                    writer.close()
+
+            return serve
+
+        servers = [
+            await asyncio.start_server(answering(replica), "127.0.0.1", 0)
+            for replica in range(N - 1)
+        ]
+        late = socket.socket()
+        late.bind(("127.0.0.1", 0))  # bound, not listening: dials are refused
+        genesis = Genesis(
+            name="late",
+            seed=6,
+            n_replicas=N,
+            addresses=(
+                *(server.sockets[0].getsockname()[:2] for server in servers),
+                late.getsockname()[:2],
+            ),
+        )
+        client = NetClient(genesis)
+        started = loop.time()
+        await client.set("k", "v")
+        await asyncio.sleep(0.2 - (loop.time() - started))
+        servers.append(await asyncio.start_server(answering(N - 1), sock=late))
+        while not received[N - 1] and loop.time() - started < genesis.request_timeout:
+            await asyncio.sleep(0.02)
+        await client.close()
+        for server in servers:
+            server.close()
+            await server.wait_closed()
+        assert received[N - 1] == 1
+        assert client.resubmissions == 0
 
     asyncio.run(asyncio.wait_for(scenario(), 20))
