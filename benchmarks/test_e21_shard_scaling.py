@@ -4,10 +4,10 @@ One artifact (``BENCH_shard.json``, written into ``REPRO_METRICS_DIR``
 when it is set; methodology in docs/SHARDING.md):
 
 **Loopback scaling sweep** (deterministic, virtual time): the full
-real-codec node stack per shard on one shared manual scheduler, with a
-fixed per-hop virtual latency so protocol rounds have a cost and a
-deliberately small per-group capacity (batch 4, window 2) so a single
-group saturates under the open-loop burst. The sweep holds the offered
+deployment per shard (nodes, transports, codec) on one shared
+virtual-time loop, with a fixed per-hop virtual latency so protocol
+rounds have a cost and a deliberately small per-group capacity (batch
+4, window 2) so a single group saturates under the open-loop burst. The sweep holds the offered
 load and the per-shard replica count fixed while the shard count
 doubles: 1 -> 2 -> 4. The paper-level claim under test is near-linear
 aggregate throughput, because the groups share no protocol state — the

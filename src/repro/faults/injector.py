@@ -7,10 +7,11 @@ deliveries — the empty list drops it, more than one entry duplicates it,
 a positive delay reorders it past later traffic. That is the
 :data:`~repro.sim.network.LinkPolicy` contract, so every fidelity hands
 the answer to its fabric's one link seam — the simulation's
-:class:`~repro.sim.network.Network`, the loopback twin's
-:class:`~repro.net.transport.LoopbackHub` and each real replica's
-:class:`~repro.net.transport.PeerTransport` — and one seeded plan
-produces the same fault schedule everywhere the message order matches.
+:class:`~repro.sim.network.Network`, and each replica's
+:class:`~repro.net.transport.PeerTransport` and client's
+:class:`~repro.net.client.NetClient`, on the loopback twin and on real
+sockets alike — and one seeded plan produces the same fault schedule
+everywhere the message order matches.
 
 Determinism: every directed link forks its own named stream from
 ``SeededRng(plan.seed, "faults-<plan_id>")``. At fidelity 3 each replica
@@ -255,8 +256,8 @@ class LinkFaultInjector:
 # -- the adversary zoo's process-level injections ---------------------------
 #
 # The three fidelity runners schedule the same zoo injections against
-# different substrates (a simulated world's scheduler, the loopback twin's
-# manual scheduler, a subprocess replica's wall scheduler). Which
+# different substrates (a simulated world's scheduler, a wall scheduler on
+# the loopback twin's virtual-time loop or in a subprocess replica). Which
 # ServiceConfig knobs a zoo plan flips on, and the scheduling of its
 # injections, are both derived purely from the plan, so every fidelity
 # arms the exact same adversary. What was injected is counted on the

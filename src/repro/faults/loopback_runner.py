@@ -1,22 +1,21 @@
 """Fidelity 2: execute a fault plan on the deterministic loopback twin.
 
-Real :class:`~repro.net.node.NetNode` hosts, the real wire codec on
-every hop, but the transport is a
-:class:`~repro.net.transport.LoopbackHub` whose link policy is the
-plan's injector and the clock is a
-:class:`~repro.net.clock.ManualScheduler` — plan seconds run 1:1 on the
-virtual clock, so the whole deployment
-(:class:`~repro.net.loopback.LoopbackCluster`) executes deterministically
-inside the calling process. Kills drop the node object (volatile state lost)
-and rejoins build a fresh one with ``join=True``, exactly like the
-subprocess fidelity's SIGKILL + ``--join`` respawn; muteness swallows
-all traffic touching the muted pid at the fabric, the closest
-deterministic analogue of a SIGSTOPped process.
+The deployment's own nodes, transports and client on a
+:class:`~repro.net.clock.VirtualTimeLoop`, with the plan's injector as
+every link's policy; plan seconds run 1:1 on the virtual clock, so the
+whole deployment (:class:`~repro.net.loopback.LoopbackCluster`) executes
+deterministically inside the calling process. Kills drop the node object
+(volatile state lost) and every connection it had, and rejoins build a
+fresh one with ``join=True``, exactly like the subprocess fidelity's
+SIGKILL + ``--join`` respawn; muteness swallows all traffic touching the
+muted pid at the links, the closest deterministic analogue of a
+SIGSTOPped process.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 
 from repro.byzantine import transformed_attack
 from repro.faults.injector import (
@@ -31,7 +30,7 @@ from repro.faults.oracle import (
     settled,
 )
 from repro.faults.plan import FIDELITY_LOOPBACK, FaultPlan
-from repro.net.clock import ManualScheduler
+from repro.net.client import NetClientError
 from repro.net.genesis import Genesis
 from repro.net.loopback import TWIN_KNOBS, LoopbackCluster, fixed_addresses
 from repro.observability.registry import MetricsRegistry
@@ -70,10 +69,8 @@ class _LoopbackRun:
         overrides = zoo_loopback_overrides(plan)
         if overrides:
             config = dataclasses.replace(config, **overrides)
-        self.scheduler = ManualScheduler()
         self.cluster = LoopbackCluster(
             genesis,
-            self.scheduler,
             link=self.injector.plan_deliveries,
             config=config,
             engine_factories={
@@ -81,13 +78,16 @@ class _LoopbackRun:
                 for pid, name in plan.collusion
             },
         )
+        self.scheduler = self.cluster.scheduler
         self.client = self.cluster.clients[0]
+        #: ``(client, req_id)`` of every write that completed.
+        self.writes: list[tuple[int, int]] = []
 
     def _schedule_events(self) -> None:
         plan = self.plan
         nodes = self.cluster.nodes
         # Families (b)/(d): same shared wiring as the other fidelities;
-        # the manual clock starts at zero, so plan time maps 1:1.
+        # the virtual clock starts at zero, so plan time maps 1:1.
         install_zoo_injections(
             plan,
             self.scheduler.schedule_after,
@@ -110,8 +110,21 @@ class _LoopbackRun:
             self.scheduler.schedule_after(
                 at,
                 "plan-request",
-                lambda i=index: self.client.set(f"k{i % 8}", f"v{i}"),
+                lambda i=index: self.cluster.spawn(self._write(i)),
             )
+
+    async def _write(self, index: int) -> None:
+        client = self.client
+        req_id = client.session.next_req_id  # the id ``set`` is about to take
+        # Resubmit for as long as the run may last, never giving up early.
+        attempts = math.ceil(
+            (self.plan.duration + SETTLE_BUDGET) / client.genesis.request_timeout
+        )
+        try:
+            await client.set(f"k{index % 8}", f"v{index}", attempts=attempts)
+        except NetClientError:
+            return
+        self.writes.append((client.pid, req_id))
 
     def _facts(self) -> dict[int, ReplicaFacts]:
         return {
@@ -120,19 +133,23 @@ class _LoopbackRun:
         }
 
     def execute(self) -> FidelityObservation:
+        try:
+            return self._execute()
+        finally:
+            self.cluster.close()
+
+    def _execute(self) -> FidelityObservation:
         plan = self.plan
         self._schedule_events()
         self.cluster.pump(plan.duration)
         budget = SETTLE_BUDGET
-        while budget > 0 and not settled(
-            plan, self._facts(), len(self.client.completed)
-        ):
+        while budget > 0 and not settled(plan, self._facts(), len(self.writes)):
             self.cluster.pump(1.0)
             budget -= 1.0
         return observe(
             plan,
             FIDELITY_LOOPBACK,
-            completed=len(self.client.completed),
+            completed=len(self.writes),
             replicas=self._facts(),
             # Each node keeps its own trace; sorting gives the merged
             # list one order whatever the node iteration order was.
@@ -142,11 +159,7 @@ class _LoopbackRun:
                 for event in node.trace.of_kind("declare_faulty")
             ),
             injected=self.registry.counter_total,
-            writes=[
-                (self.client.pid, req_id)
-                for req_id, op in self.client.finished.items()
-                if op.kind == "set"
-            ],
+            writes=self.writes,
             extras={
                 "end_time": self.scheduler.now,
                 **self.injector.link_counts(),

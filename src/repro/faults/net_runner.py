@@ -55,6 +55,7 @@ from repro.net.cluster import (
     wait_converged,
 )
 from repro.observability.export import RunArtifact, read_run_jsonl
+from repro.observability.registry import MODULE_NET
 
 #: Lead time between spawning the cluster and the plan's t=0: replicas
 #: must be connected and ready before the first scheduled fault.
@@ -221,6 +222,9 @@ def harvest(
             facts.suffix_rejections = status.suffix_rejections
         if pid in artifacts:
             facts.counter = artifacts[pid].metrics.counter_total
+            facts.handler_errors = int(
+                facts.counter(MODULE_NET, "handler_errors")
+            )
     declarations = sorted(
         (pid, event["detail"]["target"], event["detail"]["reason"])
         for pid, artifact in artifacts.items()

@@ -35,6 +35,7 @@ from repro.faults.plan import FIDELITY_NET, FaultPlan
 from repro.observability.registry import (
     MODULE_FAULTS,
     MODULE_MUTENESS,
+    MODULE_NET,
     MODULE_SERVICE,
     MODULE_SIGNATURE,
     MODULE_ZOO,
@@ -107,6 +108,8 @@ class ReplicaFacts:
     transfers: int = 0
     #: Corrupted transfer suffixes this replica refused.
     suffix_rejections: int = 0
+    #: Messages whose handler raised (``PeerTransport`` counts and drops them).
+    handler_errors: int = 0
     #: This replica's own counters.
     counter: Counters = lambda module, name: 0
     # The service state below is read off the replica object; it stays
@@ -139,6 +142,7 @@ class ReplicaFacts:
             digest=service_digest(log.store, log.executed),
             transfers=len(transfers),
             suffix_rejections=process.suffix_rejections,
+            handler_errors=int(counter(MODULE_NET, "handler_errors")),
             counter=counter,
             checkpoints=tuple(process.checkpoint_history),
             checkpoint_mismatches=process.checkpoint_mismatches,
@@ -334,6 +338,15 @@ def judge(
                 f"recovery: rejoined replica {pid} completed no certified "
                 "state transfer"
             )
+
+    # Loudness: a correct replica's handler never raises. The transport
+    # counts and drops such a message, which would hide the defect.
+    violations.extend(
+        f"handler: replica {pid} raised in {facts.handler_errors} message "
+        "handler(s)"
+        for pid, facts in sorted(observation.facts.items())
+        if facts.handler_errors
+    )
 
     violations.extend(judge_service(plan, observation, live))
     violations.extend(judge_net(plan, observation, live))

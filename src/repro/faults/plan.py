@@ -9,8 +9,8 @@ document, the same content-hash id) then executes at three fidelities:
 
 1. pure simulation (``repro.sim.world``, plan seconds scaled to virtual
    time);
-2. the deterministic loopback twin (``repro.net`` nodes on a
-   :class:`~repro.net.clock.ManualScheduler`, plan seconds 1:1);
+2. the deterministic loopback twin (the ``repro.net`` deployment on a
+   :class:`~repro.net.clock.VirtualTimeLoop`, plan seconds 1:1);
 3. real subprocess clusters over TCP (SIGSTOP/SIGKILL for
    muteness/crash, socket-level injection through each replica's
    :class:`~repro.net.transport.PeerTransport` link policy).

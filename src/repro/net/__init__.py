@@ -6,7 +6,7 @@ replica host, quorum client and local-cluster orchestration.
 """
 
 from repro.net.client import NetClient, NetClientError
-from repro.net.clock import ManualScheduler, WallScheduler
+from repro.net.clock import VirtualTimeLoop, WallScheduler
 from repro.net.cluster import (
     ClusterError,
     LocalCluster,
@@ -25,12 +25,7 @@ from repro.net.messages import (
     StatusRequest,
 )
 from repro.net.node import BoundedTrace, NetNode, serve_replica
-from repro.net.transport import (
-    LoopbackHub,
-    LoopbackTransport,
-    PeerTransport,
-    TransportError,
-)
+from repro.net.transport import PeerTransport
 from repro.net.wire import (
     EnvelopeTable,
     FrameAssembler,
@@ -45,7 +40,7 @@ from repro.net.wire import (
 __all__ = [
     "NetClient",
     "NetClientError",
-    "ManualScheduler",
+    "VirtualTimeLoop",
     "WallScheduler",
     "ClusterError",
     "LocalCluster",
@@ -64,10 +59,7 @@ __all__ = [
     "BoundedTrace",
     "NetNode",
     "serve_replica",
-    "LoopbackHub",
-    "LoopbackTransport",
     "PeerTransport",
-    "TransportError",
     "EnvelopeTable",
     "FrameAssembler",
     "WireError",

@@ -15,7 +15,10 @@ replica-side deduplication by ``(client, req_id)`` makes resubmissions
 idempotent. Sending never waits on a replica, and a request sent while
 a replica is still starting reaches it once a dial succeeds. Request
 ids are drawn from a random base per client *instance*, so a restarted
-client process cannot collide with its former self's ids.
+client process cannot collide with its former self's ids; the
+deterministic twin passes a fixed ``first_req_id`` instead. An optional
+``link`` policy is asked about every request to every replica, as
+:class:`~repro.net.transport.PeerTransport` asks about its sends.
 """
 
 from __future__ import annotations
@@ -28,10 +31,11 @@ from typing import Any
 from repro.errors import ReproError
 from repro.net.genesis import Genesis
 from repro.net.messages import StatusReply
-from repro.net.transport import Dialer
+from repro.net.transport import Dialer, through_link
 from repro.net.wire import encode_frame
 from repro.observability.registry import MODULE_NET, MetricsRegistry
 from repro.service.session import ClientSession, PendingOp
+from repro.sim.network import LinkPolicy
 
 
 class NetClientError(ReproError):
@@ -41,7 +45,14 @@ class NetClientError(ReproError):
 class NetClient:
     """One client identity (pid ``n_replicas + index``) over TCP."""
 
-    def __init__(self, genesis: Genesis, client_index: int = 0) -> None:
+    def __init__(
+        self,
+        genesis: Genesis,
+        client_index: int = 0,
+        *,
+        first_req_id: int | None = None,
+        link: LinkPolicy | None = None,
+    ) -> None:
         genesis.validate()
         if not 0 <= client_index < genesis.max_clients:
             raise NetClientError(
@@ -54,8 +65,13 @@ class NetClient:
             self.pid,
             genesis.n_replicas,
             genesis.service_config().params().f,
-            first_req_id=int.from_bytes(os.urandom(3), "big") << 24,
+            first_req_id=(
+                int.from_bytes(os.urandom(3), "big") << 24
+                if first_req_id is None
+                else first_req_id
+            ),
         )
+        self._link = link
         #: The links' ``net`` counters, each under its replica's pid.
         self.metrics = MetricsRegistry()
         scope = self.metrics.scope
@@ -79,15 +95,25 @@ class NetClient:
             self._waiters[op.req_id].set_result(None)
 
     def _multicast(self, payload: Any) -> None:
-        """Send ``payload`` to every replica, encoded once."""
-        frame = encode_frame(payload)
-        for dialer in self._dialers:
-            dialer.send(frame)
+        """Send ``payload`` to every replica, encoded once unless a link
+        policy decides each replica's copies."""
+        if self._link is None:
+            frame = encode_frame(payload)
+            for dialer in self._dialers:
+                dialer.send(frame)
+            return
+        for replica, dialer in enumerate(self._dialers):
+            through_link(
+                self._link,
+                self.pid,
+                replica,
+                payload,
+                lambda copy, send=dialer.send: send(encode_frame(copy)),
+            )
 
     async def close(self) -> None:
-        for dialer in self._dialers:
-            dialer.close()
-        await asyncio.sleep(0)
+        """Hang up on every replica and wait for the dialers' tasks to end."""
+        await asyncio.gather(*(dialer.close() for dialer in self._dialers))
 
     # -- operations --------------------------------------------------------
 

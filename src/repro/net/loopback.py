@@ -1,24 +1,26 @@
 """The in-process twin of a deployment: one replica group, one clock.
 
-Real :class:`~repro.net.node.NetNode` hosts and the real wire codec on
-every hop, but the fabric is a :class:`~repro.net.transport.LoopbackHub`
-and the clock a :class:`~repro.net.clock.ManualScheduler`, so a whole
-group runs deterministically inside the calling process. The fault
-runner drives one :class:`LoopbackCluster` under an injector link
-policy (``repro.faults.loopback_runner``); the sharded twin is a dict of
-them on one shared scheduler under a latency policy
-(``repro.shard.loopback``).
+The deployment's own classes — :class:`~repro.net.node.NetNode`,
+:class:`~repro.net.transport.PeerTransport` and
+:class:`~repro.net.client.NetClient` — on a
+:class:`~repro.net.clock.VirtualTimeLoop`, so a whole group runs
+deterministically inside the calling process. The fault runner drives
+one :class:`LoopbackCluster` under an injector link policy
+(``repro.faults.loopback_runner``); the sharded twin is a dict of them
+on one shared loop under a latency policy (``repro.shard.loopback``).
 """
 
 from __future__ import annotations
 
-from typing import Any, KeysView, Mapping
+import asyncio
+from typing import Any, Callable, Coroutine, Mapping
 
+from repro.net.client import NetClient
+from repro.net.clock import VirtualTimeLoop, WallScheduler
 from repro.net.genesis import Genesis
 from repro.net.node import NetNode
-from repro.net.transport import LoopbackHub
+from repro.net.transport import PeerTransport
 from repro.service.checkpoint import service_digest
-from repro.service.session import ClientSession, PendingOp
 from repro.sim.network import LinkPolicy
 
 #: Genesis timers of every twin: virtual seconds are free, so clients
@@ -32,144 +34,133 @@ TWIN_KNOBS = {
 
 
 def fixed_addresses(n_replicas: int, port_base: int) -> tuple[tuple[str, int], ...]:
-    """Fake but *fixed* addresses: the fabric never binds a socket, yet
-    the genesis schema wants addresses, and fixed ones keep the genesis
-    id (hence every hello MAC) identical across runs — the byte-identity
-    contracts of the deterministic fidelities depend on it."""
+    """Fake but *fixed* addresses: the in-memory streams never bind a
+    socket, yet the genesis schema wants addresses, and fixed ones keep
+    the genesis id (hence every hello MAC) identical across runs — the
+    byte-identity contracts of the deterministic fidelities depend on it."""
     return tuple(("127.0.0.1", port_base + pid) for pid in range(n_replicas))
 
 
-class LoopbackClient:
-    """The one client protocol (:class:`~repro.service.session.ClientSession`)
-    on the hub and the virtual clock.
-
-    Like :class:`~repro.net.client.NetClient`, it sends every request
-    and every resubmission to every replica; the replicas pick the
-    proposer. ``set``/``get``/``status`` return the request id, and
-    ``finished`` holds each operation the session settled.
-    """
-
-    def __init__(
-        self, genesis: Genesis, hub: LoopbackHub, scheduler: Any, index: int = 0
-    ) -> None:
-        self.genesis = genesis
-        self.pid = genesis.n_replicas + index
-        self.scheduler = scheduler
-        self.session = ClientSession(
-            self.pid, genesis.n_replicas, genesis.service_config().params().f
-        )
-        self.transport = hub.register(self.pid, self._on_message)
-        #: req_id -> every operation settled, in completion order.
-        self.finished: dict[int, PendingOp] = {}
-
-    @property
-    def completed(self) -> KeysView[int]:
-        return self.finished.keys()
-
-    @property
-    def attempts(self) -> dict[int, int]:
-        """req_id -> how many times its request was sent, settled or not."""
-        ops = {**self.finished, **self.session.ops}
-        return {req_id: op.attempts for req_id, op in ops.items()}
-
-    @property
-    def resubmissions(self) -> int:
-        return self.session.resubmissions
-
-    def _on_message(self, src: int, message: Any) -> None:
-        op = self.session.on_reply(src, message)
-        if op is not None:
-            self.finished[op.req_id] = op
-
-    def set(self, key: str, value: Any) -> int:
-        return self._start(self.session.set(key, value, self.scheduler.now))
-
-    def get(self, key: str) -> int:
-        return self._start(self.session.get(key, self.scheduler.now))
-
-    def status(self) -> int:
-        return self._start(self.session.status(self.scheduler.now))
-
-    def _start(self, op: PendingOp) -> int:
-        self._submit(op.req_id)
-        return op.req_id
-
-    def _submit(self, req_id: int) -> None:
-        request = self.session.submit(req_id)
-        if request is None:
-            return
-        for replica in range(self.genesis.n_replicas):
-            self.transport.send(replica, request)
-        self.scheduler.schedule_after(
-            self.genesis.request_timeout,
-            "resubmit",
-            lambda: self._submit(req_id),
-        )
-
-
 class LoopbackCluster:
-    """One replica group and its clients on one hub and one scheduler.
+    """One replica group and its clients on one virtual-time loop.
 
-    ``link`` is the hub's link policy; ``config`` overrides the
-    genesis-derived service config for every node (it must agree across
-    the group); ``engine_factories`` turns the named pids Byzantine at
-    first boot — a rejoin always builds a correct node.
+    ``link`` is every transport's and client's link policy; ``config``
+    overrides the genesis-derived service config for every node (it
+    must agree across the group); ``engine_factories`` turns the named
+    pids Byzantine at first boot — a rejoin always builds a correct
+    node. Without ``loop`` the cluster runs on a loop of its own, which
+    :meth:`close` closes. Clients number their requests from 0.
     """
 
     def __init__(
         self,
         genesis: Genesis,
-        scheduler: Any,
         *,
+        loop: VirtualTimeLoop | None = None,
         link: LinkPolicy | None = None,
         config: Any = None,
         engine_factories: Mapping[int, Any] | None = None,
         clients: int = 1,
     ) -> None:
         self.genesis = genesis
-        self.scheduler = scheduler
+        self._owns_loop = loop is None
+        self.loop = VirtualTimeLoop() if loop is None else loop
+        #: The drivers' timers, in virtual seconds since the loop began.
+        self.scheduler = WallScheduler(self.loop)
         self.config = config
-        self.hub = LoopbackHub(scheduler, link)
+        self._link = link
         self.nodes: dict[int, NetNode] = {}
+        self.transports: dict[int, PeerTransport] = {}
+        self._killed: list[PeerTransport] = []
         for pid in range(genesis.n_replicas):
             self.up(pid, engine_factory=(engine_factories or {}).get(pid))
         self.clients = [
-            LoopbackClient(genesis, self.hub, scheduler, index)
+            NetClient(genesis, index, first_req_id=0, link=link)
             for index in range(clients)
         ]
+
+    # -- tasks -------------------------------------------------------------
+
+    def spawn(self, coro: Coroutine[Any, Any, Any]) -> asyncio.Task:
+        """Run ``coro`` on the loop; :meth:`close` ends it if it is still
+        running, and an exception it raises fails the next pump."""
+        return self.loop.spawn(coro)
+
+    def run_until(self, condition: Callable[[], bool], timeout: float) -> bool:
+        return self.loop.run_until(condition, timeout)
+
+    def pump(self, seconds: float) -> None:
+        """Run exactly ``seconds`` of virtual time."""
+        self.run_until(lambda: False, seconds)
+
+    # -- node lifecycle ----------------------------------------------------
 
     def up(self, pid: int, *, join: bool = False, engine_factory: Any = None) -> None:
         node = NetNode(
             self.genesis,
             pid,
-            self.scheduler,
+            WallScheduler(self.loop),
             join=join,
             engine_factory=engine_factory,
             config=self.config,
         )
-        node.attach_transport(self.hub.register(pid, node.handle_message))
+        transport = PeerTransport(
+            self.genesis,
+            pid,
+            node.handle_message,
+            metrics=node.net_metrics,
+            link=self._link,
+        )
+        node.attach_transport(transport)
         self.nodes[pid] = node
-        node.start()
+        self.transports[pid] = transport
+        self.spawn(self._boot(node, transport))
+
+    async def _boot(self, node: NetNode, transport: PeerTransport) -> None:
+        if self.transports.get(node.pid) is transport:  # not killed meanwhile
+            await transport.start()
+            node.start()
 
     def kill(self, pid: int) -> None:
-        """Crash semantics: the dead process neither fires timers into
-        the fabric nor keeps volatile state."""
+        """As after a SIGKILL: the replica stops, volatile state and all,
+        and every connection it had drops at once."""
         node = self.nodes.pop(pid, None)
         if node is None:
             return
-        self.hub.unregister(pid)
         node.process.go_down()
+        transport = self.transports.pop(pid)
+        transport.abort()
+        self._killed.append(transport)
 
     def rejoin(self, pid: int) -> None:
         """Fresh node with ``join=True``: certified transfer is the way back."""
         self.up(pid, join=True)
 
-    def pump(self, seconds: float, *, step: float = 0.1) -> None:
-        for _ in range(int(round(seconds / step))):
-            self.scheduler.advance(step)
+    def close(self) -> None:
+        """End every task, client and transport, so nothing outlives the
+        run; then close the loop if the cluster made it."""
+
+        async def shutdown() -> None:
+            await self.loop.cancel_spawned()
+            await asyncio.gather(
+                *(client.close() for client in self.clients),
+                *(t.stop() for t in (*self._killed, *self.transports.values())),
+            )
+
+        self.loop.run_until_complete(shutdown())
+        if self._owns_loop:
+            self.loop.close()
+
+    def __enter__(self) -> "LoopbackCluster":
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self.close()
+
+    # -- facts -------------------------------------------------------------
 
     def completed(self) -> int:
-        return sum(len(client.completed) for client in self.clients)
+        return sum(client.sets_completed for client in self.clients)
 
     def committed(self) -> dict[int, int]:
         return {

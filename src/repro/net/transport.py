@@ -1,12 +1,11 @@
-"""Transports of the net runtime: real TCP full mesh and in-memory loopback.
+"""The transport of the net runtime: an authenticated TCP full mesh.
 
-Both expose the same tiny surface a :class:`~repro.net.node.NetNode`
-needs — ``send(dst, payload)`` plus a ``(src, message)`` delivery
-callback — so every protocol-facing test runs on the deterministic
-:class:`LoopbackHub` while deployments run :class:`PeerTransport` over
-asyncio TCP. The loopback still pushes **every** payload through the
-wire codec: what the tests exercise is byte-for-byte what the sockets
-carry.
+:class:`PeerTransport` gives a :class:`~repro.net.node.NetNode` the
+tiny surface it needs — ``send(dst, payload)`` plus a ``(src, message)``
+delivery callback — over asyncio streams. Deployments run it on
+sockets; the deterministic twin runs the same class on
+:class:`~repro.net.clock.VirtualTimeLoop`'s in-memory streams, so every
+protocol-facing test exercises byte-for-byte what the sockets carry.
 
 Every outbound TCP connection to a replica — a replica's to each peer,
 a client's to each replica — is one :class:`Dialer` and follows its
@@ -21,9 +20,9 @@ from __future__ import annotations
 
 import asyncio
 from collections import deque
+from functools import partial
 from typing import Any, Callable
 
-from repro.errors import ReproError
 from repro.net.genesis import Genesis
 from repro.net.messages import ROLE_CLIENT, ROLE_REPLICA, Hello
 from repro.net.wire import (
@@ -49,130 +48,6 @@ READ_CHUNK = 1 << 16
 def backoff_delay(failures: int) -> float:
     """Seconds to wait before the next dial after ``failures`` in a row."""
     return min(BACKOFF_CAP, BACKOFF_BASE * (2 ** min(failures, 10)))
-
-
-class TransportError(ReproError):
-    """The transport was driven outside its contract."""
-
-
-# ---------------------------------------------------------------------------
-# Loopback: deterministic in-memory fabric with codec round-trips.
-# ---------------------------------------------------------------------------
-
-
-class LoopbackHub:
-    """In-memory message fabric with the PeerTransport surface.
-
-    Sends enqueue; delivery happens when the hub's zero-delay drain
-    timer fires on the shared scheduler (or on an explicit
-    :meth:`flush`). Deferring the drain keeps a multi-destination
-    broadcast *atomic*: every copy is enqueued before any destination
-    runs its handler, preserving the per-``(src, dst)`` FIFO order a
-    real TCP connection gives — a synchronous drain would let the first
-    recipient's whole downstream cascade run (and send) in between the
-    copies, reordering one sender's messages at a third node. The drain
-    itself is an iterative FIFO loop (never recursive), so message
-    storms cannot blow the stack. Unregistered destinations drop
-    (counted), modelling a killed process.
-
-    ``link`` is the fabric's one point of variation: a
-    :data:`~repro.sim.network.LinkPolicy` asked about every send as
-    ``link(now, src, dst, payload)``. Latency, loss, duplication,
-    partitions and corruption are all policies (docs/NET.md); a late
-    copy is encoded at send time and joins the queue when its timer
-    fires, so it escapes the FIFO exactly like a reordered TCP segment.
-    """
-
-    def __init__(self, scheduler: Any, link: LinkPolicy | None = None) -> None:
-        self._scheduler = scheduler
-        self._link = link
-        self._handlers: dict[int, MessageHandler] = {}
-        self._queue: deque[tuple[int, int, bytes]] = deque()
-        self._dispatching = False
-        self._drain_scheduled = False
-        self.frames_delivered = 0
-        self.frames_dropped = 0
-        self.frames_rejected = 0
-
-    def register(self, pid: int, handler: MessageHandler) -> "LoopbackTransport":
-        if pid in self._handlers:
-            raise TransportError(f"pid {pid} already registered on the hub")
-        self._handlers[pid] = handler
-        return LoopbackTransport(self, pid)
-
-    def unregister(self, pid: int) -> None:
-        self._handlers.pop(pid, None)
-
-    def submit(self, src: int, dst: int, payload: Any) -> None:
-        deliveries = None
-        if self._link is not None:
-            deliveries = self._link(self._scheduler.now, src, dst, payload)
-        if deliveries is None:
-            deliveries = ((payload, 0.0),)
-        for copy, delay in deliveries:
-            try:
-                frame = encode_frame(copy)
-            except WireError:
-                self.frames_rejected += 1
-                continue
-            if delay > 0.0:
-                self._scheduler.schedule_after(
-                    delay,
-                    "loopback-hop",
-                    lambda frame=frame: self._enqueue(src, dst, frame),
-                )
-            else:
-                self._enqueue(src, dst, frame)
-
-    def _enqueue(self, src: int, dst: int, frame: bytes) -> None:
-        self._queue.append((src, dst, frame))
-        if not self._dispatching and not self._drain_scheduled:
-            self._drain_scheduled = True
-            self._scheduler.schedule_after(0.0, "loopback-drain", self.flush)
-
-    def flush(self) -> None:
-        """Deliver everything queued (drains nested sends too)."""
-        self._drain_scheduled = False
-        if self._dispatching:
-            return
-        self._dispatching = True
-        try:
-            while self._queue:
-                src, dst, frame = self._queue.popleft()
-                handler = self._handlers.get(dst)
-                if handler is None:
-                    self.frames_dropped += 1
-                    continue
-                try:
-                    message = decode_frame(frame)
-                except WireError:
-                    self.frames_rejected += 1
-                    continue
-                self.frames_delivered += 1
-                handler(src, message)
-        finally:
-            self._dispatching = False
-
-
-class LoopbackTransport:
-    """One endpoint's sending handle onto a :class:`LoopbackHub`."""
-
-    __slots__ = ("_hub", "pid")
-
-    def __init__(self, hub: LoopbackHub, pid: int) -> None:
-        self._hub = hub
-        self.pid = pid
-
-    def send(self, dst: int, payload: Any) -> None:
-        self._hub.submit(self.pid, dst, payload)
-
-    def close(self) -> None:
-        self._hub.unregister(self.pid)
-
-
-# ---------------------------------------------------------------------------
-# Real sockets.
-# ---------------------------------------------------------------------------
 
 
 class Dialer:
@@ -288,23 +163,43 @@ class Dialer:
             delay = backoff_delay(self._failures)
             self._retry_at = asyncio.get_running_loop().time() + delay
 
-    def close(self) -> None:
+    def abort(self) -> None:
+        """Hang up (which ends the read loop too) and dial no more."""
         self._closed = True
         if self._busy is not None:
             self._busy.cancel()
         if self._writer is not None:
-            self._writer.transport.abort()  # ends the read loop too
+            self._writer.transport.abort()
             self._writer = None
+
+    async def close(self) -> None:
+        """:meth:`abort`, and return once this dialer's tasks have ended."""
+        self.abort()
+        tasks = [task for task in (self._busy, self._reading) if task is not None]
+        await asyncio.gather(*tasks, return_exceptions=True)
+
+
+def through_link(
+    link: LinkPolicy, src: int, dst: int, payload: Any, send: Callable[[Any], None]
+) -> None:
+    """Hand ``payload`` to ``send`` as ``link`` decides (``now`` = the
+    loop's clock): each copy now, or through ``loop.call_later`` when it
+    has a positive delay, so it overtakes in-flight traffic."""
+    loop = asyncio.get_running_loop()
+    copies = link(loop.time(), src, dst, payload)
+    for copy, delay in ((payload, 0.0),) if copies is None else copies:
+        if delay > 0:
+            loop.call_later(delay, send, copy)
+        else:
+            send(copy)
 
 
 class PeerTransport:
     """Authenticated full-mesh TCP transport for one replica.
 
-    ``link`` is the :data:`~repro.sim.network.LinkPolicy` the in-memory
-    fabrics take, asked (``now`` = the loop's clock) about every send to
-    another replica, so a fault plan's link faults hit real TCP with no
-    privileged machinery. A copy with a positive delay is sent through
-    ``loop.call_later`` and overtakes in-flight traffic.
+    ``link`` is the :data:`~repro.sim.network.LinkPolicy` the simulator's
+    network takes too, asked about every send to a peer or a client, so
+    a fault plan's link faults hit real TCP with no privileged machinery.
     """
 
     def __init__(
@@ -327,7 +222,8 @@ class PeerTransport:
             for peer in range(genesis.n_replicas)
             if peer != pid
         }
-        self._accepted: set[asyncio.StreamWriter] = set()
+        #: Accepted connection -> the task reading it.
+        self._accepted: dict[asyncio.StreamWriter, asyncio.Task] = {}
         self._clients: dict[int, asyncio.StreamWriter] = {}
         #: Client connection -> the wait for its send buffer to drain.
         self._drains: dict[asyncio.StreamWriter, asyncio.Task] = {}
@@ -343,41 +239,44 @@ class PeerTransport:
     async def start(self) -> None:
         host, port = self._genesis.address_of(self._pid)
         self._server = await asyncio.start_server(self._accept, host, port)
-        self.bound_port = self._server.sockets[0].getsockname()[1]
+        self.bound_port = port
 
-    async def stop(self) -> None:
+    def abort(self) -> None:
+        """Stop listening and drop every connection at once, as a killed
+        process does; peers see each drop and start to redial."""
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         for dialer in self._dialers.values():
-            dialer.close()
-        # Server.close() only stops *listening*; established inbound
-        # connections keep reading unless we hang up on each — a peer
-        # that dialed us must see the drop to start its reconnect loop.
-        for writer in list(self._accepted):
-            writer.close()
-        self._accepted.clear()
-        self._clients.clear()
+            dialer.abort()
+        for writer in self._accepted:
+            writer.transport.abort()
+
+    async def stop(self) -> None:
+        """:meth:`abort`, then wait until every task this transport
+        started has ended: a stopped transport leaves nothing running."""
+        self.abort()
+        if self._server is not None:
+            await self._server.wait_closed()
+        for drain in self._drains.values():
+            drain.cancel()
+        await asyncio.gather(
+            *(dialer.close() for dialer in self._dialers.values()),
+            *self._drains.values(),
+            # Not cancelled: each ends on its connection's EOF.
+            *self._accepted.values(),
+            return_exceptions=True,
+        )
 
     # -- sending -----------------------------------------------------------
 
     def send(self, dst: int, payload: Any) -> None:
-        """Send ``payload`` to ``dst``; the link policy decides sends to peers."""
-        if (
-            self._link is not None
-            and dst != self._pid
-            and dst < self._genesis.n_replicas
-        ):
-            loop = asyncio.get_running_loop()
-            copies = self._link(loop.time(), self._pid, dst, payload)
-            if copies is not None:
-                for copy, delay in copies:
-                    if delay > 0:
-                        loop.call_later(delay, self._send_now, dst, copy)
-                    else:
-                        self._send_now(dst, copy)
-                return
-        self._send_now(dst, payload)
+        """Send ``payload`` to ``dst``; the link policy decides all but self-sends."""
+        if self._link is None or dst == self._pid:
+            self._send_now(dst, payload)
+        else:
+            through_link(
+                self._link, self._pid, dst, payload, partial(self._send_now, dst)
+            )
 
     def _send_now(self, dst: int, payload: Any) -> None:
         """Encode ``payload`` and hand it to ``dst``'s dialer or socket."""
@@ -430,7 +329,10 @@ class PeerTransport:
     ) -> None:
         assembler = FrameAssembler(table=self._envelopes, metrics=self._metrics)
         peer: int | None = None
-        self._accepted.add(writer)
+        if self._server is not None and not self._server.is_serving():
+            writer.transport.abort()  # accepted as the transport stopped
+            return
+        self._accepted[writer] = asyncio.current_task()
         try:
             while data := await reader.read(READ_CHUNK):
                 try:
@@ -457,7 +359,7 @@ class PeerTransport:
         except OSError:
             return
         finally:
-            self._accepted.discard(writer)
+            del self._accepted[writer]
             if peer is not None and self._clients.get(peer) is writer:
                 del self._clients[peer]
             writer.close()

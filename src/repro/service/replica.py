@@ -14,6 +14,7 @@ or lagging replica (docs/SERVICE.md).
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any, Callable
 
 from repro.consensus.transformed import TransformedConsensusProcess
@@ -64,6 +65,10 @@ EngineFactory = Callable[
      ModuleConfig],
     TransformedConsensusProcess,
 ]
+
+#: Messages a joining replica holds until its join transfer ends; past
+#: this many the oldest is dropped, as a dialer's backlog drops it.
+JOIN_HOLD_LIMIT = 1024
 
 
 def default_engine(pid, proposal, params, authority, detector, config):
@@ -200,6 +205,9 @@ class ServiceReplicaProcess(Process):
         self.restarts = 0
         self._transferring = False
         self._transfer_reason = ""
+        #: While a join transfer runs: the messages held back until it
+        #: ends (``None`` otherwise).
+        self._held: deque[tuple[int, Any]] | None = None
         #: Suffix entries refused during state transfer (forged vector,
         #: missing/invalid justification) — an oracle surface.
         self.suffix_rejections = 0
@@ -259,6 +267,11 @@ class ServiceReplicaProcess(Process):
 
     def on_message(self, src: int, payload: Any) -> None:
         if self.down:
+            return
+        if self._held is not None and not isinstance(
+            payload, (StateRequest, StateResponse)
+        ):
+            self._held.append((src, payload))
             return
         if isinstance(payload, SlotEnvelope):
             self._on_envelope(src, payload)
@@ -574,9 +587,13 @@ class ServiceReplicaProcess(Process):
         The net runtime calls this on a cold-started node rejoining an
         established cluster (``--join``): unlike :meth:`restart`, the OS
         process has no volatile state to wipe — it only needs to pull the
-        certified snapshot and suffix before serving.
+        certified snapshot and suffix before serving. Until the transfer
+        ends every other message is held back, so what the peers kept
+        for the replica's former self while it was dead (their dialers'
+        backlogs) lands on certified state instead of standing in for it.
         """
         if not self.down and not self._transferring:
+            self._held = deque(maxlen=JOIN_HOLD_LIMIT)
             self._start_state_transfer("join")
 
     def _stall_probe(self) -> None:
@@ -797,6 +814,9 @@ class ServiceReplicaProcess(Process):
         ):
             self._transferring = False
             self.cancel_timer("state-retry")
+            held, self._held = self._held or (), None
+            for src, payload in held:
+                self.on_message(src, payload)
 
     def _reject_suffix_entry(self, what: str) -> None:
         self.suffix_rejections += 1

@@ -16,8 +16,7 @@ machine with no I/O and no clock of its own:
   cannot cast f+1 votes by forging its peers' names.
 
 Drivers do the I/O and the clocks: :class:`~repro.net.client.NetClient`
-over TCP, :class:`~repro.net.loopback.LoopbackClient` on the
-deterministic hub, and the simulator's
+over TCP (on the deterministic twin too), and the simulator's
 :class:`~repro.service.clients.ServiceClient`. Each sends what
 :meth:`ClientSession.submit` returns to every replica, calls it again
 after each ``request_timeout`` of silence (every call but the first is a

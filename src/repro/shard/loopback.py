@@ -1,26 +1,27 @@
 """The sharded loopback twin: a whole multi-group deployment, one process.
 
-Real :class:`~repro.net.node.NetNode` hosts and the real wire codec on
-every hop, per shard, exactly like the single-group loopback twin — but
-*all* shards share one :class:`~repro.net.clock.ManualScheduler`, so the
-groups genuinely run side by side in virtual time while the whole run
-stays a pure function of the shard genesis and the workload schedule.
-That buys two things:
+The deployment's own classes on every hop, per shard, exactly like the
+single-group loopback twin — but *all* shards share one
+:class:`~repro.net.clock.VirtualTimeLoop`, so the groups genuinely run
+side by side in virtual time while the whole run stays a pure function
+of the shard genesis and the workload schedule. That buys two things:
 
 * **byte-identical smoke records** — :func:`run_loopback_smoke` returns
   a canonical record that two runs reproduce bit for bit (the
   ``make shard-smoke`` double-run ``cmp`` pins it), kill/rejoin and all;
 * **an honest scaling measurement in virtual time** — the benchmark's
   sweep (:func:`loopback_scaling_cell`) offers the *same* request
-  schedule whatever the shard count and reads off the virtual completion
-  time: with one group every command queues behind one total order, with
-  S groups each order carries ~1/S of the keys, and the aggregate
-  throughput is the ratio the E21 acceptance bar checks.
+  schedule whatever the shard count and reads off the virtual instant
+  the last request completed: with one group every command queues
+  behind one total order, with S groups each order carries ~1/S of the
+  keys, and the aggregate throughput is the ratio the E21 acceptance
+  bar checks.
 
 Each shard is one :class:`~repro.net.loopback.LoopbackCluster` with its
-own hub — pid spaces are group-local, and two groups must not share a
-fabric any more than they share a total order. Routing happens in the
-client layer only, via the same deterministic map the TCP client uses.
+own addresses — pid spaces are group-local, and two groups must not
+share a connection any more than they share a total order. Routing
+happens in the client layer only, via the same deterministic map the
+TCP client uses.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import json
 from typing import Any, Mapping
 
 from repro.errors import ConfigurationError
-from repro.net.clock import ManualScheduler
+from repro.net.clock import VirtualTimeLoop
 from repro.net.loopback import TWIN_KNOBS, LoopbackCluster, fixed_addresses
 from repro.observability.registry import MODULE_SHARD, MetricsRegistry
 from repro.shard.genesis import ShardGenesis
@@ -52,9 +53,9 @@ def link_latency(
 ) -> LinkPolicy:
     """A link policy under which every hop costs virtual time.
 
-    A bare hub drains at zero delay, which is perfect for protocol
-    correctness tests but useless for a *scaling* measurement: with free
-    messages a group orders any backlog within one scheduler step, so
+    Bare in-memory streams deliver at zero delay, which is perfect for
+    protocol correctness tests but useless for a *scaling* measurement:
+    with free messages a group orders any backlog at one instant, so
     virtual time cannot show the per-group ordering pipeline saturating.
     Charging a fixed ``delay`` per hop makes a protocol round cost what
     a round costs — a few hops — and the group's commit rate becomes
@@ -108,7 +109,7 @@ def loopback_shard_genesis(
 
 
 class ShardedLoopbackCluster:
-    """Every shard's nodes and clients on one deterministic clock."""
+    """Every shard's nodes and clients on one virtual-time loop."""
 
     def __init__(
         self,
@@ -124,27 +125,34 @@ class ShardedLoopbackCluster:
                 f"clients must be in 1..{genesis.max_clients}, got {clients}"
             )
         self.genesis = genesis
-        self.scheduler = ManualScheduler()
+        self.loop = VirtualTimeLoop()
         self.metrics = MetricsRegistry()
         #: shard -> sets routed there (the exactly-once expectation).
         self.routed: dict[int, int] = {
             shard: 0 for shard in range(genesis.n_shards)
         }
         self._issued = 0
-        # One latency policy serves every shard's fabric: the pid space
+        # One latency policy serves every shard's links: the pid space
         # is group-local, so one map describes "replica 0 is behind a
         # slow hop" for each group without enumerating shards.
         link = link_latency(hop_delay, link_delays)
-        #: shard -> that group's nodes, hub and clients.
+        #: shard -> that group's nodes, transports and clients.
         self.groups: dict[int, LoopbackCluster] = {
             shard: LoopbackCluster(
                 genesis.genesis_for(shard),
-                self.scheduler,
+                loop=self.loop,
                 link=link,
                 clients=clients,
             )
             for shard in range(genesis.n_shards)
         }
+        self.scheduler = self.groups[0].scheduler
+
+    def close(self) -> None:
+        """End every group's tasks, clients and transports; close the loop."""
+        for group in self.groups.values():
+            group.close()
+        self.loop.close()
 
     # -- node lifecycle ----------------------------------------------------
 
@@ -161,7 +169,8 @@ class ShardedLoopbackCluster:
     def submit(self, key: str, value: str, *, client: int = 0) -> int:
         """Route one set to its shard's client; returns the shard."""
         shard = self.genesis.shard_of(key)
-        self.groups[shard].clients[client].set(key, value)
+        group = self.groups[shard]
+        group.spawn(group.clients[client].set(key, value))
         self.routed[shard] += 1
         self._issued += 1
         self.metrics.inc(MODULE_SHARD, "commands_routed", pid=shard)
@@ -192,19 +201,15 @@ class ShardedLoopbackCluster:
     def completed(self) -> int:
         return sum(group.completed() for group in self.groups.values())
 
-    def pump(self, seconds: float, *, step: float = 0.1) -> None:
-        # One shared clock: pumping any group pumps them all.
-        self.groups[0].pump(seconds, step=step)
+    def pump(self, seconds: float) -> None:
+        self.loop.run_until(lambda: False, seconds)
 
-    def run_until_complete(self, *, budget: float, step: float = 0.1) -> bool:
-        """Advance until every issued request completed; True on success."""
-        spent = 0.0
-        while spent < budget:
-            if self.completed() >= self._issued and self._issued > 0:
-                return True
-            self.scheduler.advance(step)
-            spent += step
-        return self.completed() >= self._issued
+    def run_until_complete(self, *, budget: float) -> bool:
+        """Run until every issued request completed, stopping at that
+        instant; True on success."""
+        return self.loop.run_until(
+            lambda: 0 < self._issued <= self.completed(), budget
+        )
 
     # -- per-shard verdicts ------------------------------------------------
 
@@ -218,12 +223,12 @@ class ShardedLoopbackCluster:
         """Digest agreement + exactly-once against the routed count."""
         if len(self.groups[shard].nodes) < self.genesis.replicas_per_shard:
             return False
-        if len(set(self.shard_digests(shard).values())) != 1:
-            return False
-        return all(
-            count == self.routed[shard]
+        if any(
+            count != self.routed[shard]
             for count in self.shard_committed(shard).values()
-        )
+        ):
+            return False
+        return len(set(self.shard_digests(shard).values())) == 1
 
     def converged(self) -> bool:
         return all(
@@ -231,14 +236,10 @@ class ShardedLoopbackCluster:
             for shard in range(self.genesis.n_shards)
         )
 
-    def settle(self, *, budget: float = SETTLE_BUDGET, step: float = 0.1) -> bool:
-        spent = 0.0
-        while spent < budget:
-            if self.completed() >= self._issued and self.converged():
-                return True
-            self.scheduler.advance(step)
-            spent += step
-        return self.completed() >= self._issued and self.converged()
+    def settle(self, *, budget: float = SETTLE_BUDGET) -> bool:
+        return self.loop.run_until(
+            lambda: self.completed() >= self._issued and self.converged(), budget
+        )
 
 
 def run_loopback_smoke(
@@ -338,6 +339,7 @@ def run_loopback_smoke(
             )
         ),
     }
+    cluster.close()
     return record
 
 
@@ -360,7 +362,6 @@ def loopback_scaling_cell(
     span: float = 0.0,
     hop_delay: float = 0.02,
     budget: float = 600.0,
-    step: float = 0.05,
     **overrides: Any,
 ) -> dict[str, Any]:
     """One deterministic E21 sweep cell: same offered load, S groups.
@@ -396,13 +397,13 @@ def loopback_scaling_cell(
         requests, span=span, clients=clients, key_space=key_space
     )
     cluster.pump(span)
-    done = cluster.run_until_complete(budget=budget, step=step)
-    # The throughput denominator stops the moment the last client request
-    # has its f+1th ack; the convergence check afterwards may advance the
-    # clock further, but that settling time is not service time.
+    done = cluster.run_until_complete(budget=budget)
+    # The run stopped the moment the last client request had its f+1th
+    # ack; the convergence check afterwards may advance the clock
+    # further, but that settling time is not service time.
     complete_at = cluster.scheduler.now
     converged = cluster.settle(budget=60.0)
-    return {
+    cell = {
         "shards": shards,
         "clients": clients,
         "requests": requests,
@@ -423,3 +424,5 @@ def loopback_scaling_cell(
             cluster.shard_converged(shard) for shard in range(shards)
         ),
     }
+    cluster.close()
+    return cell

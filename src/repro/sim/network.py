@@ -44,8 +44,8 @@ DeliverCallback = Callable[[int, Any], None]
 #: otherwise one ``(payload, extra_delay)`` per copy — none drops it,
 #: several duplicate it, and a positive extra delay makes that copy late
 #: (it escapes the FIFO clamp, so later traffic may overtake it). Every
-#: fabric takes one: :class:`Network`, :class:`~repro.net.transport.LoopbackHub`
-#: and :class:`~repro.net.transport.PeerTransport`. :class:`LinkModel` and
+#: fabric takes one: :class:`Network`, :class:`~repro.net.transport.PeerTransport`
+#: and :class:`~repro.net.client.NetClient`. :class:`LinkModel` and
 #: :meth:`LinkFaultInjector.plan_deliveries
 #: <repro.faults.injector.LinkFaultInjector.plan_deliveries>` are policies.
 #: The contract is the call alone; :class:`Network` also traces the cuts

@@ -285,3 +285,127 @@ def log_converged(system) -> bool:
         and len({tuple(map(repr, log.log)) for log in logs}) == 1
         and len({service_digest(log.store, log.executed) for log in logs}) == 1
     )
+
+
+# -- the virtual-time loop -----------------------------------------------------
+
+
+def run_virtual(coro):
+    """Run ``coro`` to completion on a fresh ``VirtualTimeLoop``, then close it."""
+    from repro.net.clock import VirtualTimeLoop
+
+    loop = VirtualTimeLoop()
+    try:
+        return loop.run_until_complete(coro)
+    finally:
+        loop.close()
+
+
+class Mesh:
+    """``PeerTransport``s of ``pids`` on one ``VirtualTimeLoop``; each logs
+    ``(src, dst, message, time)`` and runs ``react(transports, pid, src,
+    message)`` on every arrival."""
+
+    def __init__(self, genesis, pids, *, link=None, react=None):
+        from repro.net.clock import VirtualTimeLoop
+        from repro.net.transport import PeerTransport
+        from repro.observability.registry import MODULE_NET, MetricsRegistry
+
+        self.loop = VirtualTimeLoop()
+        self.registry = MetricsRegistry()
+        self.log: list[tuple] = []
+        self.transports = {}
+        for pid in pids:
+
+            def handler(src, message, pid=pid):
+                self.log.append((src, pid, message, self.loop.time()))
+                if react is not None:
+                    react(self.transports, pid, src, message)
+
+            self.transports[pid] = PeerTransport(
+                genesis,
+                pid,
+                handler,
+                metrics=self.registry.scope(MODULE_NET, pid),
+                link=link,
+            )
+        for transport in self.transports.values():
+            self.loop.run_until_complete(transport.start())
+
+    def send_at(self, when, src, dst, message):
+        self.loop.call_at(when, self.transports[src].send, dst, message)
+
+    def run(self, seconds, *sends):
+        """Send each ``(src, dst, message)`` now, then run ``seconds``."""
+        for send in sends:
+            self.send_at(self.loop.time(), *send)
+        self.loop.run_until(lambda: False, seconds)
+        return self.log
+
+    def counter(self, name):
+        from repro.observability.registry import MODULE_NET
+
+        return self.registry.counter_total(MODULE_NET, name)
+
+    def close(self):
+        for transport in self.transports.values():
+            self.loop.run_until_complete(transport.stop())
+        self.loop.close()
+
+
+class Ops:
+    """Operations of a ``LoopbackCluster``'s client, each run as a task.
+
+    ``set``/``get``/``status`` return the request id; ``results`` maps
+    each settled id to its result, ``sent`` counts each id's sends.
+    """
+
+    def __init__(self, cluster, index=0):
+        from collections import Counter
+
+        self.cluster = cluster
+        self.client = cluster.clients[index]
+        self.results: dict = {}
+        self.sent: Counter = Counter()
+        self._next_id = self.client.session.next_req_id
+        multicast = self.client._multicast
+
+        def counting(payload):
+            self.sent[payload.req_id] += 1
+            multicast(payload)
+
+        self.client._multicast = counting
+
+    def _start(self, name, *args):
+        # Tasks start in the order they were spawned, so ids do too.
+        req_id = self._next_id
+        self._next_id += 1
+
+        async def run():
+            from repro.net.client import NetClientError
+
+            assert self.client.session.next_req_id == req_id
+            try:
+                self.results[req_id] = await getattr(self.client, name)(*args)
+            except NetClientError:
+                pass
+
+        self.cluster.spawn(run())
+        return req_id
+
+    @property
+    def pid(self):
+        return self.client.pid
+
+    def set(self, key, value):
+        return self._start("set", key, value)
+
+    def get(self, key):
+        return self._start("get", key)
+
+    def status(self):
+        return self._start("status")
+
+    @property
+    def completed(self):
+        return set(self.results)

@@ -13,7 +13,7 @@ import asyncio
 
 import pytest
 
-from repro.net import ManualScheduler
+from repro.net import PeerTransport
 from repro.net.client import NetClient, NetClientError
 from repro.net.genesis import Genesis
 from repro.net.loopback import TWIN_KNOBS, LoopbackCluster, fixed_addresses
@@ -21,6 +21,8 @@ from repro.net.messages import ReadReply, ReadRequest, StatusReply
 from repro.net.wire import FrameAssembler, encode_frame
 from repro.service.messages import ClientReply, ClientRequest
 from repro.service.session import ClientSession
+
+from tests.helpers import Ops
 
 N, F = 4, 1
 PID = N  # the first client
@@ -161,8 +163,6 @@ def test_loopback_forged_replica_names_complete_nothing():
     def drop_correct_acks(now, src, dst, payload):
         return [] if isinstance(payload, ClientReply) and src != 3 else None
 
-    cluster = LoopbackCluster(genesis, ManualScheduler(), link=drop_correct_acks)
-    cluster.kill(3)
     forged = []
 
     def rogue(src, message):
@@ -171,14 +171,17 @@ def test_loopback_forged_replica_names_complete_nothing():
                 forged.append(name)
                 transport.send(message.client, ack(name, message.req_id, slot=0))
 
-    transport = cluster.hub.register(3, rogue)
-    client = cluster.clients[0]
-    req_id = client.set("k", "v")
-    cluster.pump(3.0)
-    assert forged  # the forgeries were sent
-    assert req_id not in client.completed
-    # The three correct replicas did commit it; their acks were lost.
-    assert set(cluster.committed().values()) == {1}
+    with LoopbackCluster(genesis, link=drop_correct_acks) as cluster:
+        cluster.kill(3)
+        transport = cluster.transports[3] = PeerTransport(genesis, 3, rogue)
+        cluster.spawn(transport.start())
+        client = Ops(cluster)
+        req_id = client.set("k", "v")
+        cluster.pump(3.0)
+        assert forged  # the forgeries were sent
+        assert req_id not in client.completed
+        # The three correct replicas did commit it; their acks were lost.
+        assert set(cluster.committed().values()) == {1}
 
 
 def test_tcp_forged_read_quorum_returns_nothing():

@@ -14,6 +14,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import repro
 
 from repro.faults import (
     FAULT_PRESETS,
@@ -531,18 +537,61 @@ class TestReducer:
 
 class TestLoopbackLinkPolicy:
     def test_a_nodes_own_loopback_crosses_no_link(self):
-        # Replica 1 is mute from t=0: the injector — which *is* the
-        # loopback hub's link policy — swallows everything touching it,
-        # except what it sends itself.
+        # Replica 1 is mute from t=0: the injector — which *is* every
+        # loopback transport's and client's link policy — swallows
+        # everything touching it, except what it sends itself.
         run = _LoopbackRun(
             FaultPlan(name="mute", requests=1, duration=4.0, mutes=((1, 0.0),))
         )
-        link = run.cluster.hub._link
-        assert link == run.injector.plan_deliveries
+        run.cluster.close()
+        link = run.cluster.transports[0]._link
+        assert link == run.injector.plan_deliveries == run.client._link
         assert link(0.0, 1, 1, "m") is None
         assert link(0.0, 0, 1, "m") == []
         assert link(0.0, 1, 0, "m") == []
         assert run.injector.drops["mute"] == 2
+
+    def test_a_handler_that_raises_fails_the_plan(self):
+        # The transport counts and drops a message whose handler raised;
+        # the judge turns the count at a correct replica into a failure.
+        plan = FaultPlan(name="loud", seed=2, requests=6, duration=6.0)
+        run = _LoopbackRun(plan)
+        process = run.cluster.nodes[1].process
+        deliver = process.deliver
+        raised = []
+
+        def once(src, payload):
+            if not raised:
+                raised.append(src)
+                raise RuntimeError("a handler bug")
+            deliver(src, payload)
+
+        process.deliver = once
+        verdict, violations = judge(plan, run.execute())
+        assert raised
+        assert verdict == "fail"
+        assert violations == ["handler: replica 1 raised in 1 message handler(s)"]
+
+
+def test_a_loopback_report_is_identical_under_two_hash_seeds():
+    # The twin's determinism rests on asyncio's ready-queue order and on
+    # nothing that iterates a hash-ordered set.
+    script = (
+        "from repro.faults import FAULT_PRESETS, run_cross_fidelity\n"
+        "plans = [p for p in FAULT_PRESETS['smoke'] if p.name == 'kill-rejoin']\n"
+        "print(run_cross_fidelity(plans, ('loopback',)).dumps())\n"
+    )
+    src = str(Path(repro.__file__).parents[1])
+    reports = [
+        subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+            capture_output=True,
+            check=True,
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    assert reports[0] and reports[0] == reports[1]
 
 
 class TestCrossFidelityReport:

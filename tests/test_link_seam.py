@@ -1,8 +1,9 @@
 """Tests: the one link seam every fabric shares (``repro.sim.network.LinkPolicy``).
 
-One scripted policy runs unchanged on the simulator's ``Network``, the
-loopback twin's ``LoopbackHub`` and two real ``PeerTransport``s over
-127.0.0.1, and each receiver must see the same stream. A fault plan's
+One scripted policy runs unchanged on the simulator's ``Network`` and on
+two ``PeerTransport``s — one scenario body on the loopback twin's
+virtual-time loop and over real sockets on 127.0.0.1 — and each
+receiver must see the same stream. A fault plan's
 injector installed as the simulator's policy must get the network's
 per-link accounting like any other policy.
 """
@@ -13,13 +14,14 @@ import asyncio
 
 from repro.faults import FaultPlan
 from repro.faults.sim_runner import SIM_TIME_SCALE, build_sim_system
-from repro.net.clock import ManualScheduler
 from repro.net.cluster import make_genesis
-from repro.net.transport import LoopbackHub, PeerTransport
+from repro.net.transport import PeerTransport
 from repro.observability.registry import MODULE_NETWORK
 from repro.sim.network import FixedDelay, Network
 from repro.sim.scheduler import Scheduler
 from repro.sim.trace import Trace
+
+from tests.helpers import run_virtual
 
 #: Seconds (virtual or wall) m3 is held back: enough for m4 to overtake.
 LATE = 0.2
@@ -54,50 +56,44 @@ class TestOnePolicyThreeFabrics:
         assert trace.first("link-drop").detail["reason"] == "link"
 
     def test_loopback_hub(self):
-        scheduler = ManualScheduler()
-        hub = LoopbackHub(scheduler, link=scripted)
-        got: list[str] = []
-        sender = hub.register(0, lambda src, msg: None)
-        hub.register(1, lambda src, msg: got.append(msg))
-        for message in SENT:
-            sender.send(1, message)
-        scheduler.advance(1.0)
-        assert got == EXPECTED
+        genesis = make_genesis(4, seed=41, name="link-seam")
+        assert run_virtual(two_transports(genesis)) == EXPECTED
 
     def test_peer_transports_over_tcp(self):
-        async def scenario():
-            genesis = make_genesis(4, seed=41, name="link-seam")
-            got: list[str] = []
-            arrived = asyncio.Event()
+        genesis = make_genesis(4, seed=41, name="link-seam")
+        assert asyncio.run(two_transports(genesis)) == EXPECTED
 
-            def receive(src, message):
-                got.append(message)
-                arrived.set()
 
-            sender = PeerTransport(
-                genesis, 0, lambda src, msg: None, link=scripted
+async def two_transports(genesis):
+    """Replica 0 sends ``SENT`` to replica 1 under ``scripted``; returns
+    what replica 1 received."""
+    got: list[str] = []
+    arrived = asyncio.Event()
+
+    def receive(src, message):
+        got.append(message)
+        arrived.set()
+
+    sender = PeerTransport(genesis, 0, lambda src, msg: None, link=scripted)
+    receiver = PeerTransport(genesis, 1, receive)
+    await sender.start()
+    await receiver.start()
+    try:
+        for message in SENT:
+            sender.send(1, message)
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + 8.0
+        while len(got) < len(EXPECTED):
+            arrived.clear()
+            await asyncio.wait_for(
+                arrived.wait(), max(0.05, deadline - loop.time())
             )
-            receiver = PeerTransport(genesis, 1, receive)
-            await sender.start()
-            await receiver.start()
-            try:
-                for message in SENT:
-                    sender.send(1, message)
-                loop = asyncio.get_running_loop()
-                deadline = loop.time() + 8.0
-                while len(got) < len(EXPECTED):
-                    arrived.clear()
-                    await asyncio.wait_for(
-                        arrived.wait(), max(0.05, deadline - loop.time())
-                    )
-                # Nothing else is on its way: m1 stays dropped.
-                await asyncio.sleep(2 * LATE)
-                return got
-            finally:
-                await sender.stop()
-                await receiver.stop()
-
-        assert asyncio.run(scenario()) == EXPECTED
+        # Nothing else is on its way: m1 stays dropped.
+        await asyncio.sleep(2 * LATE)
+        return got
+    finally:
+        await sender.stop()
+        await receiver.stop()
 
 
 def test_a_fault_plan_gets_the_per_link_accounting():

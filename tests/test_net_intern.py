@@ -41,10 +41,10 @@ from repro.crypto.cache import caching_disabled
 from repro.crypto.encoding import canonical_bytes
 from repro.messages.consensus import NULL, VCurrent
 from repro.net.client import NetClient
-from repro.net.clock import ManualScheduler, WallScheduler
+from repro.net.clock import WallScheduler
 from repro.net.cluster import make_genesis, wait_cluster_ready
 from repro.net.node import NetNode
-from repro.net.transport import LoopbackHub, PeerTransport
+from repro.net.transport import PeerTransport
 from repro.net.wire import (
     HEADER,
     MAX_DEPTH,
@@ -58,7 +58,7 @@ from repro.observability.registry import MODULE_NET, MetricsRegistry
 from repro.replication.kvstore import Command
 from repro.service.messages import ClientRequest, SlotEnvelope
 
-from tests.helpers import SignedWorkbench, envelope_trees, envelopes, recited
+from tests.helpers import Mesh, SignedWorkbench, envelope_trees, envelopes, recited
 
 BENCH = SignedWorkbench(4)
 #: The coordinator's CURRENT (three INITs in its est_cert) ...
@@ -158,16 +158,15 @@ class TestInterning:
         )
 
     def test_loopback_hub_keeps_the_plain_path(self):
-        scheduler = ManualScheduler()
-        hub = LoopbackHub(scheduler)
-        inbox = []
-        hub.register(0, lambda src, message: None)
-        hub.register(1, lambda src, message: inbox.append(message))
-        for relay in RELAYS:
-            hub.submit(0, 1, relay)
-        hub.flush()
-        first, second = (nested_current(message) for message in inbox)
-        assert first == second and first is not second
+        # The twin runs the deployed transport, table and all: a repeated
+        # span arrives as the object already held, as over TCP.
+        mesh = Mesh(make_genesis(4, seed=34, name="intern"), (0, 1))
+        try:
+            log = mesh.run(1.0, *((0, 1, relay) for relay in RELAYS))
+        finally:
+            mesh.close()
+        first, second = (nested_current(message) for _, _, message, _ in log)
+        assert first is not None and first is second
 
 
 class TestSharedRecords:

@@ -1,10 +1,11 @@
-"""Tests: the net runtime on the in-memory loopback fabric.
+"""Tests: the net runtime on the deterministic loopback twin.
 
-Same :class:`NetNode` hosts, same wire codec on every hop, but the
-transport is :class:`LoopbackHub` and the clock is
-:class:`ManualScheduler` — so the full deployment (commits, quorum
-reads, kill/rejoin via certified state transfer) runs deterministically
-inside the test process with no sockets or sleeps.
+The deployment's own classes — :class:`NetNode`, :class:`PeerTransport`
+with its dialers and accept path, :class:`NetClient` — on a
+:class:`VirtualTimeLoop`, whose in-memory streams replace sockets and
+whose clock jumps from timer to timer — so the full deployment
+(commits, quorum reads, kill/rejoin via certified state transfer) runs
+deterministically inside the test process with no sockets or sleeps.
 """
 
 from __future__ import annotations
@@ -12,49 +13,41 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.net import (
-    LoopbackHub,
-    ManualScheduler,
-    NetNode,
-    TransportError,
-    make_genesis,
-)
-from repro.net.loopback import LoopbackClient
+from repro.net import NetNode, PeerTransport, WallScheduler, make_genesis
+from repro.net.loopback import LoopbackCluster
 from repro.observability.export import read_run_jsonl
-from repro.service.checkpoint import service_digest
+
+from tests.helpers import Mesh, Ops
 
 
 class Deployment:
-    """4 replicas + 1 client on one hub and one manual clock."""
+    """4 replicas + 1 client on one virtual-time loop."""
 
     def __init__(self, seed=3, **overrides):
         self.genesis = make_genesis(
             4, seed=seed, request_timeout=0.6, stall_probe=2.0, **overrides
         )
-        self.scheduler = ManualScheduler()
-        self.hub = LoopbackHub(self.scheduler)
-        self.nodes: dict[int, NetNode] = {}
-        for pid in range(4):
-            self.up(pid)
-        self.client = LoopbackClient(self.genesis, self.hub, self.scheduler)
+        self.cluster = LoopbackCluster(self.genesis)
+        self.nodes = self.cluster.nodes
+        self.client = Ops(self.cluster)
 
     def up(self, pid, join=False, metrics_path=None):
+        """A replica with a metrics file, booted as ``LoopbackCluster.up`` does."""
+        cluster = self.cluster
         node = NetNode(
-            self.genesis, pid, self.scheduler, join=join,
+            self.genesis, pid, WallScheduler(cluster.loop), join=join,
             metrics_path=metrics_path,
         )
-        node.attach_transport(self.hub.register(pid, node.handle_message))
-        self.nodes[pid] = node
-        node.start()
+        transport = PeerTransport(
+            self.genesis, pid, node.handle_message, metrics=node.net_metrics
+        )
+        node.attach_transport(transport)
+        cluster.nodes[pid], cluster.transports[pid] = node, transport
+        cluster.spawn(cluster._boot(node, transport))
         return node
 
-    def kill(self, pid):
-        self.hub.unregister(pid)
-        del self.nodes[pid]
-
     def pump(self, seconds):
-        for _ in range(int(seconds * 10)):
-            self.scheduler.advance(0.1)
+        self.cluster.pump(seconds)
 
     def commit(self, count, prefix="v"):
         ids = [
@@ -64,18 +57,27 @@ class Deployment:
         return ids
 
     def digests(self):
-        return {
-            pid: service_digest(node.process.slotlog.store, node.process.slotlog.executed)
-            for pid, node in sorted(self.nodes.items())
-        }
+        return self.cluster.digests()
+
+
+@pytest.fixture
+def deployments():
+    made = []
+
+    def make(**kwargs):
+        made.append(Deployment(**kwargs))
+        return made[-1]
+
+    yield make
+    for deployment in made:
+        deployment.cluster.close()
 
 
 class TestLoopbackDeployment:
-    def test_commits_workload_exactly_once(self):
-        deployment = Deployment(seed=3)
-        deployment.commit(30)
-        client = deployment.client
-        assert len(client.completed) == 30
+    def test_commits_workload_exactly_once(self, deployments):
+        deployment = deployments(seed=3)
+        ids = deployment.commit(30)
+        assert deployment.client.completed == set(ids)
         committed = {
             node.process.slotlog.committed_commands
             for node in deployment.nodes.values()
@@ -83,34 +85,35 @@ class TestLoopbackDeployment:
         assert committed == {30}
         assert len(set(deployment.digests().values())) == 1
 
-    def test_quorum_read_returns_committed_value(self):
-        deployment = Deployment(seed=4)
+    def test_quorum_read_returns_committed_value(self, deployments):
+        deployment = deployments(seed=4)
         client = deployment.client
         client.set("answer", "42")
         deployment.pump(5)
         req_id = client.get("answer")
         deployment.pump(1)
-        assert client.finished[req_id].result == (True, "42")
+        assert client.results[req_id] == (True, "42")
         missing = client.get("never-written")
         deployment.pump(1)
-        assert client.finished[missing].result == (False, None)
+        assert client.results[missing] == (False, None)
 
-    def test_status_probe_reports_all_replicas(self):
-        deployment = Deployment(seed=5)
+    def test_status_probe_reports_all_replicas(self, deployments):
+        deployment = deployments(seed=5)
         deployment.commit(8)
         req_id = deployment.client.status()
         deployment.pump(1)
-        statuses = deployment.client.finished[req_id].result
+        statuses = deployment.client.results[req_id]
         assert set(statuses) == {0, 1, 2, 3}
         assert {status.committed for status in statuses.values()} == {8}
         assert len({status.digest for status in statuses.values()}) == 1
 
-    def test_kill_and_rejoin_via_certified_transfer(self):
-        deployment = Deployment(seed=6)
+    def test_kill_and_rejoin_via_certified_transfer(self, deployments):
+        deployment = deployments(seed=6)
         deployment.commit(16, prefix="a")
-        deployment.kill(2)
+        deployment.cluster.kill(2)
         deployment.commit(16, prefix="b")
-        rejoined = deployment.up(2, join=True)
+        deployment.cluster.rejoin(2)
+        rejoined = deployment.nodes[2]
         deployment.pump(10)
         deployment.commit(8, prefix="c")
         deployment.pump(10)
@@ -120,10 +123,28 @@ class TestLoopbackDeployment:
         assert len(rejoined.process.state_transfers_completed) >= 1
         assert rejoined.process.suffix_rejections == 0
 
-    def test_metrics_export_is_a_valid_artifact(self, tmp_path):
-        deployment = Deployment(seed=7)
+    def test_a_rejoiner_certifies_a_transfer_before_its_peers_backlogs(
+        self, deployments
+    ):
+        # Replica 2 dies having applied nothing; its peers' dialers keep
+        # every frame they send it meanwhile and flush them on rejoin,
+        # ahead of the answers to its state request.
+        deployment = deployments(seed=9)
+        deployment.cluster.kill(2)
+        deployment.commit(8)
+        assert deployment.cluster.transports[0]._dialers[2]._backlog
+        deployment.cluster.rejoin(2)
+        rejoined = deployment.nodes[2]
+        deployment.pump(10)
+        assert len(set(deployment.digests().values())) == 1
+        assert rejoined.process.slotlog.committed_commands == 8
+        assert len(rejoined.process.state_transfers_completed) >= 1
+        assert rejoined.process._held is None  # what it held was released
+
+    def test_metrics_export_is_a_valid_artifact(self, deployments, tmp_path):
+        deployment = deployments(seed=7)
         target = tmp_path / "node-0.jsonl"
-        deployment.kill(0)
+        deployment.cluster.kill(0)
         deployment.up(0, metrics_path=target)
         deployment.commit(8)
         deployment.pump(3)  # past metrics_interval
@@ -133,59 +154,62 @@ class TestLoopbackDeployment:
         modules = set(artifact.metrics.totals_by_module())
         assert "net" in modules
 
-    def test_node_guards_its_contract(self):
-        deployment = Deployment(seed=8)
+    def test_node_guards_its_contract(self, deployments):
+        deployment = deployments(seed=8)
+        scheduler = WallScheduler(deployment.cluster.loop)
         with pytest.raises(ConfigurationError):
-            NetNode(deployment.genesis, 9, deployment.scheduler)
-        bare = NetNode(deployment.genesis, 1, ManualScheduler())
+            NetNode(deployment.genesis, 9, scheduler)
+        bare = NetNode(deployment.genesis, 1, scheduler)
         with pytest.raises(ConfigurationError):
             bare.start()  # no transport attached
-        with pytest.raises(TransportError):
-            deployment.hub.register(1, lambda src, message: None)
+        deployment.pump(0.1)
+        twin = PeerTransport(deployment.genesis, 1, lambda src, message: None)
+        with pytest.raises(OSError):  # pid 1's address is served already
+            deployment.cluster.loop.run_until_complete(twin.start())
+
+
+def test_pump_runs_exactly_the_time_asked():
+    genesis = make_genesis(4, seed=9, request_timeout=0.6)
+    with LoopbackCluster(genesis) as cluster:
+        for seconds in (0.05, 0.05, 0.3, 1.0, 0.05):
+            before = cluster.loop.time()
+            cluster.pump(seconds)
+            assert cluster.loop.time() == before + seconds
 
 
 class TestDrainOrdering:
-    """Regression: the scheduler-deferred drain keeps broadcasts atomic.
+    """Regression: a receiver never observes a reaction before its cause.
 
-    ``LoopbackHub.submit`` defers delivery to a zero-delay drain timer
-    instead of dispatching synchronously. The observable contract — the
-    reason the protocol is safe over this fabric — is that a broadcast
-    enqueues *every* copy before any destination's handler runs, so a
-    receiver can never observe a reaction to a message (a CURRENT) ahead
-    of the message that caused it (its sender's INIT). A synchronous
-    drain regression would let the first recipient's cascade overtake
-    the second copy; these tests pin the exact order so that refactor
-    shows up as a diff, not a heisenbug.
+    The contract the protocol relies on — the reason it is safe over
+    these streams — is that when node 0 sends INIT to nodes 1 and 2 and
+    node 1 reacts to it with a CURRENT, node 2 sees the INIT first. Each
+    connection is FIFO, and node 0's copy to node 2 is on its way before
+    node 1 has even received its own. These tests pin the exact order
+    so that a change to the streams or the dialers shows up as a diff,
+    not a heisenbug.
     """
 
-    def _wired_hub(self, n=3):
-        scheduler = ManualScheduler()
-        hub = LoopbackHub(scheduler)
-        log: list[tuple[int, int, str]] = []  # (src, dst, payload)
-        transports = {}
+    @staticmethod
+    def _mesh():
+        genesis = make_genesis(4, seed=10, name="drain")
 
-        def make_handler(pid):
-            def handler(src, message):
-                log.append((src, pid, message))
-                # INIT triggers an immediate broadcast reaction: the
-                # cascade that a synchronous drain would let overtake
-                # the original broadcast's remaining copies.
-                if message == "init-0" and pid == 1:
-                    for dst in range(n):
-                        if dst != pid:
-                            transports[pid].send(dst, "current-1")
-            return handler
+        def react(transports, pid, src, message):
+            # INIT triggers an immediate broadcast reaction.
+            if message == "init-0" and pid == 1:
+                for dst in (0, 2):
+                    transports[pid].send(dst, "current-1")
 
-        for pid in range(n):
-            transports[pid] = hub.register(pid, make_handler(pid))
-        return scheduler, hub, transports, log
+        return Mesh(genesis, (0, 1, 2), react=react)
+
+    def _run(self, *sends):
+        mesh = self._mesh()
+        try:
+            return [entry[:3] for entry in mesh.run(1.0, *sends)]
+        finally:
+            mesh.close()
 
     def test_receiver_never_sees_the_reaction_before_its_cause(self):
-        scheduler, hub, transports, log = self._wired_hub()
-        # Node 0 broadcasts INIT; node 1 reacts with a CURRENT broadcast.
-        transports[0].send(1, "init-0")
-        transports[0].send(2, "init-0")
-        scheduler.advance(0.0)
+        log = self._run((0, 1, "init-0"), (0, 2, "init-0"))
         seen_at_2 = [payload for src, dst, payload in log if dst == 2]
         assert seen_at_2.index("init-0") < seen_at_2.index("current-1"), (
             "node 2 observed node 1's CURRENT before the INIT that "
@@ -193,14 +217,9 @@ class TestDrainOrdering:
         )
 
     def test_exact_drain_trace_is_pinned(self):
-        scheduler, hub, transports, log = self._wired_hub()
-        transports[0].send(1, "init-0")
-        transports[0].send(2, "init-0")
-        transports[2].send(0, "init-2")
-        scheduler.advance(0.0)
-        # FIFO over enqueue order: the whole first broadcast, then the
-        # unrelated send, then node 1's reaction broadcast (enqueued
-        # while draining, delivered by the same iterative drain).
+        log = self._run((0, 1, "init-0"), (0, 2, "init-0"), (2, 0, "init-2"))
+        # Every connection dials at the same instant; arrivals follow
+        # the order the dials completed, then node 1's reaction.
         assert log == [
             (0, 1, "init-0"),
             (0, 2, "init-0"),
@@ -208,30 +227,23 @@ class TestDrainOrdering:
             (1, 0, "current-1"),
             (1, 2, "current-1"),
         ]
-        assert hub.frames_delivered == 5
 
     def test_trace_is_identical_across_runs(self):
-        def run():
-            scheduler, hub, transports, log = self._wired_hub()
-            transports[0].send(1, "init-0")
-            transports[0].send(2, "init-0")
-            transports[2].send(0, "init-2")
-            scheduler.advance(0.0)
-            return log
-
-        assert run() == run()
+        sends = ((0, 1, "init-0"), (0, 2, "init-0"), (2, 0, "init-2"))
+        assert self._run(*sends) == self._run(*sends)
 
 
 class TestLinkPolicy:
-    """The hub's one point of variation: ``link(now, src, dst, payload)``."""
+    """Every send's one point of variation: ``link(now, src, dst, payload)``."""
 
     @staticmethod
-    def _hub(link):
-        scheduler = ManualScheduler()
-        hub = LoopbackHub(scheduler, link)
-        log: list[tuple[int, str, float]] = []
-        hub.register(1, lambda src, msg: log.append((src, msg, scheduler.now)))
-        return scheduler, hub, log
+    def _run(link, *payloads):
+        mesh = Mesh(make_genesis(4, seed=11, name="link"), (0, 1), link=link)
+        try:
+            log = mesh.run(1.0, *((0, 1, payload) for payload in payloads))
+            return [(src, message, at) for src, _, message, at in log], mesh
+        finally:
+            mesh.close()
 
     def test_verdict_vocabulary(self):
         verdicts = {
@@ -240,27 +252,25 @@ class TestLinkPolicy:
             "dup": [("dup", 0.0), ("dup", 0.0)],
             "late": [("late", 0.5)],
         }
-        scheduler, hub, log = self._hub(
-            lambda now, src, dst, payload: verdicts[payload]
+        log, mesh = self._run(
+            lambda now, src, dst, payload: verdicts[payload],
+            "late", "drop", "dup", "pass",
         )
-        for payload in ("late", "drop", "dup", "pass"):
-            hub.submit(0, 1, payload)
-        scheduler.advance(1.0)
         assert log == [
             (0, "dup", 0.0),
             (0, "dup", 0.0),
             (0, "pass", 0.0),
             (0, "late", 0.5),
         ]
-        assert (hub.frames_delivered, hub.frames_rejected) == (4, 0)
+        assert (mesh.counter("frames_sent"), mesh.counter("frames_unencodable")) == (4, 0)
 
     def test_an_unencodable_copy_is_counted_and_its_sibling_delivered(self):
         # A corrupting policy may emit a copy the codec refuses; that
         # costs exactly that copy, whichever position it holds.
-        scheduler, hub, log = self._hub(
-            lambda now, src, dst, payload: [(object(), 0.0), (payload, 0.1)]
+        log, mesh = self._run(
+            lambda now, src, dst, payload: [(object(), 0.0), (payload, 0.1)],
+            "good",
         )
-        hub.submit(0, 1, "good")
-        scheduler.advance(1.0)
         assert log == [(0, "good", 0.1)]
-        assert (hub.frames_delivered, hub.frames_rejected) == (1, 1)
+        assert (mesh.counter("frames_sent"), mesh.counter("frames_unencodable")) == (1, 1)
+

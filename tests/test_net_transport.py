@@ -10,15 +10,20 @@ never collide.
 from __future__ import annotations
 
 import asyncio
+import gc
+import logging
 import socket
 
 from repro.net.cluster import make_genesis
 from repro.net.genesis import Genesis
+from repro.net.loopback import fixed_addresses
 from repro.net.messages import ROLE_CLIENT
 from repro.net import transport as transport_module
 from repro.net.transport import PeerTransport
 from repro.net.wire import FrameAssembler, encode_frame
 from repro.observability.registry import MODULE_NET, MetricsRegistry
+
+from tests.helpers import run_virtual
 
 
 class Endpoint:
@@ -280,3 +285,163 @@ def test_sender_reconnects_to_a_restarted_peer():
             await a.transport.stop()
 
     asyncio.run(scenario())
+
+
+async def commit_and_stop(genesis):
+    """Four replicas and a client commit one set, then shut down; returns
+    the tasks still alive besides this one."""
+    from repro.net.client import NetClient
+    from repro.net.clock import WallScheduler
+    from repro.net.node import NetNode
+
+    loop = asyncio.get_running_loop()
+    transports = []
+    for pid in range(genesis.n_replicas):
+        node = NetNode(genesis, pid, WallScheduler(loop))
+        transport = PeerTransport(
+            genesis, pid, node.handle_message, metrics=node.net_metrics
+        )
+        await transport.start()
+        node.attach_transport(transport)
+        node.start()
+        transports.append(transport)
+    client = NetClient(genesis, first_req_id=0)
+    assert await client.set("k", "v") >= 0
+    await client.close()
+    for transport in transports:
+        await transport.stop()
+    return asyncio.all_tasks() - {asyncio.current_task()}
+
+
+def test_stop_and_close_leave_no_task_behind_on_the_virtual_loop():
+    genesis = make_genesis(4, seed=28, name="stop", request_timeout=0.6)
+    assert run_virtual(commit_and_stop(genesis)) == set()
+
+
+def test_stop_and_close_leave_no_task_behind_over_tcp(caplog):
+    genesis = make_genesis(4, seed=29, name="stop")
+    with caplog.at_level(logging.DEBUG, logger="asyncio"):
+        assert asyncio.run(commit_and_stop(genesis)) == set()
+        gc.collect()
+    logged = "\n".join(record.getMessage() for record in caplog.records)
+    assert "Exception in callback" not in logged
+    assert "Task was destroyed" not in logged
+
+
+# -- The same wedges, deterministically: each scenario on the virtual loop --
+
+
+def virtual_genesis(name, **knobs):
+    return Genesis(
+        name=name,
+        seed=26,
+        n_replicas=4,
+        addresses=fixed_addresses(4, 49_000),
+        request_timeout=0.5,
+        **knobs,
+    )
+
+
+def test_a_client_that_stops_reading_loses_its_connection_on_the_virtual_loop():
+    async def scenario():
+        genesis = virtual_genesis("deaf-client")
+        node = Endpoint(genesis, 0)
+        await node.transport.start()
+        client_pid = genesis.n_replicas
+        loop = asyncio.get_running_loop()
+        reader, writer = await asyncio.open_connection(*genesis.address_of(0))
+        try:
+            writer.write(
+                encode_frame(genesis.hello_for(client_pid, 0, ROLE_CLIENT))
+                + encode_frame(("get", 1))
+            )
+            await node.expect(1)
+            reply = ("reply", "x" * (64 << 10))
+            started = loop.time()
+            while not node.counter("client_frames_dropped"):
+                assert loop.time() - started < 6 * genesis.request_timeout
+                node.transport.send(client_pid, reply)
+                await asyncio.sleep(0.01)
+            await asyncio.sleep(0)
+            assert node.transport._clients == {}  # the connection is gone
+            # It went once a drain had waited a request_timeout.
+            assert loop.time() - started >= genesis.request_timeout
+        finally:
+            writer.close()
+            await node.transport.stop()
+
+    run_virtual(scenario())
+
+
+def test_a_peer_that_stops_reading_is_redialed_and_holds_up_no_one_on_the_virtual_loop():
+    async def scenario():
+        genesis = virtual_genesis("deaf-peer")
+        deaf_connections = []
+        heard = []
+
+        async def deaf(reader, writer):
+            deaf_connections.append(writer)
+
+        async def hearing(reader, writer):
+            assembler = FrameAssembler()
+            while data := await reader.read(1 << 16):
+                heard.extend(assembler.feed(data))
+            writer.close()
+
+        servers = [
+            await asyncio.start_server(deaf, *genesis.address_of(1)),
+            await asyncio.start_server(hearing, *genesis.address_of(2)),
+        ]
+        sender = Endpoint(genesis, 0)
+        await sender.transport.start()
+        loop = asyncio.get_running_loop()
+        try:
+            bulk = "x" * (128 << 10)
+            for i in range(60):  # 7.5 MiB to the deaf peer over 1.2 s
+                sender.transport.send(1, ("bulk", i, bulk))
+                sender.transport.send(2, ("small", i))
+                await asyncio.sleep(0.02)
+                assert heard[1:] == [("small", j) for j in range(i + 1)]
+            started = loop.time()
+            while len(deaf_connections) < 2:
+                assert loop.time() - started < 6 * genesis.request_timeout
+                sender.transport.send(1, ("bulk", -1, bulk))
+                await asyncio.sleep(0.05)
+            assert sender.counter("peer_reconnects") >= 1
+        finally:
+            await sender.transport.stop()
+            for writer in deaf_connections:
+                writer.close()
+            for server in servers:
+                server.close()
+                await server.wait_closed()
+            await asyncio.sleep(0.01)  # each server's connection sees the EOF
+
+    run_virtual(scenario())
+
+
+def test_a_killed_writer_loses_its_write_buffer_on_the_virtual_loop():
+    from repro.net.clock import HIGH_WATER, KERNEL_BUFFER
+
+    async def scenario():
+        received = []
+        ended = asyncio.Event()
+
+        async def reader_side(reader, writer):
+            while data := await reader.read(1 << 16):
+                received.append(data)
+            ended.set()
+            writer.close()
+
+        server = await asyncio.start_server(reader_side, "127.0.0.1", 49_100)
+        _, writer = await asyncio.open_connection("127.0.0.1", 49_100)
+        writer.write(b"k" * KERNEL_BUFFER + b"u" * (2 * HIGH_WATER))
+        # Past the high-water mark: the rest sits in the writer's buffer.
+        assert writer.transport.get_write_buffer_size() > HIGH_WATER
+        writer.transport.abort()
+        await ended.wait()
+        server.close()
+        await server.wait_closed()
+        return b"".join(received)
+
+    assert run_virtual(scenario()) == b"k" * KERNEL_BUFFER

@@ -17,13 +17,15 @@ import socket
 import weakref
 from collections import Counter
 
+import pytest
+
 from repro.core.certificates import SignedMessage
 from repro.crypto.cache import SignatureCache
 from repro.messages.consensus import NULL, Init
-from repro.net import ManualScheduler
 from repro.net.client import NetClient
 from repro.net.cluster import make_genesis
 from repro.net.genesis import Genesis
+from repro.net.messages import StatusRequest
 from repro.net.loopback import TWIN_KNOBS, LoopbackCluster, fixed_addresses
 from repro.net.node import BoundedTrace
 from repro.net.wire import FrameAssembler, decode_frame, encode_frame
@@ -34,12 +36,23 @@ from repro.service.messages import ClientReply, ClientRequest, SlotEnvelope, Sta
 from repro.service.slotlog import NOOP
 from repro.sim.trace import Trace
 
-from tests.helpers import SignedWorkbench
+from tests.helpers import Ops, SignedWorkbench, run_virtual
 
 N = 4
 
 
+_TWINS: list[LoopbackCluster] = []
+
+
+@pytest.fixture(autouse=True)
+def _close_twins():
+    yield
+    while _TWINS:
+        _TWINS.pop().close()
+
+
 def twin(seed: int = 3, link=None, **knobs) -> LoopbackCluster:
+    """A twin whose client 0 runs operations through ``cluster.ops``."""
     genesis = Genesis(
         name="proposer",
         seed=seed,
@@ -47,7 +60,10 @@ def twin(seed: int = 3, link=None, **knobs) -> LoopbackCluster:
         addresses=fixed_addresses(N, 47_000),
         **{**TWIN_KNOBS, **knobs},
     )
-    return LoopbackCluster(genesis, ManualScheduler(), link=link)
+    cluster = LoopbackCluster(genesis, link=link)
+    cluster.ops = Ops(cluster)
+    _TWINS.append(cluster)
+    return cluster
 
 
 def spy_proposals(cluster: LoopbackCluster) -> list[tuple[int, int, tuple]]:
@@ -69,7 +85,7 @@ def spy_proposals(cluster: LoopbackCluster) -> list[tuple[int, int, tuple]]:
 
 def burst(cluster: LoopbackCluster, count: int, *, every: int = 8) -> list[int]:
     """``count`` sets, ``every`` at a time with a short pause between."""
-    client = cluster.clients[0]
+    client = cluster.ops
     ids = []
     for i in range(count):
         ids.append(client.set(f"k{i % 16}", f"v{i}"))
@@ -86,7 +102,7 @@ class TestOneProposerPerRequest:
         proposals = spy_proposals(cluster)
         ids = burst(cluster, 64)
         cluster.pump(4)
-        assert cluster.clients[0].completed == set(ids)
+        assert cluster.ops.completed == set(ids)
         assert set(cluster.committed().values()) == {64}
         vectors = cluster.nodes[0].process._vector_history
         kept: Counter = Counter()
@@ -109,11 +125,11 @@ class TestOneProposerPerRequest:
         cluster = twin()
         burst(cluster, 16)
         cluster.pump(2)
-        client = cluster.clients[0]
+        client = cluster.ops
         # Three requests: below the size trigger, so the batch timer is
         # the only thing that will open their slot.
         ids = [client.set(f"late{i}", "x") for i in range(3)]
-        cluster.scheduler.advance(0.0)
+        cluster.pump(0)
         holder = cluster.nodes[0].process
         held = [holder.slotlog.pending[(client.pid, req_id)] for req_id in ids]
         proposers = {holder.slotlog._proposer(request) for request in held}
@@ -127,10 +143,11 @@ class TestOneProposerPerRequest:
                 assert seats == proposers  # the survivors agree on the seats
         started = cluster.scheduler.now
         cluster.kill(victim)
-        while not set(ids) <= client.completed:
-            assert cluster.scheduler.now - started < cluster.genesis.request_timeout
-            cluster.scheduler.advance(0.01)
-        assert all(client.attempts[req_id] == 1 for req_id in ids)
+        assert cluster.run_until(
+            lambda: set(ids) <= client.completed, cluster.genesis.request_timeout
+        )
+        assert cluster.scheduler.now - started < cluster.genesis.request_timeout
+        assert all(client.sent[req_id] == 1 for req_id in ids)
 
     def test_a_request_held_by_one_non_proposer_still_commits(self):
         cluster = twin()
@@ -146,15 +163,20 @@ class TestOneProposerPerRequest:
             if replica != seat and replica not in node.slotlog._silent
         )
         acks: set[int] = set()
-        transport = cluster.hub.register(
-            pid,
-            lambda src, message: acks.add(message.replica)
-            if isinstance(message, ClientReply)
-            else None,
+        # Client 1 sends on its own dialers, only ever to the one replica.
+        client = NetClient(cluster.genesis, 1, first_req_id=0)
+        client.session.on_reply = lambda src, message: (
+            acks.add(message.replica) if isinstance(message, ClientReply) else None
         )
+        cluster.clients.append(client)  # closed with the twin
+        # Replies travel on the connections the client opened: open one
+        # to every replica with a status probe.
+        probe = encode_frame(StatusRequest(client.pid, 0))
+        for dialer in client._dialers:
+            cluster.loop.call_soon(dialer.send, probe)
         timeout = cluster.genesis.request_timeout
         for _attempt in range(2 * N):
-            transport.send(holder, request)  # only ever to the one replica
+            cluster.loop.call_soon(client._dialers[holder].send, encode_frame(request))
             cluster.pump(timeout)
             if len(acks) >= 2:
                 break
@@ -183,7 +205,7 @@ class TestOneProposerPerRequest:
             request.ident for _, _, batch in proposals for request in batch
         )
         assert max(proposed.values()) > 1  # the seats did disagree
-        assert cluster.clients[0].completed == set(ids)
+        assert cluster.ops.completed == set(ids)
         assert len(set(cluster.digests().values())) == 1
         for node in cluster.nodes.values():
             idents = [entry.ident for _, _, entry in node.process.slotlog.log]
@@ -227,14 +249,14 @@ class TestOneProposerPerRequest:
             return NOOP
 
         process.deliver, process.slotlog._proposal_for = relaying, withholding
-        client = cluster.clients[0]
+        client = cluster.ops
         ids = burst(cluster, 64, every=32)
         cluster.pump(3 * cluster.genesis.request_timeout)
         assert sum(relayed.values()) > 0
         assert client.completed == set(ids)
-        assert max(client.attempts[req_id] for req_id in ids) <= 2
+        assert max(client.sent[req_id] for req_id in ids) <= 2
         # Only the requests the rotation itself seats at the rogue wait.
-        waited = {req_id for req_id in ids if client.attempts[req_id] > 1}
+        waited = {req_id for req_id in ids if client.sent[req_id] > 1}
         assert waited <= {req_id for req_id in ids if (client.pid + req_id) % N == rogue}
         for pid, other in cluster.nodes.items():
             if pid != rogue:
@@ -335,7 +357,7 @@ class TestStaleTraffic:
                 and isinstance(payload, SlotEnvelope)
                 and payload.slot == 0
                 and isinstance(payload.inner, SignedMessage)
-                and payload.inner.body.sender == src
+                and payload.inner.body.sender == src != node.pid
             ):
                 captured.append((src, payload))
             deliver(src, payload)
@@ -546,3 +568,48 @@ def test_a_request_sent_before_a_replica_listens_reaches_it():
         assert client.resubmissions == 0
 
     asyncio.run(asyncio.wait_for(scenario(), 20))
+
+
+def test_a_request_sent_before_a_replica_listens_reaches_it_on_the_virtual_loop():
+    # The same scenario on the virtual loop: replica 3 starts listening
+    # 0.2 s after the set, and its frame arrives from the dialer's
+    # backlog, at the first dial after the refused ones.
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        received: dict[int, float] = {}
+        genesis = Genesis(
+            name="late", seed=6, n_replicas=N, addresses=fixed_addresses(N, 49_100)
+        )
+
+        def answering(replica):
+            async def serve(reader, writer):
+                assembler = FrameAssembler()
+                while data := await reader.read(1 << 16):
+                    for message in assembler.feed(data):
+                        if isinstance(message, ClientRequest):
+                            received.setdefault(replica, loop.time())
+                            reply = ClientReply(replica, message.client, message.req_id, 0)
+                            writer.write(encode_frame(reply))
+                writer.close()
+
+            return serve
+
+        servers = [
+            await asyncio.start_server(answering(replica), *genesis.address_of(replica))
+            for replica in range(N - 1)
+        ]
+        client = NetClient(genesis, first_req_id=0)
+        await client.set("k", "v")
+        await asyncio.sleep(0.2 - loop.time())
+        servers.append(
+            await asyncio.start_server(answering(N - 1), *genesis.address_of(N - 1))
+        )
+        await asyncio.sleep(genesis.request_timeout)
+        await client.close()
+        for server in servers:
+            server.close()
+        await asyncio.sleep(0.01)  # each server's connection sees the EOF
+        assert 0.2 <= received[N - 1] < genesis.request_timeout
+        assert client.resubmissions == 0
+
+    run_virtual(scenario())

@@ -20,7 +20,6 @@ import repro.crypto.encoding as encoding
 from repro.core.certificates import EMPTY_CERTIFICATE, SignedMessage
 from repro.crypto.signatures import Signature
 from repro.messages.consensus import NULL
-from repro.net import ManualScheduler
 from repro.net.genesis import Genesis
 from repro.net.loopback import TWIN_KNOBS, LoopbackCluster, fixed_addresses
 from repro.observability.registry import MetricsRegistry
@@ -38,7 +37,7 @@ from repro.service.slotlog import (
 )
 from repro.sim.network import FixedDelay, LinkModel
 
-from tests.helpers import LOG_SERVICE, log_converged, log_service
+from tests.helpers import LOG_SERVICE, Ops, log_converged, log_service
 
 N = 4
 CLIENT = N  # the first pid above the replicas
@@ -273,15 +272,22 @@ class TestReplicatedService:
             gc.enable()
 
 
-def twin(seed: int = 3) -> LoopbackCluster:
+@pytest.fixture
+def twin():
     genesis = Genesis(
         name="hostile",
-        seed=seed,
+        seed=3,
         n_replicas=N,
         addresses=fixed_addresses(N, 47_100),
         **TWIN_KNOBS,
     )
-    return LoopbackCluster(genesis, ManualScheduler())
+    with LoopbackCluster(genesis) as cluster:
+        yield cluster
+
+
+def inject(cluster: LoopbackCluster, src: int, dst: int, payload) -> None:
+    """Have replica ``src``'s transport send ``payload`` to ``dst``."""
+    cluster.loop.call_soon(cluster.transports[src].send, dst, payload)
 
 
 def bodiless(sender: int) -> SignedMessage:
@@ -294,19 +300,19 @@ def bodiless(sender: int) -> SignedMessage:
 
 
 class TestHostileIngress:
-    def test_a_fractional_slot_stops_no_replica(self):
-        cluster = twin()
-        client = cluster.clients[0]
+    def test_a_fractional_slot_stops_no_replica(self, twin):
+        cluster = twin
+        client = Ops(cluster)
         for i in range(16):
             client.set(f"k{i}", f"v{i}")
         cluster.pump(2)
         process = cluster.nodes[0].process
-        cluster.nodes[1].transport.send(
-            0, SlotEnvelope(slot=process.slotlog._next_open + 0.5, inner=None)
+        inject(
+            cluster, 1, 0, SlotEnvelope(slot=process.slotlog._next_open + 0.5, inner=None)
         )
         later = [client.set(f"later{i}", "x") for i in range(32)]
         cluster.pump(30)
-        assert set(later) <= set(client.completed)
+        assert set(later) <= client.completed
         for node in cluster.nodes.values():
             log = node.process.slotlog
             slots = [*node.process.engines, *log._opened, *log.decided, *log.buffered]
@@ -314,17 +320,18 @@ class TestHostileIngress:
         rejected = cluster.nodes[0].metrics.counter_total("service", "envelopes_rejected")
         assert rejected == 1
 
-    def test_a_string_slot_raises_nothing_out_of_the_hub(self):
-        cluster = twin()
-        client = cluster.clients[0]
-        cluster.nodes[1].transport.send(0, SlotEnvelope(slot="x", inner=None))
-        cluster.nodes[1].transport.send(0, SlotEnvelope(slot=True, inner=None))
-        cluster.pump(1)  # LoopbackHub.flush runs here
+    def test_a_string_slot_raises_nothing_out_of_the_hub(self, twin):
+        cluster = twin
+        client = Ops(cluster)
+        inject(cluster, 1, 0, SlotEnvelope(slot="x", inner=None))
+        inject(cluster, 1, 0, SlotEnvelope(slot=True, inner=None))
+        cluster.pump(1)
         ids = [client.set(f"k{i}", "v") for i in range(8)]
         cluster.pump(5)
-        assert set(ids) <= set(client.completed)
-        rejected = cluster.nodes[0].metrics.counter_total("service", "envelopes_rejected")
-        assert rejected == 2
+        assert set(ids) <= client.completed
+        metrics = cluster.nodes[0].metrics
+        assert metrics.counter_total("service", "envelopes_rejected") == 2
+        assert metrics.counter_total("net", "handler_errors") == 0
 
     @pytest.mark.parametrize("stale", [False, True], ids=["live", "stale"])
     def test_a_body_without_sender_is_declared(self, stale):

@@ -1,7 +1,8 @@
 """Tests: the deterministic sharded loopback twin (docs/SHARDING.md).
 
-The twin runs every shard's real :class:`NetNode` stack on one shared
-:class:`ManualScheduler` — same codec, same certificates, same state
+The twin runs every shard's deployment — :class:`NetNode`,
+:class:`PeerTransport`, :class:`NetClient` — on one shared
+:class:`VirtualTimeLoop` — same codec, same certificates, same state
 transfer — so these tests can pin the strongest contracts cheaply:
 byte-identical smoke records across runs (the ``make shard-smoke``
 ``cmp`` depends on this), per-shard exactly-once against the routed
@@ -17,9 +18,8 @@ from repro.errors import ConfigurationError
 from repro.faults import FaultPlan
 from repro.faults.injector import LinkFaultInjector
 from repro.faults.loopback_runner import loopback_genesis
-from repro.net.clock import ManualScheduler
+from repro.net.cluster import make_genesis
 from repro.net.loopback import LoopbackCluster
-from repro.net.transport import LoopbackHub
 from repro.shard import (
     ShardedLoopbackCluster,
     loopback_scaling_cell,
@@ -28,6 +28,8 @@ from repro.shard import (
     smoke_json,
 )
 from repro.shard.loopback import link_latency
+
+from tests.helpers import Mesh
 
 
 class TestSmokeRecord:
@@ -86,46 +88,48 @@ class TestClusterGuards:
     def test_blast_radius_of_a_kill_is_one_shard(self):
         genesis = loopback_shard_genesis(2)
         cluster = ShardedLoopbackCluster(genesis)
-        for i in range(8):
-            cluster.submit(f"k{i}", f"v{i}")
-        cluster.pump(4.0)
-        untouched = {
-            shard: cluster.shard_committed(shard)
-            for shard in range(2)
-            if shard != 1
-        }
-        cluster.kill(1, 2)
-        cluster.pump(4.0)
-        for shard, before in untouched.items():
-            after = cluster.shard_committed(shard)
-            assert all(after[pid] >= before[pid] for pid in before)
+        try:
+            for i in range(8):
+                cluster.submit(f"k{i}", f"v{i}")
+            cluster.pump(4.0)
+            untouched = {
+                shard: cluster.shard_committed(shard)
+                for shard in range(2)
+                if shard != 1
+            }
+            cluster.kill(1, 2)
+            cluster.pump(4.0)
+            for shard, before in untouched.items():
+                after = cluster.shard_committed(shard)
+                assert all(after[pid] >= before[pid] for pid in before)
+        finally:
+            cluster.close()
 
 
-def _recording_hub(link, pids=(0, 1, 2)):
-    """A bare hub under ``link`` whose endpoints log every arrival."""
-    scheduler = ManualScheduler()
-    hub = LoopbackHub(scheduler, link)
-    arrivals: list[tuple[int, int, object, float]] = []  # src, dst, msg, at
-    for pid in pids:
-        hub.register(
-            pid,
-            lambda src, msg, pid=pid: arrivals.append(
-                (src, pid, msg, scheduler.now)
-            ),
-        )
-    return scheduler, hub, arrivals
+@pytest.fixture
+def meshes():
+    """Transports of pids ``(0, 1, 2)`` under a link; every arrival is
+    logged as ``(src, dst, message, at)``."""
+    made = []
+
+    def make(link, pids=(0, 1, 2)):
+        made.append(Mesh(make_genesis(4, seed=13, name="latency"), pids, link=link))
+        return made[-1]
+
+    yield make
+    for mesh in made:
+        mesh.close()
 
 
 class TestLatencyHubLinks:
     """Per-link virtual delays: heterogeneous fabrics are modelable."""
 
-    def test_slow_link_arrives_later(self):
-        scheduler, hub, arrivals = _recording_hub(
-            link_latency(0.01, {(0, 1): 0.5})
+    def test_slow_link_arrives_later(self, meshes):
+        arrivals = meshes(link_latency(0.01, {(0, 1): 0.5})).run(
+            1.0,
+            (0, 1, {"type": "status_request"}),
+            (0, 2, {"type": "status_request"}),
         )
-        hub.submit(0, 1, {"type": "status_request"})
-        hub.submit(0, 2, {"type": "status_request"})
-        scheduler.advance(1.0)
         assert [dst for _, dst, _, _ in arrivals] == [2, 1]
         times = {dst: at for _, dst, _, at in arrivals}
         assert times[2] == pytest.approx(0.01)
@@ -137,17 +141,13 @@ class TestLatencyHubLinks:
         assert link(0.0, 2, 1, "m") == [("m", 0.25)]
         assert link(0.0, 0, 1, "m") == [("m", 0.25)]
 
-    def test_per_link_fifo_survives_heterogeneity(self):
-        scheduler, hub, arrivals = _recording_hub(
-            link_latency(0.01, {(0, 1): 0.3})
-        )
-        for index in range(4):
-            hub.submit(0, 1, f"m{index}")
-        scheduler.advance(1.0)
+    def test_per_link_fifo_survives_heterogeneity(self, meshes):
+        mesh = meshes(link_latency(0.01, {(0, 1): 0.3}))
+        arrivals = mesh.run(1.0, *((0, 1, f"m{index}") for index in range(4)))
         # Constant per-link delay: the slow link delays but never
         # reorders its own traffic.
         assert [msg for _, _, msg, _ in arrivals] == ["m0", "m1", "m2", "m3"]
-        assert hub.frames_delivered == 4
+        assert mesh.counter("frames_received") == 4
 
     def test_empty_map_is_the_uniform_default(self):
         link = link_latency(link_delays={})
@@ -163,9 +163,12 @@ class TestLatencyHubLinks:
             for link in ((0, pid), (pid, 0))
         }
         cluster = ShardedLoopbackCluster(genesis, link_delays=slow)
-        for i in range(12):
-            cluster.submit(f"k{i}", f"v{i}")
-        assert cluster.run_until_complete(budget=60.0)
+        try:
+            for i in range(12):
+                cluster.submit(f"k{i}", f"v{i}")
+            assert cluster.run_until_complete(budget=60.0)
+        finally:
+            cluster.close()
 
 
 class TestComposedPolicies:
@@ -174,7 +177,8 @@ class TestComposedPolicies:
     One plan — a partition window plus probabilistic loss — decided by
     the fault injector, every surviving copy then charged the twin's
     per-hop latency. The composition is a plain function over two link
-    policies; neither the hub nor the policies know about each other.
+    policies; neither the transports nor the policies know about each
+    other.
     """
 
     PLAN = FaultPlan(
@@ -203,19 +207,15 @@ class TestComposedPolicies:
 
         return injector, link
 
-    def test_per_link_fifo_survives_partition_loss_and_latency(self):
+    def test_per_link_fifo_survives_partition_loss_and_latency(self, meshes):
         injector, link = self._composed()
-        scheduler, hub, arrivals = _recording_hub(link, pids=(0, 1, 2))
+        mesh = meshes(link, pids=(0, 1, 2))
         sends = 40
         for index in range(sends):
             # 0 -> 1 stays inside the partition group, 0 -> 2 crosses it.
             for dst in (1, 2):
-                scheduler.schedule_after(
-                    index * 0.25,
-                    "send",
-                    lambda dst=dst, index=index: hub.submit(0, dst, index),
-                )
-        scheduler.advance(12.0)
+                mesh.send_at(index * 0.25, 0, dst, index)
+        arrivals = mesh.run(12.0)
         for dst in (1, 2):
             seen = [msg for _, to, msg, _ in arrivals if to == dst]
             assert seen == sorted(seen), f"link 0->{dst} reordered: {seen}"
@@ -237,23 +237,24 @@ class TestComposedPolicies:
         plan = self.PLAN
         injector, link = self._composed()
         genesis = loopback_genesis(plan)
-        cluster = LoopbackCluster(genesis, ManualScheduler(), link=link)
-        for index in range(plan.requests):
-            cluster.scheduler.schedule_after(
-                index * 0.7,
-                "request",
-                lambda i=index: cluster.clients[0].set(f"k{i % 4}", f"v{i}"),
-            )
-        cluster.pump(plan.duration)
-        for _ in range(40):
-            if cluster.completed() == plan.requests and len(
-                set(cluster.digests().values())
-            ) == 1:
-                break
-            cluster.pump(1.0)
-        assert cluster.completed() == plan.requests
-        assert set(cluster.committed().values()) == {plan.requests}
-        assert len(set(cluster.digests().values())) == 1
+        with LoopbackCluster(genesis, link=link) as cluster:
+            client = cluster.clients[0]
+            for index in range(plan.requests):
+                cluster.scheduler.schedule_after(
+                    index * 0.7,
+                    "request",
+                    lambda i=index: cluster.spawn(client.set(f"k{i % 4}", f"v{i}")),
+                )
+            cluster.pump(plan.duration)
+            for _ in range(40):
+                if cluster.completed() == plan.requests and len(
+                    set(cluster.digests().values())
+                ) == 1:
+                    break
+                cluster.pump(1.0)
+            assert cluster.completed() == plan.requests
+            assert set(cluster.committed().values()) == {plan.requests}
+            assert len(set(cluster.digests().values())) == 1
         assert injector.partition_delays > 0 and injector.drops["loss"] > 0
 
 
