@@ -102,9 +102,9 @@ zoo-smoke:
 # twin run twice — the JSON records must be byte-identical — then the
 # real thing: 2 shards x 4 replica OS processes over TCP absorb a
 # routed workload while one replica in one shard is SIGKILLed and
-# rejoined (per-shard certified state transfer); asserts per-shard
-# digest convergence, exactly-once against the routed counts, and zero
-# blast radius on the untouched shard.
+# rejoined (per-shard certified state transfer); each shard is judged
+# by the fault engine's `judge` as the plan it ran, plus zero blast
+# radius on the untouched shard and distinct shard digests.
 shard-smoke:
 	$(PYTHON) -m repro shard loopback --out /tmp/shard-smoke-a.json
 	$(PYTHON) -m repro shard loopback --out /tmp/shard-smoke-b.json

@@ -481,8 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
     sh_cluster = leaf(
         shard_sub, "cluster", cmd_shard_cluster,
         "spawn every shard as a local TCP cluster, commit a workload "
-        "through a kill+restart in one shard, assert per-shard "
-        "convergence (the shard smoke)",
+        "through a kill+restart in one shard, judge each shard "
+        "(the shard smoke; exit 1 on a violation)",
         shards, kill,
     )
     sh_cluster.add_argument("--seed", type=int, default=7)

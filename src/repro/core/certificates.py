@@ -51,7 +51,7 @@ from repro.crypto.encoding import (
 )
 from repro.crypto.keys import Signer
 from repro.crypto.signatures import Signature, SignatureScheme
-from repro.errors import CertificateError
+from repro.errors import CertificateError, EncodingError
 from repro.messages.base import Message
 
 M = TypeVar("M", bound=Message)
@@ -349,7 +349,8 @@ def signature_refusal(
 
     Returns why ``payload``, arriving on ``src``'s channel, is refused —
     unsigned, an identity field other than the channel (a body with no
-    ``sender`` included), or a signature ``verify`` rejects — or ``None``
+    ``sender`` included), a payload with no canonical form to verify,
+    or a signature ``verify`` rejects — or ``None``
     to admit it. ``verify=None`` admits any signed payload unchecked
     (the E8 ablation). Counting and declaring are the caller's.
     """
@@ -363,6 +364,10 @@ def signature_refusal(
             f"signature module: identity field {sender} "
             f"inconsistent with the sending channel {src}"
         )
-    if not verify(payload):
+    try:
+        valid = verify(payload)
+    except EncodingError:
+        return "signature module: payload has no canonical form"
+    if not valid:
         return "signature module: invalid signature"
     return None

@@ -24,6 +24,7 @@ from repro.faults.injector import (
     zoo_loopback_overrides,
 )
 from repro.faults.oracle import (
+    Counters,
     FidelityObservation,
     ReplicaFacts,
     observe,
@@ -126,12 +127,6 @@ class _LoopbackRun:
             return
         self.writes.append((client.pid, req_id))
 
-    def _facts(self) -> dict[int, ReplicaFacts]:
-        return {
-            pid: ReplicaFacts.of(node.process, node.metrics.counter_total)
-            for pid, node in self.cluster.nodes.items()
-        }
-
     def execute(self) -> FidelityObservation:
         try:
             return self._execute()
@@ -143,29 +138,51 @@ class _LoopbackRun:
         self._schedule_events()
         self.cluster.pump(plan.duration)
         budget = SETTLE_BUDGET
-        while budget > 0 and not settled(plan, self._facts(), len(self.writes)):
+        settle = lambda: settled(plan, group_facts(self.cluster), len(self.writes))
+        while budget > 0 and not settle():
             self.cluster.pump(1.0)
             budget -= 1.0
-        return observe(
+        return observe_group(
             plan,
-            FIDELITY_LOOPBACK,
-            completed=len(self.writes),
-            replicas=self._facts(),
-            # Each node keeps its own trace; sorting gives the merged
-            # list one order whatever the node iteration order was.
-            declarations=sorted(
-                (pid, event.detail["target"], event.detail["reason"])
-                for pid, node in self.cluster.nodes.items()
-                for event in node.trace.of_kind("declare_faulty")
-            ),
+            self.cluster,
+            self.writes,
             injected=self.registry.counter_total,
-            writes=self.writes,
             extras={
                 "end_time": self.scheduler.now,
                 **self.injector.link_counts(),
                 "resubmissions": self.client.resubmissions,
             },
         )
+
+
+def group_facts(cluster: LoopbackCluster) -> dict[int, ReplicaFacts]:
+    """The facts of every replica a loopback group has up."""
+    return {
+        pid: ReplicaFacts.of(node.process, node.metrics.counter_total)
+        for pid, node in cluster.nodes.items()
+    }
+
+
+def observe_group(
+    plan: FaultPlan, cluster: LoopbackCluster, writes: list[tuple[int, int]],
+    injected: Counters = lambda module, name: 0, extras: dict | None = None,
+) -> FidelityObservation:
+    """Reduce a group that ran ``plan`` and completed ``writes``."""
+    return observe(
+        plan,
+        FIDELITY_LOOPBACK,
+        completed=len(writes),
+        replicas=group_facts(cluster),
+        # Sorted: one order whatever the order of the nodes.
+        declarations=sorted(
+            (pid, event.detail["target"], event.detail["reason"])
+            for pid, node in cluster.nodes.items()
+            for event in node.trace.of_kind("declare_faulty")
+        ),
+        injected=injected,
+        writes=writes,
+        extras={} if extras is None else extras,
+    )
 
 
 def run_loopback_plan(plan: FaultPlan) -> FidelityObservation:

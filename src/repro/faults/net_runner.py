@@ -16,8 +16,9 @@ privileges:
 All replica processes measure plan time from one shared wall-clock
 ``origin`` epoch passed on the command line, so partition windows and
 flip activation agree across the cluster. Once the plan window closes
-the client writes a sentinel, nudges until the live correct replicas
-agree (:func:`~repro.net.cluster.wait_converged`) and reads the
+the client writes a sentinel, nudges until
+:func:`~repro.faults.oracle.settled` holds of the replicas' status
+replies (:func:`~repro.net.cluster.wait_converged`) and reads the
 sentinel back by quorum; the client's counts, the exit codes and that
 read are the :class:`~repro.faults.oracle.ClusterFacts` only this
 fidelity has.
@@ -43,8 +44,8 @@ from repro.faults.oracle import (
     Counters,
     FidelityObservation,
     ReplicaFacts,
-    live_correct,
     observe,
+    settled,
 )
 from repro.faults.plan import FIDELITY_NET, FaultPlan
 from repro.net.client import NetClient, NetClientError
@@ -54,6 +55,8 @@ from repro.net.cluster import (
     wait_cluster_ready,
     wait_converged,
 )
+from repro.net.loopback import TWIN_TIMERS
+from repro.net.messages import StatusReply
 from repro.observability.export import RunArtifact, read_run_jsonl
 from repro.observability.registry import MODULE_NET
 
@@ -80,8 +83,7 @@ class _NetRun:
             plan.n_replicas,
             seed=plan.seed,
             name=f"faults-{plan.plan_id}",
-            request_timeout=0.6,
-            stall_probe=2.0,
+            **TWIN_TIMERS,
         )
         self.plan_path = plan.save(workdir / "plan.json")
         self.origin = time.time() + ORIGIN_GRACE
@@ -95,8 +97,8 @@ class _NetRun:
         )
         self.client = NetClient(self.genesis, 0)
         self.completed_workload = 0
-        #: pid -> last status reply of each live correct replica.
-        self.statuses: dict[int, Any] = {}
+        #: pid -> last status reply of each replica that answered.
+        self.statuses: dict[int, StatusReply] = {}
         self.sentinel_read = False
         self._attacks = dict(plan.collusion)
 
@@ -147,28 +149,12 @@ class _NetRun:
             else:
                 self._spawn(pid, join=True)
 
-    def _converged(self, replies: Mapping[int, Any]) -> bool:
-        """The live correct replicas all answered, agree on one digest,
-        committed every set the client completed, and every rejoiner
-        certified a transfer. Keeps their replies in ``statuses``, so a
-        run the timeout cuts short is judged on its last probe."""
-        live = live_correct(self.plan)
-        self.statuses = {
-            pid: status for pid, status in replies.items() if pid in live
-        }
-        return (
-            len(self.statuses) == len(live)
-            and len({s.digest for s in self.statuses.values()}) == 1
-            and all(
-                s.committed >= self.client.sets_completed
-                for s in self.statuses.values()
-            )
-            and all(
-                self.statuses[pid].transfers >= 1
-                for pid in self.plan.rejoining_pids
-                if pid in self.statuses
-            )
-        )
+    def _settled(self, replies: dict[int, StatusReply]) -> bool:
+        """:func:`settled` of a status probe, whose replies it keeps: a run
+        the timeout cuts short is judged on its last probe."""
+        self.statuses = replies
+        facts = {pid: status_facts(status) for pid, status in replies.items()}
+        return settled(self.plan, facts, self.completed_workload)
 
     async def execute(self) -> None:
         for pid in range(self.plan.n_replicas):
@@ -180,16 +166,24 @@ class _NetRun:
         sentinel = f"sentinel-{self.plan.seed}"
         with contextlib.suppress(NetClientError):
             await self.client.set(SENTINEL_KEY, sentinel)
-        await wait_converged(
-            self.client, self._converged, timeout=SETTLE_BUDGET
-        )
+        await wait_converged(self.client, self._settled, timeout=SETTLE_BUDGET)
         with contextlib.suppress(NetClientError):
             read = await self.client.get(SENTINEL_KEY)
             self.sentinel_read = read == (True, sentinel)
 
 
+def status_facts(status: StatusReply) -> ReplicaFacts:
+    """What a replica's status reply tells of its final state."""
+    return ReplicaFacts(
+        committed=status.committed,
+        digest=status.digest,
+        transfers=status.transfers,
+        suffix_rejections=status.suffix_rejections,
+    )
+
+
 def harvest(
-    plan: FaultPlan, metrics_dir: Path, statuses: Mapping[int, Any]
+    plan: FaultPlan, metrics_dir: Path, statuses: Mapping[int, StatusReply]
 ) -> tuple[dict[int, ReplicaFacts], list[tuple[int, int, str]], Counters]:
     """Facts from what a torn-down cluster left behind: per replica, the
     sorted declarations, and the cluster-wide injection counter lookup.
@@ -214,12 +208,9 @@ def harvest(
         status = statuses.get(pid)
         if status is None and pid not in artifacts:
             continue
-        facts = replicas[pid] = ReplicaFacts()
-        if status is not None:
-            facts.committed = status.committed
-            facts.digest = status.digest
-            facts.transfers = status.transfers
-            facts.suffix_rejections = status.suffix_rejections
+        facts = replicas[pid] = (
+            ReplicaFacts() if status is None else status_facts(status)
+        )
         if pid in artifacts:
             facts.counter = artifacts[pid].metrics.counter_total
             facts.handler_errors = int(

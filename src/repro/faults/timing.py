@@ -66,13 +66,8 @@ class BurstShaper:
     history, and links never share state.
     """
 
-    def __init__(
-        self,
-        timing: Iterable[tuple[int, float, float, float]],
-        spacing: float = BURST_FIFO_SPACING,
-    ) -> None:
+    def __init__(self, timing: Iterable[tuple[int, float, float, float]]) -> None:
         self._timing = tuple(timing)
-        self._spacing = spacing
         self._last_release: dict[tuple[int, int], float] = {}
 
     def hold(self, src: int, dst: int, now: float) -> float:
@@ -80,8 +75,8 @@ class BurstShaper:
         release = now + burst_hold(self._timing, src, now)
         key = (src, dst)
         last = self._last_release.get(key)
-        if last is not None and release < last + self._spacing:
-            release = last + self._spacing
+        if last is not None and release < last + BURST_FIFO_SPACING:
+            release = last + BURST_FIFO_SPACING
         if release > now:
             self._last_release[key] = release
             return release - now

@@ -32,7 +32,7 @@ from repro.errors import ReproError
 from repro.net.genesis import Genesis
 from repro.net.messages import StatusReply
 from repro.net.transport import Dialer, through_link
-from repro.net.wire import encode_frame
+from repro.net.wire import WireError, encode_frame
 from repro.observability.registry import MODULE_NET, MetricsRegistry
 from repro.service.session import ClientSession, PendingOp
 from repro.sim.network import LinkPolicy
@@ -102,14 +102,21 @@ class NetClient:
             for dialer in self._dialers:
                 dialer.send(frame)
             return
-        for replica, dialer in enumerate(self._dialers):
+        for replica in range(len(self._dialers)):
             through_link(
-                self._link,
-                self.pid,
-                replica,
-                payload,
-                lambda copy, send=dialer.send: send(encode_frame(copy)),
+                self._link, self.pid, replica, payload,
+                lambda copy, r=replica: self._send_copy(r, copy),
             )
+
+    def _send_copy(self, replica: int, copy: Any) -> None:
+        """Send one copy; drop and count one the codec refuses, as
+        :class:`~repro.net.transport.PeerTransport` does."""
+        try:
+            frame = encode_frame(copy)
+        except WireError:
+            self.metrics.inc(MODULE_NET, "frames_unencodable", pid=replica)
+            return
+        self._dialers[replica].send(frame)
 
     async def close(self) -> None:
         """Hang up on every replica and wait for the dialers' tasks to end."""

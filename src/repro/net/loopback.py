@@ -20,17 +20,14 @@ from repro.net.clock import VirtualTimeLoop, WallScheduler
 from repro.net.genesis import Genesis
 from repro.net.node import NetNode
 from repro.net.transport import PeerTransport
-from repro.service.checkpoint import service_digest
 from repro.sim.network import LinkPolicy
 
-#: Genesis timers of every twin: virtual seconds are free, so clients
-#: resubmit and replicas probe sooner than a deployment would, and no
-#: node writes a periodic metrics file.
-TWIN_KNOBS = {
-    "request_timeout": 0.6,
-    "stall_probe": 2.0,
-    "metrics_interval": 0.0,
-}
+#: Genesis timers of every twin (and of the fault engine's TCP runs):
+#: clients resubmit and replicas probe sooner than a deployment would.
+TWIN_TIMERS = {"request_timeout": 0.6, "stall_probe": 2.0}
+#: Genesis knobs of every twin: its timers, and no node writes a
+#: periodic metrics file.
+TWIN_KNOBS = {**TWIN_TIMERS, "metrics_interval": 0.0}
 
 
 def fixed_addresses(n_replicas: int, port_base: int) -> tuple[tuple[str, int], ...]:
@@ -156,21 +153,3 @@ class LoopbackCluster:
 
     def __exit__(self, *exc: Any) -> None:
         self.close()
-
-    # -- facts -------------------------------------------------------------
-
-    def completed(self) -> int:
-        return sum(client.sets_completed for client in self.clients)
-
-    def committed(self) -> dict[int, int]:
-        return {
-            pid: node.process.slotlog.committed_commands
-            for pid, node in sorted(self.nodes.items())
-        }
-
-    def digests(self) -> dict[int, str]:
-        digests = {}
-        for pid, node in sorted(self.nodes.items()):
-            log = node.process.slotlog
-            digests[pid] = service_digest(log.store, log.executed)
-        return digests

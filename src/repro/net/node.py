@@ -251,7 +251,6 @@ async def serve_replica(
     *,
     join: bool = False,
     metrics_dir: str | Path | None = None,
-    ready_message: bool = True,
     fault_plan: str | Path | None = None,
     fault_origin: float | None = None,
     attack: str | None = None,
@@ -334,13 +333,12 @@ async def serve_replica(
             loop.add_signal_handler(signum, stop.set)
         except (NotImplementedError, RuntimeError):  # pragma: no cover
             pass
-    if ready_message:
-        host, _ = genesis.address_of(pid)
-        print(
-            f"repro-net replica {pid} serving {host}:{transport.bound_port} "
-            f"genesis {genesis.genesis_id()}",
-            flush=True,
-        )
+    host, _ = genesis.address_of(pid)
+    print(
+        f"repro-net replica {pid} serving {host}:{transport.bound_port} "
+        f"genesis {genesis.genesis_id()}",
+        flush=True,
+    )
     try:
         await stop.wait()
     finally:

@@ -915,16 +915,12 @@ class FrameAssembler:
     stream is not attempted).
     """
 
-    __slots__ = ("_buffer", "_max_frame", "_table", "_metrics")
+    __slots__ = ("_buffer", "_table", "_metrics")
 
     def __init__(
-        self,
-        max_frame: int = MAX_FRAME,
-        table: EnvelopeTable | None = None,
-        metrics: Any = NULL_METRICS,
+        self, table: EnvelopeTable | None = None, metrics: Any = NULL_METRICS
     ) -> None:
         self._buffer = bytearray()
-        self._max_frame = max_frame
         #: The receiving endpoint's envelope table (shared by all of its
         #: connections), or None to build every envelope afresh.
         self._table = table
@@ -944,7 +940,7 @@ class FrameAssembler:
                 raise WireError(f"bad frame magic {magic!r}")
             if version not in SUPPORTED_VERSIONS:
                 raise WireError(f"unsupported wire version {version}")
-            if length > self._max_frame:
+            if length > MAX_FRAME:
                 raise WireError(f"oversized frame: {length} bytes declared")
             frame_end = HEADER.size + length
             if len(self._buffer) < frame_end:

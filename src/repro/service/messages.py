@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+from repro.errors import EncodingError
 from repro.messages.base import Message
 from repro.replication.kvstore import Command
 
@@ -61,6 +62,8 @@ class ClientRequest:
         return (self.client, self.req_id)
 
     def canonical(self) -> Any:
+        if not isinstance(self.command, Command):  # the wire allows any value
+            raise EncodingError(f"request command {self.command!r} is no Command")
         return ("request", self.client, self.req_id, self.command.canonical())
 
 

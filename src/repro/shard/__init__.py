@@ -6,8 +6,9 @@ adds only what sits *above* the groups: the deterministic key→shard map
 (:mod:`repro.shard.keymap`), the multi-group genesis artifact
 (:mod:`repro.shard.genesis`), the routing client
 (:mod:`repro.shard.client`), subprocess orchestration
-(:mod:`repro.shard.cluster`) and the deterministic in-process twin
-(:mod:`repro.shard.loopback`). See docs/SHARDING.md.
+(:mod:`repro.shard.cluster`), the deterministic in-process twin
+(:mod:`repro.shard.loopback`) and the two checks that span shards
+(:mod:`repro.shard.verdict`). See docs/SHARDING.md.
 """
 
 from repro.shard.client import ShardedNetClient
@@ -16,7 +17,6 @@ from repro.shard.cluster import (
     ShardedLocalCluster,
     make_shard_genesis,
     run_shard_smoke,
-    wait_shards_ready,
 )
 from repro.shard.genesis import ShardGenesis
 from repro.shard.keymap import (
@@ -51,5 +51,4 @@ __all__ = [
     "shard_of",
     "shard_seed",
     "smoke_json",
-    "wait_shards_ready",
 ]

@@ -7,42 +7,43 @@ directory), and :func:`run_shard_smoke` is the sharded analogue of the
 single-group smoke: spawn every group as real OS subprocesses over TCP,
 commit a workload through a :class:`~repro.shard.client.ShardedNetClient`,
 SIGKILL one replica *in one shard* mid-run, restart it with ``--join``
-(per-shard certified state transfer over sockets), and assert, **per
-shard**:
-
-* digest convergence across the shard's replicas;
-* exactly-once: the shard committed exactly the commands the client
-  routed to it — no loss, no duplication, no cross-shard leakage;
-* the restarted replica completed at least one state transfer;
-* a quorum ``get`` of a shard-addressed sentinel returns the value
-  written last.
-
-The untouched shards double as a blast-radius check: a crash in shard
-``k`` must not cost any other shard a single commit.
+(per-shard certified state transfer over sockets), write and read back
+a sentinel per shard, and judge each shard as the fault engine judges a
+plan at the net fidelity (:mod:`repro.shard.verdict`): settled by
+:func:`~repro.faults.oracle.settled` over its status replies, facts
+from :func:`~repro.faults.net_runner.harvest` plus the shard client's
+counts, the exit codes and the sentinel read. The untouched shards
+double as a blast-radius check: a crash in shard ``k`` must not cost any
+other shard a single commit.
 """
 
 from __future__ import annotations
 
+import contextlib
 import tempfile
 from pathlib import Path
 from typing import Any
 
 from repro.errors import ConfigurationError, ReproError
-from repro.net.client import workload
+from repro.faults.net_runner import harvest, status_facts
+from repro.faults.oracle import ClusterFacts, observe, settled
+from repro.faults.plan import FIDELITY_NET
+from repro.net.client import NetClientError, workload
 from repro.net.cluster import (
-    ClusterError,
     LocalCluster,
     group_addresses,
     wait_cluster_ready,
     wait_converged,
 )
+from repro.net.messages import StatusReply
 from repro.shard.client import ShardedNetClient
 from repro.shard.genesis import ShardGenesis
 from repro.shard.keymap import key_for_shard
+from repro.shard.verdict import shard_plans, shard_state, shard_verdicts
 
 
 class ShardClusterError(ReproError):
-    """The sharded cluster failed to start, converge, or pass assertions."""
+    """A shard outside the sharded cluster's range was addressed."""
 
 
 def make_shard_genesis(
@@ -114,17 +115,6 @@ class ShardedLocalCluster:
         }
 
 
-async def wait_shards_ready(
-    client: ShardedNetClient, *, timeout: float = 30.0
-) -> None:
-    """Block until every replica of every shard answers a status probe."""
-    for shard, sub in sorted(client.clients.items()):
-        try:
-            await wait_cluster_ready(sub, timeout=timeout)
-        except ClusterError as exc:
-            raise ShardClusterError(f"shard {shard}: {exc}") from exc
-
-
 async def run_shard_smoke(
     *,
     shards: int = 2,
@@ -142,138 +132,99 @@ async def run_shard_smoke(
         raise ConfigurationError(
             f"kill_shard {kill_shard} outside the shard range 0..{shards - 1}"
         )
-    owned_tmp = None
-    if workdir is None:
-        owned_tmp = tempfile.TemporaryDirectory(prefix="repro-shard-")
-        workdir = owned_tmp.name
-    genesis = make_shard_genesis(shards, replicas_per_shard, seed=seed)
-    cluster = ShardedLocalCluster(genesis, workdir)
-    client = ShardedNetClient(genesis, 0)
-    phase1 = max(1, (requests * 2) // 5)
-    phase2 = max(1, (requests * 2) // 5)
+    phase1 = phase2 = max(1, (requests * 2) // 5)
     phase3 = max(1, requests - phase1 - phase2)
-    try:
-        cluster.start_all()
-        await wait_shards_ready(client, timeout=30.0)
-
-        await workload(client, phase1, concurrency=concurrency, tag="a")
-        committed_before_kill = {
-            shard: count
-            for shard, count in client.sets_by_shard.items()
-            if shard != kill_shard
-        }
-        cluster.kill(kill_shard, kill_pid)
-        await workload(client, phase2, concurrency=concurrency, tag="b")
-        cluster.spawn(kill_shard, kill_pid, join=True)
-        await workload(client, phase3, concurrency=concurrency, tag="c")
-
-        # One sentinel per shard, shard-addressed by construction.
-        sentinels = {
+    # Plan time counts workload sets: kill after phase 1, rejoin after 2.
+    kill = (kill_shard, kill_pid, float(phase1), float(phase1 + phase2))
+    with contextlib.ExitStack() as stack:
+        if workdir is None:
+            workdir = stack.enter_context(
+                tempfile.TemporaryDirectory(prefix="repro-shard-")
+            )
+        genesis = make_shard_genesis(shards, replicas_per_shard, seed=seed)
+        cluster = ShardedLocalCluster(genesis, workdir)
+        client = ShardedNetClient(genesis, 0)
+        #: shard -> pid -> last status reply; shard -> sentinel read back.
+        statuses: dict[int, dict[int, StatusReply]] = {}
+        sentinel_read = dict.fromkeys(range(shards), False)
+        sentinels = {  # shard -> its key, shard-addressed by construction
             shard: key_for_shard(f"sentinel-{seed}-", shard, shards)
             for shard in range(shards)
         }
-        for shard, key in sorted(sentinels.items()):
-            await client.set(key, f"s{seed}-{shard}")
+        try:
+            cluster.start_all()
+            for sub in client.clients.values():
+                await wait_cluster_ready(sub, timeout=30.0)
 
-        shard_replies: dict[int, dict[int, Any]] = {}
-        for shard in range(shards):
-            sub = client.clients[shard]
-            restarted = kill_pid if shard == kill_shard else None
-
-            def converged(replies: dict[int, Any]) -> bool:
-                # The shard's own client completed exactly the sets
-                # routed to it plus its nudges: per-shard exactly-once.
-                return (
-                    len(replies) == replicas_per_shard
-                    and len({status.digest for status in replies.values()}) == 1
-                    and {status.committed for status in replies.values()}
-                    == {sub.sets_completed}
-                    and (
-                        restarted is None or replies[restarted].transfers >= 1
-                    )
-                )
-
-            replies, ok = await wait_converged(
-                sub,
-                converged,
-                timeout=converge_timeout,
-                nudge_key=key_for_shard(f"nudge-{seed}-", shard, shards),
+            await workload(client, phase1, concurrency=concurrency, tag="a")
+            completed_at_kill = dict(client.sets_by_shard)
+            del completed_at_kill[kill_shard]
+            cluster.kill(kill_shard, kill_pid)
+            await workload(client, phase2, concurrency=concurrency, tag="b")
+            cluster.spawn(kill_shard, kill_pid, join=True)
+            await workload(client, phase3, concurrency=concurrency, tag="c")
+            routed = dict(client.sets_by_shard)
+            plans = shard_plans(
+                routed,
+                n_replicas=replicas_per_shard,
+                seed=seed,
+                duration=float(requests),
+                kill=kill,
             )
-            if not ok:
-                detail = {
-                    pid: (status.committed, status.transfers, status.digest[:8])
-                    for pid, status in sorted(replies.items())
-                }
-                raise ShardClusterError(
-                    f"shard {shard} did not converge within "
-                    f"{converge_timeout}s: client committed "
-                    f"{sub.sets_completed}, replicas report {detail}"
-                )
-            shard_replies[shard] = replies
+            for shard, key in sentinels.items():
+                with contextlib.suppress(NetClientError):
+                    await client.set(key, f"s{seed}-{shard}")
+            for shard, sub in sorted(client.clients.items()):
 
-        for shard, key in sorted(sentinels.items()):
-            found, value = await client.get(key)
-            if not found or value != f"s{seed}-{shard}":
-                raise ShardClusterError(
-                    f"quorum get of shard {shard} sentinel returned "
-                    f"{(found, value)!r}, expected (True, 's{seed}-{shard}')"
-                )
+                def probe(replies: dict[int, StatusReply], shard: int = shard) -> bool:
+                    statuses[shard] = replies
+                    facts = {pid: status_facts(s) for pid, s in replies.items()}
+                    return settled(plans[shard], facts, routed[shard])
 
-        # Blast radius: the kill in one shard must not have cost the
-        # untouched shards a single already-committed command.
-        for shard, before in committed_before_kill.items():
-            now = min(s.committed for s in shard_replies[shard].values())
-            if now < before:
-                raise ShardClusterError(
-                    f"shard {shard} regressed from {before} to {now} "
-                    f"committed commands after the kill in shard {kill_shard}"
+                await wait_converged(
+                    sub,
+                    probe,
+                    timeout=converge_timeout,
+                    nudge_key=key_for_shard(f"nudge-{seed}-", shard, shards),
                 )
-
-        verdict = {
-            "ok": True,
-            "shards": shards,
-            "replicas_per_shard": replicas_per_shard,
-            "killed": {"shard": kill_shard, "pid": kill_pid},
-            "workload": requests,
-            "committed": client.sets_completed,
-            "sets_by_shard": dict(sorted(client.sets_by_shard.items())),
-            "resubmissions": client.resubmissions,
-            "digests": {
-                shard: next(iter(replies.values())).digest
-                for shard, replies in sorted(shard_replies.items())
-            },
-            "transfers": {
-                shard: {
-                    pid: status.transfers
-                    for pid, status in sorted(replies.items())
-                }
-                for shard, replies in sorted(shard_replies.items())
-            },
-            "workdir": str(workdir),
-        }
-    finally:
-        await client.close()
-        exit_codes = cluster.terminate_all()
-        if owned_tmp is not None:
-            owned_tmp.cleanup()
-    verdict["exit_codes"] = exit_codes
-    bad = {
-        (shard, pid): code
-        for shard, codes in exit_codes.items()
-        for pid, code in codes.items()
-        if code != 0
+            for shard, key in sentinels.items():
+                with contextlib.suppress(NetClientError):
+                    read = await client.get(key)
+                    sentinel_read[shard] = read == (True, f"s{seed}-{shard}")
+        finally:
+            await client.close()
+            exit_codes = cluster.terminate_all()
+        # After terminate_all: SIGTERM flushes every replica's metrics.
+        observations = {}
+        for shard, plan in plans.items():
+            sub = client.clients[shard]
+            replicas, declarations, injected = harvest(
+                plan, cluster.clusters[shard].metrics_dir, statuses[shard]
+            )
+            observations[shard] = observe(
+                plan,
+                FIDELITY_NET,
+                completed=routed[shard],
+                replicas=replicas,
+                declarations=declarations,
+                injected=injected,
+                extras={},
+                cluster=ClusterFacts(
+                    sets_issued=sub.sets_issued,
+                    sets_completed=sub.sets_completed,
+                    exit_codes=exit_codes[shard],
+                    sentinel_read=sentinel_read[shard],
+                ),
+            )
+    return {
+        "shards": shards,
+        "replicas_per_shard": replicas_per_shard,
+        "killed": {"shard": kill_shard, "pid": kill_pid},
+        "workload": requests,
+        "sets_by_shard": dict(sorted(client.sets_by_shard.items())),
+        "resubmissions": client.resubmissions,
+        **shard_state(observations),
+        "workdir": str(workdir),
+        "exit_codes": exit_codes,
+        **shard_verdicts(plans, observations, completed_at_kill),
     }
-    if bad:
-        raise ShardClusterError(
-            f"replicas exited non-zero at shutdown: "
-            f"{ {f's{s}/p{p}': c for (s, p), c in sorted(bad.items())} }"
-        )
-    # Cross-shard isolation: disjoint key material must yield disjoint
-    # states — two shards with identical digests would mean the map
-    # routed the same history to both.
-    digests = list(verdict["digests"].values())
-    if len(set(digests)) != len(digests):
-        raise ShardClusterError(
-            f"distinct shards report identical state digests: {digests}"
-        )
-    return verdict

@@ -30,10 +30,14 @@ import json
 from typing import Any, Mapping
 
 from repro.errors import ConfigurationError
+from repro.faults.loopback_runner import group_facts, observe_group
+from repro.faults.oracle import FidelityObservation, settled
+from repro.faults.plan import FaultPlan
+from repro.net.client import NetClient
 from repro.net.clock import VirtualTimeLoop
 from repro.net.loopback import TWIN_KNOBS, LoopbackCluster, fixed_addresses
-from repro.observability.registry import MODULE_SHARD, MetricsRegistry
 from repro.shard.genesis import ShardGenesis
+from repro.shard.verdict import Kill, shard_plans, shard_state, shard_verdicts
 from repro.sim.network import LinkPolicy
 
 #: Shards get disjoint fake-port ranges.
@@ -126,12 +130,14 @@ class ShardedLoopbackCluster:
             )
         self.genesis = genesis
         self.loop = VirtualTimeLoop()
-        self.metrics = MetricsRegistry()
-        #: shard -> sets routed there (the exactly-once expectation).
+        #: shard -> sets routed there (that shard's plan's ``requests``).
         self.routed: dict[int, int] = {
             shard: 0 for shard in range(genesis.n_shards)
         }
-        self._issued = 0
+        #: shard -> ``(client, req_id)`` of each write completed there.
+        self.writes: dict[int, list[tuple[int, int]]] = {
+            shard: [] for shard in range(genesis.n_shards)
+        }
         # One latency policy serves every shard's links: the pid space
         # is group-local, so one map describes "replica 0 is behind a
         # slow hop" for each group without enumerating shards.
@@ -154,27 +160,21 @@ class ShardedLoopbackCluster:
             group.close()
         self.loop.close()
 
-    # -- node lifecycle ----------------------------------------------------
-
-    def kill(self, shard: int, pid: int) -> None:
-        """Crash semantics: volatile state lost, timers orphaned."""
-        self.groups[shard].kill(pid)
-
-    def rejoin(self, shard: int, pid: int) -> None:
-        """Fresh node with ``join=True``: certified transfer is the way back."""
-        self.groups[shard].rejoin(pid)
-
     # -- workload ----------------------------------------------------------
 
     def submit(self, key: str, value: str, *, client: int = 0) -> int:
         """Route one set to its shard's client; returns the shard."""
         shard = self.genesis.shard_of(key)
         group = self.groups[shard]
-        group.spawn(group.clients[client].set(key, value))
+        group.spawn(self._write(group.clients[client], key, value, self.writes[shard]))
         self.routed[shard] += 1
-        self._issued += 1
-        self.metrics.inc(MODULE_SHARD, "commands_routed", pid=shard)
         return shard
+
+    @staticmethod
+    async def _write(client: NetClient, key: str, value: str, writes: list) -> None:
+        req_id = client.session.next_req_id  # the id ``set`` is about to take
+        await client.set(key, value)
+        writes.append((client.pid, req_id))
 
     def schedule_workload(
         self, requests: int, *, span: float, clients: int = 1, key_space: int = 64
@@ -199,7 +199,7 @@ class ShardedLoopbackCluster:
     # -- progress ----------------------------------------------------------
 
     def completed(self) -> int:
-        return sum(group.completed() for group in self.groups.values())
+        return sum(map(len, self.writes.values()))
 
     def pump(self, seconds: float) -> None:
         self.loop.run_until(lambda: False, seconds)
@@ -208,38 +208,35 @@ class ShardedLoopbackCluster:
         """Run until every issued request completed, stopping at that
         instant; True on success."""
         return self.loop.run_until(
-            lambda: 0 < self._issued <= self.completed(), budget
+            lambda: 0 < sum(self.routed.values()) <= self.completed(), budget
         )
 
-    # -- per-shard verdicts ------------------------------------------------
+    # -- verdicts ----------------------------------------------------------
 
-    def shard_committed(self, shard: int) -> dict[int, int]:
-        return self.groups[shard].committed()
-
-    def shard_digests(self, shard: int) -> dict[int, str]:
-        return self.groups[shard].digests()
-
-    def shard_converged(self, shard: int) -> bool:
-        """Digest agreement + exactly-once against the routed count."""
-        if len(self.groups[shard].nodes) < self.genesis.replicas_per_shard:
-            return False
-        if any(
-            count != self.routed[shard]
-            for count in self.shard_committed(shard).values()
-        ):
-            return False
-        return len(set(self.shard_digests(shard).values())) == 1
-
-    def converged(self) -> bool:
-        return all(
-            self.shard_converged(shard)
-            for shard in range(self.genesis.n_shards)
+    def observe(
+        self, *, duration: float, budget: float, kill: Kill | None = None
+    ) -> tuple[dict[int, FaultPlan], dict[int, FidelityObservation]]:
+        """Each shard's plan (:func:`shard_plans`) and, once every shard
+        has :func:`settled` its plan or ``budget`` passed, its observation."""
+        plans = shard_plans(
+            self.routed,
+            n_replicas=self.genesis.replicas_per_shard,
+            seed=self.genesis.seed,
+            duration=duration,
+            kill=kill,
         )
-
-    def settle(self, *, budget: float = SETTLE_BUDGET) -> bool:
-        return self.loop.run_until(
-            lambda: self.completed() >= self._issued and self.converged(), budget
+        groups = self.groups
+        self.loop.run_until(
+            lambda: all(
+                settled(plans[shard], group_facts(group), len(self.writes[shard]))
+                for shard, group in groups.items()
+            ),
+            budget,
         )
+        return plans, {
+            shard: observe_group(plans[shard], group, self.writes[shard])
+            for shard, group in groups.items()
+        }
 
 
 def run_loopback_smoke(
@@ -255,9 +252,10 @@ def run_loopback_smoke(
     """The deterministic half of ``make shard-smoke``: one canonical record.
 
     Runs the full multi-group deployment in-process — workload, one
-    kill + rejoin inside ``kill_shard`` (``None`` disables it), per-shard
-    convergence — and reduces it to a record whose canonical JSON
-    (:func:`smoke_json`) is byte-identical across runs.
+    kill + rejoin inside ``kill_shard`` (``None`` disables it), each
+    shard settled and judged as the plan it ran
+    (:mod:`repro.shard.verdict`) — and reduces it to a record whose
+    canonical JSON (:func:`smoke_json`) is byte-identical across runs.
     """
     if kill_shard is not None and not 0 <= kill_shard < shards:
         raise ConfigurationError(
@@ -269,29 +267,25 @@ def run_loopback_smoke(
     cluster = ShardedLoopbackCluster(genesis)
     span = 12.0
     cluster.schedule_workload(requests, span=span, key_space=key_space)
+    kill = None
+    completed_at_kill: dict[int, int] = {}  # untouched shard -> writes at the kill
     if kill_shard is not None:
+        kill = (kill_shard, kill_pid, span * 0.3, span * 0.6)
+        group = cluster.groups[kill_shard]
+
+        def strike() -> None:
+            completed_at_kill.update({s: len(w) for s, w in cluster.writes.items()})
+            del completed_at_kill[kill_shard]
+            group.kill(kill_pid)
+
+        cluster.scheduler.schedule_after(kill[2], "shard-kill", strike)
         cluster.scheduler.schedule_after(
-            span * 0.3, "shard-kill", lambda: cluster.kill(kill_shard, kill_pid)
-        )
-        cluster.scheduler.schedule_after(
-            span * 0.6,
-            "shard-rejoin",
-            lambda: cluster.rejoin(kill_shard, kill_pid),
+            kill[3], "shard-rejoin", lambda: group.rejoin(kill_pid)
         )
     cluster.pump(span)
-    settled = cluster.settle()
-    transfers = {}
-    if kill_shard is not None:
-        node = cluster.groups[kill_shard].nodes.get(kill_pid)
-        transfers = {
-            str(kill_shard): {
-                str(kill_pid): (
-                    len(node.process.state_transfers_completed)
-                    if node is not None
-                    else 0
-                )
-            }
-        }
+    plans, observations = cluster.observe(
+        duration=span, budget=SETTLE_BUDGET, kill=kill
+    )
     record = {
         "kind": "shard-loopback-smoke",
         "shards": shards,
@@ -313,31 +307,9 @@ def run_loopback_smoke(
         "routed": {
             str(shard): count for shard, count in sorted(cluster.routed.items())
         },
-        "committed": {
-            str(shard): {
-                str(pid): count
-                for pid, count in cluster.shard_committed(shard).items()
-            }
-            for shard in range(shards)
-        },
-        "digests": {
-            str(shard): {
-                str(pid): digest
-                for pid, digest in cluster.shard_digests(shard).items()
-            }
-            for shard in range(shards)
-        },
-        "transfers": transfers,
+        **shard_state(observations),
         "end_time": round(cluster.scheduler.now, 9),
-        "converged": cluster.converged(),
-        "ok": bool(
-            settled
-            and cluster.converged()
-            and (
-                kill_shard is None
-                or transfers[str(kill_shard)][str(kill_pid)] >= 1
-            )
-        ),
+        **shard_verdicts(plans, observations, completed_at_kill),
     }
     cluster.close()
     return record
@@ -358,51 +330,39 @@ def loopback_scaling_cell(
     requests: int = 768,
     replicas_per_shard: int = 4,
     seed: int = 0,
-    key_space: int = 64,
-    span: float = 0.0,
-    hop_delay: float = 0.02,
-    budget: float = 600.0,
-    **overrides: Any,
 ) -> dict[str, Any]:
     """One deterministic E21 sweep cell: same offered load, S groups.
 
-    All ``requests`` sets are offered as an open-loop burst (``span`` 0)
+    All ``requests`` sets are offered as an open-loop burst over 64 keys
     across ``clients`` client identities, so the system — not the
     schedule — is the bottleneck; the cell reads off the virtual time
-    until the last command has its f+1th ack, plus the per-shard
-    convergence + exactly-once oracles. The default knobs deliberately
-    shrink per-group capacity (service-default ``batch_size=4`` /
-    ``window=2``) and charge :func:`link_latency` hops, so the one-group
-    ordering pipeline genuinely saturates at a load the benchmark can
-    afford to run.
+    until the last command has its f+1th ack, then judges each shard
+    (``converged`` and ``exactly_once`` read the judge's violations).
+    The default knobs deliberately shrink per-group capacity
+    (service-default ``batch_size=4`` / ``window=2``) and charge 20 ms
+    :func:`link_latency` hops, so the one-group ordering pipeline
+    genuinely saturates at a load the benchmark can afford to run.
     """
-    knobs: dict[str, Any] = {
-        "batch_size": 4,
-        "window": 2,
-        "request_timeout": 3.0,
-    }
-    knobs.update(overrides)
     genesis = loopback_shard_genesis(
         shards,
         replicas_per_shard,
         seed=seed,
         clients=clients,
-        key_space=key_space,
-        **knobs,
+        key_space=64,
+        batch_size=4,
+        window=2,
+        request_timeout=3.0,
     )
-    cluster = ShardedLoopbackCluster(
-        genesis, clients=clients, hop_delay=hop_delay
-    )
-    cluster.schedule_workload(
-        requests, span=span, clients=clients, key_space=key_space
-    )
-    cluster.pump(span)
-    done = cluster.run_until_complete(budget=budget)
+    cluster = ShardedLoopbackCluster(genesis, clients=clients, hop_delay=0.02)
+    cluster.schedule_workload(requests, span=0.0, clients=clients, key_space=64)
+    done = cluster.run_until_complete(budget=600.0)
     # The run stopped the moment the last client request had its f+1th
-    # ack; the convergence check afterwards may advance the clock
+    # ack; settling for the judge afterwards may advance the clock
     # further, but that settling time is not service time.
     complete_at = cluster.scheduler.now
-    converged = cluster.settle(budget=60.0)
+    verdicts = shard_verdicts(*cluster.observe(duration=0.0, budget=60.0), {})
+    #: The oracle each violation names, e.g. ``"exactly-once"``.
+    oracles = {v.split(":")[0] for vs in verdicts["violations"].values() for v in vs}
     cell = {
         "shards": shards,
         "clients": clients,
@@ -419,10 +379,9 @@ def loopback_scaling_cell(
             else 0.0
         ),
         "all_complete": done,
-        "converged": converged,
-        "exactly_once": all(
-            cluster.shard_converged(shard) for shard in range(shards)
-        ),
+        "converged": not oracles & {"progress", "convergence"},
+        "exactly_once": "exactly-once" not in oracles,
+        **verdicts,
     }
     cluster.close()
     return cell

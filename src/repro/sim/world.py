@@ -21,6 +21,9 @@ from repro.sim.transport import ReliableTransport
 
 #: Accepted values of ``World(transport=...)``.
 TRANSPORTS = ("none", "reliable", "no-retransmit")
+#: Retransmission timeout and retry budget of the reliable transport.
+TRANSPORT_RTO = 4.0
+TRANSPORT_RETRY_LIMIT = 20
 
 
 class World:
@@ -42,8 +45,6 @@ class World:
         fifo: bool = True,
         link: LinkPolicy | None = None,
         transport: str = "none",
-        transport_rto: float = 4.0,
-        transport_retry_limit: int = 20,
     ) -> None:
         if not processes:
             raise ConfigurationError("a world needs at least one process")
@@ -72,8 +73,8 @@ class World:
                 self.trace,
                 metrics=self.metrics,
                 crashed=self.is_crashed,
-                rto=transport_rto,
-                retry_limit=transport_retry_limit,
+                rto=TRANSPORT_RTO,
+                retry_limit=TRANSPORT_RETRY_LIMIT,
                 retransmit=(transport != "no-retransmit"),
             )
             fabric = self.transport

@@ -52,6 +52,9 @@ ByzantineFactory = Callable[
 #: Builds one crash-model Byzantine process (no certificates/signatures).
 CrashByzantineFactory = Callable[[int, Any, FailureDetector], ConsensusProcess]
 
+#: Poll period of the ground-truth detectors (and the heartbeat period).
+FD_POLL_INTERVAL = 1.0
+
 
 @dataclass(slots=True)
 class ConsensusSystem:
@@ -108,7 +111,6 @@ def build_crash_system(
     delay_model: DelayModel | None = None,
     fd_accuracy_time: float = 0.0,
     fd_noise_rate: float = 0.0,
-    fd_poll_interval: float = 1.0,
     suspicion_poll: float = 0.5,
     fifo: bool = True,
     fd: str = "oracle",
@@ -161,14 +163,14 @@ def build_crash_system(
     for pid, proposal in enumerate(proposals):
         if fd == "heartbeat":
             detector: FailureDetector = HeartbeatDetector(
-                period=fd_poll_interval,
-                initial_timeout=4.0 * fd_poll_interval,
+                period=FD_POLL_INTERVAL,
+                initial_timeout=4.0 * FD_POLL_INTERVAL,
             )
         else:
             detector = OracleDetector(
                 status=lambda target: False,  # bound to the world below
                 trusted=trusted,
-                poll_interval=fd_poll_interval,
+                poll_interval=FD_POLL_INTERVAL,
                 accuracy_time=fd_accuracy_time,
                 noise_rate=fd_noise_rate,
             )
@@ -217,7 +219,6 @@ def build_transformed_system(
     config: ModuleConfig | None = None,
     muteness: str = "oracle",
     muteness_timeout: float = 8.0,
-    muteness_poll_interval: float = 1.0,
     suspicion_poll: float = 0.5,
     allow_excess_faults: bool = False,
     variant: str = "standard",
@@ -286,7 +287,7 @@ def build_transformed_system(
             detector = OracleDetector(
                 status=lambda target: target in faulty_ground_truth,
                 trusted=trusted,
-                poll_interval=muteness_poll_interval,
+                poll_interval=FD_POLL_INTERVAL,
             )
         else:
             raise ConfigurationError(f"unknown muteness detector {muteness!r}")

@@ -409,3 +409,12 @@ class Ops:
     @property
     def completed(self):
         return set(self.results)
+
+
+def group_state(cluster, name):
+    """``{pid: value}`` of one :class:`~repro.faults.oracle.ReplicaFacts`
+    field (``"committed"``, ``"digest"``, ...) across the replicas a
+    ``LoopbackCluster`` has up."""
+    from repro.faults.loopback_runner import group_facts
+
+    return {pid: getattr(facts, name) for pid, facts in group_facts(cluster).items()}

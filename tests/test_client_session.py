@@ -22,7 +22,7 @@ from repro.net.wire import FrameAssembler, encode_frame
 from repro.service.messages import ClientReply, ClientRequest
 from repro.service.session import ClientSession
 
-from tests.helpers import Ops
+from tests.helpers import Ops, group_state
 
 N, F = 4, 1
 PID = N  # the first client
@@ -181,7 +181,7 @@ def test_loopback_forged_replica_names_complete_nothing():
         assert forged  # the forgeries were sent
         assert req_id not in client.completed
         # The three correct replicas did commit it; their acks were lost.
-        assert set(cluster.committed().values()) == {1}
+        assert set(group_state(cluster, "committed").values()) == {1}
 
 
 def test_tcp_forged_read_quorum_returns_nothing():

@@ -14,10 +14,10 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.net import NetNode, PeerTransport, WallScheduler, make_genesis
-from repro.net.loopback import LoopbackCluster
+from repro.net.loopback import TWIN_TIMERS, LoopbackCluster
 from repro.observability.export import read_run_jsonl
 
-from tests.helpers import Mesh, Ops
+from tests.helpers import Mesh, Ops, group_state
 
 
 class Deployment:
@@ -25,7 +25,7 @@ class Deployment:
 
     def __init__(self, seed=3, **overrides):
         self.genesis = make_genesis(
-            4, seed=seed, request_timeout=0.6, stall_probe=2.0, **overrides
+            4, seed=seed, **TWIN_TIMERS, **overrides
         )
         self.cluster = LoopbackCluster(self.genesis)
         self.nodes = self.cluster.nodes
@@ -57,7 +57,7 @@ class Deployment:
         return ids
 
     def digests(self):
-        return self.cluster.digests()
+        return group_state(self.cluster, "digest")
 
 
 @pytest.fixture
@@ -273,4 +273,22 @@ class TestLinkPolicy:
         )
         assert log == [(0, "good", 0.1)]
         assert (mesh.counter("frames_sent"), mesh.counter("frames_unencodable")) == (1, 1)
+
+    def test_a_client_copy_the_codec_refuses_costs_that_copy_only(self):
+        # The client drops and counts an unencodable copy as a transport
+        # does: its set completes through replicas 1-3.
+        def link(now, src, dst, payload):
+            return [(object(), 0.0)] if (src, dst) == (4, 0) else None
+
+        genesis = make_genesis(4, seed=12, name="client-link", **TWIN_TIMERS)
+        with LoopbackCluster(genesis, link=link) as cluster:
+            ops = Ops(cluster)
+            req_id = ops.set("k", "v")
+            cluster.pump(2.0)
+            assert req_id in ops.results
+            # One refused copy per send of the request, all toward 0.
+            metrics = cluster.clients[0].metrics
+            refused = metrics.counter("net", "frames_unencodable", pid=0)
+            assert refused == ops.sent[req_id] >= 1
+            assert metrics.counter_total("net", "frames_unencodable") == refused
 

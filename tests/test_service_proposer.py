@@ -36,7 +36,7 @@ from repro.service.messages import ClientReply, ClientRequest, SlotEnvelope, Sta
 from repro.service.slotlog import NOOP
 from repro.sim.trace import Trace
 
-from tests.helpers import Ops, SignedWorkbench, run_virtual
+from tests.helpers import Ops, SignedWorkbench, group_state, run_virtual
 
 N = 4
 
@@ -103,7 +103,7 @@ class TestOneProposerPerRequest:
         ids = burst(cluster, 64)
         cluster.pump(4)
         assert cluster.ops.completed == set(ids)
-        assert set(cluster.committed().values()) == {64}
+        assert set(group_state(cluster, "committed").values()) == {64}
         vectors = cluster.nodes[0].process._vector_history
         kept: Counter = Counter()
         handed_over = 0
@@ -181,7 +181,7 @@ class TestOneProposerPerRequest:
             if len(acks) >= 2:
                 break
         assert len(acks) >= 2
-        assert set(cluster.committed().values()) == {9}
+        assert set(group_state(cluster, "committed").values()) == {9}
 
     def test_duplicating_links_never_double_commit(self):
         sends = Counter()
@@ -206,7 +206,7 @@ class TestOneProposerPerRequest:
         )
         assert max(proposed.values()) > 1  # the seats did disagree
         assert cluster.ops.completed == set(ids)
-        assert len(set(cluster.digests().values())) == 1
+        assert len(set(group_state(cluster, "digest").values())) == 1
         for node in cluster.nodes.values():
             idents = [entry.ident for _, _, entry in node.process.slotlog.log]
             assert sorted(idents) == sorted(set(idents)) == sorted(proposed)

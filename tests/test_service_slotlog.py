@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ast
 import gc
+import hashlib
 import weakref
 from pathlib import Path
 
@@ -19,7 +20,8 @@ import pytest
 import repro.crypto.encoding as encoding
 from repro.core.certificates import EMPTY_CERTIFICATE, SignedMessage
 from repro.crypto.signatures import Signature
-from repro.messages.consensus import NULL
+from repro.errors import EncodingError
+from repro.messages.consensus import NULL, Init
 from repro.net.genesis import Genesis
 from repro.net.loopback import TWIN_KNOBS, LoopbackCluster, fixed_addresses
 from repro.observability.registry import MetricsRegistry
@@ -354,3 +356,53 @@ class TestHostileIngress:
             "inconsistent with the sending channel 1"
         ]
         assert metrics.counter("signature", "messages_rejected", pid=0) == rejected + 1
+
+    @pytest.mark.parametrize(
+        "command", [5, None, ("set", "k", "v")], ids=["int", "none", "tuple"]
+    )
+    def test_a_request_with_no_canonical_form_is_refused_as_a_signature(
+        self, twin, command
+    ):
+        # Replica 3 sends a "signed" INIT whose request holds no Command.
+        # No receiver can canonicalise it to check the signature: the
+        # signature module refuses it and declares 3, and no handler raises.
+        cluster = twin
+        client = Ops(cluster)
+        for i in range(4):
+            client.set(f"k{i}", f"v{i}")
+        cluster.pump(2)
+        slot = max(cluster.nodes[0].process.engines) + 1
+        init = SignedMessage(
+            body=Init(sender=3, value=(ClientRequest(N, 99, command),)),
+            cert=EMPTY_CERTIFICATE,
+            signature=Signature(signer=3, mac=bytes(32)),
+        )
+        for dst in (0, 1, 2):
+            inject(cluster, 3, dst, SlotEnvelope(slot, init))
+        cluster.pump(2)
+        for pid in (0, 1, 2):
+            node = cluster.nodes[pid]
+            assert node.metrics.counter_total("net", "handler_errors") == 0
+            declared = {
+                (event.detail["target"], event.detail["reason"])
+                for event in node.trace.of_kind("declare_faulty")
+            }
+            assert declared == {
+                (3, "signature module: payload has no canonical form")
+            }
+
+
+#: ``canonical_bytes`` of the request below, before a request checked
+#: its command's type.
+PINNED_REQUEST_SHA256 = (
+    "07f4e477b1fdcb79d8f3a69a5505a7528f09e81ad3ecedccd43aaebb58f4f2f6"
+)
+
+
+def test_a_well_typed_request_keeps_its_canonical_bytes():
+    request = ClientRequest(4, 7, Command("set", "k", "v"))
+    assert hashlib.sha256(encoding.canonical_bytes(request)).hexdigest() == (
+        PINNED_REQUEST_SHA256
+    )
+    with pytest.raises(EncodingError):
+        encoding.canonical_bytes(ClientRequest(4, 7, 5))

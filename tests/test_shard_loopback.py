@@ -5,9 +5,10 @@ The twin runs every shard's deployment — :class:`NetNode`,
 :class:`VirtualTimeLoop` — same codec, same certificates, same state
 transfer — so these tests can pin the strongest contracts cheaply:
 byte-identical smoke records across runs (the ``make shard-smoke``
-``cmp`` depends on this), per-shard exactly-once against the routed
-counts, kill/rejoin via certified transfer inside one shard with zero
-blast radius on the others, and the scaling cell's oracles.
+``cmp`` depends on this), each shard judged by the fault engine's
+``judge`` as the plan it ran, kill/rejoin via certified transfer inside
+one shard with zero blast radius on the others, and the scaling cell's
+verdicts.
 """
 
 from __future__ import annotations
@@ -17,9 +18,11 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.faults import FaultPlan
 from repro.faults.injector import LinkFaultInjector
-from repro.faults.loopback_runner import loopback_genesis
+from repro.faults.loopback_runner import group_facts, loopback_genesis, observe_group
+from repro.faults.oracle import FidelityObservation, judge, settled
 from repro.net.cluster import make_genesis
 from repro.net.loopback import LoopbackCluster
+from repro.net.node import NetNode
 from repro.shard import (
     ShardedLoopbackCluster,
     loopback_scaling_cell,
@@ -28,8 +31,9 @@ from repro.shard import (
     smoke_json,
 )
 from repro.shard.loopback import link_latency
+from repro.shard.verdict import shard_plans, shard_verdicts
 
-from tests.helpers import Mesh
+from tests.helpers import Mesh, Ops, group_state
 
 
 class TestSmokeRecord:
@@ -74,6 +78,79 @@ class TestSmokeRecord:
         with pytest.raises(ConfigurationError):
             run_loopback_smoke(shards=2, kill_shard=5)
 
+    def test_every_shard_is_judged_as_the_plan_it_ran(self):
+        record = run_loopback_smoke(requests=16)
+        assert record["verdicts"] == {"0": "pass", "1": "pass"}
+        assert record["violations"] == {"0": [], "1": []}
+        assert record["isolation"] == []
+
+    def test_a_correct_replica_that_raises_fails_its_shard(self, monkeypatch):
+        # Replica 1 of shard 0 raises on every fifth message it handles;
+        # its transport counts and drops each, so the shard still
+        # converges, and only the judge's loudness check sees it.
+        handle = NetNode.handle_message
+        seen = []
+
+        def flaky(node, src, payload):
+            if node.pid == 1 and node.genesis.name.endswith("/s0"):
+                seen.append(src)
+                if len(seen) % 5 == 0:
+                    raise RuntimeError("injected handler fault")
+            handle(node, src, payload)
+
+        monkeypatch.setattr(NetNode, "handle_message", flaky)
+        record = run_loopback_smoke(requests=16)
+        assert not record["ok"]
+        assert record["verdicts"] == {"0": "fail", "1": "pass"}
+        (found,) = record["violations"]["0"]
+        assert found.startswith("handler: replica 1 raised in ")
+        assert record["violations"]["1"] == []
+
+    def test_a_shard_routed_nothing_still_settles_and_passes(self):
+        # One set across four shards: three idle groups, each judged by a
+        # plan of zero requests (a floor of 0; one digest still required).
+        record = run_loopback_smoke(shards=4, requests=1, kill_shard=None)
+        assert sorted(record["routed"].values()) == [0, 0, 0, 1]
+        assert record["ok"]
+        assert set(record["verdicts"].values()) == {"pass"}
+        for digests in record["digests"].values():
+            assert len(digests) == 4 and len(set(digests.values())) == 1
+
+
+class TestCrossShardChecks:
+    """The two checks that span shards, on hand-made observations."""
+
+    @staticmethod
+    def _verdicts(routed, committed, digests, completed_at_kill):
+        plans = shard_plans(routed, n_replicas=4, seed=0, duration=1.0)
+        observations = {
+            shard: FidelityObservation(
+                fidelity="loopback",
+                completed=routed[shard],
+                committed=dict.fromkeys(range(4), committed[shard]),
+                digests=dict.fromkeys(range(4), digests[shard]),
+            )
+            for shard in routed
+        }
+        return shard_verdicts(plans, observations, completed_at_kill)
+
+    def test_a_shard_that_lost_commits_breaks_the_blast_radius(self):
+        verdicts = self._verdicts({0: 0, 1: 5}, {0: 0, 1: 3}, {0: "a", 1: "b"}, {1: 4})
+        assert not verdicts["ok"]
+        assert verdicts["isolation"] == [
+            "blast radius: shard 1 ends with 3 committed commands, "
+            "4 before the kill in another shard"
+        ]
+
+    def test_two_busy_shards_may_not_share_a_digest_two_idle_ones_may(self):
+        verdicts = self._verdicts(
+            {0: 2, 1: 2, 2: 0, 3: 0}, dict.fromkeys(range(4), 2),
+            {0: "same", 1: "same", 2: "empty", 3: "empty"}, {},
+        )
+        assert verdicts["isolation"] == [
+            "isolation: shards [0, 1] report one state digest same"
+        ]
+
 
 class TestClusterGuards:
     def test_client_budget_enforced(self):
@@ -93,14 +170,14 @@ class TestClusterGuards:
                 cluster.submit(f"k{i}", f"v{i}")
             cluster.pump(4.0)
             untouched = {
-                shard: cluster.shard_committed(shard)
+                shard: group_state(cluster.groups[shard], "committed")
                 for shard in range(2)
                 if shard != 1
             }
-            cluster.kill(1, 2)
+            cluster.groups[1].kill(2)
             cluster.pump(4.0)
             for shard, before in untouched.items():
-                after = cluster.shard_committed(shard)
+                after = group_state(cluster.groups[shard], "committed")
                 assert all(after[pid] >= before[pid] for pid in before)
         finally:
             cluster.close()
@@ -238,23 +315,22 @@ class TestComposedPolicies:
         injector, link = self._composed()
         genesis = loopback_genesis(plan)
         with LoopbackCluster(genesis, link=link) as cluster:
-            client = cluster.clients[0]
+            ops = Ops(cluster)
             for index in range(plan.requests):
                 cluster.scheduler.schedule_after(
                     index * 0.7,
                     "request",
-                    lambda i=index: cluster.spawn(client.set(f"k{i % 4}", f"v{i}")),
+                    lambda i=index: ops.set(f"k{i % 4}", f"v{i}"),
                 )
             cluster.pump(plan.duration)
-            for _ in range(40):
-                if cluster.completed() == plan.requests and len(
-                    set(cluster.digests().values())
-                ) == 1:
-                    break
-                cluster.pump(1.0)
-            assert cluster.completed() == plan.requests
-            assert set(cluster.committed().values()) == {plan.requests}
-            assert len(set(cluster.digests().values())) == 1
+            # The fault engine's own rule and verdict, as for any group.
+            assert cluster.run_until(
+                lambda: settled(plan, group_facts(cluster), len(ops.completed)),
+                40.0,
+            )
+            writes = [(ops.pid, req_id) for req_id in sorted(ops.completed)]
+            assert judge(plan, observe_group(plan, cluster, writes)) == ("pass", [])
+            assert set(group_state(cluster, "committed").values()) == {plan.requests}
         assert injector.partition_delays > 0 and injector.drops["loss"] > 0
 
 
@@ -264,6 +340,8 @@ class TestScalingCell:
         assert cell["all_complete"]
         assert cell["converged"]
         assert cell["exactly_once"]
+        assert cell["verdicts"] == {"0": "pass", "1": "pass"}
+        assert cell["isolation"] == []
         assert cell["completed"] == 128
         assert sum(int(c) for c in cell["routed"].values()) == 128
         assert cell["throughput"] > 0
