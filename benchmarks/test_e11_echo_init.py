@@ -16,7 +16,7 @@ from __future__ import annotations
 from repro.analysis.metrics import measure
 from repro.analysis.properties import check_vector_consensus
 from repro.analysis.reporting import percent, print_table
-from repro.byzantine import transformed_attack
+from repro.byzantine.adversary import transformed_attack
 from repro.byzantine.echo_attacks import echo_equivocation_attack
 from repro.messages.consensus import NULL
 from repro.sim.network import UniformDelay

@@ -17,7 +17,7 @@ This experiment quantifies what the synchrony assumption buys and costs:
 from __future__ import annotations
 
 from repro.analysis.reporting import percent, print_table
-from repro.byzantine import transformed_attack
+from repro.byzantine.adversary import transformed_attack
 from repro.messages.consensus import NULL
 from repro.synchronous.eig import EigLiar, eig_rounds, run_interactive_consistency
 from repro.systems import build_transformed_system

@@ -17,7 +17,7 @@ from __future__ import annotations
 from repro.analysis.experiments import run_trials
 from repro.analysis.properties import check_vector_consensus
 from repro.analysis.reporting import percent, print_table
-from repro.byzantine import transformed_attacks_at
+from repro.byzantine.adversary import transformed_attacks_at
 from repro.byzantine.collusion import make_colluding_equivocators
 from repro.sim.network import UniformDelay
 from repro.systems import build_transformed_system

@@ -20,8 +20,10 @@ import dataclasses
 
 from repro.analysis.reporting import percent, print_table
 from repro.byzantine.transformed_attacks import TCorruptVectorAttacker
-from repro.service import ServiceConfig, build_service_system, service_digest
+from repro.service.checkpoint import service_digest
+from repro.service.config import ServiceConfig
 from repro.sim.network import UniformDelay
+from repro.sim.service import build_service_system
 
 from conftest import run_once
 

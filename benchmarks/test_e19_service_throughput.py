@@ -18,7 +18,8 @@ from __future__ import annotations
 from repro.analysis.reporting import print_table
 from repro.analysis.stats import percentile
 from repro.observability.registry import MODULE_SERVICE
-from repro.service import ServiceConfig, build_service_system
+from repro.service.config import ServiceConfig
+from repro.sim.service import build_service_system
 
 from conftest import run_once, write_bench
 

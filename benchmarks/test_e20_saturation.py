@@ -34,7 +34,8 @@ from repro.observability.registry import (
     MODULE_SERVICE,
     MODULE_SIGNATURE,
 )
-from repro.service import ServiceConfig, build_service_system
+from repro.service.config import ServiceConfig
+from repro.sim.service import build_service_system
 
 from conftest import run_once, write_bench
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 
 from repro.analysis.reporting import print_table
-from repro.shard import loopback_scaling_cell
+from repro.shard.loopback import loopback_scaling_cell
 
 from conftest import run_once, write_bench
 

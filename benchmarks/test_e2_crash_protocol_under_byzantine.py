@@ -14,7 +14,11 @@ from __future__ import annotations
 from repro.analysis.experiments import run_trials
 from repro.analysis.properties import check_crash_consensus
 from repro.analysis.reporting import percent, print_table
-from repro.byzantine import CRASH_ATTACKS, crash_attack, crash_attack_profile
+from repro.byzantine.adversary import (
+    CRASH_ATTACKS,
+    crash_attack,
+    crash_attack_profile,
+)
 from repro.sim.network import UniformDelay
 from repro.systems import build_crash_system
 

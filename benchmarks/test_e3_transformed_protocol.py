@@ -10,7 +10,7 @@ from __future__ import annotations
 from repro.analysis.experiments import run_trials
 from repro.analysis.properties import check_vector_consensus
 from repro.analysis.reporting import percent, print_table
-from repro.byzantine import TRANSFORMED_ATTACKS, transformed_attack
+from repro.byzantine.adversary import TRANSFORMED_ATTACKS, transformed_attack
 from repro.sim.network import UniformDelay
 from repro.systems import build_transformed_system
 

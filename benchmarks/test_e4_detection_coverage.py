@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.analysis.experiments import run_trials
 from repro.analysis.properties import check_vector_consensus
 from repro.analysis.reporting import percent, print_table
-from repro.byzantine import (
+from repro.byzantine.adversary import (
     TRANSFORMED_ATTACKS,
     transformed_attack,
     transformed_attack_profile,

@@ -17,7 +17,7 @@ from repro import (
     transformed_attack,
 )
 from repro.analysis.reporting import print_table
-from repro.byzantine import transformed_attack_profile
+from repro.byzantine.adversary import transformed_attack_profile
 
 SEAT = {"equivocate-current": 0, "wrong-cert-current": 0}
 PROPOSALS = ["a", "b", "c", "d"]

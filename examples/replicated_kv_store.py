@@ -11,7 +11,9 @@ through certified state transfer and commits new slots.
 Run:  python examples/replicated_kv_store.py
 """
 
-from repro.service import ServiceConfig, build_service_system, service_digest
+from repro.service.checkpoint import service_digest
+from repro.service.config import ServiceConfig
+from repro.sim.service import build_service_system
 
 config = ServiceConfig(
     n_replicas=4,

@@ -12,7 +12,7 @@ See:  docs/METHODOLOGY.md for the step-by-step recipe this follows.
 """
 
 from repro import build_transformed_system, check_detection, check_vector_consensus
-from repro.byzantine import transformed_attack
+from repro.byzantine.adversary import transformed_attack
 from repro.byzantine.ct_attacks import ct_attack
 
 PROPOSALS = ["north", "south", "east", "west"]

@@ -30,55 +30,46 @@ Quickstart::
     print(system.processes[0].faulty)  # p0's faulty set: {3}
 """
 
-from repro.analysis import (
-    check_crash_consensus,
-    check_detection,
-    check_vector_consensus,
-    measure,
-    run_trials,
-)
-from repro.byzantine import (
-    CRASH_ATTACKS,
-    TRANSFORMED_ATTACKS,
-    crash_attack,
-    transformed_attack,
-    transformed_attacks_at,
-)
-from repro.core import (
-    Certificate,
-    CertificationAuthority,
-    ModuleConfig,
-    SignedMessage,
-    SystemParameters,
-    TransformationBlueprint,
-)
-from repro.systems import (
-    ConsensusSystem,
-    build_crash_system,
-    build_transformed_system,
-)
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CRASH_ATTACKS",
-    "Certificate",
-    "CertificationAuthority",
-    "ConsensusSystem",
-    "ModuleConfig",
-    "SignedMessage",
-    "SystemParameters",
-    "TRANSFORMED_ATTACKS",
-    "TransformationBlueprint",
-    "__version__",
-    "build_crash_system",
-    "build_transformed_system",
-    "check_crash_consensus",
-    "check_detection",
-    "check_vector_consensus",
-    "crash_attack",
-    "measure",
-    "run_trials",
-    "transformed_attack",
-    "transformed_attacks_at",
-]
+#: The quickstart API: each name, and the module that defines it. Nothing
+#: is imported until a name is first read, so ``import repro.net.node``
+#: loads no simulator, analysis or attack module.
+_EXPORTS = {
+    "CRASH_ATTACKS": "repro.byzantine.adversary",
+    "Certificate": "repro.core.certificates",
+    "CertificationAuthority": "repro.core.certificates",
+    "ConsensusSystem": "repro.systems",
+    "ModuleConfig": "repro.core.modules",
+    "SignedMessage": "repro.core.certificates",
+    "SystemParameters": "repro.core.specs",
+    "TRANSFORMED_ATTACKS": "repro.byzantine.adversary",
+    "TransformationBlueprint": "repro.core.transformer",
+    "build_crash_system": "repro.systems",
+    "build_transformed_system": "repro.systems",
+    "check_crash_consensus": "repro.analysis.properties",
+    "check_detection": "repro.analysis.properties",
+    "check_vector_consensus": "repro.analysis.properties",
+    "crash_attack": "repro.byzantine.adversary",
+    "measure": "repro.analysis.metrics",
+    "run_trials": "repro.analysis.experiments",
+    "transformed_attack": "repro.byzantine.adversary",
+    "transformed_attacks_at": "repro.byzantine.adversary",
+}
+
+__all__ = sorted([*_EXPORTS, "__version__"])
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted([*globals(), *_EXPORTS])

@@ -1,50 +1,1 @@
 """Analysis layer: property checking, metrics, batch experiments."""
-
-from repro.analysis.experiments import Trial, TrialSummary, run_trials
-from repro.analysis.metrics import RunMetrics, certificate_entries, measure, payload_bytes
-from repro.analysis.properties import (
-    DetectionReport,
-    PropertyReport,
-    check_crash_consensus,
-    check_detection,
-    check_vector_consensus,
-)
-from repro.analysis.reporting import percent, print_table, render_table
-from repro.analysis.run_report import RunReport
-from repro.analysis.stats import (
-    min_trials_for_zero_failures,
-    rate_with_ci,
-    wilson_interval,
-)
-from repro.analysis.tracefmt import (
-    describe_payload,
-    render_sequence,
-    trace_to_json,
-    trace_to_records,
-)
-
-__all__ = [
-    "DetectionReport",
-    "PropertyReport",
-    "RunMetrics",
-    "RunReport",
-    "Trial",
-    "TrialSummary",
-    "certificate_entries",
-    "check_crash_consensus",
-    "check_detection",
-    "check_vector_consensus",
-    "describe_payload",
-    "measure",
-    "min_trials_for_zero_failures",
-    "payload_bytes",
-    "percent",
-    "rate_with_ci",
-    "wilson_interval",
-    "print_table",
-    "render_sequence",
-    "render_table",
-    "run_trials",
-    "trace_to_json",
-    "trace_to_records",
-]

@@ -27,7 +27,8 @@ from repro.observability.registry import (
     MODULE_SERVICE,
     MODULE_SIGNATURE,
 )
-from repro.service import ServiceConfig, build_service_system
+from repro.service.config import ServiceConfig
+from repro.sim.service import build_service_system
 
 #: The smoke sweep: two light (clients, batch, window) cells.
 SMOKE_CELLS = ((16, 8, 2), (48, 64, 4))

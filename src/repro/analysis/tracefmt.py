@@ -1,6 +1,6 @@
 """Trace export and message-sequence rendering.
 
-Every run produces a complete :class:`~repro.sim.trace.Trace`; this
+Every run produces a complete :class:`~repro.observability.trace.Trace`; this
 module turns it into artefacts humans and tools consume:
 
 * :func:`trace_to_records` / :func:`trace_to_json` — a JSON-serialisable
@@ -16,37 +16,8 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from repro.core.certificates import SignedMessage
-from repro.messages.base import Message
-from repro.sim.trace import Trace, TraceEvent
-from repro.sim.transport import AckSegment, DataSegment
-
-
-def describe_payload(payload: Any) -> str:
-    """One-line human description of a wire payload."""
-    if isinstance(payload, DataSegment):
-        return f"seq:{payload.seq} {describe_payload(payload.payload)}"
-    if isinstance(payload, AckSegment):
-        return f"ack:{payload.ack}"
-    if isinstance(payload, SignedMessage):
-        cert = payload.cert
-        if payload.has_full_cert:
-            cert_text = f"cert[{len(payload.full_cert())}]"
-        else:
-            cert_text = "cert[pruned]"
-        return f"{describe_payload(payload.body)} {cert_text} signed:{payload.signature.signer}"
-    if isinstance(payload, Message):
-        fields = []
-        for name, value in payload.canonical():
-            if name == "sender":
-                continue
-            rendered = repr(value)
-            if len(rendered) > 24:
-                rendered = rendered[:21] + "..."
-            fields.append(f"{name}={rendered}")
-        return f"{payload.type_name}({', '.join(fields)})"
-    rendered = repr(payload)
-    return rendered if len(rendered) <= 40 else rendered[:37] + "..."
+from repro.observability.export import describe_payload
+from repro.observability.trace import Trace, TraceEvent
 
 
 def event_to_record(event: TraceEvent) -> dict[str, Any]:

@@ -1,10 +1,1 @@
 """Byzantine reliable broadcast — an extension substrate (see DESIGN.md)."""
-
-from repro.broadcast.reliable import (
-    RbEcho,
-    RbReady,
-    RbSend,
-    ReliableBroadcast,
-)
-
-__all__ = ["RbEcho", "RbReady", "RbSend", "ReliableBroadcast"]

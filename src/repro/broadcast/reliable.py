@@ -24,7 +24,7 @@ slot: two echo quorums of size ``ceil((n+f+1)/2)`` intersect in a correct
 process, which echoes at most once per slot.
 
 The module is host-agnostic: it attaches to a
-:class:`~repro.sim.process.ProcessEnv`, consumes its own wire messages
+:class:`~repro.process.ProcessEnv`, consumes its own wire messages
 via :meth:`filter_message`, and hands deliveries to a callback — the same
 shape as the failure-detector modules, so protocols can stack it beneath
 their other modules.
@@ -39,7 +39,7 @@ from typing import Any, Callable
 from repro.crypto.encoding import canonical_bytes
 from repro.errors import ConfigurationError, ProtocolError
 from repro.messages.base import Message
-from repro.sim.process import ProcessEnv
+from repro.process import ProcessEnv
 
 DeliverCallback = Callable[[int, int, Any], None]  # (origin, tag, payload)
 

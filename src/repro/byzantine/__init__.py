@@ -1,31 +1,1 @@
 """Byzantine fault injection: the paper's failure taxonomy made executable."""
-
-from repro.byzantine.adversary import (
-    CRASH_ATTACKS,
-    TRANSFORMED_ATTACKS,
-    crash_attack,
-    crash_attack_profile,
-    transformed_attack,
-    transformed_attack_profile,
-    transformed_attacks_at,
-)
-from repro.byzantine.faults import (
-    EXPECTED_DETECTOR,
-    DetectingModule,
-    FailureClass,
-    FaultProfile,
-)
-
-__all__ = [
-    "CRASH_ATTACKS",
-    "DetectingModule",
-    "EXPECTED_DETECTOR",
-    "FailureClass",
-    "FaultProfile",
-    "TRANSFORMED_ATTACKS",
-    "crash_attack",
-    "crash_attack_profile",
-    "transformed_attack",
-    "transformed_attack_profile",
-    "transformed_attacks_at",
-]

@@ -57,3 +57,39 @@ EXPECTED_DETECTOR: dict[FailureClass, DetectingModule] = {
     FailureClass.IDENTITY_FALSIFICATION: DetectingModule.SIGNATURE,
     FailureClass.TRANSIENT_OMISSION: DetectingModule.NON_MUTENESS_DETECTOR,
 }
+
+
+#: Reason-string prefixes of the signature checks: the shell's ingress
+#: (``repro.core.certificates``) and echo-INIT's on RB-delivered INITs.
+_SIGNATURE_PREFIXES = (
+    "signature module:",
+    "echo-init: RB payload is not a signed INIT",
+    "echo-init: RB-delivered INIT claims another process's identity",
+    "echo-init: invalid INIT signature",
+)
+#: Reason-string prefixes of the behaviour automata (Figure 4's, the
+#: Chandra-Toueg one in ``monitor_ct``) and of echo-INIT's behaviour rule.
+_AUTOMATON_PREFIXES = (
+    "out-of-order",
+    "identity mismatch",
+    "spurious:",
+    "misevaluation:",
+    "echo-init: INIT outside reliable broadcast",
+)
+
+
+def classify_fault_reason(reason: str) -> DetectingModule:
+    """Map one ``FaultReport.reason`` string to its raising module.
+
+    The monitor bank funnels every declaration through one ledger, so
+    the module boundary is recovered from the (stable, tested) reason
+    vocabulary: the signature checks and the behaviour automata each
+    raise their own listed prefixes, and everything else comes out of
+    the certification analysers (including the equivocation ledger,
+    which proves value corruption from signed evidence).
+    """
+    if reason.startswith(_SIGNATURE_PREFIXES):
+        return DetectingModule.SIGNATURE
+    if reason.startswith(_AUTOMATON_PREFIXES):
+        return DetectingModule.NON_MUTENESS_DETECTOR
+    return DetectingModule.CERTIFICATION

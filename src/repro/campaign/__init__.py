@@ -17,46 +17,10 @@ deterministic, replayable record:
 * :mod:`repro.campaign.artifact` — the versioned JSONL campaign
   artifact (``repro.campaign/v1``, byte-identical for a fixed master
   seed);
-* :mod:`repro.campaign.shrink` — the one delta-debugging loop, and its
-  scenario neighbours: minimise a failing scenario to a small
-  counterexample.
+* :mod:`repro.campaign.shrink` — scenario neighbours for the one
+  delta-debugging loop (:mod:`repro.faults.shrink`): minimise a failing
+  scenario to a small counterexample.
 
 ``python -m repro campaign run|list|replay|shrink`` is the CLI surface;
 ``docs/TESTING.md`` documents the workflow.
 """
-
-from repro.campaign.artifact import (
-    CAMPAIGN_SCHEMA,
-    CampaignArtifact,
-    read_campaign_jsonl,
-    write_campaign_jsonl,
-)
-from repro.campaign.matrix import CampaignSpec, enumerate_scenarios
-from repro.campaign.oracles import ScenarioOutcome, evaluate_outcome
-from repro.campaign.runner import (
-    CampaignResult,
-    ScenarioRecord,
-    run_campaign,
-    run_scenario,
-)
-from repro.campaign.scenario import Scenario, build_scenario_system
-from repro.campaign.shrink import ShrinkResult, shrink_scenario
-
-__all__ = [
-    "CAMPAIGN_SCHEMA",
-    "CampaignArtifact",
-    "CampaignResult",
-    "CampaignSpec",
-    "Scenario",
-    "ScenarioOutcome",
-    "ScenarioRecord",
-    "ShrinkResult",
-    "build_scenario_system",
-    "enumerate_scenarios",
-    "evaluate_outcome",
-    "read_campaign_jsonl",
-    "run_campaign",
-    "run_scenario",
-    "shrink_scenario",
-    "write_campaign_jsonl",
-]

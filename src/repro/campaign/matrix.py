@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.byzantine import CRASH_ATTACKS, TRANSFORMED_ATTACKS
+from repro.byzantine.adversary import CRASH_ATTACKS, TRANSFORMED_ATTACKS
 from repro.byzantine.ct_attacks import CT_ATTACKS
 from repro.campaign.scenario import (
     COLLUSION_AMPLIFIED_EQUIVOCATION,

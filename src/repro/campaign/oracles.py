@@ -36,7 +36,7 @@ Three oracle families evaluate every campaign run:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any
 
 from repro.analysis.properties import (
     DetectionReport,
@@ -45,16 +45,21 @@ from repro.analysis.properties import (
     check_detection,
     check_vector_consensus,
 )
-from repro.byzantine import CRASH_ATTACKS, TRANSFORMED_ATTACKS
+from repro.byzantine.adversary import CRASH_ATTACKS, TRANSFORMED_ATTACKS
 from repro.byzantine.ct_attacks import CT_ATTACKS
-from repro.byzantine.faults import DetectingModule, FailureClass, FaultProfile
+from repro.byzantine.faults import (
+    DetectingModule,
+    FailureClass,
+    FaultProfile,
+    classify_fault_reason,
+)
 from repro.campaign.scenario import Scenario
+from repro.faults.oracle import (
+    VERDICT_EXPECTED_VULNERABILITY,
+    VERDICT_FAIL,
+    VERDICT_PASS,
+)
 from repro.systems import ConsensusSystem
-
-#: Verdict vocabulary, ordered from best to worst.
-VERDICT_PASS = "pass"
-VERDICT_EXPECTED_VULNERABILITY = "expected-vulnerability"
-VERDICT_FAIL = "fail"
 
 #: The receiver-side verification pair: the behaviour automaton and the
 #: certification analysers share one receive path (see module docstring).
@@ -70,42 +75,6 @@ def acceptable_modules(profile: FaultProfile) -> frozenset[DetectingModule]:
     if profile.detecting_module is DetectingModule.MUTENESS_DETECTOR:
         return frozenset({DetectingModule.MUTENESS_DETECTOR})
     return _VERIFICATION_PAIR
-
-#: Reason-string prefixes of the signature checks: the shell's ingress
-#: (``repro.core.certificates``) and echo-INIT's on RB-delivered INITs.
-_SIGNATURE_PREFIXES = (
-    "signature module:",
-    "echo-init: RB payload is not a signed INIT",
-    "echo-init: RB-delivered INIT claims another process's identity",
-    "echo-init: invalid INIT signature",
-)
-#: Reason-string prefixes of the behaviour automata (Figure 4's, the
-#: Chandra-Toueg one in ``monitor_ct``) and of echo-INIT's behaviour rule.
-_AUTOMATON_PREFIXES = (
-    "out-of-order",
-    "identity mismatch",
-    "spurious:",
-    "misevaluation:",
-    "echo-init: INIT outside reliable broadcast",
-)
-
-
-def classify_fault_reason(reason: str) -> DetectingModule:
-    """Map one ``FaultReport.reason`` string to its raising module.
-
-    The monitor bank funnels every declaration through one ledger, so
-    the module boundary is recovered from the (stable, tested) reason
-    vocabulary: the signature checks and the behaviour automata each
-    raise their own listed prefixes, and everything else comes out of
-    the certification analysers (including the equivocation ledger,
-    which proves value corruption from signed evidence).
-    """
-    if reason.startswith(_SIGNATURE_PREFIXES):
-        return DetectingModule.SIGNATURE
-    if reason.startswith(_AUTOMATON_PREFIXES):
-        return DetectingModule.NON_MUTENESS_DETECTOR
-    return DetectingModule.CERTIFICATION
-
 
 @dataclass(slots=True)
 class ScenarioOutcome:
@@ -286,28 +255,3 @@ def evaluate_outcome(scenario: Scenario, system: ConsensusSystem) -> ScenarioOut
         failure_classes=injected_failure_classes(scenario),
         undetected=sorted(undetected),
     )
-
-
-def kind_of(violation: str) -> str:
-    """The oracle kind of one violation string: the part before the
-    first ``:`` (``progress``, ``attribution``, …). Every oracle
-    catalogue words its violations ``<kind>: <detail>``."""
-    return violation.split(":", 1)[0]
-
-
-def violation_kinds(
-    violations: Mapping[str, Any] | Iterable[str],
-) -> frozenset[str]:
-    """Coarse violation signature used by the shrinkers.
-
-    Takes a list of violation strings, or an outcome record, whose
-    oracle and property violations count together. Two runs "fail the
-    same way" when the kinds coincide — the fine-grained text carries
-    pids and values that legitimately change while shrinking.
-    """
-    if isinstance(violations, Mapping):
-        violations = (
-            *violations.get("violations", ()),
-            *violations.get("properties", {}).get("violations", ()),
-        )
-    return frozenset(kind_of(violation) for violation in violations)

@@ -13,12 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
 
-from repro.campaign.oracles import (
-    ScenarioOutcome,
-    VERDICT_FAIL,
-    evaluate_outcome,
-)
+from repro.campaign.oracles import ScenarioOutcome, evaluate_outcome
 from repro.campaign.scenario import Scenario, build_scenario_system
+from repro.faults.oracle import VERDICT_FAIL
 
 #: Progress callback: (index, total, record) after each finished run.
 ProgressCallback = Callable[[int, int, "ScenarioRecord"], None]

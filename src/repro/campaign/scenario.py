@@ -15,20 +15,18 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Mapping
 
-from repro.byzantine import CRASH_ATTACKS, TRANSFORMED_ATTACKS, crash_attack, transformed_attack
+from repro.byzantine.adversary import (
+    CRASH_ATTACKS,
+    TRANSFORMED_ATTACKS,
+    crash_attack,
+    transformed_attack,
+)
 from repro.byzantine.collusion import make_colluding_equivocators
 from repro.byzantine.ct_attacks import CT_ATTACKS, ct_attack
 from repro.core.specs import SystemParameters, crash_resilience
 from repro.errors import ConfigurationError
 from repro.observability.export import content_id
-from repro.sim.network import (
-    DelayModel,
-    ExponentialDelay,
-    FixedDelay,
-    LinkModel,
-    Partition,
-    UniformDelay,
-)
+from repro.sim.network import DELAY_MODELS, DelayModel, LinkModel, Partition
 from repro.sim.world import TRANSPORTS
 from repro.systems import ConsensusSystem, build_crash_system, build_transformed_system
 
@@ -40,13 +38,6 @@ ALL_PROTOCOLS = CRASH_PROTOCOLS + TRANSFORMED_PROTOCOLS
 
 #: The one coordinated (multi-process, shared-brain) attack available.
 COLLUSION_AMPLIFIED_EQUIVOCATION = "amplified-equivocation"
-
-#: Delay-model registry: name -> (constructor, default parameters).
-DELAY_MODELS: dict[str, tuple[type, dict[str, float]]] = {
-    "uniform": (UniformDelay, {"low": 0.5, "high": 1.5}),
-    "fixed": (FixedDelay, {"delay": 1.0}),
-    "exponential": (ExponentialDelay, {"mean": 1.0, "base": 0.1, "cap": 50.0}),
-}
 
 #: Muteness-detector choices a transformed scenario may pin.
 MUTENESS_DETECTORS = ("oracle", "timeout", "round-aware", "adaptive")

@@ -45,6 +45,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from repro.analysis.reporting import print_table
@@ -748,7 +749,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_gallery(args: argparse.Namespace) -> int:
     from repro.analysis.properties import check_detection, check_vector_consensus
-    from repro.byzantine import TRANSFORMED_ATTACKS
+    from repro.byzantine.adversary import TRANSFORMED_ATTACKS
     from repro.campaign.scenario import Scenario, build_scenario_system
 
     rows = []
@@ -778,7 +779,7 @@ def cmd_gallery(args: argparse.Namespace) -> int:
 
 
 def cmd_attacks(args: argparse.Namespace) -> int:
-    from repro.byzantine import CRASH_ATTACKS, TRANSFORMED_ATTACKS
+    from repro.byzantine.adversary import CRASH_ATTACKS, TRANSFORMED_ATTACKS
     from repro.byzantine.ct_attacks import CT_ATTACKS
 
     def rows_for(catalog):
@@ -822,7 +823,7 @@ def cmd_params(args: argparse.Namespace) -> int:
 
 
 def _preset_scenarios(args: argparse.Namespace) -> list:
-    from repro.campaign import enumerate_scenarios
+    from repro.campaign.matrix import enumerate_scenarios
     from repro.campaign.matrix import campaign_spec
 
     return enumerate_scenarios(
@@ -853,7 +854,9 @@ def cmd_campaign_list(args: argparse.Namespace) -> int:
 
 
 def cmd_campaign_run(args: argparse.Namespace) -> int:
-    from repro.campaign import run_campaign, shrink_scenario, write_campaign_jsonl
+    from repro.campaign.artifact import write_campaign_jsonl
+    from repro.campaign.runner import run_campaign
+    from repro.campaign.shrink import shrink_scenario
 
     scenarios = _preset_scenarios(args)
     if args.max_scenarios is not None:
@@ -900,7 +903,8 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
 
 
 def cmd_campaign_replay(args: argparse.Namespace) -> int:
-    from repro.campaign import read_campaign_jsonl, run_scenario
+    from repro.campaign.artifact import read_campaign_jsonl
+    from repro.campaign.runner import run_scenario
     from repro.campaign.runner import record_matches
 
     artifact = read_campaign_jsonl(args.artifact)
@@ -923,7 +927,8 @@ def cmd_campaign_replay(args: argparse.Namespace) -> int:
 
 
 def cmd_campaign_shrink(args: argparse.Namespace) -> int:
-    from repro.campaign import read_campaign_jsonl, shrink_scenario
+    from repro.campaign.artifact import read_campaign_jsonl
+    from repro.campaign.shrink import shrink_scenario
 
     scenario = read_campaign_jsonl(args.artifact).scenario_for(args.id)
     shrink = shrink_scenario(scenario)
@@ -960,9 +965,9 @@ def _fault_plan(scenario) -> str:
 def cmd_service_run(args: argparse.Namespace) -> int:
     """`repro service run`: one service deployment, judged by the fault
     engine's oracles under the fault plan its flags describe."""
-    from repro.faults import FaultPlan
+    from repro.faults.plan import FaultPlan
     from repro.faults.sim_runner import run_service_plan
-    from repro.service import ServiceConfig
+    from repro.service.config import ServiceConfig
 
     if args.loss and args.transport == "none":
         raise ConfigurationError(
@@ -1027,14 +1032,9 @@ def cmd_service_run(args: argparse.Namespace) -> int:
 def cmd_campaign_faults(args: argparse.Namespace) -> int:
     """`repro campaign faults`: the cross-fidelity fault-plan engine over
     a preset (the adversary zoo's matrices included) or saved plans."""
-    from pathlib import Path
-
-    from repro.faults import (
-        FAULT_PRESETS,
-        FIDELITY_NET,
-        FaultPlan,
-        run_cross_fidelity,
-    )
+    from repro.faults.plan import FIDELITY_NET, FaultPlan
+    from repro.faults.presets import FAULT_PRESETS
+    from repro.faults.report import run_cross_fidelity
     from repro.faults.oracle import net_checks
     from repro.faults.shrink import CLAUSE_AXES, shrink_fault_plan
 
@@ -1137,7 +1137,7 @@ def cmd_campaign_faults(args: argparse.Namespace) -> int:
 
 
 def cmd_net_keygen(args: argparse.Namespace) -> int:
-    from repro.net import Genesis
+    from repro.net.genesis import Genesis
     from repro.net.cluster import group_addresses
 
     addresses = group_addresses(
@@ -1158,30 +1158,56 @@ def cmd_net_keygen(args: argparse.Namespace) -> int:
 
 
 def cmd_net_replica(args: argparse.Namespace) -> int:
-    from repro.net import Genesis, serve_replica
+    import asyncio
 
-    return _run_async(
-        args,
-        serve_replica(
-            Genesis.load(args.genesis),
+    from repro.net.clock import WallScheduler
+    from repro.net.genesis import Genesis
+    from repro.net.node import NetNode, serve_replica
+
+    async def serve() -> int:
+        genesis = Genesis.load(args.genesis)
+        scheduler = WallScheduler(asyncio.get_running_loop())
+        node_kwargs: dict[str, Any] = {"join": args.join}
+        if args.metrics_dir:
+            node_kwargs["metrics_path"] = (
+                Path(args.metrics_dir) / f"node-{args.pid}.jsonl"
+            )
+        if args.attack is not None:
+            # The collusion axis: this replica runs an attack engine.
+            from repro.byzantine.adversary import transformed_attack
+
+            node_kwargs["engine_factory"] = transformed_attack(
+                args.pid, args.attack
+            )[args.pid]
+        if args.faults is None:
+            node = NetNode(genesis, args.pid, scheduler, **node_kwargs)
+            return await serve_replica(node)
+        from repro.faults.net_runner import plan_replica
+        from repro.faults.plan import FaultPlan
+
+        node, link = plan_replica(
+            FaultPlan.load(args.faults),
+            genesis,
             args.pid,
-            join=args.join,
-            metrics_dir=args.metrics_dir,
-            fault_plan=args.faults,
-            fault_origin=args.faults_origin,
-            attack=args.attack,
-        ),
-    )
+            scheduler,
+            args.faults_origin,
+            **node_kwargs,
+        )
+        return await serve_replica(node, link)
+
+    return _run_async(args, serve())
 
 
 def cmd_net_client(args: argparse.Namespace) -> int:
-    from repro.net import Genesis, NetClient
+    from repro.net.client import NetClient
+    from repro.net.genesis import Genesis
 
     return _drive_client(args, NetClient, Genesis.load(args.genesis))
 
 
 def cmd_shard_client(args: argparse.Namespace) -> int:
-    from repro.shard import ShardedNetClient, ShardGenesis
+    from repro.shard.client import ShardedNetClient
+    from repro.shard.genesis import ShardGenesis
 
     return _drive_client(args, ShardedNetClient, ShardGenesis.load(args.genesis))
 
@@ -1242,7 +1268,7 @@ def _drive_client(args: argparse.Namespace, client_class, genesis) -> int:
 
 def cmd_shard_keygen(args: argparse.Namespace) -> int:
     from repro.net.cluster import group_addresses
-    from repro.shard import ShardGenesis
+    from repro.shard.genesis import ShardGenesis
 
     addresses = group_addresses(
         args.shards,
@@ -1270,7 +1296,8 @@ def cmd_shard_keygen(args: argparse.Namespace) -> int:
 
 
 def cmd_shard_route(args: argparse.Namespace) -> int:
-    from repro.shard import ShardGenesis, shard_of
+    from repro.shard.genesis import ShardGenesis
+    from repro.shard.keymap import shard_of
 
     if args.genesis:
         n_shards = ShardGenesis.load(args.genesis).n_shards
@@ -1284,7 +1311,7 @@ def cmd_shard_route(args: argparse.Namespace) -> int:
 
 
 def cmd_shard_cluster(args: argparse.Namespace) -> int:
-    from repro.shard import run_shard_smoke
+    from repro.shard.cluster import run_shard_smoke
 
     verdict = _run_async(
         args,
@@ -1317,7 +1344,7 @@ def _emit_record(
 
 
 def cmd_shard_loopback(args: argparse.Namespace) -> int:
-    from repro.shard import run_loopback_smoke, smoke_json
+    from repro.shard.loopback import run_loopback_smoke, smoke_json
 
     record = run_loopback_smoke(
         shards=args.shards,
@@ -1367,7 +1394,8 @@ def _mc_summary(args: argparse.Namespace, result) -> int:
 
 
 def cmd_mc_run(args: argparse.Namespace) -> int:
-    from repro.mc import Explorer, McConfig
+    from repro.mc.config import McConfig
+    from repro.mc.explorer import Explorer
 
     alphabet = tuple(
         part.strip() for part in (args.alphabet or "").split(",") if part.strip()
@@ -1389,7 +1417,7 @@ def cmd_mc_run(args: argparse.Namespace) -> int:
 
 
 def cmd_mc_resume(args: argparse.Namespace) -> int:
-    from repro.mc import Explorer
+    from repro.mc.explorer import Explorer
 
     return _mc_summary(args, Explorer.resume(args.artifact))
 
@@ -1397,8 +1425,10 @@ def cmd_mc_resume(args: argparse.Namespace) -> int:
 def cmd_mc_replay(args: argparse.Namespace) -> int:
     """Re-check a recorded counterexample against the live stack, then
     map it onto a campaign scenario (optionally shrinking it)."""
-    from repro.campaign import shrink_scenario
-    from repro.mc import Stepper, check_state, counterexample_scenario, load_artifact
+    from repro.campaign.shrink import shrink_scenario
+    from repro.mc.explorer import counterexample_scenario, load_artifact
+    from repro.mc.predicates import check_state
+    from repro.mc.stepper import Stepper
     from repro.mc.mutations import apply_mutation
 
     config, records = load_artifact(args.artifact)

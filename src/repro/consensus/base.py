@@ -15,7 +15,7 @@ from typing import Any
 
 from repro.detectors.base import FailureDetector
 from repro.observability.registry import MODULE_PROTOCOL
-from repro.sim.process import Process, ProcessEnv
+from repro.process import Process, ProcessEnv
 
 #: Timer name used for the recurring suspicion-guard evaluation.
 SUSPICION_POLL_TIMER = "suspicion-poll"

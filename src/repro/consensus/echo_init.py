@@ -35,7 +35,7 @@ from repro.consensus.monitor import PeerMonitor
 from repro.consensus.transformed import TransformedConsensusProcess
 from repro.core.certificates import EMPTY_CERTIFICATE, SignedMessage
 from repro.messages.consensus import Init
-from repro.sim.process import ProcessEnv
+from repro.process import ProcessEnv
 
 
 class EchoInitConsensusProcess(TransformedConsensusProcess):

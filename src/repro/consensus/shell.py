@@ -58,7 +58,7 @@ from repro.observability.registry import (
     MODULE_SIGNATURE,
     NULL_METRICS,
 )
-from repro.sim.process import ProcessEnv
+from repro.process import ProcessEnv
 
 #: Protocol phases.
 PHASE_INIT = "init"

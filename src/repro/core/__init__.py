@@ -5,56 +5,3 @@ process structure and the transformation blueprint — everything in this
 package is protocol-independent; the consensus instantiation lives in
 :mod:`repro.consensus`.
 """
-
-from repro.core.automaton import (
-    FAULTY,
-    BehaviorViolation,
-    StateMachine,
-    Step,
-)
-from repro.core.certificates import (
-    Certificate,
-    CertificateDigest,
-    CertificationAuthority,
-    EMPTY_CERTIFICATE,
-    SignedMessage,
-)
-from repro.core.modules import ABLATABLE_MODULES, ModuleConfig
-from repro.core.specs import (
-    SystemParameters,
-    certification_resilience,
-    crash_resilience,
-    max_arbitrary_faults,
-    quorum,
-    vector_validity_floor,
-)
-from repro.core.transformer import TransformationBlueprint
-from repro.core.vector_certification import (
-    CertifiedVectorBuilder,
-    certified_vector_problems,
-    vectors_compatible,
-)
-
-__all__ = [
-    "ABLATABLE_MODULES",
-    "BehaviorViolation",
-    "Certificate",
-    "CertificateDigest",
-    "CertificationAuthority",
-    "CertifiedVectorBuilder",
-    "EMPTY_CERTIFICATE",
-    "FAULTY",
-    "ModuleConfig",
-    "SignedMessage",
-    "StateMachine",
-    "Step",
-    "SystemParameters",
-    "TransformationBlueprint",
-    "certification_resilience",
-    "certified_vector_problems",
-    "crash_resilience",
-    "max_arbitrary_faults",
-    "quorum",
-    "vector_validity_floor",
-    "vectors_compatible",
-]

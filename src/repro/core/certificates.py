@@ -53,6 +53,7 @@ from repro.crypto.keys import Signer
 from repro.crypto.signatures import Signature, SignatureScheme
 from repro.errors import CertificateError, EncodingError
 from repro.messages.base import Message
+from repro.observability.export import describe_payload
 
 M = TypeVar("M", bound=Message)
 
@@ -191,6 +192,17 @@ class SignedMessage:
         raise CertificateError(
             f"certificate of {type(self.body).__name__} from {self.body.sender} "
             "was pruned to a digest"
+        )
+
+    def describe(self) -> str:
+        """The body's description, the certificate's size, the signer."""
+        if self.has_full_cert:
+            cert_text = f"cert[{len(self.full_cert())}]"
+        else:
+            cert_text = "cert[pruned]"
+        return (
+            f"{describe_payload(self.body)} {cert_text} "
+            f"signed:{self.signature.signer}"
         )
 
     def signed_payload(self) -> Any:

@@ -28,7 +28,7 @@ from repro.core.specs import SystemParameters
 from repro.crypto.keys import KeyAuthority
 from repro.crypto.signatures import SignatureScheme
 from repro.detectors.base import FailureDetector
-from repro.sim.process import Process
+from repro.process import Process
 
 #: Builds the muteness detector for one process.
 MutenessFactory = Callable[[int], FailureDetector]

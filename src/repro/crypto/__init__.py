@@ -5,16 +5,3 @@ MACs behind a capability API here; unforgeability and sender
 authentication — the only properties the methodology relies on — are
 preserved inside the simulation.
 """
-
-from repro.crypto.encoding import Canonicalizable, canonical_bytes
-from repro.crypto.keys import KeyAuthority, Signer
-from repro.crypto.signatures import Signature, SignatureScheme
-
-__all__ = [
-    "Canonicalizable",
-    "KeyAuthority",
-    "Signature",
-    "SignatureScheme",
-    "Signer",
-    "canonical_bytes",
-]

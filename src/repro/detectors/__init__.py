@@ -1,27 +1,1 @@
 """Unreliable failure-detector substrate: ◇S (crash) and ◇M (muteness)."""
-
-from repro.detectors.base import FailureDetector
-from repro.detectors.diamond_m import (
-    AdaptiveMutenessDetector,
-    MutenessDetector,
-    RoundAwareMutenessDetector,
-)
-from repro.detectors.diamond_s import (
-    heartbeat_diamond_s_suite,
-    oracle_diamond_s_suite,
-)
-from repro.detectors.heartbeat import Heartbeat, HeartbeatDetector
-from repro.detectors.oracles import OracleDetector, PerfectOracle
-
-__all__ = [
-    "AdaptiveMutenessDetector",
-    "FailureDetector",
-    "Heartbeat",
-    "HeartbeatDetector",
-    "MutenessDetector",
-    "OracleDetector",
-    "PerfectOracle",
-    "RoundAwareMutenessDetector",
-    "heartbeat_diamond_s_suite",
-    "oracle_diamond_s_suite",
-]

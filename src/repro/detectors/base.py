@@ -18,7 +18,7 @@ from abc import ABC
 
 from repro.errors import ProtocolError
 from repro.observability.registry import MODULE_MUTENESS
-from repro.sim.process import ProcessEnv
+from repro.process import ProcessEnv
 
 
 class FailureDetector(ABC):

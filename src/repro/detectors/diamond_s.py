@@ -21,31 +21,31 @@ from typing import Callable
 
 from repro.detectors.heartbeat import HeartbeatDetector
 from repro.detectors.oracles import OracleDetector
-from repro.sim.world import World
 
 
 def oracle_diamond_s_suite(
-    world: World,
+    n: int,
+    is_crashed: Callable[[int], bool],
     trusted: int,
     poll_interval: float = 1.0,
     accuracy_time: float = 0.0,
     noise_rate: float = 0.0,
 ) -> list[OracleDetector]:
-    """One ◇S oracle per process, fed by the world's crash ground truth.
+    """One ◇S oracle for each of ``n`` processes, fed by the crash ground
+    truth ``is_crashed`` (a world's :meth:`~repro.sim.world.World.is_crashed`).
 
     ``trusted`` should be a process the caller knows will stay correct; it
     is never erroneously suspected, which realises eventual weak accuracy.
     """
-    status: Callable[[int], bool] = world.is_crashed
     return [
         OracleDetector(
-            status=status,
+            status=is_crashed,
             trusted=trusted,
             poll_interval=poll_interval,
             accuracy_time=accuracy_time,
             noise_rate=noise_rate,
         )
-        for _ in range(world.n)
+        for _ in range(n)
     ]
 
 

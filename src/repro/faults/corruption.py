@@ -25,7 +25,7 @@ from dataclasses import replace
 from typing import Any
 
 from repro.faults.plan import FaultPlan
-from repro.sim.rng import SeededRng
+from repro.process import SeededRng
 
 #: Family labels that name the garbage streams: they are part of every
 #: fork label :func:`corruption_rng` derives, so they never change.

@@ -5,7 +5,7 @@ three runners: given ``(now, src, dst, payload)`` in *plan* units it
 answers "what happens to this message" as a list of ``(payload, delay)``
 deliveries — the empty list drops it, more than one entry duplicates it,
 a positive delay reorders it past later traffic. That is the
-:data:`~repro.sim.network.LinkPolicy` contract, so every fidelity hands
+:data:`~repro.process.LinkPolicy` contract, so every fidelity hands
 the answer to its fabric's one link seam — the simulation's
 :class:`~repro.sim.network.Network`, and each replica's
 :class:`~repro.net.transport.PeerTransport` and client's
@@ -54,9 +54,9 @@ from repro.observability.registry import (
     NULL_METRICS,
     MetricsRegistry,
 )
+from repro.process import SeededRng
 from repro.service.messages import SlotEnvelope
 from repro.sim.network import Partition
-from repro.sim.rng import SeededRng
 
 #: One decision: deliver ``payload`` after ``delay`` extra plan-seconds.
 Delivery = tuple[Any, float]

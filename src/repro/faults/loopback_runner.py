@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
-from repro.byzantine import transformed_attack
+from repro.byzantine.adversary import transformed_attack
 from repro.faults.injector import (
     LinkFaultInjector,
     install_zoo_injections,

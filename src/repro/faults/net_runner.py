@@ -34,11 +34,17 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import dataclasses
 import tempfile
 import time
 from pathlib import Path
 from typing import Any, Mapping
 
+from repro.faults.injector import (
+    LinkFaultInjector,
+    install_zoo_injections,
+    zoo_loopback_overrides,
+)
 from repro.faults.oracle import (
     ClusterFacts,
     Counters,
@@ -57,8 +63,10 @@ from repro.net.cluster import (
 )
 from repro.net.loopback import TWIN_TIMERS
 from repro.net.messages import StatusReply
+from repro.net.node import NetNode
 from repro.observability.export import RunArtifact, read_run_jsonl
 from repro.observability.registry import MODULE_NET
+from repro.process import LinkPolicy
 
 #: Lead time between spawning the cluster and the plan's t=0: replicas
 #: must be connected and ready before the first scheduled fault.
@@ -70,6 +78,45 @@ SETTLE_BUDGET = 45.0
 #: The key the run writes once the plan window closes and reads back
 #: by quorum after settling (the sentinel check, docs/FAULTS.md).
 SENTINEL_KEY = "sentinel"
+
+
+def plan_replica(
+    plan: FaultPlan,
+    genesis: Any,
+    pid: int,
+    scheduler: Any,
+    origin: float | None,
+    **node_kwargs: Any,
+) -> tuple[NetNode, LinkPolicy]:
+    """One replica process of a plan run (``net replica --faults``): its
+    node and the link policy its transport takes.
+
+    The plan's injector decides this node's *outbound* traffic, with plan
+    time measured from the shared wall-clock ``origin`` epoch. Families
+    (b)/(d) are *self*-injections: each subprocess corrupts only its own
+    replica, at the plan instant mapped onto the same origin. Zoo plans
+    re-derive the cluster config from the shared plan (every node
+    computes the same overrides; a v1 plan has none).
+    """
+    if origin is None:
+        origin = asyncio.get_running_loop().time()
+    config = dataclasses.replace(
+        genesis.service_config(), **zoo_loopback_overrides(plan)
+    )
+    node = NetNode(genesis, pid, scheduler, config=config, **node_kwargs)
+    injector = LinkFaultInjector(plan, registry=node.metrics, local_pid=pid)
+    install_zoo_injections(
+        plan,
+        lambda at, label, thunk: scheduler.schedule_after(
+            max(0.0, at - (time.time() - origin)), label, thunk
+        ),
+        lambda p: node.process if p == pid else None,
+        node.metrics,
+        pids=frozenset({pid}),
+    )
+    return node, lambda _now, src, dst, p: injector.plan_deliveries(
+        time.time() - origin, src, dst, p
+    )
 
 
 class _NetRun:

@@ -12,7 +12,7 @@ The bit-flip attribution oracle closes the loop on the first
 arbitrary-fault family: at least one flip must have been injected, the
 corruption must be *detected* by the signature/certification side
 (declarations classified via
-:func:`repro.campaign.oracles.classify_fault_reason`, with the raw
+:func:`repro.byzantine.faults.classify_fault_reason`, with the raw
 signature-rejection counter as the fidelity-3 fallback when the bounded
 trace has rolled over), and — on plans without probabilistic link noise,
 whose stream gaps could legitimately trip Figure 4 — the behaviour
@@ -24,13 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
 
-from repro.byzantine.faults import DetectingModule
-from repro.campaign.oracles import (
-    VERDICT_EXPECTED_VULNERABILITY,
-    VERDICT_FAIL,
-    VERDICT_PASS,
-    classify_fault_reason,
-)
+from repro.byzantine.faults import DetectingModule, classify_fault_reason
+from repro.crypto.cache import caching_disabled
 from repro.faults.plan import FIDELITY_NET, FaultPlan
 from repro.observability.registry import (
     MODULE_FAULTS,
@@ -40,8 +35,12 @@ from repro.observability.registry import (
     MODULE_SIGNATURE,
     MODULE_ZOO,
 )
-from repro.crypto.cache import caching_disabled
 from repro.service.checkpoint import certificate_valid, service_digest
+
+#: Verdict vocabulary, ordered from best to worst.
+VERDICT_PASS = "pass"
+VERDICT_EXPECTED_VULNERABILITY = "expected-vulnerability"
+VERDICT_FAIL = "fail"
 
 #: Modules allowed to flag a flipped-bit corruption (the verification
 #: side of the receive path; never the behaviour automaton).

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
-from repro.byzantine import TRANSFORMED_ATTACKS
+from repro.byzantine.adversary import TRANSFORMED_ATTACKS
 from repro.core.specs import SystemParameters
 from repro.errors import ConfigurationError
 from repro.observability.export import check_schema, content_id

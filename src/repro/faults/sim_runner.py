@@ -19,8 +19,7 @@ import dataclasses
 from typing import Any
 
 from repro.analysis.stats import percentile
-from repro.byzantine import transformed_attack
-from repro.campaign.scenario import DELAY_MODELS
+from repro.byzantine.adversary import transformed_attack
 from repro.errors import ConfigurationError
 from repro.faults.injector import (
     Delivery,
@@ -40,8 +39,8 @@ from repro.faults.plan import FIDELITY_SIM, FaultPlan
 from repro.observability.registry import MetricsRegistry
 from repro.service.config import ServiceConfig
 from repro.service.replica import EngineFactory
-from repro.service.runtime import ServiceSystem, build_service_system
-from repro.sim.network import LinkModel
+from repro.sim.network import DELAY_MODELS, LinkModel
+from repro.sim.service import ServiceSystem, build_service_system
 
 #: Plan seconds -> simulated virtual time. The service stack's sim
 #: timeouts are an order of magnitude above the loopback/net genesis

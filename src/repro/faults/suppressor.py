@@ -4,7 +4,7 @@ Within each suppression window, plan time is cut into rounds of
 ``round_length`` seconds; per (sender, round) the adversary picks a
 seeded set of exactly ``d`` destinations whose deliveries from that
 sender silently vanish. The pick is a **pure fork derivation** off the
-plan seed (:meth:`repro.sim.rng.SeededRng.fork`): the set for
+plan seed (:meth:`repro.process.SeededRng.fork`): the set for
 ``(clause, src, round)`` depends only on those coordinates, never on
 query order or on what other links consumed — the determinism and
 independence contract the hypothesis suite pins.
@@ -13,7 +13,7 @@ independence contract the hypothesis suite pins.
 from __future__ import annotations
 
 from repro.faults.plan import FaultPlan
-from repro.sim.rng import SeededRng
+from repro.process import SeededRng
 
 
 class RoundSuppressor:

@@ -9,39 +9,3 @@ emitting any counterexample as a replayable, shrinkable campaign
 scenario. See docs/MODELCHECK.md for the scope bounds and the worked
 counterexample example.
 """
-
-from repro.mc.adversary import ScriptedAdversary
-from repro.mc.config import ADVERSARY_ACTIONS, STRATEGIES, McConfig
-from repro.mc.digest import canonical_state, payload_id, state_digest
-from repro.mc.explorer import (
-    ARTIFACT_FORMAT,
-    ExplorationResult,
-    Explorer,
-    Violation,
-    counterexample_scenario,
-    load_artifact,
-)
-from repro.mc.mutations import MUTATIONS, apply_mutation
-from repro.mc.predicates import check_state
-from repro.mc.stepper import Label, Stepper
-
-__all__ = [
-    "ADVERSARY_ACTIONS",
-    "ARTIFACT_FORMAT",
-    "ExplorationResult",
-    "Explorer",
-    "Label",
-    "MUTATIONS",
-    "McConfig",
-    "STRATEGIES",
-    "ScriptedAdversary",
-    "Stepper",
-    "Violation",
-    "apply_mutation",
-    "canonical_state",
-    "check_state",
-    "counterexample_scenario",
-    "load_artifact",
-    "payload_id",
-    "state_digest",
-]

@@ -31,9 +31,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.campaign.oracles import violation_kinds
 from repro.campaign.scenario import Scenario
 from repro.errors import ConfigurationError
+from repro.faults.shrink import violation_kinds
 from repro.mc.config import McConfig
 from repro.mc.digest import state_digest
 from repro.mc.mutations import apply_mutation

@@ -1,31 +1,1 @@
 """Protocol message bodies (unsigned, uncertified payloads)."""
-
-from repro.messages.base import Message
-from repro.messages.consensus import (
-    NULL,
-    Current,
-    Decide,
-    Init,
-    Next,
-    VCurrent,
-    VDecide,
-    VNext,
-    Vector,
-    empty_vector,
-    vector_with,
-)
-
-__all__ = [
-    "Current",
-    "Decide",
-    "Init",
-    "Message",
-    "NULL",
-    "Next",
-    "VCurrent",
-    "VDecide",
-    "VNext",
-    "Vector",
-    "empty_vector",
-    "vector_with",
-]

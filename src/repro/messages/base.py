@@ -50,6 +50,18 @@ class Message:
             (name, getattr(self, name)) for name in _field_names(type(self))
         )
 
+    def describe(self) -> str:
+        """One-line human description: type tag and short field values."""
+        fields = []
+        for name, value in self.canonical():
+            if name == "sender":
+                continue
+            rendered = repr(value)
+            if len(rendered) > 24:
+                rendered = rendered[:21] + "..."
+            fields.append(f"{name}={rendered}")
+        return f"{self.type_name}({', '.join(fields)})"
+
     def replace(self, **changes: Any) -> "Message":
         """A copy of this body with some fields changed.
 

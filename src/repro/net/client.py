@@ -30,16 +30,30 @@ from typing import Any
 
 from repro.errors import ReproError
 from repro.net.genesis import Genesis
-from repro.net.messages import StatusReply
+from repro.net.messages import ReadReply, ReadRequest, StatusReply, StatusRequest
 from repro.net.transport import Dialer, through_link
 from repro.net.wire import WireError, encode_frame
 from repro.observability.registry import MODULE_NET, MetricsRegistry
+from repro.process import LinkPolicy
 from repro.service.session import ClientSession, PendingOp
-from repro.sim.network import LinkPolicy
 
 
 class NetClientError(ReproError):
     """A client operation could not complete (exhausted retries)."""
+
+
+def open_get(session: ClientSession, key: str, now: float = 0.0) -> PendingOp:
+    """Open a quorum read of ``key`` on ``session``: f+1 distinct
+    replicas returning the same ``(found, value)`` settle it."""
+    request = ReadRequest(session.pid, session.next_req_id, key)
+    return session.open("get", request, ReadReply, session.f + 1, now)
+
+
+def open_status(session: ClientSession, now: float = 0.0) -> PendingOp:
+    """Open a status probe on ``session``: it keeps one reply per
+    replica and settles when every replica has answered."""
+    request = StatusRequest(session.pid, session.next_req_id)
+    return session.open("status", request, StatusReply, session.n_replicas, now)
 
 
 class NetClient:
@@ -165,7 +179,7 @@ class NetClient:
 
     async def get(self, key: str, *, attempts: int = 40) -> tuple[bool, Any]:
         """Read ``key`` from committed state: f+1 matching distinct replies."""
-        op = self.session.get(key, asyncio.get_running_loop().time())
+        op = open_get(self.session, key, asyncio.get_running_loop().time())
         found, value = await self._run(
             op, f"get {key!r}", attempts=attempts, timeout=self.genesis.request_timeout
         )
@@ -174,7 +188,7 @@ class NetClient:
 
     async def status(self, *, timeout: float = 1.0) -> dict[int, StatusReply]:
         """Best-effort per-replica status (whoever answers in ``timeout``)."""
-        op = self.session.status(asyncio.get_running_loop().time())
+        op = open_status(self.session, asyncio.get_running_loop().time())
         with contextlib.suppress(NetClientError):
             await self._run(op, "status", attempts=1, timeout=timeout)
         return dict(op.replies)
@@ -193,7 +207,9 @@ async def workload(
 
     Keys cycle through ``k0..k{space-1}`` whatever the shard count, so
     the offered load is identical — the property the scaling benchmark
-    depends on.
+    depends on. A set that uses up its attempts is issued but not
+    completed: it is counted, not raised, and whoever judges the run
+    sees the shortfall.
     """
     space = key_space or client.genesis.key_space
     loop = asyncio.get_running_loop()
@@ -203,7 +219,10 @@ async def workload(
     async def one(i: int) -> None:
         async with semaphore:
             started = loop.time()
-            await client.set(f"k{i % space}", f"{tag}{client.pid}-{i}")
+            try:
+                await client.set(f"k{i % space}", f"{tag}{client.pid}-{i}")
+            except NetClientError:
+                return
             latencies.append(loop.time() - started)
 
     await asyncio.gather(*(one(i) for i in range(count)))

@@ -23,7 +23,7 @@ from collections import deque
 from typing import Any, Callable
 
 from repro.errors import SchedulerError
-from repro.sim.events import CancellationToken
+from repro.process import CancellationToken
 
 #: Bytes a stream holds "in the kernel" before its writer's buffer grows.
 KERNEL_BUFFER = 1 << 16

@@ -22,7 +22,6 @@ import time
 from pathlib import Path
 from typing import Any, Callable
 
-import repro
 from repro.errors import ReproError
 from repro.net.client import NetClient, NetClientError
 from repro.net.genesis import Genesis
@@ -93,7 +92,7 @@ def make_genesis(
 def _subprocess_env() -> dict[str, str]:
     """Child env with this repo's ``src`` on PYTHONPATH, whatever spawned us."""
     env = dict(os.environ)
-    src = str(Path(repro.__file__).parents[1])
+    src = str(Path(__file__).parents[2])
     existing = env.get("PYTHONPATH", "")
     env["PYTHONPATH"] = f"{src}{os.pathsep}{existing}" if existing else src
     return env

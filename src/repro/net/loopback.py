@@ -20,7 +20,7 @@ from repro.net.clock import VirtualTimeLoop, WallScheduler
 from repro.net.genesis import Genesis
 from repro.net.node import NetNode
 from repro.net.transport import PeerTransport
-from repro.sim.network import LinkPolicy
+from repro.process import LinkPolicy
 
 #: Genesis timers of every twin (and of the fault engine's TCP runs):
 #: clients resubmit and replicas probe sooner than a deployment would.

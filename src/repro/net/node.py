@@ -25,25 +25,20 @@ cluster's directory).
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import signal
-import time
 from pathlib import Path
 from typing import Any
 
 from repro.errors import ConfigurationError
-from repro.net.clock import WallScheduler
 from repro.net.genesis import Genesis
 from repro.net.messages import ReadReply, ReadRequest, StatusReply, StatusRequest
 from repro.net.transport import PeerTransport
 from repro.observability.export import detail_value, write_run_jsonl
 from repro.observability.registry import MODULE_NET, MetricsRegistry
+from repro.observability.trace import Trace
+from repro.process import LinkPolicy, ProcessEnv, SeededRng
 from repro.service.checkpoint import service_digest
 from repro.service.replica import ServiceReplicaProcess
-from repro.sim.network import LinkPolicy
-from repro.sim.process import ProcessEnv
-from repro.sim.rng import SeededRng
-from repro.sim.trace import Trace
 
 _MISSING = object()
 
@@ -245,82 +240,16 @@ class NetNode:
         return self._metrics_path
 
 
-async def serve_replica(
-    genesis: Genesis,
-    pid: int,
-    *,
-    join: bool = False,
-    metrics_dir: str | Path | None = None,
-    fault_plan: str | Path | None = None,
-    fault_origin: float | None = None,
-    attack: str | None = None,
-) -> int:
-    """Run one replica until SIGTERM/SIGINT; the ``net replica`` command.
+async def serve_replica(node: NetNode, link: LinkPolicy | None = None) -> int:
+    """Serve ``node`` until SIGTERM/SIGINT; the ``net replica`` command.
 
-    ``fault_plan``/``fault_origin`` load a :class:`repro.faults` plan and
-    give the :class:`PeerTransport` the plan's injector as its link
-    policy, so the plan's link faults hit this node's *outbound* traffic,
-    with plan time measured from the shared wall-clock ``fault_origin``
-    epoch.
-    ``attack`` names a transformed-attack engine, turning this replica
-    Byzantine (the collusion axis).
+    ``link`` is its :class:`PeerTransport`'s link policy. The command
+    composes a fault plan's wiring here (docs/FAULTS.md): a node built
+    with the plan's config and attack engine, and the plan's injector as
+    ``link``.
     """
     loop = asyncio.get_running_loop()
-    scheduler = WallScheduler(loop)
-    metrics_path = (
-        Path(metrics_dir) / f"node-{pid}.jsonl" if metrics_dir else None
-    )
-    engine_factory = None
-    if attack is not None:
-        from repro.byzantine import transformed_attack
-
-        engine_factory = transformed_attack(pid, attack)[pid]
-    plan = origin = config = None
-    if fault_plan is not None:
-        from repro.faults.injector import zoo_loopback_overrides
-        from repro.faults.plan import FaultPlan
-
-        plan = FaultPlan.load(fault_plan)
-        origin = fault_origin if fault_origin is not None else loop.time()
-        # Zoo plans re-derive the cluster config from the shared plan
-        # (every node computes the same overrides; a v1 plan has none).
-        config = dataclasses.replace(
-            genesis.service_config(), **zoo_loopback_overrides(plan)
-        )
-    node = NetNode(
-        genesis,
-        pid,
-        scheduler,
-        join=join,
-        metrics_path=metrics_path,
-        engine_factory=engine_factory,
-        config=config,
-    )
-    link: LinkPolicy | None = None
-    if plan is not None:
-        from repro.faults.injector import (
-            LinkFaultInjector,
-            install_zoo_injections,
-        )
-
-        injector = LinkFaultInjector(
-            plan, registry=node.metrics, local_pid=pid
-        )
-        link = lambda _now, src, dst, p: injector.plan_deliveries(
-            time.time() - origin, src, dst, p
-        )
-        # Families (b)/(d) are *self*-injections: each subprocess
-        # corrupts only its own replica, at the plan instant mapped onto
-        # the shared wall-clock origin.
-        install_zoo_injections(
-            plan,
-            lambda at, label, thunk: scheduler.schedule_after(
-                max(0.0, at - (time.time() - origin)), label, thunk
-            ),
-            lambda p: node.process if p == pid else None,
-            node.metrics,
-            pids=frozenset({pid}),
-        )
+    genesis, pid = node.genesis, node.pid
     transport = PeerTransport(
         genesis, pid, node.handle_message, metrics=node.net_metrics, link=link
     )

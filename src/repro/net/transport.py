@@ -33,7 +33,7 @@ from repro.net.wire import (
     encode_frame,
 )
 from repro.observability.registry import NULL_METRICS
-from repro.sim.network import LinkPolicy
+from repro.process import LinkPolicy
 
 MessageHandler = Callable[[int, Any], None]
 
@@ -197,7 +197,7 @@ def through_link(
 class PeerTransport:
     """Authenticated full-mesh TCP transport for one replica.
 
-    ``link`` is the :data:`~repro.sim.network.LinkPolicy` the simulator's
+    ``link`` is the :data:`~repro.process.LinkPolicy` the simulator's
     network takes too, asked about every send to a peer or a client, so
     a fault plan's link faults hit real TCP with no privileged machinery.
     """

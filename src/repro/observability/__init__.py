@@ -17,53 +17,3 @@ profiles, which live in a separate section and are never exported.
 See ``docs/OBSERVABILITY.md`` for the metric catalogue and the JSONL
 schema.
 """
-
-from repro.observability.registry import (
-    MODULE_CERTIFICATION,
-    MODULE_MUTENESS,
-    MODULE_MONITOR,
-    MODULE_NETWORK,
-    MODULE_PROCESS,
-    MODULE_PROTOCOL,
-    MODULE_SCHEDULER,
-    MODULE_SIGNATURE,
-    NULL_METRICS,
-    PAPER_MODULES,
-    MetricsRegistry,
-    ModuleMetrics,
-)
-from repro.observability.span import Span
-from repro.observability.export import (
-    SCHEMA_VERSION,
-    ArtifactError,
-    RunArtifact,
-    artifact_to_lines,
-    parse_lines,
-    read_run_jsonl,
-    run_to_lines,
-    write_run_jsonl,
-)
-
-__all__ = [
-    "MODULE_CERTIFICATION",
-    "MODULE_MUTENESS",
-    "MODULE_MONITOR",
-    "MODULE_NETWORK",
-    "MODULE_PROCESS",
-    "MODULE_PROTOCOL",
-    "MODULE_SCHEDULER",
-    "MODULE_SIGNATURE",
-    "NULL_METRICS",
-    "PAPER_MODULES",
-    "ArtifactError",
-    "MetricsRegistry",
-    "ModuleMetrics",
-    "RunArtifact",
-    "SCHEMA_VERSION",
-    "Span",
-    "artifact_to_lines",
-    "parse_lines",
-    "read_run_jsonl",
-    "run_to_lines",
-    "write_run_jsonl",
-]

@@ -33,7 +33,7 @@ from typing import Any, IO, Iterable, Iterator, Mapping
 
 from repro.errors import ConfigurationError
 from repro.observability.registry import MetricsRegistry
-from repro.sim.trace import Trace, TraceEvent
+from repro.observability.trace import Trace, TraceEvent
 
 SCHEMA_VERSION = "repro.observability/v1"
 
@@ -89,14 +89,26 @@ def check_schema(tag: str, family: str, newest: int) -> None:
 _dumps = dumps_canonical
 
 
+def describe_payload(payload: Any) -> str:
+    """One-line human description of a wire payload.
+
+    A message, signed envelope or transport segment describes itself
+    (its ``describe()``); anything else is its ``repr``, cut at 40
+    characters.
+    """
+    describe = getattr(payload, "describe", None)
+    if describe is not None:
+        return describe()
+    rendered = repr(payload)
+    return rendered if len(rendered) <= 40 else rendered[:37] + "..."
+
+
 def detail_value(value: Any) -> Any:
     """A JSON-ready rendering of one trace-event detail value."""
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     # Payloads and other rich objects are summarised, not expanded: the
     # artifact is for accounting, the full objects stay in-process.
-    from repro.analysis.tracefmt import describe_payload  # lazy: avoids cycle
-
     return describe_payload(value)
 
 

@@ -1,6 +1,6 @@
 """Run traces.
 
-Every observable step of a simulation — sends, deliveries, decisions,
+Every observable step of a run — sends, deliveries, decisions,
 suspicions, fault declarations, crashes — is appended to a :class:`Trace`.
 The property checkers in :mod:`repro.analysis.properties` and the metrics
 in :mod:`repro.analysis.metrics` work entirely off this record, so a trace

@@ -2,7 +2,3 @@
 
 The log that feeds it lives in :mod:`repro.service` (docs/SERVICE.md).
 """
-
-from repro.replication.kvstore import Command, KeyValueStore, materialise
-
-__all__ = ["Command", "KeyValueStore", "materialise"]

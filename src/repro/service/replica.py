@@ -36,6 +36,7 @@ from repro.detectors.diamond_m import (
 )
 from repro.messages.consensus import VCurrent, VDecide
 from repro.observability.registry import MODULE_SERVICE, MODULE_SIGNATURE
+from repro.process import Process, ProcessEnv
 from repro.service.checkpoint import (
     CheckpointCertCache,
     CheckpointCertificate,
@@ -55,7 +56,6 @@ from repro.service.messages import (
 from repro.service.slotlog import (
     ArmBatchTimer, CheckpointDue, Commit, Open, Reply, SlotLog,
 )
-from repro.sim.process import Process, ProcessEnv
 
 #: Factory producing the consensus engine for one slot. Signature matches
 #: the transformed-system protocol factory, letting attacks be injected

@@ -16,8 +16,9 @@ machine with no I/O and no clock of its own:
   cannot cast f+1 votes by forging its peers' names.
 
 Drivers do the I/O and the clocks: :class:`~repro.net.client.NetClient`
-over TCP (on the deterministic twin too), and the simulator's
-:class:`~repro.service.clients.ServiceClient`. Each sends what
+over TCP (on the deterministic twin too), which also opens the reads and
+status probes, and the simulator's
+:class:`~repro.sim.service.ServiceClient`. Each sends what
 :meth:`ClientSession.submit` returns to every replica, calls it again
 after each ``request_timeout`` of silence (every call but the first is a
 counted resubmission), and feeds every message it receives, with its
@@ -70,25 +71,15 @@ class ClientSession:
 
     def set(self, key: str, value: Any, now: float = 0.0) -> PendingOp:
         request = ClientRequest(self.pid, self.next_req_id, Command("set", key, value))
-        return self._open("set", request, ClientReply, self.f + 1, now)
+        return self.open("set", request, ClientReply, self.f + 1, now)
 
-    def get(self, key: str, now: float = 0.0) -> PendingOp:
-        # Imported here: repro.net's package imports the TCP driver,
-        # which imports this module.
-        from repro.net.messages import ReadReply, ReadRequest
-
-        request = ReadRequest(self.pid, self.next_req_id, key)
-        return self._open("get", request, ReadReply, self.f + 1, now)
-
-    def status(self, now: float = 0.0) -> PendingOp:
-        from repro.net.messages import StatusReply, StatusRequest
-
-        request = StatusRequest(self.pid, self.next_req_id)
-        return self._open("status", request, StatusReply, self.n_replicas, now)
-
-    def _open(
-        self, kind: str, request: Any, reply_type: type, need: int, now: float
+    def open(
+        self, kind: str, request: Any, reply_type: type, need: int, now: float = 0.0
     ) -> PendingOp:
+        """Track ``request``, whose ``req_id`` is :attr:`next_req_id`, until
+        ``need`` replies of ``reply_type`` settle it. The deployment's
+        reads and status probes (:mod:`repro.net.messages`) are opened
+        by their driver this way."""
         op = PendingOp(kind, request, reply_type, need, now)
         self.ops[request.req_id] = op
         self.next_req_id += 1

@@ -35,9 +35,9 @@ class ShardedNetClient:
         }
         #: The same in every shard: each group numbers its clients alike.
         self.pid = self.clients[0].pid
-        #: Commands this client routed to each shard (sets only — the
-        #: per-shard exactly-once oracle compares these against the
-        #: shard replicas' committed counts).
+        #: Sets this client routed to each shard, counted when issued:
+        #: they are that shard's plan's ``requests``, so a set that never
+        #: completes shows as the shard's ``progress:`` violation.
         self.sets_by_shard: dict[int, int] = {
             shard: 0 for shard in range(genesis.n_shards)
         }
@@ -69,9 +69,8 @@ class ShardedNetClient:
     async def set(self, key: str, value: Any, *, attempts: int = 40) -> int:
         """Commit ``set key=value`` in the key's shard; returns the slot."""
         shard = self.shard_for(key)
-        slot = await self.clients[shard].set(key, value, attempts=attempts)
         self.sets_by_shard[shard] += 1
-        return slot
+        return await self.clients[shard].set(key, value, attempts=attempts)
 
     async def get(self, key: str, *, attempts: int = 40) -> tuple[bool, Any]:
         """Quorum read from the key's shard (f+1 matching replies)."""

@@ -12,9 +12,9 @@ a sentinel per shard, and judge each shard as the fault engine judges a
 plan at the net fidelity (:mod:`repro.shard.verdict`): settled by
 :func:`~repro.faults.oracle.settled` over its status replies, facts
 from :func:`~repro.faults.net_runner.harvest` plus the shard client's
-counts, the exit codes and the sentinel read. The untouched shards
-double as a blast-radius check: a crash in shard ``k`` must not cost any
-other shard a single commit.
+counts, the exit codes and the sentinel read. A crash in shard ``k``
+that cost another shard a commit fails that shard's own ``progress:``
+check.
 """
 
 from __future__ import annotations
@@ -157,13 +157,14 @@ async def run_shard_smoke(
                 await wait_cluster_ready(sub, timeout=30.0)
 
             await workload(client, phase1, concurrency=concurrency, tag="a")
-            completed_at_kill = dict(client.sets_by_shard)
-            del completed_at_kill[kill_shard]
             cluster.kill(kill_shard, kill_pid)
             await workload(client, phase2, concurrency=concurrency, tag="b")
             cluster.spawn(kill_shard, kill_pid, join=True)
             await workload(client, phase3, concurrency=concurrency, tag="c")
             routed = dict(client.sets_by_shard)
+            completed = {
+                shard: sub.sets_completed for shard, sub in client.clients.items()
+            }
             plans = shard_plans(
                 routed,
                 n_replicas=replicas_per_shard,
@@ -179,7 +180,7 @@ async def run_shard_smoke(
                 def probe(replies: dict[int, StatusReply], shard: int = shard) -> bool:
                     statuses[shard] = replies
                     facts = {pid: status_facts(s) for pid, s in replies.items()}
-                    return settled(plans[shard], facts, routed[shard])
+                    return settled(plans[shard], facts, completed[shard])
 
                 await wait_converged(
                     sub,
@@ -204,7 +205,7 @@ async def run_shard_smoke(
             observations[shard] = observe(
                 plan,
                 FIDELITY_NET,
-                completed=routed[shard],
+                completed=completed[shard],
                 replicas=replicas,
                 declarations=declarations,
                 injected=injected,
@@ -226,5 +227,5 @@ async def run_shard_smoke(
         **shard_state(observations),
         "workdir": str(workdir),
         "exit_codes": exit_codes,
-        **shard_verdicts(plans, observations, completed_at_kill),
+        **shard_verdicts(plans, observations),
     }

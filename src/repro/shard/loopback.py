@@ -36,9 +36,9 @@ from repro.faults.plan import FaultPlan
 from repro.net.client import NetClient
 from repro.net.clock import VirtualTimeLoop
 from repro.net.loopback import TWIN_KNOBS, LoopbackCluster, fixed_addresses
+from repro.process import LinkPolicy
 from repro.shard.genesis import ShardGenesis
 from repro.shard.verdict import Kill, shard_plans, shard_state, shard_verdicts
-from repro.sim.network import LinkPolicy
 
 #: Shards get disjoint fake-port ranges.
 _PORT_BASE = 30001
@@ -268,17 +268,12 @@ def run_loopback_smoke(
     span = 12.0
     cluster.schedule_workload(requests, span=span, key_space=key_space)
     kill = None
-    completed_at_kill: dict[int, int] = {}  # untouched shard -> writes at the kill
     if kill_shard is not None:
         kill = (kill_shard, kill_pid, span * 0.3, span * 0.6)
         group = cluster.groups[kill_shard]
-
-        def strike() -> None:
-            completed_at_kill.update({s: len(w) for s, w in cluster.writes.items()})
-            del completed_at_kill[kill_shard]
-            group.kill(kill_pid)
-
-        cluster.scheduler.schedule_after(kill[2], "shard-kill", strike)
+        cluster.scheduler.schedule_after(
+            kill[2], "shard-kill", lambda: group.kill(kill_pid)
+        )
         cluster.scheduler.schedule_after(
             kill[3], "shard-rejoin", lambda: group.rejoin(kill_pid)
         )
@@ -309,7 +304,7 @@ def run_loopback_smoke(
         },
         **shard_state(observations),
         "end_time": round(cluster.scheduler.now, 9),
-        **shard_verdicts(plans, observations, completed_at_kill),
+        **shard_verdicts(plans, observations),
     }
     cluster.close()
     return record
@@ -360,7 +355,7 @@ def loopback_scaling_cell(
     # ack; settling for the judge afterwards may advance the clock
     # further, but that settling time is not service time.
     complete_at = cluster.scheduler.now
-    verdicts = shard_verdicts(*cluster.observe(duration=0.0, budget=60.0), {})
+    verdicts = shard_verdicts(*cluster.observe(duration=0.0, budget=60.0))
     #: The oracle each violation names, e.g. ``"exactly-once"``.
     oracles = {v.split(":")[0] for vs in verdicts["violations"].values() for v in vs}
     cell = {

@@ -2,16 +2,15 @@
 
 A shard is a complete replica group, so :func:`~repro.faults.oracle.settled`
 says when it has converged and :func:`~repro.faults.oracle.judge` gives
-its verdict, as for any fault plan (docs/FAULTS.md). Only the two checks
-that span shards are written here.
+its verdict, as for any fault plan (docs/FAULTS.md). Only the check
+that spans shards, distinct states, is written here.
 """
 
 from __future__ import annotations
 
 from typing import Any, Mapping
 
-from repro.campaign.oracles import VERDICT_PASS
-from repro.faults.oracle import FidelityObservation, judge
+from repro.faults.oracle import VERDICT_PASS, FidelityObservation, judge
 from repro.faults.plan import FaultPlan
 
 #: ``(shard, pid, at, rejoin_at)``: the one kill of a sharded run.
@@ -47,32 +46,24 @@ def shard_plans(
 def shard_verdicts(
     plans: Mapping[int, FaultPlan],
     observations: Mapping[int, FidelityObservation],
-    completed_at_kill: Mapping[int, int],
 ) -> dict[str, Any]:
-    """Each shard's verdict and violations, the two cross-shard checks'
+    """Each shard's verdict and violations, the cross-shard check's
     violations (``isolation``), and ``ok`` when there are none at all.
-    Blast radius: a shard the kill did not touch ends with at least the
-    commits it had completed when the kill struck (``completed_at_kill``).
-    Distinct states: no two shards that were routed sets share a digest,
-    or the map routed one history to both (idle shards share the empty
-    state's)."""
+    A kill that cost another shard a commit needs no check of its own:
+    that shard's ``progress:`` floor already fails. Distinct states: no
+    two shards that were routed sets share a digest, or the map routed
+    one history to both (idle shards share the empty state's)."""
     results = {shard: judge(plans[shard], obs) for shard, obs in observations.items()}
-    isolation = [
-        f"blast radius: shard {shard} ends with {low} committed commands, "
-        f"{before} before the kill in another shard"
-        for shard, before in sorted(completed_at_kill.items())
-        if (low := min(observations[shard].committed.values(), default=0)) < before
-    ]
     owners: dict[str, list[int]] = {}
     for shard, observation in sorted(observations.items()):
         if plans[shard].requests:
             for digest in set(observation.digests.values()):
                 owners.setdefault(digest, []).append(shard)
-    isolation.extend(
+    isolation = [
         f"isolation: shards {shards} report one state digest {digest[:12]}"
         for digest, shards in owners.items()
         if len(shards) > 1
-    )
+    ]
     return {
         "verdicts": {str(shard): verdict for shard, (verdict, _) in results.items()},
         "violations": {str(shard): found for shard, (_, found) in results.items()},

@@ -6,49 +6,3 @@ This package implements the system model of Section 2 of the paper —
 assumption on relative speeds or transfer delays — as a reproducible
 simulator.
 """
-
-from repro.sim.clock import VirtualClock
-from repro.sim.events import CancellationToken, Event, EventQueue
-from repro.sim.network import (
-    DelayModel,
-    ExponentialDelay,
-    FixedDelay,
-    LinkModel,
-    Network,
-    Partition,
-    TargetedSlowdown,
-    UniformDelay,
-)
-from repro.sim.process import Process, ProcessEnv
-from repro.sim.rng import SeededRng
-from repro.sim.scheduler import RunResult, Scheduler
-from repro.sim.trace import Trace, TraceEvent
-from repro.sim.transport import AckSegment, DataSegment, ReliableTransport
-from repro.sim.world import TRANSPORTS, World
-
-__all__ = [
-    "AckSegment",
-    "CancellationToken",
-    "DataSegment",
-    "DelayModel",
-    "Event",
-    "EventQueue",
-    "ExponentialDelay",
-    "FixedDelay",
-    "LinkModel",
-    "Network",
-    "Partition",
-    "Process",
-    "ProcessEnv",
-    "ReliableTransport",
-    "RunResult",
-    "Scheduler",
-    "SeededRng",
-    "TRANSPORTS",
-    "TargetedSlowdown",
-    "Trace",
-    "TraceEvent",
-    "UniformDelay",
-    "VirtualClock",
-    "World",
-]

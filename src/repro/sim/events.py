@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.errors import SchedulerError
+from repro.process import CancellationToken
 
 EventCallback = Callable[[], None]
 
@@ -46,18 +47,6 @@ class Event:
 
     def __lt__(self, other: "Event") -> bool:
         return (self.time, self.seq) < (other.time, other.seq)
-
-
-class CancellationToken:
-    """Mutable flag shared between an event and whoever may cancel it."""
-
-    __slots__ = ("cancelled",)
-
-    def __init__(self) -> None:
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
 
 
 class EventQueue:

@@ -33,24 +33,11 @@ from repro.observability.registry import (
     MODULE_NETWORK,
     MetricsRegistry,
 )
-from repro.sim.rng import SeededRng
+from repro.observability.trace import Trace
+from repro.process import SeededRng
 from repro.sim.scheduler import Scheduler
-from repro.sim.trace import Trace
 
 DeliverCallback = Callable[[int, Any], None]
-
-#: A link policy's verdict on one ``src != dst`` send, asked as
-#: ``link(now, src, dst, payload)``: ``None`` delivers the payload once;
-#: otherwise one ``(payload, extra_delay)`` per copy — none drops it,
-#: several duplicate it, and a positive extra delay makes that copy late
-#: (it escapes the FIFO clamp, so later traffic may overtake it). Every
-#: fabric takes one: :class:`Network`, :class:`~repro.net.transport.PeerTransport`
-#: and :class:`~repro.net.client.NetClient`. :class:`LinkModel` and
-#: :meth:`LinkFaultInjector.plan_deliveries
-#: <repro.faults.injector.LinkFaultInjector.plan_deliveries>` are policies.
-#: The contract is the call alone; :class:`Network` also traces the cuts
-#: and heals of a :class:`LinkModel`'s partitions (not of a wrapped one).
-LinkPolicy = Callable[[float, int, int, Any], "list[tuple[Any, float]] | None"]
 
 # Minimal spacing inserted between two deliveries on the same channel so
 # FIFO order is preserved even when a sampled delay would reorder them.
@@ -106,6 +93,15 @@ class ExponentialDelay:
 
     def sample(self, rng: SeededRng, src: int, dst: int) -> float:
         return min(self.base + rng.expovariate(1.0 / self.mean), self.cap)
+
+
+#: The named delay models a scenario or a plan may pick: name ->
+#: (constructor, default parameters).
+DELAY_MODELS: dict[str, tuple[type, dict[str, float]]] = {
+    "uniform": (UniformDelay, {"low": 0.5, "high": 1.5}),
+    "fixed": (FixedDelay, {"delay": 1.0}),
+    "exponential": (ExponentialDelay, {"mean": 1.0, "base": 0.1, "cap": 50.0}),
+}
 
 
 class ScriptedDelay:

@@ -19,9 +19,9 @@ from typing import Any
 
 from repro.errors import SchedulerError
 from repro.observability.registry import MODULE_SCHEDULER, MetricsRegistry
+from repro.process import CancellationToken, SeededRng
 from repro.sim.clock import VirtualClock
-from repro.sim.events import CancellationToken, Event, EventCallback, EventQueue
-from repro.sim.rng import SeededRng
+from repro.sim.events import Event, EventCallback, EventQueue
 
 
 @dataclass(frozen=True, slots=True)

@@ -40,11 +40,12 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.errors import ConfigurationError, NetworkError
+from repro.observability.export import describe_payload
 from repro.observability.registry import MODULE_TRANSPORT, MetricsRegistry
-from repro.sim.events import CancellationToken
+from repro.observability.trace import Trace
+from repro.process import CancellationToken
 from repro.sim.network import DeliverCallback, Network
 from repro.sim.scheduler import Scheduler
-from repro.sim.trace import Trace
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,12 +55,18 @@ class DataSegment:
     seq: int
     payload: Any
 
+    def describe(self) -> str:
+        return f"seq:{self.seq} {describe_payload(self.payload)}"
+
 
 @dataclass(frozen=True, slots=True)
 class AckSegment:
     """Cumulative ack: every seq ``<= ack`` was delivered in order."""
 
     ack: int
+
+    def describe(self) -> str:
+        return f"ack:{self.ack}"
 
 
 @dataclass(slots=True)

@@ -1,6 +1,6 @@
 """World: composition root of a simulated asynchronous system.
 
-A :class:`World` wires a set of :class:`~repro.sim.process.Process`
+A :class:`World` wires a set of :class:`~repro.process.Process`
 instances to one scheduler, one network and one trace, starts them, and
 runs the event loop. It also owns substrate-level fault scheduling for the
 *crash* model (arbitrary-fault behaviour is implemented by Byzantine
@@ -13,10 +13,10 @@ from typing import Sequence
 
 from repro.errors import ConfigurationError
 from repro.observability.registry import MetricsRegistry
-from repro.sim.network import DelayModel, LinkPolicy, Network
-from repro.sim.process import Process, ProcessEnv
+from repro.observability.trace import Trace
+from repro.process import LinkPolicy, Process, ProcessEnv
+from repro.sim.network import DelayModel, Network
 from repro.sim.scheduler import RunResult, Scheduler
-from repro.sim.trace import Trace
 from repro.sim.transport import ReliableTransport
 
 #: Accepted values of ``World(transport=...)``.

@@ -1,22 +1,1 @@
 """Synchronous substrate and the Interactive Consistency baseline [11]."""
-
-from repro.synchronous.eig import (
-    DEFAULT,
-    EigLiar,
-    EigProcess,
-    EigSilent,
-    eig_rounds,
-    run_interactive_consistency,
-)
-from repro.synchronous.rounds import SynchronousEngine, SyncProcess
-
-__all__ = [
-    "DEFAULT",
-    "EigLiar",
-    "EigProcess",
-    "EigSilent",
-    "SynchronousEngine",
-    "SyncProcess",
-    "eig_rounds",
-    "run_interactive_consistency",
-]

@@ -19,7 +19,7 @@ from abc import ABC, abstractmethod
 from typing import Any
 
 from repro.errors import ConfigurationError
-from repro.sim.rng import SeededRng
+from repro.process import SeededRng
 
 #: Outbox shape: destination pid -> message (``None`` entries are skipped).
 Outbox = dict[int, Any]

@@ -37,7 +37,8 @@ from repro.detectors.diamond_m import (
 from repro.detectors.heartbeat import HeartbeatDetector
 from repro.detectors.oracles import OracleDetector
 from repro.errors import ConfigurationError
-from repro.sim.network import DelayModel, LinkPolicy, UniformDelay
+from repro.process import LinkPolicy
+from repro.sim.network import DelayModel, UniformDelay
 from repro.sim.scheduler import RunResult
 from repro.sim.world import World
 

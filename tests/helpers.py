@@ -258,7 +258,8 @@ def attack_engine(attack):
 
 def log_service(seed=0, byzantine=None, delay=None, link=None, transport="none", **knobs):
     """A (not yet run) :data:`LOG_SERVICE` world."""
-    from repro.service import ServiceConfig, build_service_system
+    from repro.service.config import ServiceConfig
+    from repro.sim.service import build_service_system
     from repro.sim.network import UniformDelay
 
     return build_service_system(
@@ -277,7 +278,7 @@ def correct_logs(system):
 
 def log_converged(system) -> bool:
     """Every client done, identical logs and states at the correct replicas."""
-    from repro.service import service_digest
+    from repro.service.checkpoint import service_digest
 
     logs = correct_logs(system)
     return (

@@ -5,9 +5,8 @@ from __future__ import annotations
 
 from repro.detectors.oracles import ScriptedDetector
 from repro.messages.consensus import Current, Next
+from repro.process import Process, SeededRng
 from repro.sim.network import FixedDelay, ScriptedDelay
-from repro.sim.process import Process
-from repro.sim.rng import SeededRng
 from repro.sim.world import World
 
 

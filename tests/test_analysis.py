@@ -12,7 +12,7 @@ from repro.analysis.properties import (
     check_vector_consensus,
 )
 from repro.analysis.reporting import format_cell, percent, render_table
-from repro.byzantine import crash_attack, transformed_attack
+from repro.byzantine.adversary import crash_attack, transformed_attack
 from repro.systems import build_crash_system, build_transformed_system
 from tests.helpers import SignedWorkbench
 

@@ -6,8 +6,8 @@ import pytest
 
 from repro.broadcast.reliable import RbEcho, RbReady, RbSend, ReliableBroadcast
 from repro.errors import ConfigurationError, ProtocolError
+from repro.process import Process
 from repro.sim.network import FixedDelay, UniformDelay
-from repro.sim.process import Process
 from repro.sim.world import World
 
 

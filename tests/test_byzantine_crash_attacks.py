@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.properties import check_crash_consensus
-from repro.byzantine import CRASH_ATTACKS, crash_attack
+from repro.byzantine.adversary import CRASH_ATTACKS, crash_attack
 from repro.byzantine.crash_attacks import POISON
 from repro.sim.network import FixedDelay, UniformDelay
 from repro.systems import build_crash_system

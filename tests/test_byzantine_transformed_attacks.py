@@ -14,7 +14,7 @@ from repro.analysis.properties import (
     check_detection,
     check_vector_consensus,
 )
-from repro.byzantine import (
+from repro.byzantine.adversary import (
     TRANSFORMED_ATTACKS,
     transformed_attack,
     transformed_attack_profile,

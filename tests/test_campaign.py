@@ -13,36 +13,30 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.byzantine.faults import DetectingModule, FailureClass
-from repro.campaign import (
-    CampaignArtifact,
-    Scenario,
-    enumerate_scenarios,
-    read_campaign_jsonl,
-    run_campaign,
-    run_scenario,
-    shrink_scenario,
-    write_campaign_jsonl,
+from repro.byzantine.faults import (
+    DetectingModule,
+    FailureClass,
+    classify_fault_reason,
 )
 from repro.campaign.artifact import (
+    CampaignArtifact,
+    read_campaign_jsonl,
+    write_campaign_jsonl,
     CampaignArtifactError,
     campaign_to_lines,
     parse_campaign_lines,
 )
-from repro.campaign.matrix import campaign_spec
-from repro.campaign.oracles import (
-    VERDICT_EXPECTED_VULNERABILITY,
-    VERDICT_FAIL,
-    classify_fault_reason,
-    injected_failure_classes,
-    violation_kinds,
-)
-from repro.campaign.runner import record_matches
-from repro.campaign.shrink import shrink
+from repro.campaign.matrix import enumerate_scenarios, campaign_spec
+from repro.campaign.oracles import injected_failure_classes
+from repro.campaign.runner import run_campaign, run_scenario, record_matches
+from repro.campaign.scenario import Scenario
+from repro.campaign.shrink import shrink_scenario
 from repro.cli import main
 from repro.errors import ConfigurationError
-from repro.faults import FaultPlan
-from repro.mc import McConfig
+from repro.faults.oracle import VERDICT_EXPECTED_VULNERABILITY, VERDICT_FAIL
+from repro.faults.plan import FaultPlan
+from repro.faults.shrink import violation_kinds, shrink
+from repro.mc.config import McConfig
 
 #: A scenario known to violate properties deterministically: the
 #: unprotected crash-model protocol facing a value-corrupting Byzantine

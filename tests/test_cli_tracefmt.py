@@ -8,13 +8,13 @@ import json
 import pytest
 
 from repro.analysis.tracefmt import (
-    describe_payload,
     render_sequence,
     trace_to_json,
     trace_to_records,
 )
 from repro.cli import build_parser, main
 from repro.messages.consensus import Current, Decide
+from repro.observability.export import describe_payload
 from repro.systems import build_crash_system, build_transformed_system
 from tests.helpers import SignedWorkbench
 

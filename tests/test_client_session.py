@@ -13,11 +13,11 @@ import asyncio
 
 import pytest
 
-from repro.net import PeerTransport
-from repro.net.client import NetClient, NetClientError
+from repro.net.client import NetClient, NetClientError, open_get, open_status
 from repro.net.genesis import Genesis
 from repro.net.loopback import TWIN_KNOBS, LoopbackCluster, fixed_addresses
 from repro.net.messages import ReadReply, ReadRequest, StatusReply
+from repro.net.transport import PeerTransport
 from repro.net.wire import FrameAssembler, encode_frame
 from repro.service.messages import ClientReply, ClientRequest
 from repro.service.session import ClientSession
@@ -54,7 +54,7 @@ def status(replica: int, req_id: int, committed: int = 0) -> StatusReply:
 class TestClientSession:
     def test_ids_and_requests(self):
         core = session()
-        first, second = core.set("k", "v"), core.get("k")
+        first, second = core.set("k", "v"), open_get(core, "k")
         assert (first.req_id, second.req_id, core.next_req_id) == (100, 101, 102)
         assert first.request == core.submit(100)
         assert isinstance(first.request, ClientRequest)
@@ -99,7 +99,7 @@ class TestClientSession:
 
     def test_a_get_completes_on_f_plus_one_matching_answers(self):
         core = session()
-        op = core.get("k")
+        op = open_get(core, "k")
         assert core.on_reply(0, read(0, op.req_id, True, "old")) is None
         assert core.on_reply(1, read(1, op.req_id, True, "new")) is None
         # (found, value) is the vote: a stored None is not an absent key,
@@ -107,14 +107,14 @@ class TestClientSession:
         assert core.on_reply(2, read(2, op.req_id, False, None)) is None
         assert core.on_reply(3, read(3, op.req_id, True, "new")) is op
         assert op.result == (True, "new")
-        other = core.get("k")
+        other = open_get(core, "k")
         for replica, value in ((0, 1), (1, True), (2, [1]), (3, [1])):
             settled = core.on_reply(replica, read(replica, other.req_id, True, value))
         assert settled is other and other.result == (True, [1])
 
     def test_status_keeps_one_reply_per_sender(self):
         core = session()
-        op = core.status()
+        op = open_status(core)
         core.on_reply(0, status(0, op.req_id, committed=5))
         core.on_reply(0, status(0, op.req_id, committed=99))
         core.on_reply(2, status(2, op.req_id))
@@ -142,7 +142,7 @@ class TestClientSession:
 
     def test_a_status_probe_goes_out_once(self):
         core = session()
-        op = core.status()
+        op = open_status(core)
         assert core.submit(op.req_id) is op.request
         assert core.submit(op.req_id) is None
         assert core.resubmissions == 0

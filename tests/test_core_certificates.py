@@ -299,7 +299,7 @@ class TestMakeSeedsItsMemos:
         # make() signs pre-encoded bytes, scheme.sign() encodes first;
         # both reach Signer.sign through sign_bytes and nowhere else —
         # the impersonation attacker's forged INIT through scheme.sign.
-        from repro.byzantine import transformed_attack
+        from repro.byzantine.adversary import transformed_attack
         from repro.byzantine.transformed_attacks import POISON
         from repro.crypto.keys import Signer
         from repro.crypto.signatures import SignatureScheme

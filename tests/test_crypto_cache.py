@@ -35,9 +35,10 @@ from repro.crypto.encoding import canonical_bytes
 from repro.crypto.keys import KeyAuthority
 from repro.crypto.signatures import SignatureScheme
 from repro.messages.consensus import NULL, Init, VCurrent
-from repro.service import ServiceConfig, build_service_system
 from repro.service.checkpoint import CheckpointCertCache, certificate_valid
+from repro.service.config import ServiceConfig
 from repro.service.messages import StateResponse
+from repro.sim.service import build_service_system
 
 from tests.helpers import SignedWorkbench
 from tests.test_service_transfer import justification, make_replica

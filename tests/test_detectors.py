@@ -17,8 +17,8 @@ from repro.detectors.diamond_s import (
 from repro.detectors.heartbeat import Heartbeat, HeartbeatDetector
 from repro.detectors.oracles import OracleDetector, PerfectOracle
 from repro.errors import ProtocolError
+from repro.process import Process
 from repro.sim.network import FixedDelay, TargetedSlowdown, UniformDelay
-from repro.sim.process import Process
 from repro.sim.world import World
 
 
@@ -130,7 +130,9 @@ class TestOracleDetector:
             Host(MutenessDetector()) for _ in range(3)
         ]  # placeholder hosts; we only exercise the builder
         world = World(world_processes)
-        suite = oracle_diamond_s_suite(world, trusted=2, noise_rate=0.5)
+        suite = oracle_diamond_s_suite(
+            world.n, world.is_crashed, trusted=2, noise_rate=0.5
+        )
         assert len(suite) == 3
         assert all(d._trusted == 2 for d in suite)
 

@@ -14,7 +14,7 @@ from repro.analysis.properties import (
     check_detection,
     check_vector_consensus,
 )
-from repro.byzantine import TRANSFORMED_ATTACKS, transformed_attack
+from repro.byzantine.adversary import TRANSFORMED_ATTACKS, transformed_attack
 from repro.sim.network import ExponentialDelay, UniformDelay
 from repro.systems import build_transformed_system
 
@@ -87,7 +87,7 @@ def test_transformed_invariants_under_any_crash(
     attack_b=st.sampled_from(ATTACK_NAMES),
 )
 def test_two_simultaneous_attackers_at_n7(seed, attack_a, attack_b):
-    from repro.byzantine import transformed_attacks_at
+    from repro.byzantine.adversary import transformed_attacks_at
 
     system = build_transformed_system(
         proposals(7),

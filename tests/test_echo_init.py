@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.properties import check_detection, check_vector_consensus
-from repro.byzantine import transformed_attack
+from repro.byzantine.adversary import transformed_attack
 from repro.byzantine.echo_attacks import echo_equivocation_attack
 from repro.errors import ConfigurationError
 from repro.messages.consensus import NULL

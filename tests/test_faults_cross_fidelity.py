@@ -21,17 +21,11 @@ from pathlib import Path
 
 import repro
 
-from repro.faults import (
-    FAULT_PRESETS,
-    FIDELITIES,
-    FaultPlan,
+from repro.faults.loopback_runner import _LoopbackRun
+from repro.faults.oracle import (
     FidelityObservation,
     judge,
     live_correct,
-    run_cross_fidelity,
-)
-from repro.faults.loopback_runner import _LoopbackRun
-from repro.faults.oracle import (
     NET_CHECKS,
     ClusterFacts,
     ReplicaFacts,
@@ -41,7 +35,9 @@ from repro.faults.oracle import (
     observe,
     settled,
 )
-from repro.faults.report import run_plan
+from repro.faults.plan import FIDELITIES, FaultPlan
+from repro.faults.presets import FAULT_PRESETS
+from repro.faults.report import run_cross_fidelity, run_plan
 from repro.observability.registry import (
     MODULE_FAULTS,
     MODULE_MUTENESS,
@@ -577,7 +573,8 @@ def test_a_loopback_report_is_identical_under_two_hash_seeds():
     # The twin's determinism rests on asyncio's ready-queue order and on
     # nothing that iterates a hash-ordered set.
     script = (
-        "from repro.faults import FAULT_PRESETS, run_cross_fidelity\n"
+        "from repro.faults.presets import FAULT_PRESETS\n"
+        "from repro.faults.report import run_cross_fidelity\n"
         "plans = [p for p in FAULT_PRESETS['smoke'] if p.name == 'kill-rejoin']\n"
         "print(run_cross_fidelity(plans, ('loopback',)).dumps())\n"
     )

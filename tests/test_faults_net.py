@@ -16,9 +16,11 @@ from __future__ import annotations
 import asyncio
 import time
 
-from repro.faults import FaultPlan, judge, run_loopback_plan, run_sim_plan
+from repro.faults.loopback_runner import run_loopback_plan
 from repro.faults.net_runner import harvest, run_net_plan
-from repro.faults.oracle import observe
+from repro.faults.oracle import judge, observe
+from repro.faults.plan import FaultPlan
+from repro.faults.sim_runner import run_sim_plan
 from repro.net.client import NetClient
 from repro.net.cluster import LocalCluster, make_genesis, wait_cluster_ready
 from repro.net.messages import StatusReply
@@ -30,7 +32,7 @@ from repro.observability.registry import (
     MODULE_ZOO,
     MetricsRegistry,
 )
-from repro.sim.trace import Trace
+from repro.observability.trace import Trace
 
 #: One short plan shared by the whole module: replica 1 goes mute at
 #: t=2 (SIGSTOP at fidelity 3) and the other three finish the workload.

@@ -17,14 +17,9 @@ import pytest
 from repro.cli import main
 from repro.core.certificates import SignedMessage
 from repro.errors import ConfigurationError
-from repro.faults import (
-    FAULT_PRESETS,
-    FAULTS_SCHEMA,
-    FaultPlan,
-    LinkFaultInjector,
-    check_faults_schema,
-    flip_signed_payload,
-)
+from repro.faults.injector import LinkFaultInjector, flip_signed_payload
+from repro.faults.plan import FAULTS_SCHEMA, FaultPlan, check_faults_schema
+from repro.faults.presets import FAULT_PRESETS
 from repro.messages.consensus import Init, VCurrent
 from repro.service.messages import SlotEnvelope
 from tests.helpers import SignedWorkbench

@@ -1,4 +1,4 @@
-"""Tests: the one link seam every fabric shares (``repro.sim.network.LinkPolicy``).
+"""Tests: the one link seam every fabric shares (``repro.process.LinkPolicy``).
 
 One scripted policy runs unchanged on the simulator's ``Network`` and on
 two ``PeerTransport``s — one scenario body on the loopback twin's
@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import asyncio
 
-from repro.faults import FaultPlan
+from repro.faults.plan import FaultPlan
 from repro.faults.sim_runner import SIM_TIME_SCALE, build_sim_system
 from repro.net.cluster import make_genesis
 from repro.net.transport import PeerTransport
 from repro.observability.registry import MODULE_NETWORK
+from repro.observability.trace import Trace
 from repro.sim.network import FixedDelay, Network
 from repro.sim.scheduler import Scheduler
-from repro.sim.trace import Trace
 
 from tests.helpers import run_virtual
 

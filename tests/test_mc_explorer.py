@@ -24,16 +24,16 @@ import pytest
 
 from repro.crypto.cache import caching_disabled
 from repro.errors import ConfigurationError, ProtocolError
-from repro.mc import (
+from repro.mc.config import McConfig
+from repro.mc.digest import state_digest
+from repro.mc.explorer import (
     ARTIFACT_FORMAT,
     Explorer,
-    McConfig,
-    Stepper,
-    check_state,
     counterexample_scenario,
-    state_digest,
 )
 from repro.mc.mutations import ACCEPT_ANY_CURRENT_QUORUM, apply_mutation
+from repro.mc.predicates import check_state
+from repro.mc.stepper import Stepper
 from repro.observability.registry import MODULE_MC, MetricsRegistry
 
 #: The bounded sweep most tests use: ~80 states, well under a second.
@@ -223,7 +223,7 @@ class TestSuppressD:
 
 class TestSensitivity:
     def test_known_bad_mutation_is_found_and_shrinks(self, tmp_path):
-        from repro.campaign import shrink_scenario
+        from repro.campaign.shrink import shrink_scenario
 
         result = Explorer(HUNT, tmp_path / "hunt.jsonl").run()
         assert result.stop_reason == "violation"

@@ -24,9 +24,9 @@ from repro.errors import (
     SignatureError,
     SimulationError,
 )
+from repro.observability.trace import Trace
+from repro.process import Process
 from repro.sim.network import FixedDelay
-from repro.sim.process import Process
-from repro.sim.trace import Trace
 from repro.sim.world import World
 from tests.helpers import SignedWorkbench
 

@@ -18,9 +18,10 @@ import sys
 
 import pytest
 
-from repro.faults import FAULT_PRESETS, judge
 from repro.faults.net_runner import run_net_plan
-from repro.net.client import NetClientError
+from repro.faults.oracle import judge
+from repro.faults.presets import FAULT_PRESETS
+from repro.net.client import NetClientError, workload
 from repro.net.cluster import (
     ClusterError,
     LocalCluster,
@@ -122,6 +123,39 @@ class TestProbeLoops:
             wait_converged(client, lambda r: False, timeout=0)
         )
         assert not ok and replies == _replies(0) and client.sets == 0
+
+
+class _LosingClient:
+    """Commits every set but the one numbered ``lost``, which uses up its
+    attempts."""
+
+    def __init__(self, lost):
+        self.genesis = make_genesis(4, seed=35)
+        self.pid, self.resubmissions, self.lost, self.sets = 4, 0, lost, 0
+
+    async def set(self, key, value, *, attempts=40):
+        self.sets += 1
+        if self.sets == self.lost:
+            raise NetClientError("set got 1 of 2 needed replies after 40 attempts")
+        return 0
+
+
+class TestWorkload:
+    def test_a_lost_set_is_issued_but_not_completed(self):
+        client = _LosingClient(lost=2)
+        stats = asyncio.run(workload(client, 4, concurrency=1))
+        assert (stats["issued"], stats["completed"], client.sets) == (4, 3, 4)
+
+    def test_a_shard_counts_the_sets_routed_to_it_lost_ones_included(self):
+        from repro.shard.client import ShardedNetClient
+        from repro.shard.loopback import loopback_shard_genesis
+
+        client = ShardedNetClient(loopback_shard_genesis(2, seed=36), 0)
+        for sub in client.clients.values():
+            sub.set = _LosingClient(lost=1).set
+        stats = asyncio.run(workload(client, 8, concurrency=1))
+        assert stats["completed"] == 6
+        assert sum(stats["sets_by_shard"].values()) == 8
 
 
 class TestSubprocessCluster:

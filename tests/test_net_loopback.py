@@ -13,8 +13,11 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.net import NetNode, PeerTransport, WallScheduler, make_genesis
+from repro.net.clock import WallScheduler
+from repro.net.cluster import make_genesis
 from repro.net.loopback import TWIN_TIMERS, LoopbackCluster
+from repro.net.node import NetNode
+from repro.net.transport import PeerTransport
 from repro.observability.export import read_run_jsonl
 
 from tests.helpers import Mesh, Ops, group_state

@@ -18,9 +18,18 @@ import json
 import pytest
 
 from repro.analysis.run_report import RunReport
-from repro.byzantine import transformed_attack
+from repro.byzantine.adversary import transformed_attack
 from repro.cli import main
-from repro.observability import (
+from repro.observability.export import (
+    SCHEMA_VERSION,
+    artifact_to_lines,
+    parse_lines,
+    read_run_jsonl,
+    run_to_lines,
+    write_run_jsonl,
+    ArtifactError,
+)
+from repro.observability.registry import (
     MODULE_CERTIFICATION,
     MODULE_MONITOR,
     MODULE_MUTENESS,
@@ -28,15 +37,8 @@ from repro.observability import (
     MODULE_SIGNATURE,
     NULL_METRICS,
     PAPER_MODULES,
-    SCHEMA_VERSION,
     MetricsRegistry,
-    artifact_to_lines,
-    parse_lines,
-    read_run_jsonl,
-    run_to_lines,
-    write_run_jsonl,
 )
-from repro.observability.export import ArtifactError
 from repro.systems import build_transformed_system
 
 

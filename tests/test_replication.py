@@ -18,7 +18,8 @@ from repro.byzantine.transformed_attacks import (
 )
 from repro.crypto.encoding import canonical_bytes
 from repro.errors import EncodingError
-from repro.replication import Command, KeyValueStore, kvstore, materialise
+from repro.replication import kvstore
+from repro.replication.kvstore import Command, KeyValueStore, materialise
 from repro.sim.network import UniformDelay
 
 from tests.helpers import (

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from repro.byzantine.transformed_attacks import TCorruptVectorAttacker
 from repro.messages.consensus import NULL
-from repro.replication import Command
-from repro.service import SlotEnv
+from repro.replication.kvstore import Command
 from repro.service.messages import ClientRequest, SlotEnvelope
+from repro.service.replica import SlotEnv
 from repro.service.slotlog import NOOP
 from repro.sim.network import FixedDelay
 

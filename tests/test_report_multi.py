@@ -21,7 +21,7 @@ from repro.analysis.run_report import (
 from repro.cli import main
 from repro.observability.export import read_run_jsonl, write_run_jsonl
 from repro.observability.registry import MetricsRegistry
-from repro.sim.trace import Trace
+from repro.observability.trace import Trace
 
 
 def _artifact(path, *, pids=(0, 1), decided=3, meta=None):

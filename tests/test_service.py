@@ -17,18 +17,19 @@ import pytest
 from repro.cli import main
 from repro.core.certificates import Certificate, SignedMessage
 from repro.errors import ConfigurationError
-from repro.faults import FaultPlan, judge
+from repro.faults.oracle import judge
+from repro.faults.plan import FaultPlan
 from repro.faults.sim_runner import build_service_run, observe_system
 from repro.observability.registry import MODULE_SERVICE
 from repro.replication.kvstore import Command, KeyValueStore
-from repro.service import (
+from repro.service.checkpoint import (
     CheckpointCertificate,
-    ServiceConfig,
-    build_service_system,
     certificate_valid,
     service_digest,
 )
+from repro.service.config import ServiceConfig
 from repro.service.messages import Checkpoint
+from repro.sim.service import build_service_system
 
 
 def run_system(config, **kwargs):

@@ -18,8 +18,8 @@ from repro.crypto.cache import caching_disabled
 from repro.crypto.encoding import canonical_bytes
 from repro.observability.registry import MetricsRegistry
 from repro.replication.kvstore import Command, KeyValueStore
-from repro.service import ServiceConfig
 from repro.service.checkpoint import ExecutedIds, service_digest, state_from_wire
+from repro.service.config import ServiceConfig
 from repro.service.slotlog import SlotLog
 
 from tests.helpers import LOG_SERVICE

@@ -25,16 +25,16 @@ from repro.messages.consensus import NULL, Init
 from repro.net.client import NetClient
 from repro.net.cluster import make_genesis
 from repro.net.genesis import Genesis
-from repro.net.messages import StatusRequest
 from repro.net.loopback import TWIN_KNOBS, LoopbackCluster, fixed_addresses
+from repro.net.messages import StatusRequest
 from repro.net.node import BoundedTrace
 from repro.net.wire import FrameAssembler, decode_frame, encode_frame
 from repro.observability.export import run_to_lines
 from repro.observability.registry import MODULE_NET, MetricsRegistry
+from repro.observability.trace import Trace
 from repro.replication.kvstore import Command
 from repro.service.messages import ClientReply, ClientRequest, SlotEnvelope, StateRequest
 from repro.service.slotlog import NOOP
-from repro.sim.trace import Trace
 
 from tests.helpers import Ops, SignedWorkbench, group_state, run_virtual
 

@@ -26,7 +26,7 @@ from repro.net.genesis import Genesis
 from repro.net.loopback import TWIN_KNOBS, LoopbackCluster, fixed_addresses
 from repro.observability.registry import MetricsRegistry
 from repro.replication.kvstore import Command
-from repro.service import ServiceConfig
+from repro.service.config import ServiceConfig
 from repro.service.messages import ClientRequest, SlotEnvelope
 from repro.service.slotlog import (
     NOOP,
@@ -216,8 +216,8 @@ class TestSlotLogCore:
         assert (log.next_apply, log.executed, log.store.applied) == (0, set(), 0)
 
     def test_the_core_imports_no_simulator_loop_or_transport(self):
-        # The package __init__ pulls in repro.sim, so importing the
-        # module proves nothing: read its own import statements.
+        # Its own import statements; tests/test_layers.py pins what a
+        # fresh interpreter loads with it.
         import repro.service.slotlog as slotlog
 
         tree = ast.parse(Path(slotlog.__file__).read_text())

@@ -22,8 +22,9 @@ from repro.crypto.keys import KeyAuthority
 from repro.crypto.signatures import SignatureScheme
 from repro.messages.consensus import NULL, VCurrent, VDecide
 from repro.observability.registry import MODULE_SERVICE
-from repro.service import ServiceConfig, build_service_system
+from repro.service.config import ServiceConfig
 from repro.service.messages import StateResponse
+from repro.sim.service import build_service_system
 
 
 def make_replica(seed=9):

@@ -18,8 +18,12 @@ import sys
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.shard import ShardedLocalCluster, make_shard_genesis, run_shard_smoke
-from repro.shard.cluster import ShardClusterError
+from repro.shard.cluster import (
+    ShardedLocalCluster,
+    make_shard_genesis,
+    run_shard_smoke,
+    ShardClusterError,
+)
 
 
 def _cli(*argv: str, timeout: float = 60) -> subprocess.CompletedProcess:

@@ -14,7 +14,8 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.shard import ShardGenesis, shard_seed
+from repro.shard.genesis import ShardGenesis
+from repro.shard.keymap import shard_seed
 
 
 def _addresses(n_shards: int, replicas: int = 4, base: int = 21000):

@@ -20,8 +20,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.shard import (
-    ShardGenesis,
+from repro.shard.genesis import ShardGenesis
+from repro.shard.keymap import (
     key_for_shard,
     key_weight,
     route_counts,
@@ -63,7 +63,7 @@ class TestShardOf:
         keys = [f"k{i}" for i in range(32)] + ["", "sentinel-7-0", "α/β"]
         local = [shard_of(key, 4) for key in keys]
         script = (
-            "from repro.shard import shard_of\n"
+            "from repro.shard.keymap import shard_of\n"
             f"keys = {keys!r}\n"
             "print([shard_of(k, 4) for k in keys])\n"
         )

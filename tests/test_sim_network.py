@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, NetworkError
+from repro.observability.trace import Trace
+from repro.process import SeededRng
 from repro.sim.network import (
     ExponentialDelay,
     FixedDelay,
@@ -15,9 +17,7 @@ from repro.sim.network import (
     TargetedSlowdown,
     UniformDelay,
 )
-from repro.sim.rng import SeededRng
 from repro.sim.scheduler import Scheduler
-from repro.sim.trace import Trace
 
 
 def make_network(delay_model=None, n=3, seed=0, link=None, metrics=None):

@@ -5,9 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError, ProcessError
+from repro.observability.trace import Trace
+from repro.process import Process
 from repro.sim.network import FixedDelay
-from repro.sim.process import Process
-from repro.sim.trace import Trace
 from repro.sim.world import World
 
 

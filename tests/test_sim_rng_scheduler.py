@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import SchedulerError
-from repro.sim.rng import SeededRng
+from repro.process import SeededRng
 from repro.sim.scheduler import Scheduler
 
 

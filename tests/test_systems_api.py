@@ -26,7 +26,7 @@ class TestBuildCrashSystem:
             build_crash_system(proposals(3), protocol="paxos")
 
     def test_crash_and_byzantine_overlap_rejected(self):
-        from repro.byzantine import crash_attack
+        from repro.byzantine.adversary import crash_attack
 
         with pytest.raises(ConfigurationError):
             build_crash_system(
@@ -34,7 +34,7 @@ class TestBuildCrashSystem:
             )
 
     def test_correct_pids_excludes_faulty(self):
-        from repro.byzantine import crash_attack
+        from repro.byzantine.adversary import crash_attack
 
         system = build_crash_system(
             proposals(5), crash_at={0: 1.0}, byzantine=crash_attack(2, "mute")

@@ -19,9 +19,9 @@ from repro.campaign.runner import run_scenario
 from repro.campaign.scenario import Scenario
 from repro.errors import ConfigurationError
 from repro.observability.registry import MODULE_TRANSPORT, MetricsRegistry
+from repro.observability.trace import Trace
 from repro.sim.network import FixedDelay, LinkModel, Network, Partition
 from repro.sim.scheduler import Scheduler
-from repro.sim.trace import Trace
 from repro.sim.transport import AckSegment, DataSegment, ReliableTransport
 from repro.sim.world import World
 from repro.systems import build_transformed_system
@@ -204,7 +204,7 @@ class TestTransportUnit:
 
 class TestWorldIntegration:
     def test_world_rejects_unknown_transport(self):
-        from repro.sim.process import Process
+        from repro.process import Process
 
         with pytest.raises(ConfigurationError):
             World([Process(), Process()], transport="bogus")

@@ -19,19 +19,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.campaign.oracles import violation_kinds
 from repro.errors import ConfigurationError
-from repro.faults import (
-    FAULT_PRESETS,
-    FAULTS_SCHEMA,
-    FAULTS_SCHEMA_V1,
-    FaultPlan,
-    FidelityObservation,
-    judge_zoo,
-    live_correct,
-    run_cross_fidelity,
-    shrink_fault_plan,
-)
+from repro.faults.oracle import FidelityObservation, judge_zoo, live_correct
+from repro.faults.plan import FAULTS_SCHEMA, FAULTS_SCHEMA_V1, FaultPlan
+from repro.faults.presets import FAULT_PRESETS
+from repro.faults.report import run_cross_fidelity
+from repro.faults.shrink import violation_kinds, shrink_fault_plan
 
 #: Each family's clauses live in one FaultPlan field (docs/ADVERSARIES.md).
 ZOO_FIELDS = {
